@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race race-spmd race-irregular race-tcp race-shm race-recovery node-smoke node-smoke-shm node-recovery node-recovery-shm run-smoke run-smoke-shm obs-smoke obs-recovery-trace trace-analyze-smoke bench bench-snapshot bench-gate speedup amortization overhead corpus fuzz fuzz-engine fuzz-irregular fuzz-interp docs
+.PHONY: check fmt vet build test race race-spmd race-irregular race-tcp race-shm race-recovery node-smoke node-smoke-shm node-recovery node-recovery-shm run-smoke run-smoke-shm obs-smoke obs-recovery-trace trace-analyze-smoke bench bench-snapshot bench-gate bench-smoke speedup amortization overhead corpus fuzz fuzz-engine fuzz-irregular fuzz-interp docs
 
 check: fmt vet build test docs
 
@@ -148,6 +148,13 @@ bench-snapshot:
 bench-gate:
 	$(GO) run ./cmd/hpfbench -repeat 3 -speedup -irregular -wires -json /tmp/hpfnt-bench-current.json > /dev/null
 	$(GO) run ./cmd/benchgate -baseline BENCH_8.json -current /tmp/hpfnt-bench-current.json -tol 1.5
+
+# bench/ is a Go module of its own, so the root build and test never
+# compile it: vet it and run its tests (every workload at smoke scale,
+# a few seconds) so an internal/ API change cannot silently break the
+# benchmark.
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # The 512² Jacobi schedule-replay speedup gate (spmd >= 1.5x sim).
 speedup:

@@ -1,9 +1,9 @@
 // Command benchgate is the CI perf-regression gate: it compares a
 // fresh `hpfbench -json` record against the committed snapshot
-// (BENCH_6.json) and exits nonzero if the trajectory regressed.
+// (BENCH_8.json) and exits nonzero if the trajectory regressed.
 // Usage:
 //
-//	benchgate -baseline BENCH_6.json -current /tmp/bench.json -tol 1.5
+//	benchgate -baseline BENCH_8.json -current /tmp/bench.json -tol 1.5
 //
 // Timed quantities (experiment wall clocks, the spmd replay wall, the
 // irregular steady-state wall, per-wire message latency and ghost
@@ -62,7 +62,7 @@ type wireRec struct {
 }
 
 var (
-	baselinePath = flag.String("baseline", "BENCH_6.json", "committed snapshot to gate against")
+	baselinePath = flag.String("baseline", "BENCH_8.json", "committed snapshot to gate against")
 	currentPath  = flag.String("current", "", "fresh hpfbench -json record (required)")
 	tol          = flag.Float64("tol", 1.5, "multiplicative tolerance on timed quantities")
 )

@@ -177,7 +177,7 @@ func (x *simArray) NewIrregular(src Array, pat inspector.Pattern) (Schedule, err
 	if err != nil {
 		return nil, err
 	}
-	return &simIrregular{eng: x.eng, s: s}, nil
+	return &simSchedule{eng: x.eng, s: s}, nil
 }
 
 func (x *simArray) Remap(newMap core.ElementMapping) (int, error) {
@@ -188,12 +188,18 @@ func (x *simArray) Reduce(op ReduceOp) (float64, error) {
 	return runtime.Reduce(x.eng.m, x.a, op)
 }
 
+// simSchedule adapts a sequential schedule — the regular and the
+// irregular one execute the same way — to the backend interface.
 type simSchedule struct {
 	eng *simEngine
-	s   *runtime.Schedule
+	s   interface {
+		Execute(m *machine.Machine) error
+		GhostElements() int
+		Messages() int
+	}
 }
 
-func (s *simSchedule) Execute() error { return s.s.Execute(s.eng.m) }
+func (s *simSchedule) Execute() error { return s.ExecuteN(1) }
 
 func (s *simSchedule) ExecuteN(iters int) error {
 	if iters < 1 {
@@ -209,26 +215,3 @@ func (s *simSchedule) ExecuteN(iters int) error {
 
 func (s *simSchedule) GhostElements() int { return s.s.GhostElements() }
 func (s *simSchedule) Messages() int      { return s.s.Messages() }
-
-// simIrregular adapts the sequential irregular executor.
-type simIrregular struct {
-	eng *simEngine
-	s   *runtime.IrregularSchedule
-}
-
-func (s *simIrregular) Execute() error { return s.s.Execute(s.eng.m) }
-
-func (s *simIrregular) ExecuteN(iters int) error {
-	if iters < 1 {
-		return fmt.Errorf("engine: ExecuteN needs a positive iteration count, got %d", iters)
-	}
-	for i := 0; i < iters; i++ {
-		if err := s.s.Execute(s.eng.m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *simIrregular) GhostElements() int { return s.s.GhostElements() }
-func (s *simIrregular) Messages() int      { return s.s.Messages() }

@@ -135,7 +135,11 @@ func (x *spmdArray) NewIrregular(src Array, pat inspector.Pattern) (Schedule, er
 	if !ok || sa.eng != x.eng {
 		return nil, fmt.Errorf("engine: irregular source %s is not on this spmd engine", src.Name())
 	}
-	return x.eng.e.BuildIrregular(x.a, sa.a, pat)
+	s, err := x.eng.e.BuildIrregular(x.a, sa.a, pat)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 func (x *spmdArray) Remap(newMap core.ElementMapping) (int, error) {

@@ -31,9 +31,11 @@
 // each tile. Ghost exchange, load accounting and message
 // vectorization are compiled once per schedule and replayed on every
 // execution, mirroring BuildSchedule/Execute of the sequential
-// runtime. Irregular (indirection-array) statements compile through
-// the inspector–executor kernel of package inspector instead and are
-// lowered here to the same slot/stream machinery (IrregularSchedule).
+// runtime. There is one per-worker plan shape and one executor
+// (Schedule.ExecuteN) with two producers: the regular compiler walks
+// the statement's region, and irregular (indirection-array) statements
+// are lowered from the inspector's schedule (package inspector).
+// Remap ships through the same per-pair exchange.
 //
 // A worker that panics (a user Fill function, a broken wire) does not
 // leave its peers deadlocked on the streams: the panic is recovered,

@@ -2,81 +2,35 @@ package spmd
 
 import (
 	"fmt"
-	"time"
 
 	"hpfnt/internal/inspector"
-	"hpfnt/internal/machine"
-	"hpfnt/internal/obs"
 )
 
-// IrregularSchedule is the spmd engine's executor side of the
-// inspector–executor technique (package inspector): the compiled,
-// replayable form of one irregular gather/scatter statement. The
-// inspector's engine-neutral schedule — per-worker access plans over
-// element offsets plus per-pair deduplicated gather lists — is
-// lowered once to local store slots; each execution then performs
-// real communication: every worker gathers its owned halo elements
-// and ships them over the per-pair channels, scatters the incoming
-// messages into its ghost buffer, accumulates, and stores. No
-// ownership analysis happens at execution time, which is where
-// schedule reuse across ExecuteN iterations pays. Remapping either
-// array invalidates the schedule (the compiled slots point into the
-// pre-remap stores).
-type IrregularSchedule struct {
-	eng        *Engine
-	plans      []*iplan
-	ghostTotal int
-	messages   int
-	// constGhost: the gather source is a different array from the
-	// accumulator, so halo data is invariant across an ExecuteN epoch
-	// and each pair's frame ships once per epoch (schedule-level
-	// coalescing; see Schedule.constGhost).
-	constGhost bool
-	arrays     []*Array
-	gens       []int
-}
-
-// iplan is one worker's compiled share: the accumulate/store lists in
-// local slot space plus the halo sends and receives.
-type iplan struct {
-	lhsData []float64
-	srcData []float64
-	// Accumulate: access j adds coeffs[j]·v(reads[j]) into
-	// acc[writeIx[j]], where reads[j] >= 0 is a slot of srcData and
-	// reads[j] < 0 is ghost slot -(reads[j]+1); then acc[i] stores to
-	// lhsData[outSlots[i]].
+// accumKernel is the arithmetic of an irregular gather/scatter
+// statement in local slot space: access j adds coeffs[j]·v(reads[j])
+// into acc[writeIx[j]], where reads[j] >= 0 is a slot of srcData and
+// reads[j] < 0 is ghost slot -(reads[j]+1); then acc[i] stores to
+// lhsData[outSlots[i]].
+type accumKernel struct {
+	lhsData  []float64
+	srcData  []float64
 	outSlots []int32
 	writeIx  []int32
 	reads    []int32
 	coeffs   []float64
-	ghost    []float64
 	acc      []float64
-
-	sends []isend
-	recvs []irecv
-
-	load       int
-	localRefs  int
-	remoteRefs int
 }
 
-// isend gathers this worker's owned halo elements for one
-// destination; slots index the worker's own source segment.
-type isend struct {
-	dst   int
-	slots []int32
-}
-
-// irecv scatters one sender's message into the ghost buffer.
-type irecv struct {
-	src     int
-	targets []int32
-}
-
-// BuildIrregular runs the inspector over the pattern and lowers the
-// resulting schedule to per-worker slot plans. Replicated arrays are
-// refused (no single-owner partition exists).
-func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*IrregularSchedule, error) {
+// BuildIrregular is the inspector producer, the executor side of the
+// inspector–executor technique (package inspector): it runs the
+// inspector over the pattern and lowers the resulting engine-neutral
+// schedule — per-worker access plans over element offsets plus
+// per-pair deduplicated gather lists — once to local store slots, as
+// the same per-worker plans the regular compiler emits. No ownership
+// analysis happens at execution time, which is where schedule reuse
+// across ExecuteN iterations pays. Replicated arrays are refused (no
+// single-owner partition exists).
+func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*Schedule, error) {
 	if lhs.eng != e || src.eng != e {
 		return nil, fmt.Errorf("spmd: irregular statement arrays belong to a different engine")
 	}
@@ -87,20 +41,26 @@ func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*Irregu
 	if err != nil {
 		return nil, err
 	}
-	s := &IrregularSchedule{
+	s := &Schedule{
 		eng:        e,
-		plans:      make([]*iplan, e.np+1),
+		label:      "irregular",
+		plans:      make([]*wplan, e.np+1),
 		ghostTotal: sched.GhostElements(),
 		messages:   sched.Messages(),
+		// The gather source is a different array from the accumulator,
+		// so halo data is invariant across an ExecuteN epoch.
 		constGhost: lhs != src,
 		arrays:     []*Array{lhs, src},
+		gens:       []int{lhs.gen, src.gen},
 	}
-	planOf := func(p int) *iplan {
+	kerns := make([]*accumKernel, e.np+1)
+	planOf := func(p int) *wplan {
 		if s.plans[p] == nil {
-			s.plans[p] = &iplan{
+			kerns[p] = &accumKernel{
 				lhsData: lhs.lay.stores[p].data,
 				srcData: src.lay.stores[p].data,
 			}
+			s.plans[p] = &wplan{kernel: kerns[p]}
 		}
 		return s.plans[p]
 	}
@@ -110,153 +70,53 @@ func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*Irregu
 			continue
 		}
 		wp := planOf(p)
-		wp.outSlots = make([]int32, len(pl.Outs))
+		k := kerns[p]
+		k.outSlots = make([]int32, len(pl.Outs))
 		for i, off := range pl.Outs {
-			wp.outSlots[i] = lhs.lay.slotOf(p, int(off))
+			k.outSlots[i] = lhs.lay.slotOf(p, int(off))
 		}
-		wp.writeIx = pl.WriteIx
-		wp.coeffs = pl.Coeffs
-		wp.reads = make([]int32, len(pl.Reads))
+		k.writeIx = pl.WriteIx
+		k.coeffs = pl.Coeffs
+		k.reads = make([]int32, len(pl.Reads))
 		for j, r := range pl.Reads {
 			if r >= 0 {
-				wp.reads[j] = src.lay.slotOf(p, int(r))
+				k.reads[j] = src.lay.slotOf(p, int(r))
 			} else {
-				wp.reads[j] = r
+				k.reads[j] = r
 			}
 		}
+		k.acc = make([]float64, len(pl.Outs))
 		wp.ghost = make([]float64, pl.NGhost)
-		wp.acc = make([]float64, len(pl.Outs))
 		wp.load = pl.Load
 		wp.localRefs = pl.LocalRefs
 		wp.remoteRefs = pl.RemoteRefs
 	}
+	pairs := pairBuilder{}
 	for _, pr := range sched.Pairs {
 		slots := make([]int32, len(pr.Offsets))
 		for i, off := range pr.Offsets {
 			slots[i] = src.lay.slotOf(pr.Src, int(off))
 		}
-		sp := planOf(pr.Src)
-		sp.sends = append(sp.sends, isend{dst: pr.Dst, slots: slots})
-		rp := planOf(pr.Dst)
-		rp.recvs = append(rp.recvs, irecv{src: pr.Src, targets: pr.Targets})
+		pairs[[2]int{pr.Src, pr.Dst}] = &pairBuild{segs: []segBuild{{st: src.lay.stores[pr.Src], slots: slots, targets: pr.Targets}}}
 	}
-	for _, a := range s.arrays {
-		s.gens = append(s.gens, a.gen)
-	}
+	pairs.emit(func(p int) *exchange { return &planOf(p).ex })
 	return s, nil
 }
 
-// GhostElements reports the deduplicated halo traffic per execution.
-func (s *IrregularSchedule) GhostElements() int { return s.ghostTotal }
-
-// Messages reports the aggregated messages per execution.
-func (s *IrregularSchedule) Messages() int { return s.messages }
-
-// Execute runs the statement once across the workers.
-func (s *IrregularSchedule) Execute() error { return s.ExecuteN(1) }
-
-// ExecuteN runs the statement iters times in one worker epoch. As
-// with the regular schedules, the per-pair FIFO channels pipeline the
-// iterations: a receiver's iteration-k ghost values come from its
-// sender's post-(k-1) stores, with no global barrier in between.
-func (s *IrregularSchedule) ExecuteN(iters int) error {
-	if iters < 1 {
-		return fmt.Errorf("spmd: ExecuteN needs a positive iteration count, got %d", iters)
+func (k *accumKernel) compute(ghost []float64) {
+	for i := range k.acc {
+		k.acc[i] = 0
 	}
-	for i, a := range s.arrays {
-		if a.gen != s.gens[i] {
-			return fmt.Errorf("spmd: irregular schedule over %s invalidated by remap; rebuild it", a.name)
-		}
-	}
-	e := s.eng
-	timing := obs.TimingEnabled()
-	span := obs.BeginSpan("epoch", fmt.Sprintf("irregular x%d", iters), 0)
-	err := e.run(func(p int) {
-		wp := s.plans[p]
-		if wp == nil {
-			return
-		}
-		wspan := obs.BeginSpan("worker", fmt.Sprintf("rank %d x%d", p, iters), p)
-		var tally *phaseTally
-		if timing {
-			tally = new(phaseTally)
-		}
-		for it := 0; it < iters; it++ {
-			wp.step(e, p, it == 0 || !s.constGhost, tally)
-		}
-		if wspan != nil {
-			wspan()
-		}
-		c := counters{
-			load:       wp.load * iters,
-			localRefs:  wp.localRefs * iters,
-			remoteRefs: wp.remoteRefs * iters,
-			phase:      tally,
-		}
-		frames := iters
-		if s.constGhost {
-			frames = 1
-		}
-		for _, sp := range wp.sends {
-			c.sends = append(c.sends, sendCount{dst: sp.dst, elems: len(sp.slots), msgs: iters, frames: frames})
-		}
-		e.flush(p, &c)
-	})
-	if span != nil {
-		span()
-	}
-	return err
-}
-
-// step is one worker's iteration: gather-and-send the owned halo
-// elements, receive and scatter the incoming ones, accumulate, and
-// store (all reads precede every store, Fortran array-assignment
-// semantics). With comm false (a coalesced replay) the halo exchange
-// is skipped and the epoch's first scattered ghost buffer is reused.
-// A non-nil tally splits the wall time into ghost-wait and compute.
-func (wp *iplan) step(e *Engine, p int, comm bool, tally *phaseTally) {
-	var t0 time.Time
-	if tally != nil {
-		t0 = time.Now()
-	}
-	if comm {
-		for i := range wp.sends {
-			sp := &wp.sends[i]
-			buf := make([]float64, len(sp.slots))
-			for k, sl := range sp.slots {
-				buf[k] = wp.srcData[sl]
-			}
-			e.send(p, sp.dst, buf)
-		}
-		for i := range wp.recvs {
-			rp := &wp.recvs[i]
-			msg := e.recv(rp.src, p)
-			for k, v := range msg {
-				wp.ghost[rp.targets[k]] = v
-			}
-		}
-		if tally != nil {
-			now := time.Now()
-			tally[machine.PhaseGhostWait] += int64(now.Sub(t0))
-			t0 = now
-		}
-	}
-	for i := range wp.acc {
-		wp.acc[i] = 0
-	}
-	for j, r := range wp.reads {
+	for j, r := range k.reads {
 		var v float64
 		if r >= 0 {
-			v = wp.srcData[r]
+			v = k.srcData[r]
 		} else {
-			v = wp.ghost[-r-1]
+			v = ghost[-r-1]
 		}
-		wp.acc[wp.writeIx[j]] += wp.coeffs[j] * v
+		k.acc[k.writeIx[j]] += k.coeffs[j] * v
 	}
-	for i, sl := range wp.outSlots {
-		wp.lhsData[sl] = wp.acc[i]
-	}
-	if tally != nil {
-		tally[machine.PhaseCompute] += int64(time.Since(t0))
+	for i, sl := range k.outSlots {
+		k.lhsData[sl] = k.acc[i]
 	}
 }

@@ -2,7 +2,6 @@ package spmd
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"hpfnt/internal/index"
@@ -38,13 +37,20 @@ type cterm struct {
 	mapf  func(index.Tuple) index.Tuple
 }
 
-// Schedule is a compiled statement lhs(region) = Σ terms: per-worker
-// compute plans over local slots, the per-pair ghost exchange, and
-// the per-worker counter deltas. Execute replays it; the involved
-// arrays must not be remapped between executions (rebuild after
-// REDISTRIBUTE/REALIGN, as with the sequential runtime's schedules).
+// Schedule is a compiled statement: per-worker plans over local slots,
+// the per-pair ghost exchange, and the per-worker counter deltas.
+// There is one plan shape and one executor; the plans come from one of
+// two producers — compile (regular statements lhs(region) = Σ terms,
+// by walking the region) or BuildIrregular (indirection-array
+// statements, by lowering the inspector's schedule) — and ExecuteN
+// replays them without knowing which. The involved arrays must not be
+// remapped between executions (rebuild after REDISTRIBUTE/REALIGN, as
+// with the sequential runtime's schedules).
 type Schedule struct {
-	eng        *Engine
+	eng *Engine
+	// label names the producer in the epoch span ("execute x4",
+	// "irregular x4").
+	label      string
 	plans      []*wplan
 	ghostTotal int
 	messages   int
@@ -64,42 +70,44 @@ type Schedule struct {
 	gens   []int
 }
 
-// wplan is one worker's share of a schedule.
+// wplan is one worker's share of a schedule: its side of the ghost
+// exchange, the ghost buffer the exchange scatters into, the
+// arithmetic over local slots and ghost slots, and the counter deltas
+// one iteration charges.
 type wplan struct {
-	// Compute: for element i, tmp[i] = Σ_t coeffs[t] · ref(i,t) where
-	// refs[i*T+t] ≥ 0 indexes srcData[t] (a local read) and refs < 0
-	// encodes ghost slot -(refs+1); then lhsData[lhsSlots[i]] = tmp[i]
-	// (simultaneous-assignment semantics).
-	lhsData  []float64
-	lhsSlots []int32
-	nterms   int
-	coeffs   []float64
-	srcData  [][]float64
-	refs     []int32
-	ghost    []float64
-	tmp      []float64
-	nGhost   int
-
-	sends []sendPlan
-	recvs []recvPlan
+	ex     exchange
+	ghost  []float64
+	kernel kernel
 
 	load       int
 	localRefs  int
 	remoteRefs int
 }
 
-// sendPlan gathers this worker's owned values for one destination:
-// value i is slabs[i][slots[i]].
-type sendPlan struct {
-	dst   int
-	slabs [][]float64
-	slots []int32
+// kernel is one worker's arithmetic for one iteration: evaluate its
+// whole share of the statement from the local stores and the ghost
+// buffer, then store (whole-statement evaluation before any store,
+// Fortran array-assignment semantics). The two implementations differ
+// only in how the reads are indexed: denseKernel (a fixed number of
+// terms per element, coefficients per term) and accumKernel (a
+// variable number of accesses per element, coefficients per access).
+// They stay apart because the dense form's index stream is a quarter
+// the size, and replay is most of a stencil's wall time.
+type kernel interface {
+	compute(ghost []float64)
 }
 
-// recvPlan scatters one sender's message into the ghost buffer.
-type recvPlan struct {
-	src     int
-	targets []int32
+// denseKernel computes, for element i, tmp[i] = Σ_t coeffs[t] ·
+// ref(i,t) where refs[i*T+t] ≥ 0 indexes srcData[t] (a local read) and
+// refs < 0 encodes ghost slot -(refs+1); then lhsData[lhsSlots[i]] =
+// tmp[i].
+type denseKernel struct {
+	lhsData  []float64
+	lhsSlots []int32
+	coeffs   []float64
+	srcData  [][]float64
+	refs     []int32
+	tmp      []float64
 }
 
 // ghostKey dedups remote reads per (source array, element, reader),
@@ -110,25 +118,10 @@ type ghostKey struct {
 	w   int
 }
 
-// exchange accumulates one ordered pair's ghost traffic during
-// compilation; sender gather order and receiver scatter order are two
-// views of the same list.
-type exchange struct {
-	slabs   [][]float64
-	slots   []int32
-	targets []int32
-}
-
 // BuildSchedule compiles the shift statement lhs(region) = Σ terms.
 func (e *Engine) BuildSchedule(lhs *Array, region index.Domain, terms []Term) (*Schedule, error) {
-	if region.Rank() != lhs.dom.Rank() {
-		return nil, fmt.Errorf("spmd: region rank %d does not match %s rank %d", region.Rank(), lhs.name, lhs.dom.Rank())
-	}
 	cts := make([]cterm, len(terms))
 	for i, t := range terms {
-		if t.Src.eng != e {
-			return nil, fmt.Errorf("spmd: term source %s belongs to a different engine", t.Src.name)
-		}
 		if len(t.Shift) != lhs.dom.Rank() {
 			return nil, fmt.Errorf("spmd: term over %s has shift rank %d, want %d", t.Src.name, len(t.Shift), lhs.dom.Rank())
 		}
@@ -140,46 +133,57 @@ func (e *Engine) BuildSchedule(lhs *Array, region index.Domain, terms []Term) (*
 // BuildGeneralSchedule compiles a statement with arbitrary per-term
 // index mappings.
 func (e *Engine) BuildGeneralSchedule(lhs *Array, region index.Domain, terms []GeneralTerm) (*Schedule, error) {
-	if region.Rank() != lhs.dom.Rank() {
-		return nil, fmt.Errorf("spmd: region rank %d does not match %s rank %d", region.Rank(), lhs.name, lhs.dom.Rank())
-	}
 	cts := make([]cterm, len(terms))
 	for i, t := range terms {
-		if t.Src.eng != e {
-			return nil, fmt.Errorf("spmd: term source %s belongs to a different engine", t.Src.name)
-		}
 		cts[i] = cterm{src: t.Src, coeff: t.Coeff, mapf: t.Map}
 	}
 	return e.compile(lhs, region, cts)
 }
 
-// compile walks the region once (column-major, like the sequential
-// executor) and partitions the statement into per-worker plans. The
-// local/remote classification, remote deduplication, sender choice
-// (first owner) and load charging mirror the sequential analysis
-// element for element, so the aggregated statistics are identical by
-// construction.
+// compile is the regular producer: it walks the region once
+// (column-major, like the sequential executor) and partitions the
+// statement into per-worker plans. The local/remote classification,
+// remote deduplication, sender choice (first owner) and load charging
+// mirror the sequential analysis element for element, so the
+// aggregated statistics are identical by construction.
 func (e *Engine) compile(lhs *Array, region index.Domain, terms []cterm) (*Schedule, error) {
 	if lhs.eng != e {
 		return nil, fmt.Errorf("spmd: array %s belongs to a different engine", lhs.name)
 	}
-	T := len(terms)
-	plans := make([]*wplan, e.np+1)
-	planOf := func(p int) *wplan {
-		if plans[p] == nil {
-			wp := &wplan{nterms: T, lhsData: lhs.lay.stores[p].data}
-			wp.coeffs = make([]float64, T)
-			wp.srcData = make([][]float64, T)
-			for ti, tm := range terms {
-				wp.coeffs[ti] = tm.coeff
-				wp.srcData[ti] = tm.src.lay.stores[p].data
-			}
-			plans[p] = wp
+	if region.Rank() != lhs.dom.Rank() {
+		return nil, fmt.Errorf("spmd: region rank %d does not match %s rank %d", region.Rank(), lhs.name, lhs.dom.Rank())
+	}
+	s := &Schedule{eng: e, label: "execute", plans: make([]*wplan, e.np+1), constGhost: true,
+		arrays: []*Array{lhs}, gens: []int{lhs.gen}}
+	for _, tm := range terms {
+		if tm.src.eng != e {
+			return nil, fmt.Errorf("spmd: term source %s belongs to a different engine", tm.src.name)
 		}
-		return plans[p]
+		s.arrays = append(s.arrays, tm.src)
+		s.gens = append(s.gens, tm.src.gen)
+		if tm.src == lhs {
+			s.constGhost = false // statement overwrites its own input
+		}
+	}
+	T := len(terms)
+	kerns := make([]*denseKernel, e.np+1)
+	nGhost := make([]int32, e.np+1)
+	planOf := func(p int) (*wplan, *denseKernel) {
+		if s.plans[p] == nil {
+			k := &denseKernel{lhsData: lhs.lay.stores[p].data}
+			k.coeffs = make([]float64, T)
+			k.srcData = make([][]float64, T)
+			for ti, tm := range terms {
+				k.coeffs[ti] = tm.coeff
+				k.srcData[ti] = tm.src.lay.stores[p].data
+			}
+			kerns[p] = k
+			s.plans[p] = &wplan{kernel: k}
+		}
+		return s.plans[p], kerns[p]
 	}
 	seen := map[ghostKey]int32{}
-	pairEx := map[[2]int]*exchange{}
+	pairs := pairBuilder{}
 	ref := make(index.Tuple, lhs.dom.Rank())
 	var writers []int
 	var ferr error
@@ -207,78 +211,46 @@ func (e *Engine) compile(lhs *Array, region index.Domain, terms []cterm) (*Sched
 				return false
 			}
 			for _, w := range writers {
-				wp := planOf(w)
+				wp, k := planOf(w)
 				if tm.src.lay.ownedBy(roff, w) {
 					wp.localRefs++
-					wp.refs = append(wp.refs, tm.src.lay.slotOf(w, roff))
+					k.refs = append(k.refs, tm.src.lay.slotOf(w, roff))
 					continue
 				}
 				wp.remoteRefs++
 				key := ghostKey{src: tm.src, off: roff, w: w}
 				g, dup := seen[key]
 				if !dup {
-					g = int32(wp.nGhost)
-					wp.nGhost++
+					g = nGhost[w]
+					nGhost[w]++
 					seen[key] = g
-					s := tm.src.lay.firstOwner(roff)
-					pr := [2]int{s, w}
-					ex := pairEx[pr]
-					if ex == nil {
-						ex = &exchange{}
-						pairEx[pr] = ex
-					}
-					ex.slabs = append(ex.slabs, tm.src.lay.stores[s].data)
-					ex.slots = append(ex.slots, tm.src.lay.slotOf(s, roff))
-					ex.targets = append(ex.targets, g)
+					sender := tm.src.lay.firstOwner(roff)
+					pairs.add(sender, w, tm.src.lay.stores[sender], tm.src.lay.slotOf(sender, roff), g)
 				}
-				wp.refs = append(wp.refs, -(g + 1))
+				k.refs = append(k.refs, -(g + 1))
 			}
 		}
 		for _, w := range writers {
-			wp := planOf(w)
+			wp, k := planOf(w)
 			wp.load += T
-			wp.lhsSlots = append(wp.lhsSlots, lhs.lay.slotOf(w, loff))
+			k.lhsSlots = append(k.lhsSlots, lhs.lay.slotOf(w, loff))
 		}
 		return true
 	})
 	if ferr != nil {
 		return nil, ferr
 	}
-	s := &Schedule{eng: e, plans: plans, messages: len(pairEx), constGhost: true}
-	s.arrays = append(s.arrays, lhs)
-	for _, tm := range terms {
-		s.arrays = append(s.arrays, tm.src)
-		if tm.src == lhs {
-			s.constGhost = false // statement overwrites its own input
-		}
-	}
-	for _, a := range s.arrays {
-		s.gens = append(s.gens, a.gen)
-	}
-	pairs := make([][2]int, 0, len(pairEx))
-	for pr := range pairEx {
-		pairs = append(pairs, pr)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
+	s.ghostTotal, s.messages = len(seen), len(pairs)
+	pairs.emit(func(p int) *exchange {
+		wp, _ := planOf(p)
+		return &wp.ex
 	})
-	for _, pr := range pairs {
-		ex := pairEx[pr]
-		sp := planOf(pr[0])
-		sp.sends = append(sp.sends, sendPlan{dst: pr[1], slabs: ex.slabs, slots: ex.slots})
-		rp := planOf(pr[1])
-		rp.recvs = append(rp.recvs, recvPlan{src: pr[0], targets: ex.targets})
-	}
-	for _, wp := range plans {
+	for p, wp := range s.plans {
 		if wp == nil {
 			continue
 		}
-		wp.ghost = make([]float64, wp.nGhost)
-		wp.tmp = make([]float64, len(wp.lhsSlots))
-		s.ghostTotal += wp.nGhost
+		wp.ghost = make([]float64, nGhost[p])
+		kerns[p].tmp = make([]float64, len(kerns[p].lhsSlots))
 	}
 	return s, nil
 }
@@ -307,8 +279,18 @@ func (s *Schedule) ExecuteN(iters int) error {
 		}
 	}
 	e := s.eng
+	frames := iters
+	if s.constGhost {
+		frames = 1
+	}
 	timing := obs.TimingEnabled()
-	span := obs.BeginSpan("epoch", fmt.Sprintf("execute x%d", iters), 0)
+	// Span labels are formatted only when a recorder will take them:
+	// a one-shot dispatch is otherwise three allocations of label.
+	tracing := obs.TraceEnabled()
+	var span func()
+	if tracing {
+		span = obs.BeginSpan("epoch", fmt.Sprintf("%s x%d", s.label, iters), 0)
+	}
 	err := e.run(func(p int) {
 		wp := s.plans[p]
 		if wp == nil {
@@ -316,34 +298,47 @@ func (s *Schedule) ExecuteN(iters int) error {
 		}
 		// A per-worker epoch span: the skew analysis compares these
 		// lanes to find the straggler.
-		wspan := obs.BeginSpan("worker", fmt.Sprintf("rank %d x%d", p, iters), p)
+		var wspan func()
+		if tracing {
+			wspan = obs.BeginSpan("worker", fmt.Sprintf("rank %d x%d", p, iters), p)
+		}
 		var tally *phaseTally
 		if timing {
 			tally = new(phaseTally)
 		}
+		// A non-nil tally splits each iteration's wall time into
+		// ghost-wait and compute.
 		for it := 0; it < iters; it++ {
+			var t0 time.Time
+			if tally != nil {
+				t0 = time.Now()
+			}
 			// Coalescing: a constGhost statement exchanges ghosts only
 			// on the first iteration of the epoch; the scattered buffer
 			// stays valid for the replays.
-			wp.step(e, p, it == 0 || !s.constGhost, tally)
+			if it == 0 || !s.constGhost {
+				wp.ex.run(e, p, wp.ghost)
+				if tally != nil {
+					now := time.Now()
+					tally[machine.PhaseGhostWait] += int64(now.Sub(t0))
+					t0 = now
+				}
+			}
+			wp.kernel.compute(wp.ghost)
+			if tally != nil {
+				tally[machine.PhaseCompute] += int64(time.Since(t0))
+			}
 		}
 		if wspan != nil {
 			wspan()
 		}
-		c := counters{
+		e.flush(p, &counters{
 			load:       wp.load * iters,
 			localRefs:  wp.localRefs * iters,
 			remoteRefs: wp.remoteRefs * iters,
+			sends:      wp.ex.sendCounts(iters, frames),
 			phase:      tally,
-		}
-		frames := iters
-		if s.constGhost {
-			frames = 1
-		}
-		for _, sp := range wp.sends {
-			c.sends = append(c.sends, sendCount{dst: sp.dst, elems: len(sp.slots), msgs: iters, frames: frames})
-		}
-		e.flush(p, &c)
+		})
 	})
 	if span != nil {
 		span()
@@ -351,61 +346,25 @@ func (s *Schedule) ExecuteN(iters int) error {
 	return err
 }
 
-// step is one worker's iteration: gather-and-send all outgoing ghost
-// messages, receive and scatter the incoming ones, then compute into
-// the temporary and store (whole-statement evaluation before any
-// store, Fortran array-assignment semantics). With comm false (a
-// coalesced replay) the exchange is skipped and the ghost buffer
-// scattered on the epoch's first iteration is reused. A non-nil tally
-// splits the iteration's wall time into ghost-wait and compute.
-func (wp *wplan) step(e *Engine, p int, comm bool, tally *phaseTally) {
-	var t0 time.Time
-	if tally != nil {
-		t0 = time.Now()
-	}
-	if comm {
-		for i := range wp.sends {
-			sp := &wp.sends[i]
-			buf := make([]float64, len(sp.slots))
-			for k, sl := range sp.slots {
-				buf[k] = sp.slabs[k][sl]
-			}
-			e.send(p, sp.dst, buf)
-		}
-		for i := range wp.recvs {
-			rp := &wp.recvs[i]
-			msg := e.recv(rp.src, p)
-			for k, v := range msg {
-				wp.ghost[rp.targets[k]] = v
-			}
-		}
-		if tally != nil {
-			now := time.Now()
-			tally[machine.PhaseGhostWait] += int64(now.Sub(t0))
-			t0 = now
-		}
-	}
-	T := wp.nterms
-	for i := range wp.lhsSlots {
+func (k *denseKernel) compute(ghost []float64) {
+	T := len(k.coeffs)
+	for i := range k.lhsSlots {
 		base := i * T
 		sum := 0.0
 		for ti := 0; ti < T; ti++ {
-			idx := wp.refs[base+ti]
+			idx := k.refs[base+ti]
 			var v float64
 			if idx >= 0 {
-				v = wp.srcData[ti][idx]
+				v = k.srcData[ti][idx]
 			} else {
-				v = wp.ghost[-idx-1]
+				v = ghost[-idx-1]
 			}
-			sum += wp.coeffs[ti] * v
+			sum += k.coeffs[ti] * v
 		}
-		wp.tmp[i] = sum
+		k.tmp[i] = sum
 	}
-	for i, sl := range wp.lhsSlots {
-		wp.lhsData[sl] = wp.tmp[i]
-	}
-	if tally != nil {
-		tally[machine.PhaseCompute] += int64(time.Since(t0))
+	for i, sl := range k.lhsSlots {
+		k.lhsData[sl] = k.tmp[i]
 	}
 }
 
