@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race race-spmd race-irregular race-tcp race-shm race-recovery node-smoke node-smoke-shm node-recovery node-recovery-shm run-smoke run-smoke-shm obs-smoke obs-recovery-trace trace-analyze-smoke bench bench-snapshot bench-gate bench-smoke speedup amortization overhead corpus fuzz fuzz-engine fuzz-irregular fuzz-interp docs
+.PHONY: check fmt vet build test race race-spmd race-irregular race-tcp race-shm race-recovery node-smoke node-smoke-shm node-recovery node-recovery-shm run-smoke run-smoke-shm obs-smoke obs-recovery-trace trace-analyze-smoke bench bench-snapshot bench-gate bench-smoke speedup amortization overhead corpus fuzz fuzz-engine fuzz-irregular fuzz-interp fuzz-wire docs
 
 check: fmt vet build test docs
 
@@ -55,10 +55,11 @@ node-smoke-shm:
 	$(GO) run ./cmd/hpfnode -spawn -procs 4 -np 8 -transport shm -workload all -n 64 -iters 5
 
 # The fault-tolerance suites — chaos wire, checkpoint store, elastic
-# driver (single-process and in-binary multi-member recovery), and the
-# transport failure paths — under the race detector.
+# driver (single-process and in-binary multi-member recovery), the
+# transport failure paths and the job supervisor (spawn, kill, respawn,
+# bounded reap of real child processes) — under the race detector.
 race-recovery:
-	$(GO) test -race -count=1 ./internal/transport ./internal/ckpt ./internal/elastic
+	$(GO) test -race -count=1 ./internal/transport ./internal/job ./internal/ckpt ./internal/elastic
 
 # Node-recovery smoke: a real 4-process job in which the supervisor
 # SIGKILLs process 2 right after the first checkpoint publishes; the
@@ -195,3 +196,12 @@ corpus:
 fuzz-interp:
 	$(GO) test -run xxx -fuzz FuzzDirectiveProgram -fuzztime 30s ./internal/interp
 	$(GO) test -run xxx -fuzz FuzzInterpEquivalence -fuzztime 30s ./internal/interp
+
+# Fuzz the tcp wire's decoders of bytes written by another process: the
+# handshake, the roster, and the framing layer feeding every per-kind
+# decoder. Nothing may panic, over-allocate or accept a payload that is
+# not whole floats.
+fuzz-wire:
+	$(GO) test -run xxx -fuzz FuzzDecodeHello -fuzztime 30s ./internal/transport
+	$(GO) test -run xxx -fuzz FuzzDecodeRoster -fuzztime 30s ./internal/transport
+	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/transport

@@ -46,17 +46,16 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"time"
 
 	"hpfnt/internal/ckpt"
 	"hpfnt/internal/elastic"
 	"hpfnt/internal/engine"
+	"hpfnt/internal/job"
 	"hpfnt/internal/machine"
 	"hpfnt/internal/obs"
 	"hpfnt/internal/transport"
@@ -64,7 +63,7 @@ import (
 )
 
 var (
-	job      = flag.String("job", "hpfnt", "job name; all members must agree")
+	jobName  = flag.String("job", "hpfnt", "job name; all members must agree")
 	wire     = flag.String("transport", transport.TCP, "inter-process wire: tcp (localhost sockets) or shm (mmap'd shared-memory rings)")
 	addr     = flag.String("addr", "127.0.0.1:0", "tcp leader rendezvous address (host:port); port 0 auto-picks (only useful with -spawn)")
 	procs    = flag.Int("procs", 2, "number of OS processes in the job")
@@ -94,6 +93,10 @@ var (
 	tracePath = flag.String("trace", "", "write a Chrome trace-event JSON of the run (open in Perfetto): each process writes <path>.p<self>.json, the leader merges them into <path>")
 	verbose   = flag.Bool("verbose", false, "enable phase timers and print the leader's per-worker detail table (load, traffic matrix, phase times) instead of the terse report line")
 )
+
+// supervisorFlags mean something only to the process that spawns the
+// job; every other flag the user set is forwarded to the workers.
+var supervisorFlags = []string{"spawn", "kill-proc", "kill-after"}
 
 func main() { os.Exit(run()) }
 
@@ -129,32 +132,23 @@ func run() int {
 		return 1
 	}
 	rendezvous := *addr
-	sup := newSupervisor()
+	var sup *job.Supervisor
 	jobDone := make(chan struct{})
 	if *spawn {
 		if *self != 0 {
 			fmt.Fprintln(os.Stderr, "hpfnode: -spawn is only valid on the leader (-self 0)")
 			return 1
 		}
-		// The shm wire rendezvouses on the mmap'd file derived from
-		// the job name, not on a socket address.
-		if *wire == transport.TCP {
-			var err error
-			rendezvous, err = resolveAddr(rendezvous)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hpfnode: %v\n", err)
-				return 1
-			}
-		}
 		if spill != "" {
 			cleanSpill(spill, names)
 		}
-		if err := sup.spawnPeers(rendezvous, spill); err != nil {
+		var err error
+		if sup, rendezvous, err = launch(rendezvous, spill); err != nil {
 			fmt.Fprintf(os.Stderr, "hpfnode: %v\n", err)
 			return 1
 		}
 		if *killProc > 0 {
-			go sup.killAndRespawn(rendezvous, spill, *killProc, spillFor(spill, names[0]), jobDone)
+			go killAndRespawn(sup, *killProc, spillFor(spill, names[0]), jobDone)
 		}
 	} else if *self == 0 && spill != "" {
 		cleanSpill(spill, names)
@@ -168,13 +162,18 @@ func run() int {
 			code = c
 		}
 	}
-	if code != 0 {
-		// Don't leave orphaned workers grinding (or hanging) after the
-		// leader has already failed the job.
-		sup.killAll()
-	}
-	if c := sup.waitAll(*timeout); c != 0 && code == 0 {
-		code = c
+	if sup != nil {
+		if code != 0 {
+			// Don't leave orphaned workers grinding (or hanging) after
+			// the leader has already failed the job.
+			sup.KillAll()
+		}
+		if err := sup.Wait(*timeout); err != nil {
+			fmt.Fprintf(os.Stderr, "hpfnode: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
 	}
 	if c := finishTrace(); c != 0 && code == 0 {
 		code = c
@@ -225,7 +224,7 @@ func resolveSpill() string {
 		return *ckptDir
 	}
 	if *ckptEvery > 0 || *killProc > 0 || *chaosDieEpoch > 0 {
-		return filepath.Join(os.TempDir(), "hpfnt-"+*job+"-spill")
+		return filepath.Join(os.TempDir(), "hpfnt-"+*jobName+"-spill")
 	}
 	return ""
 }
@@ -283,98 +282,46 @@ func validateRecoveryFlags(names []string, spill string) error {
 	return nil
 }
 
-// resolveAddr replaces a ":0" rendezvous port with a concrete free
-// one, so the spawned peers can be told where to dial.
-func resolveAddr(a string) (string, error) {
-	ln, err := net.Listen("tcp", a)
-	if err != nil {
-		return "", err
-	}
-	resolved := ln.Addr().String()
-	ln.Close()
-	return resolved, nil
-}
-
-// supervisor tracks the leader's spawned worker processes by index,
-// so the fault injector can kill and replace one while the job runs.
-type supervisor struct {
-	mu       sync.Mutex
-	children map[int]*exec.Cmd
-}
-
-func newSupervisor() *supervisor { return &supervisor{children: map[int]*exec.Cmd{}} }
-
-// childCmd builds the command for worker process idx of this job,
-// re-executing this binary with the leader's settings.
-func childCmd(rendezvous, spill string, idx int) (*exec.Cmd, error) {
+// launch starts the other processes of this job as children of the
+// leader, each a re-execution of this binary with the flags the
+// user set, and returns their supervisor and the rendezvous address
+// they were told.
+func launch(rendezvous, spill string) (*job.Supervisor, string, error) {
 	bin, err := os.Executable()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	args := []string{
-		"-job", *job, "-transport", *wire, "-addr", rendezvous,
-		"-procs", strconv.Itoa(*procs), "-self", strconv.Itoa(idx),
-		"-np", strconv.Itoa(*np), "-workload", *wl,
-		"-n", strconv.Itoa(*size), "-iters", strconv.Itoa(*iters),
-		"-gen", strconv.Itoa(*gen), "-timeout", timeout.String(),
-		"-retries", strconv.Itoa(*retries),
-		"-checkpoint-every", strconv.Itoa(*ckptEvery),
-		"-heartbeat", hbEvery.String(), "-fail-after", failAfter.String(),
+	// The shm wire rendezvouses on the mmap'd file derived from the job
+	// name, not on a socket address.
+	if *wire == transport.TCP {
+		if rendezvous, err = job.ResolveAddr(rendezvous); err != nil {
+			return nil, "", err
+		}
 	}
+	set := map[string]string{"addr": rendezvous}
 	if spill != "" {
-		args = append(args, "-checkpoint-dir", spill)
-	}
-	if *verbose {
-		args = append(args, "-verbose")
-	}
-	if *tracePath != "" {
-		// Every member records into the same part-file scheme; the
-		// leader merges after reaping the children.
-		args = append(args, "-trace", *tracePath)
+		// The resolved directory: a child cannot re-derive a default
+		// that -kill-proc (which it never sees) switched on.
+		set["checkpoint-dir"] = spill
 	}
 	if *httpAddr != "" {
 		// Workers auto-pick a port: each process is its own scrape
 		// target (per-process /metrics, no cross-process collectives).
-		args = append(args, "-http", "127.0.0.1:0")
+		set["http"] = "127.0.0.1:0"
 	}
-	if *chaosDieEpoch > 0 {
-		args = append(args,
-			"-chaos-die-proc", strconv.Itoa(*chaosDieProc),
-			"-chaos-die-epoch", strconv.Itoa(*chaosDieEpoch))
-	}
-	c := exec.Command(bin, args...)
-	c.Stdout = os.Stdout
-	c.Stderr = os.Stderr
-	return c, nil
-}
-
-// spawnPeers launches processes 1..procs-1 of this job as children of
-// the leader.
-func (s *supervisor) spawnPeers(rendezvous, spill string) error {
-	for i := 1; i < *procs; i++ {
-		c, err := childCmd(rendezvous, spill, i)
-		if err == nil {
-			err = c.Start()
-		}
-		if err != nil {
-			s.killAll()
-			s.waitAll(*timeout)
-			return fmt.Errorf("spawning worker process %d: %w", i, err)
-		}
-		s.mu.Lock()
-		s.children[i] = c
-		s.mu.Unlock()
-	}
-	return nil
+	sup, err := job.Start(*procs, func(idx int) *exec.Cmd {
+		set["self"] = strconv.Itoa(idx)
+		return job.Command(bin, job.ChildArgs(flag.CommandLine, set, supervisorFlags...)...)
+	})
+	return sup, rendezvous, err
 }
 
 // killAndRespawn is the supervisor-level fault injector: once the
 // trigger fires (-kill-after elapsed, or the first checkpoint of the
-// workload is published), it SIGKILLs worker proc — no shutdown
-// handshake, the real thing — and starts a replacement process, which
-// learns the current generation from the leader's published file and
-// rejoins the recovering job.
-func (s *supervisor) killAndRespawn(rendezvous, spill string, proc int, wdir string, done <-chan struct{}) {
+// workload is published), it has the supervisor SIGKILL worker proc and
+// start a replacement process, which learns the current generation
+// from the leader's published file and rejoins the recovering job.
+func killAndRespawn(sup *job.Supervisor, proc int, wdir string, done <-chan struct{}) {
 	if *killAfter > 0 {
 		select {
 		case <-time.After(*killAfter):
@@ -400,92 +347,16 @@ func (s *supervisor) killAndRespawn(rendezvous, spill string, proc int, wdir str
 			}
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	select {
-	case <-done: // job finished while we raced for the lock
+	case <-done: // job finished while the trigger was being evaluated
 		return
 	default:
 	}
-	c := s.children[proc]
-	if c == nil {
+	if err := sup.Respawn(proc); err != nil {
+		fmt.Fprintf(os.Stderr, "hpfnode: %v\n", err)
 		return
 	}
-	c.Process.Kill()
-	c.Wait()
 	fmt.Printf("hpfnode: supervisor sent SIGKILL to worker process %d; respawning a replacement\n", proc)
-	nc, err := childCmd(rendezvous, spill, proc)
-	if err == nil {
-		err = nc.Start()
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hpfnode: respawning worker process %d: %v\n", proc, err)
-		delete(s.children, proc)
-		return
-	}
-	s.children[proc] = nc
-}
-
-// killAll forcibly terminates every remaining child.
-func (s *supervisor) killAll() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.children {
-		if c.Process != nil {
-			c.Process.Kill()
-		}
-	}
-}
-
-// waitAll reaps every child, bounding each wait by the timeout so a
-// wedged worker cannot hang the supervisor: a child that does not
-// exit in time is killed and counted as a failure.
-func (s *supervisor) waitAll(bound time.Duration) int {
-	s.mu.Lock()
-	kids := make(map[int]*exec.Cmd, len(s.children))
-	for i, c := range s.children {
-		kids[i] = c
-	}
-	s.children = map[int]*exec.Cmd{}
-	s.mu.Unlock()
-	code := 0
-	for i, c := range kids {
-		done := make(chan error, 1)
-		go func(c *exec.Cmd) { done <- c.Wait() }(c)
-		select {
-		case err := <-done:
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hpfnode: worker process %d: %v\n", i, err)
-				code = 1
-			}
-		case <-time.After(bound):
-			fmt.Fprintf(os.Stderr, "hpfnode: worker process %d did not exit within %v; killing it\n", i, bound)
-			c.Process.Kill()
-			<-done
-			code = 1
-		}
-	}
-	return code
-}
-
-// dialWire joins the job's wire at the given generation.
-func dialWire(rendezvous string, g int) (transport.Transport, error) {
-	switch *wire {
-	case transport.TCP:
-		return transport.NewTCP(transport.TCPConfig{
-			Job: *job, NP: *np, Procs: *procs, Self: *self,
-			Generation: g, Addr: rendezvous, Timeout: *timeout,
-			Heartbeat: *hbEvery, FailAfter: *failAfter,
-		})
-	case transport.Shm:
-		return transport.NewShm(transport.ShmConfig{
-			Job: *job, NP: *np, Procs: *procs, Self: *self,
-			Generation: g, Timeout: *timeout,
-			Heartbeat: *hbEvery, FailAfter: *failAfter,
-		})
-	default:
-		return nil, fmt.Errorf("unknown -transport %q (tcp or shm)", *wire)
-	}
 }
 
 // runMember is one process's life in the job: run each workload under
@@ -494,7 +365,7 @@ func dialWire(rendezvous string, g int) (transport.Transport, error) {
 func runMember(rendezvous, spill string, names []string) int {
 	lo, hi := transport.RanksOf(*np, *procs, *self)
 	fmt.Printf("hpfnode[%d]: member of job %q over %s: %d procs, ranks %d..%d of %d, starting generation %d\n",
-		*self, *job, *wire, *procs, lo, hi, *np, *gen)
+		*self, *jobName, *wire, *procs, lo, hi, *np, *gen)
 	curGen := *gen
 	code := 0
 	for _, name := range names {
@@ -540,7 +411,11 @@ func runWorkload(rendezvous, name, wdir string, startGen int) (workload.NodeResu
 	var det machine.Detail
 	cfg := elastic.Config{
 		Dial: func(g int) (transport.Transport, error) {
-			tr, err := dialWire(rendezvous, g)
+			tr, err := transport.Join(*wire, transport.Config{
+				Job: *jobName, NP: *np, Procs: *procs, Self: *self,
+				Generation: g, Addr: rendezvous, Timeout: *timeout,
+				Heartbeat: *hbEvery, FailAfter: *failAfter,
+			})
 			if err == nil {
 				live.setTransport(tr)
 			}

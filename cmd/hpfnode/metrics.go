@@ -71,7 +71,7 @@ func serveMetrics(addr string) (func() int, error) {
 	// view, so a future multi-tenant daemon can host several jobs'
 	// families side by side in one exposition without touching any of
 	// the collector closures below.
-	reg, err := root.WithLabels("job", *job)
+	reg, err := root.WithLabels("job", *jobName)
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"strconv"
@@ -34,6 +33,7 @@ import (
 	"hpfnt/hpf"
 	"hpfnt/internal/engine"
 	"hpfnt/internal/interp"
+	"hpfnt/internal/job"
 	"hpfnt/internal/machine"
 	"hpfnt/internal/transport"
 )
@@ -53,11 +53,15 @@ var (
 	spawn    = flag.Bool("spawn", false, "run as a real multi-process job: spawn the other -procs processes on localhost")
 	procs    = flag.Int("procs", 2, "number of OS processes in the multi-process job")
 	self     = flag.Int("self", 0, "this process's index in the job (0 = leader)")
-	job      = flag.String("job", "hpfrun", "job name; all members must agree")
+	jobName  = flag.String("job", "hpfrun", "job name; all members must agree")
 	addr     = flag.String("addr", "127.0.0.1:0", "tcp rendezvous address (port 0 auto-picks; only useful with -spawn)")
 	timeout  = flag.Duration("timeout", 30*time.Second, "multi-process bootstrap timeout and child-reap bound")
 	noverify = flag.Bool("noverify", false, "leader: skip the in-process verification run")
 )
+
+// supervisorFlags mean something only to the process that spawns the
+// job; every other flag the user set is forwarded to the peers.
+var supervisorFlags = []string{"spawn"}
 
 func main() { os.Exit(run()) }
 
@@ -144,36 +148,38 @@ func runJob(path, src string, cfg interp.Config) int {
 		cfg.NP = 8
 	}
 	rendezvous := *addr
-	var kids []*exec.Cmd
+	var sup *job.Supervisor
 	if *spawn {
 		if *self != 0 {
 			fmt.Fprintln(os.Stderr, "hpfrun: -spawn is only valid on the leader (-self 0)")
 			return 1
 		}
-		if *wire == transport.TCP {
-			var err error
-			if rendezvous, err = resolveAddr(rendezvous); err != nil {
-				fmt.Fprintf(os.Stderr, "hpfrun: %v\n", err)
-				return 1
-			}
+		bin, err := os.Executable()
+		if err == nil && *wire == transport.TCP {
+			rendezvous, err = job.ResolveAddr(rendezvous)
 		}
-		var err error
-		if kids, err = spawnPeers(path, rendezvous, cfg); err != nil {
+		if err == nil {
+			// Peers re-execute this binary with the flags the user set
+			// and re-read the program file, so they resolve the same
+			// configuration the leader did.
+			set := map[string]string{"addr": rendezvous}
+			sup, err = job.Start(*procs, func(idx int) *exec.Cmd {
+				set["self"] = strconv.Itoa(idx)
+				return job.Command(bin, append(job.ChildArgs(flag.CommandLine, set, supervisorFlags...), path)...)
+			})
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "hpfrun: %v\n", err)
 			return 1
 		}
 	}
 	code := runMember(src, rendezvous, cfg)
-	if code != 0 {
-		for _, c := range kids {
-			if c.Process != nil {
-				c.Process.Kill()
-			}
+	if sup != nil {
+		if code != 0 {
+			sup.KillAll()
 		}
-	}
-	for i, c := range kids {
-		if err := waitBounded(c, *timeout); err != nil {
-			fmt.Fprintf(os.Stderr, "hpfrun: worker process %d: %v\n", i+1, err)
+		if err := sup.Wait(*timeout); err != nil {
+			fmt.Fprintf(os.Stderr, "hpfrun: %v\n", err)
 			if code == 0 {
 				code = 1
 			}
@@ -186,7 +192,10 @@ func runJob(path, src string, cfg interp.Config) int {
 // the engine and program over it, and interpret the statement stream
 // in lockstep with the other members.
 func runMember(src, rendezvous string, cfg interp.Config) int {
-	tr, err := dialWire(rendezvous, cfg.NP)
+	tr, err := transport.Join(*wire, transport.Config{
+		Job: *jobName, NP: cfg.NP, Procs: *procs, Self: *self,
+		Generation: 1, Addr: rendezvous, Timeout: *timeout,
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hpfrun[%d]: %v\n", *self, err)
 		return 1
@@ -213,7 +222,7 @@ func runMember(src, rendezvous string, cfg interp.Config) int {
 	}
 	lo, hi := transport.RanksOf(cfg.NP, *procs, *self)
 	fmt.Printf("hpfrun[0]: job %q over %s: %d procs, leader hosts ranks %d..%d of %d\n",
-		*job, *wire, *procs, lo, hi, cfg.NP)
+		*jobName, *wire, *procs, lo, hi, cfg.NP)
 	printResult(res)
 	if *noverify {
 		return 0
@@ -259,87 +268,4 @@ func sameResult(want, got *interp.Result) error {
 		return fmt.Errorf("report mismatch:\n  in-process %+v\n  job        %+v", wl, gl)
 	}
 	return nil
-}
-
-// dialWire joins the job's wire.
-func dialWire(rendezvous string, np int) (transport.Transport, error) {
-	switch *wire {
-	case transport.TCP:
-		return transport.NewTCP(transport.TCPConfig{
-			Job: *job, NP: np, Procs: *procs, Self: *self,
-			Generation: 1, Addr: rendezvous, Timeout: *timeout,
-		})
-	case transport.Shm:
-		return transport.NewShm(transport.ShmConfig{
-			Job: *job, NP: np, Procs: *procs, Self: *self,
-			Generation: 1, Timeout: *timeout,
-		})
-	default:
-		return nil, fmt.Errorf("unknown -transport %q", *wire)
-	}
-}
-
-// resolveAddr replaces a ":0" rendezvous port with a concrete free
-// one, so the spawned peers can be told where to dial.
-func resolveAddr(a string) (string, error) {
-	ln, err := net.Listen("tcp", a)
-	if err != nil {
-		return "", err
-	}
-	resolved := ln.Addr().String()
-	ln.Close()
-	return resolved, nil
-}
-
-// spawnPeers launches processes 1..procs-1 of this job, re-executing
-// this binary with the resolved settings.
-func spawnPeers(path, rendezvous string, cfg interp.Config) ([]*exec.Cmd, error) {
-	bin, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	var kids []*exec.Cmd
-	for i := 1; i < *procs; i++ {
-		args := []string{
-			"-job", *job, "-transport", *wire, "-addr", rendezvous,
-			"-procs", strconv.Itoa(*procs), "-self", strconv.Itoa(i),
-			"-np", strconv.Itoa(cfg.NP), "-timeout", timeout.String(),
-		}
-		if *params != "" {
-			args = append(args, "-param", *params)
-		}
-		if cfg.Vienna {
-			args = append(args, "-vienna")
-		}
-		if cfg.Templates {
-			args = append(args, "-templates")
-		}
-		args = append(args, path)
-		c := exec.Command(bin, args...)
-		c.Stdout = os.Stdout
-		c.Stderr = os.Stderr
-		if err := c.Start(); err != nil {
-			for _, k := range kids {
-				k.Process.Kill()
-				k.Wait()
-			}
-			return nil, fmt.Errorf("spawning worker process %d: %w", i, err)
-		}
-		kids = append(kids, c)
-	}
-	return kids, nil
-}
-
-// waitBounded reaps a child, killing it if it outlives the bound.
-func waitBounded(c *exec.Cmd, bound time.Duration) error {
-	done := make(chan error, 1)
-	go func() { done <- c.Wait() }()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(bound):
-		c.Process.Kill()
-		<-done
-		return fmt.Errorf("did not exit within %v; killed", bound)
-	}
 }

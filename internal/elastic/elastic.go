@@ -63,8 +63,8 @@ type Job struct {
 // Config drives one fault-tolerant job.
 type Config struct {
 	// Dial joins the job's wire at the given generation (e.g. a
-	// transport.NewTCP or NewShm closure, or NewInproc for a
-	// single-process job). Called once per attempt.
+	// transport.Join closure, or NewInproc for a single-process job).
+	// Called once per attempt.
 	Dial func(gen int) (transport.Transport, error)
 	// Wrap optionally wraps each attempt's transport, e.g. with
 	// transport.NewChaos for fault injection. gen is the attempt's

@@ -175,14 +175,8 @@ func TestRunChaosRecoveryMesh(t *testing.T) {
 					defer wg.Done()
 					cfg := nodeConfig("heat", n, &results[i])
 					cfg.Dial = func(gen int) (transport.Transport, error) {
-						switch wire {
-						case transport.TCP:
-							return transport.NewTCP(transport.TCPConfig{Job: "elastic-test", NP: np, Procs: procs, Self: i,
-								Generation: gen, Addr: addr, Timeout: 10 * time.Second, Heartbeat: 20 * time.Millisecond})
-						default:
-							return transport.NewShm(transport.ShmConfig{Job: "elastic-test", NP: np, Procs: procs, Self: i,
-								Generation: gen, Dir: dir, Timeout: 10 * time.Second, Heartbeat: 20 * time.Millisecond})
-						}
+						return transport.Join(wire, transport.Config{Job: "elastic-test", NP: np, Procs: procs, Self: i,
+							Generation: gen, Addr: addr, Dir: dir, Timeout: 10 * time.Second, Heartbeat: 20 * time.Millisecond})
 					}
 					cfg.Wrap = func(tr transport.Transport, gen int) transport.Transport {
 						return transport.NewChaos(tr, plan)

@@ -197,7 +197,7 @@ func TestMultiProcessEquivalence(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tr, err := transport.NewTCP(transport.TCPConfig{
+			tr, err := transport.Join(transport.TCP, transport.Config{
 				Job: "spmd-equiv", NP: np, Procs: procs, Self: i, Generation: 1, Addr: addr,
 				Timeout: 15 * time.Second,
 			})

@@ -41,9 +41,9 @@ type ChaosPlan struct {
 	// abruptly at the start of that epoch: the inner transport is
 	// torn down with no goodbye (sockets closed raw, liveness stamp
 	// frozen) so every OTHER member discovers the death through its
-	// own failure detector, exactly as for a SIGKILL. On a wire with
-	// no abrupt-kill hook (inproc) it degrades to a local sticky
-	// ErrChaosKilled failure.
+	// own failure detector, exactly as for a SIGKILL. On a transport
+	// with no abrupt-kill hook (a wrapper) it degrades to a local
+	// sticky ErrChaosKilled failure.
 	DieAtEpoch int
 	DieProc    int
 
@@ -54,12 +54,12 @@ type ChaosPlan struct {
 	DropPeer        int
 }
 
-// abruptKiller is the SIGKILL-emulation hook of the tcp and shm
-// transports.
-type abruptKiller interface{ killAbrupt() }
-
-// connDropper is the connection-severing hook of the tcp transport.
-type connDropper interface{ dropConn(peer int) }
+// chaosHooks is how the chaos wire reaches the link under a transport:
+// the core's SIGKILL emulation and its connection-severing hook.
+type chaosHooks interface {
+	killAbrupt()
+	dropConn(peer int)
+}
 
 // chaos wraps an inner transport with deterministic fault injection.
 type chaos struct {
@@ -133,14 +133,14 @@ func (t *chaos) MarkEpoch(epoch int) {
 	p := t.plan
 	if p.DropConnAtEpoch > 0 && epoch >= p.DropConnAtEpoch && t.armed() {
 		t.dropOnce.Do(func() {
-			if d, ok := t.inner.(connDropper); ok {
+			if d, ok := t.inner.(chaosHooks); ok {
 				d.dropConn(p.DropPeer)
 			}
 		})
 	}
 	if p.DieAtEpoch > 0 && epoch >= p.DieAtEpoch && t.inner.Self() == p.DieProc && t.armed() {
 		t.dieOnce.Do(func() {
-			if k, ok := t.inner.(abruptKiller); ok {
+			if k, ok := t.inner.(chaosHooks); ok {
 				k.killAbrupt()
 			} else {
 				t.inner.Fail(ErrChaosKilled)

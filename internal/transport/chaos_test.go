@@ -126,16 +126,8 @@ func chaosMesh(t *testing.T, wire string, np, procs, gen int, dir, addr string, 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var tr Transport
-			var err error
-			switch wire {
-			case TCP:
-				tr, err = NewTCP(TCPConfig{Job: "chaos-test", NP: np, Procs: procs, Self: i, Generation: gen,
-					Addr: addr, Timeout: 10 * time.Second, Heartbeat: 20 * time.Millisecond})
-			case Shm:
-				tr, err = NewShm(ShmConfig{Job: "chaos-test", NP: np, Procs: procs, Self: i, Generation: gen,
-					Dir: dir, Timeout: 10 * time.Second, Heartbeat: 20 * time.Millisecond})
-			}
+			tr, err := Join(wire, Config{Job: "chaos-test", NP: np, Procs: procs, Self: i, Generation: gen,
+				Addr: addr, Dir: dir, Timeout: 10 * time.Second, Heartbeat: 20 * time.Millisecond})
 			if err == nil {
 				tr = NewChaos(tr, plan)
 			}

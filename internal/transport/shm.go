@@ -13,8 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
-
-	"hpfnt/internal/obs"
 )
 
 // The shm wire: one mmap'd file shared by every process of the job,
@@ -40,12 +38,12 @@ import (
 // local failBox, so a panic on one process unblocks all of them (the
 // shm analogue of tcp's connection teardown). A process killed hard
 // (SIGKILL) cannot set the flag itself, so each process additionally
-// stamps a per-process liveness slot in the header every Heartbeat
-// interval and watches its peers' stamps: a stamp frozen for longer
-// than FailAfter publishes the dead process index in the header's
-// lost slot and raises the shared flag, so every survivor surfaces
-// the same *MemberLostError — a kill means a detected failure the
-// recovery layer can act on, not a hang.
+// stamps a per-process liveness slot in the header (beat) for the
+// core's monitor to watch (lastSeen): when a survivor declares a
+// frozen stamp's owner lost, abort publishes the dead process index in
+// the header's lost slot before raising the shared flag, so every
+// survivor surfaces the same *MemberLostError — a kill means a
+// detected failure the recovery layer can act on, not a hang.
 
 // Shm ring geometry. Capacities are powers of two so positions wrap
 // with a mask; head/tail live on separate cache lines. One 8-rank
@@ -63,10 +61,10 @@ const (
 // Header field offsets (all 8-byte slots; magic is stored last with
 // release semantics, so a peer that observes it sees a fully
 // initialised header). The liveness block at shmOffLive holds one
-// UnixNano stamp per process, refreshed by that process's monitor
-// goroutine; shmOffLost is CAS'd to 1+proc by the first survivor to
-// detect a frozen stamp, before it raises the failed flag, so every
-// process promotes the shared failure to the same *MemberLostError.
+// UnixNano stamp per process, refreshed by that process's beat;
+// shmOffLost is CAS'd to 1+proc by the first survivor to detect a
+// frozen stamp, before it raises the failed flag, so every process
+// promotes the shared failure to the same *MemberLostError.
 const (
 	shmOffMagic    = 0
 	shmOffVersion  = 8
@@ -82,15 +80,6 @@ const (
 
 // shmMaxProcs bounds Procs so the liveness block fits in the header.
 const shmMaxProcs = (shmHdrSize - shmOffLive) / 8
-
-// Collective frame kinds ([4]len [1]kind [len-1]payload on the
-// process-pair rings; the deterministic replicated control flow means
-// both ends always agree on the next expected kind).
-const (
-	shmColBcast byte = iota + 1
-	shmColArrive
-	shmColRelease
-)
 
 // shmRing is one SPSC byte-stream ring in the mapping. head and tail
 // are free-running byte counts: the producer owns head, the consumer
@@ -136,63 +125,27 @@ func (r *shmRing) push(src []byte) {
 	atomic.StoreUint64(r.head, head+uint64(len(src)))
 }
 
-// ShmConfig describes one process's membership in a multi-process
-// shm job. The rendezvous is a file whose name is derived from Job,
-// Generation and Procs in Dir (default /dev/shm when present, else
-// the system temp dir): the leader (Self 0) creates and initialises
-// it, workers open it, validate the header and register themselves.
-type ShmConfig struct {
-	Job        string
-	NP         int
-	Procs      int
-	Self       int
-	Generation int
-	Dir        string
-	Timeout    time.Duration
-	// Heartbeat is the liveness-stamp refresh interval. Zero means
-	// 250ms.
-	Heartbeat time.Duration
-	// FailAfter is how long a peer's stamp may stay frozen before the
-	// peer is declared lost with a *MemberLostError. Zero means
-	// 8×Heartbeat.
-	FailAfter time.Duration
-}
-
-func (cfg *ShmConfig) heartbeat() time.Duration {
-	if cfg.Heartbeat > 0 {
-		return cfg.Heartbeat
-	}
-	return 250 * time.Millisecond
-}
-
-func (cfg *ShmConfig) failAfter() time.Duration {
-	if cfg.FailAfter > 0 {
-		return cfg.FailAfter
-	}
-	return 8 * cfg.heartbeat()
-}
-
-// shm implements Transport over the mapped rings.
-type shm struct {
+// shmLink carries the streams over the mapped rings. The rendezvous
+// is a file whose name is derived from the job name, generation and
+// process count in Config.Dir: the leader (Self 0) creates and
+// initialises it, workers open it, validate the header and register
+// themselves. Control frames are [4]len [1]kind [len-1]payload on the
+// process-pair rings, the kind being the core's ctl* value.
+type shmLink struct {
 	np, procs, self int
-	gen             int
-	ps              *pairSeq
 	fb              *failBox
 	closed          atomic.Bool
-	wireTally
 
 	path   string
 	unlink bool
+	// mapMu orders the liveness and failure-flag accesses, which the
+	// core's monitor and any Status caller make from their own
+	// goroutines, against close unmapping the file under them.
+	mapMu  sync.RWMutex
 	mem    []byte
 	failed *uint64   // shared cross-process failure flag in the header
 	lost   *uint64   // 1+proc of the first detected-dead member
 	live   []*uint64 // per-process liveness stamps (UnixNano)
-
-	heartbeat time.Duration
-	failAfter time.Duration
-	hbStop    chan struct{}
-	hbDone    chan struct{}
-	hbOnce    sync.Once
 
 	data []*shmRing // np*np, ordered (src-1)*np+(dst-1)
 	coll []*shmRing // procs*procs when procs > 1, else nil
@@ -239,7 +192,7 @@ func shmSanitize(job string) string {
 	}, job)
 }
 
-func shmPath(cfg ShmConfig) string {
+func shmPath(cfg Config) string {
 	name := fmt.Sprintf("hpfnt-%s-g%d-p%d.shm", shmSanitize(cfg.Job), cfg.Generation, cfg.Procs)
 	return filepath.Join(shmDir(cfg.Dir), name)
 }
@@ -248,9 +201,9 @@ func shmHdrU64(b []byte, off int) *uint64 {
 	return (*uint64)(unsafe.Pointer(&b[off]))
 }
 
-func (t *shm) u64at(off int) *uint64 { return shmHdrU64(t.mem, off) }
+func (t *shmLink) u64at(off int) *uint64 { return shmHdrU64(t.mem, off) }
 
-func (t *shm) ringAt(off, cap int) *shmRing {
+func (t *shmLink) ringAt(off, cap int) *shmRing {
 	return &shmRing{
 		head: t.u64at(off),
 		tail: t.u64at(off + 64),
@@ -260,7 +213,7 @@ func (t *shm) ringAt(off, cap int) *shmRing {
 }
 
 // carve builds the process-local ring views over the mapping.
-func (t *shm) carve() {
+func (t *shmLink) carve() {
 	t.failed = t.u64at(shmOffFailed)
 	t.lost = t.u64at(shmOffLost)
 	t.live = make([]*uint64, t.procs)
@@ -282,242 +235,159 @@ func (t *shm) carve() {
 	}
 }
 
-func (t *shm) start() {
-	t.pumpCond = sync.NewCond(&t.pumpMu)
-	t.pumpDone = make(chan struct{})
-	go t.pump()
+// mapNew sizes f for the job's rings and maps it; f is closed either
+// way (the mapping outlives the descriptor).
+func (t *shmLink) mapNew(f *os.File) error {
+	size := shmSize(t.np, t.procs)
+	err := f.Truncate(int64(size))
+	if err == nil {
+		t.mem, err = mmapFile(f, size)
+	}
+	f.Close()
+	if err != nil {
+		return fmt.Errorf("transport: shm mapping %s: %w", f.Name(), err)
+	}
+	t.carve()
+	return nil
 }
 
-// NewShmLoop creates a single-process shm transport over np ranks:
+// openShm builds this process's end of the wire. With one process
 // every message crosses a real shared mapping (an anonymous tmpfs
 // file, unlinked immediately), exercising the ring protocol without
-// spawning processes.
-func NewShmLoop(np int) (Transport, error) {
-	if np < 1 {
-		return nil, fmt.Errorf("transport: shm needs np >= 1, got %d", np)
+// spawning processes. In a multi-process job the leader creates the
+// rendezvous file and blocks until every worker has attached; like the
+// tcp rendezvous it rejects nothing by generation — a stale worker
+// simply computes a different file name and times out — but header
+// validation catches shape mismatches.
+func openShm(cfg Config, fb *failBox) (*shmLink, error) {
+	t := &shmLink{np: cfg.NP, procs: cfg.Procs, self: cfg.Self, fb: fb, pumpDone: make(chan struct{})}
+	t.pumpCond = sync.NewCond(&t.pumpMu)
+	fb.onFail = t.abort
+	var err error
+	switch {
+	case cfg.Procs == 1:
+		var f *os.File
+		if f, err = os.CreateTemp(shmDir(cfg.Dir), "hpfnt-shm-*"); err == nil {
+			os.Remove(f.Name()) // mapping survives the unlink; nothing to clean up on exit
+			err = t.mapNew(f)
+		}
+	case cfg.Self == 0:
+		err = t.create(cfg)
+	default:
+		err = t.attach(cfg)
 	}
-	t := &shm{np: np, procs: 1, self: 0, ps: newPairSeq(np), fb: newFailBox()}
-	f, err := os.CreateTemp(shmDir(""), "hpfnt-shm-*")
 	if err != nil {
-		return nil, fmt.Errorf("transport: shm backing file: %w", err)
+		t.unmap()
+		return nil, err
 	}
-	path := f.Name()
-	size := shmSize(np, 1)
-	if err := f.Truncate(int64(size)); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, fmt.Errorf("transport: shm truncate: %w", err)
-	}
-	mem, err := mmapFile(f, size)
-	f.Close()
-	os.Remove(path) // mapping survives the unlink; nothing to clean up on exit
-	if err != nil {
-		return nil, fmt.Errorf("transport: shm mmap: %w", err)
-	}
-	t.mem = mem
-	t.carve()
-	t.start()
+	go t.pump()
 	return t, nil
 }
 
-// NewShm joins (Self > 0) or creates (Self == 0) the multi-process
-// shm job described by cfg, blocking until every process has
-// attached. Like the tcp rendezvous, the leader rejects nothing by
-// generation — a stale worker simply computes a different file name
-// and times out — but header validation catches shape mismatches.
-func NewShm(cfg ShmConfig) (Transport, error) {
-	if cfg.NP < 1 || cfg.Procs < 1 || cfg.Self < 0 || cfg.Self >= cfg.Procs {
-		return nil, fmt.Errorf("transport: bad shm config np=%d procs=%d self=%d", cfg.NP, cfg.Procs, cfg.Self)
-	}
-	if cfg.Procs > shmMaxProcs {
-		return nil, fmt.Errorf("transport: shm supports at most %d processes, got %d", shmMaxProcs, cfg.Procs)
-	}
-	if lo, hi := RanksOf(cfg.NP, cfg.Procs, cfg.Self); hi < lo {
-		return nil, fmt.Errorf("transport: process %d hosts no ranks (np=%d procs=%d)", cfg.Self, cfg.NP, cfg.Procs)
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Second
-	}
-	if cfg.Procs == 1 {
-		return NewShmLoop(cfg.NP)
-	}
-	t := &shm{np: cfg.NP, procs: cfg.Procs, self: cfg.Self, gen: cfg.Generation, ps: newPairSeq(cfg.NP), fb: newFailBox()}
-	t.heartbeat = cfg.heartbeat()
-	t.failAfter = cfg.failAfter()
+// create is the leader's rendezvous: make the file, publish the
+// header, wait for every worker to attach.
+func (t *shmLink) create(cfg Config) error {
 	t.path = shmPath(cfg)
-	size := shmSize(cfg.NP, cfg.Procs)
 	deadline := time.Now().Add(cfg.Timeout)
-	if cfg.Self == 0 {
-		os.Remove(t.path) // clear a stale mapping from a crashed job
-		f, err := os.OpenFile(t.path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0600)
-		if err != nil {
-			return nil, fmt.Errorf("transport: shm create %s: %w", t.path, err)
+	os.Remove(t.path) // clear a stale mapping from a crashed job
+	f, err := os.OpenFile(t.path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0600)
+	if err != nil {
+		return fmt.Errorf("transport: shm create %s: %w", t.path, err)
+	}
+	t.unlink = true
+	if err := t.mapNew(f); err != nil {
+		return err
+	}
+	atomic.StoreUint64(t.live[0], uint64(time.Now().UnixNano()))
+	atomic.StoreUint64(t.u64at(shmOffVersion), shmVersion)
+	atomic.StoreUint64(t.u64at(shmOffNP), uint64(cfg.NP))
+	atomic.StoreUint64(t.u64at(shmOffProcs), uint64(cfg.Procs))
+	atomic.StoreUint64(t.u64at(shmOffGen), uint64(cfg.Generation))
+	atomic.StoreUint64(t.u64at(shmOffJobHash), shmJobHash(cfg.Job))
+	atomic.StoreUint64(t.u64at(shmOffMagic), shmMagic) // publish: header complete
+	attached := t.u64at(shmOffAttached)
+	for atomic.LoadUint64(attached) != uint64(cfg.Procs-1) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("transport: shm job %q generation %d: %d/%d workers attached before timeout",
+				cfg.Job, cfg.Generation, atomic.LoadUint64(attached), cfg.Procs-1)
 		}
-		t.unlink = true
-		if err := f.Truncate(int64(size)); err != nil {
-			f.Close()
-			os.Remove(t.path)
-			return nil, fmt.Errorf("transport: shm truncate: %w", err)
-		}
-		t.mem, err = mmapFile(f, size)
-		f.Close()
-		if err != nil {
-			os.Remove(t.path)
-			return nil, fmt.Errorf("transport: shm mmap: %w", err)
-		}
-		t.carve()
-		atomic.StoreUint64(t.live[0], uint64(time.Now().UnixNano()))
-		atomic.StoreUint64(t.u64at(shmOffVersion), shmVersion)
-		atomic.StoreUint64(t.u64at(shmOffNP), uint64(cfg.NP))
-		atomic.StoreUint64(t.u64at(shmOffProcs), uint64(cfg.Procs))
-		atomic.StoreUint64(t.u64at(shmOffGen), uint64(cfg.Generation))
-		atomic.StoreUint64(t.u64at(shmOffJobHash), shmJobHash(cfg.Job))
-		atomic.StoreUint64(t.u64at(shmOffMagic), shmMagic) // publish: header complete
-		attached := t.u64at(shmOffAttached)
-		for atomic.LoadUint64(attached) != uint64(cfg.Procs-1) {
-			if time.Now().After(deadline) {
-				got := atomic.LoadUint64(attached)
-				t.destroy()
-				return nil, fmt.Errorf("transport: shm job %q generation %d: %d/%d workers attached before timeout",
-					cfg.Job, cfg.Generation, got, cfg.Procs-1)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	} else {
-		// Open and wait for a sized file, then map ONLY the header page
-		// and validate it before trusting the full size: a mis-shaped
-		// worker computing a larger mapping than the real file would
-		// fault on first touch, so the shape check must come first.
-		var f *os.File
-		for {
-			var err error
-			f, err = os.OpenFile(t.path, os.O_RDWR, 0600)
-			if err == nil {
-				if fi, serr := f.Stat(); serr == nil && fi.Size() >= shmHdrSize {
-					break
-				}
-				f.Close()
-			}
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("transport: shm rendezvous %s not available before timeout (job %q generation %d)", t.path, cfg.Job, cfg.Generation)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		hdr, err := mmapFile(f, shmHdrSize)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("transport: shm mmap header: %w", err)
-		}
-		for atomic.LoadUint64(shmHdrU64(hdr, shmOffMagic)) != shmMagic {
-			if time.Now().After(deadline) {
-				munmapFile(hdr)
-				f.Close()
-				return nil, fmt.Errorf("transport: shm header never initialised (job %q)", cfg.Job)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		verr := validateShmHeader(hdr, cfg)
-		munmapFile(hdr)
-		if verr != nil {
-			f.Close()
-			return nil, verr
-		}
-		t.mem, err = mmapFile(f, size)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("transport: shm mmap: %w", err)
-		}
-		t.carve()
-		// Claim an attach slot before touching any shared state. A
-		// nonzero liveness stamp in our own slot or an already-full
-		// roster means this generation is already running: we are a
-		// late replacement looking at the PREVIOUS generation's file,
-		// and blindly attaching would corrupt the survivors' rings.
-		// Refuse instead — the caller rejoins at the current
-		// generation once the leader publishes it.
-		if atomic.LoadUint64(t.live[cfg.Self]) != 0 {
-			t.destroy()
-			return nil, fmt.Errorf("transport: shm job %q generation %d already has a process %d (stale generation?)",
-				cfg.Job, cfg.Generation, cfg.Self)
-		}
-		attached := t.u64at(shmOffAttached)
-		for {
-			a := atomic.LoadUint64(attached)
-			if a >= uint64(cfg.Procs-1) {
-				t.destroy()
-				return nil, fmt.Errorf("transport: shm job %q generation %d is already fully attached (stale generation?)",
-					cfg.Job, cfg.Generation)
-			}
-			if atomic.CompareAndSwapUint64(attached, a, a+1) {
+		time.Sleep(time.Millisecond)
+	}
+	return nil
+}
+
+// attach is a worker's rendezvous: open the leader's file, validate
+// its header, map it and claim an attach slot.
+func (t *shmLink) attach(cfg Config) error {
+	t.path = shmPath(cfg)
+	deadline := time.Now().Add(cfg.Timeout)
+	// Open and wait for a sized file, then map ONLY the header page
+	// and validate it before trusting the full size: a mis-shaped
+	// worker computing a larger mapping than the real file would
+	// fault on first touch, so the shape check must come first.
+	var f *os.File
+	for {
+		var err error
+		f, err = os.OpenFile(t.path, os.O_RDWR, 0600)
+		if err == nil {
+			if fi, serr := f.Stat(); serr == nil && fi.Size() >= shmHdrSize {
 				break
 			}
+			f.Close()
 		}
-		atomic.StoreUint64(t.live[cfg.Self], uint64(time.Now().UnixNano()))
-	}
-	t.start()
-	if err := t.Barrier(); err != nil { // job starts aligned, like tcp's bootstrap barrier
-		t.Close()
-		return nil, fmt.Errorf("transport: shm bootstrap barrier: %w", err)
-	}
-	t.startMonitor()
-	return t, nil
-}
-
-// startMonitor launches the liveness goroutine: every heartbeat
-// interval it refreshes this process's stamp and checks its peers'.
-// A peer whose stamp stays frozen past failAfter is published in the
-// header's lost slot (first detector wins) before the shared failed
-// flag is raised, so every survivor's failedNow promotes the failure
-// to the same *MemberLostError.
-func (t *shm) startMonitor() {
-	if t.procs == 1 {
-		return
-	}
-	t.hbStop = make(chan struct{})
-	t.hbDone = make(chan struct{})
-	go func() {
-		defer close(t.hbDone)
-		tick := time.NewTicker(t.heartbeat)
-		defer tick.Stop()
-		limit := int64(t.failAfter)
-		for {
-			select {
-			case <-t.hbStop:
-				return
-			case <-t.fb.stop:
-				return
-			case <-tick.C:
-			}
-			now := time.Now().UnixNano()
-			atomic.StoreUint64(t.live[t.self], uint64(now))
-			for p := 0; p < t.procs; p++ {
-				if p == t.self {
-					continue
-				}
-				st := atomic.LoadUint64(t.live[p])
-				if st == 0 || now-int64(st) <= limit {
-					continue
-				}
-				atomic.CompareAndSwapUint64(t.lost, 0, uint64(p+1))
-				atomic.StoreUint64(t.failed, 1)
-				t.Fail(&MemberLostError{Proc: p, Cause: "liveness stamp stale"})
-				return
-			}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("transport: shm rendezvous %s not available before timeout (job %q generation %d)", t.path, cfg.Job, cfg.Generation)
 		}
-	}()
-}
-
-// stopMonitor stops the liveness goroutine and waits for it, so the
-// mapping can be unmapped safely.
-func (t *shm) stopMonitor() {
-	if t.hbDone == nil {
-		return
+		time.Sleep(2 * time.Millisecond)
 	}
-	t.hbOnce.Do(func() { close(t.hbStop) })
-	<-t.hbDone
+	defer f.Close()
+	hdr, err := mmapFile(f, shmHdrSize)
+	if err != nil {
+		return fmt.Errorf("transport: shm mmap header: %w", err)
+	}
+	for atomic.LoadUint64(shmHdrU64(hdr, shmOffMagic)) != shmMagic {
+		if time.Now().After(deadline) {
+			munmapFile(hdr)
+			return fmt.Errorf("transport: shm header never initialised (job %q)", cfg.Job)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	verr := validateShmHeader(hdr, cfg)
+	munmapFile(hdr)
+	if verr != nil {
+		return verr
+	}
+	if t.mem, err = mmapFile(f, shmSize(cfg.NP, cfg.Procs)); err != nil {
+		return fmt.Errorf("transport: shm mmap: %w", err)
+	}
+	t.carve()
+	// Claim an attach slot before touching any shared state. A
+	// nonzero liveness stamp in our own slot or an already-full
+	// roster means this generation is already running: we are a
+	// late replacement looking at the PREVIOUS generation's file,
+	// and blindly attaching would corrupt the survivors' rings.
+	// Refuse instead — the caller rejoins at the current
+	// generation once the leader publishes it.
+	if atomic.LoadUint64(t.live[cfg.Self]) != 0 {
+		return fmt.Errorf("transport: shm job %q generation %d already has a process %d (stale generation?)",
+			cfg.Job, cfg.Generation, cfg.Self)
+	}
+	attached := t.u64at(shmOffAttached)
+	for {
+		a := atomic.LoadUint64(attached)
+		if a >= uint64(cfg.Procs-1) {
+			return fmt.Errorf("transport: shm job %q generation %d is already fully attached (stale generation?)",
+				cfg.Job, cfg.Generation)
+		}
+		if atomic.CompareAndSwapUint64(attached, a, a+1) {
+			break
+		}
+	}
+	atomic.StoreUint64(t.live[cfg.Self], uint64(time.Now().UnixNano()))
+	return nil
 }
 
-func validateShmHeader(hdr []byte, cfg ShmConfig) error {
+func validateShmHeader(hdr []byte, cfg Config) error {
 	ver := atomic.LoadUint64(shmHdrU64(hdr, shmOffVersion))
 	np := atomic.LoadUint64(shmHdrU64(hdr, shmOffNP))
 	procs := atomic.LoadUint64(shmHdrU64(hdr, shmOffProcs))
@@ -531,50 +401,45 @@ func validateShmHeader(hdr []byte, cfg ShmConfig) error {
 	return nil
 }
 
-// destroy unmaps without the pump handshake (bootstrap-failure path;
-// the pump has not started yet).
-func (t *shm) destroy() {
+// unmap drops the mapping and, on the leader, the rendezvous file.
+func (t *shmLink) unmap() {
+	t.mapMu.Lock()
 	if t.mem != nil {
 		munmapFile(t.mem)
 		t.mem = nil
 	}
+	t.mapMu.Unlock()
 	if t.unlink {
 		os.Remove(t.path)
 	}
 }
 
-func (t *shm) Kind() string        { return Shm }
-func (t *shm) NP() int             { return t.np }
-func (t *shm) Procs() int          { return t.procs }
-func (t *shm) Self() int           { return t.self }
-func (t *shm) HostOf(rank int) int { return HostOfRank(t.np, t.procs, rank) }
-
-func (t *shm) dataRing(src, dst int) *shmRing { return t.data[(src-1)*t.np+(dst-1)] }
-func (t *shm) collRing(from, to int) *shmRing { return t.coll[from*t.procs+to] }
+func (t *shmLink) dataRing(src, dst int) *shmRing { return t.data[(src-1)*t.np+(dst-1)] }
+func (t *shmLink) collRing(from, to int) *shmRing { return t.coll[from*t.procs+to] }
 
 // failedNow reports whether the transport is failed or closed,
-// promoting the shared cross-process flag into the local failBox so
-// Err observes it.
-func (t *shm) failedNow() bool {
+// promoting the shared cross-process flag into the failBox so Err
+// observes it — as the same *MemberLostError the detecting survivor
+// raised, when it published whom it lost.
+func (t *shmLink) failedNow() bool {
+	return t.fb.failed() || t.peerFailed()
+}
+
+// peerFailed is failedNow without the local check the core's Send has
+// already made.
+func (t *shmLink) peerFailed() bool {
 	if t.closed.Load() {
 		return true
 	}
-	select {
-	case <-t.fb.stop:
-		return true
-	default:
+	if atomic.LoadUint64(t.failed) == 0 {
+		return false
 	}
-	if t.failed != nil && atomic.LoadUint64(t.failed) != 0 {
-		if t.lost != nil {
-			if v := atomic.LoadUint64(t.lost); v != 0 {
-				t.fb.fail(&MemberLostError{Proc: int(v - 1), Cause: "liveness stamp stale"})
-				return true
-			}
-		}
+	if v := atomic.LoadUint64(t.lost); v != 0 {
+		t.fb.fail(&MemberLostError{Proc: int(v - 1), Cause: causeSilent})
+	} else {
 		t.fb.fail(errors.New("transport: shm job failed on a peer process"))
-		return true
 	}
-	return false
+	return true
 }
 
 // relax is the waiting side's escalation: spin hot briefly (the
@@ -599,7 +464,7 @@ func relax(spins int) {
 // when the transport fails first. Bytes already in the ring are
 // delivered even after a failure (drain-then-nil, like the tcp
 // mailboxes).
-func (t *shm) readFull(r *shmRing, dst []byte) bool {
+func (t *shmLink) readFull(r *shmRing, dst []byte) bool {
 	got, spins := 0, 0
 	for got < len(dst) {
 		head := atomic.LoadUint64(r.head)
@@ -626,7 +491,7 @@ func (t *shm) readFull(r *shmRing, dst []byte) bool {
 
 // writeFull streams src into r, blocking on ring space; used by the
 // collective rings and the pump, never by Send's caller path.
-func (t *shm) writeFull(r *shmRing, src []byte) bool {
+func (t *shmLink) writeFull(r *shmRing, src []byte) bool {
 	done, spins := 0, 0
 	for done < len(src) {
 		head := atomic.LoadUint64(r.head)
@@ -651,42 +516,28 @@ func (t *shm) writeFull(r *shmRing, src []byte) bool {
 	return true
 }
 
-func floatBytes(v []float64) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
-}
+// shmDataHdr is a data frame's header: [4]payload-byte-len [8]corr.
+const shmDataHdr = 12
 
-func (t *shm) Send(src, dst int, msg []float64) {
-	if t.failedNow() {
-		return // failed transport: drop
-	}
-	corr := t.ps.nextCorr(src, dst)
-	tracing := obs.TraceEnabled()
-	var start time.Time
-	if tracing {
-		start = time.Now()
+func (t *shmLink) push(src, dst int, m inMsg) (int, bool) {
+	if t.peerFailed() {
+		return unmetered, false // failed transport: drop
 	}
 	r := t.dataRing(src, dst)
-	// Data frame: [4]payload-byte-len [8]corr [payload].
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(msg)*8))
-	binary.LittleEndian.PutUint64(hdr[4:], corr)
-	payload := floatBytes(msg)
+	var hdr [shmDataHdr]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(m.msg)*8))
+	binary.LittleEndian.PutUint64(hdr[4:], m.corr)
+	payload := floatBytes(m.msg)
+	size := len(hdr) + len(payload)
 	r.pmu.Lock()
 	if len(r.pending) == 0 {
 		head := atomic.LoadUint64(r.head)
 		tail := atomic.LoadUint64(r.tail)
-		if free := r.capacity() - (head - tail); free >= uint64(len(hdr)+len(payload)) {
+		if free := r.capacity() - (head - tail); free >= uint64(size) {
 			r.push(hdr[:])
 			r.push(payload)
 			r.pmu.Unlock()
-			t.countSend(int64(len(hdr) + len(payload)))
-			if tracing {
-				traceMsg("send", t.gen, src, dst, len(msg), corr, start)
-			}
-			return
+			return size, false
 		}
 	}
 	// Slow path: the receiver is behind (or a huge frame); spill and
@@ -695,195 +546,108 @@ func (t *shm) Send(src, dst int, msg []float64) {
 	r.pending = append(r.pending, hdr[:]...)
 	r.pending = append(r.pending, payload...)
 	r.pmu.Unlock()
-	t.countStall()
-	t.countSend(int64(len(hdr) + len(payload)))
 	t.markDirty(r)
-	if tracing {
-		traceMsg("send", t.gen, src, dst, len(msg), corr, start)
-	}
+	return size, true
 }
 
-func (t *shm) Recv(src, dst int) []float64 {
-	tracing := obs.TraceEnabled()
-	var start time.Time
-	if tracing {
-		start = time.Now()
-	}
+func (t *shmLink) pop(src, dst int) (inMsg, int, bool) {
 	r := t.dataRing(src, dst)
 	r.cmu.Lock()
 	defer r.cmu.Unlock()
-	var hdr [12]byte
+	var hdr [shmDataHdr]byte
 	if !t.readFull(r, hdr[:]) {
-		return nil
+		return inMsg{}, unmetered, false
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	corr := binary.LittleEndian.Uint64(hdr[4:])
-	out := make([]float64, n/8)
-	if n > 0 && !t.readFull(r, floatBytes(out)) {
-		return nil
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	if n%8 != 0 {
+		// The length was written by a peer process: a torn or foreign
+		// header must stop the job, not shift the stream by a fraction
+		// of a float.
+		t.fb.fail(fmt.Errorf("transport: shm data frame on pair (%d,%d) has a %d-byte payload, not a multiple of 8", src, dst, n))
+		return inMsg{}, unmetered, false
 	}
-	t.countRecv(int64(len(hdr)) + int64(n))
-	if tracing {
-		traceMsg("recv", t.gen, src, dst, len(out), corr, start)
+	m := inMsg{corr: binary.LittleEndian.Uint64(hdr[4:]), msg: make([]float64, n/8)}
+	if n > 0 && !t.readFull(r, floatBytes(m.msg)) {
+		return inMsg{}, unmetered, false
 	}
-	return out
+	return m, shmDataHdr + n, true
 }
 
-// collWrite emits one collective frame on a process-pair ring.
-func (t *shm) collWrite(r *shmRing, kind byte, payload []byte) bool {
+// sendCtl emits one control frame on the ring to a peer process,
+// blocking on ring space (control frames are small and consumed in
+// lockstep, so there is no spill path).
+func (t *shmLink) sendCtl(to int, kind byte, vals []float64) (int, bool) {
+	r := t.collRing(t.self, to)
 	r.pmu.Lock()
 	defer r.pmu.Unlock()
+	payload := floatBytes(vals)
 	var hdr [5]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
 	hdr[4] = kind
-	return t.writeFull(r, hdr[:]) && t.writeFull(r, payload)
+	return len(hdr) + len(payload), t.writeFull(r, hdr[:]) && t.writeFull(r, payload)
 }
 
-// collRead consumes the next collective frame, checking it carries
-// the expected kind (the replicated control flow guarantees agreement;
-// a mismatch is a protocol bug and fails the job).
-func (t *shm) collRead(r *shmRing, want byte) ([]float64, bool) {
+func (t *shmLink) recvCtl(from int) (byte, []float64, int, bool) {
+	r := t.collRing(from, t.self)
 	r.cmu.Lock()
 	defer r.cmu.Unlock()
 	var hdr [5]byte
 	if !t.readFull(r, hdr[:]) {
-		return nil, false
+		return 0, nil, unmetered, false
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if hdr[4] != want || n < 1 || (n-1)%8 != 0 {
-		t.Fail(fmt.Errorf("transport: shm collective protocol error (kind %d, want %d)", hdr[4], want))
-		return nil, false
+	n := int(binary.LittleEndian.Uint32(hdr[:4])) - 1
+	if n < 0 || n%8 != 0 {
+		t.fb.fail(fmt.Errorf("transport: shm control frame from process %d has a %d-byte payload, not a multiple of 8", from, n))
+		return 0, nil, unmetered, false
 	}
-	out := make([]float64, (n-1)/8)
-	if len(out) == 0 {
-		return out, true
+	out := make([]float64, n/8)
+	if n > 0 && !t.readFull(r, floatBytes(out)) {
+		return 0, nil, unmetered, false
 	}
-	if !t.readFull(r, floatBytes(out)) {
-		return nil, false
-	}
-	return out, true
+	return hdr[4], out, len(hdr) + n, true
 }
 
-func (t *shm) Bcast(from int, vals []float64) []float64 {
-	if t.procs == 1 {
-		return vals
+// lastSeen and beat read and write the header's liveness stamps; a
+// closed link has seen nobody.
+func (t *shmLink) lastSeen(proc int) int64 {
+	t.mapMu.RLock()
+	defer t.mapMu.RUnlock()
+	if t.mem == nil {
+		return 0
 	}
-	if from == t.self {
-		payload := floatBytes(vals)
-		for p := 0; p < t.procs; p++ {
-			if p == t.self {
-				continue
-			}
-			if !t.collWrite(t.collRing(t.self, p), shmColBcast, payload) {
-				return nil
-			}
-		}
-		return vals
-	}
-	out, ok := t.collRead(t.collRing(from, t.self), shmColBcast)
-	if !ok {
-		return nil
-	}
-	return out
+	return int64(atomic.LoadUint64(t.live[proc]))
 }
 
-// Barrier gathers an arrive frame from every worker on the leader's
-// rings, then the leader releases them — two hops on memory.
-func (t *shm) Barrier() error {
-	if t.procs == 1 {
-		return t.fb.get()
+func (t *shmLink) beat(now int64) {
+	t.mapMu.RLock()
+	defer t.mapMu.RUnlock()
+	if t.mem != nil {
+		atomic.StoreUint64(t.live[t.self], uint64(now))
 	}
-	if t.self == 0 {
-		for p := 1; p < t.procs; p++ {
-			if _, ok := t.collRead(t.collRing(p, 0), shmColArrive); !ok {
-				return t.barrierErr()
-			}
-		}
-		for p := 1; p < t.procs; p++ {
-			if !t.collWrite(t.collRing(0, p), shmColRelease, nil) {
-				return t.barrierErr()
-			}
-		}
-	} else {
-		if !t.collWrite(t.collRing(t.self, 0), shmColArrive, nil) {
-			return t.barrierErr()
-		}
-		if _, ok := t.collRead(t.collRing(0, t.self), shmColRelease); !ok {
-			return t.barrierErr()
-		}
-	}
-	return t.fb.get()
 }
 
-func (t *shm) barrierErr() error {
-	if err := t.fb.get(); err != nil {
-		return err
-	}
-	return errors.New("transport: shm barrier aborted")
-}
-
-func (t *shm) Fail(err error) {
-	if t.fb.fail(err) && t.failed != nil {
+// abort publishes the failure to the other processes — the lost member
+// first (first detector wins), then the shared flag every blocked wait
+// polls — and wakes the pump so spilled sends are dropped. A member
+// the chaos plan killed tells nobody, like a SIGKILLed process: its
+// peers must find the frozen stamp themselves.
+func (t *shmLink) abort(err error) {
+	t.mapMu.RLock()
+	if t.mem != nil && !errors.Is(err, ErrChaosKilled) {
+		if p, ok := AsMemberLost(err); ok && p >= 0 {
+			atomic.CompareAndSwapUint64(t.lost, 0, uint64(p+1))
+		}
 		atomic.StoreUint64(t.failed, 1)
 	}
+	t.mapMu.RUnlock()
 	t.pumpMu.Lock()
 	t.pumpCond.Broadcast()
 	t.pumpMu.Unlock()
 }
 
-func (t *shm) Err() error { return t.fb.get() }
+func (t *shmLink) sever(int) {} // no connections to cut
 
-func (t *shm) Status() Health {
-	h := Health{Procs: t.procs, Self: t.self, Generation: t.gen, Alive: make([]bool, t.procs), Err: t.fb.get()}
-	now := time.Now().UnixNano()
-	for p := range h.Alive {
-		if p == t.self || t.procs == 1 {
-			h.Alive[p] = true
-			continue
-		}
-		if t.closed.Load() || t.live == nil {
-			continue
-		}
-		st := atomic.LoadUint64(t.live[p])
-		h.Alive[p] = st != 0 && now-int64(st) <= int64(t.failAfter)
-	}
-	if p, ok := AsMemberLost(h.Err); ok && p >= 0 && p < len(h.Alive) {
-		h.Alive[p] = false
-	}
-	return h
-}
-
-// Staleness reports time since each peer's liveness stamp was last
-// refreshed (HeartbeatStats).
-func (t *shm) Staleness() []time.Duration {
-	out := make([]time.Duration, t.procs)
-	now := time.Now().UnixNano()
-	for p := range out {
-		if p == t.self || t.procs == 1 || t.closed.Load() || t.live == nil {
-			continue
-		}
-		if st := atomic.LoadUint64(t.live[p]); st != 0 {
-			out[p] = time.Duration(now - int64(st))
-		}
-	}
-	return out
-}
-
-// killAbrupt emulates a SIGKILL for the chaos wire: the liveness
-// monitor stops (freezing this process's stamp) and the local
-// transport fails sticky with ErrChaosKilled — the shared failed flag
-// is deliberately NOT raised, so peers only learn of the death the
-// way they would for a real kill: by watching the stamp go stale.
-func (t *shm) killAbrupt() {
-	t.stopMonitor()
-	if t.fb.fail(ErrChaosKilled) {
-		t.pumpMu.Lock()
-		t.pumpCond.Broadcast()
-		t.pumpMu.Unlock()
-	}
-}
-
-func (t *shm) markDirty(r *shmRing) {
+func (t *shmLink) markDirty(r *shmRing) {
 	if !r.queued.CompareAndSwap(false, true) {
 		return
 	}
@@ -923,7 +687,7 @@ func (r *shmRing) drain() (progressed, remaining bool) {
 // pump is the per-process drainer of spilled sends: it retries dirty
 // rings until their pending bytes fit, sleeping in escalating steps
 // when no ring makes progress (receivers are busy computing).
-func (t *shm) pump() {
+func (t *shmLink) pump() {
 	defer close(t.pumpDone)
 	backoff := 0
 	for {
@@ -971,25 +735,18 @@ func (t *shm) pump() {
 	}
 }
 
-// Close stops the pump, unmaps and (on the leader) unlinks. Callers
+// close stops the pump, unmaps and (on the leader) unlinks. Callers
 // close with the engine idle — same contract as the tcp teardown —
-// so no goroutine still touches the mapping when it goes away.
-func (t *shm) Close() error {
+// so no Send or Recv still touches the mapping when it goes away.
+func (t *shmLink) close() error {
 	if !t.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	t.stopMonitor()
 	t.pumpMu.Lock()
 	t.pumpStop = true
 	t.pumpCond.Broadcast()
 	t.pumpMu.Unlock()
 	<-t.pumpDone
-	if t.mem != nil {
-		munmapFile(t.mem)
-		t.mem = nil
-	}
-	if t.unlink {
-		os.Remove(t.path)
-	}
+	t.unmap()
 	return nil
 }

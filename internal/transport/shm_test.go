@@ -8,7 +8,7 @@ import (
 )
 
 func TestShmLoopStreams(t *testing.T) {
-	tr, err := NewShmLoop(4)
+	tr, err := New(Shm, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestShmLoopStreams(t *testing.T) {
 // the wire: they must stream through in chunks, in order, without a
 // size limit.
 func TestShmLargeMessage(t *testing.T) {
-	tr, err := NewShmLoop(2)
+	tr, err := New(Shm, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestShmLargeMessage(t *testing.T) {
 // spill queue plus pump must keep both Sends non-blocking, or this
 // deadlocks (and times out).
 func TestShmBidirectionalFlood(t *testing.T) {
-	tr, err := NewShmLoop(2)
+	tr, err := New(Shm, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestShmBidirectionalFlood(t *testing.T) {
 }
 
 func TestShmEmptyMessage(t *testing.T) {
-	tr, err := NewShmLoop(2)
+	tr, err := New(Shm, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,107 +103,11 @@ func TestShmEmptyMessage(t *testing.T) {
 	}
 }
 
-// TestShmMesh runs a full 3-process shm job inside one test binary —
-// the shm analogue of TestTCPMesh: three transports rendezvous on one
-// mapped file, exchange cross- and same-process rank traffic,
-// broadcast and barrier.
-func TestShmMesh(t *testing.T) {
-	const np, procs = 6, 3
-	dir := t.TempDir()
-	trs := make([]Transport, procs)
-	errs := make([]error, procs)
-	var wg sync.WaitGroup
-	for i := 0; i < procs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tr, err := NewShm(ShmConfig{Job: "mesh-test", NP: np, Procs: procs, Self: i, Generation: 7, Dir: dir, Timeout: 10 * time.Second})
-			trs[i] = tr
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("process %d bootstrap: %v", i, err)
-		}
-	}
-	defer func() {
-		for _, tr := range trs {
-			tr.Close()
-		}
-	}()
-	perr := make(chan error, procs)
-	for i := 0; i < procs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tr := trs[i]
-			lo, hi := RanksOf(np, procs, i)
-			for s := lo; s <= hi; s++ {
-				for d := 1; d <= np; d++ {
-					tr.Send(s, d, []float64{float64(1000*s + d)})
-				}
-			}
-			for d := lo; d <= hi; d++ {
-				for s := 1; s <= np; s++ {
-					msg := tr.Recv(s, d)
-					if len(msg) != 1 || msg[0] != float64(1000*s+d) {
-						perr <- fmt.Errorf("process %d pair (%d,%d): got %v", i, s, d, msg)
-						return
-					}
-				}
-			}
-			for from := 0; from < procs; from++ {
-				var vals []float64
-				if from == i {
-					vals = []float64{float64(from), 42}
-				}
-				got := tr.Bcast(from, vals)
-				if len(got) != 2 || got[0] != float64(from) || got[1] != 42 {
-					perr <- fmt.Errorf("process %d bcast from %d: got %v", i, from, got)
-					return
-				}
-			}
-			if err := tr.Barrier(); err != nil {
-				perr <- fmt.Errorf("process %d barrier: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(perr)
-	for err := range perr {
-		t.Error(err)
-	}
-}
-
 // TestShmCrossProcessFail checks failure propagation through the
 // shared header flag: Fail on one member unblocks a Recv waiting on
 // another member, and the error is sticky on both.
 func TestShmCrossProcessFail(t *testing.T) {
-	const np, procs = 2, 2
-	dir := t.TempDir()
-	trs := make([]Transport, procs)
-	errs := make([]error, procs)
-	var wg sync.WaitGroup
-	for i := 0; i < procs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			trs[i], errs[i] = NewShm(ShmConfig{Job: "fail-test", NP: np, Procs: procs, Self: i, Generation: 1, Dir: dir, Timeout: 10 * time.Second})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("process %d bootstrap: %v", i, err)
-		}
-	}
-	defer func() {
-		for _, tr := range trs {
-			tr.Close()
-		}
-	}()
+	trs := joinMesh(t, Shm, Config{Job: "fail-test", NP: 2, Procs: 2, Generation: 1})
 	done := make(chan []float64, 1)
 	go func() { done <- trs[1].Recv(1, 2) }() // rank 2 lives on process 1; rank 1 never sends
 	time.Sleep(20 * time.Millisecond)
@@ -231,11 +135,11 @@ func TestShmShapeMismatchRejected(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		leaderTr, leaderErr = NewShm(ShmConfig{Job: "shape-test", NP: 4, Procs: 2, Self: 0, Generation: 3, Dir: dir, Timeout: 2 * time.Second})
+		leaderTr, leaderErr = Join(Shm, Config{Job: "shape-test", NP: 4, Procs: 2, Self: 0, Generation: 3, Dir: dir, Timeout: 2 * time.Second})
 	}()
 	go func() {
 		defer wg.Done()
-		staleTr, staleErr = NewShm(ShmConfig{Job: "shape-test", NP: 6, Procs: 2, Self: 1, Generation: 3, Dir: dir, Timeout: 2 * time.Second})
+		staleTr, staleErr = Join(Shm, Config{Job: "shape-test", NP: 6, Procs: 2, Self: 1, Generation: 3, Dir: dir, Timeout: 2 * time.Second})
 	}()
 	wg.Wait()
 	if leaderTr != nil {

@@ -5,26 +5,24 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"hpfnt/internal/obs"
 )
 
-// The tcp transport's frame kinds. Every frame is length-prefixed:
-// a uint32 byte length covering the kind byte and the body, then the
-// kind, then the body (all integers little-endian, floats as IEEE-754
-// bit patterns).
+// The tcp wire's frame kinds. Every frame is length-prefixed: a uint32
+// byte length covering the kind byte and the body, then the kind, then
+// the body (all integers little-endian, floats as IEEE-754 bit
+// patterns). The three control kinds are frameData + the core's ctl*
+// kind.
 const (
 	frameHello   = byte(1) // handshake: proto, generation, np, procs, sender proc, job, listen addr
 	frameRoster  = byte(2) // leader → peers: the peer listener addresses
 	frameData    = byte(3) // rank pair stream: src, dst, corr, payload floats
 	frameBcast   = byte(4) // process collective: from proc, payload floats
-	frameBarrier = byte(5) // peer → leader: barrier arrival
+	frameBarrier = byte(5) // peer → leader: barrier arrival (from proc)
 	frameRelease = byte(6) // leader → peers: barrier release
 	frameHeart   = byte(7) // keepalive; any frame refreshes the peer's liveness stamp
 )
@@ -34,54 +32,21 @@ const (
 // frames.
 const tcpProto = 2
 
+// Frame length caps. Until a connection has completed the handshake
+// its bytes come from anyone who can reach the port, so the frames read
+// then (hello, roster) are capped small: a stray dialer costs 64 KiB,
+// not the 1 GiB a member's data frame may claim.
+const (
+	maxHandshakeFrame = 64 << 10
+	maxFrame          = 1 << 30
+)
+
 // hello subkinds: a join (process → leader rendezvous) or a peer data
 // connection (mesh fill-in between non-leader processes).
 const (
 	helloJoin = byte(1)
 	helloPeer = byte(2)
 )
-
-// TCPConfig describes one process's membership in a named tcp job.
-type TCPConfig struct {
-	// Job names the job; all members must agree.
-	Job string
-	// NP is the abstract processor (rank) count.
-	NP int
-	// Procs is the number of participating OS processes.
-	Procs int
-	// Self is this process's index in 0..Procs-1. Process 0 is the
-	// leader: it binds Addr and runs the rendezvous.
-	Self int
-	// Generation distinguishes successive runs of the same job name;
-	// a worker from a stale generation is refused at the handshake.
-	Generation int
-	// Addr is the leader's rendezvous address (host:port). The leader
-	// binds it; everyone else dials it.
-	Addr string
-	// Timeout bounds the whole bootstrap (dial retries, accepts,
-	// handshakes). Zero means 30s.
-	Timeout time.Duration
-	// Heartbeat is the keepalive interval on every mesh connection.
-	// Zero means 250ms.
-	Heartbeat time.Duration
-	// FailAfter is how long a peer may stay silent before it is
-	// declared lost with a *MemberLostError. Zero means 8×Heartbeat.
-	FailAfter time.Duration
-}
-
-func (cfg *TCPConfig) heartbeat() time.Duration {
-	if cfg.Heartbeat > 0 {
-		return cfg.Heartbeat
-	}
-	return 250 * time.Millisecond
-}
-
-func (cfg *TCPConfig) failAfter() time.Duration {
-	if cfg.FailAfter > 0 {
-		return cfg.FailAfter
-	}
-	return 8 * cfg.heartbeat()
-}
 
 // tconn is one connection with its buffered, mutex-serialized writer.
 // All frames from this process to the peer process go through it, so
@@ -117,15 +82,16 @@ func (c *tconn) writeFrame(kind byte, body []byte) error {
 	return c.bw.Flush()
 }
 
-// readFrame reads one length-prefixed frame.
-func readFrame(br *bufio.Reader) (kind byte, body []byte, err error) {
+// readFrame reads one length-prefixed frame of at most max bytes; the
+// length is checked before anything is allocated for it.
+func readFrame(br *bufio.Reader, max uint32) (kind byte, body []byte, err error) {
 	var hdr [4]byte
 	if _, err = io.ReadFull(br, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
-	if n < 1 || n > 1<<30 {
-		return 0, nil, fmt.Errorf("transport: bad frame length %d", n)
+	if n < 1 || n > max {
+		return 0, nil, fmt.Errorf("transport: bad frame length %d (limit %d)", n, max)
 	}
 	buf := make([]byte, n)
 	if _, err = io.ReadFull(br, buf); err != nil {
@@ -134,21 +100,22 @@ func readFrame(br *bufio.Reader) (kind byte, body []byte, err error) {
 	return buf[0], buf[1:], nil
 }
 
-func floatsToBytes(dst []byte, vals []float64) []byte {
-	for _, v := range vals {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		dst = append(dst, b[:]...)
-	}
-	return dst
+// appendStr appends a uint16-length-prefixed string; cutStr is its
+// inverse.
+func appendStr(dst []byte, s string) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
+	return append(dst, s...)
 }
 
-func bytesToFloats(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+func cutStr(b []byte) (s string, rest []byte, ok bool) {
+	if len(b) < 2 {
+		return "", nil, false
 	}
-	return out
+	n := int(binary.LittleEndian.Uint16(b))
+	if len(b) < 2+n {
+		return "", nil, false
+	}
+	return string(b[2 : 2+n]), b[2+n:], true
 }
 
 // hello is the decoded handshake frame.
@@ -163,25 +130,10 @@ type hello struct {
 
 func encodeHello(h hello) []byte {
 	body := []byte{h.sub}
-	var u [4]byte
-	put := func(v int) {
-		binary.LittleEndian.PutUint32(u[:], uint32(v))
-		body = append(body, u[:]...)
+	for _, v := range []int{tcpProto, h.generation, h.np, h.procs, h.from} {
+		body = binary.LittleEndian.AppendUint32(body, uint32(v))
 	}
-	put(tcpProto)
-	put(h.generation)
-	put(h.np)
-	put(h.procs)
-	put(h.from)
-	putStr := func(s string) {
-		var l [2]byte
-		binary.LittleEndian.PutUint16(l[:], uint16(len(s)))
-		body = append(body, l[:]...)
-		body = append(body, s...)
-	}
-	putStr(h.job)
-	putStr(h.addr)
-	return body
+	return appendStr(appendStr(body, h.job), h.addr)
 }
 
 func decodeHello(body []byte) (hello, error) {
@@ -198,366 +150,304 @@ func decodeHello(body []byte) (hello, error) {
 	h.np = get(9)
 	h.procs = get(13)
 	h.from = get(17)
+	var ok bool
 	rest := body[21:]
-	getStr := func() (string, error) {
-		if len(rest) < 2 {
-			return "", fmt.Errorf("transport: truncated hello string")
-		}
-		n := int(binary.LittleEndian.Uint16(rest))
-		rest = rest[2:]
-		if len(rest) < n {
-			return "", fmt.Errorf("transport: truncated hello string")
-		}
-		s := string(rest[:n])
-		rest = rest[n:]
-		return s, nil
+	if h.job, rest, ok = cutStr(rest); ok {
+		h.addr, _, ok = cutStr(rest)
 	}
-	var err error
-	if h.job, err = getStr(); err != nil {
-		return h, err
-	}
-	if h.addr, err = getStr(); err != nil {
-		return h, err
+	if !ok {
+		return h, fmt.Errorf("transport: truncated hello string")
 	}
 	return h, nil
 }
 
-// tcpTransport carries rank streams over localhost sockets. In
+// encodeRoster lists the peer listener addresses, by process index, so
+// the peers can mesh.
+func encodeRoster(addrs []string) []byte {
+	body := binary.LittleEndian.AppendUint32(nil, uint32(len(addrs)))
+	for _, a := range addrs {
+		body = appendStr(body, a)
+	}
+	return body
+}
+
+// decodeRoster parses a roster that must list exactly procs addresses.
+func decodeRoster(body []byte, procs int) ([]string, error) {
+	if len(body) < 4 {
+		return nil, fmt.Errorf("transport: short roster (%d bytes)", len(body))
+	}
+	if n := int(binary.LittleEndian.Uint32(body)); n != procs {
+		return nil, fmt.Errorf("transport: roster for %d processes, want %d", n, procs)
+	}
+	addrs := make([]string, procs)
+	rest, ok := body[4:], true
+	for i := range addrs {
+		if addrs[i], rest, ok = cutStr(rest); !ok {
+			return nil, fmt.Errorf("transport: roster truncated at process %d", i)
+		}
+	}
+	return addrs, nil
+}
+
+// decodeData parses a data frame body: src, dst, corr, payload.
+func decodeData(body []byte, np int) (src, dst int, m inMsg, err error) {
+	if len(body) < 16 {
+		return 0, 0, m, fmt.Errorf("transport: short data frame (%d bytes)", len(body))
+	}
+	src = int(binary.LittleEndian.Uint32(body))
+	dst = int(binary.LittleEndian.Uint32(body[4:]))
+	if src < 1 || src > np || dst < 1 || dst > np {
+		return 0, 0, m, fmt.Errorf("transport: data frame for pair (%d,%d) out of range 1..%d", src, dst, np)
+	}
+	m.corr = binary.LittleEndian.Uint64(body[8:])
+	if m.msg, err = decodeFloats(body[16:]); err != nil {
+		return 0, 0, m, fmt.Errorf("transport: data frame for pair (%d,%d): %w", src, dst, err)
+	}
+	return src, dst, m, nil
+}
+
+// mailbox is an unbounded FIFO queue of messages for one stream, with
+// abort support: messages queued before the abort still drain in
+// order (a peer's orderly shutdown must not eat data already on the
+// wire); pop reports false once the queue is empty and aborted.
+type mailbox struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	q      []inMsg
+	closed bool
+}
+
+func newMailbox() *mailbox {
+	m := &mailbox{}
+	m.cond = sync.NewCond(&m.mu)
+	return m
+}
+
+func (m *mailbox) push(msg inMsg) {
+	m.mu.Lock()
+	m.q = append(m.q, msg)
+	m.cond.Signal()
+	m.mu.Unlock()
+}
+
+func (m *mailbox) pop() (inMsg, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for len(m.q) == 0 && !m.closed {
+		m.cond.Wait()
+	}
+	if len(m.q) == 0 {
+		return inMsg{}, false
+	}
+	msg := m.q[0]
+	m.q = m.q[1:]
+	return msg, true
+}
+
+func (m *mailbox) abort() {
+	m.mu.Lock()
+	m.closed = true
+	m.cond.Broadcast()
+	m.mu.Unlock()
+}
+
+// tcpLink carries rank streams over localhost sockets. In
 // multi-process jobs each process pair shares one connection and
 // same-process traffic short-circuits through mailboxes; in loopback
-// mode (NewTCPLoop) the single process dials itself so every message
+// mode (Procs 1) the single process dials itself so every message
 // still crosses a real socket, exercising the framing, encoding and
 // demux paths end to end.
-type tcpTransport struct {
-	cfg TCPConfig
-	wireTally
+type tcpLink struct {
+	cfg    Config
+	fb     *failBox
 	ln     net.Listener
 	conns  []*tconn // by peer process index; conns[Self] is nil
 	loop   *tconn   // loopback write side (single-process mode only)
 	loopIn *tconn   // loopback read side
 
-	boxes  [][]*mailbox // [src-1][dst-1] for streams received here
-	bcastQ []*mailbox   // per source process index
-	ps     *pairSeq     // per-pair send sequence for correlation IDs
-
-	arrive  chan int      // leader: barrier arrivals
-	release chan struct{} // peers: barrier releases
+	boxes [][]*mailbox // [src-1][dst-1] for streams received here
+	ctl   []*mailbox   // control frames by source process; the kind rides inMsg.corr
 
 	// lastHeard[i] is the UnixNano of the last frame (of any kind)
-	// read from process i; refreshed by readLoop, watched by the
-	// heartbeat monitor.
+	// read from process i; refreshed by readLoop.
 	lastHeard []atomic.Int64
-	hbStop    chan struct{}
-	hbOnce    sync.Once
 
-	fb     *failBox
 	closed atomic.Bool
 	wg     sync.WaitGroup
-	once   sync.Once
 }
 
-func newTCPState(cfg TCPConfig) *tcpTransport {
-	t := &tcpTransport{cfg: cfg, ps: newPairSeq(cfg.NP), fb: newFailBox(), hbStop: make(chan struct{})}
-	t.conns = make([]*tconn, cfg.Procs)
-	t.lastHeard = make([]atomic.Int64, cfg.Procs)
-	t.boxes = make([][]*mailbox, cfg.NP)
-	for s := range t.boxes {
-		t.boxes[s] = make([]*mailbox, cfg.NP)
-		for d := range t.boxes[s] {
-			t.boxes[s][d] = newMailbox()
+// dialTCP builds this process's end of the wire: in a multi-process
+// job, process 0 binds the rendezvous address and collects one join
+// handshake per peer, sends everyone the peer-listener roster, and the
+// peers fill in the connection mesh among themselves (higher process
+// index dials lower). Returns once this process is fully meshed.
+func dialTCP(cfg Config, fb *failBox) (*tcpLink, error) {
+	l := &tcpLink{cfg: cfg, fb: fb}
+	fb.onFail = l.abort
+	l.boxes = make([][]*mailbox, cfg.NP)
+	for s := range l.boxes {
+		l.boxes[s] = make([]*mailbox, cfg.NP)
+		for d := range l.boxes[s] {
+			l.boxes[s][d] = newMailbox()
 		}
 	}
-	t.bcastQ = make([]*mailbox, cfg.Procs)
-	for i := range t.bcastQ {
-		t.bcastQ[i] = newMailbox()
-	}
-	t.arrive = make(chan int, cfg.Procs)
-	t.release = make(chan struct{}, cfg.Procs)
-	return t
-}
-
-func (cfg *TCPConfig) validate(needAddr bool) error {
-	if cfg.NP < 1 {
-		return fmt.Errorf("transport: rank count must be positive, got %d", cfg.NP)
-	}
-	if cfg.Procs < 1 || cfg.Procs > cfg.NP {
-		return fmt.Errorf("transport: process count %d out of range 1..%d", cfg.Procs, cfg.NP)
-	}
-	if cfg.Self < 0 || cfg.Self >= cfg.Procs {
-		return fmt.Errorf("transport: process index %d out of range 0..%d", cfg.Self, cfg.Procs-1)
-	}
-	if needAddr && cfg.Procs > 1 && cfg.Addr == "" {
-		return fmt.Errorf("transport: a multi-process job needs a rendezvous address")
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 30 * time.Second
-	}
-	return nil
-}
-
-// NewTCPLoop creates the single-process tcp transport over np ranks:
-// all rank streams run through one self-dialled localhost connection,
-// so the wire format is exercised without a second process.
-func NewTCPLoop(np int) (Transport, error) {
-	cfg := TCPConfig{Job: "loop", NP: np, Procs: 1, Self: 0}
-	if err := cfg.validate(false); err != nil {
-		return nil, err
-	}
-	t := newTCPState(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	t.ln = ln
-	accepted := make(chan net.Conn, 1)
-	acceptErr := make(chan error, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			acceptErr <- err
-			return
-		}
-		accepted <- c
-	}()
-	out, err := net.DialTimeout("tcp", ln.Addr().String(), cfg.Timeout)
-	if err != nil {
-		ln.Close()
-		return nil, err
-	}
-	var in net.Conn
-	select {
-	case in = <-accepted:
-	case err := <-acceptErr:
-		out.Close()
-		ln.Close()
-		return nil, err
-	}
-	t.loop = newTconn(out)
-	t.loopIn = newTconn(in)
-	// Handshake across the loop, so the hello path is covered too.
-	if err := t.loop.writeFrame(frameHello, encodeHello(hello{sub: helloJoin, np: np, procs: 1, job: cfg.Job})); err != nil {
-		t.teardown()
-		return nil, err
-	}
-	if err := t.expectHello(t.loopIn.br, helloJoin, 0); err != nil {
-		t.teardown()
-		return nil, err
-	}
-	t.wg.Add(1)
-	go t.readLoop(-1, t.loopIn, t.loopIn.br)
-	return t, nil
-}
-
-// NewTCP joins a named multi-process job: process 0 binds the
-// rendezvous address and collects one join handshake per peer, sends
-// everyone the peer-listener roster, and the peers fill in the
-// connection mesh among themselves (higher process index dials
-// lower). Returns once this process is fully meshed and the initial
-// job barrier has completed.
-func NewTCP(cfg TCPConfig) (Transport, error) {
-	if err := cfg.validate(true); err != nil {
-		return nil, err
-	}
-	if cfg.Procs == 1 {
-		return NewTCPLoop(cfg.NP)
-	}
-	t := newTCPState(cfg)
-	deadline := time.Now().Add(cfg.Timeout)
 	var err error
-	if cfg.Self == 0 {
-		err = t.bootstrapLeader(deadline)
+	if cfg.Procs == 1 {
+		err = l.dialLoop()
 	} else {
-		err = t.bootstrapPeer(deadline)
+		l.conns = make([]*tconn, cfg.Procs)
+		l.lastHeard = make([]atomic.Int64, cfg.Procs)
+		l.ctl = make([]*mailbox, cfg.Procs)
+		for i := range l.ctl {
+			l.ctl[i] = newMailbox()
+		}
+		deadline := time.Now().Add(cfg.Timeout)
+		if cfg.Self == 0 {
+			err = l.bootstrapLeader(deadline)
+		} else {
+			err = l.bootstrapPeer(deadline)
+		}
 	}
 	if err != nil {
-		t.teardown()
+		l.close()
 		return nil, err
-	}
-	for i, c := range t.conns {
-		if i == cfg.Self || c == nil {
-			continue
-		}
-		t.wg.Add(1)
-		go t.readLoop(i, c, c.br)
-	}
-	t.startHeartbeats()
-	if err := t.Barrier(); err != nil {
-		t.teardown()
-		return nil, fmt.Errorf("transport: job %q initial barrier: %w", cfg.Job, err)
-	}
-	return t, nil
-}
-
-// startHeartbeats launches the keepalive sender + staleness monitor:
-// every Heartbeat interval a heart frame goes out on each mesh
-// connection, and a peer whose liveness stamp is older than FailAfter
-// is declared lost via a sticky *MemberLostError. This is what turns
-// a SIGKILLed member into a detected failure instead of a hang.
-func (t *tcpTransport) startHeartbeats() {
-	if t.cfg.Procs == 1 {
-		return
 	}
 	now := time.Now().UnixNano()
-	for i := range t.lastHeard {
-		t.lastHeard[i].Store(now)
-	}
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		tick := time.NewTicker(t.cfg.heartbeat())
-		defer tick.Stop()
-		limit := int64(t.cfg.failAfter())
-		for {
-			select {
-			case <-t.hbStop:
-				return
-			case <-t.fb.stop:
-				return
-			case <-tick.C:
-			}
-			for i, c := range t.conns {
-				if i == t.cfg.Self || c == nil {
-					continue
-				}
-				// Write errors are ignored here: the connection's
-				// readLoop attributes the loss to the right peer.
-				c.writeFrame(frameHeart, nil)
-			}
-			now := time.Now().UnixNano()
-			for i := range t.lastHeard {
-				if i == t.cfg.Self {
-					continue
-				}
-				if now-t.lastHeard[i].Load() > limit {
-					t.Fail(&MemberLostError{Proc: i, Cause: "heartbeats stale"})
-					return
-				}
-			}
+	for i, c := range l.conns {
+		if c != nil {
+			l.lastHeard[i].Store(now)
+			l.wg.Add(1)
+			go l.readLoop(i, c)
 		}
-	}()
+	}
+	return l, nil
 }
 
-func (t *tcpTransport) stopHeartbeats() {
-	t.hbOnce.Do(func() { close(t.hbStop) })
-}
-
-// expectHello reads and validates one handshake frame.
-func (t *tcpTransport) expectHello(br *bufio.Reader, sub byte, wantFrom int) error {
-	kind, body, err := readFrame(br)
-	if err != nil {
-		return fmt.Errorf("transport: reading hello: %w", err)
-	}
-	if kind != frameHello {
-		return fmt.Errorf("transport: expected hello frame, got kind %d", kind)
-	}
-	h, err := decodeHello(body)
+// dialLoop connects the single process to itself: all rank streams run
+// through one self-dialled localhost connection, so the wire format is
+// exercised without a second process.
+func (l *tcpLink) dialLoop() error {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	cfg := &t.cfg
-	switch {
-	case h.sub != sub:
-		return fmt.Errorf("transport: hello subkind %d, want %d", h.sub, sub)
-	case h.job != cfg.Job:
-		return fmt.Errorf("transport: hello for job %q, want %q", h.job, cfg.Job)
-	case h.generation != cfg.Generation:
-		return fmt.Errorf("transport: job %q generation %d, want %d (stale worker?)", h.job, h.generation, cfg.Generation)
-	case h.np != cfg.NP || h.procs != cfg.Procs:
-		return fmt.Errorf("transport: job %q shape %d ranks/%d procs, want %d/%d", h.job, h.np, h.procs, cfg.NP, cfg.Procs)
-	case wantFrom >= 0 && h.from != wantFrom:
-		return fmt.Errorf("transport: hello from process %d, want %d", h.from, wantFrom)
+	l.ln = ln
+	type accepted struct {
+		c   net.Conn
+		err error
 	}
+	acceptc := make(chan accepted, 1)
+	go func() {
+		c, err := ln.Accept()
+		acceptc <- accepted{c, err}
+	}()
+	out, err := net.DialTimeout("tcp", ln.Addr().String(), l.cfg.Timeout)
+	if err != nil {
+		return err // close() shuts the listener, which ends the accept
+	}
+	l.loop = newTconn(out)
+	in := <-acceptc
+	if in.err != nil {
+		return in.err
+	}
+	l.loopIn = newTconn(in.c)
+	// Handshake across the loop, so the hello path is covered too.
+	h := hello{sub: helloJoin, np: l.cfg.NP, procs: 1, job: l.cfg.Job}
+	if err := l.loop.writeFrame(frameHello, encodeHello(h)); err != nil {
+		return err
+	}
+	if _, err := l.readHello(l.loopIn.br, helloJoin); err != nil {
+		return err
+	}
+	l.wg.Add(1)
+	go l.readLoop(-1, l.loopIn)
 	return nil
 }
 
-// readHelloFrom reads a hello, returning the sender's process index
-// and advertised listen address.
-func (t *tcpTransport) readHelloFrom(br *bufio.Reader, sub byte) (int, string, error) {
-	kind, body, err := readFrame(br)
+// readHello reads one handshake frame and checks that it belongs to
+// this job: subkind, job name, generation and shape.
+func (l *tcpLink) readHello(br *bufio.Reader, sub byte) (hello, error) {
+	kind, body, err := readFrame(br, maxHandshakeFrame)
 	if err != nil {
-		return 0, "", fmt.Errorf("transport: reading hello: %w", err)
+		return hello{}, fmt.Errorf("transport: reading hello: %w", err)
 	}
 	if kind != frameHello {
-		return 0, "", fmt.Errorf("transport: expected hello frame, got kind %d", kind)
+		return hello{}, fmt.Errorf("transport: expected hello frame, got kind %d", kind)
 	}
 	h, err := decodeHello(body)
 	if err != nil {
-		return 0, "", err
+		return h, err
 	}
-	cfg := &t.cfg
-	if h.sub != sub || h.job != cfg.Job || h.generation != cfg.Generation || h.np != cfg.NP || h.procs != cfg.Procs {
-		return 0, "", fmt.Errorf("transport: job %q rejected handshake (sub %d job %q gen %d shape %d/%d)", cfg.Job, h.sub, h.job, h.generation, h.np, h.procs)
+	cfg := &l.cfg
+	switch {
+	case h.sub != sub:
+		return h, fmt.Errorf("transport: hello subkind %d, want %d", h.sub, sub)
+	case h.job != cfg.Job:
+		return h, fmt.Errorf("transport: hello for job %q, want %q", h.job, cfg.Job)
+	case h.generation != cfg.Generation:
+		return h, fmt.Errorf("transport: job %q generation %d, want %d (stale worker?)", h.job, h.generation, cfg.Generation)
+	case h.np != cfg.NP || h.procs != cfg.Procs:
+		return h, fmt.Errorf("transport: job %q shape %d ranks/%d procs, want %d/%d", h.job, h.np, h.procs, cfg.NP, cfg.Procs)
+	case h.from < 0 || h.from >= cfg.Procs:
+		return h, fmt.Errorf("transport: hello from out-of-range process %d", h.from)
 	}
-	if h.from < 1 || h.from >= cfg.Procs {
-		return 0, "", fmt.Errorf("transport: hello from out-of-range process %d", h.from)
-	}
-	return h.from, h.addr, nil
+	return h, nil
 }
 
-func (t *tcpTransport) bootstrapLeader(deadline time.Time) error {
-	ln, err := net.Listen("tcp", t.cfg.Addr)
+func (l *tcpLink) bootstrapLeader(deadline time.Time) error {
+	ln, err := net.Listen("tcp", l.cfg.Addr)
 	if err != nil {
-		return fmt.Errorf("transport: leader bind %s: %w", t.cfg.Addr, err)
+		return fmt.Errorf("transport: leader bind %s: %w", l.cfg.Addr, err)
 	}
-	t.ln = ln
+	l.ln = ln
 	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(deadline)
+		tl.SetDeadline(deadline) // never lifted: nothing accepts after the bootstrap
 	}
-	addrs := make([]string, t.cfg.Procs)
-	for joined := 1; joined < t.cfg.Procs; {
+	addrs := make([]string, l.cfg.Procs)
+	for joined := 1; joined < l.cfg.Procs; {
 		c, err := ln.Accept()
 		if err != nil {
-			return fmt.Errorf("transport: job %q waiting for %d more worker(s): %w", t.cfg.Job, t.cfg.Procs-joined, err)
+			return fmt.Errorf("transport: job %q waiting for %d more worker(s): %w", l.cfg.Job, l.cfg.Procs-joined, err)
 		}
 		c.SetDeadline(deadline)
 		tc := newTconn(c)
-		from, addr, err := t.readHelloFrom(tc.br, helloJoin)
+		h, err := l.readHello(tc.br, helloJoin)
+		if err == nil && h.from == 0 {
+			err = fmt.Errorf("transport: join from process 0, which is the leader")
+		}
 		if err != nil {
 			// Refuse just this connection — a stale-generation worker
 			// left over from a previous run (or a stray dialer) must
 			// not abort the new job's bootstrap.
 			c.Close()
-			fmt.Fprintf(os.Stderr, "transport: job %q refused a join: %v\n", t.cfg.Job, err)
+			fmt.Fprintf(os.Stderr, "transport: job %q refused a join: %v\n", l.cfg.Job, err)
 			continue
 		}
-		if t.conns[from] != nil {
+		if l.conns[h.from] != nil {
 			c.Close()
-			return fmt.Errorf("transport: job %q duplicate join from process %d", t.cfg.Job, from)
+			return fmt.Errorf("transport: job %q duplicate join from process %d", l.cfg.Job, h.from)
 		}
-		t.conns[from] = tc
-		addrs[from] = addr
+		l.conns[h.from] = tc
+		addrs[h.from] = h.addr
 		joined++
 	}
-	// Roster: the peer listener addresses, so peers can mesh.
-	body := []byte{}
-	var u [4]byte
-	binary.LittleEndian.PutUint32(u[:], uint32(t.cfg.Procs))
-	body = append(body, u[:]...)
-	for _, a := range addrs {
-		var l [2]byte
-		binary.LittleEndian.PutUint16(l[:], uint16(len(a)))
-		body = append(body, l[:]...)
-		body = append(body, a...)
-	}
-	for i := 1; i < t.cfg.Procs; i++ {
-		if err := t.conns[i].writeFrame(frameRoster, body); err != nil {
+	roster := encodeRoster(addrs)
+	for i := 1; i < l.cfg.Procs; i++ {
+		if err := l.conns[i].writeFrame(frameRoster, roster); err != nil {
 			return fmt.Errorf("transport: sending roster to process %d: %w", i, err)
 		}
-		t.conns[i].c.SetDeadline(time.Time{})
-	}
-	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(time.Time{})
+		l.conns[i].c.SetDeadline(time.Time{})
 	}
 	return nil
 }
 
-func (t *tcpTransport) bootstrapPeer(deadline time.Time) error {
+func (l *tcpLink) bootstrapPeer(deadline time.Time) error {
 	// My own listener, for mesh connections from higher-index peers.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	t.ln = ln
+	l.ln = ln
 	if tl, ok := ln.(*net.TCPListener); ok {
 		tl.SetDeadline(deadline)
 	}
@@ -569,48 +459,45 @@ func (t *tcpTransport) bootstrapPeer(deadline time.Time) error {
 	var addrs []string
 	for attempt := 0; ; attempt++ {
 		var jerr error
-		addrs, jerr = t.joinLeader(deadline)
+		addrs, jerr = l.joinLeader(deadline)
 		if jerr == nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: job %q joining leader %s: %w", t.cfg.Job, t.cfg.Addr, jerr)
+			return fmt.Errorf("transport: job %q joining leader %s: %w", l.cfg.Job, l.cfg.Addr, jerr)
 		}
 		time.Sleep(Backoff(attempt, 10*time.Millisecond, 500*time.Millisecond))
 	}
 	// Mesh: dial every lower-index peer, accept every higher one.
-	ph := hello{sub: helloPeer, generation: t.cfg.Generation, np: t.cfg.NP, procs: t.cfg.Procs, from: t.cfg.Self, job: t.cfg.Job}
-	for j := 1; j < t.cfg.Self; j++ {
+	ph := hello{sub: helloPeer, generation: l.cfg.Generation, np: l.cfg.NP, procs: l.cfg.Procs, from: l.cfg.Self, job: l.cfg.Job}
+	for j := 1; j < l.cfg.Self; j++ {
 		c, err := net.DialTimeout("tcp", addrs[j], time.Until(deadline))
 		if err != nil {
 			return fmt.Errorf("transport: dialing peer %d at %s: %w", j, addrs[j], err)
 		}
-		t.conns[j] = newTconn(c)
-		if err := t.conns[j].writeFrame(frameHello, encodeHello(ph)); err != nil {
+		l.conns[j] = newTconn(c)
+		if err := l.conns[j].writeFrame(frameHello, encodeHello(ph)); err != nil {
 			return fmt.Errorf("transport: peer hello to %d: %w", j, err)
 		}
 	}
-	for k := t.cfg.Self + 1; k < t.cfg.Procs; k++ {
+	for k := l.cfg.Self + 1; k < l.cfg.Procs; k++ {
 		c, err := ln.Accept()
 		if err != nil {
-			return fmt.Errorf("transport: job %q waiting for peer connections: %w", t.cfg.Job, err)
+			return fmt.Errorf("transport: job %q waiting for peer connections: %w", l.cfg.Job, err)
 		}
 		c.SetDeadline(deadline)
 		tc := newTconn(c)
-		from, _, err := t.readHelloFrom(tc.br, helloPeer)
+		h, err := l.readHello(tc.br, helloPeer)
 		if err != nil {
 			c.Close()
 			return err
 		}
-		if from <= t.cfg.Self || t.conns[from] != nil {
+		if h.from <= l.cfg.Self || l.conns[h.from] != nil {
 			c.Close()
-			return fmt.Errorf("transport: unexpected peer connection from process %d", from)
+			return fmt.Errorf("transport: unexpected peer connection from process %d", h.from)
 		}
 		c.SetDeadline(time.Time{})
-		t.conns[from] = tc
-	}
-	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(time.Time{})
+		l.conns[h.from] = tc
 	}
 	return nil
 }
@@ -618,21 +505,21 @@ func (t *tcpTransport) bootstrapPeer(deadline time.Time) error {
 // joinLeader performs one connect+handshake round with the leader:
 // dial, send the join hello, receive the roster of peer listener
 // addresses. On success the leader connection is installed as
-// t.conns[0]; on any error the connection is closed and the caller
+// l.conns[0]; on any error the connection is closed and the caller
 // may retry.
-func (t *tcpTransport) joinLeader(deadline time.Time) ([]string, error) {
-	c0, err := net.DialTimeout("tcp", t.cfg.Addr, time.Until(deadline))
+func (l *tcpLink) joinLeader(deadline time.Time) ([]string, error) {
+	c0, err := net.DialTimeout("tcp", l.cfg.Addr, time.Until(deadline))
 	if err != nil {
 		return nil, err
 	}
 	c0.SetDeadline(deadline)
 	tc := newTconn(c0)
-	h := hello{sub: helloJoin, generation: t.cfg.Generation, np: t.cfg.NP, procs: t.cfg.Procs, from: t.cfg.Self, job: t.cfg.Job, addr: t.ln.Addr().String()}
+	h := hello{sub: helloJoin, generation: l.cfg.Generation, np: l.cfg.NP, procs: l.cfg.Procs, from: l.cfg.Self, job: l.cfg.Job, addr: l.ln.Addr().String()}
 	if err := tc.writeFrame(frameHello, encodeHello(h)); err != nil {
 		c0.Close()
 		return nil, fmt.Errorf("joining: %w", err)
 	}
-	kind, body, err := readFrame(tc.br)
+	kind, body, err := readFrame(tc.br, maxHandshakeFrame)
 	if err != nil {
 		// EOF or reset here is also how a refused (e.g. stale-
 		// generation) hello looks; the retry loop re-sends the
@@ -641,354 +528,202 @@ func (t *tcpTransport) joinLeader(deadline time.Time) ([]string, error) {
 		c0.Close()
 		return nil, fmt.Errorf("waiting for roster: %w", err)
 	}
-	fail := func(format string, args ...any) ([]string, error) {
-		c0.Close()
-		return nil, fmt.Errorf(format, args...)
-	}
 	if kind != frameRoster {
-		return fail("expected roster frame, got kind %d", kind)
+		c0.Close()
+		return nil, fmt.Errorf("expected roster frame, got kind %d", kind)
 	}
-	if len(body) < 4 {
-		return fail("short roster")
-	}
-	n := int(binary.LittleEndian.Uint32(body))
-	if n != t.cfg.Procs {
-		return fail("roster for %d processes, want %d", n, t.cfg.Procs)
-	}
-	rest := body[4:]
-	addrs := make([]string, n)
-	for i := range addrs {
-		if len(rest) < 2 {
-			return fail("truncated roster")
-		}
-		l := int(binary.LittleEndian.Uint16(rest))
-		rest = rest[2:]
-		if len(rest) < l {
-			return fail("truncated roster")
-		}
-		addrs[i] = string(rest[:l])
-		rest = rest[l:]
+	addrs, err := decodeRoster(body, l.cfg.Procs)
+	if err != nil {
+		c0.Close()
+		return nil, err
 	}
 	c0.SetDeadline(time.Time{})
-	t.conns[0] = tc
+	l.conns[0] = tc
 	return addrs, nil
 }
 
+// lost raises the failure for an I/O error on the connection to peer
+// (-1: the loopback connection). A dead peer connection — read-side
+// EOF or write-side broken pipe, whichever end of the socket errors
+// first — means that peer is gone, and is attributed to it as a
+// *MemberLostError so recovery treats both alike. A deliberate close
+// raises nothing.
+func (l *tcpLink) lost(peer int, op string, err error) {
+	switch {
+	case l.closed.Load():
+	case peer >= 0:
+		l.fb.fail(&MemberLostError{Proc: peer, Cause: "connection lost", Err: err})
+	default:
+		l.fb.fail(fmt.Errorf("transport: job %q %s: %w", l.cfg.Job, op, err))
+	}
+}
+
 // readLoop demultiplexes one connection's frames into the per-pair
-// mailboxes and the collective queues. peer is the remote process
-// index (-1 for the loopback connection); a read error on a peer
-// connection is attributed to that peer as a *MemberLostError.
-func (t *tcpTransport) readLoop(peer int, c *tconn, br *bufio.Reader) {
-	defer t.wg.Done()
+// mailboxes and the per-process control queues. peer is the remote
+// process index (-1 for the loopback connection). A frame that does
+// not parse fails the transport with the reason.
+func (l *tcpLink) readLoop(peer int, c *tconn) {
+	defer l.wg.Done()
 	for {
-		kind, body, err := readFrame(br)
+		kind, body, err := readFrame(c.br, maxFrame)
 		if err != nil {
-			if !t.closed.Load() {
-				if peer >= 0 {
-					t.Fail(&MemberLostError{Proc: peer, Cause: "connection lost", Err: err})
-				} else {
-					t.Fail(fmt.Errorf("transport: job %q connection lost: %w", t.cfg.Job, err))
-				}
-			}
+			l.lost(peer, "connection lost", err)
 			return
 		}
 		if peer >= 0 {
-			t.lastHeard[peer].Store(time.Now().UnixNano())
+			l.lastHeard[peer].Store(time.Now().UnixNano())
 		}
-		t.countRecv(int64(5 + len(body)))
 		switch kind {
 		case frameHeart:
 			// Liveness only; the stamp above is the payload.
 		case frameData:
-			if len(body) < 16 {
-				t.Fail(fmt.Errorf("transport: short data frame"))
+			src, dst, m, err := decodeData(body, l.cfg.NP)
+			if err != nil {
+				l.fb.fail(err)
 				return
 			}
-			src := int(binary.LittleEndian.Uint32(body))
-			dst := int(binary.LittleEndian.Uint32(body[4:]))
-			if src < 1 || src > t.cfg.NP || dst < 1 || dst > t.cfg.NP {
-				t.Fail(fmt.Errorf("transport: data frame for pair (%d,%d) out of range 1..%d", src, dst, t.cfg.NP))
+			l.boxes[src-1][dst-1].push(m)
+		case frameBcast, frameBarrier, frameRelease:
+			if peer < 0 {
+				l.fb.fail(fmt.Errorf("transport: control frame kind %d on the loopback connection", kind))
 				return
 			}
-			corr := binary.LittleEndian.Uint64(body[8:])
-			t.boxes[src-1][dst-1].push(inMsg{corr: corr, msg: bytesToFloats(body[16:])})
-		case frameBcast:
-			if len(body) < 4 {
-				t.Fail(fmt.Errorf("transport: short bcast frame"))
+			if kind != frameRelease { // bcast and barrier name their sender
+				if len(body) < 4 || int(binary.LittleEndian.Uint32(body)) != peer {
+					l.fb.fail(fmt.Errorf("transport: control frame kind %d from process %d does not name its sender", kind, peer))
+					return
+				}
+				body = body[4:]
+			}
+			vals, err := decodeFloats(body)
+			if err != nil {
+				l.fb.fail(fmt.Errorf("transport: control frame kind %d from process %d: %w", kind, peer, err))
 				return
 			}
-			from := int(binary.LittleEndian.Uint32(body))
-			if from < 0 || from >= t.cfg.Procs {
-				t.Fail(fmt.Errorf("transport: bcast from out-of-range process %d", from))
-				return
-			}
-			t.bcastQ[from].push(inMsg{msg: bytesToFloats(body[4:])})
-		case frameBarrier:
-			if len(body) < 4 {
-				t.Fail(fmt.Errorf("transport: short barrier frame"))
-				return
-			}
-			select {
-			case t.arrive <- int(binary.LittleEndian.Uint32(body)):
-			default:
-				t.Fail(fmt.Errorf("transport: barrier arrival overflow"))
-				return
-			}
-		case frameRelease:
-			select {
-			case t.release <- struct{}{}:
-			default:
-				t.Fail(fmt.Errorf("transport: barrier release overflow"))
-				return
-			}
+			l.ctl[peer].push(inMsg{corr: uint64(kind - frameData), msg: vals})
 		default:
-			t.Fail(fmt.Errorf("transport: unknown frame kind %d", kind))
+			l.fb.fail(fmt.Errorf("transport: unknown frame kind %d", kind))
 			return
 		}
 	}
 }
 
-func (t *tcpTransport) Kind() string        { return TCP }
-func (t *tcpTransport) NP() int             { return t.cfg.NP }
-func (t *tcpTransport) Procs() int          { return t.cfg.Procs }
-func (t *tcpTransport) Self() int           { return t.cfg.Self }
-func (t *tcpTransport) HostOf(rank int) int { return HostOfRank(t.cfg.NP, t.cfg.Procs, rank) }
-
-// sendFrame writes a data/bcast frame on conn, failing the transport
-// on I/O errors (the message is dropped; workers surface the sticky
-// error at the end of the epoch). peer is the remote process index,
-// or -1 for the loopback connection: a write error on a peer
-// connection (broken pipe, reset) means that peer is gone, and must
-// be attributed as a *MemberLostError so recovery treats it exactly
-// like a read-side EOF — whichever side of the dead socket errors
-// first.
-func (t *tcpTransport) sendFrame(peer int, c *tconn, kind byte, body []byte) {
-	if t.fb.get() != nil {
-		return // failed transport: drop, like the other wires
-	}
+// write sends one frame to peer and reports its size, or unmetered
+// when the write failed (the message is dropped; workers surface the
+// sticky error at the end of the epoch).
+func (l *tcpLink) write(peer int, c *tconn, kind byte, body []byte) int {
 	if err := c.writeFrame(kind, body); err != nil {
-		if !t.closed.Load() {
-			if peer >= 0 {
-				t.Fail(&MemberLostError{Proc: peer, Cause: "connection lost", Err: err})
-			} else {
-				t.Fail(fmt.Errorf("transport: job %q write: %w", t.cfg.Job, err))
-			}
-		}
-		return
+		l.lost(peer, "write", err)
+		return unmetered
 	}
-	t.countSend(int64(5 + len(body)))
+	return 5 + len(body)
 }
 
-func (t *tcpTransport) Send(src, dst int, msg []float64) {
-	corr := t.ps.nextCorr(src, dst)
-	tracing := obs.TraceEnabled()
-	var start time.Time
-	if tracing {
-		start = time.Now()
-	}
-	h := t.HostOf(dst)
-	if h == t.cfg.Self && t.loop == nil {
+func (l *tcpLink) push(src, dst int, m inMsg) (int, bool) {
+	h := HostOfRank(l.cfg.NP, l.cfg.Procs, dst)
+	if h == l.cfg.Self && l.loop == nil {
 		// Same-process pair: short-circuit through the mailbox.
-		t.boxes[src-1][dst-1].push(inMsg{corr: corr, msg: msg})
-		if tracing {
-			traceMsg("send", t.cfg.Generation, src, dst, len(msg), corr, start)
-		}
-		return
+		l.boxes[src-1][dst-1].push(m)
+		return unmetered, false
 	}
-	body := make([]byte, 16, 16+8*len(msg))
+	body := make([]byte, 16, 16+8*len(m.msg))
 	binary.LittleEndian.PutUint32(body, uint32(src))
 	binary.LittleEndian.PutUint32(body[4:], uint32(dst))
-	binary.LittleEndian.PutUint64(body[8:], corr)
-	body = floatsToBytes(body, msg)
-	c, peer := t.loop, -1
+	binary.LittleEndian.PutUint64(body[8:], m.corr)
+	body = appendFloats(body, m.msg)
+	c, peer := l.loop, -1
 	if c == nil {
-		c, peer = t.conns[h], h
+		c, peer = l.conns[h], h
 	}
-	t.sendFrame(peer, c, frameData, body)
-	if tracing {
-		traceMsg("send", t.cfg.Generation, src, dst, len(msg), corr, start)
-	}
+	return l.write(peer, c, frameData, body), false
 }
 
-func (t *tcpTransport) Recv(src, dst int) []float64 {
-	if !obs.TraceEnabled() {
-		return t.boxes[src-1][dst-1].pop().msg
+func (l *tcpLink) pop(src, dst int) (inMsg, int, bool) {
+	m, ok := l.boxes[src-1][dst-1].pop()
+	if !ok || (l.loop == nil && HostOfRank(l.cfg.NP, l.cfg.Procs, src) == l.cfg.Self) {
+		return m, unmetered, ok // nothing, or a same-process short-circuit
 	}
-	start := time.Now()
-	m := t.boxes[src-1][dst-1].pop()
-	if m.msg != nil {
-		traceMsg("recv", t.cfg.Generation, src, dst, len(m.msg), m.corr, start)
-	}
-	return m.msg
+	return m, 5 + 16 + 8*len(m.msg), true
 }
 
-func (t *tcpTransport) Bcast(from int, vals []float64) []float64 {
-	if t.cfg.Procs == 1 {
-		return vals
+// ctlHeader is the sender-index prefix of a control frame body: bcast
+// and barrier frames carry it, a release is empty.
+func ctlHeader(kind byte) int {
+	if kind == ctlRelease {
+		return 0
 	}
-	if from == t.cfg.Self {
-		body := make([]byte, 4, 4+8*len(vals))
-		binary.LittleEndian.PutUint32(body, uint32(from))
-		body = floatsToBytes(body, vals)
-		for i, c := range t.conns {
-			if i == t.cfg.Self || c == nil {
-				continue
-			}
-			t.sendFrame(i, c, frameBcast, body)
-		}
-		return vals
-	}
-	return t.bcastQ[from].pop().msg
+	return 4
 }
 
-func (t *tcpTransport) Barrier() error {
-	if t.cfg.Procs == 1 {
-		return t.fb.get()
+func (l *tcpLink) sendCtl(to int, kind byte, vals []float64) (int, bool) {
+	body := make([]byte, 0, 4+8*len(vals))
+	if ctlHeader(kind) > 0 {
+		body = binary.LittleEndian.AppendUint32(body, uint32(l.cfg.Self))
 	}
-	if t.cfg.Self == 0 {
-		for need := t.cfg.Procs - 1; need > 0; {
-			select {
-			case <-t.arrive:
-				need--
-			case <-t.fb.stop:
-				return t.fb.get()
-			}
-		}
-		for i := 1; i < t.cfg.Procs; i++ {
-			t.sendFrame(i, t.conns[i], frameRelease, nil)
-		}
-		return t.fb.get()
-	}
-	var body [4]byte
-	binary.LittleEndian.PutUint32(body[:], uint32(t.cfg.Self))
-	t.sendFrame(0, t.conns[0], frameBarrier, body[:])
-	select {
-	case <-t.release:
-	case <-t.fb.stop:
-	}
-	return t.fb.get()
+	n := l.write(to, l.conns[to], frameData+kind, appendFloats(body, vals))
+	return n, n != unmetered
 }
 
-func (t *tcpTransport) Fail(err error) {
-	if t.fb.fail(err) {
-		t.abortAll()
-	}
+func (l *tcpLink) recvCtl(from int) (byte, []float64, int, bool) {
+	m, ok := l.ctl[from].pop()
+	kind := byte(m.corr)
+	return kind, m.msg, 5 + ctlHeader(kind) + 8*len(m.msg), ok
 }
 
-func (t *tcpTransport) Err() error { return t.fb.get() }
+func (l *tcpLink) lastSeen(proc int) int64 { return l.lastHeard[proc].Load() }
 
-func (t *tcpTransport) Status() Health {
-	h := Health{
-		Procs:      t.cfg.Procs,
-		Self:       t.cfg.Self,
-		Generation: t.cfg.Generation,
-		Alive:      make([]bool, t.cfg.Procs),
-		Err:        t.fb.get(),
-	}
-	now := time.Now().UnixNano()
-	limit := int64(t.cfg.failAfter())
-	for i := range h.Alive {
-		if i == t.cfg.Self || t.cfg.Procs == 1 {
-			h.Alive[i] = true
-			continue
-		}
-		h.Alive[i] = now-t.lastHeard[i].Load() <= limit
-	}
-	if p, ok := AsMemberLost(h.Err); ok && p >= 0 && p < len(h.Alive) {
-		h.Alive[p] = false
-	}
-	return h
-}
-
-// Staleness reports time since each peer's last frame (HeartbeatStats).
-func (t *tcpTransport) Staleness() []time.Duration {
-	out := make([]time.Duration, t.cfg.Procs)
-	now := time.Now().UnixNano()
-	for i := range out {
-		if i == t.cfg.Self || t.cfg.Procs == 1 {
-			continue
-		}
-		if last := t.lastHeard[i].Load(); last > 0 {
-			out[i] = time.Duration(now - last)
-		}
-	}
-	return out
-}
-
-// killAbrupt emulates a SIGKILL for the chaos wire: every socket is
-// torn down with no goodbye and the local transport fails sticky with
-// ErrChaosKilled, so peers observe dead connections (and then stale
-// heartbeats) exactly as they would for a killed process.
-func (t *tcpTransport) killAbrupt() {
-	if t.fb.fail(ErrChaosKilled) {
-		t.abortAll()
-	}
-	t.stopHeartbeats()
-	if t.ln != nil {
-		t.ln.Close()
-	}
-	if t.loop != nil {
-		t.loop.c.Close()
-	}
-	if t.loopIn != nil {
-		t.loopIn.c.Close()
-	}
-	for _, c := range t.conns {
+// beat writes a heart frame on every mesh connection. Write errors are
+// ignored here: the connection's readLoop attributes the loss to the
+// right peer. Heart frames are liveness evidence, not traffic, and are
+// metered on neither side.
+func (l *tcpLink) beat(int64) {
+	for _, c := range l.conns {
 		if c != nil {
-			c.c.Close()
+			c.writeFrame(frameHeart, nil)
 		}
 	}
 }
 
-func (t *tcpTransport) abortAll() {
-	for _, row := range t.boxes {
+// abort wakes every blocked pop and recvCtl. There is nobody to tell:
+// peers learn of a failure here when the sockets close.
+func (l *tcpLink) abort(error) {
+	for _, row := range l.boxes {
 		for _, b := range row {
 			b.abort()
 		}
 	}
-	for _, b := range t.bcastQ {
+	for _, b := range l.ctl {
 		b.abort()
 	}
 }
 
-// dropConn severs the raw connection to peer (chaos wire): both
-// ends' read loops observe the dead socket and attribute the loss to
-// each other, the same symptom as a network partition of that link.
-// In loopback mode the self-dialled connection is severed instead.
-func (t *tcpTransport) dropConn(peer int) {
-	if t.loop != nil {
-		t.loop.c.Close()
-		return
-	}
-	if peer >= 0 && peer < len(t.conns) && t.conns[peer] != nil {
-		t.conns[peer].c.Close()
-	}
-}
-
-// teardown closes sockets and aborts waiters without marking the
-// transport failed (deliberate shutdown).
-func (t *tcpTransport) teardown() {
-	t.closed.Store(true)
-	t.stopHeartbeats()
-	if t.ln != nil {
-		t.ln.Close()
-	}
-	if t.loop != nil {
-		t.loop.c.Close()
-	}
-	if t.loopIn != nil {
-		t.loopIn.c.Close()
-	}
-	for _, c := range t.conns {
-		if c != nil {
-			c.c.Close()
+// sever closes the raw socket to peer, or every socket and the
+// listener when peer < 0. In loopback mode the self-dialled connection
+// stands in for any peer.
+func (l *tcpLink) sever(peer int) {
+	switch {
+	case peer < 0:
+		for _, c := range append([]*tconn{l.loop, l.loopIn}, l.conns...) {
+			if c != nil {
+				c.c.Close()
+			}
 		}
+		if l.ln != nil {
+			l.ln.Close()
+		}
+	case l.loop != nil:
+		l.loop.c.Close()
+	case peer < len(l.conns) && l.conns[peer] != nil:
+		l.conns[peer].c.Close()
 	}
-	t.abortAll()
-	t.wg.Wait()
 }
 
-func (t *tcpTransport) Close() error {
-	t.once.Do(t.teardown)
+// close shuts the sockets and aborts waiters without marking the
+// transport failed (deliberate shutdown).
+func (l *tcpLink) close() error {
+	l.closed.Store(true)
+	l.sever(-1)
+	l.abort(nil)
+	l.wg.Wait()
 	return nil
 }

@@ -1,13 +1,18 @@
 // Package transport is the wire abstraction under the spmd engine:
 // per-pair ordered message streams between the abstract processors
 // (ranks 1..NP), plus the small set of process-level collectives the
-// engine's replicated control flow needs (broadcast, barrier). Three
-// implementations exist: inproc (capacity-1 buffered channels, the
-// zero-copy default, all ranks in one address space), shm (lock-free
-// SPSC ring buffers over one mmap'd file — the fast multi-process
-// wire, no syscall on the fast path) and tcp (length-prefixed frames
-// over localhost sockets with a handshake carrying worker rank and
-// job generation). The latter two let the identical compiled
+// engine's replicated control flow needs (broadcast, barrier). There
+// is one implementation of Transport — the core (core.go), which owns
+// sticky failure, correlation stamping, tracing, the wire counters, the
+// membership view, the liveness monitor and the collectives — over
+// three byte-movers, each a small unexported link: inproc (capacity-1
+// buffered channels, the zero-copy default, all ranks in one address
+// space), shm (lock-free SPSC ring buffers over one mmap'd file — the
+// fast multi-process wire, no syscall on the fast path) and tcp
+// (length-prefixed frames over localhost sockets with a handshake
+// carrying process index and job generation). One Config describes a
+// process's membership in a job on any of them and Join(kind, cfg)
+// makes it a member; the latter two let the identical compiled
 // schedules, remaps, reductions and inspector plans execute across
 // real OS processes (see cmd/hpfnode).
 //
@@ -15,20 +20,21 @@
 // delivered FIFO; streams of distinct pairs are independent. Send
 // never blocks indefinitely against a live receiver (the inproc
 // transport blocks only on its per-pair capacity-1 backpressure; the
-// tcp transport buffers in per-pair mailboxes). Collectives (Bcast,
-// Barrier) must be invoked by every participating process in the same
-// order — the engine guarantees this by construction, since every
-// process executes the same deterministic control flow. A failed
-// transport (Fail, or an I/O error on a connection) aborts blocked
-// Send/Recv calls instead of deadlocking: Recv returns nil and Send
-// drops the message, with the sticky error readable via Err.
+// tcp transport buffers in per-pair mailboxes, shm spills to a pending
+// queue). Collectives (Bcast, Barrier) must be invoked by every
+// participating process in the same order — the engine guarantees this
+// by construction, since every process executes the same deterministic
+// control flow. A failed transport (Fail, or an I/O error on a
+// connection) aborts blocked Send/Recv calls instead of deadlocking:
+// Recv returns nil and Send drops the message, with the sticky error
+// readable via Err.
 //
-// Failure detection: the multi-process wires watch their members. The
-// tcp transport exchanges heartbeat frames on every connection and
-// the shm transport stamps per-process liveness slots in the mapped
-// header; a member that stops responding (SIGKILL, a wedged host) is
-// reported as a *MemberLostError naming the lost process, which is
-// what the recovery layer (package elastic) keys its
+// Failure detection: in a multi-process job the core's monitor watches
+// each wire's liveness evidence — tcp exchanges heartbeat frames on
+// every connection, shm stamps per-process liveness slots in the
+// mapped header — and a member that stops responding (SIGKILL, a
+// wedged host) is reported as a *MemberLostError naming the lost
+// process, which is what the recovery layer (package elastic) keys its
 // generation-bumped rejoin on. Status returns the current membership
 // view. The chaos transport (NewChaos) injects these failures
 // deterministically for tests.
@@ -142,18 +148,18 @@ type WireCounter interface {
 	Wire() WireStats
 }
 
-// HeartbeatStats is implemented by the failure-detecting wires (tcp,
-// shm): Staleness reports, per process, the time since that member's
-// last sign of life — a heartbeat frame or data on the tcp wire, a
-// fresh liveness stamp on shm. Self entries are zero. Staleness
-// approaching the wire's failure threshold is the early-warning
-// metric the /metrics endpoint exposes.
+// HeartbeatStats is implemented by every transport the core backs
+// (trivially so for a single process): Staleness reports, per process,
+// the time since that member's last sign of life — a heartbeat frame
+// or data on the tcp wire, a fresh liveness stamp on shm. Self entries
+// are zero. Staleness approaching the wire's failure threshold is the
+// early-warning metric the /metrics endpoint exposes.
 type HeartbeatStats interface {
 	Staleness() []time.Duration
 }
 
-// wireTally is the shared lock-free WireStats implementation the
-// transports embed.
+// wireTally is the lock-free WireStats implementation the core
+// embeds.
 type wireTally struct {
 	framesSent, framesRecv atomic.Int64
 	bytesSent, bytesRecv   atomic.Int64
@@ -265,25 +271,31 @@ func RanksOf(np, procs, self int) (lo, hi int) {
 	return lo, hi
 }
 
-// failBox is the sticky failure state shared by the implementations.
+// failBox is the sticky failure state the core and its link share: the
+// core reads and raises it, a link raises it on an I/O error or a
+// peer's shared failure flag, and the first failure runs the link's
+// abort hook so every blocked byte-mover wakes.
 type failBox struct {
 	mu   sync.Mutex
 	err  error
 	stop chan struct{}
+	// onFail is link.abort, registered by the link's constructor before
+	// it starts any goroutine.
+	onFail func(error)
 }
 
 func newFailBox() *failBox { return &failBox{stop: make(chan struct{})} }
 
-// fail records err (first one wins) and closes the stop channel.
-// Reports whether this call was the first failure. The first failure
-// is also the one observability event worth recording: every wire's
-// detection path funnels through here, so a trace shows exactly one
-// member-lost (or fail) instant per transport incarnation.
-func (f *failBox) fail(err error) bool {
+// fail records err (first one wins), closes the stop channel and runs
+// the abort hook. The first failure is also the one observability
+// event worth recording: every wire's detection path funnels through
+// here, so a trace shows exactly one member-lost (or fail) instant per
+// transport incarnation.
+func (f *failBox) fail(err error) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.err != nil {
-		return false
+		f.mu.Unlock()
+		return
 	}
 	f.err = err
 	close(f.stop)
@@ -294,7 +306,10 @@ func (f *failBox) fail(err error) bool {
 			obs.Instant("fail", fmt.Sprintf("transport failed: %v", err), 0)
 		}
 	}
-	return true
+	f.mu.Unlock()
+	if f.onFail != nil {
+		f.onFail(err)
+	}
 }
 
 func (f *failBox) get() error {
@@ -303,186 +318,136 @@ func (f *failBox) get() error {
 	return f.err
 }
 
-// inMsg is one in-flight message with its correlation word — the
-// in-memory equivalent of a wire frame's [corr][payload] layout, used
-// by the inproc channels and the tcp mailboxes.
-type inMsg struct {
-	corr uint64
-	msg  []float64
+// failed is the lock-free form of get() != nil for the message path.
+func (f *failBox) failed() bool {
+	select {
+	case <-f.stop:
+		return true
+	default:
+		return false
+	}
 }
 
-// inproc is the in-process transport: today's capacity-1 buffered
-// channel per ordered rank pair. Within one engine epoch each pair
-// has at most one in-flight message per iteration, and every worker
-// sends all its outgoing messages before receiving, so sends never
-// deadlock; the capacity-1 backpressure also bounds how far a fast
-// sender can pipeline ahead of a slow receiver across iterations.
-type inproc struct {
-	np    int
-	chans [][]chan inMsg
-	ps    *pairSeq
-	fb    *failBox
-	wireTally
+// Config describes one process's membership in a named job on any
+// wire.
+type Config struct {
+	// Job names the job; all members must agree.
+	Job string
+	// NP is the abstract processor (rank) count.
+	NP int
+	// Procs is the number of participating OS processes; every process
+	// must host at least one rank under the block partition.
+	Procs int
+	// Self is this process's index in 0..Procs-1. Process 0 is the
+	// leader: it binds Addr (tcp) or creates the mapped file (shm).
+	Self int
+	// Generation distinguishes successive runs of the same job name; a
+	// member from a stale generation is refused (tcp: at the handshake;
+	// shm: it computes a different file name, or finds its slot taken).
+	Generation int
+	// Addr is the tcp leader's rendezvous address (host:port). The
+	// leader binds it; everyone else dials it.
+	Addr string
+	// Dir holds the shm rendezvous file, whose name is derived from
+	// Job, Generation and Procs (default /dev/shm when present, else
+	// the system temp dir).
+	Dir string
+	// Timeout bounds the whole bootstrap. Zero means 30s.
+	Timeout time.Duration
+	// Heartbeat is the liveness interval: a heart frame on every tcp
+	// connection, a refreshed header stamp on shm. Zero means 250ms.
+	Heartbeat time.Duration
+	// FailAfter is how long a peer may show no sign of life before it
+	// is declared lost with a *MemberLostError. Zero means 8×Heartbeat.
+	FailAfter time.Duration
+}
+
+func (cfg *Config) heartbeat() time.Duration {
+	if cfg.Heartbeat > 0 {
+		return cfg.Heartbeat
+	}
+	return 250 * time.Millisecond
+}
+
+func (cfg *Config) failAfter() time.Duration {
+	if cfg.FailAfter > 0 {
+		return cfg.FailAfter
+	}
+	return 8 * cfg.heartbeat()
+}
+
+// validate refuses a shape no wire can run, before anything touches
+// the network or the file system, and fills in the Timeout default.
+func (cfg *Config) validate(kind string) error {
+	switch {
+	case cfg.NP < 1:
+		return fmt.Errorf("transport: rank count must be positive, got %d", cfg.NP)
+	case cfg.Procs < 1 || cfg.Procs > cfg.NP:
+		return fmt.Errorf("transport: process count %d out of range 1..%d", cfg.Procs, cfg.NP)
+	case cfg.Self < 0 || cfg.Self >= cfg.Procs:
+		return fmt.Errorf("transport: process index %d out of range 0..%d", cfg.Self, cfg.Procs-1)
+	case kind == Inproc && cfg.Procs > 1:
+		return fmt.Errorf("transport: the inproc wire is single-process, got %d processes (use shm or tcp)", cfg.Procs)
+	case kind == TCP && cfg.Procs > 1 && cfg.Addr == "":
+		return fmt.Errorf("transport: a multi-process tcp job needs a rendezvous address")
+	case kind == Shm && cfg.Procs > shmMaxProcs:
+		return fmt.Errorf("transport: shm supports at most %d processes, got %d", shmMaxProcs, cfg.Procs)
+	}
+	// The block partition gives the last process the short end.
+	if lo, hi := RanksOf(cfg.NP, cfg.Procs, cfg.Procs-1); hi < lo {
+		return fmt.Errorf("transport: process %d would host no ranks (np=%d procs=%d)", cfg.Procs-1, cfg.NP, cfg.Procs)
+	}
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 30 * time.Second
+	}
+	return nil
+}
+
+// Join makes this process a member of the job cfg describes on the
+// wire of the given kind and returns once every member has joined and
+// the initial job barrier has completed. With Procs == 1 it is the
+// loopback form of the wire: the shm rings over a real (unlinked)
+// mapping, or a self-dialled tcp connection, so every message still
+// crosses the real framing and demux path.
+func Join(kind string, cfg Config) (Transport, error) {
+	if err := cfg.validate(kind); err != nil {
+		return nil, err
+	}
+	fb := newFailBox()
+	var l link
+	var err error
+	switch kind {
+	case Inproc:
+		l = newInprocLink(cfg.NP, fb)
+	case Shm:
+		l, err = openShm(cfg, fb)
+	case TCP:
+		l, err = dialTCP(cfg, fb)
+	default:
+		err = fmt.Errorf("transport: unknown kind %q (have %v)", kind, Kinds())
+	}
+	if err != nil {
+		return nil, err
+	}
+	c := newCore(kind, cfg, fb, l)
+	if cfg.Procs > 1 {
+		c.startMonitor()
+		if err := c.Barrier(); err != nil { // the job starts aligned
+			c.Close()
+			return nil, fmt.Errorf("transport: job %q initial barrier: %w", cfg.Job, err)
+		}
+	}
+	return c, nil
+}
+
+// New creates a single-process transport of the given kind over np
+// ranks (Join with Procs 1).
+func New(kind string, np int) (Transport, error) {
+	return Join(kind, Config{Job: "loop", NP: np, Procs: 1})
 }
 
 // NewInproc creates the in-process transport over np ranks.
 func NewInproc(np int) Transport {
-	t := &inproc{np: np, ps: newPairSeq(np), fb: newFailBox()}
-	t.chans = make([][]chan inMsg, np)
-	for s := range t.chans {
-		t.chans[s] = make([]chan inMsg, np)
-		for d := range t.chans[s] {
-			t.chans[s][d] = make(chan inMsg, 1)
-		}
-	}
-	return t
-}
-
-func (t *inproc) Kind() string        { return Inproc }
-func (t *inproc) NP() int             { return t.np }
-func (t *inproc) Procs() int          { return 1 }
-func (t *inproc) Self() int           { return 0 }
-func (t *inproc) HostOf(rank int) int { return 0 }
-
-func (t *inproc) Send(src, dst int, msg []float64) {
-	select {
-	case <-t.fb.stop:
-		return // failed transport: drop
-	default:
-	}
-	ch := t.chans[src-1][dst-1]
-	m := inMsg{corr: t.ps.nextCorr(src, dst), msg: msg}
-	tracing := obs.TraceEnabled()
-	var start time.Time
-	if tracing {
-		start = time.Now()
-	}
-	// Try the uncontended path first so the backpressure block is
-	// visible as a stall in the wire counters.
-	select {
-	case ch <- m:
-		t.countSend(int64(8 * len(msg)))
-		if tracing {
-			traceMsg("send", 0, src, dst, len(msg), m.corr, start)
-		}
-		return
-	default:
-	}
-	t.countStall()
-	select {
-	case ch <- m:
-		t.countSend(int64(8 * len(msg)))
-		if tracing {
-			traceMsg("send", 0, src, dst, len(msg), m.corr, start)
-		}
-	case <-t.fb.stop:
-	}
-}
-
-func (t *inproc) Recv(src, dst int) []float64 {
-	ch := t.chans[src-1][dst-1]
-	tracing := obs.TraceEnabled()
-	var start time.Time
-	if tracing {
-		start = time.Now()
-	}
-	deliver := func(m inMsg) []float64 {
-		t.countRecv(int64(8 * len(m.msg)))
-		if tracing {
-			traceMsg("recv", 0, src, dst, len(m.msg), m.corr, start)
-		}
-		return m.msg
-	}
-	// Drain-then-nil on failure, like the tcp mailboxes: a message
-	// already in the stream is delivered even after Fail.
-	select {
-	case m := <-ch:
-		return deliver(m)
-	default:
-	}
-	select {
-	case m := <-ch:
-		return deliver(m)
-	case <-t.fb.stop:
-		select {
-		case m := <-ch:
-			return deliver(m)
-		default:
-			return nil
-		}
-	}
-}
-
-func (t *inproc) Bcast(from int, vals []float64) []float64 { return vals }
-func (t *inproc) Barrier() error                           { return t.fb.get() }
-func (t *inproc) Fail(err error)                           { t.fb.fail(err) }
-func (t *inproc) Err() error                               { return t.fb.get() }
-
-func (t *inproc) Status() Health {
-	return Health{Procs: 1, Self: 0, Alive: []bool{true}, Err: t.fb.get()}
-}
-
-func (t *inproc) Close() error { return nil }
-
-// mailbox is an unbounded FIFO queue of messages for one stream, with
-// abort support: messages queued before the abort still drain in
-// order (a peer's orderly shutdown must not eat data already on the
-// wire); pop returns the zero inMsg (nil payload) once the queue is
-// empty and aborted.
-type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []inMsg
-	closed bool
-}
-
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-func (m *mailbox) push(msg inMsg) {
-	m.mu.Lock()
-	m.q = append(m.q, msg)
-	m.cond.Signal()
-	m.mu.Unlock()
-}
-
-func (m *mailbox) pop() inMsg {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.q) == 0 && !m.closed {
-		m.cond.Wait()
-	}
-	if len(m.q) == 0 {
-		return inMsg{}
-	}
-	msg := m.q[0]
-	m.q = m.q[1:]
-	return msg
-}
-
-func (m *mailbox) abort() {
-	m.mu.Lock()
-	m.closed = true
-	m.cond.Broadcast()
-	m.mu.Unlock()
-}
-
-// New creates a single-process transport of the given kind over np
-// ranks: the inproc channels, the shm rings over a real shared
-// mapping, or the tcp loopback (every message through a real
-// localhost socket, exercising framing and demux).
-func New(kind string, np int) (Transport, error) {
-	switch kind {
-	case Inproc:
-		return NewInproc(np), nil
-	case Shm:
-		return NewShmLoop(np)
-	case TCP:
-		return NewTCPLoop(np)
-	default:
-		return nil, fmt.Errorf("transport: unknown kind %q (have %v)", kind, Kinds())
-	}
+	fb := newFailBox()
+	return newCore(Inproc, Config{NP: np, Procs: 1}, fb, newInprocLink(np, fb))
 }

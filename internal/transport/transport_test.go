@@ -94,7 +94,7 @@ func TestInprocStreams(t *testing.T) {
 }
 
 func TestTCPLoopStreams(t *testing.T) {
-	tr, err := NewTCPLoop(4)
+	tr, err := New(TCP, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,37 +142,56 @@ func TestFailUnblocksRecvAndSend(t *testing.T) {
 	}
 }
 
-// TestTCPMesh runs a full 3-process job inside one test binary: three
-// transports bootstrap over real localhost sockets, exchange cross-
-// and same-process rank traffic, broadcast, and barrier.
-func TestTCPMesh(t *testing.T) {
-	const np, procs = 6, 3
-	addr := freeAddr(t)
-	trs := make([]Transport, procs)
+// joinMesh bootstraps every member of a multi-process job inside this
+// test binary — real sockets, or one real mapped file — and closes them
+// when the test ends. base carries the shape; Self, Addr and Dir are
+// filled in per member.
+func joinMesh(t *testing.T, kind string, base Config) []Transport {
+	t.Helper()
+	if kind == TCP {
+		base.Addr = freeAddr(t)
+	} else {
+		base.Dir = t.TempDir()
+	}
+	if base.Timeout == 0 {
+		base.Timeout = 10 * time.Second
+	}
+	trs := make([]Transport, base.Procs)
+	errs := make([]error, base.Procs)
 	var wg sync.WaitGroup
-	errs := make([]error, procs)
-	for i := 0; i < procs; i++ {
+	for i := range trs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tr, err := NewTCP(TCPConfig{Job: "mesh-test", NP: np, Procs: procs, Self: i, Generation: 7, Addr: addr})
-			trs[i] = tr
-			errs[i] = err
+			cfg := base
+			cfg.Self = i
+			trs[i], errs[i] = Join(kind, cfg)
 		}(i)
 	}
 	wg.Wait()
+	t.Cleanup(func() {
+		for _, tr := range trs {
+			if tr != nil {
+				tr.Close()
+			}
+		}
+	})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("process %d bootstrap: %v", i, err)
 		}
 	}
-	defer func() {
-		for _, tr := range trs {
-			tr.Close()
-		}
-	}()
-	// Every rank sends one tagged message to every rank; each process
-	// drives its own hosted ranks.
+	return trs
+}
+
+// meshTraffic drives one round of everything a job does on the wire
+// from every member at once: every rank sends one tagged message to
+// every rank (cross- and same-process pairs), each process broadcasts
+// in turn, and everyone meets at a barrier.
+func meshTraffic(t *testing.T, trs []Transport) {
+	t.Helper()
+	np, procs := trs[0].NP(), len(trs)
+	var wg sync.WaitGroup
 	perr := make(chan error, procs)
 	for i := 0; i < procs; i++ {
 		wg.Add(1)
@@ -194,7 +213,6 @@ func TestTCPMesh(t *testing.T) {
 					}
 				}
 			}
-			// Broadcast from each process in turn.
 			for from := 0; from < procs; from++ {
 				var vals []float64
 				if from == i {
@@ -218,6 +236,77 @@ func TestTCPMesh(t *testing.T) {
 	}
 }
 
+// TestMesh runs a full 3-process job inside one test binary on each
+// multi-process wire: three transports bootstrap over real localhost
+// sockets (tcp) or rendezvous on one mapped file (shm), exchange
+// cross- and same-process rank traffic, broadcast, and barrier.
+func TestMesh(t *testing.T) {
+	for _, kind := range []string{TCP, Shm} {
+		t.Run(kind, func(t *testing.T) {
+			trs := joinMesh(t, kind, Config{Job: "mesh-test", NP: 6, Procs: 3, Generation: 7})
+			meshTraffic(t, trs)
+			for i, tr := range trs {
+				if h := tr.Status(); h.Generation != 7 || h.Self != i || len(h.Lost()) != 0 || h.Err != nil {
+					t.Errorf("process %d after a clean round: status %+v", i, h)
+				}
+			}
+		})
+	}
+}
+
+// TestMeshFramesBalance: every frame one member counts as sent, some
+// member counts as received — data and collective frames alike, and
+// never a liveness frame, so an idle job's counters stand still.
+func TestMeshFramesBalance(t *testing.T) {
+	for _, kind := range []string{TCP, Shm} {
+		t.Run(kind, func(t *testing.T) {
+			const beat = 10 * time.Millisecond
+			trs := joinMesh(t, kind, Config{Job: "balance-test", NP: 4, Procs: 2, Generation: 1, Heartbeat: beat})
+			meshTraffic(t, trs)
+			time.Sleep(5 * beat) // idle: only heartbeats cross the wire
+			var sum WireStats
+			for _, tr := range trs {
+				w := tr.(WireCounter).Wire()
+				sum.FramesSent += w.FramesSent
+				sum.FramesRecv += w.FramesRecv
+				sum.BytesSent += w.BytesSent
+				sum.BytesRecv += w.BytesRecv
+			}
+			if sum.FramesSent == 0 || sum.FramesSent != sum.FramesRecv || sum.BytesSent != sum.BytesRecv {
+				t.Fatalf("job-wide wire tally does not balance after an idle: %+v", sum)
+			}
+		})
+	}
+}
+
+// TestJoinRefusesBadShape: one validate refuses, before touching the
+// network or the file system, what no wire can run — here a shape in
+// which the last process would host no ranks.
+func TestJoinRefusesBadShape(t *testing.T) {
+	for _, kind := range []string{TCP, Shm} {
+		for self := 0; self < 4; self++ {
+			start := time.Now()
+			// An address nobody listens on: reaching the network would
+			// cost the full timeout.
+			tr, err := Join(kind, Config{Job: "shape", NP: 5, Procs: 4, Self: self, Generation: 1,
+				Addr: "127.0.0.1:1", Dir: t.TempDir(), Timeout: 5 * time.Second})
+			if err == nil {
+				tr.Close()
+				t.Fatalf("%s: process %d joined a job whose process 3 hosts no ranks", kind, self)
+			}
+			if time.Since(start) > time.Second {
+				t.Fatalf("%s: process %d refused only after touching the rendezvous: %v", kind, self, err)
+			}
+		}
+	}
+	if _, err := Join(Inproc, Config{NP: 4, Procs: 2}); err == nil {
+		t.Fatal("inproc joined a multi-process job")
+	}
+	if _, err := Join("carrier-pigeon", Config{NP: 4, Procs: 1}); err == nil {
+		t.Fatal("unknown kind joined")
+	}
+}
+
 // TestTCPStaleGenerationRejected checks the handshake's generation
 // gate: a worker from an older generation is refused (its connection
 // closed) while the leader keeps waiting for the real members — so
@@ -230,7 +319,7 @@ func TestTCPStaleGenerationRejected(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		tr, err := NewTCP(TCPConfig{Job: "gen-test", NP: 2, Procs: 2, Self: 0, Generation: 3, Addr: addr, Timeout: 2 * time.Second})
+		tr, err := Join(TCP, Config{Job: "gen-test", NP: 2, Procs: 2, Self: 0, Generation: 3, Addr: addr, Timeout: 2 * time.Second})
 		if tr != nil {
 			tr.Close()
 		}
@@ -238,7 +327,7 @@ func TestTCPStaleGenerationRejected(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		tr, err := NewTCP(TCPConfig{Job: "gen-test", NP: 2, Procs: 2, Self: 1, Generation: 2, Addr: addr, Timeout: 2 * time.Second})
+		tr, err := Join(TCP, Config{Job: "gen-test", NP: 2, Procs: 2, Self: 1, Generation: 2, Addr: addr, Timeout: 2 * time.Second})
 		if tr != nil {
 			tr.Close()
 		}

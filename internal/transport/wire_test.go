@@ -1,0 +1,230 @@
+package transport
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"net"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// rawFrame is one tcp frame as it appears on the wire.
+func rawFrame(kind byte, body []byte) []byte {
+	var buf bytes.Buffer
+	c := &tconn{bw: bufio.NewWriter(&buf)}
+	if err := c.writeFrame(kind, body); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+func dataBody(src, dst uint32, corr uint64, vals ...float64) []byte {
+	body := binary.LittleEndian.AppendUint32(nil, src)
+	body = binary.LittleEndian.AppendUint32(body, dst)
+	body = binary.LittleEndian.AppendUint64(body, corr)
+	return appendFloats(body, vals)
+}
+
+var (
+	seedHello  = encodeHello(hello{sub: helloJoin, generation: 3, np: 8, procs: 4, from: 2, job: "seed", addr: "127.0.0.1:9137"})
+	seedRoster = encodeRoster([]string{"", "127.0.0.1:1001", "127.0.0.1:1002"})
+)
+
+func FuzzDecodeHello(f *testing.F) {
+	f.Add(seedHello)
+	f.Add(seedHello[:20])               // shorter than the fixed part
+	f.Add(seedHello[:len(seedHello)-3]) // truncated inside a string
+	f.Add(append([]byte{helloPeer, 9, 0, 0, 0}, seedHello[5:]...))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		h, err := decodeHello(body)
+		if err != nil {
+			return
+		}
+		again, err := decodeHello(encodeHello(h))
+		if err != nil || again != h {
+			t.Fatalf("hello %+v does not survive a round trip: %+v, %v", h, again, err)
+		}
+	})
+}
+
+func FuzzDecodeRoster(f *testing.F) {
+	f.Add(seedRoster, 3)
+	f.Add(seedRoster, 4)                     // wrong process count
+	f.Add(seedRoster[:len(seedRoster)-1], 3) // truncated
+	f.Add([]byte{255, 255, 255, 255}, -1)    // a count no job has
+	f.Fuzz(func(t *testing.T, body []byte, procs int) {
+		if procs > 1<<12 {
+			procs %= 1 << 12 // the job's own count, never outside input
+		}
+		addrs, err := decodeRoster(body, procs)
+		if err != nil {
+			return
+		}
+		if len(addrs) != procs {
+			t.Fatalf("roster of %d addresses accepted for %d processes", len(addrs), procs)
+		}
+		again, err := decodeRoster(encodeRoster(addrs), procs)
+		if err != nil || !reflect.DeepEqual(again, addrs) {
+			t.Fatalf("roster %q does not survive a round trip: %q, %v", addrs, again, err)
+		}
+	})
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the framing layer as a
+// pre-handshake connection would see them, and every frame that comes
+// out to the decoder its kind selects: nothing may panic, allocate
+// beyond the cap or accept a payload that is not whole floats.
+func FuzzReadFrame(f *testing.F) {
+	f.Add(rawFrame(frameHello, seedHello))
+	f.Add(rawFrame(frameRoster, seedRoster))
+	f.Add(rawFrame(frameData, dataBody(1, 2, 7, 1.5, 2.5)))
+	f.Add(rawFrame(frameBcast, appendFloats([]byte{1, 0, 0, 0}, []float64{3})))
+	f.Add(rawFrame(frameBarrier, []byte{1, 0, 0, 0}))
+	f.Add(rawFrame(frameRelease, nil))
+	f.Add(rawFrame(frameHeart, nil))
+	f.Add(rawFrame(frameData, dataBody(1, 2, 7, 1.5))[:20])             // truncated
+	f.Add([]byte{0, 0, 0, 64, frameData})                               // 1 GiB claimed
+	f.Add(rawFrame(frameData, append(dataBody(1, 2, 7, 1.5), 1, 2, 3))) // odd payload
+	f.Add(rawFrame(frameData, dataBody(9, 2, 7)))                       // rank out of range
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		br := bufio.NewReader(bytes.NewReader(stream))
+		for {
+			kind, body, err := readFrame(br, maxHandshakeFrame)
+			if err != nil {
+				return
+			}
+			if len(body) >= maxHandshakeFrame {
+				t.Fatalf("frame of %d bytes passed the %d-byte cap", 1+len(body), maxHandshakeFrame)
+			}
+			switch kind {
+			case frameHello:
+				decodeHello(body)
+			case frameRoster:
+				decodeRoster(body, 3)
+			case frameData:
+				src, dst, m, err := decodeData(body, 4)
+				if err == nil && (src < 1 || src > 4 || dst < 1 || dst > 4 || 16+8*len(m.msg) != len(body)) {
+					t.Fatalf("data frame accepted as pair (%d,%d) with %d floats from a %d-byte body", src, dst, len(m.msg), len(body))
+				}
+			default:
+				if vals, err := decodeFloats(body); err == nil && 8*len(vals) != len(body) {
+					t.Fatalf("%d floats decoded from %d bytes", len(vals), len(body))
+				}
+			}
+		}
+	})
+}
+
+// TestReadFrameLengthCap: the claimed length is checked against the
+// caller's cap before a byte is allocated for it.
+func TestReadFrameLengthCap(t *testing.T) {
+	huge := []byte{0, 0, 0, 64, frameHello} // claims 1 GiB
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(huge)), maxHandshakeFrame); err == nil || !strings.Contains(err.Error(), "bad frame length") {
+		t.Fatalf("1 GiB handshake frame: err = %v, want a length refusal", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		readFrame(bufio.NewReaderSize(bytes.NewReader(huge), 16), maxHandshakeFrame)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing ten oversized frames allocated %d bytes", grew)
+	}
+	ok := rawFrame(frameHello, seedHello)
+	if kind, body, err := readFrame(bufio.NewReader(bytes.NewReader(ok)), maxHandshakeFrame); err != nil || kind != frameHello || !bytes.Equal(body, seedHello) {
+		t.Fatalf("valid hello frame: kind %d err %v", kind, err)
+	}
+}
+
+// TestStrayDialerDoesNotStopTheJob: a connection to the leader's
+// rendezvous port that is not a member — here one claiming a 1 GiB
+// hello — is refused on its own, and the job still bootstraps.
+func TestStrayDialerDoesNotStopTheJob(t *testing.T) {
+	addr := freeAddr(t)
+	base := Config{Job: "stray-test", NP: 2, Procs: 2, Generation: 1, Addr: addr, Timeout: 10 * time.Second}
+	trs := make([]Transport, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	join := func(i int) {
+		defer wg.Done()
+		cfg := base
+		cfg.Self = i
+		trs[i], errs[i] = Join(TCP, cfg)
+	}
+	wg.Add(1)
+	go join(0)
+	var stray net.Conn
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var err error
+		if stray, err = net.Dial("tcp", addr); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("leader never bound %s: %v", addr, err)
+		}
+	}
+	defer stray.Close()
+	stray.Write([]byte{0, 0, 0, 64, frameHello, 1, 2, 3})
+	// The leader hangs up on the stray: its read ends.
+	stray.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := stray.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("leader answered a stray dialer with %d byte(s)", n)
+	}
+	wg.Add(1)
+	go join(1)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("process %d bootstrap after a stray dialer: %v", i, err)
+		}
+		defer trs[i].Close()
+	}
+}
+
+// TestOddPayloadFailsTransport: a data frame whose payload is not a
+// whole number of floats must fail the transport, naming the pair, on
+// both wires that parse bytes another process wrote — never deliver a
+// silently truncated message.
+func TestOddPayloadFailsTransport(t *testing.T) {
+	inject := map[string]func(c *core){
+		TCP: func(c *core) {
+			body := append(dataBody(1, 2, 7, 1.5), 1, 2, 3)
+			if err := c.link.(*tcpLink).loop.writeFrame(frameData, body); err != nil {
+				t.Fatal(err)
+			}
+		},
+		Shm: func(c *core) {
+			r := c.link.(*shmLink).dataRing(1, 2)
+			var hdr [shmDataHdr]byte
+			binary.LittleEndian.PutUint32(hdr[:], 11)
+			r.pmu.Lock()
+			r.push(hdr[:])
+			r.push(make([]byte, 11))
+			r.pmu.Unlock()
+		},
+	}
+	for kind, write := range inject {
+		t.Run(kind, func(t *testing.T) {
+			tr, err := New(kind, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			write(tr.(*core))
+			within(t, "Recv of a malformed frame", func() {
+				if msg := tr.Recv(1, 2); msg != nil {
+					t.Errorf("malformed frame delivered as %v", msg)
+				}
+			})
+			if err := tr.Err(); err == nil || !strings.Contains(err.Error(), "pair (1,2)") || !strings.Contains(err.Error(), "multiple of 8") {
+				t.Fatalf("Err() = %v, want a positioned payload-length error", err)
+			}
+		})
+	}
+}
