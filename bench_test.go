@@ -400,36 +400,65 @@ func BenchmarkJacobiReplaySPMDTraced(b *testing.B) {
 	benchJacobiReplay(b, engine.SPMD)
 }
 
-// BenchmarkSpmdScheduleBuild measures the spmd schedule compiler
-// (per-worker plans plus ghost-exchange lists) on the 128² stencil.
+// BenchmarkSpmdScheduleBuild measures the spmd plan producer (runs
+// per worker plus ghost and pair intervals) at both ends of the
+// granularity range: the 128² Jacobi stencil on (BLOCK,:), whose tiles
+// are whole row blocks; one step of the LU sweep on (CYCLIC,:), N=192,
+// whose tiles are single rows and whose second term is all remote; and
+// the in-place 3-point stencil on a rank-1 CYCLIC array, N=1024, whose
+// tiles are single elements.
 func BenchmarkSpmdScheduleBuild(b *testing.B) {
-	eng, err := engine.New(engine.SPMD, 8, machine.DefaultCost())
+	const np = 8
+	eng, err := engine.New(engine.SPMD, np, machine.DefaultCost())
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer eng.Close()
-	n := 128
-	am, err := workload.BlockRowMapping(n, 8)
+	sys, err := proc.NewSystem(np)
 	if err != nil {
 		b.Fatal(err)
 	}
-	bm, err := workload.BlockRowMapping(n, 8)
+	procs, err := sys.DeclareArray("P", index.Standard(1, np))
 	if err != nil {
 		b.Fatal(err)
 	}
-	aa, _ := eng.NewArray("A", am)
-	ba, _ := eng.NewArray("B", bm)
-	terms := []engine.Term{
-		engine.Read(aa, 0.25, -1, 0), engine.Read(aa, 0.25, 1, 0),
-		engine.Read(aa, 0.25, 0, -1), engine.Read(aa, 0.25, 0, 1),
-	}
-	interior := index.Standard(2, n-1, 2, n-1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ba.NewSchedule(interior, terms); err != nil {
+	array := func(name string, dom index.Domain, formats ...dist.Format) engine.Array {
+		d, err := dist.New(dom, formats, proc.Whole(procs))
+		if err != nil {
 			b.Fatal(err)
 		}
+		a, err := eng.NewArray(name, core.DistMapping{D: d})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return a
+	}
+	square := func(n int) index.Domain { return index.Standard(1, n, 1, n) }
+	ja, jb := array("A", square(128), dist.Block{}, dist.Collapsed{}), array("B", square(128), dist.Block{}, dist.Collapsed{})
+	la, lr := array("LA", square(192), dist.Cyclic{K: 1}, dist.Collapsed{}), array("LR", square(192), dist.Cyclic{K: 1}, dist.Collapsed{})
+	h := array("H", index.Standard(1, 1024), dist.Cyclic{K: 1})
+	for _, st := range []struct {
+		name   string
+		lhs    engine.Array
+		region index.Domain
+		terms  []engine.Term
+	}{
+		{"jacobi-block-128", jb, index.Standard(2, 127, 2, 127), []engine.Term{
+			engine.Read(ja, 0.25, -1, 0), engine.Read(ja, 0.25, 1, 0),
+			engine.Read(ja, 0.25, 0, -1), engine.Read(ja, 0.25, 0, 1)}},
+		{"lu-cyclic-rows-192", lr, index.Standard(2, 192, 2, 192), []engine.Term{
+			engine.Read(lr, 1, 0, 0), engine.Read(la, 1.0/16, -1, -1)}},
+		{"halo-cyclic1-1024", h, index.Standard(2, 1023), []engine.Term{
+			engine.Read(h, 0.5, 0), engine.Read(h, 0.25, -1), engine.Read(h, 0.25, 1)}},
+	} {
+		b.Run(st.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := st.lhs.NewSchedule(st.region, st.terms); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hpfnt/internal/index"
 )
@@ -299,12 +300,21 @@ func (d *Distribution) AppendOwnerTiles(dst []Tile, region index.Domain) ([]Tile
 		dt := &d.dims[i]
 		lo := region.Dims[i].Low - dt.low + 1
 		hi := region.Dims[i].High - dt.low + 1
-		perDim[i] = dt.f.AppendRuns(nil, lo, hi, dt.n, dt.np)
+		perDim[i] = dt.f.AppendRuns(make([]Run, 0, dt.f.RunCountEstimate(lo, hi, dt.n, dt.np)), lo, hi, dt.n, dt.np)
 	}
+	// One backing array holds every tile's triplets: the tile count is
+	// known, and fine-grain interleavings have a tile per element.
+	count := 1
+	for _, runs := range perDim {
+		count *= len(runs)
+	}
+	backing := make([]index.Triplet, count*rank)
+	dst = slices.Grow(dst, count)
 	idx := make([]int, rank)
 	for {
 		k := 0
-		dims := make([]index.Triplet, rank)
+		dims := backing[:rank:rank]
+		backing = backing[rank:]
 		for i, dt := range d.dims {
 			r := perDim[i][idx[i]]
 			dims[i] = index.Unit(r.Lo+dt.low-1, r.Hi+dt.low-1)

@@ -205,6 +205,18 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(uint8(5), uint8(16), uint8(4), uint8(1), uint8(7), uint8(2), uint8(0), true, uint8(1))
 	f.Add(uint8(2), uint8(7), uint8(3), uint8(0), uint8(1), uint8(4), uint8(2), false, uint8(2))
 	f.Add(uint8(6), uint8(10), uint8(1), uint8(4), uint8(9), uint8(2), uint8(2), true, uint8(1))
+	// The shapes the spmd tile producer is pinned on (package spmd,
+	// TestTileProducerMatchesElementProducer): CYCLIC(1) against
+	// CYCLIC(2) and CYCLIC(3) against CYCLIC(4) with shifts past a block,
+	// GENERAL_BLOCK with empty blocks (more processors than rows),
+	// INDIRECT on both sides, one format on both sides, and a
+	// replicated source, which sends the statement to the element walk.
+	f.Add(uint8(0), uint8(12), uint8(2), uint8(2), uint8(0), uint8(0), uint8(3), false, uint8(1))
+	f.Add(uint8(2), uint8(15), uint8(2), uint8(2), uint8(2), uint8(4), uint8(0), false, uint8(2))
+	f.Add(uint8(6), uint8(1), uint8(3), uint8(3), uint8(0), uint8(1), uint8(2), false, uint8(0))
+	f.Add(uint8(2), uint8(9), uint8(4), uint8(4), uint8(5), uint8(3), uint8(3), false, uint8(1))
+	f.Add(uint8(1), uint8(14), uint8(0), uint8(0), uint8(0), uint8(2), uint8(4), false, uint8(0))
+	f.Add(uint8(2), uint8(8), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), true, uint8(2))
 	f.Fuzz(func(t *testing.T, npB, nB, sel1, sel2, k, sh0, sh1 uint8, srcRep bool, wireSel uint8) {
 		np := int(npB%7) + 2
 		n := int(nB%20) + 4

@@ -116,9 +116,9 @@ type Schedule struct {
 	Pairs []GatherList
 }
 
-// ghostKey identifies one deduplicated remote read: src element
+// haloKey identifies one deduplicated remote read: src element
 // offset per reading worker.
-type ghostKey struct {
+type haloKey struct {
 	off int32
 	w   int
 }
@@ -148,7 +148,7 @@ func Build(np int, wOwners, rOwners []int32, pat Pattern) (*Schedule, error) {
 	// its owner (offsets are single-owner, so one map serves all
 	// workers); ghosts maps deduplicated remote reads to ghost slots.
 	accIx := make(map[int32]int32, len(pat.Writes))
-	ghosts := map[ghostKey]int32{}
+	ghosts := map[haloKey]int32{}
 	pairIx := map[[2]int]int{}
 	var pairs []*GatherList
 	for k, woff := range pat.Writes {
@@ -178,7 +178,7 @@ func Build(np int, wOwners, rOwners []int32, pat Pattern) (*Schedule, error) {
 			continue
 		}
 		wp.RemoteRefs++
-		key := ghostKey{off: roff, w: w}
+		key := haloKey{off: roff, w: w}
 		g, dup := ghosts[key]
 		if !dup {
 			g = int32(wp.NGhost)

@@ -660,9 +660,13 @@ func expandSide(ln int, name string, arr *hpf.DistArray, s sub) ([]int, error) {
 	return out, nil
 }
 
+// maxCachedSchedules bounds the schedule cache; when a new schedule
+// would exceed it the whole cache is dropped, as remapAll drops it.
+const maxCachedSchedules = 256
+
 // schedule returns the compiled schedule for r, building and caching
 // it on first use. Cached schedules are dropped whenever a directive
-// can have changed a mapping (remapAll).
+// can have changed a mapping (remapAll), and when the cache is full.
 func (ip *Interp) schedule(ln int, r *resolved) (*hpf.Schedule, error) {
 	if s, ok := ip.scheds[r.key]; ok {
 		cacheHits.Add(1)
@@ -679,6 +683,12 @@ func (ip *Interp) schedule(ln int, r *resolved) (*hpf.Schedule, error) {
 	}
 	if err != nil {
 		return nil, errf(ln, "%v", err)
+	}
+	// A loop whose regions depend on the loop variable compiles a
+	// schedule per iteration and never asks for it again: without a
+	// bound the cache would hold every one until the program ends.
+	if len(ip.scheds) >= maxCachedSchedules {
+		ip.scheds = map[string]*hpf.Schedule{}
 	}
 	ip.scheds[r.key] = s
 	return s, nil

@@ -24,10 +24,11 @@ func newAnalysis() *analysis {
 	return &analysis{pairElems: map[[2]int]int{}, loads: map[int]int{}}
 }
 
-// minTileElems is the average tile volume below which the run-based
+// minTileElems is the average tile volume below which the cell-based
 // analysis loses to the grid-backed element-wise path (measured on
-// the Jacobi/staggered benches: per-tile bulk computation costs on
-// the order of a few hundred nanoseconds, a grid lookup a few tens).
+// the Jacobi/staggered benches: a cell costs interval arithmetic per
+// term and its share of a tiling, a grid lookup a few tens of
+// nanoseconds).
 const minTileElems = 16
 
 // charge applies the analysis to the machine's counters.
@@ -58,12 +59,14 @@ func checkStatement(lhs *Array, region index.Domain, terms []Term) error {
 // analyzeStatement derives the ownership analysis of
 // lhs(region) = Σ terms. When every array is single-owner over
 // standard domains and all shifted references stay in bounds, the
-// analysis runs over owner tiles: O(tiles) interval arithmetic for
-// the local interior plus a per-element walk of only the remote
-// boundary (for exact cross-term deduplication of repeated ghost
-// elements). Everything else — replicated arrays, strided regions,
-// out-of-bounds references — takes the per-element path, which is
-// also the differential-testing oracle.
+// analysis runs over the uniform cells of the owner tiles
+// (core.UniformCuts, the enumeration the spmd plan producer shares):
+// O(tiles) interval arithmetic for the local interior plus a
+// per-element walk of only the remote boundary (for exact cross-term
+// deduplication of repeated ghost elements). Everything else —
+// replicated arrays, strided regions, out-of-bounds references, a
+// mapping without a closed-form tiling — takes the per-element path,
+// which is also the differential-testing oracle.
 func analyzeStatement(lhs *Array, region index.Domain, terms []Term) (*analysis, error) {
 	if err := checkStatement(lhs, region, terms); err != nil {
 		return nil, err
@@ -76,87 +79,81 @@ func analyzeStatement(lhs *Array, region index.Domain, terms []Term) (*analysis,
 	return analyzeElementwise(lhs, region, terms)
 }
 
-// runAnalyzable reports whether the tile-based analysis applies and
-// is guaranteed to agree with the element-wise oracle.
-func runAnalyzable(lhs *Array, region index.Domain, terms []Term) bool {
-	if lhs.owners == nil || !region.IsStandard() || !lhs.Dom.IsStandard() {
-		return false
+// shiftRefs is the ownership view of the terms: mapping and shift.
+func shiftRefs(terms []Term) []core.ShiftRef {
+	refs := make([]core.ShiftRef, len(terms))
+	for i, tm := range terms {
+		refs[i] = core.ShiftRef{Map: tm.Src.mapping, Shift: tm.Shift}
 	}
-	if region.Empty() && region.Rank() > 0 {
-		return false
-	}
-	for d, tr := range region.Dims {
-		if tr.Low < lhs.Dom.Dims[d].Low || tr.High > lhs.Dom.Dims[d].High {
-			return false // let the oracle report the error
-		}
-	}
-	for _, tm := range terms {
-		if tm.Src.owners == nil || !tm.Src.Dom.IsStandard() {
-			return false
-		}
-		for d, tr := range region.Dims {
-			if tr.Low+tm.Shift[d] < tm.Src.Dom.Dims[d].Low || tr.High+tm.Shift[d] > tm.Src.Dom.Dims[d].High {
-				return false // out of bounds: oracle reports the offending element
-			}
-		}
-	}
-	return true
+	return refs
 }
 
-// analyzeRuns is the tile-based fast path. ok = false when a mapping
-// declines bulk decomposition or the decomposition is finer-grained
-// than minElems elements per tile on average, in which case the
-// caller falls back to the grid-backed element-wise path.
+// runAnalyzable reports whether the cell-based analysis applies and
+// is guaranteed to agree with the element-wise oracle.
+func runAnalyzable(lhs *Array, region index.Domain, terms []Term) bool {
+	if lhs.owners == nil {
+		return false
+	}
+	for _, tm := range terms {
+		if tm.Src.owners == nil {
+			return false
+		}
+	}
+	return core.RunAnalyzable(region, lhs.Dom, shiftRefs(terms))
+}
+
+// analyzeRuns is the cell-based fast path over a statement
+// runAnalyzable accepts. ok = false when a mapping declines bulk
+// decomposition or the decomposition is finer-grained than minElems
+// elements per tile on average, in which case the caller falls back to
+// the grid-backed element-wise path.
 func analyzeRuns(lhs *Array, region index.Domain, terms []Term, minElems int) (*analysis, bool) {
-	// Granularity cutoff, decided from O(1) run-count estimates
-	// before anything is materialized: each tile costs a bulk
-	// src-tile computation per term (interval arithmetic plus a
-	// handful of allocations), while the element-wise path pays one
-	// O(1) grid lookup per element. Interval analysis only wins when
-	// tiles amortize that constant — fine-grain interleavings
-	// (CYCLIC(1) in several dimensions) are cheaper on the grids.
+	// Granularity cutoff, decided from O(1) run-count estimates before
+	// anything is materialized: fine-grain interleavings (CYCLIC(1) in
+	// several dimensions) are cheaper on the grids.
 	if minElems > 0 && !worthRunAnalysis(lhs, region, terms, minElems) {
 		return nil, false
 	}
-	an := newAnalysis()
-	lhsTiles, err := core.AppendBulkOwnerTiles(nil, lhs.mapping, region)
+	cuts, err := core.UniformCuts(region, lhs.mapping, shiftRefs(terms))
 	if err != nil {
 		return nil, false
 	}
-	rank := region.Rank()
+	an := newAnalysis()
 	seen := map[commKey]bool{}
-	shifted := make([]index.Triplet, rank)
-	var srcTiles []core.Tile
-	for _, lt := range lhsTiles {
-		w := lt.Proc
-		an.loads[w] += lt.Region.Size() * len(terms)
-		for _, tm := range terms {
-			for d := 0; d < rank; d++ {
-				shifted[d] = index.Unit(lt.Region.Dims[d].Low+tm.Shift[d], lt.Region.Dims[d].High+tm.Shift[d])
-			}
-			srcTiles, err = core.AppendBulkOwnerTiles(srcTiles[:0], tm.Src.mapping, index.Domain{Dims: shifted})
-			if err != nil {
-				return nil, false
-			}
-			for _, st := range srcTiles {
-				if st.Proc == w {
-					an.localRefs += st.Region.Size()
-					continue
-				}
-				an.remoteRefs += st.Region.Size()
-				src, sender := tm.Src, st.Proc
-				st.Region.ForEach(func(t index.Tuple) bool {
-					roff, _ := src.Dom.Offset(t)
-					key := commKey{src: src, off: roff, dst: w}
-					if !seen[key] {
-						seen[key] = true
-						an.pairElems[[2]int{sender, w}]++
-					}
-					return true
-				})
-			}
+	corner := make(index.Tuple, region.Rank())
+	cell := make([]index.Triplet, region.Rank())
+	core.ForEachCell(cuts, func(lo, hi []int) {
+		size := 1
+		for d := range lo {
+			size *= hi[d] - lo[d] + 1
 		}
-	}
+		loff, _ := lhs.Dom.Offset(lo)
+		w := int(lhs.owners[loff])
+		an.loads[w] += size * len(terms)
+		for _, tm := range terms {
+			for d := range lo {
+				corner[d] = lo[d] + tm.Shift[d]
+				cell[d] = index.Unit(corner[d], hi[d]+tm.Shift[d])
+			}
+			roff, _ := tm.Src.Dom.Offset(corner)
+			sender := int(tm.Src.owners[roff])
+			if sender == w {
+				an.localRefs += size
+				continue
+			}
+			an.remoteRefs += size
+			src := tm.Src
+			index.Domain{Dims: cell}.ForEach(func(t index.Tuple) bool {
+				off, _ := src.Dom.Offset(t)
+				key := commKey{src: src, off: off, dst: w}
+				if !seen[key] {
+					seen[key] = true
+					an.pairElems[[2]int{sender, w}]++
+				}
+				return true
+			})
+		}
+	})
 	return an, true
 }
 

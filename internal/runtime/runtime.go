@@ -164,7 +164,19 @@ func ShiftAssign(m *machine.Machine, lhs *Array, region index.Domain, terms []Te
 			return err
 		}
 	}
-	// Evaluate into a temporary (simultaneous assignment semantics).
+	if err := evaluate(lhs, region, terms); err != nil {
+		return err
+	}
+	if an != nil {
+		an.charge(m)
+	}
+	return nil
+}
+
+// evaluate computes lhs(region) = Σ terms into a temporary and then
+// stores it (simultaneous assignment semantics); nothing is stored
+// when a region index or a reference is out of bounds.
+func evaluate(lhs *Array, region index.Domain, terms []Term) error {
 	vals := make([]float64, region.Size())
 	offs := make([]int, region.Size())
 	ref := make(index.Tuple, lhs.Dom.Rank())
@@ -195,9 +207,6 @@ func ShiftAssign(m *machine.Machine, lhs *Array, region index.Domain, terms []Te
 	})
 	if ferr != nil {
 		return ferr
-	}
-	if an != nil {
-		an.charge(m)
 	}
 	for i := 0; i < k; i++ {
 		lhs.data[offs[i]] = vals[i]

@@ -21,14 +21,10 @@ type Schedule struct {
 	lhs    *Array
 	region index.Domain
 	terms  []Term
-
-	// pairElems[(src,dst)] is the aggregated ghost traffic.
-	pairElems map[[2]int]int
-	// loads[p] is the per-iteration compute load of processor p.
-	loads map[int]int
-	// localRefs/remoteRefs replay the reference counters.
-	localRefs  int
-	remoteRefs int
+	// an is the statement's ownership analysis: the aggregated ghost
+	// traffic per processor pair, per-processor loads and reference
+	// counts, charged on every Execute.
+	an *analysis
 	// arrays/gens capture the involved arrays' remap generations at
 	// build time; Execute refuses a stale schedule.
 	arrays []*Array
@@ -48,16 +44,7 @@ func BuildSchedule(lhs *Array, region index.Domain, terms []Term) (*Schedule, er
 	if err != nil {
 		return nil, err
 	}
-	s := &Schedule{
-		lhs:        lhs,
-		region:     region,
-		terms:      terms,
-		pairElems:  an.pairElems,
-		loads:      an.loads,
-		localRefs:  an.localRefs,
-		remoteRefs: an.remoteRefs,
-	}
-	s.arrays = append(s.arrays, lhs)
+	s := &Schedule{lhs: lhs, region: region, terms: terms, an: an, arrays: []*Array{lhs}}
 	for _, tm := range terms {
 		s.arrays = append(s.arrays, tm.Src)
 	}
@@ -81,14 +68,14 @@ func (s *Schedule) checkFresh() error {
 // execution (the overlap-area size).
 func (s *Schedule) GhostElements() int {
 	total := 0
-	for _, n := range s.pairElems {
+	for _, n := range s.an.pairElems {
 		total += n
 	}
 	return total
 }
 
 // Messages reports the number of aggregated messages per execution.
-func (s *Schedule) Messages() int { return len(s.pairElems) }
+func (s *Schedule) Messages() int { return len(s.an.pairElems) }
 
 // Execute replays the exchange on the machine and computes the
 // statement's values (simultaneous-assignment semantics). A nil
@@ -98,39 +85,9 @@ func (s *Schedule) Execute(m *machine.Machine) error {
 		return err
 	}
 	if m != nil {
-		for pr, n := range s.pairElems {
-			m.Send(pr[0], pr[1], n)
-		}
-		m.RecordLocal(s.localRefs)
-		m.RecordRemote(s.remoteRefs)
-		for p, l := range s.loads {
-			m.AddLoad(p, l)
-		}
+		s.an.charge(m)
 	}
-	// Value computation, identical to ShiftAssign's.
-	vals := make([]float64, s.region.Size())
-	offs := make([]int, s.region.Size())
-	ref := make(index.Tuple, s.lhs.Dom.Rank())
-	k := 0
-	s.region.ForEach(func(t index.Tuple) bool {
-		loff, _ := s.lhs.Dom.Offset(t)
-		offs[k] = loff
-		sum := 0.0
-		for _, tm := range s.terms {
-			for d := range t {
-				ref[d] = t[d] + tm.Shift[d]
-			}
-			roff, _ := tm.Src.Dom.Offset(ref)
-			sum += tm.Coeff * tm.Src.data[roff]
-		}
-		vals[k] = sum
-		k++
-		return true
-	})
-	for i := 0; i < k; i++ {
-		s.lhs.data[offs[i]] = vals[i]
-	}
-	return nil
+	return evaluate(s.lhs, s.region, s.terms)
 }
 
 // ReduceOp selects a reduction operator.

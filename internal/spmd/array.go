@@ -3,6 +3,7 @@ package spmd
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"hpfnt/internal/core"
 	"hpfnt/internal/dist"
@@ -45,6 +46,10 @@ func buildLayout(e *Engine, m core.ElementMapping) (*layout, error) {
 	np := e.np
 	dom := m.Domain()
 	size := dom.Size()
+	// Slots, offsets and run bases are int32 throughout the plans.
+	if size > math.MaxInt32 {
+		return nil, fmt.Errorf("domain %s has %d elements, above the %d a layout can index", dom, size, math.MaxInt32)
+	}
 	l := &layout{stores: make([]*store, np+1)}
 	for p := 1; p <= np; p++ {
 		l.stores[p] = &store{}

@@ -32,10 +32,12 @@
 // vectorization are compiled once per schedule and replayed on every
 // execution, mirroring BuildSchedule/Execute of the sequential
 // runtime. There is one per-worker plan shape and one executor
-// (Schedule.ExecuteN) with two producers: the regular compiler walks
-// the statement's region, and irregular (indirection-array) statements
-// are lowered from the inspector's schedule (package inspector).
-// Remap ships through the same per-pair exchange.
+// (Schedule.ExecuteN) with two producers: the regular compiler emits
+// strided runs and slot intervals from the intersection of the
+// statement's owner tiles (element by element only where no closed
+// form exists), and irregular (indirection-array) statements are
+// lowered from the inspector's schedule (package inspector). Remap
+// ships through the same per-pair exchange.
 //
 // A worker that panics (a user Fill function, a broken wire) does not
 // leave its peers deadlocked on the streams: the panic is recovered,

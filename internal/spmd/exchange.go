@@ -1,6 +1,40 @@
 package spmd
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
+
+// span is a strided interval of slots: base, base+stride, …, count of
+// them. A ghost row, a remapped tile or a cyclic neighbour set is one
+// span; an irregular gather degenerates to spans of count 1.
+type span struct {
+	base, stride, count int32
+}
+
+// follows reports whether an interval starting at b (stride s, c
+// values) continues the interval (base, stride, n), and returns the
+// stride of the joined interval. A one-value interval has no stride of
+// its own: it takes whatever step reaches b.
+func follows(base, stride, n, b, s, c int32) (int32, bool) {
+	if n == 1 {
+		stride = b - base
+	}
+	return stride, int(b) == int(base)+int(n)*int(stride) && (c == 1 || s == stride)
+}
+
+// appendSpan appends an interval to a list, joining it to the last
+// span when it continues it.
+func appendSpan(spans []span, base, stride, count int32) []span {
+	if n := len(spans); n > 0 {
+		last := &spans[n-1]
+		if st, ok := follows(last.base, last.stride, last.count, base, stride, count); ok {
+			last.stride, last.count = st, last.count+count
+			return spans
+		}
+	}
+	return append(spans, span{base, stride, count})
+}
 
 // exchange is one worker's side of a compiled per-pair data movement:
 // the messages it gathers and sends, and the messages it receives and
@@ -20,35 +54,50 @@ type pairSend struct {
 	segs  []gather
 }
 
-// gather is the part of a message read from one store: value i is
-// data[slots[i]]. A message has one segment per source array, so the
-// common single-source statement pays one slice header per message,
-// not one per element.
+// gather is the part of a message read from one store: the values of
+// data at its spans, in order. A message has one segment per source
+// array.
 type gather struct {
 	data  []float64
-	slots []int32
+	spans []span
 }
 
-// pairRecv scatters src's message: value k lands in the destination
-// slice at targets[k].
+// pairRecv scatters src's message of elems values: they land in the
+// destination slice at the spans, in order.
 type pairRecv struct {
-	src     int
-	targets []int32
+	src   int
+	elems int
+	spans []span
 }
 
 // run performs worker p's side of the exchange: gather and send every
 // outgoing message (one allocation each; the transport takes
 // ownership), then receive the incoming ones and scatter them into
-// dest.
+// dest. A message whose length is not the plan's fails the engine: it
+// comes from another process, and scattering a short one would leave
+// stale ghosts behind silently.
 func (x *exchange) run(e *Engine, p int, dest []float64) {
 	for i := range x.sends {
 		sp := &x.sends[i]
 		buf := make([]float64, sp.elems)
 		k := 0
 		for _, sg := range sp.segs {
-			for _, sl := range sg.slots {
-				buf[k] = sg.data[sl]
-				k++
+			for _, s := range sg.spans {
+				part := buf[k : k+int(s.count)]
+				k += int(s.count)
+				if s.count == 1 { // an irregular gather list is all of these
+					part[0] = sg.data[s.base]
+					continue
+				}
+				if s.stride == 1 {
+					copy(part, sg.data[s.base:])
+					continue
+				}
+				j := int(s.base)
+				for q := range part {
+					part[q] = sg.data[j]
+					j += int(s.stride)
+				}
 			}
 		}
 		e.send(p, sp.dst, buf)
@@ -56,8 +105,16 @@ func (x *exchange) run(e *Engine, p int, dest []float64) {
 	for i := range x.recvs {
 		rp := &x.recvs[i]
 		msg := e.recv(rp.src, p)
-		for k, v := range msg {
-			dest[rp.targets[k]] = v
+		if msg == nil {
+			return // the transport has failed; its error is sticky
+		}
+		if len(msg) != rp.elems {
+			e.tr.Fail(fmt.Errorf("spmd: message %d→%d carries %d values, plan expects %d", rp.src, p, len(msg), rp.elems))
+			return
+		}
+		for _, s := range rp.spans {
+			storeRun(dest, int(s.base), int(s.stride), msg[:s.count])
+			msg = msg[s.count:]
 		}
 	}
 }
@@ -74,14 +131,12 @@ func (x *exchange) sendCounts(msgs, frames int) []sendCount {
 }
 
 // pairBuilder accumulates the traffic of each ordered (sender,
-// receiver) pair during a compile — element by element (add) from the
-// regular schedule compiler and Remap, a whole pair at a time from the
-// inspector lowering — and then emits both endpoints' exchanges.
-type pairBuilder map[[2]int]*pairBuild
-
-type pairBuild struct {
-	segs []segBuild
-}
+// receiver) pair during a compile, one interval at a time, and then
+// emits both endpoints' exchanges. All three producers — the regular
+// compiler's ghost lines, the inspector lowering's gather lists and
+// Remap's per-element moves — add through it, so intervals are joined
+// in one place.
+type pairBuilder map[[2]int][]*segBuild
 
 // segBuild is the traffic of one pair read from one store. Segments
 // are keyed by the store, not its data: every process of a job builds
@@ -89,38 +144,37 @@ type pairBuild struct {
 // host.
 type segBuild struct {
 	st      *store
-	slots   []int32
-	targets []int32
+	elems   int
+	slots   []span
+	targets []span
 }
 
-// add records that worker s ships st's value at slot to worker w,
-// which scatters it to target.
-func (b pairBuilder) add(s, w int, st *store, slot, target int32) {
+// seg returns the segment of pair (s, w) that reads from st.
+func (b pairBuilder) seg(s, w int, st *store) *segBuild {
 	pr := [2]int{s, w}
-	pb := b[pr]
-	if pb == nil {
-		pb = &pairBuild{}
-		b[pr] = pb
-	}
-	var sg *segBuild
-	for i := range pb.segs {
-		if pb.segs[i].st == st {
-			sg = &pb.segs[i]
-			break
+	for _, sg := range b[pr] {
+		if sg.st == st {
+			return sg
 		}
 	}
-	if sg == nil {
-		pb.segs = append(pb.segs, segBuild{st: st})
-		sg = &pb.segs[len(pb.segs)-1]
-	}
-	sg.slots = append(sg.slots, slot)
-	sg.targets = append(sg.targets, target)
+	sg := &segBuild{st: st}
+	b[pr] = append(b[pr], sg)
+	return sg
+}
+
+// add records that the sender ships count values of the segment's
+// store, from slot on by sstride, and the receiver scatters them from
+// target on by tstride.
+func (sg *segBuild) add(slot, sstride, target, tstride, count int32) {
+	sg.elems += int(count)
+	sg.slots = appendSpan(sg.slots, slot, sstride, count)
+	sg.targets = appendSpan(sg.targets, target, tstride, count)
 }
 
 // emit appends each accumulated pair's message, in deterministic
 // (src, dst) order, to the exchanges exOf returns for its endpoints:
 // the sender's gather order and the receiver's scatter order are two
-// views of the same list.
+// views of the same sequence.
 func (b pairBuilder) emit(exOf func(p int) *exchange) {
 	pairs := make([][2]int, 0, len(b))
 	for pr := range b {
@@ -133,17 +187,18 @@ func (b pairBuilder) emit(exOf func(p int) *exchange) {
 		return pairs[i][1] < pairs[j][1]
 	})
 	for _, pr := range pairs {
-		pb := b[pr]
-		segs := make([]gather, len(pb.segs))
-		targets := pb.segs[0].targets
-		for i, sg := range pb.segs {
-			segs[i] = gather{data: sg.st.data, slots: sg.slots}
+		segs := make([]gather, len(b[pr]))
+		targets := b[pr][0].targets
+		elems := 0
+		for i, sg := range b[pr] {
+			segs[i] = gather{data: sg.st.data, spans: sg.slots}
+			elems += sg.elems
 			if i > 0 {
 				targets = append(targets, sg.targets...)
 			}
 		}
 		from, to := exOf(pr[0]), exOf(pr[1])
-		from.sends = append(from.sends, pairSend{dst: pr[1], elems: len(targets), segs: segs})
-		to.recvs = append(to.recvs, pairRecv{src: pr[0], targets: targets})
+		from.sends = append(from.sends, pairSend{dst: pr[1], elems: elems, segs: segs})
+		to.recvs = append(to.recvs, pairRecv{src: pr[0], elems: elems, spans: targets})
 	}
 }

@@ -1,6 +1,7 @@
 package spmd
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -318,5 +319,58 @@ func TestRemapInvalidatesAndMatchesOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWrongLengthMessageFailsEngine: a message is input from another
+// process. One that is shorter or longer than the plan's pair expects
+// must fail the engine with an error naming the pair and both lengths —
+// not leave stale ghosts behind, and not die as an index panic — on
+// every wire. The bad frame is put on the stream ahead of the epoch, as
+// a peer with a different plan would have.
+func TestWrongLengthMessageFailsEngine(t *testing.T) {
+	const np = 4
+	sys, _ := proc.NewSystem(np)
+	dom := index.Standard(1, 40)
+	block := mapping(t, sys, dom, dist.Block{})
+	for _, kind := range transport.Kinds() {
+		for _, tc := range []struct {
+			name string
+			n    int
+		}{{"short", 0}, {"long", 3}} {
+			t.Run(kind+"/"+tc.name, func(t *testing.T) {
+				tr, err := transport.New(kind, np)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := NewOn(tr, machine.DefaultCost())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				a, err := e.NewArray("A", block)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := e.NewArray("B", block)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// B(i) = A(i-1): worker 2 expects one value from worker 1.
+				sched, err := e.BuildSchedule(b, index.Standard(2, 40), []Term{Ref(a, 1, -1)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.send(1, 2, make([]float64, tc.n))
+				err = sched.Execute()
+				want := fmt.Sprintf("spmd: message 1→2 carries %d values, plan expects 1", tc.n)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("Execute = %v, want %q", err, want)
+				}
+				if err := sched.Execute(); err == nil {
+					t.Fatal("a failed engine must stay failed")
+				}
+			})
+		}
 	}
 }

@@ -2,8 +2,10 @@ package spmd
 
 import (
 	"fmt"
+	"slices"
 
 	"hpfnt/internal/inspector"
+	"hpfnt/internal/obs"
 )
 
 // accumKernel is the arithmetic of an irregular gather/scatter
@@ -26,7 +28,9 @@ type accumKernel struct {
 // inspector over the pattern and lowers the resulting engine-neutral
 // schedule — per-worker access plans over element offsets plus
 // per-pair deduplicated gather lists — once to local store slots, as
-// the same per-worker plans the regular compiler emits. No ownership
+// the same per-worker plans the regular compiler emits (the gather
+// lists become slot intervals wherever consecutive reads are evenly
+// spaced). No ownership
 // analysis happens at execution time, which is where schedule reuse
 // across ExecuteN iterations pays. Replicated arrays are refused (no
 // single-owner partition exists).
@@ -36,6 +40,11 @@ func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*Schedu
 	}
 	if lhs.lay.owners == nil || src.lay.owners == nil {
 		return nil, fmt.Errorf("spmd: %s", inspector.ErrReplicated)
+	}
+	if obs.TraceEnabled() {
+		if end := obs.BeginSpan("build", fmt.Sprintf("inspect %s<-%s x%d", lhs.name, src.name, len(pat.Writes)), 0); end != nil {
+			defer end()
+		}
 	}
 	sched, err := inspector.Build(e.np, lhs.lay.owners, src.lay.owners, pat)
 	if err != nil {
@@ -93,11 +102,11 @@ func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*Schedu
 	}
 	pairs := pairBuilder{}
 	for _, pr := range sched.Pairs {
-		slots := make([]int32, len(pr.Offsets))
+		sg := pairs.seg(pr.Src, pr.Dst, src.lay.stores[pr.Src])
+		sg.slots = slices.Grow(sg.slots, len(pr.Offsets)) // a gather list rarely joins
 		for i, off := range pr.Offsets {
-			slots[i] = src.lay.slotOf(pr.Src, int(off))
+			sg.add(src.lay.slotOf(pr.Src, int(off)), 0, pr.Targets[i], 0, 1)
 		}
-		pairs[[2]int{pr.Src, pr.Dst}] = &pairBuild{segs: []segBuild{{st: src.lay.stores[pr.Src], slots: slots, targets: pr.Targets}}}
 	}
 	pairs.emit(func(p int) *exchange { return &planOf(p).ex })
 	return s, nil

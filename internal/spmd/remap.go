@@ -36,6 +36,8 @@ func (e *Engine) Remap(a *Array, newMap core.ElementMapping) (int, error) {
 	moved := 0
 	size := a.dom.Size()
 	var oldScratch, newScratch []int
+	var sg *segBuild
+	var from, to int
 	for off := 0; off < size; off++ {
 		oldScratch = a.lay.appendOwners(oldScratch[:0], off)
 		newScratch = nl.appendOwners(newScratch[:0], off)
@@ -47,7 +49,11 @@ func (e *Engine) Remap(a *Array, newMap core.ElementMapping) (int, error) {
 			}
 			anyNew = true
 			s := runtime.RemapSender(oldScratch, p)
-			pairs.add(s, p, a.lay.stores[s], a.lay.slotOf(s, off), nl.slotOf(p, off))
+			// Consecutive elements mostly move between the same pair.
+			if sg == nil || s != from || p != to {
+				sg, from, to = pairs.seg(s, p, a.lay.stores[s]), s, p
+			}
+			sg.add(a.lay.slotOf(s, off), 0, nl.slotOf(p, off), 0, 1)
 		}
 		if anyNew {
 			moved++

@@ -41,11 +41,11 @@ type cterm struct {
 // the per-pair ghost exchange, and the per-worker counter deltas.
 // There is one plan shape and one executor; the plans come from one of
 // two producers — compile (regular statements lhs(region) = Σ terms,
-// by walking the region) or BuildIrregular (indirection-array
-// statements, by lowering the inspector's schedule) — and ExecuteN
-// replays them without knowing which. The involved arrays must not be
-// remapped between executions (rebuild after REDISTRIBUTE/REALIGN, as
-// with the sequential runtime's schedules).
+// from owner-tile intersection, see compile.go) or BuildIrregular
+// (indirection-array statements, by lowering the inspector's schedule)
+// — and ExecuteN replays them without knowing which. The involved
+// arrays must not be remapped between executions (rebuild after
+// REDISTRIBUTE/REALIGN, as with the sequential runtime's schedules).
 type Schedule struct {
 	eng *Engine
 	// label names the producer in the epoch span ("execute x4",
@@ -85,37 +85,45 @@ type wplan struct {
 }
 
 // kernel is one worker's arithmetic for one iteration: evaluate its
-// whole share of the statement from the local stores and the ghost
-// buffer, then store (whole-statement evaluation before any store,
-// Fortran array-assignment semantics). The two implementations differ
-// only in how the reads are indexed: denseKernel (a fixed number of
-// terms per element, coefficients per term) and accumKernel (a
-// variable number of accesses per element, coefficients per access).
-// They stay apart because the dense form's index stream is a quarter
-// the size, and replay is most of a stencil's wall time.
+// share of the statement from the local stores and the ghost buffer
+// and store it, with Fortran array-assignment semantics (no store is
+// visible to any read of the same iteration). runKernel serves every
+// regular statement; accumKernel (irregular.go) serves indirection
+// statements, whose per-access coefficients and write indices have no
+// run form.
 type kernel interface {
 	compute(ghost []float64)
 }
 
-// denseKernel computes, for element i, tmp[i] = Σ_t coeffs[t] ·
-// ref(i,t) where refs[i*T+t] ≥ 0 indexes srcData[t] (a local read) and
-// refs < 0 encodes ghost slot -(refs+1); then lhsData[lhsSlots[i]] =
-// tmp[i].
-type denseKernel struct {
-	lhsData  []float64
-	lhsSlots []int32
-	coeffs   []float64
-	srcData  [][]float64
-	refs     []int32
-	tmp      []float64
+// runKernel is a list of strided runs. Run r computes, for i in
+// [0, n), lhs[base+i·stride] = Σ_t coeffs[t] · src_t[b_t+i·s_t], where
+// term t of the run (terms[r·T+t]) reads the worker's local store of
+// the t-th source or, when marked ghost, the ghost buffer. The inner
+// loops run slice to slice: there is no per-element index and no
+// per-element local/ghost branch.
+//
+// tmp is nil when every read of the written store is at the element
+// being written (no term reads the lhs array at a non-zero shift):
+// each value is then stored as soon as it is computed. Otherwise the
+// whole share is evaluated into tmp before any store.
+type runKernel struct {
+	lhs    []float64
+	coeffs []float64
+	srcs   [][]float64
+	runs   []krun
+	terms  []kterm
+	tmp    []float64
 }
 
-// ghostKey dedups remote reads per (source array, element, reader),
-// exactly as the sequential per-statement deduplication does.
-type ghostKey struct {
-	src *Array
-	off int
-	w   int
+// krun is the written side of one run.
+type krun struct {
+	base, stride, n int32
+}
+
+// kterm is one term's read side of one run.
+type kterm struct {
+	base, stride int32
+	ghost        bool
 }
 
 // BuildSchedule compiles the shift statement lhs(region) = Σ terms.
@@ -138,121 +146,6 @@ func (e *Engine) BuildGeneralSchedule(lhs *Array, region index.Domain, terms []G
 		cts[i] = cterm{src: t.Src, coeff: t.Coeff, mapf: t.Map}
 	}
 	return e.compile(lhs, region, cts)
-}
-
-// compile is the regular producer: it walks the region once
-// (column-major, like the sequential executor) and partitions the
-// statement into per-worker plans. The local/remote classification,
-// remote deduplication, sender choice (first owner) and load charging
-// mirror the sequential analysis element for element, so the
-// aggregated statistics are identical by construction.
-func (e *Engine) compile(lhs *Array, region index.Domain, terms []cterm) (*Schedule, error) {
-	if lhs.eng != e {
-		return nil, fmt.Errorf("spmd: array %s belongs to a different engine", lhs.name)
-	}
-	if region.Rank() != lhs.dom.Rank() {
-		return nil, fmt.Errorf("spmd: region rank %d does not match %s rank %d", region.Rank(), lhs.name, lhs.dom.Rank())
-	}
-	s := &Schedule{eng: e, label: "execute", plans: make([]*wplan, e.np+1), constGhost: true,
-		arrays: []*Array{lhs}, gens: []int{lhs.gen}}
-	for _, tm := range terms {
-		if tm.src.eng != e {
-			return nil, fmt.Errorf("spmd: term source %s belongs to a different engine", tm.src.name)
-		}
-		s.arrays = append(s.arrays, tm.src)
-		s.gens = append(s.gens, tm.src.gen)
-		if tm.src == lhs {
-			s.constGhost = false // statement overwrites its own input
-		}
-	}
-	T := len(terms)
-	kerns := make([]*denseKernel, e.np+1)
-	nGhost := make([]int32, e.np+1)
-	planOf := func(p int) (*wplan, *denseKernel) {
-		if s.plans[p] == nil {
-			k := &denseKernel{lhsData: lhs.lay.stores[p].data}
-			k.coeffs = make([]float64, T)
-			k.srcData = make([][]float64, T)
-			for ti, tm := range terms {
-				k.coeffs[ti] = tm.coeff
-				k.srcData[ti] = tm.src.lay.stores[p].data
-			}
-			kerns[p] = k
-			s.plans[p] = &wplan{kernel: k}
-		}
-		return s.plans[p], kerns[p]
-	}
-	seen := map[ghostKey]int32{}
-	pairs := pairBuilder{}
-	ref := make(index.Tuple, lhs.dom.Rank())
-	var writers []int
-	var ferr error
-	region.ForEach(func(t index.Tuple) bool {
-		loff, ok := lhs.dom.Offset(t)
-		if !ok {
-			ferr = fmt.Errorf("spmd: region index %s outside %s domain %s", t, lhs.name, lhs.dom)
-			return false
-		}
-		writers = lhs.lay.appendOwners(writers[:0], loff)
-		for ti := range terms {
-			tm := &terms[ti]
-			var rt index.Tuple
-			if tm.mapf != nil {
-				rt = tm.mapf(t.Clone())
-			} else {
-				for d := range t {
-					ref[d] = t[d] + tm.shift[d]
-				}
-				rt = ref
-			}
-			roff, ok := tm.src.dom.Offset(rt)
-			if !ok {
-				ferr = fmt.Errorf("spmd: reference %s(%s) out of bounds in assignment to %s(%s)", tm.src.name, rt, lhs.name, t)
-				return false
-			}
-			for _, w := range writers {
-				wp, k := planOf(w)
-				if tm.src.lay.ownedBy(roff, w) {
-					wp.localRefs++
-					k.refs = append(k.refs, tm.src.lay.slotOf(w, roff))
-					continue
-				}
-				wp.remoteRefs++
-				key := ghostKey{src: tm.src, off: roff, w: w}
-				g, dup := seen[key]
-				if !dup {
-					g = nGhost[w]
-					nGhost[w]++
-					seen[key] = g
-					sender := tm.src.lay.firstOwner(roff)
-					pairs.add(sender, w, tm.src.lay.stores[sender], tm.src.lay.slotOf(sender, roff), g)
-				}
-				k.refs = append(k.refs, -(g + 1))
-			}
-		}
-		for _, w := range writers {
-			wp, k := planOf(w)
-			wp.load += T
-			k.lhsSlots = append(k.lhsSlots, lhs.lay.slotOf(w, loff))
-		}
-		return true
-	})
-	if ferr != nil {
-		return nil, ferr
-	}
-	s.ghostTotal, s.messages = len(seen), len(pairs)
-	pairs.emit(func(p int) *exchange {
-		wp, _ := planOf(p)
-		return &wp.ex
-	})
-	for p, wp := range s.plans {
-		if wp == nil {
-			continue
-		}
-		wp.ghost = make([]float64, nGhost[p])
-		kerns[p].tmp = make([]float64, len(kerns[p].lhsSlots))
-	}
-	return s, nil
 }
 
 // GhostElements reports the deduplicated ghost traffic per execution.
@@ -346,25 +239,63 @@ func (s *Schedule) ExecuteN(iters int) error {
 	return err
 }
 
-func (k *denseKernel) compute(ghost []float64) {
+// chunk is how many values of a run are evaluated at a time: the
+// accumulator stays in L1 while each term streams through it.
+const chunk = 256
+
+func (k *runKernel) compute(ghost []float64) {
 	T := len(k.coeffs)
-	for i := range k.lhsSlots {
-		base := i * T
-		sum := 0.0
-		for ti := 0; ti < T; ti++ {
-			idx := k.refs[base+ti]
-			var v float64
-			if idx >= 0 {
-				v = k.srcData[ti][idx]
-			} else {
-				v = ghost[-idx-1]
+	var acc [chunk]float64
+	at := 0
+	for r, run := range k.runs {
+		terms := k.terms[r*T : r*T+T]
+		for c0 := 0; c0 < int(run.n); c0 += chunk {
+			ac := acc[:min(chunk, int(run.n)-c0)]
+			clear(ac)
+			for ti, tm := range terms {
+				src, c := k.srcs[ti], k.coeffs[ti]
+				if tm.ghost {
+					src = ghost
+				}
+				j := int(tm.base) + c0*int(tm.stride)
+				if tm.stride == 1 {
+					for i, v := range src[j : j+len(ac)] {
+						ac[i] += c * v
+					}
+					continue
+				}
+				for i := range ac {
+					ac[i] += c * src[j]
+					j += int(tm.stride)
+				}
 			}
-			sum += k.coeffs[ti] * v
+			if k.tmp != nil {
+				copy(k.tmp[at+c0:], ac)
+			} else {
+				storeRun(k.lhs, int(run.base)+c0*int(run.stride), int(run.stride), ac)
+			}
 		}
-		k.tmp[i] = sum
+		at += int(run.n)
 	}
-	for i, sl := range k.lhsSlots {
-		k.lhsData[sl] = k.tmp[i]
+	if k.tmp == nil {
+		return
+	}
+	at = 0
+	for _, run := range k.runs {
+		storeRun(k.lhs, int(run.base), int(run.stride), k.tmp[at:at+int(run.n)])
+		at += int(run.n)
+	}
+}
+
+// storeRun writes vals to dst[base], dst[base+stride], ….
+func storeRun(dst []float64, base, stride int, vals []float64) {
+	if stride == 1 {
+		copy(dst[base:], vals)
+		return
+	}
+	for _, v := range vals {
+		dst[base] = v
+		base += stride
 	}
 }
 

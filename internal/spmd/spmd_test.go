@@ -1,9 +1,12 @@
 package spmd
 
 import (
+	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hpfnt/internal/core"
 	"hpfnt/internal/dist"
@@ -374,8 +377,11 @@ func TestErrors(t *testing.T) {
 	e := newEngine(t, np)
 	a, _ := e.NewArray("A", mapping(t, sys, dom, dist.Block{}))
 	b, _ := e.NewArray("B", mapping(t, sys, dom, dist.Block{}))
-	if err := e.ShiftAssign(b, dom, []Term{Ref(a, 1, -1)}); err == nil {
-		t.Fatal("out-of-bounds reference must fail")
+	// The out-of-bounds error names the first offending element in
+	// region order: such statements are walked element by element.
+	err := e.ShiftAssign(b, dom, []Term{Ref(a, 1, -1)})
+	if want := "spmd: reference A((0)) out of bounds in assignment to B((1))"; err == nil || err.Error() != want {
+		t.Fatalf("out-of-bounds reference: %v, want %q", err, want)
 	}
 	if err := e.ShiftAssign(b, dom, []Term{Ref(a, 1, 0, 0)}); err == nil {
 		t.Fatal("shift rank mismatch must fail")
@@ -455,5 +461,29 @@ func TestSetWritesAllReplicas(t *testing.T) {
 	}
 	if a.At(index.Tuple{3}) != 42 {
 		t.Fatal("At after Set wrong")
+	}
+}
+
+// TestLayoutRefusesOversizeDomain: slots, offsets and run bases are
+// int32, so a domain of more than MaxInt32 elements cannot be laid
+// out. It must be refused by the size alone — before any per-element
+// grid is allocated or any tile walked — with an error naming the
+// array.
+func TestLayoutRefusesOversizeDomain(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("a domain above MaxInt32 elements needs a 64-bit int")
+	}
+	const np = 2
+	sys, _ := proc.NewSystem(np)
+	n := int64(math.MaxInt32) + 1 // not a constant: must compile where int is 32 bits
+	huge := mapping(t, sys, index.Standard(1, int(n)), dist.Block{})
+	e := newEngine(t, np)
+	start := time.Now()
+	_, err := e.NewArray("HUGE", huge)
+	if want := "spmd: materializing HUGE: domain [1:2147483648] has 2147483648 elements, above the 2147483647 a layout can index"; err == nil || err.Error() != want {
+		t.Fatalf("NewArray = %v, want %q", err, want)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("refusal took %v: something walked the domain", d)
 	}
 }
