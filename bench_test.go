@@ -408,26 +408,9 @@ func BenchmarkJacobiReplaySPMDTraced(b *testing.B) {
 // the in-place 3-point stencil on a rank-1 CYCLIC array, N=1024, whose
 // tiles are single elements.
 func BenchmarkSpmdScheduleBuild(b *testing.B) {
-	const np = 8
-	eng, err := engine.New(engine.SPMD, np, machine.DefaultCost())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	sys, err := proc.NewSystem(np)
-	if err != nil {
-		b.Fatal(err)
-	}
-	procs, err := sys.DeclareArray("P", index.Standard(1, np))
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng, mapping := spmdMapper(b, 8)
 	array := func(name string, dom index.Domain, formats ...dist.Format) engine.Array {
-		d, err := dist.New(dom, formats, proc.Whole(procs))
-		if err != nil {
-			b.Fatal(err)
-		}
-		a, err := eng.NewArray(name, core.DistMapping{D: d})
+		a, err := eng.NewArray(name, mapping(dom, formats...))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -455,6 +438,98 @@ func BenchmarkSpmdScheduleBuild(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := st.lhs.NewSchedule(st.region, st.terms); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// spmdMapper returns an spmd engine of np workers and a constructor of
+// distributions over its processors.
+func spmdMapper(b *testing.B, np int) (engine.Engine, func(dom index.Domain, formats ...dist.Format) core.ElementMapping) {
+	b.Helper()
+	eng, err := engine.New(engine.SPMD, np, machine.DefaultCost())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { eng.Close() })
+	sys, err := proc.NewSystem(np)
+	if err != nil {
+		b.Fatal(err)
+	}
+	procs, err := sys.DeclareArray("P", index.Standard(1, np))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return eng, func(dom index.Domain, formats ...dist.Format) core.ElementMapping {
+		d, err := dist.New(dom, formats, proc.Whole(procs))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return core.DistMapping{D: d}
+	}
+}
+
+// BenchmarkSpmdLayoutBuild measures materializing an array on the spmd
+// engine — owner grids, slot grid, per-worker offsets and zeroed
+// segments — which every NewArray and every Remap pays: row blocks and
+// 8-row bands of a 1024² array, the single-element tiles of a CYCLIC
+// vector (the halo workloads' prologue) and the slabs of a 64³ array.
+func BenchmarkSpmdLayoutBuild(b *testing.B) {
+	eng, mapping := spmdMapper(b, 2) // what the bench/ workloads run at
+	square, cube := index.Standard(1, 1024, 1, 1024), index.Standard(1, 64, 1, 64, 1, 64)
+	for _, tc := range []struct {
+		name string
+		m    core.ElementMapping
+	}{
+		{"block-1024x1024", mapping(square, dist.Block{}, dist.Collapsed{})},
+		{"cyclic8-1024x1024", mapping(square, dist.Cyclic{K: 8}, dist.Collapsed{})},
+		{"cyclic1-1024-vector", mapping(index.Standard(1, 1024), dist.Cyclic{K: 1})},
+		{"block-64x64x64", mapping(cube, dist.Block{}, dist.Collapsed{}, dist.Collapsed{})},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.NewArray("A", tc.m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSpmdRemap measures one Array.Remap — new layout, plan, local
+// copies and the per-pair shipment — alternating between two mappings:
+// the remap.cycle workload's (BLOCK,:) ↔ (CYCLIC(8),:) on 1024², the
+// finest interleaving on a vector, two slab tilings of a 64³ array, and
+// a remap to an equal mapping, which moves nothing.
+func BenchmarkSpmdRemap(b *testing.B) {
+	eng, mapping := spmdMapper(b, 2)
+	square, vector, cube := index.Standard(1, 1024, 1, 1024), index.Standard(1, 1<<16), index.Standard(1, 64, 1, 64, 1, 64)
+	for _, tc := range []struct {
+		name string
+		maps [2]core.ElementMapping
+	}{
+		{"block-cyclic8-1024x1024", [2]core.ElementMapping{
+			mapping(square, dist.Block{}, dist.Collapsed{}), mapping(square, dist.Cyclic{K: 8}, dist.Collapsed{})}},
+		{"block-cyclic1-vector", [2]core.ElementMapping{
+			mapping(vector, dist.Block{}), mapping(vector, dist.Cyclic{K: 1})}},
+		{"block-gblock-64x64x64", [2]core.ElementMapping{
+			mapping(cube, dist.Block{}, dist.Collapsed{}, dist.Collapsed{}),
+			mapping(cube, dist.GeneralBlock{Bounds: []int{20}}, dist.Collapsed{}, dist.Collapsed{})}},
+		{"unchanged-1024x1024", [2]core.ElementMapping{
+			mapping(square, dist.Block{}, dist.Collapsed{}), mapping(square, dist.Block{}, dist.Collapsed{})}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			a, err := eng.NewArray("A", tc.maps[0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := a.Remap(tc.maps[(i+1)%2]); err != nil {
 					b.Fatal(err)
 				}
 			}

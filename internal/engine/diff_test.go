@@ -22,6 +22,7 @@ type scenario struct {
 	f1, f2   dist.Format
 	shift    [2]int
 	srcRep   bool // use a replicated source term
+	back     bool // remap A there and back, not one way
 	replayIt int
 	// tkind is the spmd transport the scenario runs on ("inproc",
 	// "shm" or
@@ -146,6 +147,12 @@ func (sc scenario) run(t *testing.T, kind string) outcome {
 		fail(err)
 	}
 	out.moved = moved
+	if sc.back {
+		if moved, err = a.Remap(m1); err != nil {
+			fail(err)
+		}
+		out.moved += moved
+	}
 	sum, err := b.Reduce(runtime.ReduceSum)
 	if err != nil {
 		fail(err)
@@ -195,8 +202,9 @@ func formatFor(sel, k uint8, n, np int) dist.Format {
 
 // FuzzEngineEquivalence is the differential fuzz target of the spmd
 // engine against the sequential oracle: for random formats, shifts,
-// replicated sources, remaps and transports (inproc channels, shm
-// rings or tcp loopback sockets), both backends must produce
+// replicated sources, remaps (one way or there and back) and
+// transports (inproc channels, shm rings or tcp loopback sockets), both
+// backends must produce
 // identical array values, identical remap counts, identical
 // reduction results and an identical machine.Report.
 func FuzzEngineEquivalence(f *testing.F) {
@@ -217,6 +225,15 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(uint8(2), uint8(9), uint8(4), uint8(4), uint8(5), uint8(3), uint8(3), false, uint8(1))
 	f.Add(uint8(1), uint8(14), uint8(0), uint8(0), uint8(0), uint8(2), uint8(4), false, uint8(0))
 	f.Add(uint8(2), uint8(8), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), true, uint8(2))
+	// Two remaps, there and back (wireSel ≥ 16): block rows to a cyclic
+	// interleaving and back, two interleavings, GENERAL_BLOCK and
+	// INDIRECT against BLOCK, and one format on both sides, where the
+	// tiling does not change and nothing may move either way.
+	f.Add(uint8(0), uint8(12), uint8(0), uint8(2), uint8(7), uint8(2), uint8(2), false, uint8(16))
+	f.Add(uint8(2), uint8(15), uint8(2), uint8(2), uint8(2), uint8(1), uint8(3), false, uint8(17))
+	f.Add(uint8(3), uint8(9), uint8(3), uint8(0), uint8(1), uint8(2), uint8(1), false, uint8(18))
+	f.Add(uint8(1), uint8(11), uint8(0), uint8(4), uint8(5), uint8(3), uint8(2), true, uint8(16))
+	f.Add(uint8(4), uint8(8), uint8(1), uint8(1), uint8(0), uint8(2), uint8(2), false, uint8(17))
 	f.Fuzz(func(t *testing.T, npB, nB, sel1, sel2, k, sh0, sh1 uint8, srcRep bool, wireSel uint8) {
 		np := int(npB%7) + 2
 		n := int(nB%20) + 4
@@ -229,6 +246,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			f2:       formatFor(sel2, k+1, n, np),
 			shift:    [2]int{int(sh0%5) - 2, int(sh1%5) - 2},
 			srcRep:   srcRep,
+			back:     wireSel&16 != 0,
 			replayIt: 2,
 			tkind:    tkind,
 		}

@@ -1,11 +1,14 @@
 package interp_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"hpfnt/hpf"
+	"hpfnt/internal/engine"
 	"hpfnt/internal/interp"
+	"hpfnt/internal/machine"
 )
 
 // TestInterpMatchesHandwritten is the oracle entry for the front end:
@@ -231,6 +234,79 @@ PRINT SUM(B)
 	for i := 1; i < len(b); i++ {
 		if b[i] != float64(i) {
 			t.Fatalf("B[%d] = %v, want %v", i, b[i], float64(i))
+		}
+	}
+}
+
+// TestRedistributeLeavesBystandersAlone: every REDISTRIBUTE line remaps
+// all materialized arrays, and an array whose mapping the line did not
+// change must cost nothing — no new layout, no segment, no copy, no
+// traffic. B is 18 000 times A's size; redistributing A three times
+// must allocate less than two of B's value vectors (one is the result
+// of Run; rebuilding B's layout and segments alone would take three
+// and a half per line), charge exactly what the same program without B
+// charges, and leave B's values where they were.
+func TestRedistributeLeavesBystandersAlone(t *testing.T) {
+	const m = 384
+	declare := func(withB bool) string {
+		src := "PROCESSORS P(4)\nPARAMETER N = 8, M = 384\nREAL A(1:N)\n!HPF$ DYNAMIC A\n!HPF$ DISTRIBUTE A(BLOCK) TO P\n" +
+			"FORALL (I = 1:N) A(I) = I\n"
+		if withB {
+			src += "REAL B(1:M,1:M)\n!HPF$ DISTRIBUTE B(BLOCK,:) TO P\nFORALL (I = 1:M, J = 1:M) B(I,J) = I + 1000*J\n"
+		}
+		return src
+	}
+	const body = "!HPF$ REDISTRIBUTE A(CYCLIC) TO P\n!HPF$ REDISTRIBUTE A(BLOCK) TO P\n!HPF$ REDISTRIBUTE A(CYCLIC) TO P\nPRINT SUM(A)\n"
+	type outcome struct {
+		res    *interp.Result
+		frames int64
+		bytes  uint64
+	}
+	run := func(kind string, withB bool) outcome {
+		eng, err := engine.New(kind, 4, machine.DefaultCost())
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := hpf.NewProgramOn("main", eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer prog.Close()
+		ip := interp.New(prog)
+		if _, err := ip.Run(declare(withB)); err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := ip.Run(body)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{res, eng.Detail().WireFrames, m1.TotalAlloc - m0.TotalAlloc}
+	}
+	alone, both, sim := run(engine.SPMD, false), run(engine.SPMD, true), run(engine.Sim, true)
+	if both.res.Output != alone.res.Output || both.res.Output != sim.res.Output {
+		t.Errorf("output %q with B, %q without, %q on sim", both.res.Output, alone.res.Output, sim.res.Output)
+	}
+	if got, want := both.res.Report.Logical(), alone.res.Report.Logical(); got != want {
+		t.Errorf("report with the bystander\n got  %+v\n want %+v", got, want)
+	}
+	if got, want := both.res.Report.Logical(), sim.res.Report.Logical(); got != want {
+		t.Errorf("report on spmd\n got  %+v\n sim  %+v", got, want)
+	}
+	if both.frames != alone.frames || both.frames == 0 {
+		t.Errorf("%d wire frames with the bystander, %d without", both.frames, alone.frames)
+	}
+	if both.bytes > 2*8*m*m {
+		t.Errorf("three REDISTRIBUTE A lines allocate %d bytes beside a B of %d", both.bytes, 8*m*m)
+	}
+	b := both.res.Values["B"]
+	for j := 1; j <= m; j++ {
+		for i := 1; i <= m; i++ {
+			if got, want := b[(j-1)*m+i-1], float64(i+1000*j); got != want {
+				t.Fatalf("B(%d,%d) = %g, want %g", i, j, got, want)
+			}
 		}
 	}
 }

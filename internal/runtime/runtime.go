@@ -316,11 +316,12 @@ func RemapSender(old []int, dst int) int {
 // is the data movement behind REDISTRIBUTE, REALIGN and explicit
 // dummy-argument remapping (§4.2, §5.2, §7).
 //
-// When both the old and the new mapping admit a bulk owner-tile
-// decomposition, the ownership comparison runs over tile
-// intersections — O(tiles) interval arithmetic instead of a
-// per-element owner-set walk; replicated or non-bulk mappings take
-// the element path, which doubles as the oracle.
+// When both mappings are single-owner and the identity statement
+// new(:) = old(:) has uniform cells (core.RemapCuts, the enumeration
+// the spmd engine lowers its remap plan from), ownership is compared
+// once per cell — O(tiles) instead of a per-element owner-set walk;
+// replicated or non-bulk mappings take the element path, which doubles
+// as the oracle.
 func Remap(m *machine.Machine, a *Array, newMap core.ElementMapping) (int, error) {
 	if !newMap.Domain().Equal(a.Dom) {
 		return 0, fmt.Errorf("runtime: remap of %s to mapping over %s (have %s)", a.Name, newMap.Domain(), a.Dom)
@@ -338,7 +339,7 @@ func Remap(m *machine.Machine, a *Array, newMap core.ElementMapping) (int, error
 	}
 	moved, pairElems, ok := 0, map[[2]int]int{}, false
 	if a.owners != nil && newOwners != nil {
-		moved, pairElems, ok = remapTilewise(a, newMap)
+		moved, pairElems, ok = remapTilewise(a, newMap, newOwners)
 	}
 	if !ok {
 		moved, pairElems = remapElementwise(a, newOwners, newRep)
@@ -355,34 +356,30 @@ func Remap(m *machine.Machine, a *Array, newMap core.ElementMapping) (int, error
 	return moved, nil
 }
 
-// remapTilewise compares ownership over the bulk tile decompositions:
-// each new-owner tile is re-tiled by the old mapping, and every
-// sub-tile whose owners differ contributes its whole volume to the
-// corresponding processor pair. ok = false when either mapping
-// declines bulk decomposition; the caller falls back to the element
-// walk.
-func remapTilewise(a *Array, newMap core.ElementMapping) (int, map[[2]int]int, bool) {
-	newTiles, err := core.AppendBulkOwnerTiles(nil, newMap, a.Dom)
-	if err != nil {
+// remapTilewise compares ownership over the uniform cells of the old
+// and the new mapping: every cell whose owner changes contributes its
+// whole volume to the corresponding processor pair. ok = false when
+// there is no closed form; the caller falls back to the element walk.
+func remapTilewise(a *Array, newMap core.ElementMapping, newOwners []int32) (int, map[[2]int]int, bool) {
+	cuts := core.RemapCuts(a.Dom, a.mapping, newMap)
+	if cuts == nil {
 		return 0, nil, false
 	}
 	moved := 0
 	pairElems := map[[2]int]int{}
-	var old []core.Tile
-	for _, nt := range newTiles {
-		old, err = core.AppendBulkOwnerTiles(old[:0], a.mapping, nt.Region)
-		if err != nil {
-			return 0, nil, false
+	core.ForEachCell(cuts, func(lo, hi []int) {
+		off, _ := a.Dom.Offset(lo)
+		from, to := int(a.owners[off]), int(newOwners[off])
+		if from == to {
+			return
 		}
-		for _, ot := range old {
-			if ot.Proc == nt.Proc {
-				continue
-			}
-			n := ot.Region.Size()
-			moved += n
-			pairElems[[2]int{ot.Proc, nt.Proc}] += n
+		n := 1
+		for d := range lo {
+			n *= hi[d] - lo[d] + 1
 		}
-	}
+		moved += n
+		pairElems[[2]int{from, to}] += n
+	})
 	return moved, pairElems, true
 }
 

@@ -466,13 +466,13 @@ func TestRemapTilewiseMatchesElementwise(t *testing.T) {
 				t.Fatal(err)
 			}
 			newMap := blockMapping(t, sys, "A", dom, f2)
-			moved, pairs, ok := remapTilewise(a, newMap)
-			if !ok {
-				t.Fatalf("%s -> %s: tile path declined", f1, f2)
-			}
 			g, err := core.OwnerGrid(newMap)
 			if err != nil {
 				t.Fatal(err)
+			}
+			moved, pairs, ok := remapTilewise(a, newMap, g)
+			if !ok {
+				t.Fatalf("%s -> %s: tile path declined", f1, f2)
 			}
 			wantMoved, wantPairs := remapElementwise(a, g, nil)
 			if moved != wantMoved {

@@ -34,15 +34,37 @@ type layout struct {
 	repSlot []map[int]int32
 	// stores[p] is worker p's segment (index 1..np).
 	stores []*store
+	// tiles is how many owner tiles a single-owner layout was filled
+	// from.
+	tiles int
+}
+
+// ownerTiles returns m's single-owner tile decomposition over its
+// domain; single is false (and tiles nil) when m replicates.
+func ownerTiles(m core.ElementMapping) (tiles []core.Tile, single bool, err error) {
+	tiles, err = core.AppendOwnerTilesOf(nil, m, m.Domain())
+	if errors.Is(err, dist.ErrMultiOwner) {
+		return nil, false, nil
+	}
+	return tiles, err == nil, err
 }
 
 // buildLayout derives the local storage layout of a mapping on e: the
 // single-owner tile decomposition when one exists, the replicated
-// grid otherwise. The slot metadata (offsets, owner grids) is built
-// for every rank — all processes of a job derive the identical layout
-// — but value storage is allocated only for the ranks this process
-// hosts.
+// grid otherwise.
 func buildLayout(e *Engine, m core.ElementMapping) (*layout, error) {
+	tiles, single, err := ownerTiles(m)
+	if err != nil {
+		return nil, err
+	}
+	return layoutOf(e, m, tiles, single)
+}
+
+// layoutOf builds m's layout from its owner tiles (ownerTiles). The
+// slot metadata (offsets, owner grids) is built for every rank — all
+// processes of a job derive the identical layout — but value storage
+// is allocated only for the ranks this process hosts.
+func layoutOf(e *Engine, m core.ElementMapping, tiles []core.Tile, single bool) (*layout, error) {
 	np := e.np
 	dom := m.Domain()
 	size := dom.Size()
@@ -54,33 +76,14 @@ func buildLayout(e *Engine, m core.ElementMapping) (*layout, error) {
 	for p := 1; p <= np; p++ {
 		l.stores[p] = &store{}
 	}
-	tiles, err := core.AppendOwnerTilesOf(nil, m, dom)
-	if err == nil {
+	if single {
 		l.owners = make([]int32, size)
 		l.slotGrid = make([]int32, size)
-		var ferr error
-		for _, tl := range tiles {
-			p := tl.Proc
-			if p < 1 || p > np {
-				return nil, fmt.Errorf("spmd: mapping owner %d out of range 1..%d", p, np)
-			}
-			st := l.stores[p]
-			tl.Region.ForEach(func(t index.Tuple) bool {
-				off, ok := dom.Offset(t)
-				if !ok {
-					ferr = fmt.Errorf("spmd: tile index %s outside domain %s", t, dom)
-					return false
-				}
-				l.owners[off] = int32(p)
-				l.slotGrid[off] = int32(len(st.offsets))
-				st.offsets = append(st.offsets, int32(off))
-				return true
-			})
-			if ferr != nil {
-				return nil, ferr
-			}
+		l.tiles = len(tiles)
+		if err := l.fillTiles(np, dom, tiles); err != nil {
+			return nil, err
 		}
-	} else if errors.Is(err, dist.ErrMultiOwner) {
+	} else {
 		rg, rerr := core.ReplicatedGrid(m)
 		if rerr != nil {
 			return nil, rerr
@@ -100,8 +103,6 @@ func buildLayout(e *Engine, m core.ElementMapping) (*layout, error) {
 				st.offsets = append(st.offsets, int32(off))
 			}
 		}
-	} else {
-		return nil, err
 	}
 	for p := 1; p <= np; p++ {
 		if !e.hosted(p) {
@@ -111,6 +112,83 @@ func buildLayout(e *Engine, m core.ElementMapping) (*layout, error) {
 		st.data = make([]float64, len(st.offsets))
 	}
 	return l, nil
+}
+
+// fillTiles lays the single-owner tiles out over the owner grids: a
+// worker's slots are its tiles in enumeration order, column-major
+// within each tile. That order is contract — compiled plans, the
+// inspector lowering and checkpoint shards all address values by slot
+// — so the fill may change how it walks, never what it numbers. One
+// pass over the tiles sizes every segment exactly; a second writes each
+// tile's first-dimension lines with counted loops over offset strides,
+// so the cost per element is three stores and nothing is allocated per
+// tile.
+func (l *layout) fillTiles(np int, dom index.Domain, tiles []core.Tile) error {
+	next := make([]int32, np+1) // volume per worker, then its next free slot
+	for _, tl := range tiles {
+		if tl.Proc < 1 || tl.Proc > np {
+			return fmt.Errorf("spmd: mapping owner %d out of range 1..%d", tl.Proc, np)
+		}
+		next[tl.Proc] += int32(tl.Region.Size())
+	}
+	for p := 1; p <= np; p++ {
+		l.stores[p].offsets = make([]int32, next[p])
+		next[p] = 0
+	}
+	rank := dom.Rank()
+	mul := strides(dom)
+	// Per tile and dimension: extent, offset step between consecutive
+	// tile indices, and the odometer position.
+	ext, step, at := make([]int, rank), make([]int, rank), make([]int, rank)
+	for _, tl := range tiles {
+		off, vol := 0, 1
+		for d, tr := range tl.Region.Dims {
+			// The tile's indices must be the domain's at positions first,
+			// first+by, …, last of dimension d.
+			dd := dom.Dims[d]
+			n := tr.Count()
+			first, by := (tr.Low-dd.Low)/dd.Stride, tr.Stride/dd.Stride
+			last := first + (n-1)*by
+			if n > 0 && (dd.At(first) != tr.Low || dd.At(last) != tr.At(n-1) ||
+				min(first, last) < 0 || max(first, last) >= dd.Count()) {
+				return fmt.Errorf("spmd: tile %s outside domain %s", tl.Region, dom)
+			}
+			ext[d], step[d], at[d] = n, by*mul[d], 0
+			off += first * mul[d]
+			vol *= n
+		}
+		if vol == 0 {
+			continue
+		}
+		n0, s0 := 1, 0 // a rank-0 tile is its one element
+		if rank > 0 {
+			n0, s0 = ext[0], step[0]
+		}
+		p := int32(tl.Proc)
+		offsets, slot := l.stores[p].offsets, next[p]
+		for {
+			o := off
+			for i := 0; i < n0; i++ {
+				l.owners[o], l.slotGrid[o], offsets[slot] = p, slot, int32(o)
+				o += s0
+				slot++
+			}
+			d := 1
+			for ; d < rank; d++ {
+				off += step[d]
+				if at[d]++; at[d] < ext[d] {
+					break
+				}
+				off -= ext[d] * step[d]
+				at[d] = 0
+			}
+			if d >= rank {
+				break
+			}
+		}
+		next[p] = slot
+	}
+	return nil
 }
 
 // Array is a distributed array on the spmd engine: per-worker local

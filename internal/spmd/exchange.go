@@ -134,8 +134,8 @@ func (x *exchange) sendCounts(msgs, frames int) []sendCount {
 // receiver) pair during a compile, one interval at a time, and then
 // emits both endpoints' exchanges. All three producers — the regular
 // compiler's ghost lines, the inspector lowering's gather lists and
-// Remap's per-element moves — add through it, so intervals are joined
-// in one place.
+// Remap's moved lines — add through it, so intervals are joined in one
+// place.
 type pairBuilder map[[2]int][]*segBuild
 
 // segBuild is the traffic of one pair read from one store. Segments
