@@ -157,7 +157,8 @@ bench-gate:
 bench-smoke:
 	cd bench && $(GO) vet . && $(GO) test .
 
-# The 512² Jacobi schedule-replay speedup gate (spmd >= 1.5x sim).
+# The 512² Jacobi schedule-replay speedup gate: the parallel dispatch
+# of the plan (spmd) >= 1.5x its sequential dispatch (sim).
 speedup:
 	HPFNT_SPEEDUP=1 $(GO) test -run TestSpmdSpeedupJacobi -count=1 -v ./internal/workload
 
@@ -174,25 +175,27 @@ overhead:
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzFormatRoundTrip -fuzztime 30s ./internal/dist
 
-# Differential fuzz of the spmd engine against the sequential oracle.
+# Differential fuzz of sim and spmd against the element-wise oracle.
 fuzz-engine:
 	$(GO) test -run xxx -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/engine
 
-# Differential fuzz of the irregular (inspector–executor) path.
+# Differential fuzz of the irregular (inspector–executor) path: sim
+# and spmd against the element-wise oracle.
 fuzz-irregular:
 	$(GO) test -run xxx -fuzz FuzzIrregularEquivalence -fuzztime 30s ./internal/engine
 
 # The golden corpus differential under the race detector: every
 # program in internal/interp/testdata/programs must produce
-# byte-identical output, values and logical report on {sim,spmd} x
-# {inproc,shm,tcp}, plus the interp-vs-handwritten oracle test.
+# byte-identical output, values and logical report on the element-wise
+# oracle and on {sim,spmd} x {inproc,shm,tcp}, plus the
+# interp-vs-handwritten oracle test.
 # Regenerate goldens with: go test ./internal/interp -run TestCorpusGolden -update
 corpus:
 	$(GO) test -race -count=1 -run 'TestCorpus|TestInterp|TestRedistribute' ./internal/interp
 
 # Fuzz the program front end: arbitrary text must never panic or hang
 # the interpreter, and generated well-formed programs must be
-# identical on the spmd engine and the sequential oracle.
+# identical on sim, on spmd and on the element-wise oracle.
 fuzz-interp:
 	$(GO) test -run xxx -fuzz FuzzDirectiveProgram -fuzztime 30s ./internal/interp
 	$(GO) test -run xxx -fuzz FuzzInterpEquivalence -fuzztime 30s ./internal/interp

@@ -20,7 +20,6 @@ import (
 	"hpfnt/internal/machine"
 	"hpfnt/internal/obs"
 	"hpfnt/internal/proc"
-	"hpfnt/internal/runtime"
 	"hpfnt/internal/transport"
 	"hpfnt/internal/workload"
 )
@@ -101,122 +100,48 @@ func BenchmarkE13GeneralDistributions(b *testing.B) {
 }
 
 // --- Ablation: per-statement communication analysis vs reusing a
-// precomputed overlap (ghost region) schedule across iterations ---
+// precomputed overlap (ghost region) schedule across iterations, on
+// the sim engine ---
 
-func jacobiSetup(b *testing.B) (*runtime.Array, *runtime.Array, index.Domain, []runtime.Term) {
+func jacobiSetup(b *testing.B) (engine.Array, index.Domain, []engine.Term) {
 	b.Helper()
-	sys, err := proc.NewSystem(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	arr, err := sys.DeclareArray("P", index.Standard(1, 8))
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng, mapping := mapper(b, engine.Sim, 8)
 	n := 128
-	dom := index.Standard(1, n, 1, n)
-	d, err := dist.New(dom, []dist.Format{dist.Block{}, dist.Collapsed{}}, proc.Whole(arr))
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, err := runtime.NewArray("A", core.DistMapping{D: d})
+	a, err := eng.NewArray("A", mapping(index.Standard(1, n, 1, n), dist.Block{}, dist.Collapsed{}))
 	if err != nil {
 		b.Fatal(err)
 	}
 	a.Fill(func(t index.Tuple) float64 { return float64(t[0] + t[1]) })
 	interior := index.Standard(2, n-1, 2, n-1)
-	terms := []runtime.Term{
-		runtime.Ref(a, 0.25, -1, 0), runtime.Ref(a, 0.25, 1, 0),
-		runtime.Ref(a, 0.25, 0, -1), runtime.Ref(a, 0.25, 0, 1),
+	terms := []engine.Term{
+		engine.Read(a, 0.25, -1, 0), engine.Read(a, 0.25, 1, 0),
+		engine.Read(a, 0.25, 0, -1), engine.Read(a, 0.25, 0, 1),
 	}
-	return a, a, interior, terms
+	return a, interior, terms
 }
 
 func BenchmarkAblationPerStatementAnalysis(b *testing.B) {
-	lhs, _, interior, terms := jacobiSetup(b)
-	m, err := machine.New(8, machine.DefaultCost())
-	if err != nil {
-		b.Fatal(err)
-	}
+	lhs, interior, terms := jacobiSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := runtime.ShiftAssign(m, lhs, interior, terms); err != nil {
+		if err := lhs.Assign(interior, terms); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkAblationScheduleReuse(b *testing.B) {
-	lhs, _, interior, terms := jacobiSetup(b)
-	sched, err := runtime.BuildSchedule(lhs, interior, terms)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := machine.New(8, machine.DefaultCost())
+	lhs, interior, terms := jacobiSetup(b)
+	sched, err := lhs.NewSchedule(interior, terms)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sched.Execute(m); err != nil {
+		if err := sched.Execute(); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- Schedule-build micro-benchmarks: the run-based ownership
-// analysis against region size and format family. allocs/op is the
-// headline number — the analysis is O(runs + ghost boundary), not
-// O(region volume). ---
-
-func scheduleBuildSetup(b *testing.B, n int, f dist.Format) (*runtime.Array, index.Domain, []runtime.Term) {
-	b.Helper()
-	sys, err := proc.NewSystem(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	arr, err := sys.DeclareArray("P", index.Standard(1, 8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	dom := index.Standard(1, n, 1, n)
-	d, err := dist.New(dom, []dist.Format{f, dist.Collapsed{}}, proc.Whole(arr))
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, err := runtime.NewArray("A", core.DistMapping{D: d})
-	if err != nil {
-		b.Fatal(err)
-	}
-	interior := index.Standard(2, n-1, 2, n-1)
-	terms := []runtime.Term{
-		runtime.Ref(a, 0.25, -1, 0), runtime.Ref(a, 0.25, 1, 0),
-		runtime.Ref(a, 0.25, 0, -1), runtime.Ref(a, 0.25, 0, 1),
-	}
-	return a, interior, terms
-}
-
-func benchScheduleBuild(b *testing.B, n int, f dist.Format) {
-	lhs, interior, terms := scheduleBuildSetup(b, n, f)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := runtime.BuildSchedule(lhs, interior, terms); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkScheduleBuildBlockSmall(b *testing.B) { benchScheduleBuild(b, 32, dist.Block{}) }
-
-func BenchmarkScheduleBuildBlockLarge(b *testing.B) { benchScheduleBuild(b, 128, dist.Block{}) }
-
-func BenchmarkScheduleBuildCyclicSmall(b *testing.B) { benchScheduleBuild(b, 32, dist.Cyclic{K: 4}) }
-
-func BenchmarkScheduleBuildCyclicLarge(b *testing.B) { benchScheduleBuild(b, 128, dist.Cyclic{K: 4}) }
-
-func BenchmarkScheduleBuildGeneralBlockLarge(b *testing.B) {
-	benchScheduleBuild(b, 128, dist.GeneralBlock{Bounds: []int{10, 26, 42, 64, 90, 102, 116}})
 }
 
 // --- Micro-benchmarks of the mapping primitives ---
@@ -337,9 +262,9 @@ func BenchmarkLUSweepCyclic(b *testing.B) {
 	}
 }
 
-// --- Parallel engine: 512² Jacobi schedule replay, sequential
-// simulator vs the spmd engine (the speedup benchmark behind the
-// -speedup flag of cmd/hpfbench). ---
+// --- 512² Jacobi schedule replay, the same plan under the sequential
+// (sim) and the parallel (spmd) dispatcher (the speedup benchmark
+// behind the -speedup flag of cmd/hpfbench). ---
 
 func benchJacobiReplay(b *testing.B, kind string) {
 	b.Helper()
@@ -408,7 +333,7 @@ func BenchmarkJacobiReplaySPMDTraced(b *testing.B) {
 // the in-place 3-point stencil on a rank-1 CYCLIC array, N=1024, whose
 // tiles are single elements.
 func BenchmarkSpmdScheduleBuild(b *testing.B) {
-	eng, mapping := spmdMapper(b, 8)
+	eng, mapping := mapper(b, engine.SPMD, 8)
 	array := func(name string, dom index.Domain, formats ...dist.Format) engine.Array {
 		a, err := eng.NewArray(name, mapping(dom, formats...))
 		if err != nil {
@@ -445,11 +370,11 @@ func BenchmarkSpmdScheduleBuild(b *testing.B) {
 	}
 }
 
-// spmdMapper returns an spmd engine of np workers and a constructor of
-// distributions over its processors.
-func spmdMapper(b *testing.B, np int) (engine.Engine, func(dom index.Domain, formats ...dist.Format) core.ElementMapping) {
+// mapper returns an engine of the given kind with np workers and a
+// constructor of distributions over its processors.
+func mapper(b *testing.B, kind string, np int) (engine.Engine, func(dom index.Domain, formats ...dist.Format) core.ElementMapping) {
 	b.Helper()
-	eng, err := engine.New(engine.SPMD, np, machine.DefaultCost())
+	eng, err := engine.New(kind, np, machine.DefaultCost())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -477,7 +402,7 @@ func spmdMapper(b *testing.B, np int) (engine.Engine, func(dom index.Domain, for
 // 8-row bands of a 1024² array, the single-element tiles of a CYCLIC
 // vector (the halo workloads' prologue) and the slabs of a 64³ array.
 func BenchmarkSpmdLayoutBuild(b *testing.B) {
-	eng, mapping := spmdMapper(b, 2) // what the bench/ workloads run at
+	eng, mapping := mapper(b, engine.SPMD, 2) // what the bench/ workloads run at
 	square, cube := index.Standard(1, 1024, 1, 1024), index.Standard(1, 64, 1, 64, 1, 64)
 	for _, tc := range []struct {
 		name string
@@ -505,7 +430,7 @@ func BenchmarkSpmdLayoutBuild(b *testing.B) {
 // finest interleaving on a vector, two slab tilings of a 64³ array, and
 // a remap to an equal mapping, which moves nothing.
 func BenchmarkSpmdRemap(b *testing.B) {
-	eng, mapping := spmdMapper(b, 2)
+	eng, mapping := mapper(b, engine.SPMD, 2)
 	square, vector, cube := index.Standard(1, 1024, 1, 1024), index.Standard(1, 1<<16), index.Standard(1, 64, 1, 64, 1, 64)
 	for _, tc := range []struct {
 		name string

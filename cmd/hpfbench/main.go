@@ -47,7 +47,7 @@ import (
 
 var (
 	list       = flag.Bool("list", false, "list experiments without running them")
-	engineKind = flag.String("engine", engine.Default, "execution backend: sim (sequential oracle) or spmd (parallel workers)")
+	engineKind = flag.String("engine", engine.Default, "execution backend: sim (sequential dispatch) or spmd (parallel workers)")
 	transportK = flag.String("transport", engine.DefaultTransport, "spmd message transport: inproc (buffered channels), shm (shared-memory rings) or tcp (localhost sockets)")
 	jsonOut    = flag.String("json", "", "write a JSON record of per-experiment timings and verdicts to this file (- for stdout)")
 	repeat     = flag.Int("repeat", 1, "run each timed section N times and record the best (stable numbers for regression gating)")

@@ -127,9 +127,8 @@ func Shape(bounds ...int) Domain { return index.Standard(bounds...) }
 
 // Program is a complete template-free HPF program: a processor
 // system, a main program unit with its alignment forest, a directive
-// interpreter, and an execution backend (the sequential simulator or
-// the parallel spmd engine — see SetDefaultEngine and
-// NewProgramEngine).
+// interpreter, and an execution backend (the spmd engine's sequential
+// or parallel dispatcher — see SetDefaultEngine and NewProgramEngine).
 type Program struct {
 	// Unit is the main program unit.
 	Unit *core.Unit

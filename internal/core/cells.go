@@ -4,11 +4,9 @@
 // boundary, carried back into lhs coordinates, is a cut of one
 // dimension; the product of the per-dimension cuts is a grid of cells
 // inside each of which the lhs and every reference have exactly one
-// owner. Both schedule compilers are built on it — the sequential
-// analysis (package runtime) and the parallel engine's plan producer
-// (package spmd) — and each reads the owners at a cell's corner from
-// its own grids, so the enumeration itself is O(tiles), independent of
-// the region's volume.
+// owner. The engine's plan producer (package spmd) is built on it and
+// reads the owners at a cell's corner from its layout grids, so the
+// enumeration itself is O(tiles), independent of the region's volume.
 package core
 
 import (
@@ -148,9 +146,8 @@ func UniformCuts(region index.Domain, lhs ElementMapping, refs []ShiftRef) ([][]
 // from the old mapping to the new — or nil when it has no closed form:
 // a non-standard, empty or rank-0 domain, or a mapping without a bulk
 // single-owner tiling. Every cell has one old owner and one new owner
-// and lies inside one owner tile of each mapping, so a remap is decided
-// (and, on the spmd engine, lowered) per cell; the sequential oracle
-// and the engine both enumerate these cells.
+// and lies inside one owner tile of each mapping, so the spmd engine
+// decides and lowers a remap per cell.
 func RemapCuts(dom index.Domain, oldMap, newMap ElementMapping) [][]int {
 	refs := []ShiftRef{{Map: oldMap, Shift: make([]int, dom.Rank())}}
 	if dom.Rank() == 0 || !RunAnalyzable(dom, dom, refs) {

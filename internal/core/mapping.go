@@ -12,7 +12,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"hpfnt/internal/align"
@@ -198,35 +197,13 @@ func sameSet(a, b []int) bool {
 }
 
 // OwnerGrid materializes the single-owner map of a mapping into a
-// dense column-major slice (and reports an error if any element is
-// replicated; use ReplicatedGrid then). The runtime uses it to
-// execute owner-computes loops without re-evaluating α per access.
-// When the mapping's run decomposition is coarse (the closed-form
-// formats), the grid is painted tile by tile — O(tiles) ownership
-// computations plus O(size) stores; fine-grain interleavings and
-// mappings outside the affine subset fill element-wise through the
-// allocation-free AppendOwners path instead, where materializing
-// near-singleton tiles would cost more than it saves.
+// dense column-major slice, one owner lookup per element through the
+// allocation-free AppendOwners path (and reports an error if any
+// element is replicated; use ReplicatedGrid then). It is the ownership
+// map of the element-wise reference executor (package runtime).
 func OwnerGrid(m ElementMapping) ([]int32, error) {
 	dom := m.Domain()
-	size := dom.Size()
-	if est, ok := EstimateBulkTiles(m, dom); ok && est*minPaintElems <= size {
-		tiles, err := AppendBulkOwnerTiles(nil, m, dom)
-		if err == nil {
-			out := make([]int32, size)
-			for _, tl := range tiles {
-				if err := paintTile(out, dom, tl); err != nil {
-					return nil, err
-				}
-			}
-			return out, nil
-		}
-		if errors.Is(err, dist.ErrMultiOwner) {
-			return nil, fmt.Errorf("core: OwnerGrid requires single-owner mappings: %w", err)
-		}
-		// Estimate was optimistic; fall through to the element path.
-	}
-	out := make([]int32, size)
+	out := make([]int32, dom.Size())
 	var scratch []int
 	var ferr error
 	k := 0
@@ -249,67 +226,6 @@ func OwnerGrid(m ElementMapping) ([]int32, error) {
 		return nil, ferr
 	}
 	return out, nil
-}
-
-// minPaintElems is the average tile volume below which tile painting
-// loses to the element-wise grid fill.
-const minPaintElems = 4
-
-// paintTile stores the tile's owner over its region in the grid,
-// filling contiguous column-major spans along the first dimension.
-func paintTile(out []int32, dom index.Domain, tl Tile) error {
-	p := int32(tl.Proc)
-	if tl.Region.Rank() == 0 {
-		out[0] = p
-		return nil
-	}
-	if !dom.IsStandard() || !tl.Region.IsStandard() {
-		var ferr error
-		tl.Region.ForEach(func(t index.Tuple) bool {
-			off, ok := dom.Offset(t)
-			if !ok {
-				ferr = fmt.Errorf("core: tile element %s outside domain %s", t, dom)
-				return false
-			}
-			out[off] = p
-			return true
-		})
-		return ferr
-	}
-	// Standard case: the tile's first-dimension run is a contiguous
-	// span at every combination of the trailing dimensions.
-	rank := dom.Rank()
-	mult := make([]int, rank)
-	m := 1
-	for d := 0; d < rank; d++ {
-		mult[d] = m
-		m *= dom.Extent(d)
-	}
-	off0 := 0
-	for d := 0; d < rank; d++ {
-		off0 += (tl.Region.Dims[d].Low - dom.Dims[d].Low) * mult[d]
-	}
-	n0 := tl.Region.Dims[0].Count()
-	odo := make([]int, rank)
-	for {
-		seg := out[off0 : off0+n0]
-		for i := range seg {
-			seg[i] = p
-		}
-		d := 1
-		for ; d < rank; d++ {
-			off0 += mult[d]
-			odo[d]++
-			if odo[d] < tl.Region.Dims[d].Count() {
-				break
-			}
-			off0 -= odo[d] * mult[d]
-			odo[d] = 0
-		}
-		if d == rank {
-			return nil
-		}
-	}
 }
 
 // ReplicatedGrid materializes the full owner sets of a mapping. This

@@ -26,7 +26,7 @@ type Tile = dist.Tile
 // subset (a MAX/MIN-clamped alignment, a strided section or region),
 // so no bulk tile decomposition exists and callers must choose
 // between per-element enumeration (OwnerTiles does this) and their
-// own element-wise path (the runtime's grid-backed analysis).
+// own element-wise path (the spmd compiler's element walk).
 var ErrNoBulk = errors.New("core: mapping has no bulk tile decomposition")
 
 // TileMapper is implemented by element mappings that can enumerate
@@ -85,35 +85,13 @@ func AppendOwnerTilesOf(dst []Tile, m ElementMapping, region index.Domain) ([]Ti
 // AppendBulkOwnerTiles appends the mapping's closed-form tile
 // decomposition, or fails with ErrNoBulk when none exists at any
 // composition layer. Unlike AppendOwnerTilesOf it never enumerates
-// elements, so callers holding a cheaper element-wise alternative
-// (such as the runtime's materialized owner grids) can decline
-// without paying an O(region) walk first.
+// elements, so callers holding their own element-wise alternative
+// can decline without paying an O(region) walk first.
 func AppendBulkOwnerTiles(dst []Tile, m ElementMapping, region index.Domain) ([]Tile, error) {
 	if tm, ok := m.(TileMapper); ok {
 		return tm.AppendOwnerTiles(dst, region)
 	}
 	return nil, ErrNoBulk
-}
-
-// TileEstimator is implemented by mappings that can bound their bulk
-// tile count over a region without materializing the tiles.
-type TileEstimator interface {
-	// EstimateOwnerTiles returns an upper bound on the tile count of
-	// AppendOwnerTiles over region, in time independent of both the
-	// region volume and the tile count. ok = false when no cheap
-	// bound exists (the bulk path would decline anyway).
-	EstimateOwnerTiles(region index.Domain) (int, bool)
-}
-
-// EstimateBulkTiles bounds the bulk tile count of a mapping over
-// region, or ok = false when the mapping offers no estimate (which
-// implies the bulk decomposition would decline or be data-dependent
-// — treat it as "don't rely on interval analysis paying off").
-func EstimateBulkTiles(m ElementMapping, region index.Domain) (int, bool) {
-	if te, ok := m.(TileEstimator); ok {
-		return te.EstimateOwnerTiles(region)
-	}
-	return 0, false
 }
 
 // appendEnumTiles is the generic fallback: enumerate region in
@@ -197,12 +175,6 @@ func (m DistMapping) AppendOwners(dst []int, i index.Tuple) ([]int, error) {
 	return m.D.AppendOwners(dst, i)
 }
 
-// EstimateOwnerTiles delegates to the distribution's closed-form run
-// counting.
-func (m DistMapping) EstimateOwnerTiles(region index.Domain) (int, bool) {
-	return m.D.OwnerTileEstimate(region)
-}
-
 // AppendOwnerTiles transports base tiles through the affine interval
 // form of α: the region's image is one base rectangle, the base
 // mapping tiles it, and each base tile pulls back to the alignee
@@ -235,24 +207,6 @@ func (c *Constructed) AppendOwnerTiles(dst []Tile, region index.Domain) ([]Tile,
 		}
 	}
 	return dst, nil
-}
-
-// EstimateOwnerTiles bounds the tile count through the affine
-// interval form: each base tile pulls back to at most one alignee
-// tile, so the base's estimate over the image region bounds ours.
-func (c *Constructed) EstimateOwnerTiles(region index.Domain) (int, bool) {
-	am, ok := c.Alpha.Affine()
-	if !ok || !region.IsStandard() {
-		return 0, false
-	}
-	if region.Empty() && region.Rank() > 0 {
-		return 0, true
-	}
-	baseRegion, ok := am.ImageRegion(region)
-	if !ok {
-		return 0, false
-	}
-	return EstimateBulkTiles(c.BaseMap, baseRegion)
 }
 
 // AppendOwners computes the owner union over α(i) with linear
@@ -322,23 +276,6 @@ func (s *SectionMapping) AppendOwnerTiles(dst []Tile, region index.Domain) ([]Ti
 		dst = append(dst, Tile{Region: index.Domain{Dims: sub}, Proc: at.Proc})
 	}
 	return dst, nil
-}
-
-// EstimateOwnerTiles bounds the tile count through the section's
-// triplet translation: actual tiles map back one-to-one.
-func (s *SectionMapping) EstimateOwnerTiles(region index.Domain) (int, bool) {
-	if !region.IsStandard() || !s.Section.IsStandard() {
-		return 0, false
-	}
-	if region.Empty() && region.Rank() > 0 {
-		return 0, true
-	}
-	dims := make([]index.Triplet, region.Rank())
-	for d, tr := range region.Dims {
-		base := s.Section.Dims[d]
-		dims[d] = index.Unit(base.At(tr.Low-1), base.At(tr.High-1))
-	}
-	return EstimateBulkTiles(s.Actual, index.Domain{Dims: dims})
 }
 
 // AppendOwners translates the dummy index through the section

@@ -45,22 +45,6 @@ func verifyTiles(t *testing.T, label string, m ElementMapping, region index.Doma
 	if len(covered) != region.Size() {
 		t.Fatalf("%s: tiles cover %d of %d elements of %s", label, len(covered), region.Size(), region)
 	}
-	// The grid built from the tiles must agree with the oracle too.
-	if region.Equal(m.Domain()) {
-		g, err := OwnerGrid(m)
-		if err != nil {
-			t.Fatalf("%s: OwnerGrid: %v", label, err)
-		}
-		k := 0
-		m.Domain().ForEach(func(tu index.Tuple) bool {
-			os, _ := m.Owners(tu)
-			if int(g[k]) != os[0] {
-				t.Fatalf("%s: grid[%d]=%d, oracle %v at %s", label, k, g[k], os, tu)
-			}
-			k++
-			return true
-		})
-	}
 }
 
 func mustDist(t *testing.T, dom index.Domain, fs []dist.Format, tg proc.Target) DistMapping {

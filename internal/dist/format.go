@@ -116,8 +116,8 @@ type Format interface {
 	AppendRuns(dst []Run, lo, hi, n, np int) []Run
 	// RunCountEstimate bounds (from above) the number of runs
 	// AppendRuns would produce over [lo, hi], in O(1) — without
-	// materializing them — so callers can decide whether interval
-	// analysis will pay off before spending the allocations.
+	// materializing them — so AppendRuns' destination can be sized
+	// once.
 	RunCountEstimate(lo, hi, n, np int) int
 	// String renders the format in directive syntax.
 	String() string

@@ -16,7 +16,7 @@ import (
 // closed-form intervals instead of O(n) per-element owner lookups.
 // This is the compile-time analyzability the paper claims for its
 // distribution formats, made executable: every consumer that used to
-// enumerate Owners element-by-element (OwnerGrid, BuildSchedule, the
+// enumerate Owners element-by-element (the spmd layouts and plans, the
 // workload sweeps) composes these runs instead, and the per-element
 // API remains as the differential-testing oracle.
 
@@ -224,43 +224,6 @@ var ErrMultiOwner = errors.New("dist: element has multiple owners")
 // fresh slice.
 func (d *Distribution) OwnerRuns(region index.Domain) ([]Tile, error) {
 	return d.AppendOwnerTiles(nil, region)
-}
-
-// OwnerTileEstimate bounds the tile count of AppendOwnerTiles over
-// region in O(rank) without materializing anything. ok = false when
-// the region is outside the decomposable shape (non-standard, out of
-// bounds, wrong rank) or the distribution replicates.
-func (d *Distribution) OwnerTileEstimate(region index.Domain) (int, bool) {
-	if region.Rank() != len(d.dims) || !region.IsStandard() {
-		return 0, false
-	}
-	empty := false
-	for i, tr := range region.Dims {
-		if tr.Empty() {
-			empty = true
-			continue
-		}
-		if tr.Low < d.dims[i].low || tr.High > d.dims[i].high {
-			return 0, false
-		}
-	}
-	if empty {
-		return 0, true
-	}
-	if d.repl != nil {
-		if len(d.repl) != 1 {
-			return 0, false
-		}
-		return 1, true
-	}
-	total := 1
-	for i := range d.dims {
-		dt := &d.dims[i]
-		lo := region.Dims[i].Low - dt.low + 1
-		hi := region.Dims[i].High - dt.low + 1
-		total *= dt.f.RunCountEstimate(lo, hi, dt.n, dt.np)
-	}
-	return total, true
 }
 
 // AppendOwnerTiles appends the owner tiles partitioning region, a

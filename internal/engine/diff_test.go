@@ -14,8 +14,8 @@ import (
 // scenario is one differential-test case: two mappings over the same
 // 2-D domain, a shifted statement, a schedule replay, a remap and a
 // reduction. run executes it on one backend and returns everything
-// observable; the fuzz target asserts both backends observe exactly
-// the same.
+// observable; the fuzz target asserts every backend observes exactly
+// what the oracle does.
 type scenario struct {
 	np       int
 	n        int
@@ -25,8 +25,7 @@ type scenario struct {
 	back     bool // remap A there and back, not one way
 	replayIt int
 	// tkind is the spmd transport the scenario runs on ("inproc",
-	// "shm" or
-	// "tcp"); the sim backend performs no communication.
+	// "shm" or "tcp"); sim always runs on inproc.
 	tkind string
 }
 
@@ -72,6 +71,49 @@ func replicatedMapping(t *testing.T, sys *proc.System, dom index.Domain) core.El
 	return core.DistMapping{D: d}
 }
 
+// newBackend builds an engine of the given kind on the given wire, or
+// the element-wise oracle for oracleKind.
+func newBackend(t *testing.T, kind, tkind string, np int) Engine {
+	t.Helper()
+	var eng Engine
+	var err error
+	if kind == oracleKind {
+		eng, err = NewOracle(np, machine.DefaultCost())
+	} else {
+		eng, err = NewOn(kind, tkind, np, machine.DefaultCost())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// sameOutcome fails unless got, observed on the named backend, is
+// exactly what the oracle observed.
+func sameOutcome(t *testing.T, kind string, want, got outcome) {
+	t.Helper()
+	if len(want.errs) != len(got.errs) {
+		t.Fatalf("error mismatch: oracle %v, %s %v", want.errs, kind, got.errs)
+	}
+	if want.moved != got.moved {
+		t.Fatalf("moved: oracle %d, %s %d", want.moved, kind, got.moved)
+	}
+	if want.sum != got.sum {
+		t.Fatalf("reduce: oracle %g, %s %g", want.sum, kind, got.sum)
+	}
+	if len(want.data) != len(got.data) {
+		t.Fatalf("data length: oracle %d, %s %d", len(want.data), kind, len(got.data))
+	}
+	for i := range want.data {
+		if want.data[i] != got.data[i] {
+			t.Fatalf("value mismatch at %d: oracle %g, %s %g", i, want.data[i], kind, got.data[i])
+		}
+	}
+	if want.report != got.report {
+		t.Fatalf("report mismatch:\n oracle %+v\n %s %+v", want.report, kind, got.report)
+	}
+}
+
 // run executes the scenario on the given backend kind. Mapping
 // construction is shared; only the execution backend differs.
 func (sc scenario) run(t *testing.T, kind string) outcome {
@@ -91,10 +133,7 @@ func (sc scenario) run(t *testing.T, kind string) outcome {
 	if tkind == "" {
 		tkind = InprocTransport
 	}
-	eng, err := NewOn(kind, tkind, sc.np, machine.DefaultCost())
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newBackend(t, kind, tkind, sc.np)
 	defer eng.Close()
 	a, err := eng.NewArray("A", m1)
 	if err != nil {
@@ -200,13 +239,12 @@ func formatFor(sel, k uint8, n, np int) dist.Format {
 	}
 }
 
-// FuzzEngineEquivalence is the differential fuzz target of the spmd
-// engine against the sequential oracle: for random formats, shifts,
-// replicated sources, remaps (one way or there and back) and
-// transports (inproc channels, shm rings or tcp loopback sockets), both
-// backends must produce
-// identical array values, identical remap counts, identical
-// reduction results and an identical machine.Report.
+// FuzzEngineEquivalence is the differential fuzz target of both engine
+// kinds against the element-wise oracle: for random formats, shifts,
+// replicated sources, remaps (one way or there and back) and, for
+// spmd, transports (inproc channels, shm rings or tcp loopback
+// sockets), sim and spmd must each produce the oracle's array values,
+// remap counts, reduction results and machine.Report.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(uint8(4), uint8(12), uint8(0), uint8(2), uint8(0), uint8(1), uint8(2), false, uint8(0))
 	f.Add(uint8(3), uint8(9), uint8(2), uint8(4), uint8(3), uint8(3), uint8(3), false, uint8(2))
@@ -250,30 +288,13 @@ func FuzzEngineEquivalence(f *testing.F) {
 			replayIt: 2,
 			tkind:    tkind,
 		}
-		sim := sc.run(t, Sim)
-		spmd := sc.run(t, SPMD)
-		if len(sim.errs) != len(spmd.errs) {
-			t.Fatalf("error mismatch: sim %v, spmd %v", sim.errs, spmd.errs)
-		}
-		if len(sim.errs) > 0 {
-			return
-		}
-		if sim.moved != spmd.moved {
-			t.Fatalf("moved: sim %d, spmd %d", sim.moved, spmd.moved)
-		}
-		if sim.sum != spmd.sum {
-			t.Fatalf("reduce: sim %g, spmd %g", sim.sum, spmd.sum)
-		}
-		if len(sim.data) != len(spmd.data) {
-			t.Fatalf("data length: sim %d, spmd %d", len(sim.data), len(spmd.data))
-		}
-		for i := range sim.data {
-			if sim.data[i] != spmd.data[i] {
-				t.Fatalf("value mismatch at %d: sim %g, spmd %g", i, sim.data[i], spmd.data[i])
+		want := sc.run(t, oracleKind)
+		for _, kind := range Kinds() {
+			got := sc.run(t, kind)
+			if len(want.errs) > 0 && len(got.errs) == len(want.errs) {
+				continue // failed alike; what came before the failure is not compared
 			}
-		}
-		if sim.report != spmd.report {
-			t.Fatalf("report mismatch:\n sim  %+v\n spmd %+v", sim.report, spmd.report)
+			sameOutcome(t, kind, want, got)
 		}
 	})
 }

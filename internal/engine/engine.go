@@ -1,11 +1,12 @@
-// Package engine selects between the execution backends of the
-// runtime: the sequential simulator (package runtime driving a
-// machine.Machine, kind "sim") and the parallel SPMD engine (package
-// spmd, kind "spmd"). Both implement the same Engine/Array/Schedule
+// Package engine selects between the two dispatchers of the SPMD
+// engine (package spmd): kind "spmd" runs one goroutine per abstract
+// processor, kind "sim" runs the same compiled plans on the caller's
+// goroutine, phase by phase. Both implement the Engine/Array/Schedule
 // interfaces, compute identical array values and report identical
-// machine statistics — the sequential backend is the oracle the
-// parallel one is differentially tested against (see the fuzz target
-// in this package).
+// machine statistics. NewOracle builds a third implementation that is
+// not a selectable kind: package runtime's element-wise executor, the
+// independent derivation the fuzz targets in this package test both
+// kinds against.
 //
 // The process-wide default backend is "sim"; it can be switched with
 // the HPFNT_ENGINE environment variable or by assigning Default
@@ -14,10 +15,9 @@
 // (package transport): HPFNT_TRANSPORT or SetDefaultTransport selects
 // between "inproc" (buffered channels, the default), "shm" (lock-free
 // shared-memory rings) and "tcp" (length-prefixed frames over
-// localhost sockets); sim performs no
-// communication and ignores the transport. Multi-process spmd
-// engines are built directly over a joined transport with
-// NewSPMDOn (see cmd/hpfnode).
+// localhost sockets); sim always runs on the in-process wire and only
+// validates the name. Multi-process spmd engines are built directly
+// over a joined transport with NewSPMDOn (see cmd/hpfnode).
 package engine
 
 import (
@@ -30,15 +30,17 @@ import (
 	"hpfnt/internal/inspector"
 	"hpfnt/internal/machine"
 	"hpfnt/internal/runtime"
+	"hpfnt/internal/spmd"
 	"hpfnt/internal/transport"
 )
 
 // The backend kinds.
 const (
-	// Sim is the sequential owner-computes simulator (the oracle).
+	// Sim is the sequential dispatcher: the spmd engine's plans and
+	// stores, run on the caller's goroutine over the in-process wire.
 	Sim = "sim"
-	// SPMD is the parallel engine: one worker goroutine per abstract
-	// processor, local-only storage, channel-based ghost exchange.
+	// SPMD is the parallel dispatcher: one worker goroutine per
+	// abstract processor, local-only storage, per-pair ghost exchange.
 	SPMD = "spmd"
 )
 
@@ -146,7 +148,8 @@ type GeneralTerm struct {
 // Engine is an execution backend: it materializes distributed arrays
 // and owns the machine counters their operations charge.
 type Engine interface {
-	// Kind reports the backend kind ("sim" or "spmd").
+	// Kind reports the backend kind ("sim" or "spmd"; "oracle" for
+	// NewOracle).
 	Kind() string
 	// NP reports the abstract processor count.
 	NP() int
@@ -195,7 +198,9 @@ type Array interface {
 	Mapping() core.ElementMapping
 	Replicated() bool
 	// Fill initializes every element from fn (which must be pure: the
-	// spmd backend evaluates it concurrently, once per replica).
+	// spmd backend evaluates it concurrently, once per replica). A
+	// panic in fn fails the engine, as a sticky error from the next
+	// operation.
 	Fill(fn func(index.Tuple) float64)
 	At(t index.Tuple) float64
 	Set(t index.Tuple, v float64)
@@ -226,8 +231,7 @@ type Array interface {
 // Schedule is a precompiled, replayable communication schedule.
 type Schedule interface {
 	Execute() error
-	// ExecuteN replays the schedule iters times (one engine epoch on
-	// the spmd backend, a plain loop on sim).
+	// ExecuteN replays the schedule iters times in one engine epoch.
 	ExecuteN(iters int) error
 	GhostElements() int
 	Messages() int
@@ -235,7 +239,7 @@ type Schedule interface {
 
 // New creates a backend of the given kind with np abstract processors
 // and the given cost model, on the DefaultTransport (spmd only; sim
-// performs no communication).
+// always runs on the in-process wire).
 func New(kind string, np int, cost machine.CostModel) (Engine, error) {
 	return NewOn(kind, DefaultTransport, np, cost)
 }
@@ -248,12 +252,16 @@ func New(kind string, np int, cost machine.CostModel) (Engine, error) {
 func NewOn(kind, transportKind string, np int, cost machine.CostModel) (Engine, error) {
 	switch kind {
 	case Sim:
-		// Sim never constructs a transport, so validate the name here
-		// to keep selection errors uniform across backends.
+		// Validate the name anyway, to keep selection errors uniform
+		// across backends.
 		if err := validTransport(transportKind); err != nil {
 			return nil, err
 		}
-		return newSim(np, cost)
+		e, err := spmd.NewSequential(np, cost)
+		if err != nil {
+			return nil, err
+		}
+		return &spmdEngine{e: e, kind: Sim}, nil
 	case SPMD:
 		tr, err := transport.New(transportKind, np)
 		if err != nil {

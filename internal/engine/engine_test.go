@@ -1,12 +1,18 @@
 package engine
 
 import (
+	gort "runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"hpfnt/internal/dist"
 	"hpfnt/internal/index"
+	"hpfnt/internal/inspector"
 	"hpfnt/internal/machine"
 	"hpfnt/internal/proc"
+	"hpfnt/internal/runtime"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -19,8 +25,132 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(SPMD, 0, machine.DefaultCost()); err == nil {
 		t.Fatal("np=0 must fail on spmd")
 	}
-	if len(Kinds()) != 2 {
+	if !slices.Equal(Kinds(), []string{Sim, SPMD}) {
 		t.Fatalf("kinds = %v", Kinds())
+	}
+	// The oracle is reachable only through NewOracle.
+	if _, err := New(oracleKind, 4, machine.DefaultCost()); err == nil {
+		t.Fatal("the oracle must not be an engine kind")
+	}
+	o, err := NewOracle(4, machine.DefaultCost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Checkpoint(t.TempDir(), 1, nil); err == nil {
+		t.Fatal("the oracle must refuse to checkpoint")
+	}
+	if _, err := o.Restore(t.TempDir(), nil); err == nil {
+		t.Fatal("the oracle must refuse to restore")
+	}
+}
+
+// TestSimIsSequential pins what the sim kind is: the spmd engine's
+// plans run on the caller's goroutine. From NewOn through a statement,
+// a schedule epoch, an irregular gather, a remap, a reduction and
+// Close it starts no goroutine — the parallel kind, run the same way,
+// holds one per worker until Close — and it computes the element-wise
+// oracle's values and logical report. A panicking Fill comes back as
+// the engine's sticky error, as it does on spmd.
+func TestSimIsSequential(t *testing.T) {
+	const n, np = 16, 4
+	dom := index.Standard(1, n, 1, n)
+	interior := index.Standard(2, n-1, 2, n-1)
+	// extra is how many goroutines exist beyond base once those of
+	// earlier tests have had a moment to finish exiting; one the engine
+	// started would stay until Close.
+	extra := func(base int) int {
+		c := gort.NumGoroutine()
+		for i := 0; i < 50 && c > base; i++ {
+			time.Sleep(2 * time.Millisecond)
+			c = gort.NumGoroutine()
+		}
+		return c - base
+	}
+	type result struct {
+		vals  []float64
+		sum   float64
+		rep   machine.Report
+		extra int
+	}
+	run := func(kind string) result {
+		base := gort.NumGoroutine()
+		eng := newBackend(t, kind, InprocTransport, np)
+		sys, _ := proc.NewSystem(np)
+		a, err := eng.NewArray("A", buildMapping(t, sys, dom, dist.Block{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := eng.NewArray("B", buildMapping(t, sys, dom, dist.Cyclic{K: 3}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Fill(func(tu index.Tuple) float64 { return float64(tu[0]*7 - tu[1]) })
+		terms := []Term{Read(a, 0.25, -1, 0), Read(a, 0.25, 1, 0), Read(a, 0.5, 0, 1)}
+		if err := b.Assign(interior, terms); err != nil {
+			t.Fatal(err)
+		}
+		sched, err := a.NewSchedule(interior, []Term{Read(a, 0.5, -1, 0), Read(b, 0.5, 0, -1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sched.ExecuteN(3); err != nil {
+			t.Fatal(err)
+		}
+		var pat inspector.Pattern
+		for i := 0; i < dom.Size(); i += 3 {
+			pat.Writes = append(pat.Writes, int32(i))
+			pat.Reads = append(pat.Reads, int32((i*11+5)%dom.Size()))
+			pat.Coeffs = append(pat.Coeffs, 2)
+		}
+		gather, err := b.NewIrregular(a, pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gather.Execute(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Remap(buildMapping(t, sys, dom, dist.Cyclic{K: 2})); err != nil {
+			t.Fatal(err)
+		}
+		sum, err := b.Reduce(runtime.ReduceSum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := result{vals: append(a.Data(), b.Data()...), sum: sum, rep: eng.Stats().Logical(), extra: extra(base)}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if kind == Sim {
+			r.extra = max(r.extra, extra(base))
+		}
+		return r
+	}
+	want, sim := run(oracleKind), run(Sim)
+	if sim.extra > 0 {
+		t.Fatalf("sim left %d goroutines running", sim.extra)
+	}
+	if par := run(SPMD); par.extra < np {
+		t.Fatalf("spmd shows %d extra goroutines before Close, want its %d workers: the count is not measuring", par.extra, np)
+	}
+	if sim.sum != want.sum || sim.rep != want.rep || !slices.Equal(sim.vals, want.vals) {
+		t.Fatalf("sim differs from the oracle:\n sim    sum %g %+v\n oracle sum %g %+v", sim.sum, sim.rep, want.sum, want.rep)
+	}
+
+	eng := newBackend(t, Sim, InprocTransport, np)
+	defer eng.Close()
+	sys, _ := proc.NewSystem(np)
+	a, err := eng.NewArray("A", buildMapping(t, sys, dom, dist.Block{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Fill(func(tu index.Tuple) float64 {
+		if tu[0] == 7 {
+			panic("injected failure")
+		}
+		return 1
+	})
+	if _, err := a.Reduce(runtime.ReduceSum); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("Reduce after a panicking Fill = %v, want the worker's panic", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"hpfnt/internal/dist"
 	"hpfnt/internal/index"
 	"hpfnt/internal/inspector"
-	"hpfnt/internal/machine"
 	"hpfnt/internal/proc"
 	"hpfnt/internal/runtime"
 )
@@ -14,7 +13,7 @@ import (
 // irregularScenario is one differential case for the irregular
 // (inspector–executor) path: two random rank-1 distributions, a
 // random indirection pattern, a schedule replay, and a remap that
-// must invalidate the schedule on both backends.
+// must invalidate the schedule on every backend.
 type irregularScenario struct {
 	np, n    int
 	f1, f2   dist.Format
@@ -22,6 +21,8 @@ type irregularScenario struct {
 	patSeed  uint64
 	accesses int
 	replayIt int
+	// tkind is the wire of the spmd run.
+	tkind string
 }
 
 // pattern derives a deterministic access pattern over offsets 0..n-1
@@ -52,10 +53,7 @@ func (sc irregularScenario) run(t *testing.T, kind string) outcome {
 	m1 := rank1Mapping(t, sys, sc.n, sc.f1)
 	m2 := rank1Mapping(t, sys, sc.n, sc.f2)
 	m3 := rank1Mapping(t, sys, sc.n, sc.f3)
-	eng, err := New(kind, sc.np, machine.DefaultCost())
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newBackend(t, kind, sc.tkind, sc.np)
 	defer eng.Close()
 	x, err := eng.NewArray("X", m1)
 	if err != nil {
@@ -78,7 +76,7 @@ func (sc irregularScenario) run(t *testing.T, kind string) outcome {
 		fail(err)
 	}
 	// Remap the source: the schedule must refuse replay identically
-	// on both backends, and a rebuilt schedule must execute.
+	// on every backend, and a rebuilt schedule must execute.
 	moved, err := x.Remap(m3)
 	if err != nil {
 		fail(err)
@@ -110,16 +108,23 @@ func (sc irregularScenario) run(t *testing.T, kind string) outcome {
 
 // FuzzIrregularEquivalence is the differential fuzz target of the
 // inspector–executor path: for random rank-1 distributions (including
-// INDIRECT owner vectors) and random indirection patterns, the sim
-// and spmd backends must produce identical array values, identical
-// reductions, identical machine.Report statistics, and identical
-// invalidation behavior across a remap.
+// INDIRECT owner vectors), random indirection patterns and, for spmd,
+// a random wire, sim and spmd must each produce the element-wise
+// oracle's array values, reductions, machine.Report statistics and
+// invalidation behavior across a remap. Both kinds lower the same
+// inspector schedule into the same plan, so this is that lowering's
+// guard.
 func FuzzIrregularEquivalence(f *testing.F) {
 	f.Add(uint8(4), uint8(12), uint8(0), uint8(4), uint8(2), uint8(3), uint64(1), uint8(40), uint8(2))
 	f.Add(uint8(3), uint8(9), uint8(4), uint8(1), uint8(0), uint8(5), uint64(99), uint8(17), uint8(1))
 	f.Add(uint8(6), uint8(20), uint8(2), uint8(4), uint8(4), uint8(7), uint64(7), uint8(80), uint8(3))
 	f.Add(uint8(2), uint8(5), uint8(3), uint8(3), uint8(1), uint8(0), uint64(12345), uint8(0), uint8(1))
 	f.Add(uint8(5), uint8(16), uint8(4), uint8(4), uint8(3), uint8(9), uint64(31), uint8(120), uint8(2))
+	// The same shapes with the spmd run on the other wires (itB/3 picks
+	// the wire).
+	f.Add(uint8(4), uint8(12), uint8(0), uint8(4), uint8(2), uint8(3), uint64(1), uint8(40), uint8(5))
+	f.Add(uint8(6), uint8(20), uint8(2), uint8(4), uint8(4), uint8(7), uint64(7), uint8(80), uint8(6))
+	f.Add(uint8(3), uint8(9), uint8(4), uint8(1), uint8(0), uint8(5), uint64(99), uint8(17), uint8(7))
 	f.Fuzz(func(t *testing.T, npB, nB, sel1, sel2, sel3, k uint8, patSeed uint64, accB, itB uint8) {
 		np := int(npB%7) + 2
 		n := int(nB%24) + 4
@@ -132,28 +137,11 @@ func FuzzIrregularEquivalence(f *testing.F) {
 			patSeed:  patSeed,
 			accesses: int(accB),
 			replayIt: int(itB%3) + 1,
+			tkind:    Transports()[int(itB/3)%len(Transports())],
 		}
-		sim := sc.run(t, Sim)
-		spmd := sc.run(t, SPMD)
-		if len(sim.errs) != len(spmd.errs) {
-			t.Fatalf("error mismatch: sim %v, spmd %v", sim.errs, spmd.errs)
-		}
-		if sim.moved != spmd.moved {
-			t.Fatalf("moved: sim %d, spmd %d", sim.moved, spmd.moved)
-		}
-		if sim.sum != spmd.sum {
-			t.Fatalf("reduce: sim %g, spmd %g", sim.sum, spmd.sum)
-		}
-		if len(sim.data) != len(spmd.data) {
-			t.Fatalf("data length: sim %d, spmd %d", len(sim.data), len(spmd.data))
-		}
-		for i := range sim.data {
-			if sim.data[i] != spmd.data[i] {
-				t.Fatalf("value mismatch at %d: sim %g, spmd %g", i, sim.data[i], spmd.data[i])
-			}
-		}
-		if sim.report != spmd.report {
-			t.Fatalf("report mismatch:\n sim  %+v\n spmd %+v", sim.report, spmd.report)
+		want := sc.run(t, oracleKind)
+		for _, kind := range Kinds() {
+			sameOutcome(t, kind, want, sc.run(t, kind))
 		}
 	})
 }

@@ -46,10 +46,7 @@ func irregularOutcome(t *testing.T, kind string, iters int) ([]float64, machine.
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(kind, np, machine.DefaultCost())
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newBackend(t, kind, DefaultTransport, np)
 	defer eng.Close()
 	x, err := eng.NewArray("X", rank1Mapping(t, sys, n, indir))
 	if err != nil {
@@ -77,33 +74,37 @@ func irregularOutcome(t *testing.T, kind string, iters int) ([]float64, machine.
 	return y.Data(), eng.Stats()
 }
 
-// TestIrregularSimSpmdAgree asserts the two backends compute the same
-// values and charge identical statistics for an irregular gather, and
-// that replay (schedule reuse) leaves the values fixed while scaling
-// the traffic linearly.
+// TestIrregularSimSpmdAgree asserts sim and spmd compute the oracle's
+// values and charge its statistics for an irregular gather, and that
+// replay (schedule reuse) leaves the values fixed while scaling the
+// traffic linearly.
 func TestIrregularSimSpmdAgree(t *testing.T) {
-	simVals, simRep := irregularOutcome(t, Sim, 1)
-	spmdVals, spmdRep := irregularOutcome(t, SPMD, 1)
-	for i := range simVals {
-		if simVals[i] != spmdVals[i] {
-			t.Fatalf("value mismatch at %d: sim %g, spmd %g", i, simVals[i], spmdVals[i])
-		}
-	}
-	if simRep != spmdRep {
-		t.Fatalf("report mismatch:\n sim  %+v\n spmd %+v", simRep, spmdRep)
-	}
-	sim3Vals, sim3Rep := irregularOutcome(t, Sim, 3)
-	spmd3Vals, spmd3Rep := irregularOutcome(t, SPMD, 3)
-	for i := range sim3Vals {
-		if sim3Vals[i] != simVals[i] || spmd3Vals[i] != simVals[i] {
+	want, wantRep := irregularOutcome(t, oracleKind, 1)
+	want3, want3Rep := irregularOutcome(t, oracleKind, 3)
+	for i := range want {
+		if want3[i] != want[i] {
 			t.Fatalf("replay changed values at %d", i)
 		}
 	}
-	if sim3Rep != spmd3Rep {
-		t.Fatalf("replay report mismatch:\n sim  %+v\n spmd %+v", sim3Rep, spmd3Rep)
+	if want3Rep.ElementsMoved != 3*wantRep.ElementsMoved || want3Rep.Messages != 3*wantRep.Messages {
+		t.Fatalf("replay traffic not linear: 1 iter %+v, 3 iters %+v", wantRep, want3Rep)
 	}
-	if sim3Rep.ElementsMoved != 3*simRep.ElementsMoved || sim3Rep.Messages != 3*simRep.Messages {
-		t.Fatalf("replay traffic not linear: 1 iter %+v, 3 iters %+v", simRep, sim3Rep)
+	for _, kind := range Kinds() {
+		for _, it := range []struct {
+			iters int
+			vals  []float64
+			rep   machine.Report
+		}{{1, want, wantRep}, {3, want3, want3Rep}} {
+			vals, rep := irregularOutcome(t, kind, it.iters)
+			for i := range vals {
+				if vals[i] != it.vals[i] {
+					t.Fatalf("%s x%d: value mismatch at %d: %g, oracle %g", kind, it.iters, i, vals[i], it.vals[i])
+				}
+			}
+			if rep != it.rep {
+				t.Fatalf("%s x%d: report mismatch:\n got    %+v\n oracle %+v", kind, it.iters, rep, it.rep)
+			}
+		}
 	}
 }
 
@@ -158,18 +159,15 @@ func TestIrregularOracleValues(t *testing.T) {
 }
 
 // TestIrregularInvalidation: remapping either array must invalidate
-// the schedule on both backends, with matching error behavior.
+// the schedule on every backend, with matching error behavior.
 func TestIrregularInvalidation(t *testing.T) {
-	for _, kind := range Kinds() {
+	for _, kind := range append(Kinds(), oracleKind) {
 		const n, np = 12, 3
 		sys, err := proc.NewSystem(np)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := New(kind, np, machine.DefaultCost())
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newBackend(t, kind, DefaultTransport, np)
 		defer eng.Close()
 		x, err := eng.NewArray("X", rank1Mapping(t, sys, n, dist.Block{}))
 		if err != nil {
@@ -197,10 +195,10 @@ func TestIrregularInvalidation(t *testing.T) {
 	}
 }
 
-// TestIrregularReplicatedRefused: both backends refuse replicated
+// TestIrregularReplicatedRefused: every backend refuses replicated
 // arrays with the shared error text.
 func TestIrregularReplicatedRefused(t *testing.T) {
-	for _, kind := range Kinds() {
+	for _, kind := range append(Kinds(), oracleKind) {
 		const n, np = 8, 2
 		sys, err := proc.NewSystem(np)
 		if err != nil {
@@ -214,10 +212,7 @@ func TestIrregularReplicatedRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := New(kind, np, machine.DefaultCost())
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newBackend(t, kind, DefaultTransport, np)
 		defer eng.Close()
 		r, err := eng.NewArray("R", core.DistMapping{D: d})
 		if err != nil {

@@ -11,10 +11,11 @@ import (
 	"hpfnt/internal/transport"
 )
 
-// spmdEngine adapts the parallel SPMD engine to the backend
-// interface.
+// spmdEngine adapts the SPMD engine, under either dispatcher, to the
+// backend interface.
 type spmdEngine struct {
-	e *spmd.Engine
+	e    *spmd.Engine
+	kind string
 }
 
 func newSPMDOn(tr transport.Transport, cost machine.CostModel) (Engine, error) {
@@ -23,10 +24,10 @@ func newSPMDOn(tr transport.Transport, cost machine.CostModel) (Engine, error) {
 		tr.Close()
 		return nil, err
 	}
-	return &spmdEngine{e: e}, nil
+	return &spmdEngine{e: e, kind: SPMD}, nil
 }
 
-func (e *spmdEngine) Kind() string                { return SPMD }
+func (e *spmdEngine) Kind() string                { return e.kind }
 func (e *spmdEngine) NP() int                     { return e.e.NP() }
 func (e *spmdEngine) Machine() *machine.Machine   { return e.e.Machine() }
 func (e *spmdEngine) Stats() machine.Report       { return e.e.Stats() }
@@ -41,7 +42,7 @@ func (e *spmdEngine) unwrapArrays(arrays []Array) ([]*spmd.Array, error) {
 	for i, a := range arrays {
 		sa, ok := a.(*spmdArray)
 		if !ok || sa.eng != e {
-			return nil, fmt.Errorf("engine: array %s is not on this spmd engine", a.Name())
+			return nil, fmt.Errorf("engine: array %s is not on this %s engine", a.Name(), e.kind)
 		}
 		out[i] = sa.a
 	}
@@ -91,7 +92,7 @@ func (x *spmdArray) terms(ts []Term) ([]spmd.Term, error) {
 	for i, t := range ts {
 		sa, ok := t.Src.(*spmdArray)
 		if !ok || sa.eng != x.eng {
-			return nil, fmt.Errorf("engine: term source %s is not on this spmd engine", t.Src.Name())
+			return nil, fmt.Errorf("engine: term source %s is not on this %s engine", t.Src.Name(), x.eng.kind)
 		}
 		out[i] = spmd.Term{Src: sa.a, Shift: t.Shift, Coeff: t.Coeff}
 	}
@@ -111,7 +112,7 @@ func (x *spmdArray) AssignGeneral(region index.Domain, ts []GeneralTerm) error {
 	for i, t := range ts {
 		sa, ok := t.Src.(*spmdArray)
 		if !ok || sa.eng != x.eng {
-			return fmt.Errorf("engine: term source %s is not on this spmd engine", t.Src.Name())
+			return fmt.Errorf("engine: term source %s is not on this %s engine", t.Src.Name(), x.eng.kind)
 		}
 		out[i] = spmd.GeneralTerm{Src: sa.a, Coeff: t.Coeff, Map: t.Map}
 	}
@@ -133,7 +134,7 @@ func (x *spmdArray) NewSchedule(region index.Domain, ts []Term) (Schedule, error
 func (x *spmdArray) NewIrregular(src Array, pat inspector.Pattern) (Schedule, error) {
 	sa, ok := src.(*spmdArray)
 	if !ok || sa.eng != x.eng {
-		return nil, fmt.Errorf("engine: irregular source %s is not on this spmd engine", src.Name())
+		return nil, fmt.Errorf("engine: irregular source %s is not on this %s engine", src.Name(), x.eng.kind)
 	}
 	s, err := x.eng.e.BuildIrregular(x.a, sa.a, pat)
 	if err != nil {

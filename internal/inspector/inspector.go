@@ -19,16 +19,16 @@
 // ghost-buffer slots — plus one deduplicated gather list per ordered
 // processor pair (the halo exchange).
 //
-// The schedule is engine-neutral: the sequential simulator (package
-// runtime) executes it over dense storage as the differential oracle,
-// and the parallel engine (package spmd) lowers offsets to local
-// store slots and ships the gather lists as real channel messages.
-// Both charge the machine counters recorded here, so their statistics
-// agree by construction; values are asserted equal by the
+// The schedule is engine-neutral: the element-wise reference executor
+// (package runtime) executes it over dense storage as the differential
+// oracle, and the spmd engine (package spmd) lowers offsets to local
+// store slots and ships the gather lists as real messages. Both charge
+// the machine counters recorded here, so their statistics agree by
+// construction; values are asserted equal by the
 // FuzzIrregularEquivalence target in package engine. In the pipeline
-// this package sits beside the run-length schedule analysis of
-// package runtime: regular (shift) statements compile through owner
-// tiles, irregular ones through this inspector.
+// this package sits beside the spmd regular compiler: regular (shift)
+// statements compile through owner tiles, irregular ones through this
+// inspector.
 package inspector
 
 import (

@@ -9,10 +9,35 @@ import (
 	"testing"
 
 	"hpfnt/hpf"
+	"hpfnt/internal/engine"
 	"hpfnt/internal/interp"
 )
 
-var update = flag.Bool("update", false, "rewrite the corpus golden fixtures from the sim/inproc oracle")
+var update = flag.Bool("update", false, "rewrite the corpus golden fixtures from the element-wise oracle")
+
+// oracleEngine selects runOracle in runCorpusProgram; it is not an
+// engine kind.
+const oracleEngine = "oracle"
+
+// runOracle interprets src as cfg describes, but on the element-wise
+// reference executor (engine.NewOracle) instead of an engine kind.
+func runOracle(cfg interp.Config, src string) (*interp.Result, error) {
+	np := cfg.NP
+	if np == 0 {
+		np = 8 // interp.Config's default
+	}
+	eng, err := engine.NewOracle(np, hpf.DefaultCost())
+	if err != nil {
+		return nil, err
+	}
+	prog, err := hpf.NewProgramOn(cfg.Name, eng)
+	if err != nil {
+		return nil, err
+	}
+	defer prog.Close()
+	cfg.Apply(prog)
+	return interp.NewWith(prog, cfg.Limits).Run(src)
+}
 
 // loadCorpus returns the corpus program paths.
 func loadCorpus(t *testing.T) []string {
@@ -43,7 +68,11 @@ func runCorpusProgram(t *testing.T, path, engineKind, transportKind string) *int
 	if err := interp.ScanFileOptions(src, &cfg); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cfg.Run(src)
+	run := cfg.Run
+	if engineKind == oracleEngine {
+		run = func(src string) (*interp.Result, error) { return runOracle(cfg, src) }
+	}
+	res, err := run(src)
 	if err != nil {
 		t.Fatalf("%s on %s/%s: %v", path, engineKind, transportKind, err)
 	}
@@ -100,14 +129,14 @@ func sameResult(t *testing.T, label string, want, got *interp.Result) {
 }
 
 // TestCorpusGolden checks every corpus program against its .golden
-// fixture on the sim/inproc oracle, then asserts the full identity
+// fixture on the element-wise oracle, then asserts the full identity
 // contract for every engine × transport combination. Regenerate
 // fixtures with: go test ./internal/interp -run TestCorpusGolden -update
 func TestCorpusGolden(t *testing.T) {
 	for _, path := range loadCorpus(t) {
 		name := strings.TrimSuffix(filepath.Base(path), ".hpf")
 		t.Run(name, func(t *testing.T) {
-			oracle := runCorpusProgram(t, path, "sim", "inproc")
+			oracle := runCorpusProgram(t, path, oracleEngine, "")
 			goldenPath := strings.TrimSuffix(path, ".hpf") + ".golden"
 			text := describeResult(oracle)
 			if *update {
@@ -124,9 +153,6 @@ func TestCorpusGolden(t *testing.T) {
 			}
 			for _, engineKind := range hpf.Engines() {
 				for _, transportKind := range hpf.Transports() {
-					if engineKind == "sim" && transportKind == "inproc" {
-						continue // the oracle itself
-					}
 					label := engineKind + "/" + transportKind
 					t.Run(label, func(t *testing.T) {
 						got := runCorpusProgram(t, path, engineKind, transportKind)

@@ -117,10 +117,10 @@ func genProgram(data []byte) (src string, np int, wire string) {
 
 // FuzzInterpEquivalence generates well-formed programs and requires
 // byte-identical observable results — PRINT output, array values and
-// the logical machine report — between the sim/inproc oracle and the
-// spmd engine on a fuzz-chosen wire. This is the differential-testing
-// contract of the hand-written workloads, applied to generated
-// program text.
+// the logical machine report — between the element-wise oracle
+// (engine.NewOracle) and both engine kinds: sim, and spmd on a
+// fuzz-chosen wire. This is the differential-testing contract of the
+// hand-written workloads, applied to generated program text.
 func FuzzInterpEquivalence(f *testing.F) {
 	f.Add([]byte("hpf"))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -130,30 +130,35 @@ func FuzzInterpEquivalence(f *testing.F) {
 			t.Skip("oversized input")
 		}
 		src, np, wire := genProgram(data)
-		oracle, err := interp.Config{NP: np, Engine: "sim", Transport: "inproc", Limits: fuzzLimits}.Run(src)
+		cfg := interp.Config{NP: np, Limits: fuzzLimits}
+		oracle, err := runOracle(cfg, src)
 		if err != nil {
-			t.Fatalf("generated program rejected by oracle: %v\n%s", err, src)
+			t.Fatalf("generated program rejected by the oracle: %v\n%s", err, src)
 		}
-		got, err := interp.Config{NP: np, Engine: "spmd", Transport: wire, Limits: fuzzLimits}.Run(src)
-		if err != nil {
-			t.Fatalf("spmd/%s rejected a program the oracle ran: %v\n%s", wire, err, src)
-		}
-		if oracle.Output != got.Output {
-			t.Fatalf("output differs on spmd/%s\noracle:\n%s\ngot:\n%s\nprogram:\n%s", wire, oracle.Output, got.Output, src)
-		}
-		for _, name := range oracle.Names {
-			ov, gv := oracle.Values[name], got.Values[name]
-			if len(ov) != len(gv) {
-				t.Fatalf("%s: %d elements on oracle, %d on spmd/%s\n%s", name, len(ov), len(gv), wire, src)
+		for _, run := range []struct{ kind, wire string }{{"sim", "inproc"}, {"spmd", wire}} {
+			cfg.Engine, cfg.Transport = run.kind, run.wire
+			got, err := cfg.Run(src)
+			on := run.kind + "/" + run.wire
+			if err != nil {
+				t.Fatalf("%s rejected a program the oracle ran: %v\n%s", on, err, src)
 			}
-			for i := range ov {
-				if ov[i] != gv[i] {
-					t.Fatalf("%s[%d]: oracle %v, spmd/%s %v\nprogram:\n%s", name, i, ov[i], wire, gv[i], src)
+			if oracle.Output != got.Output {
+				t.Fatalf("output differs on %s\noracle:\n%s\ngot:\n%s\nprogram:\n%s", on, oracle.Output, got.Output, src)
+			}
+			for _, name := range oracle.Names {
+				ov, gv := oracle.Values[name], got.Values[name]
+				if len(ov) != len(gv) {
+					t.Fatalf("%s: %d elements on the oracle, %d on %s\n%s", name, len(ov), len(gv), on, src)
+				}
+				for i := range ov {
+					if ov[i] != gv[i] {
+						t.Fatalf("%s[%d]: oracle %v, %s %v\nprogram:\n%s", name, i, ov[i], on, gv[i], src)
+					}
 				}
 			}
-		}
-		if ol, gl := oracle.Report.Logical(), got.Report.Logical(); ol != gl {
-			t.Fatalf("logical report differs on spmd/%s\noracle: %+v\ngot:    %+v\nprogram:\n%s", wire, ol, gl, src)
+			if ol, gl := oracle.Report.Logical(), got.Report.Logical(); ol != gl {
+				t.Fatalf("logical report differs on %s\noracle: %+v\ngot:    %+v\nprogram:\n%s", on, ol, gl, src)
+			}
 		}
 	})
 }

@@ -8,9 +8,9 @@ import (
 
 // Phase identifies one slice of a worker's wall time. The spmd engine
 // splits each worker's execution into these phases (package obs gates
-// the timers); the sequential simulator never charges them, so with
-// timing disabled every Report.Phase is zero and reports stay
-// comparable across engines.
+// the timers) under either dispatcher; the element-wise oracle never
+// charges them, so with timing disabled every Report.Phase is zero and
+// reports stay comparable across engines.
 type Phase int
 
 // The worker phases, in encoding order.

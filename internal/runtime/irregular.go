@@ -7,7 +7,7 @@ import (
 	"hpfnt/internal/machine"
 )
 
-// IrregularSchedule is the sequential executor's side of the
+// IrregularSchedule is the element-wise executor's side of the
 // inspector–executor technique (package inspector): the reusable
 // schedule of one irregular gather/scatter statement
 //
@@ -19,7 +19,7 @@ import (
 // on the machine and computes the values — structurally the same
 // ghost-fill / accumulate / store sequence the spmd engine performs
 // over its distributed stores, executed here over the dense backing.
-// This executor is the differential oracle for the spmd one: both
+// This executor is the differential oracle for the spmd engine: both
 // charge the counters recorded in the shared inspector schedule, so
 // their statistics agree by construction and their values are
 // asserted equal by FuzzIrregularEquivalence (package engine).

@@ -1,8 +1,7 @@
 // Package runtime executes array statements over distributed arrays
 // under the owner-computes rule, charging communication to a
-// simulated machine (package machine). It is the execution substrate
-// for the paper's experiments: a statement like the staggered-grid
-// update of §8.1.1,
+// simulated machine (package machine). A statement like the
+// staggered-grid update of §8.1.1,
 //
 //	P = U(0:N-1,:) + U(1:N,:) + V(:,0:N-1) + V(:,1:N)
 //
@@ -13,16 +12,20 @@
 // (message vectorization), with per-statement deduplication of
 // repeated remote elements.
 //
-// This sequential executor is also the differential-testing oracle
-// for the parallel SPMD engine (package spmd): for any statement,
-// schedule replay, remap or reduction, the spmd engine must produce
-// identical array values and identical machine statistics to this
-// package. Tests and fuzz targets in internal/engine assert that
-// equivalence.
+// It is the element-wise reference executor: values live in one dense
+// global backing, ownership in per-element owner grids, and every
+// analysis walks elements — no owner tiles, cells, layouts or plans.
+// That independence is its job. The SPMD engine (package spmd), under
+// both its dispatchers, must produce identical array values and
+// identical machine statistics to this package for any statement,
+// schedule replay, remap or reduction; engine.NewOracle puts it behind
+// the backend interface, and the tests and fuzz targets in
+// internal/engine assert that equivalence.
 package runtime
 
 import (
 	"fmt"
+	"slices"
 
 	"hpfnt/internal/core"
 	"hpfnt/internal/index"
@@ -115,12 +118,7 @@ func (a *Array) ownedBy(off int, p int) bool {
 	if a.owners != nil {
 		return int(a.owners[off]) == p
 	}
-	for _, o := range a.repOwns[off] {
-		if o == p {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(a.repOwns[off], p)
 }
 
 // Term is one right-hand-side reference Coeff * Src(t + Shift).
@@ -153,14 +151,10 @@ func ShiftAssign(m *machine.Machine, lhs *Array, region index.Domain, terms []Te
 	if err := checkStatement(lhs, region, terms); err != nil {
 		return err
 	}
-	// Ownership analysis over runs (falling back to the per-element
-	// oracle when run analysis does not apply); value evaluation stays
-	// a plain data sweep with no ownership work per element.
 	var an *analysis
 	if m != nil {
 		var err error
-		an, err = analyzeStatement(lhs, region, terms)
-		if err != nil {
+		if an, err = analyzeElementwise(lhs, region, terms); err != nil {
 			return err
 		}
 	}
@@ -299,9 +293,9 @@ func GeneralAssign(m *machine.Machine, lhs *Array, region index.Domain, terms []
 // RemapSender picks which holder of a (possibly replicated) element
 // ships it to new owner dst during a remap: destinations are spread
 // round-robin over the replica set, so a replicated source does not
-// funnel all outgoing remap traffic through its first owner. Both the
-// sequential executor and the spmd engine use this rule, keeping
-// their traffic statistics identical.
+// funnel all outgoing remap traffic through its first owner. Both this
+// executor and the spmd engine use this rule, keeping their traffic
+// statistics identical.
 func RemapSender(old []int, dst int) int {
 	if len(old) == 1 {
 		return old[0]
@@ -314,118 +308,41 @@ func RemapSender(old []int, dst int) int {
 // set changes, and returns the number of elements moved. The values
 // are unchanged; only ownership (and therefore placement) moves. This
 // is the data movement behind REDISTRIBUTE, REALIGN and explicit
-// dummy-argument remapping (§4.2, §5.2, §7).
-//
-// When both mappings are single-owner and the identity statement
-// new(:) = old(:) has uniform cells (core.RemapCuts, the enumeration
-// the spmd engine lowers its remap plan from), ownership is compared
-// once per cell — O(tiles) instead of a per-element owner-set walk;
-// replicated or non-bulk mappings take the element path, which doubles
-// as the oracle.
+// dummy-argument remapping (§4.2, §5.2, §7). Owner sets are compared
+// element by element.
 func Remap(m *machine.Machine, a *Array, newMap core.ElementMapping) (int, error) {
 	if !newMap.Domain().Equal(a.Dom) {
 		return 0, fmt.Errorf("runtime: remap of %s to mapping over %s (have %s)", a.Name, newMap.Domain(), a.Dom)
 	}
-	var newOwners []int32
-	var newRep [][]int
-	g, err := core.OwnerGrid(newMap)
-	if err == nil {
-		newOwners = g
-	} else {
-		newRep, err = core.ReplicatedGrid(newMap)
-		if err != nil {
+	b := &Array{Name: a.Name, Dom: a.Dom, mapping: newMap}
+	var err error
+	if b.owners, err = core.OwnerGrid(newMap); err != nil {
+		if b.repOwns, err = core.ReplicatedGrid(newMap); err != nil {
 			return 0, fmt.Errorf("runtime: remap of %s: %w", a.Name, err)
 		}
 	}
-	moved, pairElems, ok := 0, map[[2]int]int{}, false
-	if a.owners != nil && newOwners != nil {
-		moved, pairElems, ok = remapTilewise(a, newMap, newOwners)
-	}
-	if !ok {
-		moved, pairElems = remapElementwise(a, newOwners, newRep)
+	moved := 0
+	pairElems := map[[2]int]int{}
+	for off := range a.data {
+		old, gained := a.ownerSet(off), false
+		for _, p := range b.ownerSet(off) {
+			if !slices.Contains(old, p) {
+				gained = true
+				pairElems[[2]int{RemapSender(old, p), p}]++
+			}
+		}
+		if gained {
+			moved++
+		}
 	}
 	if m != nil {
 		for pr, n := range pairElems {
 			m.Send(pr[0], pr[1], n)
 		}
 	}
-	a.owners = newOwners
-	a.repOwns = newRep
-	a.mapping = newMap
+	a.owners, a.repOwns, a.mapping = b.owners, b.repOwns, newMap
 	a.gen++
 	return moved, nil
-}
-
-// remapTilewise compares ownership over the uniform cells of the old
-// and the new mapping: every cell whose owner changes contributes its
-// whole volume to the corresponding processor pair. ok = false when
-// there is no closed form; the caller falls back to the element walk.
-func remapTilewise(a *Array, newMap core.ElementMapping, newOwners []int32) (int, map[[2]int]int, bool) {
-	cuts := core.RemapCuts(a.Dom, a.mapping, newMap)
-	if cuts == nil {
-		return 0, nil, false
-	}
-	moved := 0
-	pairElems := map[[2]int]int{}
-	core.ForEachCell(cuts, func(lo, hi []int) {
-		off, _ := a.Dom.Offset(lo)
-		from, to := int(a.owners[off]), int(newOwners[off])
-		if from == to {
-			return
-		}
-		n := 1
-		for d := range lo {
-			n *= hi[d] - lo[d] + 1
-		}
-		moved += n
-		pairElems[[2]int{from, to}] += n
-	})
-	return moved, pairElems, true
-}
-
-// remapElementwise is the per-element ownership comparison, the
-// fallback (and oracle) for replicated or non-bulk mappings.
-func remapElementwise(a *Array, newOwners []int32, newRep [][]int) (int, map[[2]int]int) {
-	moved := 0
-	pairElems := map[[2]int]int{}
-	size := a.Dom.Size()
-	var oldSingle, newSingle [1]int
-	for off := 0; off < size; off++ {
-		var old []int
-		if a.owners != nil {
-			oldSingle[0] = int(a.owners[off])
-			old = oldSingle[:]
-		} else {
-			old = a.repOwns[off]
-		}
-		var cur []int
-		if newOwners != nil {
-			newSingle[0] = int(newOwners[off])
-			cur = newSingle[:]
-		} else {
-			cur = newRep[off]
-		}
-		anyNew := false
-		for _, p := range cur {
-			if !containsInt(old, p) {
-				anyNew = true
-				pairElems[[2]int{RemapSender(old, p), p}]++
-			}
-		}
-		if anyNew {
-			moved++
-		}
-	}
-	return moved, pairElems
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // SeqArray is the sequential reference executor's array: values only,

@@ -439,53 +439,3 @@ func TestRemapSenderSpread(t *testing.T) {
 		t.Fatal("single owner must always send")
 	}
 }
-
-// TestRemapTilewiseMatchesElementwise differentially tests the
-// O(tiles) remap analysis against the per-element oracle across
-// format pairs, including the irregular ones.
-func TestRemapTilewiseMatchesElementwise(t *testing.T) {
-	sys, _ := proc.NewSystem(4)
-	n := 29
-	dom := index.Standard(1, n)
-	owner := make([]int, n)
-	for i := range owner {
-		owner[i] = (i*i)%4 + 1
-	}
-	ind, err := dist.NewIndirect(owner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	formats := []dist.Format{
-		dist.Block{}, dist.BlockVienna{}, dist.Cyclic{K: 1}, dist.Cyclic{K: 4},
-		dist.GeneralBlock{Bounds: []int{3, 11, 20}}, ind,
-	}
-	for _, f1 := range formats {
-		for _, f2 := range formats {
-			a, err := NewArray("A", blockMapping(t, sys, "A", dom, f1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			newMap := blockMapping(t, sys, "A", dom, f2)
-			g, err := core.OwnerGrid(newMap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			moved, pairs, ok := remapTilewise(a, newMap, g)
-			if !ok {
-				t.Fatalf("%s -> %s: tile path declined", f1, f2)
-			}
-			wantMoved, wantPairs := remapElementwise(a, g, nil)
-			if moved != wantMoved {
-				t.Fatalf("%s -> %s: moved %d, oracle %d", f1, f2, moved, wantMoved)
-			}
-			if len(pairs) != len(wantPairs) {
-				t.Fatalf("%s -> %s: %d pairs, oracle %d", f1, f2, len(pairs), len(wantPairs))
-			}
-			for pr, c := range wantPairs {
-				if pairs[pr] != c {
-					t.Fatalf("%s -> %s: pair %v = %d, oracle %d", f1, f2, pr, pairs[pr], c)
-				}
-			}
-		}
-	}
-}

@@ -31,16 +31,16 @@ type Schedule struct {
 	gens   []int
 }
 
-// BuildSchedule analyzes the statement lhs(region) = Σ terms once and
-// returns its reusable communication schedule. The analysis runs over
-// ownership runs (closed-form interval intersection of the lhs and
-// rhs owner tiles, see analyzeStatement) rather than element
-// enumeration, so its cost scales with the number of ownership runs
-// and the ghost-boundary size, not the region volume. The arrays'
-// mappings must not be remapped between executions (remapping
-// invalidates the schedule; rebuild after REDISTRIBUTE/REALIGN).
+// BuildSchedule analyzes the statement lhs(region) = Σ terms once,
+// element by element, and returns its reusable communication schedule.
+// The arrays' mappings must not be remapped between executions
+// (remapping invalidates the schedule; rebuild after
+// REDISTRIBUTE/REALIGN).
 func BuildSchedule(lhs *Array, region index.Domain, terms []Term) (*Schedule, error) {
-	an, err := analyzeStatement(lhs, region, terms)
+	if err := checkStatement(lhs, region, terms); err != nil {
+		return nil, err
+	}
+	an, err := analyzeElementwise(lhs, region, terms)
 	if err != nil {
 		return nil, err
 	}

@@ -116,6 +116,10 @@ func TestScheduleValidation(t *testing.T) {
 	if _, err := BuildSchedule(a, dom, []Term{Ref(a, 1, 0, 0)}); err == nil {
 		t.Fatal("shift rank mismatch must fail")
 	}
+	strided := index.New(index.Triplet{Low: 3, High: 7, Stride: 2})
+	if _, err := BuildSchedule(a, strided, []Term{Ref(a, 1, 1)}); err != nil {
+		t.Fatalf("strided region: %v", err)
+	}
 }
 
 func TestReduceSum(t *testing.T) {

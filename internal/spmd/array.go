@@ -309,7 +309,8 @@ func (a *Array) Set(t index.Tuple, v float64) {
 }
 
 // Fill initializes every element from fn, each worker filling its own
-// segment concurrently. fn must be pure: replicated elements are
+// segment (concurrently, under the parallel dispatcher). fn must be
+// pure: replicated elements are
 // computed once per copy, and in a multi-process job every process
 // fills only the segments it hosts. A panic in fn fails the engine;
 // the error surfaces from the next dispatched operation.
@@ -317,7 +318,7 @@ func (a *Array) Fill(fn func(t index.Tuple) float64) {
 	lay, dom := a.lay, a.dom
 	// The error is sticky on the engine; Fill itself has no error
 	// return in the backend interface.
-	_ = a.eng.run(func(p int) {
+	_ = a.eng.run(1, func(p, _ int) {
 		st := lay.stores[p]
 		for k, off := range st.offsets {
 			st.data[k] = fn(dom.TupleAt(int(off)))
@@ -327,7 +328,7 @@ func (a *Array) Fill(fn func(t index.Tuple) float64) {
 
 // Data materializes the dense column-major global value vector (from
 // each element's first owner), for verification against the
-// sequential oracle. It is not on any hot path. On a multi-process
+// element-wise oracle. It is not on any hot path. On a multi-process
 // transport this is a collective: each rank's segment is broadcast
 // from its host, and every process returns the identical vector.
 func (a *Array) Data() []float64 {

@@ -21,8 +21,8 @@ import (
 // adjacent lines whose slots advance evenly, so what the element walk
 // feeds one at a time comes out as the runs the tile enumerator emits
 // whole. Classification, deduplication, sender choice (first owner)
-// and load charging mirror the sequential analysis, so the aggregated
-// statistics are identical by construction.
+// and load charging follow the element-wise oracle's rules (package
+// runtime), so the aggregated statistics agree with it.
 func (e *Engine) compile(lhs *Array, region index.Domain, terms []cterm) (*Schedule, error) {
 	b, err := newPlanBuilder(e, lhs, region, terms)
 	if err != nil {
@@ -109,9 +109,9 @@ func newPlanBuilder(e *Engine, lhs *Array, region index.Domain, terms []cterm) (
 }
 
 // analyzable returns the uniform cuts of the statement when it has a
-// closed form, nil when it must be walked element by element: the
-// sequential analysis's runAnalyzable predicate over this engine's
-// arrays (shift terms only), plus the existence of the bulk tilings.
+// closed form, nil when it must be walked element by element:
+// core.RunAnalyzable over single-owner arrays and shift terms only,
+// plus the existence of the bulk tilings.
 func (b *planBuilder) analyzable(region index.Domain) [][]int {
 	if b.lhs.lay.owners == nil || region.Rank() == 0 {
 		return nil
@@ -225,8 +225,8 @@ func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 	})
 }
 
-// elementLines walks the region once, column-major like the sequential
-// executor, and emits every element as a line of its own to each of
+// elementLines walks the region once, column-major like the element-wise
+// oracle, and emits every element as a line of its own to each of
 // its writers. Sources are treated as flat (one grid line, x the
 // offset), so a ghost is one element.
 func (b *planBuilder) elementLines(region index.Domain) error {

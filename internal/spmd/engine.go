@@ -1,16 +1,18 @@
-// Package spmd is the parallel SPMD execution engine: the abstract
-// processors of the mapping model become real concurrent workers, one
-// goroutine per processor, each owning only the local segments of
-// every distributed array (no dense global backing on hot paths).
-// Array statements execute as compiled schedules — each worker sweeps
-// its owned tiles and exchanges ghost regions with its neighbours as
-// actual per-pair messages — while remaps ship whole ownership
-// changes the same way. Communication and load are counted per worker
-// and aggregated into the same machine.Report the sequential simulator
-// produces, so the two backends are differentially testable: for any
-// program the spmd engine must compute identical array values and
-// identical machine statistics to the sequential runtime, which serves
-// as its oracle (see package runtime).
+// Package spmd is the SPMD execution engine: the abstract processors
+// of the mapping model become workers, each owning only the local
+// segments of every distributed array (no dense global backing on hot
+// paths). Array statements execute as compiled schedules — each worker
+// sweeps its owned tiles and exchanges ghost regions with its
+// neighbours as actual per-pair messages — while remaps ship whole
+// ownership changes the same way. Communication and load are counted
+// per worker and aggregated into one machine.Report.
+//
+// One plan has two dispatchers (Engine.run): the parallel one runs a
+// goroutine per hosted worker; the sequential one (NewSequential, the
+// "sim" engine) runs each epoch on the caller's goroutine, phase by
+// phase. Everything else is shared, so both agree by construction;
+// the element-wise executor of package runtime is the independent
+// oracle they are tested against.
 //
 // The wire under the workers is pluggable (package transport): the
 // inproc transport keeps today's capacity-1 buffered channel per
@@ -30,8 +32,7 @@
 // concatenation of its owner tiles in tile order, column-major within
 // each tile. Ghost exchange, load accounting and message
 // vectorization are compiled once per schedule and replayed on every
-// execution, mirroring BuildSchedule/Execute of the sequential
-// runtime. There is one per-worker plan shape and one executor
+// execution. There is one per-worker plan shape and one executor
 // (Schedule.ExecuteN) with two producers: the regular compiler emits
 // strided runs and slot intervals from the intersection of the
 // statement's owner tiles (element by element only where no closed
@@ -111,10 +112,9 @@ func (b *Barrier) Epoch() uint64 {
 
 // Engine executes distributed-array operations on np concurrent
 // workers (abstract processors 1..np), or on this process's share of
-// them when the transport spans several processes. Workers are
-// spawned lazily on the first dispatched operation and run until
-// Close. All methods must be called from a single client goroutine;
-// the operations themselves run concurrently across the workers.
+// them when the transport spans several processes. Parallel workers
+// are spawned lazily on the first dispatched operation and run until
+// Close. All methods must be called from a single client goroutine.
 type Engine struct {
 	np int
 	tr transport.Transport
@@ -134,11 +134,20 @@ type Engine struct {
 	// localSet is its membership grid (index 1..np).
 	local    []int
 	localSet []bool
+	// seq selects the sequential dispatcher (see run).
+	seq bool
 	// workers[p-1] is rank p's command channel (nil for remote ranks).
-	workers []chan func(p int)
+	workers []chan job
 
 	startOnce sync.Once
 	closeOnce sync.Once
+}
+
+// job is one dispatched epoch: worker p's phase k is fn(p, k), for k
+// in [0, phases).
+type job struct {
+	phases int
+	fn     func(p, k int)
 }
 
 // New creates an engine with np workers on the in-process transport
@@ -181,6 +190,16 @@ func NewOn(tr transport.Transport, cost machine.CostModel) (*Engine, error) {
 		gort.SetFinalizer(e, func(e *Engine) { e.Close() })
 	}
 	return e, nil
+}
+
+// NewSequential creates New's engine with the sequential dispatcher:
+// no worker goroutines, every epoch run on the caller's goroutine.
+func NewSequential(np int, cost machine.CostModel) (*Engine, error) {
+	e, err := New(np, cost)
+	if err == nil {
+		e.seq = true
+	}
+	return e, err
 }
 
 // NP reports the number of workers (across all processes).
@@ -292,19 +311,19 @@ func (e *Engine) Close() error {
 // start spawns the hosted worker goroutines on first use.
 func (e *Engine) start() {
 	e.startOnce.Do(func() {
-		e.workers = make([]chan func(p int), e.np)
+		e.workers = make([]chan job, e.np)
 		bar, tr, bank := e.bar, e.tr, e.bank
 		for _, p := range e.local {
-			cmd := make(chan func(p int))
+			cmd := make(chan job)
 			e.workers[p-1] = cmd
 			go func(p int) {
-				for job := range cmd {
-					runWorkerJob(job, p, tr)
+				for j := range cmd {
+					runPhases(j.fn, p, 0, j.phases, tr)
 					// Drop the closure before parking: a retained job
 					// would pin its arrays (and through them the
 					// Engine), preventing the finalizer backstop from
 					// ever collecting an unclosed engine.
-					job = nil
+					j = job{}
 					if obs.TimingEnabled() {
 						t0 := time.Now()
 						bar.Await()
@@ -318,25 +337,32 @@ func (e *Engine) start() {
 	})
 }
 
-// runWorkerJob executes one worker's share of an epoch, converting a
-// panic (user Fill function, broken wire) into the transport's sticky
-// failure so peers blocked on the streams unblock instead of
-// deadlocking; the dispatcher surfaces the error after the epoch.
-func runWorkerJob(job func(p int), p int, tr transport.Transport) {
+// runPhases executes worker p's phases [from, to) of an epoch,
+// converting a panic (user Fill function, broken wire) into the
+// transport's sticky failure so peers blocked on the streams unblock
+// instead of deadlocking; the dispatcher surfaces the error after the
+// epoch.
+func runPhases(fn func(p, k int), p, from, to int, tr transport.Transport) {
 	defer func() {
 		if r := recover(); r != nil {
 			tr.Fail(fmt.Errorf("spmd: worker %d panicked: %v", p, r))
 		}
 	}()
-	job(p)
+	for k := from; k < to; k++ {
+		fn(p, k)
+	}
 }
 
-// run dispatches fn to every hosted worker as one epoch and waits on
-// the engine barrier: when run returns, every hosted worker has
-// completed fn and all local stores are quiescent. Returns the
-// transport's sticky error, if any — a failed engine refuses further
-// epochs.
-func (e *Engine) run(fn func(p int)) error {
+// run dispatches one epoch of phases to every hosted worker — fn(p, k)
+// is worker p's phase k — and returns once all are done, with the
+// transport's sticky error, if any (a failed engine refuses further
+// epochs). The parallel dispatcher hands each worker goroutine all its
+// phases and waits on the barrier; the sequential one runs phase k of
+// every worker before phase k+1 of any. An epoch sends in one phase
+// and receives in the next, at most one message per pair per phase, so
+// every message sits in its capacity-1 inproc stream before its
+// receiver looks.
+func (e *Engine) run(phases int, fn func(p, k int)) error {
 	if err := e.tr.Err(); err != nil {
 		return err
 	}
@@ -345,9 +371,17 @@ func (e *Engine) run(fn func(p int)) error {
 	// agree everywhere without wire traffic — this is what stamps the
 	// correlation IDs on every frame sent during the dispatch.
 	obs.AdvanceEpoch()
+	if e.seq {
+		for k := 0; k < phases && e.tr.Err() == nil; k++ {
+			for _, p := range e.local {
+				runPhases(fn, p, k, k+1, e.tr)
+			}
+		}
+		return e.tr.Err()
+	}
 	e.start()
 	for _, p := range e.local {
-		e.workers[p-1] <- fn
+		e.workers[p-1] <- job{phases, fn}
 	}
 	e.bar.Await()
 	return e.tr.Err()
@@ -375,7 +409,7 @@ type counters struct {
 	remoteRefs int
 	// sends: one entry per destination pair; msgs repeated Send calls
 	// of elems elements each (schedule replays call Send per
-	// iteration, matching the sequential executor's accounting).
+	// iteration, matching the element-wise oracle's accounting).
 	sends []sendCount
 	// phase holds the worker's wall time per phase for this epoch, in
 	// nanoseconds; nil when phase timing is disabled so the hot paths

@@ -70,13 +70,11 @@ type pairRecv struct {
 	spans []span
 }
 
-// run performs worker p's side of the exchange: gather and send every
-// outgoing message (one allocation each; the transport takes
-// ownership), then receive the incoming ones and scatter them into
-// dest. A message whose length is not the plan's fails the engine: it
-// comes from another process, and scattering a short one would leave
-// stale ghosts behind silently.
-func (x *exchange) run(e *Engine, p int, dest []float64) {
+// send is the first half of worker p's side of the exchange: gather
+// and send every outgoing message (one allocation each; the transport
+// takes ownership). The parallel dispatcher runs recv right after it;
+// the sequential one runs every worker's send first.
+func (x *exchange) send(e *Engine, p int) {
 	for i := range x.sends {
 		sp := &x.sends[i]
 		buf := make([]float64, sp.elems)
@@ -102,6 +100,13 @@ func (x *exchange) run(e *Engine, p int, dest []float64) {
 		}
 		e.send(p, sp.dst, buf)
 	}
+}
+
+// recv is the second half: receive the incoming messages and scatter
+// them into dest. A message whose length is not the plan's fails the
+// engine: it comes from another process, and scattering a short one
+// would leave stale ghosts behind silently.
+func (x *exchange) recv(e *Engine, p int, dest []float64) {
 	for i := range x.recvs {
 		rp := &x.recvs[i]
 		msg := e.recv(rp.src, p)

@@ -16,7 +16,7 @@ import (
 )
 
 // twin is one array materialized on both sides of the differential:
-// the spmd engine under test and the sequential oracle.
+// the spmd engine under test and the element-wise oracle.
 type twin struct {
 	p *Array
 	r *runtime.Array
@@ -223,7 +223,7 @@ func TestEpochExecutor(t *testing.T) {
 // TestRemapInvalidatesAndMatchesOracle: a schedule of either producer
 // refuses to replay after Remap of any array it involves, and Remap —
 // whose shipment runs through the schedules' exchange — moves the same
-// elements and charges the same traffic as the sequential oracle, for
+// elements and charges the same traffic as the element-wise oracle, for
 // a distributed, a replicated source and a replicated target mapping.
 func TestRemapInvalidatesAndMatchesOracle(t *testing.T) {
 	const n, np = 24, 4
@@ -325,19 +325,40 @@ func TestRemapInvalidatesAndMatchesOracle(t *testing.T) {
 // TestWrongLengthMessageFailsEngine: a message is input from another
 // process. One that is shorter or longer than the plan's pair expects
 // must fail the engine with an error naming the pair and both lengths —
-// not leave stale ghosts behind, and not die as an index panic — on
-// every wire. The bad frame is put on the stream ahead of the epoch, as
-// a peer with a different plan would have.
+// not leave stale ghosts behind or fold a wrong partial in, and not die
+// as an index panic — on every wire, for a schedule's ghost exchange
+// and for Reduce's combine tree. The bad frame is put on the stream
+// ahead of the epoch, as a peer with a different plan would have.
 func TestWrongLengthMessageFailsEngine(t *testing.T) {
 	const np = 4
 	sys, _ := proc.NewSystem(np)
 	dom := index.Standard(1, 40)
 	block := mapping(t, sys, dom, dist.Block{})
+	// B(i) = A(i-1): worker 2 expects one value from worker 1.
+	execute := func(e *Engine, a, b *Array) error {
+		sched, err := e.BuildSchedule(b, index.Standard(2, 40), []Term{Ref(a, 1, -1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sched.Execute()
+	}
+	// The combine tree's first round: worker 1 expects worker 2's partial.
+	reduce := func(e *Engine, a, _ *Array) error {
+		_, err := e.Reduce(a, runtime.ReduceSum)
+		return err
+	}
 	for _, kind := range transport.Kinds() {
 		for _, tc := range []struct {
-			name string
-			n    int
-		}{{"short", 0}, {"long", 3}} {
+			name     string
+			src, dst int
+			n        int
+			op       func(e *Engine, a, b *Array) error
+		}{
+			{"short", 1, 2, 0, execute},
+			{"long", 1, 2, 3, execute},
+			{"reduce/short", 2, 1, 0, reduce},
+			{"reduce/long", 2, 1, 3, reduce},
+		} {
 			t.Run(kind+"/"+tc.name, func(t *testing.T) {
 				tr, err := transport.New(kind, np)
 				if err != nil {
@@ -356,18 +377,13 @@ func TestWrongLengthMessageFailsEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// B(i) = A(i-1): worker 2 expects one value from worker 1.
-				sched, err := e.BuildSchedule(b, index.Standard(2, 40), []Term{Ref(a, 1, -1)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				e.send(1, 2, make([]float64, tc.n))
-				err = sched.Execute()
-				want := fmt.Sprintf("spmd: message 1→2 carries %d values, plan expects 1", tc.n)
+				e.send(tc.src, tc.dst, make([]float64, tc.n))
+				err = tc.op(e, a, b)
+				want := fmt.Sprintf("spmd: message %d→%d carries %d values, plan expects 1", tc.src, tc.dst, tc.n)
 				if err == nil || !strings.Contains(err.Error(), want) {
-					t.Fatalf("Execute = %v, want %q", err, want)
+					t.Fatalf("%s = %v, want %q", tc.name, err, want)
 				}
-				if err := sched.Execute(); err == nil {
+				if err := tc.op(e, a, b); err == nil {
 					t.Fatal("a failed engine must stay failed")
 				}
 			})

@@ -9,8 +9,9 @@ import (
 	"hpfnt/internal/runtime"
 )
 
-// treeStep is one round of the combine tree for one worker: send the
-// running partial to peer, or receive peer's partial and fold it in.
+// treeStep is one worker's part in one round of the combine tree: send
+// its running partial to peer, or receive peer's partial and fold it
+// in; peer 0 sits the round out.
 type treeStep struct {
 	send bool
 	peer int
@@ -19,7 +20,7 @@ type treeStep struct {
 // Reduce computes a global reduction across the workers: each worker
 // folds its owned elements (replicated elements count once, at their
 // first owner) in ascending global-offset order, then the partials
-// combine along the same binary tree the sequential runtime charges —
+// combine along the binary tree the element-wise oracle charges —
 // ⌈log2 k⌉ rounds of single-element messages — so both the float
 // result and the machine statistics are bit-identical to the oracle.
 func (e *Engine) Reduce(a *Array, op runtime.ReduceOp) (float64, error) {
@@ -32,28 +33,30 @@ func (e *Engine) Reduce(a *Array, op runtime.ReduceOp) (float64, error) {
 		p := a.lay.firstOwner(off)
 		slots[p] = append(slots[p], a.lay.slotOf(p, off))
 	}
-	var active []int
+	var procs []int
 	for p := 1; p <= e.np; p++ {
 		if len(slots[p]) > 0 {
-			active = append(active, p)
+			procs = append(procs, p)
 		}
 	}
-	if len(active) == 0 {
+	if len(procs) == 0 {
 		return 0, fmt.Errorf("spmd: reduction over empty array %s", a.name)
 	}
-	steps := make([][]treeStep, e.np+1)
-	procs := append([]int(nil), active...)
+	// rounds[r][p] is worker p's step in round r.
+	var rounds [][]treeStep
 	for len(procs) > 1 {
+		step := make([]treeStep, e.np+1)
 		var next []int
 		for i := 0; i+1 < len(procs); i += 2 {
 			src, dst := procs[i+1], procs[i]
-			steps[src] = append(steps[src], treeStep{send: true, peer: dst})
-			steps[dst] = append(steps[dst], treeStep{send: false, peer: src})
+			step[src] = treeStep{send: true, peer: dst}
+			step[dst] = treeStep{peer: src}
 			next = append(next, dst)
 		}
 		if len(procs)%2 == 1 {
 			next = append(next, procs[len(procs)-1])
 		}
+		rounds = append(rounds, step)
 		procs = next
 	}
 	root := procs[0]
@@ -76,8 +79,20 @@ func (e *Engine) Reduce(a *Array, op runtime.ReduceOp) (float64, error) {
 	}
 	var result float64
 	timing := obs.TimingEnabled()
-	span := obs.BeginSpan("reduce", fmt.Sprintf("reduce %s", a.name), 0)
-	err := e.run(func(p int) {
+	var span func()
+	if obs.TraceEnabled() {
+		span = obs.BeginSpan("reduce", "reduce "+a.name, 0)
+	}
+	partials := make([]float64, e.np+1)
+	cs := make([]counters, e.np+1)
+	var tallies []phaseTally
+	if timing {
+		tallies = make([]phaseTally, e.np+1)
+	}
+	// Round r is phase 2r, the sends, and phase 2r+1, the receives;
+	// phase 0 folds the local elements first.
+	last := max(1, 2*len(rounds)) - 1
+	err := e.run(last+1, func(p, k int) {
 		sl := slots[p]
 		if len(sl) == 0 {
 			return
@@ -86,34 +101,47 @@ func (e *Engine) Reduce(a *Array, op runtime.ReduceOp) (float64, error) {
 		if timing {
 			t0 = time.Now()
 		}
-		// sl is in ascending global-offset order (the append walk
-		// above), which is the fold order defining the float result.
-		data := a.lay.stores[p].data
-		partial := data[sl[0]]
-		for _, s := range sl[1:] {
-			partial = acc(partial, data[s])
-		}
-		var c counters
-		c.load = len(sl)
-		for _, st := range steps[p] {
-			if st.send {
-				e.send(p, st.peer, []float64{partial})
-				c.sends = append(c.sends, sendCount{dst: st.peer, elems: 1, msgs: 1, frames: 1})
-				continue
+		if k == 0 {
+			// sl is in ascending global-offset order (the append walk
+			// above), which is the fold order defining the float result.
+			data := a.lay.stores[p].data
+			partials[p] = data[sl[0]]
+			for _, s := range sl[1:] {
+				partials[p] = acc(partials[p], data[s])
 			}
-			msg := e.recv(st.peer, p)
-			partial = acc(partial, msg[0])
+			cs[p].load = len(sl)
+		}
+		if r := k / 2; r < len(rounds) && rounds[r][p].peer != 0 {
+			switch st := rounds[r][p]; {
+			case st.send && k%2 == 0:
+				e.send(p, st.peer, []float64{partials[p]})
+				cs[p].sends = append(cs[p].sends, sendCount{dst: st.peer, elems: 1, msgs: 1, frames: 1})
+			case !st.send && k%2 == 1:
+				msg := e.recv(st.peer, p)
+				if msg == nil {
+					return // the transport has failed; its error is sticky
+				}
+				if len(msg) != 1 {
+					e.tr.Fail(fmt.Errorf("spmd: message %d→%d carries %d values, plan expects 1", st.peer, p, len(msg)))
+					return
+				}
+				partials[p] = acc(partials[p], msg[0])
+			}
+		}
+		if timing {
+			tallies[p][machine.PhaseReduce] += int64(time.Since(t0))
+		}
+		if k < last {
+			return
 		}
 		if p == root {
 			// Published to the dispatcher through the epoch barrier.
-			result = partial
+			result = partials[p]
 		}
 		if timing {
-			var tally phaseTally
-			tally[machine.PhaseReduce] = int64(time.Since(t0))
-			c.phase = &tally
+			cs[p].phase = &tallies[p]
 		}
-		e.flush(p, &c)
+		e.flush(p, &cs[p])
 	})
 	if span != nil {
 		span()

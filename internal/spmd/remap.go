@@ -16,8 +16,8 @@ import (
 // still owns by local copy, and receives the rest from the old owners
 // as one aggregated message per processor pair, shipped through the
 // schedules' exchange. The sender for each (replica set, destination)
-// pair follows runtime.RemapSender, so the spmd engine and the
-// sequential oracle charge identical traffic. Returns the number of
+// pair follows runtime.RemapSender, so the engine and the element-wise
+// oracle charge identical traffic. Returns the number of
 // elements whose owner set gained a member. Compiled schedules over
 // the array are invalidated.
 func (e *Engine) Remap(a *Array, newMap core.ElementMapping) (int, error) {
@@ -53,16 +53,21 @@ func (e *Engine) Remap(a *Array, newMap core.ElementMapping) (int, error) {
 // plan keeps the layout a already has — and commits the array to it.
 func (e *Engine) applyRemap(a *Array, newMap core.ElementMapping, pl *remapPlan) (int, error) {
 	if pl.to != a.lay {
-		err := e.run(func(p int) {
-			oldData, newData := a.lay.stores[p].data, pl.to.stores[p].data
-			for _, c := range pl.copies[p] {
-				c.run(newData, oldData)
+		// Phase 0 copies and sends, phase 1 receives. The shipment is
+		// the schedules' exchange with the new segment as its
+		// destination.
+		err := e.run(2, func(p, k int) {
+			oldData, newData, ship := a.lay.stores[p].data, pl.to.stores[p].data, &pl.ships[p]
+			if k == 0 {
+				for _, c := range pl.copies[p] {
+					c.run(newData, oldData)
+				}
+				ship.send(e, p)
+				return
 			}
-			// The shipment is the schedules' exchange with the new segment
-			// as its destination.
-			pl.ships[p].run(e, p, newData)
-			if len(pl.ships[p].sends) > 0 {
-				e.flush(p, &counters{sends: pl.ships[p].sendCounts(1, 1)})
+			ship.recv(e, p, newData)
+			if len(ship.sends) > 0 {
+				e.flush(p, &counters{sends: ship.sendCounts(1, 1)})
 			}
 		})
 		if err != nil {

@@ -356,7 +356,7 @@ func segmentBits(a *Array) [][]uint64 {
 // pair of mapping families × ranks 1–3 × every wire, a remap planned
 // from the uniform cells, one planned by the element walk, Remap itself
 // (whichever it picks, and the unchanged-tiling shortcut on the
-// diagonal) and the sequential oracle agree on the elements moved, the
+// diagonal) and the element-wise oracle agree on the elements moved, the
 // logical report, the wire frames, every value of every replica and the
 // resulting layout; and remapping back restores the original segments
 // bit for bit. A pair with a replicated or non-bulk side has no uniform

@@ -45,7 +45,7 @@ type cterm struct {
 // (indirection-array statements, by lowering the inspector's schedule)
 // — and ExecuteN replays them without knowing which. The involved
 // arrays must not be remapped between executions (rebuild after
-// REDISTRIBUTE/REALIGN, as with the sequential runtime's schedules).
+// REDISTRIBUTE/REALIGN).
 type Schedule struct {
 	eng *Engine
 	// label names the producer in the epoch span ("execute x4",
@@ -60,7 +60,7 @@ type Schedule struct {
 	// packed frame once per epoch instead of once per iteration
 	// (schedule-level coalescing). Logical message accounting is
 	// unchanged — the cost model still charges one message per pair
-	// per iteration, matching the sequential oracle — only the
+	// per iteration, matching the element-wise oracle — only the
 	// machine's WireFrames counter sees the saving.
 	constGhost bool
 	// arrays/gens capture the involved arrays' remap generations at
@@ -157,11 +157,12 @@ func (s *Schedule) Messages() int { return s.messages }
 // Execute runs the statement once across the workers.
 func (s *Schedule) Execute() error { return s.ExecuteN(1) }
 
-// ExecuteN runs the statement iters times in one worker epoch. The
-// iterations pipeline naturally: per-pair FIFO channels keep each
-// receiver's iteration k ghost data consistent with its sender's
-// post-(k-1) state, so no global barrier is needed between
-// iterations.
+// ExecuteN runs the statement iters times in one worker epoch. Under
+// the parallel dispatcher the iterations pipeline naturally: per-pair
+// FIFO streams keep each receiver's iteration k ghost data consistent
+// with its sender's post-(k-1) state, so no global barrier is needed
+// between iterations. The sequential dispatcher runs the same phases
+// in lockstep.
 func (s *Schedule) ExecuteN(iters int) error {
 	if iters < 1 {
 		return fmt.Errorf("spmd: ExecuteN needs a positive iteration count, got %d", iters)
@@ -184,54 +185,69 @@ func (s *Schedule) ExecuteN(iters int) error {
 	if tracing {
 		span = obs.BeginSpan("epoch", fmt.Sprintf("%s x%d", s.label, iters), 0)
 	}
-	err := e.run(func(p int) {
+	// Per worker across phases: the epoch span (the skew analysis
+	// compares these lanes to find the straggler) and the tally
+	// splitting its wall time into ghost-wait and compute.
+	wspans := make([]func(), e.np+1)
+	var tallies []phaseTally
+	if timing {
+		tallies = make([]phaseTally, e.np+1)
+	}
+	// Iteration it is phase 2·it, gather and send, and phase 2·it+1,
+	// receive, scatter and compute. Coalescing: a constGhost statement
+	// exchanges ghosts only in the first iteration of the epoch; the
+	// scattered buffer stays valid for the replays.
+	last := 2*iters - 1
+	err := e.run(last+1, func(p, k int) {
 		wp := s.plans[p]
 		if wp == nil {
 			return
 		}
-		// A per-worker epoch span: the skew analysis compares these
-		// lanes to find the straggler.
-		var wspan func()
-		if tracing {
-			wspan = obs.BeginSpan("worker", fmt.Sprintf("rank %d x%d", p, iters), p)
+		if tracing && k == 0 {
+			wspans[p] = obs.BeginSpan("worker", fmt.Sprintf("rank %d x%d", p, iters), p)
 		}
-		var tally *phaseTally
+		var t0 time.Time
 		if timing {
-			tally = new(phaseTally)
+			t0 = time.Now()
 		}
-		// A non-nil tally splits each iteration's wall time into
-		// ghost-wait and compute.
-		for it := 0; it < iters; it++ {
-			var t0 time.Time
-			if tally != nil {
-				t0 = time.Now()
-			}
-			// Coalescing: a constGhost statement exchanges ghosts only
-			// on the first iteration of the epoch; the scattered buffer
-			// stays valid for the replays.
-			if it == 0 || !s.constGhost {
-				wp.ex.run(e, p, wp.ghost)
-				if tally != nil {
-					now := time.Now()
-					tally[machine.PhaseGhostWait] += int64(now.Sub(t0))
-					t0 = now
+		exchanges := k < 2 || !s.constGhost
+		if k%2 == 0 {
+			if exchanges {
+				wp.ex.send(e, p)
+				if timing {
+					tallies[p][machine.PhaseGhostWait] += int64(time.Since(t0))
 				}
 			}
-			wp.kernel.compute(wp.ghost)
-			if tally != nil {
-				tally[machine.PhaseCompute] += int64(time.Since(t0))
+			return
+		}
+		if exchanges {
+			wp.ex.recv(e, p, wp.ghost)
+			if timing {
+				now := time.Now()
+				tallies[p][machine.PhaseGhostWait] += int64(now.Sub(t0))
+				t0 = now
 			}
 		}
-		if wspan != nil {
-			wspan()
+		wp.kernel.compute(wp.ghost)
+		if timing {
+			tallies[p][machine.PhaseCompute] += int64(time.Since(t0))
 		}
-		e.flush(p, &counters{
+		if k < last {
+			return
+		}
+		if wspans[p] != nil {
+			wspans[p]()
+		}
+		c := counters{
 			load:       wp.load * iters,
 			localRefs:  wp.localRefs * iters,
 			remoteRefs: wp.remoteRefs * iters,
 			sends:      wp.ex.sendCounts(iters, frames),
-			phase:      tally,
-		})
+		}
+		if timing {
+			c.phase = &tallies[p]
+		}
+		e.flush(p, &c)
 	})
 	if span != nil {
 		span()

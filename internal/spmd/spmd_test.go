@@ -126,7 +126,7 @@ func TestValuesMatchSequential(t *testing.T) {
 
 // TestStatsMatchOracle compares the full machine report of a
 // statement, a schedule replay, a remap and a reduction against the
-// sequential runtime.
+// element-wise oracle.
 func TestStatsMatchOracle(t *testing.T) {
 	const n, np = 24, 4
 	sys, _ := proc.NewSystem(np)

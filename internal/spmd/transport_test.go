@@ -88,7 +88,7 @@ func TestPanicUnblocksPeers(t *testing.T) {
 			defer e.Close()
 			done := make(chan error, 1)
 			go func() {
-				done <- e.run(func(p int) {
+				done <- e.run(1, func(p, _ int) {
 					switch p {
 					case 1:
 						e.recv(2, 1) // never sent

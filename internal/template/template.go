@@ -344,22 +344,12 @@ func (tm Mapping) AppendOwnerTiles(dst []core.Tile, region index.Domain) ([]core
 	return core.AppendBulkOwnerTiles(dst, cm, region)
 }
 
-// EstimateOwnerTiles bounds the bulk tile count through the composed
-// chain without materializing tiles.
-func (tm Mapping) EstimateOwnerTiles(region index.Domain) (int, bool) {
-	cm, err := tm.M.composedMapping(tm.Name, nil)
-	if err != nil {
-		return 0, false
-	}
-	return core.EstimateBulkTiles(cm, region)
-}
-
 // composedMapping builds the core mapping equivalent of an array's
 // alignment chain: its own distribution, or CONSTRUCT(α, ...) down to
 // the distributed template or array at the chain's root. Results are
 // memoized until the next model mutation, so repeated bulk-tile
-// queries (one per tile per term in the runtime's analysis) do not
-// re-walk the chain.
+// queries (a layout, a statement's cells, a remap) do not re-walk the
+// chain.
 func (m *Model) composedMapping(name string, seen map[string]bool) (core.ElementMapping, error) {
 	if cm, ok := m.composed[name]; ok {
 		return cm, nil

@@ -48,8 +48,8 @@ func jacobiWall(t *testing.T, kind string, n, np, iters int) time.Duration {
 
 // TestSpmdSpeedupJacobi is the parallel-speedup smoke of the
 // acceptance criteria: on the 512² Jacobi schedule replay with 8
-// workers, the spmd engine must beat the sequential runtime by at
-// least 1.5× wall-clock. Wall-clock ratios are meaningless on
+// workers, the parallel dispatch of the plan (spmd) must beat its
+// sequential dispatch (sim) by at least 1.5× wall-clock. Wall-clock ratios are meaningless on
 // contended or instrumented runs, so the gate is opt-in: it runs only
 // with HPFNT_SPEEDUP=1 (the dedicated CI step and `make speedup` set
 // it), never under the race detector, and needs at least 4 cores.

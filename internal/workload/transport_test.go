@@ -12,7 +12,7 @@ import (
 // reduction) and the irregular edge sweep — must produce identical
 // values, reduction results and machine.Report on the spmd engine
 // whether the wire is the inproc channels or real tcp sockets, and
-// both must match the sequential oracle.
+// both must match sim.
 func TestTransportEquivalence(t *testing.T) {
 	const n, np, iters = 48, 6, 3
 	for _, name := range NodeWorkloads() {

@@ -5,10 +5,10 @@
 // for the cyclic-distribution experiment.
 //
 // The executing sweeps run on the process-default execution backend
-// (package engine): the sequential simulator unless HPFNT_ENGINE (or
-// hpfbench's -engine flag) selects the parallel spmd engine. Both
-// backends produce identical values and statistics, so every
-// experiment's claim checks hold on either.
+// (package engine): the sequential dispatcher (sim) unless HPFNT_ENGINE
+// (or hpfbench's -engine flag) selects the parallel one (spmd). Both
+// run the same plans and produce identical values and statistics, so
+// every experiment's claim checks hold on either.
 package workload
 
 import (
