@@ -180,9 +180,11 @@ fuzz-engine:
 	$(GO) test -run xxx -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/engine
 
 # Differential fuzz of the irregular (inspector–executor) path: sim
-# and spmd against the element-wise oracle.
+# and spmd against the element-wise oracle, then the two-pass
+# inspector against the map-based one it replaced.
 fuzz-irregular:
 	$(GO) test -run xxx -fuzz FuzzIrregularEquivalence -fuzztime 30s ./internal/engine
+	$(GO) test -run xxx -fuzz FuzzInspectorBuild -fuzztime 30s ./internal/inspector
 
 # The golden corpus differential under the race detector: every
 # program in internal/interp/testdata/programs must produce

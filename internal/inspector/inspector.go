@@ -11,8 +11,8 @@
 // distributed arrays (Pattern): access k accumulates
 // Coeffs[k]·src[Reads[k]] into lhs[Writes[k]], with element positions
 // given as column-major offsets into each array's index domain. Build
-// partitions the accesses by owning processor (the writer executes,
-// per the owner-computes rule), classifies each read as local or
+// buckets the accesses by owning processor (the writer executes, per
+// the owner-computes rule), classifies each read as local or
 // non-local, deduplicates remote reads per (element, reader) pair,
 // and emits a Schedule: one executable plan per worker — distinct
 // write list, local reads as element offsets, remote reads as
@@ -104,7 +104,7 @@ type GatherList struct {
 
 // Schedule is the compiled, reusable form of one irregular statement:
 // per-worker plans plus the per-pair halo exchange. Building it costs
-// one pass over the accesses with hash-based deduplication (the
+// two passes over the accesses with array-based deduplication (the
 // inspector); executing it performs no ownership analysis at all (the
 // executor), which is where the reuse across iterations pays.
 type Schedule struct {
@@ -116,12 +116,9 @@ type Schedule struct {
 	Pairs []GatherList
 }
 
-// haloKey identifies one deduplicated remote read: src element
-// offset per reading worker.
-type haloKey struct {
-	off int32
-	w   int
-}
+// ghostMark is the ghost slot g worker w gave a src offset; a mark of
+// an earlier writer is stale, so the marks never need clearing.
+type ghostMark struct{ w, g int32 }
 
 // Build runs the inspector: it partitions the pattern's accesses over
 // the owners of the written elements, classifies reads against the
@@ -133,81 +130,124 @@ type haloKey struct {
 // offset). Replicated arrays have no such grid; callers must refuse
 // them before calling Build (ErrReplicated provides the shared error
 // text).
+//
+// Two passes, in the CHAOS shape: pass 1 checks the accesses and
+// counts them per writer, a stable scatter buckets them, and pass 2
+// walks each bucket into exactly sized lists, deduplicating through
+// arrays over the lhs and src offsets rather than maps. A worker's
+// lists depend only on its own accesses in access order, so they are
+// what one in-order pass over all accesses would build.
 func Build(np int, wOwners, rOwners []int32, pat Pattern) (*Schedule, error) {
-	if err := pat.Validate(len(wOwners), len(rOwners)); err != nil {
-		return nil, err
+	if len(pat.Writes) != len(pat.Reads) || (pat.Coeffs != nil && len(pat.Coeffs) != len(pat.Writes)) {
+		return nil, pat.Validate(len(wOwners), len(rOwners))
 	}
-	s := &Schedule{NP: np, Plans: make([]*Plan, np+1)}
-	planOf := func(p int) *Plan {
-		if s.Plans[p] == nil {
-			s.Plans[p] = &Plan{}
-		}
-		return s.Plans[p]
-	}
-	// accIx[w] maps a written lhs offset to its accumulator slot on
-	// its owner (offsets are single-owner, so one map serves all
-	// workers); ghosts maps deduplicated remote reads to ghost slots.
-	accIx := make(map[int32]int32, len(pat.Writes))
-	ghosts := map[haloKey]int32{}
-	pairIx := map[[2]int]int{}
-	var pairs []*GatherList
+	// Pass 1. A bad offset defers to Validate (first bad write, else
+	// first bad read), which wins over the first owner outside 1..np.
+	bound := make([]int32, np+2)
 	for k, woff := range pat.Writes {
-		w := int(wOwners[woff])
-		if w < 1 || w > np {
-			return nil, fmt.Errorf("inspector: lhs offset %d owned by %d, outside 1..%d", woff, w, np)
-		}
-		wp := planOf(w)
-		oi, ok := accIx[woff]
-		if !ok {
-			oi = int32(len(wp.Outs))
-			wp.Outs = append(wp.Outs, woff)
-			accIx[woff] = oi
-		}
-		wp.WriteIx = append(wp.WriteIx, oi)
-		c := 1.0
-		if pat.Coeffs != nil {
-			c = pat.Coeffs[k]
-		}
-		wp.Coeffs = append(wp.Coeffs, c)
-		wp.Load++
 		roff := pat.Reads[k]
-		r := int(rOwners[roff])
-		if r == w {
-			wp.LocalRefs++
-			wp.Reads = append(wp.Reads, roff)
+		if woff < 0 || int(woff) >= len(wOwners) || roff < 0 || int(roff) >= len(rOwners) {
+			return nil, pat.Validate(len(wOwners), len(rOwners))
+		}
+		w, r := int(wOwners[woff]), int(rOwners[roff])
+		if w < 1 || w > np || r < 1 || r > np {
+			if err := pat.Validate(len(wOwners), len(rOwners)); err != nil {
+				return nil, err
+			}
+			if w < 1 || w > np {
+				return nil, fmt.Errorf("inspector: lhs offset %d owned by %d, outside 1..%d", woff, w, np)
+			}
+			return nil, fmt.Errorf("inspector: src offset %d owned by %d, outside 1..%d", roff, r, np)
+		}
+		bound[w]++
+	}
+	// A prefix sum makes bound[w] the end of writer w's bucket; the
+	// backward scatter moves it to the start, keeping access order.
+	biggest := int32(0)
+	for w := 1; w <= np+1; w++ {
+		biggest = max(biggest, bound[w])
+		bound[w] += bound[w-1]
+	}
+	order := make([]int32, len(pat.Writes))
+	for k := len(pat.Writes) - 1; k >= 0; k-- {
+		w := wOwners[pat.Writes[k]]
+		bound[w]--
+		order[bound[w]] = int32(k)
+	}
+
+	// Pass 2. slot[woff] is 1 + the accumulator slot of lhs offset woff
+	// (one array serves all writers: lhs offsets are single-owner).
+	slot := make([]int32, len(wOwners))
+	marks := make([]ghostMark, len(rOwners))
+	ghostOffs := make([]int32, 0, biggest) // the writer's ghost slots' src offsets
+	perSrc := make([]int32, np+1)          // the writer's ghost slots per reader
+	pairOf := make([]int, np+1)            // index in pairs of (reader, writer)
+	pairs := []GatherList{}
+	s := &Schedule{NP: np, Plans: make([]*Plan, np+1)}
+	for w := 1; w <= np; w++ {
+		bucket := order[bound[w]:bound[w+1]]
+		if len(bucket) == 0 {
 			continue
 		}
-		wp.RemoteRefs++
-		key := haloKey{off: roff, w: w}
-		g, dup := ghosts[key]
-		if !dup {
-			g = int32(wp.NGhost)
-			wp.NGhost++
-			ghosts[key] = g
-			pr := [2]int{r, w}
-			pi, ok := pairIx[pr]
-			if !ok {
-				pi = len(pairs)
-				pairIx[pr] = pi
-				pairs = append(pairs, &GatherList{Src: r, Dst: w})
-			}
-			pairs[pi].Offsets = append(pairs[pi].Offsets, roff)
-			pairs[pi].Targets = append(pairs[pi].Targets, g)
+		pl := &Plan{
+			Outs:    make([]int32, 0, len(bucket)),
+			WriteIx: make([]int32, len(bucket)),
+			Reads:   make([]int32, len(bucket)),
+			Coeffs:  make([]float64, len(bucket)),
+			Load:    len(bucket),
 		}
-		wp.Reads = append(wp.Reads, -(g + 1))
+		ghostOffs = ghostOffs[:0]
+		clear(perSrc)
+		for j, k := range bucket {
+			woff := pat.Writes[k]
+			if slot[woff] == 0 {
+				pl.Outs = append(pl.Outs, woff)
+				slot[woff] = int32(len(pl.Outs))
+			}
+			pl.WriteIx[j] = slot[woff] - 1
+			pl.Coeffs[j] = 1
+			if pat.Coeffs != nil {
+				pl.Coeffs[j] = pat.Coeffs[k]
+			}
+			roff := pat.Reads[k]
+			r := rOwners[roff]
+			if int(r) == w {
+				pl.LocalRefs++
+				pl.Reads[j] = roff
+				continue
+			}
+			pl.RemoteRefs++
+			m := &marks[roff]
+			if int(m.w) != w {
+				*m = ghostMark{w: int32(w), g: int32(len(ghostOffs))}
+				ghostOffs = append(ghostOffs, roff)
+				perSrc[r]++
+			}
+			pl.Reads[j] = -(m.g + 1)
+		}
+		pl.NGhost = len(ghostOffs)
+		s.Plans[w] = pl
+		// Filled in ghost-slot order, each gather list is in first-need order.
+		for r := 1; r <= np; r++ {
+			if perSrc[r] > 0 {
+				pairOf[r] = len(pairs)
+				pairs = append(pairs, GatherList{Src: r, Dst: w,
+					Offsets: make([]int32, 0, perSrc[r]), Targets: make([]int32, 0, perSrc[r])})
+			}
+		}
+		for g, roff := range ghostOffs {
+			pr := &pairs[pairOf[rOwners[roff]]]
+			pr.Offsets = append(pr.Offsets, roff)
+			pr.Targets = append(pr.Targets, int32(g))
+		}
 	}
-	// Deterministic pair order: sort by (Src, Dst). Insertion order
-	// already groups each pair's elements in first-need order.
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].Src != pairs[j].Src {
 			return pairs[i].Src < pairs[j].Src
 		}
 		return pairs[i].Dst < pairs[j].Dst
 	})
-	s.Pairs = make([]GatherList, len(pairs))
-	for i, pl := range pairs {
-		s.Pairs[i] = *pl
-	}
+	s.Pairs = pairs // in deterministic (Src, Dst) order
 	return s, nil
 }
 

@@ -1,6 +1,10 @@
 package inspector
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -99,10 +103,36 @@ func TestValidateErrors(t *testing.T) {
 		{Writes: []int32{0}, Reads: []int32{0}, Coeffs: []float64{1, 2}},
 		{Writes: []int32{2}, Reads: []int32{0}},
 		{Writes: []int32{0}, Reads: []int32{-1}},
+		{Writes: []int32{0}, Reads: []int32{2}}, // src offset 2 owned by 0
+		{Writes: []int32{1}, Reads: []int32{3}}, // src offset 3 owned by 2
 	}
 	for i, pat := range cases {
-		if _, err := Build(1, grid(1, 1), grid(1, 1), pat); err == nil {
+		if _, err := Build(1, grid(1, 1), grid(1, 1, 0, 2), pat); err == nil {
 			t.Fatalf("case %d: invalid pattern accepted", i)
+		}
+	}
+	_, err := Build(1, grid(1, 1), grid(1, 1, 0, 2), Pattern{Writes: []int32{0}, Reads: []int32{2}})
+	if want := "inspector: src offset 2 owned by 0, outside 1..1"; err == nil || err.Error() != want {
+		t.Fatalf("reader owner error %v, want %q", err, want)
+	}
+}
+
+// TestBuildErrorPrecedence: a bad offset is reported before any bad
+// owner, and a bad write before a bad read, whatever their accesses,
+// as Validate followed by the owner walk reported them.
+func TestBuildErrorPrecedence(t *testing.T) {
+	wOwn, rOwn := grid(1, 0), grid(1, 1)
+	for _, tc := range []struct {
+		pat  Pattern
+		want string
+	}{
+		{Pattern{Writes: []int32{1, 0, 5}, Reads: []int32{0, 9, 0}}, "inspector: access 2 writes offset 5 outside lhs size 2"},
+		{Pattern{Writes: []int32{1, 0}, Reads: []int32{0, 9}}, "inspector: access 1 reads offset 9 outside src size 2"},
+		{Pattern{Writes: []int32{0, 1}, Reads: []int32{0, 0}}, "inspector: lhs offset 1 owned by 0, outside 1..1"},
+	} {
+		_, err := Build(1, wOwn, rOwn, tc.pat)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%+v: error %v, want %q", tc.pat, err, tc.want)
 		}
 	}
 }
@@ -115,5 +145,183 @@ func TestBuildEmptyPattern(t *testing.T) {
 	}
 	if s.Messages() != 0 || s.GhostElements() != 0 {
 		t.Fatalf("empty pattern has traffic: %+v", s)
+	}
+}
+
+// buildMaps is the one-pass, map-based inspector Build replaced: the
+// oracle the two-pass Build must reproduce exactly.
+func buildMaps(np int, wOwners, rOwners []int32, pat Pattern) (*Schedule, error) {
+	if err := pat.Validate(len(wOwners), len(rOwners)); err != nil {
+		return nil, err
+	}
+	s := &Schedule{NP: np, Plans: make([]*Plan, np+1)}
+	planOf := func(p int) *Plan {
+		if s.Plans[p] == nil {
+			s.Plans[p] = &Plan{}
+		}
+		return s.Plans[p]
+	}
+	type haloKey struct {
+		off int32
+		w   int
+	}
+	accIx := make(map[int32]int32, len(pat.Writes))
+	ghosts := map[haloKey]int32{}
+	pairIx := map[[2]int]int{}
+	var pairs []*GatherList
+	for k, woff := range pat.Writes {
+		w := int(wOwners[woff])
+		if w < 1 || w > np {
+			return nil, fmt.Errorf("inspector: lhs offset %d owned by %d, outside 1..%d", woff, w, np)
+		}
+		wp := planOf(w)
+		oi, ok := accIx[woff]
+		if !ok {
+			oi = int32(len(wp.Outs))
+			wp.Outs = append(wp.Outs, woff)
+			accIx[woff] = oi
+		}
+		wp.WriteIx = append(wp.WriteIx, oi)
+		c := 1.0
+		if pat.Coeffs != nil {
+			c = pat.Coeffs[k]
+		}
+		wp.Coeffs = append(wp.Coeffs, c)
+		wp.Load++
+		roff := pat.Reads[k]
+		r := int(rOwners[roff])
+		if r == w {
+			wp.LocalRefs++
+			wp.Reads = append(wp.Reads, roff)
+			continue
+		}
+		wp.RemoteRefs++
+		key := haloKey{off: roff, w: w}
+		g, dup := ghosts[key]
+		if !dup {
+			g = int32(wp.NGhost)
+			wp.NGhost++
+			ghosts[key] = g
+			pr := [2]int{r, w}
+			pi, ok := pairIx[pr]
+			if !ok {
+				pi = len(pairs)
+				pairIx[pr] = pi
+				pairs = append(pairs, &GatherList{Src: r, Dst: w})
+			}
+			pairs[pi].Offsets = append(pairs[pi].Offsets, roff)
+			pairs[pi].Targets = append(pairs[pi].Targets, g)
+		}
+		wp.Reads = append(wp.Reads, -(g + 1))
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].Src != pairs[j].Src {
+			return pairs[i].Src < pairs[j].Src
+		}
+		return pairs[i].Dst < pairs[j].Dst
+	})
+	s.Pairs = make([]GatherList, len(pairs))
+	for i, pl := range pairs {
+		s.Pairs[i] = *pl
+	}
+	return s, nil
+}
+
+// randomCase draws an np-worker pattern of n accesses over random owner
+// grids. Writes repeat often (duplicate writes accumulate), reads
+// cluster on a few hot elements (remote reads deduplicate), and half
+// the cases carry coefficients. With bad set, one offset or one writer
+// owner is pushed out of range.
+func randomCase(rng *rand.Rand, np, n int, bad bool) ([]int32, []int32, Pattern) {
+	lhsSize, srcSize := 1+rng.Intn(2*n+1), 1+rng.Intn(2*n+1)
+	owners := func(size int) []int32 {
+		g := make([]int32, size)
+		for i := range g {
+			g[i] = int32(1 + rng.Intn(np))
+		}
+		return g
+	}
+	wOwn, rOwn := owners(lhsSize), owners(srcSize)
+	pat := Pattern{Writes: make([]int32, n), Reads: make([]int32, n)}
+	for k := range n {
+		pat.Writes[k] = int32(rng.Intn(lhsSize))
+		pat.Reads[k] = int32(rng.Intn(max(1, srcSize/(1+rng.Intn(4)))))
+	}
+	if rng.Intn(2) == 0 {
+		pat.Coeffs = make([]float64, n)
+		for k := range pat.Coeffs {
+			pat.Coeffs[k] = float64(rng.Intn(7) - 3)
+		}
+	}
+	if bad && n > 0 {
+		k := rng.Intn(n)
+		switch rng.Intn(3) {
+		case 0:
+			pat.Writes[k] = int32(lhsSize + rng.Intn(3))
+		case 1:
+			pat.Reads[k] = int32(-1 - rng.Intn(3))
+		default:
+			wOwn[pat.Writes[k]] = int32(np + 1)
+		}
+	}
+	return wOwn, rOwn, pat
+}
+
+// FuzzInspectorBuild: on random np 1–5, owner grids, duplicate writes
+// and nil or non-nil coefficients, Build returns exactly the oracle's
+// schedule, or exactly its error.
+func FuzzInspectorBuild(f *testing.F) {
+	for seed := range int64(8) {
+		f.Add(seed, uint8(seed), uint16(seed*37), seed%3 == 0)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, npb uint8, nb uint16, bad bool) {
+		rng := rand.New(rand.NewSource(seed))
+		np, n := 1+int(npb)%5, int(nb)%2000
+		wOwn, rOwn, pat := randomCase(rng, np, n, bad)
+		got, gerr := Build(np, wOwn, rOwn, pat)
+		want, werr := buildMaps(np, wOwn, rOwn, pat)
+		if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Fatalf("errors differ: got %v, oracle %v", gerr, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("np %d, %d accesses: schedule differs from the oracle\ngot  %+v\nwant %+v", np, n, got, want)
+		}
+	})
+}
+
+// TestBuildMatchesMaps runs the oracle comparison at sizes the fuzz
+// seeds do not reach.
+func TestBuildMatchesMaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 1000, 100000} {
+		for np := 1; np <= 4; np++ {
+			wOwn, rOwn, pat := randomCase(rng, np, n, false)
+			got, err := Build(np, wOwn, rOwn, pat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := buildMaps(np, wOwn, rOwn, pat)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("np %d, %d accesses: schedule differs from the oracle", np, n)
+			}
+		}
+	}
+}
+
+// TestInspectorBuildCost: Build's allocations are a constant plus
+// O(np + pairs) and do not grow with the number of accesses.
+func TestInspectorBuildCost(t *testing.T) {
+	const np = 4
+	allocs := func(n int) float64 {
+		rng := rand.New(rand.NewSource(2))
+		wOwn, rOwn, pat := randomCase(rng, np, n, false)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Build(np, wOwn, rOwn, pat); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(10_000), allocs(100_000); small != large {
+		t.Fatalf("Build allocates %.0f times on 10^4 accesses, %.0f on 10^5", small, large)
 	}
 }

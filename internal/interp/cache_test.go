@@ -55,3 +55,46 @@ PRINT R(N)
 		t.Errorf("report changed:\n spmd %+v\n  sim %+v", g, w)
 	}
 }
+
+// TestIrregularCacheKey: the cache key of an irregular statement tells
+// apart indirection vectors that differ in one entry (both statements
+// miss), while re-running a statement, or one whose section selects the
+// same elements through a different triplet, hits.
+func TestIrregularCacheKey(t *testing.T) {
+	const src = `
+PROCESSORS P(2)
+PARAMETER COL = (/3,1,7,4/)
+PARAMETER COL2 = (/3,1,8,4/)
+PARAMETER IDX = (/1,2,3,4/)
+REAL X(1:8), Y(1:4)
+!HPF$ DISTRIBUTE (CYCLIC) :: X, Y
+FORALL (I = 1:8) X(I) = I
+Y(1:4) = 2*X(COL)
+Y(1:4) = 2*X(COL2)
+Y(1:4) = 2*X(COL)
+Y(IDX) = 2*X(1:7:2)
+Y(IDX) = 2*X(1:8:2)
+PRINT SUM(Y)
+`
+	prog, err := Config{NP: 2, Engine: "spmd"}.NewProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prog.Close()
+	ip := New(prog)
+	h0, m0 := CacheStats()
+	res, err := ip.Run(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1, m1 := CacheStats()
+	if hits, misses := h1-h0, m1-m0; hits != 2 || misses != 3 {
+		t.Errorf("%d hits, %d misses; want 2 hits (COL again, X(1:8:2)) and 3 misses (COL, COL2, X(1:7:2))", hits, misses)
+	}
+	if len(ip.scheds) != 3 {
+		t.Errorf("cache holds %d schedules, want 3", len(ip.scheds))
+	}
+	if res.Output != "SUM(Y) = 32\n" {
+		t.Errorf("output %q, want 32", res.Output)
+	}
+}

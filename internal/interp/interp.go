@@ -23,8 +23,9 @@
 package interp
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"hash/maphash"
 	"sort"
 	"strconv"
 	"strings"
@@ -255,11 +256,10 @@ type resolved struct {
 	region index.Domain
 	terms  []hpf.AssignTerm
 
-	// rIrregular
-	src    *hpf.DistArray
-	writes []int
-	reads  []int
-	coeffs []float64
+	// rIrregular: the subscripts of both sides, expanded on a cache miss
+	src        *hpf.DistArray
+	wsub, rsub sub
+	coeff      float64
 
 	// rFill
 	fillVal   float64
@@ -602,62 +602,97 @@ func (ip *Interp) resolveIrregular(ln int, lhs *hpf.DistArray, lhsName string, l
 	if len(t.subs) != 1 {
 		return nil, errf(t.ln, "indirection-vector assignment requires a rank-1 right-hand side, %s has rank %d", t.name, len(t.subs))
 	}
-	writes, err := expandSide(ln, lhsName, lhs, lhsSubs[0])
-	if err != nil {
-		return nil, err
+	n := sideCount(lhsSubs[0])
+	if rn := sideCount(t.subs[0]); n != rn {
+		return nil, errf(ln, "left-hand side selects %d elements, right-hand side %d", n, rn)
 	}
-	reads, err := expandSide(ln, t.name, src, t.subs[0])
-	if err != nil {
-		return nil, err
-	}
-	if len(writes) != len(reads) {
-		return nil, errf(ln, "left-hand side selects %d elements, right-hand side %d", len(writes), len(reads))
-	}
-	var coeffs []float64
-	if t.coeff != 1 {
-		coeffs = make([]float64, len(writes))
-		for i := range coeffs {
-			coeffs[i] = t.coeff
+	// The key is binary and linear in the vector lengths: the element
+	// count, then each side as a section's triplet or a vector's hash.
+	key := fmt.Appendf(nil, "I|%s|%s|%s|", lhsName, t.name, strconv.FormatFloat(t.coeff, 'g', -1, 64))
+	key = binary.LittleEndian.AppendUint64(key, uint64(n))
+	for _, s := range []sub{lhsSubs[0], t.subs[0]} {
+		if s.vec != nil {
+			key = binary.LittleEndian.AppendUint64(append(key, 'v'), vecHash(s.vec))
+			continue
 		}
+		// Only the elements a section selects matter.
+		lo, stride := s.tr.Low, s.tr.Stride
+		if n == 0 {
+			lo = 0
+		}
+		if n <= 1 {
+			stride = 0
+		}
+		key = binary.LittleEndian.AppendUint64(append(key, 's'), uint64(lo))
+		key = binary.LittleEndian.AppendUint64(key, uint64(stride))
 	}
-	h := fnv.New64a()
-	for _, v := range writes {
-		fmt.Fprintf(h, "%d,", v)
-	}
-	fmt.Fprint(h, ";")
-	for _, v := range reads {
-		fmt.Fprintf(h, "%d,", v)
-	}
-	key := fmt.Sprintf("I|%s|%s|%s|%x", lhsName, t.name,
-		strconv.FormatFloat(t.coeff, 'g', -1, 64), h.Sum64())
 	return &resolved{
-		kind:   rIrregular,
-		lhs:    lhs,
-		src:    src,
-		writes: writes,
-		reads:  reads,
-		coeffs: coeffs,
-		key:    key,
+		kind:  rIrregular,
+		lhs:   lhs,
+		src:   src,
+		wsub:  lhsSubs[0],
+		rsub:  t.subs[0],
+		coeff: t.coeff,
+		key:   string(key),
 	}, nil
+}
+
+// keySeed seeds the vector hashes of irregular cache keys, which never
+// leave the process.
+var keySeed = maphash.MakeSeed()
+
+// vecHash hashes an indirection vector's entries as fixed-width
+// binary, through one reused buffer.
+func vecHash(vec []int) uint64 {
+	var h maphash.Hash
+	h.SetSeed(keySeed)
+	var buf [4096]byte
+	for len(vec) > 0 {
+		m := min(len(vec), len(buf)/8)
+		for i, v := range vec[:m] {
+			binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
+		}
+		h.Write(buf[:8*m])
+		vec = vec[m:]
+	}
+	return h.Sum64()
+}
+
+// sideCount is the number of elements one rank-1 side of an irregular
+// statement selects.
+func sideCount(s sub) int {
+	if s.vec != nil {
+		return len(s.vec)
+	}
+	return s.tr.Count()
 }
 
 // expandSide turns one rank-1 side of an irregular statement into its
 // global index list: either the indirection vector itself or the
 // expansion of the section triplet. (Index bounds are validated by
 // hpf.NewIrregular.)
-func expandSide(ln int, name string, arr *hpf.DistArray, s sub) ([]int, error) {
+func expandSide(s sub) []int {
 	if s.vec != nil {
-		return s.vec, nil
+		return s.vec
 	}
-	if arr.Shape().Rank() != 1 {
-		return nil, errf(ln, "indirection-vector assignment requires rank-1 arrays, %s has rank %d", name, arr.Shape().Rank())
-	}
-	n := s.tr.Count()
-	out := make([]int, n)
-	for k := 0; k < n; k++ {
+	out := make([]int, s.tr.Count())
+	for k := range out {
 		out[k] = s.tr.At(k)
 	}
-	return out, nil
+	return out
+}
+
+// newIrregular runs the inspector for an irregular statement.
+func newIrregular(r *resolved) (*hpf.Schedule, error) {
+	writes, reads := expandSide(r.wsub), expandSide(r.rsub)
+	var coeffs []float64
+	if r.coeff != 1 {
+		coeffs = make([]float64, len(writes))
+		for i := range coeffs {
+			coeffs[i] = r.coeff
+		}
+	}
+	return r.lhs.NewIrregular(r.src, writes, reads, coeffs)
 }
 
 // maxCachedSchedules bounds the schedule cache; when a new schedule
@@ -679,7 +714,7 @@ func (ip *Interp) schedule(ln int, r *resolved) (*hpf.Schedule, error) {
 	case rAssign:
 		s, err = r.lhs.NewSchedule(r.region, r.terms...)
 	case rIrregular:
-		s, err = r.lhs.NewIrregular(r.src, r.writes, r.reads, r.coeffs)
+		s, err = newIrregular(r)
 	}
 	if err != nil {
 		return nil, errf(ln, "%v", err)
