@@ -196,11 +196,13 @@ corpus:
 	$(GO) test -race -count=1 -run 'TestCorpus|TestInterp|TestRedistribute' ./internal/interp
 
 # Fuzz the program front end: arbitrary text must never panic or hang
-# the interpreter, and generated well-formed programs must be
-# identical on sim, on spmd and on the element-wise oracle.
+# the interpreter, generated well-formed programs must be identical on
+# sim, on spmd and on the element-wise oracle, and compiled integer
+# expressions must agree with a Go evaluation of their tree.
 fuzz-interp:
 	$(GO) test -run xxx -fuzz FuzzDirectiveProgram -fuzztime 30s ./internal/interp
 	$(GO) test -run xxx -fuzz FuzzInterpEquivalence -fuzztime 30s ./internal/interp
+	$(GO) test -run xxx -fuzz FuzzIntExpr -fuzztime 30s ./internal/interp
 
 # Fuzz the tcp wire's decoders of bytes written by another process: the
 # handshake, the roster, and the framing layer feeding every per-kind

@@ -350,7 +350,9 @@ type DistArray struct {
 func (a *DistArray) Name() string { return a.arr.Name() }
 
 // Fill initializes every element from fn. fn must be pure: the spmd
-// backend evaluates it concurrently, once per replica.
+// backend evaluates it concurrently, once per replica. The tuple is
+// reused from call to call: fn must not modify it, and must clone it to
+// retain it.
 func (a *DistArray) Fill(fn func(Tuple) float64) { a.arr.Fill(fn) }
 
 // At reads the element at tuple t.

@@ -216,6 +216,56 @@ func TestNewIndirectErrors(t *testing.T) {
 	if _, err := NewIndirect([]int{1, 0, 2}); err == nil {
 		t.Fatal("non-positive owner must fail")
 	}
+	// Owner entries index the per-owner tables: a huge one is refused
+	// before anything of its size is allocated.
+	if _, err := NewIndirect([]int{1, 1 << 30}); err == nil || !strings.Contains(err.Error(), "above") {
+		t.Fatalf("owner 2^30 gave %v, want a refusal", err)
+	}
+}
+
+// TestIndirectOwnersHoldingNothing: owners below the largest entry that
+// hold no index, and owners past it, answer 0 and nil.
+func TestIndirectOwnersHoldingNothing(t *testing.T) {
+	f, err := NewIndirect([]int{4, 1, 4, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{0, 2, 3, 5, 9} {
+		if g := f.Global(p, 1, 4, 9); g != 0 {
+			t.Errorf("Global(%d, 1) = %d, want 0", p, g)
+		}
+		if rs := f.OwnedRanges(p, 4, 9); rs != nil {
+			t.Errorf("OwnedRanges(%d) = %v, want nil", p, rs)
+		}
+	}
+	if rs := f.OwnedRanges(4, 4, 9); len(rs) != 2 || rs[0] != (Range{1, 1}) || rs[1] != (Range{3, 4}) {
+		t.Fatalf("OwnedRanges(4) = %v", rs)
+	}
+	// A caller appending to one owner's runs must not overwrite the next
+	// owner's.
+	_ = append(f.OwnedRanges(1, 4, 9), Range{9, 9})
+	if rs := f.OwnedRanges(4, 4, 9); rs[0] != (Range{1, 1}) {
+		t.Fatalf("appending to owner 1's runs changed owner 4's: %v", rs)
+	}
+}
+
+// TestNewIndirectCost: NewIndirect allocates the same number of times
+// for 10^4 and 10^6 entries — no map, no per-element append.
+func TestNewIndirectCost(t *testing.T) {
+	allocs := func(n int) float64 {
+		owner := make([]int, n)
+		for i := range owner {
+			owner[i] = (i*7+i/13)%5 + 1
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := NewIndirect(owner); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(10_000), allocs(1_000_000); small != large {
+		t.Errorf("NewIndirect allocates %.0f times for 10^4 entries, %.0f for 10^6", small, large)
+	}
 }
 
 func TestIndirectPrecomputedTables(t *testing.T) {

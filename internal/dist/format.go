@@ -483,12 +483,16 @@ func (g GeneralBlock) String() string {
 type indirect struct {
 	owner []int
 	// local[i] is the 1-based local index of global index i+1.
-	local []int
-	// perOwner[p] lists global indices owned by p+1, increasing.
-	perOwner map[int][]int
-	// runs[p] are the maximal contiguous runs owned by p+1.
-	runs map[int][]Range
-	max  int
+	local []int32
+	// byOwner lists global indices grouped by owner, increasing within
+	// each group; owner p's are byOwner[at[p]:at[p+1]].
+	byOwner []int32
+	at      []int32
+	// runs are the maximal contiguous runs grouped by owner, in index
+	// order within each group; owner p's are runs[runAt[p]:runAt[p+1]].
+	runs  []Range
+	runAt []int32
+	max   int
 	// allRuns are the maximal same-owner runs of the whole vector in
 	// index order, and runOf[i] is the index into allRuns of the run
 	// holding global index i+1 — so any subinterval's runs are a
@@ -498,43 +502,63 @@ type indirect struct {
 	runOf   []int32
 }
 
+// maxIndirectOwner bounds INDIRECT owner entries: the per-owner tables
+// are indexed by owner.
+const maxIndirectOwner = 1 << 20
+
 // NewIndirect builds an INDIRECT format from a 1-based owner vector
-// (owner[i-1] is the owner of global index i). Entries must be
-// positive; the upper bound against the actual processor count is
-// checked by Validate.
+// (owner[i-1] is the owner of global index i). Entries must lie in
+// 1..2²⁰; the upper bound against the actual processor count is
+// checked by Validate. The tables are built in counted passes — check
+// and count, then scatter into per-owner groups sized from the counts
+// — so construction allocates the same number of times for any vector
+// length.
 func NewIndirect(owner []int) (Format, error) {
 	if len(owner) == 0 {
 		return nil, fmt.Errorf("dist: INDIRECT owner vector must be non-empty")
 	}
-	f := &indirect{
-		owner:    append([]int(nil), owner...),
-		local:    make([]int, len(owner)),
-		perOwner: map[int][]int{},
-		runs:     map[int][]Range{},
-		runOf:    make([]int32, len(owner)),
-	}
+	f := &indirect{owner: slices.Clone(owner)}
+	nruns := 0
 	for i, p := range f.owner {
 		if p < 1 {
 			return nil, fmt.Errorf("dist: INDIRECT owner of index %d must be positive, got %d", i+1, p)
 		}
-		if p > f.max {
-			f.max = p
+		if p > maxIndirectOwner {
+			return nil, fmt.Errorf("dist: INDIRECT owner of index %d is %d, above the %d an owner table can index", i+1, p, maxIndirectOwner)
 		}
+		f.max = max(f.max, p)
+		if i == 0 || p != f.owner[i-1] {
+			nruns++
+		}
+	}
+	n := len(f.owner)
+	f.local, f.byOwner, f.runOf = make([]int32, n), make([]int32, n), make([]int32, n)
+	f.allRuns, f.runs = make([]Run, 0, nruns), make([]Range, nruns)
+	f.at, f.runAt = make([]int32, f.max+2), make([]int32, f.max+2)
+	for i, p := range f.owner {
 		if i == 0 || p != f.owner[i-1] {
 			f.allRuns = append(f.allRuns, Run{Lo: i + 1, Hi: i + 1, Proc: p})
+			f.runAt[p+1]++
 		} else {
 			f.allRuns[len(f.allRuns)-1].Hi = i + 1
 		}
 		f.runOf[i] = int32(len(f.allRuns) - 1)
-		f.perOwner[p] = append(f.perOwner[p], i+1)
-		f.local[i] = len(f.perOwner[p])
-		rs := f.runs[p]
-		if k := len(rs) - 1; k >= 0 && rs[k].High == i {
-			rs[k].High = i + 1
-		} else {
-			rs = append(rs, Range{Low: i + 1, High: i + 1})
-		}
-		f.runs[p] = rs
+		f.at[p+1]++
+	}
+	for p := 1; p <= f.max; p++ {
+		f.at[p+1] += f.at[p]
+		f.runAt[p+1] += f.runAt[p]
+	}
+	next := slices.Clone(f.at)
+	for i, p := range f.owner {
+		f.byOwner[next[p]] = int32(i + 1)
+		next[p]++
+		f.local[i] = next[p] - f.at[p]
+	}
+	copy(next, f.runAt)
+	for _, r := range f.allRuns {
+		f.runs[next[r.Proc]] = Range{Low: r.Lo, High: r.Hi}
+		next[r.Proc]++
 	}
 	return f, nil
 }
@@ -561,20 +585,25 @@ func (f *indirect) Validate(n, np int) error {
 func (f *indirect) Map(i, n, np int) int { return f.owner[i-1] }
 
 // Local returns i's precomputed rank among its owner's indices.
-func (f *indirect) Local(i, n, np int) int { return f.local[i-1] }
+func (f *indirect) Local(i, n, np int) int { return int(f.local[i-1]) }
 
 // Global returns the l-th global index owned by p, or 0 when p holds
 // fewer than l elements.
 func (f *indirect) Global(p, l, n, np int) int {
-	idx := f.perOwner[p]
-	if l < 1 || l > len(idx) {
+	if p < 1 || p > f.max || l < 1 || l > int(f.at[p+1]-f.at[p]) {
 		return 0
 	}
-	return idx[l-1]
+	return int(f.byOwner[int(f.at[p])+l-1])
 }
 
-// OwnedRanges returns p's precomputed maximal runs.
-func (f *indirect) OwnedRanges(p, n, np int) []Range { return f.runs[p] }
+// OwnedRanges returns p's precomputed maximal runs (nil when p holds
+// nothing).
+func (f *indirect) OwnedRanges(p, n, np int) []Range {
+	if p < 1 || p > f.max || f.runAt[p] == f.runAt[p+1] {
+		return nil
+	}
+	return f.runs[f.runAt[p]:f.runAt[p+1]:f.runAt[p+1]]
+}
 
 // String renders the owner vector, eliding long vectors.
 func (f *indirect) String() string {

@@ -198,9 +198,10 @@ type Array interface {
 	Mapping() core.ElementMapping
 	Replicated() bool
 	// Fill initializes every element from fn (which must be pure: the
-	// spmd backend evaluates it concurrently, once per replica). A
-	// panic in fn fails the engine, as a sticky error from the next
-	// operation.
+	// spmd backend evaluates it concurrently, once per replica). The
+	// tuple is reused from call to call: fn must not modify it, and
+	// must clone it to retain it. A panic in fn fails the engine, as a
+	// sticky error from the next operation.
 	Fill(fn func(index.Tuple) float64)
 	At(t index.Tuple) float64
 	Set(t index.Tuple, v float64)

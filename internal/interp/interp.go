@@ -931,33 +931,25 @@ func (ip *Interp) execForall(f *forallStmt) error {
 	if _, err := c.expect(directive.TokAssign); err != nil {
 		return err
 	}
-	rhs := c.toks[c.i:]
-	// Validate the expression once against dummy bindings so malformed
-	// programs fail before the (error-less) Fill callback runs.
-	probe := &cursor{ip: ip, ln: f.ln, toks: rhs, vars: map[string]int{}}
-	for _, v := range vars {
-		probe.vars[v] = 1
-	}
-	if _, err := probe.intExpr(); err != nil {
+	// Compiled once, the right-hand side is checked before Fill runs;
+	// the index variables become the tuple's slots.
+	c.vars = vars
+	rhs, err := c.addInt()
+	if err != nil {
 		return err
 	}
-	if err := probe.requireEnd(); err != nil {
+	if err := c.requireEnd(); err != nil {
 		return err
 	}
 
-	// The Fill callback runs concurrently on the spmd backend; each
-	// invocation gets its own cursor and bindings. Value-dependent
-	// evaluation errors (MOD by a zero that only some elements hit)
-	// yield 0 for that element and surface once after the fill.
+	// The Fill callback runs concurrently on the spmd backend.
+	// Value-dependent evaluation errors (MOD by a zero that only some
+	// elements hit) yield 0 for that element and surface once after
+	// the fill.
 	var once sync.Once
 	var fillErr error
 	arr.Fill(func(t index.Tuple) float64 {
-		env := make(map[string]int, len(vars))
-		for i, v := range vars {
-			env[v] = t[i]
-		}
-		ec := &cursor{ip: ip, ln: f.ln, toks: rhs, vars: env}
-		v, err := ec.intExpr()
+		v, err := rhs.eval(t)
 		if err != nil {
 			once.Do(func() { fillErr = err })
 			return 0

@@ -1,7 +1,10 @@
 package interp_test
 
 import (
+	"fmt"
+	"math"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -306,6 +309,60 @@ func TestRedistributeLeavesBystandersAlone(t *testing.T) {
 		for i := 1; i <= m; i++ {
 			if got, want := b[(j-1)*m+i-1], float64(i+1000*j); got != want {
 				t.Fatalf("B(%d,%d) = %g, want %g", i, j, got, want)
+			}
+		}
+	}
+}
+
+// TestForallFillCost: a FORALL allocates the same number of times
+// whatever the array's size — nothing per element, no map, cursor or
+// tuple — on both engine kinds and the three layouts the benchmark
+// fills: (BLOCK,:), (CYCLIC,:) (the lu.rebuild layout, where a row's
+// slots are not consecutive offsets and every tuple is decoded) and a
+// CYCLIC vector (the halo.* layout).
+func TestForallFillCost(t *testing.T) {
+	if engine.RaceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const matrix = "REAL A(1:N,1:N)\n!HPF$ DISTRIBUTE A(%s,:) TO P\n"
+	cases := []struct {
+		name, decl, forall string
+		small, large       int
+	}{
+		{"(BLOCK,:)", fmt.Sprintf(matrix, "BLOCK"), "FORALL (I = 1:N, J = 1:N) A(I,J) = MOD(I*7 + J*3 + S, 11)\n", 64, 512},
+		{"(CYCLIC,:)", fmt.Sprintf(matrix, "CYCLIC"), "FORALL (I = 1:N, J = 1:N) A(I,J) = MOD(I*5 + J*J + S, 13) + 1\n", 64, 512},
+		{"CYCLIC vector", "REAL A(1:N)\n!HPF$ DISTRIBUTE A(CYCLIC) TO P\n", "FORALL (I = 1:N) A(I) = MOD(I*I + S, 17)\n", 1024, 512 * 512},
+	}
+	allocs := func(engine, decl, forall string, n int) float64 {
+		prog, err := interp.Config{NP: 2, Engine: engine, Params: map[string]int{"N": n, "S": 3}}.NewProgram()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer prog.Close()
+		ip := interp.New(prog)
+		if _, err := ip.Run("PROCESSORS P(2)\n" + decl + forall); err != nil {
+			t.Fatal(err)
+		}
+		// A garbage collection can add an allocation of the runtime's own
+		// to a run: collect first, measure with the collector off, and
+		// keep the least of three counts.
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		least := math.Inf(1)
+		for range 3 {
+			least = min(least, testing.AllocsPerRun(3, func() {
+				if _, err := ip.Run(forall); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return least
+	}
+	for _, engine := range []string{"sim", "spmd"} {
+		for _, tc := range cases {
+			small, large := allocs(engine, tc.decl, tc.forall, tc.small), allocs(engine, tc.decl, tc.forall, tc.large)
+			if small != large {
+				t.Errorf("%s %s: a FORALL allocates %.0f times at N=%d, %.0f at N=%d", engine, tc.name, small, tc.small, large, tc.large)
 			}
 		}
 	}

@@ -2,9 +2,11 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"hpfnt/internal/directive"
+	"hpfnt/internal/index"
 )
 
 // The parse layer builds a program AST from source lines: directive
@@ -247,7 +249,7 @@ type cursor struct {
 	ln    int
 	toks  []directive.Token
 	i     int
-	vars  map[string]int // FORALL index variables, bound per element
+	vars  []string // FORALL index variables: tuple slot order
 	depth int
 }
 
@@ -291,161 +293,226 @@ func (c *cursor) requireEnd() error {
 // turning pathological inputs into errors instead of stack overflow.
 const maxExprDepth = 64
 
-// intExpr parses and evaluates an integer expression: +, -, *, /
-// (integer division), parentheses, integer literals, the MOD, MIN and
-// MAX intrinsics, FORALL/DO variables and named parameters.
-func (c *cursor) intExpr() (int, error) { return c.addInt() }
+// iexpr is a compiled integer expression: an operation over compiled
+// operands (fn), or else the affine form c + Σ coef[k]·t[k] of the
+// FORALL index tuple t — a constant when coef is empty. Parameters and
+// DO variables fold to constants at compile time, and sums, differences
+// and constant multiples of affine forms stay affine, so evaluation
+// reads no map, parses no token, and MOD(I*7 + J*3 + S, 11) is one
+// call.
+type iexpr struct {
+	fn   func(index.Tuple) (int, error)
+	c    int
+	coef []int
+}
 
-func (c *cursor) addInt() (int, error) {
-	v, err := c.mulInt()
+// eval evaluates e at the FORALL index tuple t (nil outside FORALL).
+func (e iexpr) eval(t index.Tuple) (int, error) {
+	if e.fn != nil {
+		return e.fn(t)
+	}
+	v := e.c
+	for k, m := range e.coef {
+		v += m * t[k]
+	}
+	return v, nil
+}
+
+// intExpr compiles and evaluates an integer expression outside FORALL.
+func (c *cursor) intExpr() (int, error) {
+	e, err := c.addInt()
 	if err != nil {
 		return 0, err
 	}
-	for {
-		switch {
-		case c.accept(directive.TokPlus):
-			r, err := c.mulInt()
-			if err != nil {
-				return 0, err
-			}
-			v += r
-		case c.accept(directive.TokMinus):
-			r, err := c.mulInt()
-			if err != nil {
-				return 0, err
-			}
-			v -= r
-		default:
-			return v, nil
-		}
-	}
+	return e.eval(nil)
 }
 
-func (c *cursor) mulInt() (int, error) {
-	v, err := c.unaryInt()
-	if err != nil {
-		return 0, err
-	}
-	for {
-		switch {
-		case c.accept(directive.TokStar):
-			r, err := c.unaryInt()
-			if err != nil {
-				return 0, err
-			}
-			v *= r
-		case c.accept(directive.TokSlash):
-			r, err := c.unaryInt()
-			if err != nil {
-				return 0, err
-			}
-			if r == 0 {
-				return 0, errf(c.ln, "division by zero")
-			}
-			v /= r
-		default:
-			return v, nil
-		}
-	}
+// addInt compiles an integer expression: +, -, *, / (integer
+// division), parentheses, integer literals, the MOD, MIN and MAX
+// intrinsics, FORALL index variables (c.vars) and named parameters.
+// Everything the text alone decides is an error here; division and
+// MOD by zero are errors of eval.
+func (c *cursor) addInt() (iexpr, error) {
+	return c.chain(c.mulInt, directive.TokPlus, directive.TokMinus)
 }
 
-func (c *cursor) unaryInt() (int, error) {
+func (c *cursor) mulInt() (iexpr, error) {
+	return c.chain(c.unaryInt, directive.TokStar, directive.TokSlash)
+}
+
+// chain compiles operand {op operand} for the two operators of one
+// precedence level, left-associative.
+func (c *cursor) chain(operand func() (iexpr, error), op1, op2 directive.TokKind) (iexpr, error) {
+	x, err := operand()
+	for err == nil && (c.at(op1) || c.at(op2)) {
+		op := c.next().Text[0]
+		var y iexpr
+		if y, err = operand(); err == nil {
+			x = c.binary(op, x, y)
+		}
+	}
+	return x, err
+}
+
+func (c *cursor) unaryInt() (iexpr, error) {
 	if c.accept(directive.TokMinus) {
-		v, err := c.unaryInt()
-		return -v, err
+		x, err := c.unaryInt()
+		return c.binary('-', iexpr{}, x), err
 	}
 	c.accept(directive.TokPlus)
 	return c.primInt()
 }
 
-func (c *cursor) primInt() (int, error) {
+func (c *cursor) primInt() (iexpr, error) {
+	t := c.peek()
 	switch {
-	case c.at(directive.TokNumber):
-		t := c.next()
+	case c.accept(directive.TokNumber):
 		v, err := strconv.Atoi(t.Text)
 		if err != nil {
-			return 0, errf(c.ln, "expected an integer, got %q (column %d)", t.Text, t.Pos+1)
+			return iexpr{}, errf(c.ln, "expected an integer, got %q (column %d)", t.Text, t.Pos+1)
 		}
-		return v, nil
+		return iexpr{c: v}, nil
 	case c.accept(directive.TokLParen):
 		c.depth++
 		if c.depth > maxExprDepth {
-			return 0, errf(c.ln, "expression nested deeper than %d", maxExprDepth)
+			return iexpr{}, errf(c.ln, "expression nested deeper than %d", maxExprDepth)
 		}
-		v, err := c.addInt()
+		x, err := c.addInt()
 		c.depth--
-		if err != nil {
-			return 0, err
+		if err == nil {
+			_, err = c.expect(directive.TokRParen)
 		}
-		if _, err := c.expect(directive.TokRParen); err != nil {
-			return 0, err
-		}
-		return v, nil
-	case c.at(directive.TokIdent):
-		t := c.next()
+		return x, err
+	case c.accept(directive.TokIdent):
 		switch t.Text {
 		case "MOD", "MIN", "MAX":
 			return c.intrinsicInt(t.Text)
 		}
-		if c.vars != nil {
-			if v, ok := c.vars[t.Text]; ok {
-				return v, nil
-			}
+		if k := slices.Index(c.vars, t.Text); k >= 0 {
+			coef := make([]int, k+1)
+			coef[k] = 1
+			return iexpr{coef: coef}, nil
 		}
 		if v, ok := c.ip.param(t.Text); ok {
-			return v, nil
+			return iexpr{c: v}, nil
 		}
-		return 0, errf(c.ln, "unknown identifier %q in expression (not a parameter or loop variable; column %d)", t.Text, t.Pos+1)
+		return iexpr{}, errf(c.ln, "unknown identifier %q in expression (not a parameter or loop variable; column %d)", t.Text, t.Pos+1)
 	default:
-		return 0, errf(c.ln, "expected an expression, found %s %q (column %d)", c.peek().Kind, c.peek().Text, c.peek().Pos+1)
+		return iexpr{}, errf(c.ln, "expected an expression, found %s %q (column %d)", t.Kind, t.Text, t.Pos+1)
 	}
 }
 
-func (c *cursor) intrinsicInt(name string) (int, error) {
+func (c *cursor) intrinsicInt(name string) (iexpr, error) {
 	if _, err := c.expect(directive.TokLParen); err != nil {
-		return 0, err
+		return iexpr{}, err
 	}
-	var args []int
-	for {
-		v, err := c.addInt()
+	var args []iexpr
+	for more := true; more; more = c.accept(directive.TokComma) {
+		x, err := c.addInt()
 		if err != nil {
-			return 0, err
+			return iexpr{}, err
 		}
-		args = append(args, v)
-		if !c.accept(directive.TokComma) {
-			break
-		}
+		args = append(args, x)
 	}
 	if _, err := c.expect(directive.TokRParen); err != nil {
-		return 0, err
+		return iexpr{}, err
 	}
 	if len(args) < 2 {
-		return 0, errf(c.ln, "%s requires at least two arguments", name)
+		return iexpr{}, errf(c.ln, "%s requires at least two arguments", name)
 	}
+	op := byte('<') // MIN
 	switch name {
 	case "MOD":
 		if len(args) != 2 {
-			return 0, errf(c.ln, "MOD takes exactly two arguments")
+			return iexpr{}, errf(c.ln, "MOD takes exactly two arguments")
 		}
-		if args[1] == 0 {
-			return 0, errf(c.ln, "MOD by zero")
-		}
-		return args[0] % args[1], nil
-	case "MIN":
-		best := args[0]
-		for _, v := range args[1:] {
-			if v < best {
-				best = v
-			}
-		}
-		return best, nil
-	default: // MAX
-		best := args[0]
-		for _, v := range args[1:] {
-			if v > best {
-				best = v
-			}
-		}
-		return best, nil
+		op = '%'
+	case "MAX":
+		op = '>'
 	}
+	x := args[0]
+	for _, y := range args[1:] {
+		x = c.binary(op, x, y)
+	}
+	return x, nil
+}
+
+// binary combines two compiled operands under op (+ - * / for the
+// operators, % < > for MOD, MIN and MAX). Affine operands combine
+// into an affine form where the result is one, and constants fold
+// unless the operation fails, which is left to eval: the left operand,
+// then the right, then op — the order the text reads.
+func (c *cursor) binary(op byte, x, y iexpr) iexpr {
+	ln := c.ln
+	if x.fn == nil && y.fn == nil {
+		switch {
+		case op == '+':
+			return axpy(x, 1, y)
+		case op == '-':
+			return axpy(x, -1, y)
+		case op == '*' && len(y.coef) == 0:
+			return axpy(iexpr{}, y.c, x)
+		case op == '*' && len(x.coef) == 0:
+			return axpy(iexpr{}, x.c, y)
+		case len(x.coef) == 0 && len(y.coef) == 0:
+			if v, err := arith(ln, op, x.c, y.c); err == nil {
+				return iexpr{c: v}
+			}
+		}
+	}
+	// Affine operands are evaluated in line: a call per operation.
+	return iexpr{fn: func(t index.Tuple) (int, error) {
+		a, b := x.c, y.c
+		var err error
+		if x.fn != nil {
+			a, err = x.fn(t)
+		}
+		if err == nil && y.fn != nil {
+			b, err = y.fn(t)
+		}
+		if err != nil {
+			return 0, err
+		}
+		for k, m := range x.coef {
+			a += m * t[k]
+		}
+		for k, m := range y.coef {
+			b += m * t[k]
+		}
+		return arith(ln, op, a, b)
+	}}
+}
+
+// axpy is the affine form x + m·y of two affine forms.
+func axpy(x iexpr, m int, y iexpr) iexpr {
+	coef := make([]int, max(len(x.coef), len(y.coef)))
+	copy(coef, x.coef)
+	for k, v := range y.coef {
+		coef[k] += m * v
+	}
+	return iexpr{c: x.c + m*y.c, coef: coef}
+}
+
+func arith(ln int, op byte, a, b int) (int, error) {
+	switch op {
+	case '+':
+		return a + b, nil
+	case '-':
+		return a - b, nil
+	case '*':
+		return a * b, nil
+	case '<':
+		return min(a, b), nil
+	case '>':
+		return max(a, b), nil
+	}
+	switch {
+	case b == 0 && op == '/':
+		return 0, errf(ln, "division by zero")
+	case b == 0:
+		return 0, errf(ln, "MOD by zero")
+	case op == '/':
+		return a / b, nil
+	}
+	return a % b, nil
 }

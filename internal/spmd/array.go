@@ -310,47 +310,62 @@ func (a *Array) Set(t index.Tuple, v float64) {
 
 // Fill initializes every element from fn, each worker filling its own
 // segment (concurrently, under the parallel dispatcher). fn must be
-// pure: replicated elements are
-// computed once per copy, and in a multi-process job every process
-// fills only the segments it hosts. A panic in fn fails the engine;
-// the error surfaces from the next dispatched operation.
+// pure: replicated elements are computed once per copy, and in a
+// multi-process job every process fills only the segments it hosts.
+// The tuple fn receives is reused from element to element; fn must not
+// modify it, and must clone it to retain it. A panic in fn fails the
+// engine; the error surfaces from the next dispatched operation.
 func (a *Array) Fill(fn func(t index.Tuple) float64) {
-	lay, dom := a.lay, a.dom
+	lay, dom, rank := a.lay, a.dom, a.dom.Rank()
+	step0, last0 := 0, 0
+	if rank > 0 {
+		step0, last0 = dom.Dims[0].Stride, dom.Dims[0].Last()
+	}
 	// The error is sticky on the engine; Fill itself has no error
 	// return in the backend interface.
 	_ = a.eng.run(1, func(p, _ int) {
 		st := lay.stores[p]
-		for k, off := range st.offsets {
-			st.data[k] = fn(dom.TupleAt(int(off)))
+		t := make(index.Tuple, rank)
+		bump := -1 // the offset reached by advancing t[0] one step
+		for k, o := range st.offsets {
+			if off := int(o); off == bump {
+				t[0] += step0
+			} else {
+				for d, tr := range dom.Dims {
+					n := tr.Count()
+					t[d] = tr.At(off % n)
+					off /= n
+				}
+			}
+			if bump = -1; rank > 0 && t[0] != last0 {
+				bump = int(o) + 1
+			}
+			st.data[k] = fn(t)
 		}
 	})
 }
 
 // Data materializes the dense column-major global value vector (from
-// each element's first owner), for verification against the
-// element-wise oracle. It is not on any hot path. On a multi-process
-// transport this is a collective: each rank's segment is broadcast
-// from its host, and every process returns the identical vector.
+// each element's lowest-ranked owner), for verification against the
+// element-wise oracle; the interpreter reads every array through it at
+// the end of each Run. On a multi-process transport this is a
+// collective: each rank's segment is broadcast from its host, and
+// every process returns the identical vector.
 func (a *Array) Data() []float64 {
 	out := make([]float64, a.dom.Size())
 	tr := a.eng.tr
-	if tr.Procs() == 1 {
-		for off := range out {
-			p := a.lay.firstOwner(off)
-			out[off] = a.lay.stores[p].data[a.lay.slotOf(p, off)]
-		}
-		return out
-	}
 	// Scatter segments in descending rank order so the lowest-ranked
-	// owner's copy lands last, matching the first-owner read of the
-	// single-process path for replicated arrays.
+	// owner's copy of a replicated element lands last.
 	for p := a.eng.np; p >= 1; p-- {
 		st := a.lay.stores[p]
-		var vals []float64
-		if a.eng.hosted(p) {
-			vals = st.data
+		seg := st.data
+		if tr.Procs() > 1 {
+			var vals []float64
+			if a.eng.hosted(p) {
+				vals = st.data
+			}
+			seg = tr.Bcast(tr.HostOf(p), vals)
 		}
-		seg := tr.Bcast(tr.HostOf(p), vals)
 		for k, off := range st.offsets {
 			if k < len(seg) {
 				out[off] = seg[k]

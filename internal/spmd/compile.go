@@ -364,7 +364,9 @@ func (b *planBuilder) finish() *Schedule {
 		if !direct {
 			k.tmp = make([]float64, wb.load/T) // direct is true without terms
 		}
-		s.plans[p] = &wplan{kernel: k, ghost: make([]float64, nghost),
+		ghost := make([]float64, nghost)
+		k.place(ghost)
+		s.plans[p] = &wplan{kernel: k, ghost: ghost,
 			load: wb.load, localRefs: wb.localRefs, remoteRefs: wb.remoteRefs}
 		return s.plans[p]
 	}

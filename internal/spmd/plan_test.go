@@ -63,7 +63,7 @@ func shapeOf(t testing.TB, s *Schedule) planShape {
 		sh.runs += len(k.runs)
 		sh.tmp += len(k.tmp)
 		sh.ghost += len(wp.ghost)
-		sh.retained += 12*cap(k.runs) + 12*cap(k.terms) + 8*cap(k.tmp) + 8*cap(wp.ghost)
+		sh.retained += 12*cap(k.runs) + 12*cap(k.terms) + 8*cap(k.tmp) + 8*cap(wp.ghost) + 8*(chunk+accSlack)
 		for _, sp := range wp.ex.sends {
 			for _, sg := range sp.segs {
 				sh.sendSpans += len(sg.spans)
@@ -424,4 +424,133 @@ func TestBuildSpans(t *testing.T) {
 	if want := []string{"compile B[2:16]", "inspect B<-A x32"}; !slices.Equal(names, want) {
 		t.Errorf("build spans %q, want %q", names, want)
 	}
+}
+
+// accPoints returns, mod 4096, every address at which a chunk of one of
+// k's runs starts reading a term or writing its destination — the
+// first two chunks of each run, since later ones repeat their residues.
+func accPoints(k *runKernel, ghost []float64) []int {
+	T := len(k.coeffs)
+	var pts []int
+	at := 0
+	for r, run := range k.runs {
+		for c0 := 0; c0 < min(int(run.n), 2*chunk); c0 += chunk {
+			for t, tm := range k.terms[r*T : r*T+T] {
+				src := k.srcs[t]
+				if tm.ghost {
+					src = ghost
+				}
+				pts = append(pts, addrMod4K(src, int(tm.base)+c0*int(tm.stride)))
+			}
+			if k.tmp != nil {
+				pts = append(pts, addrMod4K(k.tmp, at+c0))
+			} else {
+				pts = append(pts, addrMod4K(k.lhs, int(run.base)+c0*int(run.stride)))
+			}
+		}
+		at += int(run.n)
+	}
+	return pts
+}
+
+// circDist is the smallest circular distance mod 4096 from a to pts.
+func circDist(a int, pts []int) int {
+	best := 4096
+	for _, p := range pts {
+		d := ((a-p)%4096 + 4096) % 4096
+		best = min(best, d, 4096-d)
+	}
+	return best
+}
+
+// TestKernelAccumulatorPlacement checks where runKernel's accumulator
+// lives, structurally rather than by timing. For the compiled 766²
+// Jacobi plan and the halo plan, the accumulator must lie at least 256
+// bytes, mod 4096, from every address at which a chunk of a run starts
+// reading a term or writing its destination, whenever some start in its
+// buffer allows it (4K aliasing: a load matching an earlier store in
+// the low 12 address bits waits for it), and the kernel must sum in it.
+// The choice is a function of the plan's own addresses, not of the
+// workers' stacks: after a Fill whose callback grew every worker's
+// stack 10 000 frames deep, placing the same plans again gives the same
+// residues, and plans compiled anew meet the same bound.
+func TestKernelAccumulatorPlacement(t *testing.T) {
+	e := newEngine(t, 2)
+	v, interior, terms := jacobi766(t, e)
+	u := terms[0].Src
+	u.Fill(func(tp index.Tuple) float64 { return float64(tp[0] + tp[1]) })
+	sys, _ := proc.NewSystem(2)
+	h := newArray(t, e, "H", distMapping(t, sys, index.Standard(1, 1024), dist.Cyclic{K: 1}))
+	// kernels compiles both plans and returns their kernels, checking
+	// each one's placement.
+	type placed struct {
+		k     *runKernel
+		ghost []float64
+	}
+	kernels := func() []placed {
+		jac, err := e.BuildSchedule(v, interior, terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		halo, err := e.BuildSchedule(h, index.Standard(2, 1023), []Term{Ref(h, 0.5, 0), Ref(h, 0.25, -1), Ref(h, 0.25, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []placed
+		for i, s := range []*Schedule{jac, halo} {
+			for p, wp := range s.plans {
+				if wp == nil {
+					continue
+				}
+				k := wp.kernel.(*runKernel)
+				if len(k.acc) != chunk {
+					t.Fatalf("plan %d worker %d: accumulator of %d values, want %d", i, p, len(k.acc), chunk)
+				}
+				pts := accPoints(k, wp.ghost)
+				got, best := circDist(addrMod4K(k.acc, 0), pts), 0
+				for s := 0; s <= accSlack; s++ {
+					best = max(best, circDist(addrMod4K(k.acc, s), pts))
+				}
+				if got < min(256, best) {
+					t.Errorf("plan %d worker %d: accumulator %d bytes from a run's source or destination, %d possible", i, p, got, best)
+				}
+				out = append(out, placed{k, wp.ghost})
+			}
+		}
+		if err := jac.Execute(); err != nil {
+			t.Fatal(err)
+		}
+		for p, wp := range jac.plans[1:] {
+			if k := wp.kernel.(*runKernel); !slices.ContainsFunc(k.acc, func(x float64) bool { return x != 0 }) {
+				t.Errorf("worker %d computed a Jacobi sweep without touching its accumulator", p+1)
+			}
+		}
+		return out
+	}
+	before := kernels()
+	residues := make([]int, len(before))
+	for i, pk := range before {
+		residues[i] = addrMod4K(pk.k.acc, 0)
+	}
+
+	var deep func(n int) float64
+	deep = func(n int) float64 {
+		var frame [8]float64
+		if n > 0 {
+			frame[n%8] = deep(n - 1)
+		}
+		return frame[(n+1)%8] + 1
+	}
+	g := newArray(t, e, "G", distMapping(t, sys, index.Standard(1, 2), dist.Block{}))
+	g.Fill(func(index.Tuple) float64 { return deep(10_000) })
+	if err := e.tr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i, pk := range before {
+		pk.k.place(pk.ghost)
+		if got := addrMod4K(pk.k.acc, 0); got != residues[i] {
+			t.Errorf("kernel %d: accumulator residue %d after the workers' stacks grew, %d before", i, got, residues[i])
+		}
+	}
+	kernels()
 }

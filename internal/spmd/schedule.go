@@ -2,7 +2,9 @@ package spmd
 
 import (
 	"fmt"
+	"slices"
 	"time"
+	"unsafe"
 
 	"hpfnt/internal/index"
 	"hpfnt/internal/machine"
@@ -106,6 +108,8 @@ type kernel interface {
 // being written (no term reads the lhs array at a non-zero shift):
 // each value is then stored as soon as it is computed. Otherwise the
 // whole share is evaluated into tmp before any store.
+//
+// Each chunk of a run is summed in acc, placed by place.
 type runKernel struct {
 	lhs    []float64
 	coeffs []float64
@@ -113,6 +117,7 @@ type runKernel struct {
 	runs   []krun
 	terms  []kterm
 	tmp    []float64
+	acc    []float64
 }
 
 // krun is the written side of one run.
@@ -259,14 +264,83 @@ func (s *Schedule) ExecuteN(iters int) error {
 // accumulator stays in L1 while each term streams through it.
 const chunk = 256
 
+// accSlack is how many values past its first one the accumulator may
+// start: 512 float64 are 4096 bytes, so every 8-byte residue mod 4096
+// is a start it can take.
+const accSlack = 512
+
+// place allocates the kernel's accumulator buffer of chunk+accSlack
+// values and picks the start in it: the residue mod 4096 bytes farthest
+// from every address at which a chunk of the plan's runs starts reading
+// a term (the ghost buffer included) or writing its destination — the
+// middle of the widest circular gap between those residues. A load that
+// matches an earlier store in the low 12 address bits waits for it (4K
+// aliasing), and the accumulator takes a store per term per value. On
+// the worker's stack it would land wherever the goroutine's stack had
+// last been grown to, so the kernel's speed would depend on what ran
+// before it. One start serves every run, so the accumulator stays in the
+// same cache lines from run to run. Stores, tmp and the ghost buffer do
+// not move while the plan lives (a remap invalidates it), so this is
+// done once.
+func (k *runKernel) place(ghost []float64) {
+	if len(k.runs) == 0 {
+		return
+	}
+	var used [4096 / 8]bool // the 8-byte residues the runs start at
+	mark := func(s []float64, i, stride, n int) {
+		used[addrMod4K(s, i)/8] = true
+		// Consecutive chunks start chunk·stride values, 2048·stride
+		// bytes, apart: mod 4096 the first two stand for all of them.
+		if n > chunk {
+			used[addrMod4K(s, i+chunk*stride)/8] = true
+		}
+	}
+	T, at := len(k.coeffs), 0
+	for r, run := range k.runs {
+		for t, tm := range k.terms[r*T : r*T+T] {
+			src := k.srcs[t]
+			if tm.ghost {
+				src = ghost
+			}
+			mark(src, int(tm.base), int(tm.stride), int(run.n))
+		}
+		if k.tmp != nil {
+			mark(k.tmp, at, 1, int(run.n))
+		} else {
+			mark(k.lhs, int(run.base), int(run.stride), int(run.n))
+		}
+		at += int(run.n)
+	}
+	const R = len(used)
+	from, widest := 0, 0
+	first := slices.Index(used[:], true)
+	for i := first; i < first+R; {
+		j := i + 1
+		for !used[j%R] {
+			j++
+		}
+		if j-i > widest {
+			from, widest = i, j-i
+		}
+		i = j
+	}
+	buf := make([]float64, chunk+accSlack)
+	start := ((from+widest/2)%R - addrMod4K(buf, 0)/8 + R) % R
+	k.acc = buf[start : start+chunk]
+}
+
+// addrMod4K is the address of s[i] mod 4096 (i may lie outside s).
+func addrMod4K(s []float64, i int) int {
+	return int((uintptr(unsafe.Pointer(unsafe.SliceData(s))) + 8*uintptr(i)) % 4096)
+}
+
 func (k *runKernel) compute(ghost []float64) {
 	T := len(k.coeffs)
-	var acc [chunk]float64
 	at := 0
 	for r, run := range k.runs {
 		terms := k.terms[r*T : r*T+T]
 		for c0 := 0; c0 < int(run.n); c0 += chunk {
-			ac := acc[:min(chunk, int(run.n)-c0)]
+			ac := k.acc[:min(chunk, int(run.n)-c0)]
 			clear(ac)
 			for ti, tm := range terms {
 				src, c := k.srcs[ti], k.coeffs[ti]
@@ -275,9 +349,7 @@ func (k *runKernel) compute(ghost []float64) {
 				}
 				j := int(tm.base) + c0*int(tm.stride)
 				if tm.stride == 1 {
-					for i, v := range src[j : j+len(ac)] {
-						ac[i] += c * v
-					}
+					addScaled(ac, src[j:j+len(ac)], c)
 					continue
 				}
 				for i := range ac {
@@ -300,6 +372,30 @@ func (k *runKernel) compute(ghost []float64) {
 	for _, run := range k.runs {
 		storeRun(k.lhs, int(run.base), int(run.stride), k.tmp[at:at+int(run.n)])
 		at += int(run.n)
+	}
+}
+
+// addScaled adds c·s[i] to ac[i], four values per iteration, in a
+// function of its own: a one-value loop inlined in compute is short
+// enough that where the linker puts it decides the stencil's speed
+// (straddling a 64-byte line it runs 1.5× slower), and any edit to the
+// code before it can move it there. A function starts 32-byte aligned,
+// so this loop's layout depends on this function alone, and four values
+// per iteration spread the fetch over more work.
+//
+//go:noinline
+func addScaled(ac, s []float64, c float64) {
+	s = s[:len(ac)]
+	i := 0
+	for ; i <= len(ac)-4; i += 4 {
+		a, v := ac[i:i+4:i+4], s[i:i+4:i+4]
+		a[0] += c * v[0]
+		a[1] += c * v[1]
+		a[2] += c * v[2]
+		a[3] += c * v[3]
+	}
+	for ; i < len(ac); i++ {
+		ac[i] += c * s[i]
 	}
 }
 
