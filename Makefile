@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race race-spmd race-irregular race-tcp race-shm race-recovery node-smoke node-smoke-shm node-recovery node-recovery-shm run-smoke run-smoke-shm obs-smoke obs-recovery-trace trace-analyze-smoke bench bench-snapshot bench-gate bench-smoke speedup amortization overhead corpus fuzz fuzz-engine fuzz-irregular fuzz-interp fuzz-wire docs
+.PHONY: check fmt vet build test race race-spmd race-irregular race-tcp race-shm race-recovery node-smoke node-smoke-shm node-recovery node-recovery-shm run-smoke run-smoke-shm obs-smoke obs-recovery-trace trace-analyze-smoke bench bench-smoke speedup amortization overhead corpus fuzz fuzz-engine fuzz-irregular fuzz-interp fuzz-wire docs
 
-check: fmt vet build test docs
+check: fmt vet build test docs bench-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -135,25 +135,11 @@ docs:
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
-# Regenerate the committed perf-trajectory snapshot (best-of-3 over
-# all experiments, the replay speedup, the irregular workloads and the
-# per-wire micro-benchmarks). Commit the result when the numbers move
-# for a good reason.
-bench-snapshot:
-	$(GO) run ./cmd/hpfbench -repeat 3 -speedup -irregular -wires -json BENCH_8.json
-
-# CI perf-regression gate: a fresh best-of-3 record must stay within
-# 1.5x of the committed snapshot on every timed section, keep the
-# deterministic frame/message counts exactly, and keep shm >=5x
-# faster per message than tcp.
-bench-gate:
-	$(GO) run ./cmd/hpfbench -repeat 3 -speedup -irregular -wires -json /tmp/hpfnt-bench-current.json > /dev/null
-	$(GO) run ./cmd/benchgate -baseline BENCH_8.json -current /tmp/hpfnt-bench-current.json -tol 1.5
-
 # bench/ is a Go module of its own, so the root build and test never
 # compile it: vet it and run its tests (every workload at smoke scale,
-# a few seconds) so an internal/ API change cannot silently break the
-# benchmark.
+# a few seconds, verified against its Go kernel and the pinned
+# Logical() counts) so an internal/ API change cannot silently break
+# the benchmark. Part of `make check`.
 bench-smoke:
 	cd bench && $(GO) vet . && $(GO) test .
 

@@ -2,7 +2,9 @@
 // bench per reproduction experiment (E1–E13, see the experiment index
 // in README.md and the per-experiment doc comments in internal/exper),
 // each asserting its paper-claim checks on the first iteration, plus
-// micro-benchmarks of the mapping primitives.
+// micro-benchmarks of the mapping primitives. The executor's layers
+// (schedule build, replay, remap, inspector, wires) are timed by the
+// bench/ module instead.
 //
 // Run with: go test -bench=. -benchmem
 package main_bench
@@ -18,9 +20,7 @@ import (
 	"hpfnt/internal/expr"
 	"hpfnt/internal/index"
 	"hpfnt/internal/machine"
-	"hpfnt/internal/obs"
 	"hpfnt/internal/proc"
-	"hpfnt/internal/transport"
 	"hpfnt/internal/workload"
 )
 
@@ -262,114 +262,6 @@ func BenchmarkLUSweepCyclic(b *testing.B) {
 	}
 }
 
-// --- 512² Jacobi schedule replay, the same plan under the sequential
-// (sim) and the parallel (spmd) dispatcher (the speedup benchmark
-// behind the -speedup flag of cmd/hpfbench). ---
-
-func benchJacobiReplay(b *testing.B, kind string) {
-	b.Helper()
-	eng, err := engine.New(kind, 8, machine.DefaultCost())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	n := 512
-	am, err := workload.BlockRowMapping(n, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bm, err := workload.BlockRowMapping(n, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	aa, err := eng.NewArray("A", am)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ba, err := eng.NewArray("B", bm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	aa.Fill(func(t index.Tuple) float64 { return float64((t[0]*7 + t[1]) % 101) })
-	sched, err := ba.NewSchedule(index.Standard(2, n-1, 2, n-1), []engine.Term{
-		engine.Read(aa, 0.25, -1, 0), engine.Read(aa, 0.25, 1, 0),
-		engine.Read(aa, 0.25, 0, -1), engine.Read(aa, 0.25, 0, 1),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sched.Execute(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkJacobiReplaySim(b *testing.B) { benchJacobiReplay(b, engine.Sim) }
-
-func BenchmarkJacobiReplaySPMD(b *testing.B) { benchJacobiReplay(b, engine.SPMD) }
-
-// BenchmarkJacobiReplaySPMDTraced is the same replay with the full
-// observability stack live — phase timers on and the trace recorder
-// installed — so `-bench 'JacobiReplaySPMD'` shows the
-// instrumentation overhead side by side (the acceptance budget is
-// <5%; TestObservabilityOverhead in internal/workload gates it).
-func BenchmarkJacobiReplaySPMDTraced(b *testing.B) {
-	obs.EnableTiming(true)
-	obs.StartTrace(0, 1<<14)
-	defer func() {
-		obs.StopTrace()
-		obs.EnableTiming(false)
-	}()
-	benchJacobiReplay(b, engine.SPMD)
-}
-
-// BenchmarkSpmdScheduleBuild measures the spmd plan producer (runs
-// per worker plus ghost and pair intervals) at both ends of the
-// granularity range: the 128² Jacobi stencil on (BLOCK,:), whose tiles
-// are whole row blocks; one step of the LU sweep on (CYCLIC,:), N=192,
-// whose tiles are single rows and whose second term is all remote; and
-// the in-place 3-point stencil on a rank-1 CYCLIC array, N=1024, whose
-// tiles are single elements.
-func BenchmarkSpmdScheduleBuild(b *testing.B) {
-	eng, mapping := mapper(b, engine.SPMD, 8)
-	array := func(name string, dom index.Domain, formats ...dist.Format) engine.Array {
-		a, err := eng.NewArray(name, mapping(dom, formats...))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return a
-	}
-	square := func(n int) index.Domain { return index.Standard(1, n, 1, n) }
-	ja, jb := array("A", square(128), dist.Block{}, dist.Collapsed{}), array("B", square(128), dist.Block{}, dist.Collapsed{})
-	la, lr := array("LA", square(192), dist.Cyclic{K: 1}, dist.Collapsed{}), array("LR", square(192), dist.Cyclic{K: 1}, dist.Collapsed{})
-	h := array("H", index.Standard(1, 1024), dist.Cyclic{K: 1})
-	for _, st := range []struct {
-		name   string
-		lhs    engine.Array
-		region index.Domain
-		terms  []engine.Term
-	}{
-		{"jacobi-block-128", jb, index.Standard(2, 127, 2, 127), []engine.Term{
-			engine.Read(ja, 0.25, -1, 0), engine.Read(ja, 0.25, 1, 0),
-			engine.Read(ja, 0.25, 0, -1), engine.Read(ja, 0.25, 0, 1)}},
-		{"lu-cyclic-rows-192", lr, index.Standard(2, 192, 2, 192), []engine.Term{
-			engine.Read(lr, 1, 0, 0), engine.Read(la, 1.0/16, -1, -1)}},
-		{"halo-cyclic1-1024", h, index.Standard(2, 1023), []engine.Term{
-			engine.Read(h, 0.5, 0), engine.Read(h, 0.25, -1), engine.Read(h, 0.25, 1)}},
-	} {
-		b.Run(st.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := st.lhs.NewSchedule(st.region, st.terms); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // mapper returns an engine of the given kind with np workers and a
 // constructor of distributions over its processors.
 func mapper(b *testing.B, kind string, np int) (engine.Engine, func(dom index.Domain, formats ...dist.Format) core.ElementMapping) {
@@ -421,238 +313,5 @@ func BenchmarkSpmdLayoutBuild(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkSpmdRemap measures one Array.Remap — new layout, plan, local
-// copies and the per-pair shipment — alternating between two mappings:
-// the remap.cycle workload's (BLOCK,:) ↔ (CYCLIC(8),:) on 1024², the
-// finest interleaving on a vector, two slab tilings of a 64³ array, and
-// a remap to an equal mapping, which moves nothing.
-func BenchmarkSpmdRemap(b *testing.B) {
-	eng, mapping := mapper(b, engine.SPMD, 2)
-	square, vector, cube := index.Standard(1, 1024, 1, 1024), index.Standard(1, 1<<16), index.Standard(1, 64, 1, 64, 1, 64)
-	for _, tc := range []struct {
-		name string
-		maps [2]core.ElementMapping
-	}{
-		{"block-cyclic8-1024x1024", [2]core.ElementMapping{
-			mapping(square, dist.Block{}, dist.Collapsed{}), mapping(square, dist.Cyclic{K: 8}, dist.Collapsed{})}},
-		{"block-cyclic1-vector", [2]core.ElementMapping{
-			mapping(vector, dist.Block{}), mapping(vector, dist.Cyclic{K: 1})}},
-		{"block-gblock-64x64x64", [2]core.ElementMapping{
-			mapping(cube, dist.Block{}, dist.Collapsed{}, dist.Collapsed{}),
-			mapping(cube, dist.GeneralBlock{Bounds: []int{20}}, dist.Collapsed{}, dist.Collapsed{})}},
-		{"unchanged-1024x1024", [2]core.ElementMapping{
-			mapping(square, dist.Block{}, dist.Collapsed{}), mapping(square, dist.Block{}, dist.Collapsed{})}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			a, err := eng.NewArray("A", tc.maps[0])
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := a.Remap(tc.maps[(i+1)%2]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// benchIrregularCG prepares the 64k-nonzero sparse CG workload
-// (q = A·x through the inspector–executor subsystem) on the spmd
-// engine and returns the compiled state.
-func benchIrregularCG(b *testing.B) *workload.SparseCG {
-	b.Helper()
-	const n, nnz, np = 8192, 65536, 8
-	eng, err := engine.New(engine.SPMD, np, machine.DefaultCost())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { eng.Close() })
-	sys := workload.SparseMatrix(n, nnz, 23)
-	xm, err := workload.Rank1Mapping(n, np, dist.Block{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	qm, err := workload.Rank1Mapping(n, np, dist.Block{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := workload.NewSparseCG(eng, sys, xm, qm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return c
-}
-
-// BenchmarkIrregularReplayFirst measures the first iteration of the
-// irregular gather: the inspector (ownership partition, remote
-// deduplication, schedule compilation) plus one execution. Compare
-// against BenchmarkIrregularReplaySteady for the schedule-reuse
-// amortization (acceptance gate: steady ≥ 5× faster; see
-// TestIrregularAmortization).
-func BenchmarkIrregularReplayFirst(b *testing.B) {
-	c := benchIrregularCG(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sched, err := c.NewSchedule()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sched.Execute(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIrregularReplaySteady measures the steady-state iteration:
-// the compiled schedule replayed with no per-iteration analysis.
-func BenchmarkIrregularReplaySteady(b *testing.B) {
-	c := benchIrregularCG(b)
-	sched, err := c.NewSchedule()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sched.Execute(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sched.Execute(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchGhostExchange builds the 256² row-blocked 5-point Jacobi
-// schedule on a spmd engine over the given transport and replays it
-// as one epoch. The statement (B <- A) does not overwrite its input,
-// so schedule-level coalescing ships each pair's frame once for the
-// whole epoch: the reported frames/op vs msgs/op metrics show the
-// coalescing win per wire (frames/op tends to zero as N grows while
-// the cost model still charges 14 logical messages per iteration).
-func benchGhostExchange(b *testing.B, transportKind string) {
-	const n, np = 256, 8
-	eng, err := engine.NewOn(engine.SPMD, transportKind, np, machine.DefaultCost())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	am, err := workload.BlockRowMapping(n, np)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bm, err := workload.BlockRowMapping(n, np)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := workload.JacobiReplay(eng, n, 1, am, bm); err != nil {
-		b.Fatal(err)
-	}
-	eng.Reset()
-	b.ReportAllocs()
-	b.ResetTimer()
-	rep, err := workload.JacobiReplay(eng, n, b.N, am, bm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(eng.Machine().WireFrames())/float64(b.N), "frames/op")
-	b.ReportMetric(float64(rep.Messages)/float64(b.N), "msgs/op")
-}
-
-// BenchmarkGhostExchangeTransport runs the coalesced ghost exchange
-// over every registered wire.
-func BenchmarkGhostExchangeTransport(b *testing.B) {
-	for _, kind := range transport.Kinds() {
-		b.Run(kind, func(b *testing.B) { benchGhostExchange(b, kind) })
-	}
-}
-
-// benchGhostExchangeInPlace is the non-coalescible counterpart: an
-// in-place sweep (A <- A) whose every iteration depends on the
-// previous stores, so each of the 14 boundary frames must cross the
-// wire per iteration — the per-iteration delta between wires
-// quantifies the raw per-message overhead inside a compiled schedule.
-func benchGhostExchangeInPlace(b *testing.B, transportKind string) {
-	const n, np = 256, 8
-	eng, err := engine.NewOn(engine.SPMD, transportKind, np, machine.DefaultCost())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	am, err := workload.BlockRowMapping(n, np)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, err := eng.NewArray("A", am)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a.Fill(func(t index.Tuple) float64 { return float64((t[0]*t[1])%97) * 1e-4 })
-	interior := index.Standard(2, n-1, 2, n-1)
-	terms := []engine.Term{
-		engine.Read(a, 0.25, -1, 0),
-		engine.Read(a, 0.25, 1, 0),
-		engine.Read(a, 0.25, 0, -1),
-		engine.Read(a, 0.25, 0, 1),
-	}
-	sched, err := a.NewSchedule(interior, terms)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sched.Execute(); err != nil {
-		b.Fatal(err)
-	}
-	eng.Reset()
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := sched.ExecuteN(b.N); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(eng.Machine().WireFrames())/float64(b.N), "frames/op")
-	b.ReportMetric(float64(eng.Stats().Messages)/float64(b.N), "msgs/op")
-}
-
-// BenchmarkGhostExchangeInPlaceTransport runs the per-iteration ghost
-// exchange over every registered wire.
-func BenchmarkGhostExchangeInPlaceTransport(b *testing.B) {
-	for _, kind := range transport.Kinds() {
-		b.Run(kind, func(b *testing.B) { benchGhostExchangeInPlace(b, kind) })
-	}
-}
-
-// benchTransportMessage measures the raw per-message cost of one
-// rank-pair stream: a 16-element message bounced between two ranks.
-func benchTransportMessage(b *testing.B, kind string) {
-	tr, err := transport.New(kind, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer tr.Close()
-	msg := make([]float64, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Send(1, 2, msg)
-		if got := tr.Recv(1, 2); len(got) != len(msg) {
-			b.Fatalf("message truncated: %d elements", len(got))
-		}
-	}
-}
-
-// BenchmarkTransportMessage measures every registered wire (the
-// shm-vs-tcp ratio here is the tentpole's ≥5× acceptance gate; see
-// cmd/benchgate).
-func BenchmarkTransportMessage(b *testing.B) {
-	for _, kind := range transport.Kinds() {
-		b.Run(kind, func(b *testing.B) { benchTransportMessage(b, kind) })
 	}
 }

@@ -1,3 +1,5 @@
+package core
+
 // Uniform cells: the closed-form ownership analysis of a shift
 // statement lhs(region) = f(src_1(region+shift_1), …). Each mapping's
 // owner tiles over its (shifted) region are rectangles, so every tile
@@ -7,7 +9,6 @@
 // owner. The engine's plan producer (package spmd) is built on it and
 // reads the owners at a cell's corner from its layout grids, so the
 // enumeration itself is O(tiles), independent of the region's volume.
-package core
 
 import (
 	"reflect"

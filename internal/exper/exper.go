@@ -4,8 +4,9 @@
 // numbered tables; each experiment reproduces a specific §-referenced
 // claim). Each experiment returns a Result with a preformatted table
 // and a list of pass/fail checks encoding the claim's expected shape;
-// cmd/hpfbench prints the tables and bench_test.go asserts the
-// checks.
+// cmd/hpfbench prints the tables and verdicts, and the root
+// bench_test.go times each experiment and fails on a failing check.
+// The verdicts, not the wall clocks, are what is gated.
 package exper
 
 import (
@@ -25,7 +26,7 @@ type Check struct {
 
 // Result is the outcome of one experiment.
 type Result struct {
-	// ID is the experiment identifier (E1..E12).
+	// ID is the experiment identifier (E1..E13, E2b).
 	ID string
 	// Title summarizes the experiment and its paper source.
 	Title string

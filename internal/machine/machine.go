@@ -15,6 +15,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -226,16 +227,30 @@ func (m *Machine) EncodeCounters() []float64 {
 // MergeCounters adds a counter vector produced by EncodeCounters on a
 // machine of the same shape — the per-process shares of one job sum
 // to the job-wide counters, because every event (send, load, local or
-// remote reference) is charged by exactly one process.
+// remote reference) is charged by exactly one process. The vector comes
+// from another process or a checkpoint shard, so it is validated whole
+// before anything is added: on error the machine is unchanged.
 func (m *Machine) MergeCounters(enc []float64) error {
 	head := 3 + (5+NumPhases)*m.NP + 1
 	if len(enc) < head {
 		return fmt.Errorf("machine: counter vector has %d entries, want at least %d", len(enc), head)
 	}
-	npairs := int(enc[head-1])
-	if len(enc) != head+4*npairs {
-		return fmt.Errorf("machine: counter vector has %d entries, want %d for %d pairs", len(enc), head+4*npairs, npairs)
+	for i, v := range enc {
+		if v != math.Trunc(v) || math.Abs(v) > 1<<53 {
+			return fmt.Errorf("machine: counter vector entry %d is %v, not an exact integer", i, v)
+		}
 	}
+	if pc, room := enc[head-1], (len(enc)-head)/4; pc < 0 || pc > float64(room) || len(enc) != head+4*int(pc) {
+		return fmt.Errorf("machine: counter vector has %d entries, which does not fit %v pairs", len(enc), pc)
+	}
+	npairs := int(enc[head-1])
+	for k := 0; k < npairs; k++ {
+		src, dst := enc[head+4*k], enc[head+4*k+1]
+		if src < 1 || src > float64(m.NP) || dst < 1 || dst > float64(m.NP) {
+			return fmt.Errorf("machine: counter pair (%v,%v) out of range 1..%d", src, dst, m.NP)
+		}
+	}
+
 	m.localRefs += int64(enc[0])
 	m.remoteRefs += int64(enc[1])
 	m.wireFrames += int64(enc[2])
@@ -254,11 +269,7 @@ func (m *Machine) MergeCounters(enc []float64) error {
 	}
 	i++ // pair count
 	for k := 0; k < npairs; k++ {
-		src, dst := int(enc[i]), int(enc[i+1])
-		if src < 1 || src > m.NP || dst < 1 || dst > m.NP {
-			return fmt.Errorf("machine: counter pair (%d,%d) out of range 1..%d", src, dst, m.NP)
-		}
-		key := pair{src, dst}
+		key := pair{int(enc[i]), int(enc[i+1])}
 		m.msgs[key] += int(enc[i+2])
 		m.elems[key] += int(enc[i+3])
 		i += 4

@@ -8,7 +8,8 @@ package workload
 // inspector–executor subsystem (package inspector) instead of the
 // run-length shift analysis, and their per-iteration cost drops to
 // pure gather/compute once the schedule is built (see
-// BenchmarkIrregularReplayFirst/Steady and TestIrregularAmortization).
+// TestIrregularAmortization, and bench/'s inspector.build_ms and
+// inspector.first_over_steady).
 
 import (
 	"fmt"
@@ -281,8 +282,8 @@ func timeIt(f func() error, errp *error) float64 {
 // IrregularAmortization measures schedule reuse on one backend: the
 // wall-clock (milliseconds) of `first` = inspector + one execution
 // versus the steady-state per-iteration cost over iters replays of
-// the compiled schedule. Used by hpfbench -irregular and the
-// amortization gate.
+// the compiled schedule. Used by the amortization gate
+// (TestIrregularAmortization).
 func IrregularAmortization(kind string, sys SparseSystem, np, iters int) (first, steady float64, err error) {
 	eng, err := engine.New(kind, np, machine.DefaultCost())
 	if err != nil {

@@ -175,14 +175,14 @@ func jacobiOn(eng engine.Engine, n, iters int, a, b core.ElementMapping) (machin
 
 // JacobiReplay builds the n×n 5-point schedule once on eng and
 // replays it iters times — the schedule-replay workload behind the
-// parallel-speedup benchmarks. The report reflects all iterations.
+// parallel-speedup gate. The report reflects all iterations.
 func JacobiReplay(eng engine.Engine, n, iters int, a, b core.ElementMapping) (machine.Report, error) {
 	return jacobiOn(eng, n, iters, a, b)
 }
 
 // BlockRowMapping returns the (BLOCK,:) mapping of an n×n array over
 // np processors — the canonical row-blocked Jacobi layout used by the
-// speedup benchmarks.
+// speedup gate.
 func BlockRowMapping(n, np int) (core.ElementMapping, error) {
 	sys, err := proc.NewSystem(np)
 	if err != nil {
