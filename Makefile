@@ -161,9 +161,11 @@ overhead:
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzFormatRoundTrip -fuzztime 30s ./internal/dist
 
-# Differential fuzz of sim and spmd against the element-wise oracle.
+# Differential fuzz of sim and spmd against the element-wise oracle,
+# then of the run kernel against an element loop, bit for bit.
 fuzz-engine:
 	$(GO) test -run xxx -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/engine
+	$(GO) test -run xxx -fuzz FuzzRunKernel -fuzztime 30s ./internal/spmd
 
 # Differential fuzz of the irregular (inspector–executor) path: sim
 # and spmd against the element-wise oracle, then the two-pass

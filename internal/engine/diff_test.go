@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"hpfnt/internal/core"
@@ -105,13 +106,20 @@ func sameOutcome(t *testing.T, kind string, want, got outcome) {
 		t.Fatalf("data length: oracle %d, %s %d", len(want.data), kind, len(got.data))
 	}
 	for i := range want.data {
-		if want.data[i] != got.data[i] {
+		if !sameBits(want.data[i], got.data[i]) {
 			t.Fatalf("value mismatch at %d: oracle %g, %s %g", i, want.data[i], kind, got.data[i])
 		}
 	}
 	if want.report != got.report {
 		t.Fatalf("report mismatch:\n oracle %+v\n %s %+v", want.report, kind, got.report)
 	}
+}
+
+// sameBits reports whether x and y are one float64 bit for bit, any
+// NaN matching any NaN: -0 and +0 differ, as a -0 printed by a program
+// would.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || x != x && y != y
 }
 
 // run executes the scenario on the given backend kind. Mapping

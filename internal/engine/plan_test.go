@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -101,7 +102,7 @@ func TestPlanMatchesElementwise(t *testing.T) {
 					}
 					for _, kind := range Kinds() {
 						got := run(t, kind, lm, rm, shifts)
-						if !slices.Equal(got.data, want.data) {
+						if !slices.EqualFunc(got.data, want.data, sameBits) {
 							t.Errorf("%s: values differ from the oracle", kind)
 						}
 						if !slices.Equal(got.detail.Traffic, want.detail.Traffic) {
@@ -116,6 +117,54 @@ func TestPlanMatchesElementwise(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestNegatedZeroIsPositiveZero pins the summation's starting value:
+// V(1:N) = -1*U(1:N) over a zero U is 0.0 + (-1·+0) = +0 element by
+// element in the oracle, and must be +0, not -0, on sim and on spmd
+// over every wire — a kernel that starts its sum from the first product
+// instead of from 0.0 stores -0 here.
+func TestNegatedZeroIsPositiveZero(t *testing.T) {
+	const np, n = 2, 16
+	sys, err := proc.NewSystem(np)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := sys.DeclareArray("P", index.Standard(1, np))
+	dom := index.Standard(1, n)
+	for _, f := range []dist.Format{dist.Block{}, dist.Cyclic{K: 1}} {
+		d, err := dist.New(dom, []dist.Format{f}, proc.Whole(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := core.DistMapping{D: d}
+		run := func(kind, wire string) {
+			eng := newBackend(t, kind, wire, np)
+			defer eng.Close()
+			u, err := eng.NewArray("U", m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := eng.NewArray("V", m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.Fill(func(index.Tuple) float64 { return 7 })
+			if err := v.Assign(dom, []Term{Read(u, -1, 0)}); err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range v.Data() {
+				if math.Float64bits(x) != 0 {
+					t.Errorf("%T %s/%s: V(%d) = %g (bits %#x), want +0", f, kind, wire, i+1, x, math.Float64bits(x))
+				}
+			}
+		}
+		run(oracleKind, InprocTransport)
+		run(Sim, InprocTransport)
+		for _, wire := range Transports() {
+			run(SPMD, wire)
 		}
 	}
 }

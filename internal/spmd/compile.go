@@ -364,9 +364,7 @@ func (b *planBuilder) finish() *Schedule {
 		if !direct {
 			k.tmp = make([]float64, wb.load/T) // direct is true without terms
 		}
-		ghost := make([]float64, nghost)
-		k.place(ghost)
-		s.plans[p] = &wplan{kernel: k, ghost: ghost,
+		s.plans[p] = &wplan{kernel: k, ghost: make([]float64, nghost),
 			load: wb.load, localRefs: wb.localRefs, remoteRefs: wb.remoteRefs}
 		return s.plans[p]
 	}

@@ -407,24 +407,17 @@ type counters struct {
 	load       int
 	localRefs  int
 	remoteRefs int
-	// sends: one entry per destination pair; msgs repeated Send calls
-	// of elems elements each (schedule replays call Send per
-	// iteration, matching the element-wise oracle's accounting).
-	sends []sendCount
+	// sends: one entry per destination pair, each charged msgs times
+	// as a message of its elems values (schedule replays call Send per
+	// iteration, matching the element-wise oracle's accounting) and
+	// put on the wire frames times: msgs when every iteration
+	// exchanged, 1 when the schedule coalesced (constGhost).
+	sends        []pairSend
+	msgs, frames int
 	// phase holds the worker's wall time per phase for this epoch, in
 	// nanoseconds; nil when phase timing is disabled so the hot paths
 	// never touch the clock.
 	phase *phaseTally
-}
-
-type sendCount struct {
-	dst   int
-	elems int
-	msgs  int
-	// frames is the number of Send calls actually made on the wire
-	// for this pair during the epoch: msgs when every iteration
-	// exchanged, 1 when the schedule coalesced (constGhost).
-	frames int
 }
 
 // flush applies a worker's counters to the shared machine.
@@ -437,10 +430,10 @@ func (e *Engine) flush(p int, c *counters) {
 	e.mach.RecordLocal(c.localRefs)
 	e.mach.RecordRemote(c.remoteRefs)
 	for _, s := range c.sends {
-		for i := 0; i < s.msgs; i++ {
+		for i := 0; i < c.msgs; i++ {
 			e.mach.Send(p, s.dst, s.elems)
 		}
-		e.mach.AddWireFrames(s.frames)
+		e.mach.AddWireFrames(c.frames)
 	}
 	if c.phase != nil {
 		for ph, ns := range c.phase {

@@ -124,17 +124,6 @@ func (x *exchange) recv(e *Engine, p int, dest []float64) {
 	}
 }
 
-// sendCounts is the exchange's traffic for an epoch in which each
-// pair's message was charged msgs times and physically sent frames
-// times.
-func (x *exchange) sendCounts(msgs, frames int) []sendCount {
-	out := make([]sendCount, len(x.sends))
-	for i, sp := range x.sends {
-		out[i] = sendCount{dst: sp.dst, elems: sp.elems, msgs: msgs, frames: frames}
-	}
-	return out
-}
-
 // pairBuilder accumulates the traffic of each ordered (sender,
 // receiver) pair during a compile, one interval at a time, and then
 // emits both endpoints' exchanges. All three producers — the regular

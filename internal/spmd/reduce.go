@@ -115,7 +115,8 @@ func (e *Engine) Reduce(a *Array, op runtime.ReduceOp) (float64, error) {
 			switch st := rounds[r][p]; {
 			case st.send && k%2 == 0:
 				e.send(p, st.peer, []float64{partials[p]})
-				cs[p].sends = append(cs[p].sends, sendCount{dst: st.peer, elems: 1, msgs: 1, frames: 1})
+				cs[p].sends = append(cs[p].sends, pairSend{dst: st.peer, elems: 1})
+				cs[p].msgs, cs[p].frames = 1, 1
 			case !st.send && k%2 == 1:
 				msg := e.recv(st.peer, p)
 				if msg == nil {

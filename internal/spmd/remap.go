@@ -67,7 +67,7 @@ func (e *Engine) applyRemap(a *Array, newMap core.ElementMapping, pl *remapPlan)
 			}
 			ship.recv(e, p, newData)
 			if len(ship.sends) > 0 {
-				e.flush(p, &counters{sends: ship.sendCounts(1, 1)})
+				e.flush(p, &counters{sends: ship.sends, msgs: 1, frames: 1})
 			}
 		})
 		if err != nil {

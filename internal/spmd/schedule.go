@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"time"
-	"unsafe"
 
 	"hpfnt/internal/index"
 	"hpfnt/internal/machine"
@@ -108,8 +107,6 @@ type kernel interface {
 // being written (no term reads the lhs array at a non-zero shift):
 // each value is then stored as soon as it is computed. Otherwise the
 // whole share is evaluated into tmp before any store.
-//
-// Each chunk of a run is summed in acc, placed by place.
 type runKernel struct {
 	lhs    []float64
 	coeffs []float64
@@ -117,7 +114,6 @@ type runKernel struct {
 	runs   []krun
 	terms  []kterm
 	tmp    []float64
-	acc    []float64
 }
 
 // krun is the written side of one run.
@@ -193,7 +189,10 @@ func (s *Schedule) ExecuteN(iters int) error {
 	// Per worker across phases: the epoch span (the skew analysis
 	// compares these lanes to find the straggler) and the tally
 	// splitting its wall time into ghost-wait and compute.
-	wspans := make([]func(), e.np+1)
+	var wspans []func()
+	if tracing {
+		wspans = make([]func(), e.np+1)
+	}
 	var tallies []phaseTally
 	if timing {
 		tallies = make([]phaseTally, e.np+1)
@@ -240,14 +239,16 @@ func (s *Schedule) ExecuteN(iters int) error {
 		if k < last {
 			return
 		}
-		if wspans[p] != nil {
+		if tracing && wspans[p] != nil {
 			wspans[p]()
 		}
 		c := counters{
 			load:       wp.load * iters,
 			localRefs:  wp.localRefs * iters,
 			remoteRefs: wp.remoteRefs * iters,
-			sends:      wp.ex.sendCounts(iters, frames),
+			sends:      wp.ex.sends,
+			msgs:       iters,
+			frames:     frames,
 		}
 		if timing {
 			c.phase = &tallies[p]
@@ -260,110 +261,56 @@ func (s *Schedule) ExecuteN(iters int) error {
 	return err
 }
 
-// chunk is how many values of a run are evaluated at a time: the
-// accumulator stays in L1 while each term streams through it.
-const chunk = 256
-
-// accSlack is how many values past its first one the accumulator may
-// start: 512 float64 are 4096 bytes, so every 8-byte residue mod 4096
-// is a start it can take.
-const accSlack = 512
-
-// place allocates the kernel's accumulator buffer of chunk+accSlack
-// values and picks the start in it: the residue mod 4096 bytes farthest
-// from every address at which a chunk of the plan's runs starts reading
-// a term (the ghost buffer included) or writing its destination — the
-// middle of the widest circular gap between those residues. A load that
-// matches an earlier store in the low 12 address bits waits for it (4K
-// aliasing), and the accumulator takes a store per term per value. On
-// the worker's stack it would land wherever the goroutine's stack had
-// last been grown to, so the kernel's speed would depend on what ran
-// before it. One start serves every run, so the accumulator stays in the
-// same cache lines from run to run. Stores, tmp and the ghost buffer do
-// not move while the plan lives (a remap invalidates it), so this is
-// done once.
-func (k *runKernel) place(ghost []float64) {
-	if len(k.runs) == 0 {
-		return
-	}
-	var used [4096 / 8]bool // the 8-byte residues the runs start at
-	mark := func(s []float64, i, stride, n int) {
-		used[addrMod4K(s, i)/8] = true
-		// Consecutive chunks start chunk·stride values, 2048·stride
-		// bytes, apart: mod 4096 the first two stand for all of them.
-		if n > chunk {
-			used[addrMod4K(s, i+chunk*stride)/8] = true
-		}
-	}
-	T, at := len(k.coeffs), 0
-	for r, run := range k.runs {
-		for t, tm := range k.terms[r*T : r*T+T] {
-			src := k.srcs[t]
-			if tm.ghost {
-				src = ghost
-			}
-			mark(src, int(tm.base), int(tm.stride), int(run.n))
-		}
-		if k.tmp != nil {
-			mark(k.tmp, at, 1, int(run.n))
-		} else {
-			mark(k.lhs, int(run.base), int(run.stride), int(run.n))
-		}
-		at += int(run.n)
-	}
-	const R = len(used)
-	from, widest := 0, 0
-	first := slices.Index(used[:], true)
-	for i := first; i < first+R; {
-		j := i + 1
-		for !used[j%R] {
-			j++
-		}
-		if j-i > widest {
-			from, widest = i, j-i
-		}
-		i = j
-	}
-	buf := make([]float64, chunk+accSlack)
-	start := ((from+widest/2)%R - addrMod4K(buf, 0)/8 + R) % R
-	k.acc = buf[start : start+chunk]
-}
-
-// addrMod4K is the address of s[i] mod 4096 (i may lie outside s).
-func addrMod4K(s []float64, i int) int {
-	return int((uintptr(unsafe.Pointer(unsafe.SliceData(s))) + 8*uintptr(i)) % 4096)
-}
-
+// compute sums each value of a run in a register, in the element-wise
+// oracle's order — v := 0.0, then v += c_t·s_t for t = 0, 1, … (from
+// +0, so an all -0 sum is +0 there too) — and stores it once. A run
+// whose destination and terms all advance by one slot and that has at
+// most four terms goes through sum1 … sum4, with every side resliced to
+// the run; any other run (a strided boundary row, a long statement) is
+// walked element by element here.
 func (k *runKernel) compute(ghost []float64) {
-	T := len(k.coeffs)
+	T, c := len(k.coeffs), k.coeffs
 	at := 0
 	for r, run := range k.runs {
-		terms := k.terms[r*T : r*T+T]
-		for c0 := 0; c0 < int(run.n); c0 += chunk {
-			ac := k.acc[:min(chunk, int(run.n)-c0)]
-			clear(ac)
-			for ti, tm := range terms {
-				src, c := k.srcs[ti], k.coeffs[ti]
+		n, terms := int(run.n), k.terms[r*T:r*T+T]
+		dst, base, stride := k.lhs, int(run.base), int(run.stride)
+		if k.tmp != nil {
+			dst, base, stride = k.tmp, at, 1
+		}
+		at += n
+		if stride == 1 && T > 0 && T <= 4 && !slices.ContainsFunc(terms, func(tm kterm) bool { return tm.stride != 1 }) {
+			var s [4][]float64
+			for t, tm := range terms {
+				src := k.srcs[t]
 				if tm.ghost {
 					src = ghost
 				}
-				j := int(tm.base) + c0*int(tm.stride)
-				if tm.stride == 1 {
-					addScaled(ac, src[j:j+len(ac)], c)
-					continue
-				}
-				for i := range ac {
-					ac[i] += c * src[j]
-					j += int(tm.stride)
-				}
+				s[t] = src[tm.base : int(tm.base)+n]
 			}
-			if k.tmp != nil {
-				copy(k.tmp[at+c0:], ac)
-			} else {
-				storeRun(k.lhs, int(run.base)+c0*int(run.stride), int(run.stride), ac)
+			d := dst[base : base+n]
+			switch T {
+			case 1:
+				sum1(d, s[0], c[0])
+			case 2:
+				sum2(d, s[0], s[1], c[0], c[1])
+			case 3:
+				sum3(d, s[0], s[1], s[2], c[0], c[1], c[2])
+			case 4:
+				sum4(d, s[0], s[1], s[2], s[3], c[0], c[1], c[2], c[3])
 			}
+			continue
 		}
-		at += int(run.n)
+		for i := 0; i < n; i++ {
+			v := 0.0
+			for t, tm := range terms {
+				src := k.srcs[t]
+				if tm.ghost {
+					src = ghost
+				}
+				v += c[t] * src[int(tm.base)+i*int(tm.stride)]
+			}
+			dst[base+i*stride] = v
+		}
 	}
 	if k.tmp == nil {
 		return
@@ -375,27 +322,59 @@ func (k *runKernel) compute(ghost []float64) {
 	}
 }
 
-// addScaled adds c·s[i] to ac[i], four values per iteration, in a
-// function of its own: a one-value loop inlined in compute is short
-// enough that where the linker puts it decides the stencil's speed
-// (straddling a 64-byte line it runs 1.5× slower), and any edit to the
-// code before it can move it there. A function starts 32-byte aligned,
-// so this loop's layout depends on this function alone, and four values
-// per iteration spread the fetch over more work.
-//
+// sum1 … sum4 set d[i] to the sum of their terms' c·s[i] in term
+// order, starting from 0.0 and not from the first product: the oracle's
+// sum of terms that are all -0 is +0. Each is a function of its own: a loop inlined in compute
+// is short enough that where the linker puts it decides the stencil's
+// speed (straddling a 64-byte line it runs 1.5× slower), and any edit
+// to the code before it can move it there. A function starts 32-byte
+// aligned, so each loop's layout depends on its own function alone.
+// Reslicing every source to len(d) lets the compiler drop the bounds
+// checks.
+
 //go:noinline
-func addScaled(ac, s []float64, c float64) {
-	s = s[:len(ac)]
-	i := 0
-	for ; i <= len(ac)-4; i += 4 {
-		a, v := ac[i:i+4:i+4], s[i:i+4:i+4]
-		a[0] += c * v[0]
-		a[1] += c * v[1]
-		a[2] += c * v[2]
-		a[3] += c * v[3]
+func sum1(d, s0 []float64, c0 float64) {
+	s0 = s0[:len(d)]
+	for i := range d {
+		v := 0.0
+		v += c0 * s0[i]
+		d[i] = v
 	}
-	for ; i < len(ac); i++ {
-		ac[i] += c * s[i]
+}
+
+//go:noinline
+func sum2(d, s0, s1 []float64, c0, c1 float64) {
+	s0, s1 = s0[:len(d)], s1[:len(d)]
+	for i := range d {
+		v := 0.0
+		v += c0 * s0[i]
+		v += c1 * s1[i]
+		d[i] = v
+	}
+}
+
+//go:noinline
+func sum3(d, s0, s1, s2 []float64, c0, c1, c2 float64) {
+	s0, s1, s2 = s0[:len(d)], s1[:len(d)], s2[:len(d)]
+	for i := range d {
+		v := 0.0
+		v += c0 * s0[i]
+		v += c1 * s1[i]
+		v += c2 * s2[i]
+		d[i] = v
+	}
+}
+
+//go:noinline
+func sum4(d, s0, s1, s2, s3 []float64, c0, c1, c2, c3 float64) {
+	s0, s1, s2, s3 = s0[:len(d)], s1[:len(d)], s2[:len(d)], s3[:len(d)]
+	for i := range d {
+		v := 0.0
+		v += c0 * s0[i]
+		v += c1 * s1[i]
+		v += c2 * s2[i]
+		v += c3 * s3[i]
+		d[i] = v
 	}
 }
 
