@@ -192,11 +192,13 @@ fuzz-interp:
 	$(GO) test -run xxx -fuzz FuzzInterpEquivalence -fuzztime 30s ./internal/interp
 	$(GO) test -run xxx -fuzz FuzzIntExpr -fuzztime 30s ./internal/interp
 
-# Fuzz the tcp wire's decoders of bytes written by another process: the
-# handshake, the roster, and the framing layer feeding every per-kind
-# decoder. Nothing may panic, over-allocate or accept a payload that is
-# not whole floats.
+# Fuzz the wires' decoders of bytes written by another process: the tcp
+# handshake, the roster, the framing layer feeding every per-kind
+# decoder, and the shm header page. Nothing may panic, over-allocate or
+# accept a payload that is not whole floats, and a header validates
+# exactly when it matches the config.
 fuzz-wire:
 	$(GO) test -run xxx -fuzz FuzzDecodeHello -fuzztime 30s ./internal/transport
 	$(GO) test -run xxx -fuzz FuzzDecodeRoster -fuzztime 30s ./internal/transport
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/transport
+	$(GO) test -run xxx -fuzz FuzzValidateShmHeader -fuzztime 30s ./internal/transport

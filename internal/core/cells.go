@@ -142,22 +142,6 @@ func UniformCuts(region index.Domain, lhs ElementMapping, refs []ShiftRef) ([][]
 	return cuts, nil
 }
 
-// RemapCuts returns the uniform cuts of the identity statement
-// new(:) = old(:) over dom — REDISTRIBUTE/REALIGN seen as an assignment
-// from the old mapping to the new — or nil when it has no closed form:
-// a non-standard, empty or rank-0 domain, or a mapping without a bulk
-// single-owner tiling. Every cell has one old owner and one new owner
-// and lies inside one owner tile of each mapping, so the spmd engine
-// decides and lowers a remap per cell.
-func RemapCuts(dom index.Domain, oldMap, newMap ElementMapping) [][]int {
-	refs := []ShiftRef{{Map: oldMap, Shift: make([]int, dom.Rank())}}
-	if dom.Rank() == 0 || !RunAnalyzable(dom, dom, refs) {
-		return nil
-	}
-	cuts, _ := UniformCuts(dom, newMap, refs) // nil on error
-	return cuts
-}
-
 // sameMapping reports whether two references are known to read one
 // mapping: the same distribution object or the same composed mapping.
 // (Interface equality alone would panic on a mapping type that is not

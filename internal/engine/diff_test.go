@@ -153,7 +153,14 @@ func (sc scenario) run(t *testing.T, kind string) outcome {
 		fail(err)
 		return out
 	}
-	a.Fill(func(tu index.Tuple) float64 { return float64(tu[0]*13 - tu[1]*5) })
+	// A third of A is -0, which no sum from +0 reproduces: a remap must
+	// carry it bit for bit.
+	a.Fill(func(tu index.Tuple) float64 {
+		if (tu[0]+2*tu[1])%3 == 0 {
+			return math.Copysign(0, -1)
+		}
+		return float64(tu[0]*13 - tu[1]*5)
+	})
 	terms := []Term{Read(a, 0.5, 0, 0), Read(a, 1, sc.shift[0], sc.shift[1])}
 	if sc.srcRep {
 		r, err := eng.NewArray("R", replicatedMapping(t, sys, dom))
@@ -189,6 +196,7 @@ func (sc scenario) run(t *testing.T, kind string) outcome {
 	} else if err := sched.ExecuteN(sc.replayIt); err != nil {
 		fail(err)
 	}
+	before := a.Data()
 	moved, err := a.Remap(m2)
 	if err != nil {
 		fail(err)
@@ -199,6 +207,11 @@ func (sc scenario) run(t *testing.T, kind string) outcome {
 			fail(err)
 		}
 		out.moved += moved
+	}
+	for i, v := range a.Data() {
+		if len(out.errs) == 0 && math.Float64bits(v) != math.Float64bits(before[i]) {
+			t.Fatalf("%s: remap changed A's value %d from %g (%#x) to %g (%#x)", kind, i, before[i], math.Float64bits(before[i]), v, math.Float64bits(v))
+		}
 	}
 	sum, err := b.Reduce(runtime.ReduceSum)
 	if err != nil {

@@ -1,7 +1,8 @@
 package engine
 
 import (
-	gort "runtime"
+	"bytes"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"testing"
@@ -47,22 +48,39 @@ func TestNewValidation(t *testing.T) {
 // TestSimIsSequential pins what the sim kind is: the spmd engine's
 // plans run on the caller's goroutine. From NewOn through a statement,
 // a schedule epoch, an irregular gather, a remap, a reduction and
-// Close it starts no goroutine — the parallel kind, run the same way,
-// holds one per worker until Close — and it computes the element-wise
-// oracle's values and logical report. A panicking Fill comes back as
-// the engine's sticky error, as it does on spmd.
+// Close it starts no goroutine with an spmd frame — the parallel kind,
+// run the same way, holds one per worker until Close — and it computes
+// the element-wise oracle's values and logical report. A panicking Fill
+// comes back as the engine's sticky error, as it does on spmd.
 func TestSimIsSequential(t *testing.T) {
 	const n, np = 16, 4
 	dom := index.Standard(1, n, 1, n)
 	interior := index.Standard(2, n-1, 2, n-1)
-	// extra is how many goroutines exist beyond base once those of
-	// earlier tests have had a moment to finish exiting; one the engine
-	// started would stay until Close.
+	// engineGoroutines counts the goroutines with an spmd frame: the
+	// engine's workers. The process's other goroutines (the runtime's,
+	// the test framework's, the transports of earlier tests) come and go
+	// on their own schedule.
+	engineGoroutines := func() int {
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 2); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, g := range strings.Split(buf.String(), "\n\n") {
+			if strings.Contains(g, "hpfnt/internal/spmd.") {
+				n++
+			}
+		}
+		return n
+	}
+	// extra is how many engine goroutines exist beyond base once those
+	// of earlier tests have had a moment to finish exiting; one the
+	// engine started would stay until Close.
 	extra := func(base int) int {
-		c := gort.NumGoroutine()
+		c := engineGoroutines()
 		for i := 0; i < 50 && c > base; i++ {
 			time.Sleep(2 * time.Millisecond)
-			c = gort.NumGoroutine()
+			c = engineGoroutines()
 		}
 		return c - base
 	}
@@ -73,7 +91,7 @@ func TestSimIsSequential(t *testing.T) {
 		extra int
 	}
 	run := func(kind string) result {
-		base := gort.NumGoroutine()
+		base := engineGoroutines()
 		eng := newBackend(t, kind, InprocTransport, np)
 		sys, _ := proc.NewSystem(np)
 		a, err := eng.NewArray("A", buildMapping(t, sys, dom, dist.Block{}))

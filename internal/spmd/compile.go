@@ -8,20 +8,22 @@ import (
 	"hpfnt/internal/core"
 	"hpfnt/internal/index"
 	"hpfnt/internal/obs"
+	"hpfnt/internal/runtime"
 )
 
 // compile is the regular producer. A statement reaches the emitter
-// (planBuilder.line) as lines — n consecutive elements along one
-// dimension, written by one worker, each term read from one owner —
-// from one of two enumerators: tileLines, the lines of the uniform
-// cells of the owner-tile intersection, O(tiles + runs + ghost runs) in
-// all; or elementLines, the region walked element by element, for
-// everything without that closed form. Which one follows from the
-// statement alone (analyzable), and the plans agree: the emitter joins
-// adjacent lines whose slots advance evenly, so what the element walk
-// feeds one at a time comes out as the runs the tile enumerator emits
-// whole. Classification, deduplication, sender choice (first owner)
-// and load charging follow the element-wise oracle's rules (package
+// (planBuilder) as runs — n consecutive elements along one dimension,
+// written by one worker, each term read from one owner, every local
+// side evenly spaced in slot space — from one of two enumerators:
+// tileLines, a run per line of the uniform cells of the owner-tile
+// intersection, O(tiles + runs + ghost runs) in all; or elementLines,
+// the region walked element by element, for everything without that
+// closed form. Which one follows from the statement alone (analyzable),
+// and the plans agree: finish joins adjacent runs whose slots advance
+// evenly, so what the element walk feeds one at a time comes out as the
+// runs the tile enumerator emits whole. Classification, deduplication,
+// sender choice (first owner; runtime.RemapSender's for a remap) and
+// load charging follow the element-wise oracle's rules (package
 // runtime), so the aggregated statistics agree with it.
 func (e *Engine) compile(lhs *Array, region index.Domain, terms []cterm) (*Schedule, error) {
 	b, err := newPlanBuilder(e, lhs, region, terms)
@@ -33,6 +35,12 @@ func (e *Engine) compile(lhs *Array, region index.Domain, terms []cterm) (*Sched
 			defer end()
 		}
 	}
+	return b.build(region)
+}
+
+// build feeds the emitter from the enumerator analyzable picks and
+// returns the schedule.
+func (b *planBuilder) build(region index.Domain) (*Schedule, error) {
 	if cuts := b.analyzable(region); cuts != nil {
 		b.tileLines(region, cuts)
 	} else if err := b.elementLines(region); err != nil {
@@ -41,11 +49,10 @@ func (e *Engine) compile(lhs *Array, region index.Domain, terms []cterm) (*Sched
 	return b.finish(), nil
 }
 
-// planBuilder is the emitter both enumerators feed: it lowers lines to
-// slot runs per worker and collects the ghost lines each worker needs;
-// finish unions those per (source array, reader), numbers the ghost
-// buffers, ships each new interval through the pairBuilder and joins
-// the runs.
+// planBuilder is the emitter both enumerators feed: it collects each
+// worker's runs, their charges and the ghost lines they read; finish
+// unions those per (source array, reader), numbers the ghost buffers,
+// ships each new interval through the pairBuilder and joins the runs.
 type planBuilder struct {
 	e     *Engine
 	lhs   *Array
@@ -62,6 +69,10 @@ type planBuilder struct {
 	gstep, gext []int
 	work        []*workBuild // index 1..np, nil until a worker gets a line
 	pairs       pairBuilder
+	// remap marks the statement of a Remap: a replicated ghost ships
+	// from the holder runtime.RemapSender picks, not its first owner,
+	// and straight into the lhs segment (resolveGhosts).
+	remap bool
 }
 
 // workBuild is one worker's plan under construction; localRefs and
@@ -77,13 +88,6 @@ type workBuild struct {
 // lo on the grid line key, read by the run term at terms[term].
 type ghostReq struct {
 	src, key, lo, n, term int32
-}
-
-// lineRef locates one side of a line: the column-major offset of its
-// first element in the array's domain, and the offset step between
-// consecutive elements.
-type lineRef struct {
-	off, step int
 }
 
 func newPlanBuilder(e *Engine, lhs *Array, region index.Domain, terms []cterm) (*planBuilder, error) {
@@ -149,65 +153,131 @@ func strides(dom index.Domain) []int {
 // (BLOCK,:) and (CYCLIC,:), where a boundary row is one line. An
 // all-local cell is cut along the first dimension, in which every
 // layout tile is contiguous, unless it is one element thick there.
+//
+// A cell lies inside one owner tile of every layout (the cuts are the
+// tiles' boundaries), so on each local side its slots advance by a
+// constant along each dimension: they are read from the slot grids once
+// per cell, and each line of the cell is one run stepped from there.
 func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 	rank, T := region.Rank(), len(b.terms)
-	gdim, longest, cells := 0, 0.0, 1
+	gdim, longest := 0, 0.0
 	for d, c := range cuts {
 		if mean := float64(region.Dims[d].Count()) / float64(len(c)-1); mean > longest {
 			gdim, longest = d, mean
 		}
-		cells *= len(c) - 1
 	}
 	for i, a := range b.srcs {
 		b.gstep[i], b.gext[i] = strides(a.dom)[gdim], a.dom.Dims[gdim].Count()
-	}
-	// Fine-grain interleavings have a line per element: size each
-	// worker's lists for an even share of the cells up front.
-	share := cells/b.e.np + 1
-	for p := 1; p <= b.e.np; p++ {
-		b.work[p] = &workBuild{runs: make([]krun, 0, share), terms: make([]kterm, 0, share*T), reqs: make([]ghostReq, 0, share)}
 	}
 	lmul := strides(b.lhs.dom)
 	smul := make([][]int, T)
 	for t, tm := range b.terms {
 		smul[t] = strides(tm.src.dom)
 	}
-	// locate sets lhs/refs to the offsets of the element at.
-	var lhs lineRef
-	refs := make([]lineRef, T)
+	// locate sets loff/roff to the offsets of the element at.
+	loff, roff := 0, make([]int, T)
 	locate := func(at []int) {
-		lhs.off = 0
+		loff = 0
 		for d, v := range at {
-			lhs.off += (v - b.lhs.dom.Dims[d].Low) * lmul[d]
+			loff += (v - b.lhs.dom.Dims[d].Low) * lmul[d]
 		}
 		for t, tm := range b.terms {
-			refs[t].off = 0
+			roff[t] = 0
 			for d, v := range at {
-				refs[t].off += (v + tm.shift[d] - tm.src.dom.Dims[d].Low) * smul[t][d]
+				roff[t] += (v + tm.shift[d] - tm.src.dom.Dims[d].Low) * smul[t][d]
+			}
+		}
+	}
+	// orient locates a cell's first element and returns its writer, the
+	// dimension the cell is cut along, and its line count; ghost[t] marks
+	// the terms it reads remotely.
+	ghost := make([]bool, T)
+	orient := func(lo, hi []int) (w, along, lines int) {
+		locate(lo)
+		w = int(b.lhs.lay.owners[loff])
+		if hi[0] == lo[0] {
+			along = gdim
+		}
+		for t, tm := range b.terms {
+			if ghost[t] = int(tm.src.lay.owners[roff[t]]) != w; ghost[t] {
+				along = gdim
+			}
+		}
+		lines = 1
+		for d := range lo {
+			if d != along {
+				lines *= hi[d] - lo[d] + 1
+			}
+		}
+		return w, along, lines
+	}
+	// Size each worker's lists for its lines up front: a fine-grain
+	// interleaving has a line per element.
+	lines := make([]int, b.e.np+1)
+	core.ForEachCell(cuts, func(lo, hi []int) {
+		w, _, n := orient(lo, hi)
+		lines[w] += n
+	})
+	for p := 1; p <= b.e.np; p++ {
+		b.work[p] = &workBuild{runs: make([]krun, 0, lines[p]), terms: make([]kterm, 0, lines[p]*T)}
+	}
+	// base[s] is side s's slot of the cell's first element and step[s][d]
+	// its advance per index of dimension d; side 0 is the lhs, side 1+t
+	// term t. cur[s] is the slot of the first element of a sweep.
+	base, cur, step := make([]int32, T+1), make([]int32, T+1), make([][]int32, T+1)
+	for s := range step {
+		step[s] = make([]int32, rank)
+	}
+	slots := func(s int, l *layout, off int, mul, lo, hi []int) {
+		base[s] = l.slotGrid[off]
+		for d := range mul {
+			if step[s][d] = 0; hi[d] > lo[d] {
+				step[s][d] = l.slotGrid[off+mul[d]] - base[s]
 			}
 		}
 	}
 	at := make([]int, rank)
 	core.ForEachCell(cuts, func(lo, hi []int) {
-		copy(at, lo)
-		locate(at)
-		w := int(b.lhs.lay.owners[lhs.off])
-		along := 0
-		if hi[0] == lo[0] {
-			along = gdim
-		}
+		w, along, lines := orient(lo, hi)
+		slots(0, b.lhs.lay, loff, lmul, lo, hi)
 		for t, tm := range b.terms {
-			if int(tm.src.lay.owners[refs[t].off]) != w {
-				along = gdim
+			if !ghost[t] {
+				slots(1+t, tm.src.lay, roff[t], smul[t], lo, hi)
 			}
 		}
-		lhs.step = lmul[along]
-		for t := range refs {
-			refs[t].step = smul[t][along]
+		wb, n := b.work[w], hi[along]-lo[along]+1
+		wb.charge(lines*n, ghost)
+		// The lines are swept along inner, the first dimension other than
+		// along, in a tight loop; an odometer steps the dimensions after
+		// it.
+		inner, sweep := 0, 1
+		if along == 0 && rank > 1 {
+			inner = 1
 		}
+		if inner != along {
+			sweep = hi[inner] - lo[inner] + 1
+		}
+		copy(at, lo)
+		copy(cur, base)
 		for {
-			b.line(w, hi[along]-lo[along]+1, lhs, refs)
-			d := 0
+			pos, runs, terms := len(wb.terms), wb.runs, wb.terms
+			for j := range int32(sweep) {
+				runs = append(runs, krun{cur[0] + j*step[0][inner], step[0][along], int32(n)})
+				for t, g := range ghost {
+					kt := kterm{ghost: g}
+					if !g {
+						kt.base, kt.stride = cur[1+t]+j*step[1+t][inner], step[1+t][along]
+					}
+					terms = append(terms, kt)
+				}
+			}
+			wb.runs, wb.terms = runs, terms
+			for t, g := range ghost {
+				for j := 0; g && j < sweep; j++ {
+					b.ghostLine(wb, pos+j*T+t, n, roff[t]+j*smul[t][inner])
+				}
+			}
+			d := inner + 1
 			for ; d < rank; d++ {
 				if d == along {
 					continue
@@ -217,25 +287,31 @@ func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 				}
 				at[d] = lo[d]
 			}
-			if d == rank {
+			if d >= rank {
 				return
 			}
 			locate(at)
+			for s := range cur {
+				cur[s] = base[s]
+				for d, x := range at {
+					cur[s] += int32(x-lo[d]) * step[s][d]
+				}
+			}
 		}
 	})
 }
 
 // elementLines walks the region once, column-major like the element-wise
-// oracle, and emits every element as a line of its own to each of
-// its writers. Sources are treated as flat (one grid line, x the
-// offset), so a ghost is one element.
+// oracle, and emits every element as a run of its own to each of its
+// writers. Sources are treated as flat (one grid line, x the offset), so
+// a ghost is one element.
 func (b *planBuilder) elementLines(region index.Domain) error {
 	for i, a := range b.srcs {
 		b.gstep[i], b.gext[i] = 1, a.dom.Size()
 	}
 	lhs := b.lhs
 	ref := make(index.Tuple, lhs.dom.Rank())
-	refs := make([]lineRef, len(b.terms))
+	roff, ghost := make([]int, len(b.terms)), make([]bool, len(b.terms))
 	var writers []int
 	var ferr error
 	region.ForEach(func(t index.Tuple) bool {
@@ -254,78 +330,55 @@ func (b *planBuilder) elementLines(region index.Domain) error {
 					ref[d] = t[d] + tm.shift[d]
 				}
 			}
-			if refs[ti].off, ok = tm.src.dom.Offset(rt); !ok {
+			if roff[ti], ok = tm.src.dom.Offset(rt); !ok {
 				ferr = fmt.Errorf("spmd: reference %s(%s) out of bounds in assignment to %s(%s)", tm.src.name, rt, lhs.name, t)
 				return false
 			}
 		}
 		writers = lhs.lay.appendOwners(writers[:0], loff)
 		for _, w := range writers {
-			b.line(w, 1, lineRef{off: loff}, refs)
+			wb := b.work[w]
+			if wb == nil {
+				wb = &workBuild{}
+				b.work[w] = wb
+			}
+			wb.runs = append(wb.runs, krun{lhs.lay.slotOf(w, loff), 0, 1})
+			for t, tm := range b.terms {
+				kt := kterm{ghost: !tm.src.lay.ownedBy(roff[t], w)}
+				if ghost[t] = kt.ghost; kt.ghost {
+					b.ghostLine(wb, len(wb.terms), 1, roff[t])
+				} else {
+					kt.base = tm.src.lay.slotOf(w, roff[t])
+				}
+				wb.terms = append(wb.terms, kt)
+			}
+			wb.charge(1, ghost)
 		}
 		return true
 	})
 	return ferr
 }
 
-// slotRun lowers a line to worker p's slots of l: base, stride and the
-// length m ≤ n of the prefix that is evenly spaced. Base and stride
-// are read at the near end and checked at the far end, halving until
-// they agree, so a line is never assumed to stay inside one tile of
-// the layout. (Slots along a line that leaves a tile jump by the rest
-// of the tile and can only move one way, so the far end cannot land
-// back on the even position.)
-func slotRun(l *layout, p int, r lineRef, n int) (base, stride int32, m int) {
-	base = l.slotOf(p, r.off)
-	for m = n; m > 1; m = (m + 1) / 2 {
-		stride = l.slotGrid[r.off+r.step] - base
-		if int(l.slotGrid[r.off+(m-1)*r.step]) == int(base)+(m-1)*int(stride) {
-			break
+// charge counts n elements of wb's runs: as load, once per term, and as
+// a read of each term, remote where ghost[t].
+func (wb *workBuild) charge(n int, ghost []bool) {
+	wb.load += n * len(ghost)
+	for _, g := range ghost {
+		if g {
+			wb.remoteRefs += n
+		} else {
+			wb.localRefs += n
 		}
 	}
-	return base, stride, m
 }
 
-// line emits n elements written by worker w: the lhs elements at lhs
-// and, for each term, the elements read at refs[t] — from one owner
-// throughout (the enumerators see to that). A read w does not own
-// becomes a ghost line, resolved by finish. The line is emitted in as
-// many runs as it takes for every local side of each to be evenly
-// spaced in slot space.
-func (b *planBuilder) line(w, n int, lhs lineRef, refs []lineRef) {
-	wb := b.work[w]
-	if wb == nil {
-		wb = &workBuild{}
-		b.work[w] = wb
-	}
-	wb.load += n * len(b.terms)
-	for n > 0 {
-		base, stride, m := slotRun(b.lhs.lay, w, lhs, n)
-		at := len(wb.terms)
-		for t, tm := range b.terms {
-			kt := kterm{ghost: !tm.src.lay.ownedBy(refs[t].off, w)}
-			if !kt.ghost {
-				kt.base, kt.stride, m = slotRun(tm.src.lay, w, refs[t], m)
-			}
-			wb.terms = append(wb.terms, kt)
-		}
-		wb.runs = append(wb.runs, krun{base, stride, int32(m)})
-		for t, kt := range wb.terms[at:] {
-			if !kt.ghost {
-				wb.localRefs += m
-				continue
-			}
-			wb.remoteRefs += m
-			i := b.srcOf[t]
-			x := refs[t].off / b.gstep[i] % b.gext[i]
-			wb.reqs = append(wb.reqs, ghostReq{int32(i), int32(refs[t].off - x*b.gstep[i]), int32(x), int32(m), int32(at + t)})
-		}
-		n -= m
-		lhs.off += m * lhs.step
-		for t := range refs {
-			refs[t].off += m * refs[t].step
-		}
-	}
+// ghostLine records that the run term at wb.terms[term] reads n
+// elements of its source remotely, from offset off on, for finish to
+// resolve.
+func (b *planBuilder) ghostLine(wb *workBuild, term, n, off int) {
+	i := b.srcOf[term%len(b.terms)]
+	x := off / b.gstep[i] % b.gext[i]
+	wb.reqs = append(wb.reqs, ghostReq{int32(i), int32(off - x*b.gstep[i]), int32(x), int32(n), int32(term)})
 }
 
 // finish turns the collected runs and ghost lines into the schedule.
@@ -360,7 +413,7 @@ func (b *planBuilder) finish() *Schedule {
 		}
 		nghost := b.resolveGhosts(p, wb)
 		s.ghostTotal += nghost
-		k.runs, k.terms = joinRuns(wb.runs, wb.terms, T)
+		k.runs, k.terms = joinRuns(wb.runs, wb.terms, T, b.remap)
 		if !direct {
 			k.tmp = make([]float64, wb.load/T) // direct is true without terms
 		}
@@ -404,16 +457,33 @@ func (b *planBuilder) resolveGhosts(w int, wb *workBuild) int {
 		if i == 0 || rq.src != cur.src || rq.key != cur.key || rq.lo > to {
 			cur, from, to, first = rq, rq.lo, rq.lo, next
 		}
-		a, step := b.srcs[rq.src], b.gstep[rq.src]
-		for end := rq.lo + rq.n; to < end; {
-			r := lineRef{off: int(rq.key) + int(to)*step, step: step}
-			sender := a.lay.firstOwner(r.off)
+		// The new part of the line, [to, end), lies in one cell and so in
+		// one tile of the source: its slots advance evenly.
+		if end := rq.lo + rq.n; to < end {
+			a, step := b.srcs[rq.src], int(b.gstep[rq.src])
+			off, m := int(rq.key)+int(to)*step, end-to
+			sender := a.lay.firstOwner(off)
+			if b.remap && a.lay.owners == nil {
+				sender = runtime.RemapSender(a.lay.repOwns[off], w)
+			}
 			if segs[sender] == nil {
 				segs[sender] = b.pairs.seg(sender, w, a.lay.stores[sender])
 			}
-			base, stride, m := slotRun(a.lay, sender, r, int(end-to))
-			segs[sender].add(base, stride, next, 1, int32(m))
-			next, to = next+int32(m), to+int32(m)
+			base, stride := a.lay.slotOf(sender, off), int32(0)
+			if m > 1 {
+				stride = a.lay.slotGrid[off+step] - base
+			}
+			if b.remap {
+				// A remap's one term is read by the run of the same
+				// index: the ghost lands at that run's slots of the new
+				// segment, not in a ghost buffer.
+				run := wb.runs[rq.term]
+				segs[sender].add(base, stride, run.base+(to-rq.lo)*run.stride, run.stride, m)
+			} else {
+				segs[sender].add(base, stride, next, 1, m)
+				next += m
+			}
+			to = end
 		}
 		wb.terms[rq.term].base, wb.terms[rq.term].stride = first+rq.lo-from, 1
 	}
@@ -425,16 +495,29 @@ func (b *planBuilder) resolveGhosts(w int, wb *workBuild) int {
 // first of the next, and returns right-sized copies. This is what
 // turns the length-1 lines of a CYCLIC(1) mapping (consecutive in slot
 // space, never in index space) or of the element walk into long runs.
-func joinRuns(runs []krun, terms []kterm, T int) ([]krun, []kterm) {
-	out := 0
+// A remap's ghost runs are dropped: the exchange has put their values
+// in place (resolveGhosts).
+func joinRuns(runs []krun, terms []kterm, T int, remap bool) ([]krun, []kterm) {
+	out, dropped := 0, 0
 	for r, run := range runs {
 		rt := terms[r*T : r*T+T]
+		if remap && rt[0].ghost {
+			dropped++
+			continue
+		}
 		if out > 0 && joinRun(&runs[out-1], terms[(out-1)*T:out*T], run, rt) {
 			continue
 		}
-		runs[out] = run
-		copy(terms[out*T:], rt)
+		if out < r {
+			runs[out] = run
+			for t, kt := range rt {
+				terms[out*T+t] = kt
+			}
+		}
 		out++
+	}
+	if out+dropped == cap(runs) {
+		return runs[:out], terms[:out*T] // nothing joined, and sized exactly
 	}
 	return slices.Clone(runs[:out]), slices.Clone(terms[:out*T])
 }

@@ -37,8 +37,8 @@
 // strided runs and slot intervals from the intersection of the
 // statement's owner tiles (element by element only where no closed
 // form exists), and irregular (indirection-array) statements are
-// lowered from the inspector's schedule (package inspector). Remap
-// ships through the same per-pair exchange.
+// lowered from the inspector's schedule (package inspector). A remap
+// is a statement of the regular compiler: the copy new(:) = old(:).
 //
 // A worker that panics (a user Fill function, a broken wire) does not
 // leave its peers deadlocked on the streams: the panic is recovered,

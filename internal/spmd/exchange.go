@@ -126,10 +126,10 @@ func (x *exchange) recv(e *Engine, p int, dest []float64) {
 
 // pairBuilder accumulates the traffic of each ordered (sender,
 // receiver) pair during a compile, one interval at a time, and then
-// emits both endpoints' exchanges. All three producers — the regular
-// compiler's ghost lines, the inspector lowering's gather lists and
-// Remap's moved lines — add through it, so intervals are joined in one
-// place.
+// emits both endpoints' exchanges. Both producers — the regular
+// compiler's ghost lines (a remap's moved lines among them) and the
+// inspector lowering's gather lists — add through it, so intervals are
+// joined in one place.
 type pairBuilder map[[2]int][]*segBuild
 
 // segBuild is the traffic of one pair read from one store. Segments

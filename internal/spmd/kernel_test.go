@@ -43,17 +43,33 @@ func elementCompute(k *runKernel, ghost []float64) {
 	}
 }
 
+// elementCopy is copyKernel.compute as an element loop.
+func elementCopy(k *copyKernel, ghost []float64) {
+	for r, run := range k.runs {
+		tm, src := k.terms[r], k.srcs[0]
+		if tm.ghost {
+			src = ghost
+		}
+		for i := range int(run.n) {
+			k.lhs[int(run.base)+i*int(run.stride)] = src[int(tm.base)+i*int(tm.stride)]
+		}
+	}
+}
+
 // kernelValues are the values a fuzzed kernel reads and multiplies by:
-// both zeros, the subnormal extremes, both infinities and NaN among
-// ordinary numbers.
+// both zeros, the subnormal extremes, both infinities and NaNs with
+// several payloads among ordinary numbers.
 var kernelValues = []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1022 - 0x1p-1074,
-	math.Inf(1), math.Inf(-1), math.NaN(), 1, -1, 0.25, -3.5, 1e300, -1e-300}
+	math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff8000000000abc),
+	math.Float64frombits(0xfff0000000000001), 1, -1, 0.25, -3.5, 1e300, -1e-300}
 
 // FuzzRunKernel checks the fused kernel against elementCompute bit for
 // bit (NaN matching any NaN): random kernels of 1–6 terms whose runs
 // are unit-stride or not, read ghost terms, store directly or through
 // tmp, and — when storing directly, as the compiler allows — read the
-// lhs only at the element being written.
+// lhs only at the element being written. It checks the copy kernel on
+// the first term of the same runs against elementCopy bit for bit, NaN
+// payloads included.
 func FuzzRunKernel(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(0))
 	f.Add(uint64(2), uint8(0), uint8(1))
@@ -131,6 +147,25 @@ func FuzzRunKernel(f *testing.F) {
 			if g, w := got.lhs[i], want.lhs[i]; math.Float64bits(g) != math.Float64bits(w) && !(g != g && w != w) {
 				t.Fatalf("T=%d direct=%v: lhs[%d] = %g (%#x), element loop %g (%#x)\nruns %v\nterms %v",
 					T, direct, i, g, math.Float64bits(g), w, math.Float64bits(w), runs, terms)
+			}
+		}
+
+		// The copy kernel reads an array of its own or the ghost buffer:
+		// a remap's source is never its lhs.
+		first := make([]kterm, len(runs))
+		for r := range runs {
+			first[r] = terms[r*T]
+		}
+		src := fill()
+		copier := func() *copyKernel {
+			return &copyKernel{lhs: append([]float64(nil), lhs...), srcs: [][]float64{src}, runs: runs, terms: first}
+		}
+		gotCopy, wantCopy := copier(), copier()
+		gotCopy.compute(ghost)
+		elementCopy(wantCopy, ghost)
+		for i := range wantCopy.lhs {
+			if g, w := math.Float64bits(gotCopy.lhs[i]), math.Float64bits(wantCopy.lhs[i]); g != w {
+				t.Fatalf("copy: lhs[%d] = %#x, element copy %#x\nruns %v\nterms %v", i, g, w, runs, first)
 			}
 		}
 	})

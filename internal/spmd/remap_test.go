@@ -315,26 +315,42 @@ func TestLayoutBuildCost(t *testing.T) {
 	}
 }
 
-// remapBy remaps a to newMap through the chosen enumerator, whatever
-// Remap itself would choose: the lines of the uniform cells (cuts
-// non-nil) or the element walk.
-func remapBy(t *testing.T, e *Engine, a *Array, newMap core.ElementMapping, cuts [][]int) int {
+// remapBy remaps a to newMap through the chosen enumerator of the remap
+// statement's builder, whatever Remap itself would choose: the lines of
+// the uniform cells (cells, which the statement must have) or the
+// element walk.
+func remapBy(t *testing.T, e *Engine, a *Array, newMap core.ElementMapping, cells bool) int {
 	t.Helper()
 	to, err := buildLayout(e, newMap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newRemapPlan(e.np, a.lay, to)
-	if cuts != nil {
+	b := remapStatement(e, a, newMap, to)
+	if cells {
+		cuts := b.analyzable(a.dom)
+		if cuts == nil {
+			t.Fatal("the remap statement has no uniform cells")
+		}
 		b.tileLines(a.dom, cuts)
-	} else {
-		b.elementLines(a.dom.Size())
+	} else if err := b.elementLines(a.dom); err != nil {
+		t.Fatal(err)
 	}
-	moved, err := e.applyRemap(a, newMap, b.finish())
+	moved, err := remapTo(a, newMap, b.finish())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return moved
+}
+
+// cellsOf reports whether the statement remapping a to m has uniform
+// cells: whether the remap is enumerated by cells or walked.
+func cellsOf(t *testing.T, e *Engine, a *Array, m core.ElementMapping) bool {
+	t.Helper()
+	to, err := buildLayout(e, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return remapStatement(e, a, m, to).analyzable(a.dom) != nil
 }
 
 // segmentBits snapshots every hosted segment of an array, bit for bit.
@@ -398,10 +414,7 @@ func TestRemapTileEnumeratorMatchesElementEnumerator(t *testing.T) {
 			for _, from := range fams {
 				for _, to := range fams {
 					t.Run(fmt.Sprintf("%s/rank%d/%s->%s", kind, rank, from.name, to.name), func(t *testing.T) {
-						cuts := core.RemapCuts(dom, from.m, to.m)
-						if (cuts != nil) != (from.bulk && to.bulk) {
-							t.Fatalf("uniform cells: %v, want %v", cuts != nil, from.bulk && to.bulk)
-						}
+						cells := from.bulk && to.bulk
 						oracle, err := runtime.NewArray("A", from.m)
 						if err != nil {
 							t.Fatal(err)
@@ -413,9 +426,9 @@ func TestRemapTileEnumeratorMatchesElementEnumerator(t *testing.T) {
 						}
 						// remap moves engine i's array its own way: by cells
 						// where there are any, by element, or as Remap decides.
-						remap := func(i int, a *Array, m core.ElementMapping, cuts [][]int) int {
+						remap := func(i int, a *Array, m core.ElementMapping) int {
 							if i < 2 {
-								return remapBy(t, engines[i], a, m, [][][]int{cuts, nil}[i])
+								return remapBy(t, engines[i], a, m, i == 0 && cells)
 							}
 							moved, err := engines[i].Remap(a, m)
 							if err != nil {
@@ -430,16 +443,10 @@ func TestRemapTileEnumeratorMatchesElementEnumerator(t *testing.T) {
 							a := newArray(t, e, "A", from.m)
 							a.Fill(fill)
 							arrays[i], before[i] = a, segmentBits(a)
-							if !from.bulk || !to.bulk {
-								probe, err := buildLayout(e, to.m)
-								if err != nil {
-									t.Fatal(err)
-								}
-								if newRemapPlan(np, a.lay, probe).analyzable(a, to.m) != nil {
-									t.Fatal("Remap would enumerate cells it does not have")
-								}
+							if got := cellsOf(t, e, a, to.m); got != cells {
+								t.Fatalf("uniform cells: %v, want %v", got, cells)
 							}
-							moved := remap(i, a, to.m, cuts)
+							moved := remap(i, a, to.m)
 							if moved != wantMoved {
 								t.Fatalf("engine %d moved %d, oracle %d", i, moved, wantMoved)
 							}
@@ -464,9 +471,8 @@ func TestRemapTileEnumeratorMatchesElementEnumerator(t *testing.T) {
 							}
 						}
 						// There and back.
-						back := core.RemapCuts(dom, to.m, from.m)
 						for i := range engines {
-							remap(i, arrays[i], from.m, back)
+							remap(i, arrays[i], from.m)
 							if after := segmentBits(arrays[i]); !slices.EqualFunc(after, before[i], slices.Equal[[]uint64]) {
 								t.Fatalf("engine %d: segments after the round trip differ from the original", i)
 							}
@@ -478,11 +484,10 @@ func TestRemapTileEnumeratorMatchesElementEnumerator(t *testing.T) {
 	}
 }
 
-// TestRemapEnumeratorChoice pins which enumerator Remap takes, from
-// what it can observe: cells when both layouts are single-owner, bulk
-// and coarser than remapMinTileElems per tile; the element walk for a
-// replicated side, a non-bulk side, or tiles nearly as many as the
-// elements.
+// TestRemapEnumeratorChoice pins which enumerator the remap statement
+// takes, from what analyzable can observe: cells when both layouts are
+// single-owner and bulk, however fine their tiles; the element walk for
+// a replicated side or a non-bulk side.
 func TestRemapEnumeratorChoice(t *testing.T) {
 	const np = 2
 	e := newEngine(t, np)
@@ -504,19 +509,14 @@ func TestRemapEnumeratorChoice(t *testing.T) {
 	}{
 		{"(BLOCK,:)->(CYCLIC(8),:)", distMapping(t, sys, square, dist.Block{}, dist.Collapsed{}),
 			distMapping(t, sys, square, dist.Cyclic{K: 8}, dist.Collapsed{}), true},
-		{"BLOCK->CYCLIC(8)", block, distMapping(t, sys, vector, dist.Cyclic{K: remapMinTileElems}), true},
-		{"BLOCK->CYCLIC(7)", block, distMapping(t, sys, vector, dist.Cyclic{K: remapMinTileElems - 1}), false},
-		{"CYCLIC(1)->BLOCK", distMapping(t, sys, vector, dist.Cyclic{K: 1}), block, false},
+		{"BLOCK->CYCLIC(8)", block, distMapping(t, sys, vector, dist.Cyclic{K: 8}), true},
+		{"BLOCK->CYCLIC(7)", block, distMapping(t, sys, vector, dist.Cyclic{K: 7}), true},
+		{"CYCLIC(1)->BLOCK", distMapping(t, sys, vector, dist.Cyclic{K: 1}), block, true},
 		{"BLOCK->replicated", block, core.DistMapping{D: dr}, false},
 		{"replicated->BLOCK", core.DistMapping{D: dr}, block, false},
 		{"BLOCK->non-bulk", block, opaque{distMapping(t, sys, vector, dist.Cyclic{K: 64})}, false},
 	} {
-		a := newArray(t, e, "A", tc.from)
-		to, err := buildLayout(e, tc.to)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := newRemapPlan(np, a.lay, to).analyzable(a, tc.to) != nil; got != tc.cells {
+		if got := cellsOf(t, e, newArray(t, e, "A", tc.from), tc.to); got != tc.cells {
 			t.Errorf("%s: enumerated by cells: %v, want %v", tc.name, got, tc.cells)
 		}
 	}
@@ -524,10 +524,12 @@ func TestRemapEnumeratorChoice(t *testing.T) {
 
 // TestRemapPlanCost keeps a remap tied to the lines of its cell grid,
 // not to its elements: (BLOCK,:) ↔ (CYCLIC(8),:) on 1024² compiles to no
-// more copy pairs and shipped intervals than the 128 cells have rows,
-// and one remap allocates at most four times the array — its new grids
-// and segments and the messages in flight; the element walk allocated
-// nine times.
+// more kernel runs than the emitter cuts its 128 cells into lines — a
+// kept cell into its columns, a moved one into its rows — and to no more
+// shipped intervals than the moved cells have rows; and one remap
+// allocates at most four times the array — its new grids and segments,
+// the plan and the messages in flight; the element walk allocated nine
+// times.
 func TestRemapPlanCost(t *testing.T) {
 	const np, n = 2, 1024
 	e := newEngine(t, np)
@@ -540,34 +542,46 @@ func TestRemapPlanCost(t *testing.T) {
 	a := newArray(t, e, "A", maps[0])
 	for i := 1; i <= 2; i++ {
 		to := maps[i%2]
-		lines := 0
-		core.ForEachCell(core.RemapCuts(dom, a.mapping, to), func(lo, hi []int) {
-			lines += min(hi[0]-lo[0], hi[1]-lo[1]) + 1
-		})
-		pl, err := planRemap(e, a, to)
+		lay, err := buildLayout(e, to)
 		if err != nil {
 			t.Fatal(err)
 		}
-		units := 0
-		for p := 1; p <= np; p++ {
-			units += len(pl.copies[p])
-			for _, sp := range pl.ships[p].sends {
+		b := remapStatement(e, a, to, lay)
+		cuts := b.analyzable(dom)
+		lines, rows := 0, 0
+		core.ForEachCell(cuts, func(lo, hi []int) {
+			if off := lo[0] - 1 + (lo[1]-1)*n; a.lay.owners[off] == lay.owners[off] {
+				lines += hi[1] - lo[1] + 1
+			} else {
+				lines += hi[0] - lo[0] + 1
+				rows += hi[0] - lo[0] + 1
+			}
+		})
+		b.tileLines(dom, cuts)
+		runs, shipped := 0, 0
+		for _, wp := range b.finish().plans {
+			if wp == nil {
+				continue
+			}
+			runs += len(wp.kernel.(*runKernel).runs)
+			for _, sp := range wp.ex.sends {
 				for _, sg := range sp.segs {
-					units += len(sg.spans)
+					shipped += len(sg.spans)
 				}
 			}
 		}
-		if units == 0 || units > lines {
-			t.Errorf("remap %d: %d copy pairs and shipped intervals for %d lines", i, units, lines)
+		if runs == 0 || runs > lines || shipped == 0 || shipped > rows {
+			t.Errorf("remap %d: %d kernel runs for %d lines, %d shipped intervals for %d moved rows", i, runs, lines, shipped, rows)
 		}
-		if pl.moved != n*n/2 {
-			t.Errorf("remap %d moves %d elements, want %d", i, pl.moved, n*n/2)
-		}
+		moved := 0
 		bytes, _ := allocated(func() {
-			if _, err := e.Remap(a, to); err != nil {
+			if moved, err = e.Remap(a, to); err != nil {
 				t.Fatal(err)
 			}
 		})
+		if moved != n*n/2 {
+			t.Errorf("remap %d moves %d elements, want %d", i, moved, n*n/2)
+		}
 		if bytes > 4*8*n*n {
 			t.Errorf("remap %d allocates %d bytes for an array of %d", i, bytes, 8*n*n)
 		}

@@ -89,9 +89,9 @@ type wplan struct {
 // share of the statement from the local stores and the ghost buffer
 // and store it, with Fortran array-assignment semantics (no store is
 // visible to any read of the same iteration). runKernel serves every
-// regular statement; accumKernel (irregular.go) serves indirection
-// statements, whose per-access coefficients and write indices have no
-// run form.
+// regular statement and copyKernel every remap; accumKernel
+// (irregular.go) serves indirection statements, whose per-access
+// coefficients and write indices have no run form.
 type kernel interface {
 	compute(ghost []float64)
 }
@@ -375,6 +375,31 @@ func sum4(d, s0, s1, s2, s3 []float64, c0, c1, c2, c3 float64) {
 		v += c2 * s2[i]
 		v += c3 * s3[i]
 		d[i] = v
+	}
+}
+
+// copyKernel is runKernel's plan of a remap, new(:) = old(:), run as a
+// copy of the one term, whose coefficient is 1. A sum from +0 would
+// turn -0 into +0; a remap carries every value bit for bit, -0 and NaN
+// payloads included.
+type copyKernel runKernel
+
+func (k *copyKernel) compute(ghost []float64) {
+	for r, run := range k.runs {
+		tm, src := k.terms[r], k.srcs[0]
+		if tm.ghost {
+			src = ghost
+		}
+		n, d, s := int(run.n), int(run.base), int(tm.base)
+		if run.stride == 1 && tm.stride == 1 {
+			copy(k.lhs[d:d+n], src[s:s+n])
+			continue
+		}
+		for range n {
+			k.lhs[d] = src[s]
+			d += int(run.stride)
+			s += int(tm.stride)
+		}
 	}
 }
 

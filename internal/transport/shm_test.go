@@ -5,7 +5,42 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// FuzzValidateShmHeader feeds validateShmHeader an arbitrary header
+// page, as a worker maps it from a file another process wrote, against
+// a fixed config. The page is 8-byte aligned, as a mapping is, because
+// the words are read with atomics. It must never panic, and it must
+// accept the page exactly when the version, np, procs, generation and
+// job-hash words all match the config.
+func FuzzValidateShmHeader(f *testing.F) {
+	cfg := Config{Job: "fuzz", NP: 6, Procs: 3, Generation: 2}
+	header := func(edit func(w []uint64)) []byte {
+		w := make([]uint64, shmOffJobHash/8+1)
+		w[shmOffMagic/8], w[shmOffVersion/8] = shmMagic, shmVersion
+		w[shmOffNP/8], w[shmOffProcs/8], w[shmOffGen/8] = uint64(cfg.NP), uint64(cfg.Procs), uint64(cfg.Generation)
+		w[shmOffJobHash/8] = shmJobHash(cfg.Job)
+		edit(w)
+		return append([]byte(nil), unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), 8*len(w))...)
+	}
+	f.Add(header(func([]uint64) {}))
+	for _, off := range []int{shmOffVersion, shmOffNP, shmOffProcs, shmOffGen, shmOffJobHash} {
+		f.Add(header(func(w []uint64) { w[off/8]++ }))
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		words := make([]uint64, shmHdrSize/8)
+		page := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), shmHdrSize)
+		copy(page, data)
+		match := words[shmOffVersion/8] == shmVersion && words[shmOffNP/8] == uint64(cfg.NP) &&
+			words[shmOffProcs/8] == uint64(cfg.Procs) && words[shmOffGen/8] == uint64(cfg.Generation) &&
+			words[shmOffJobHash/8] == shmJobHash(cfg.Job)
+		if err := validateShmHeader(page, cfg); (err == nil) != match {
+			t.Fatalf("header words %v: validate = %v, fields match = %v", words[:shmOffJobHash/8+1], err, match)
+		}
+	})
+}
 
 func TestShmLoopStreams(t *testing.T) {
 	tr, err := New(Shm, 4)
