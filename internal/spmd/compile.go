@@ -495,8 +495,9 @@ func (b *planBuilder) resolveGhosts(w int, wb *workBuild) int {
 // first of the next, and returns right-sized copies. This is what
 // turns the length-1 lines of a CYCLIC(1) mapping (consecutive in slot
 // space, never in index space) or of the element walk into long runs.
-// A remap's ghost runs are dropped: the exchange has put their values
-// in place (resolveGhosts).
+// A remap's plan runs once, so joining would cost more than it saves:
+// its runs are kept as emitted, less the ghost runs, whose values the
+// exchange puts in place (resolveGhosts).
 func joinRuns(runs []krun, terms []kterm, T int, remap bool) ([]krun, []kterm) {
 	out, dropped := 0, 0
 	for r, run := range runs {
@@ -505,7 +506,7 @@ func joinRuns(runs []krun, terms []kterm, T int, remap bool) ([]krun, []kterm) {
 			dropped++
 			continue
 		}
-		if out > 0 && joinRun(&runs[out-1], terms[(out-1)*T:out*T], run, rt) {
+		if !remap && out > 0 && joinRun(&runs[out-1], terms[(out-1)*T:out*T], run, rt) {
 			continue
 		}
 		if out < r {
