@@ -155,9 +155,9 @@ func strides(dom index.Domain) []int {
 // layout tile is contiguous, unless it is one element thick there.
 //
 // A cell lies inside one owner tile of every layout (the cuts are the
-// tiles' boundaries), so on each local side its slots advance by a
-// constant along each dimension: they are read from the slot grids once
-// per cell, and each line of the cell is one run stepped from there.
+// tiles' boundaries), so on every side its slots advance by a constant
+// along each dimension: they are read from the slot grids once per
+// cell, and each line's run is stepped from the last.
 func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 	rank, T := region.Rank(), len(b.terms)
 	gdim, longest := 0, 0.0
@@ -169,41 +169,42 @@ func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 	for i, a := range b.srcs {
 		b.gstep[i], b.gext[i] = strides(a.dom)[gdim], a.dom.Dims[gdim].Count()
 	}
-	lmul := strides(b.lhs.dom)
-	smul := make([][]int, T)
-	for t, tm := range b.terms {
-		smul[t] = strides(tm.src.dom)
-	}
-	// locate sets loff/roff to the offsets of the element at.
-	loff, roff := 0, make([]int, T)
-	locate := func(at []int) {
-		loff = 0
-		for d, v := range at {
-			loff += (v - b.lhs.dom.Dims[d].Low) * lmul[d]
+	// Side 0 is the lhs and side 1+t term t. The current line starts at
+	// offset off[s] = org[s] + Σ_d at[d]·mul[s][d] of the side's domain
+	// and at slot slot[s]; step[s][d] is the slot's advance per index of
+	// dimension d.
+	lays, mul, org := make([]*layout, T+1), make([][]int, T+1), make([]int, T+1)
+	off, slot, step := make([]int, T+1), make([]int32, T+1), make([][]int32, T+1)
+	for s := range lays {
+		a, shift := b.lhs, make([]int, rank)
+		if s > 0 {
+			a, shift = b.terms[s-1].src, b.terms[s-1].shift
 		}
-		for t, tm := range b.terms {
-			roff[t] = 0
-			for d, v := range at {
-				roff[t] += (v + tm.shift[d] - tm.src.dom.Dims[d].Low) * smul[t][d]
-			}
+		lays[s], mul[s], step[s] = a.lay, strides(a.dom), make([]int32, rank)
+		for d, v := range shift {
+			org[s] += (v - a.dom.Dims[d].Low) * mul[s][d]
 		}
 	}
 	// orient locates a cell's first element and returns its writer, the
-	// dimension the cell is cut along, and its line count; ghost[t] marks
-	// the terms it reads remotely.
+	// dimension it is cut along and its line count; ghost[t] marks the
+	// terms it reads remotely.
 	ghost := make([]bool, T)
 	orient := func(lo, hi []int) (w, along, lines int) {
-		locate(lo)
-		w = int(b.lhs.lay.owners[loff])
+		for s := range off {
+			off[s] = org[s]
+			for d, v := range lo {
+				off[s] += v * mul[s][d]
+			}
+		}
+		w, lines = int(lays[0].owners[off[0]]), 1
 		if hi[0] == lo[0] {
 			along = gdim
 		}
-		for t, tm := range b.terms {
-			if ghost[t] = int(tm.src.lay.owners[roff[t]]) != w; ghost[t] {
+		for t := range ghost {
+			if ghost[t] = int(lays[1+t].owners[off[1+t]]) != w; ghost[t] {
 				along = gdim
 			}
 		}
-		lines = 1
 		for d := range lo {
 			if d != along {
 				lines *= hi[d] - lo[d] + 1
@@ -212,90 +213,58 @@ func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 		return w, along, lines
 	}
 	// Size each worker's lists for its lines up front: a fine-grain
-	// interleaving has a line per element.
-	lines := make([]int, b.e.np+1)
+	// interleaving has a line per element, a coarse one many per cell.
+	count := make([]int, b.e.np+1)
 	core.ForEachCell(cuts, func(lo, hi []int) {
-		w, _, n := orient(lo, hi)
-		lines[w] += n
+		w, _, lines := orient(lo, hi)
+		count[w] += lines
 	})
 	for p := 1; p <= b.e.np; p++ {
-		b.work[p] = &workBuild{runs: make([]krun, 0, lines[p]), terms: make([]kterm, 0, lines[p]*T)}
-	}
-	// base[s] is side s's slot of the cell's first element and step[s][d]
-	// its advance per index of dimension d; side 0 is the lhs, side 1+t
-	// term t. cur[s] is the slot of the first element of a sweep.
-	base, cur, step := make([]int32, T+1), make([]int32, T+1), make([][]int32, T+1)
-	for s := range step {
-		step[s] = make([]int32, rank)
-	}
-	slots := func(s int, l *layout, off int, mul, lo, hi []int) {
-		base[s] = l.slotGrid[off]
-		for d := range mul {
-			if step[s][d] = 0; hi[d] > lo[d] {
-				step[s][d] = l.slotGrid[off+mul[d]] - base[s]
-			}
-		}
+		b.work[p] = &workBuild{runs: make([]krun, 0, count[p]), terms: make([]kterm, 0, count[p]*T)}
 	}
 	at := make([]int, rank)
 	core.ForEachCell(cuts, func(lo, hi []int) {
 		w, along, lines := orient(lo, hi)
-		slots(0, b.lhs.lay, loff, lmul, lo, hi)
-		for t, tm := range b.terms {
-			if !ghost[t] {
-				slots(1+t, tm.src.lay, roff[t], smul[t], lo, hi)
+		for s, l := range lays {
+			slot[s] = l.slotGrid[off[s]]
+			for d, m := range mul[s] {
+				if step[s][d] = 0; hi[d] > lo[d] {
+					step[s][d] = l.slotGrid[off[s]+m] - slot[s]
+				}
 			}
 		}
 		wb, n := b.work[w], hi[along]-lo[along]+1
 		wb.charge(lines*n, ghost)
-		// The lines are swept along inner, the first dimension other than
-		// along, in a tight loop; an odometer steps the dimensions after
-		// it.
-		inner, sweep := 0, 1
-		if along == 0 && rank > 1 {
-			inner = 1
-		}
-		if inner != along {
-			sweep = hi[inner] - lo[inner] + 1
-		}
 		copy(at, lo)
-		copy(cur, base)
 		for {
-			pos, runs, terms := len(wb.terms), wb.runs, wb.terms
-			for j := range int32(sweep) {
-				runs = append(runs, krun{cur[0] + j*step[0][inner], step[0][along], int32(n)})
-				for t, g := range ghost {
-					kt := kterm{ghost: g}
-					if !g {
-						kt.base, kt.stride = cur[1+t]+j*step[1+t][inner], step[1+t][along]
-					}
-					terms = append(terms, kt)
-				}
-			}
-			wb.runs, wb.terms = runs, terms
+			wb.runs = append(wb.runs, krun{slot[0], step[0][along], int32(n)})
 			for t, g := range ghost {
-				for j := 0; g && j < sweep; j++ {
-					b.ghostLine(wb, pos+j*T+t, n, roff[t]+j*smul[t][inner])
+				if g {
+					b.ghostLine(wb, len(wb.terms), n, off[1+t])
 				}
+				wb.terms = append(wb.terms, kterm{slot[1+t], step[1+t][along], g})
 			}
-			d := inner + 1
+			// Odometer over the dimensions other than along: k is how far
+			// dimension d moves, one forward or back to lo on a carry.
+			d := 0
 			for ; d < rank; d++ {
 				if d == along {
 					continue
 				}
-				if at[d]++; at[d] <= hi[d] {
+				k := 1
+				if at[d]++; at[d] > hi[d] {
+					k, at[d] = lo[d]-hi[d], lo[d]
+				}
+				for s := range off {
+					off[s] += k * mul[s][d]
+					slot[s] += int32(k) * step[s][d]
+				}
+				if k == 1 {
 					break
 				}
-				at[d] = lo[d]
 			}
-			if d >= rank {
+			if d == rank {
 				return
-			}
-			locate(at)
-			for s := range cur {
-				cur[s] = base[s]
-				for d, x := range at {
-					cur[s] += int32(x-lo[d]) * step[s][d]
-				}
 			}
 		}
 	})
@@ -413,7 +382,7 @@ func (b *planBuilder) finish() *Schedule {
 		}
 		nghost := b.resolveGhosts(p, wb)
 		s.ghostTotal += nghost
-		k.runs, k.terms = joinRuns(wb.runs, wb.terms, T, b.remap)
+		k.runs, k.terms = joinRuns(wb.runs, wb.terms, T)
 		if !direct {
 			k.tmp = make([]float64, wb.load/T) // direct is true without terms
 		}
@@ -473,16 +442,16 @@ func (b *planBuilder) resolveGhosts(w int, wb *workBuild) int {
 			if m > 1 {
 				stride = a.lay.slotGrid[off+step] - base
 			}
+			target, tstride := next, int32(1)
 			if b.remap {
-				// A remap's one term is read by the run of the same
-				// index: the ghost lands at that run's slots of the new
-				// segment, not in a ghost buffer.
+				// A remap's one term is read by the run of the same index:
+				// the ghost lands at that run's slots of the new segment.
 				run := wb.runs[rq.term]
-				segs[sender].add(base, stride, run.base+(to-rq.lo)*run.stride, run.stride, m)
+				target, tstride = run.base+(to-rq.lo)*run.stride, run.stride
 			} else {
-				segs[sender].add(base, stride, next, 1, m)
 				next += m
 			}
+			segs[sender].add(base, stride, target, tstride, m)
 			to = end
 		}
 		wb.terms[rq.term].base, wb.terms[rq.term].stride = first+rq.lo-from, 1
@@ -495,30 +464,16 @@ func (b *planBuilder) resolveGhosts(w int, wb *workBuild) int {
 // first of the next, and returns right-sized copies. This is what
 // turns the length-1 lines of a CYCLIC(1) mapping (consecutive in slot
 // space, never in index space) or of the element walk into long runs.
-// A remap's plan runs once, so joining would cost more than it saves:
-// its runs are kept as emitted, less the ghost runs, whose values the
-// exchange puts in place (resolveGhosts).
-func joinRuns(runs []krun, terms []kterm, T int, remap bool) ([]krun, []kterm) {
-	out, dropped := 0, 0
+func joinRuns(runs []krun, terms []kterm, T int) ([]krun, []kterm) {
+	out := 0
 	for r, run := range runs {
 		rt := terms[r*T : r*T+T]
-		if remap && rt[0].ghost {
-			dropped++
+		if out > 0 && joinRun(&runs[out-1], terms[(out-1)*T:out*T], run, rt) {
 			continue
 		}
-		if !remap && out > 0 && joinRun(&runs[out-1], terms[(out-1)*T:out*T], run, rt) {
-			continue
-		}
-		if out < r {
-			runs[out] = run
-			for t, kt := range rt {
-				terms[out*T+t] = kt
-			}
-		}
+		runs[out] = run
+		copy(terms[out*T:], rt)
 		out++
-	}
-	if out+dropped == cap(runs) {
-		return runs[:out], terms[:out*T] // nothing joined, and sized exactly
 	}
 	return slices.Clone(runs[:out]), slices.Clone(terms[:out*T])
 }

@@ -381,14 +381,15 @@ func sum4(d, s0, s1, s2, s3 []float64, c0, c1, c2, c3 float64) {
 // copyKernel is runKernel's plan of a remap, new(:) = old(:), run as a
 // copy of the one term, whose coefficient is 1. A sum from +0 would
 // turn -0 into +0; a remap carries every value bit for bit, -0 and NaN
-// payloads included.
+// payloads included. A run whose term is a ghost is skipped: the
+// exchange has scattered its values into place already.
 type copyKernel runKernel
 
-func (k *copyKernel) compute(ghost []float64) {
+func (k *copyKernel) compute([]float64) {
 	for r, run := range k.runs {
 		tm, src := k.terms[r], k.srcs[0]
 		if tm.ghost {
-			src = ghost
+			continue
 		}
 		n, d, s := int(run.n), int(run.base), int(tm.base)
 		if run.stride == 1 && tm.stride == 1 {
