@@ -71,13 +71,13 @@ type pairRecv struct {
 }
 
 // send is the first half of worker p's side of the exchange: gather
-// and send every outgoing message (one allocation each; the transport
-// takes ownership). The parallel dispatcher runs recv right after it;
-// the sequential one runs every worker's send first.
+// and send every outgoing message, each into a buffer the transport
+// recycles. The parallel dispatcher runs recv right after it; the
+// sequential one runs every worker's send first.
 func (x *exchange) send(e *Engine, p int) {
 	for i := range x.sends {
 		sp := &x.sends[i]
-		buf := make([]float64, sp.elems)
+		buf := e.tr.Buffer(p, sp.dst, sp.elems)
 		k := 0
 		for _, sg := range sp.segs {
 			for _, s := range sg.spans {
@@ -103,9 +103,10 @@ func (x *exchange) send(e *Engine, p int) {
 }
 
 // recv is the second half: receive the incoming messages and scatter
-// them into dest. A message whose length is not the plan's fails the
-// engine: it comes from another process, and scattering a short one
-// would leave stale ghosts behind silently.
+// them into dest before the next Recv of the stream takes them back. A
+// message whose length is not the plan's fails the engine: it comes
+// from another process, and scattering a short one would leave stale
+// ghosts behind silently.
 func (x *exchange) recv(e *Engine, p int, dest []float64) {
 	for i := range x.recvs {
 		rp := &x.recvs[i]

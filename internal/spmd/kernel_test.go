@@ -7,7 +7,9 @@ import (
 
 	"hpfnt/internal/dist"
 	"hpfnt/internal/index"
+	"hpfnt/internal/machine"
 	"hpfnt/internal/proc"
+	"hpfnt/internal/transport"
 )
 
 // elementCompute is runKernel.compute as the element-wise oracle
@@ -208,9 +210,9 @@ func TestRunKernelAllocFree(t *testing.T) {
 }
 
 // TestExecuteAllocs pins what one dispatch of a cached schedule
-// allocates with tracing off: the epoch closure and the one message
-// buffer per send the transport takes ownership of — here the 2-worker
-// Jacobi, whose workers send each other one boundary row.
+// allocates with tracing off: the epoch closure, and nothing per
+// message — here the 2-worker Jacobi, whose workers send each other
+// one boundary row in buffers the transport recycles.
 func TestExecuteAllocs(t *testing.T) {
 	e := newEngine(t, 2)
 	v, interior, terms := jacobi766(t, e)
@@ -225,7 +227,46 @@ func TestExecuteAllocs(t *testing.T) {
 		if err := s.Execute(); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 3 {
-		t.Errorf("a cached 2-worker Jacobi Execute allocates %.0f times, want 3 (the epoch closure and two messages)", allocs)
+	}); allocs != 1 {
+		t.Errorf("a cached 2-worker Jacobi Execute allocates %.0f times, want 1 (the epoch closure)", allocs)
+	}
+}
+
+// TestExecuteNAllocsPerWire: on every wire, a sweep of the replayed
+// halo statement allocates nothing — ExecuteN(64) allocates no more
+// than ExecuteN(1). Its messages come from the transport's recycled
+// buffers, whether inproc's channels, shm's rings or tcp's reader
+// carry them.
+func TestExecuteNAllocsPerWire(t *testing.T) {
+	for _, kind := range transport.Kinds() {
+		t.Run(kind, func(t *testing.T) {
+			tr, err := transport.New(kind, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewOn(tr, machine.DefaultCost())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			sys, _ := proc.NewSystem(2)
+			h := newArray(t, e, "H", distMapping(t, sys, index.Standard(1, 1024), dist.Cyclic{K: 1}))
+			s, err := e.BuildSchedule(h, index.Standard(2, 1023), []Term{Ref(h, 0.5, 0), Ref(h, 0.25, -1), Ref(h, 0.25, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(iters int) func() {
+				return func() {
+					if err := s.ExecuteN(iters); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			run(64)() // starts the workers and fills the buffer pools
+			one, many := testing.AllocsPerRun(10, run(1)), testing.AllocsPerRun(10, run(64))
+			if many > one {
+				t.Errorf("ExecuteN(64) allocates %.1f times, ExecuteN(1) %.1f: a sweep allocates", many, one)
+			}
+		})
 	}
 }

@@ -328,14 +328,23 @@ func (k *runKernel) compute(ghost []float64) {
 // is short enough that where the linker puts it decides the stencil's
 // speed (straddling a 64-byte line it runs 1.5× slower), and any edit
 // to the code before it can move it there. A function starts 32-byte
-// aligned, so each loop's layout depends on its own function alone.
-// Reslicing every source to len(d) lets the compiler drop the bounds
-// checks.
+// aligned, which leaves two placements modulo a 64-byte line, so each
+// loop is shaped to span the same number of lines at both: sum1 takes
+// two values per iteration with the odd one last, sum2 with the odd one
+// first, and sum3 and sum4 need no help. Reslicing every source to
+// len(d) lets the compiler drop most bounds checks.
 
 //go:noinline
 func sum1(d, s0 []float64, c0 float64) {
 	s0 = s0[:len(d)]
-	for i := range d {
+	i := 0
+	for ; i+1 < len(d); i += 2 {
+		v, w := 0.0, 0.0
+		v += c0 * s0[i]
+		w += c0 * s0[i+1]
+		d[i], d[i+1] = v, w
+	}
+	if i < len(d) {
 		v := 0.0
 		v += c0 * s0[i]
 		d[i] = v
@@ -345,11 +354,20 @@ func sum1(d, s0 []float64, c0 float64) {
 //go:noinline
 func sum2(d, s0, s1 []float64, c0, c1 float64) {
 	s0, s1 = s0[:len(d)], s1[:len(d)]
-	for i := range d {
+	i := len(d) % 2
+	if i == 1 {
 		v := 0.0
+		v += c0 * s0[0]
+		v += c1 * s1[0]
+		d[0] = v
+	}
+	for ; i+1 < len(d); i += 2 {
+		v, w := 0.0, 0.0
 		v += c0 * s0[i]
+		w += c0 * s0[i+1]
 		v += c1 * s1[i]
-		d[i] = v
+		w += c1 * s1[i+1]
+		d[i], d[i+1] = v, w
 	}
 }
 

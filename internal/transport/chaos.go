@@ -61,10 +61,11 @@ type chaosHooks interface {
 	dropConn(peer int)
 }
 
-// chaos wraps an inner transport with deterministic fault injection.
+// chaos wraps an inner transport with deterministic fault injection;
+// every method it does not override is the inner transport's.
 type chaos struct {
-	inner Transport
-	plan  *ChaosPlan
+	Transport
+	plan *ChaosPlan
 
 	sends    atomic.Int64
 	killOnce sync.Once
@@ -78,14 +79,8 @@ type chaos struct {
 // harness. Wrap each generation's transport with the same *ChaosPlan:
 // the plan's Generation gate keeps faults from re-firing on replay.
 func NewChaos(inner Transport, plan *ChaosPlan) Transport {
-	return &chaos{inner: inner, plan: plan}
+	return &chaos{Transport: inner, plan: plan}
 }
-
-func (t *chaos) Kind() string        { return t.inner.Kind() }
-func (t *chaos) NP() int             { return t.inner.NP() }
-func (t *chaos) Procs() int          { return t.inner.Procs() }
-func (t *chaos) Self() int           { return t.inner.Self() }
-func (t *chaos) HostOf(rank int) int { return t.inner.HostOf(rank) }
 
 func (t *chaos) Send(src, dst int, msg []float64) {
 	if n := t.plan.DelayEvery; n > 0 && t.plan.Delay > 0 {
@@ -93,21 +88,13 @@ func (t *chaos) Send(src, dst int, msg []float64) {
 			time.Sleep(t.plan.Delay)
 		}
 	}
-	t.inner.Send(src, dst, msg)
+	t.Transport.Send(src, dst, msg)
 }
-
-func (t *chaos) Recv(src, dst int) []float64              { return t.inner.Recv(src, dst) }
-func (t *chaos) Bcast(from int, vals []float64) []float64 { return t.inner.Bcast(from, vals) }
-func (t *chaos) Barrier() error                           { return t.inner.Barrier() }
-func (t *chaos) Fail(err error)                           { t.inner.Fail(err) }
-func (t *chaos) Err() error                               { return t.inner.Err() }
-func (t *chaos) Status() Health                           { return t.inner.Status() }
-func (t *chaos) Close() error                             { return t.inner.Close() }
 
 // Wire passes through the inner wire's counters (zero when the inner
 // transport does not meter itself).
 func (t *chaos) Wire() WireStats {
-	if wc, ok := t.inner.(WireCounter); ok {
+	if wc, ok := t.Transport.(WireCounter); ok {
 		return wc.Wire()
 	}
 	return WireStats{}
@@ -115,16 +102,16 @@ func (t *chaos) Wire() WireStats {
 
 // Staleness passes through the inner wire's heartbeat view.
 func (t *chaos) Staleness() []time.Duration {
-	if hs, ok := t.inner.(HeartbeatStats); ok {
+	if hs, ok := t.Transport.(HeartbeatStats); ok {
 		return hs.Staleness()
 	}
-	return make([]time.Duration, t.inner.Procs())
+	return make([]time.Duration, t.Transport.Procs())
 }
 
 // armed reports whether scripted faults apply at the inner
 // transport's current generation.
 func (t *chaos) armed() bool {
-	return t.inner.Status().Generation == t.plan.Generation
+	return t.Transport.Status().Generation == t.plan.Generation
 }
 
 // MarkEpoch fires any fault scripted at or before the given epoch
@@ -133,23 +120,23 @@ func (t *chaos) MarkEpoch(epoch int) {
 	p := t.plan
 	if p.DropConnAtEpoch > 0 && epoch >= p.DropConnAtEpoch && t.armed() {
 		t.dropOnce.Do(func() {
-			if d, ok := t.inner.(chaosHooks); ok {
+			if d, ok := t.Transport.(chaosHooks); ok {
 				d.dropConn(p.DropPeer)
 			}
 		})
 	}
-	if p.DieAtEpoch > 0 && epoch >= p.DieAtEpoch && t.inner.Self() == p.DieProc && t.armed() {
+	if p.DieAtEpoch > 0 && epoch >= p.DieAtEpoch && t.Transport.Self() == p.DieProc && t.armed() {
 		t.dieOnce.Do(func() {
-			if k, ok := t.inner.(chaosHooks); ok {
+			if k, ok := t.Transport.(chaosHooks); ok {
 				k.killAbrupt()
 			} else {
-				t.inner.Fail(ErrChaosKilled)
+				t.Transport.Fail(ErrChaosKilled)
 			}
 		})
 	}
 	if p.KillAtEpoch > 0 && epoch >= p.KillAtEpoch && t.armed() {
 		t.killOnce.Do(func() {
-			t.inner.Fail(&MemberLostError{Proc: p.KillProc, Cause: "chaos scripted loss"})
+			t.Transport.Fail(&MemberLostError{Proc: p.KillProc, Cause: "chaos scripted loss"})
 		})
 	}
 }

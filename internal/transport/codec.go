@@ -21,13 +21,14 @@ func appendFloats(dst []byte, vals []float64) []byte {
 	return dst
 }
 
-// decodeFloats decodes a tcp payload; a length that is not a whole
-// number of floats is a framing error, never silently truncated.
-func decodeFloats(b []byte) ([]float64, error) {
+// decodeFloats decodes a tcp payload into alloc(n), n its floats; a
+// length that is not a whole number of floats is a framing error,
+// never silently truncated.
+func decodeFloats(b []byte, alloc func(n int) []float64) ([]float64, error) {
 	if len(b)%8 != 0 {
 		return nil, fmt.Errorf("payload of %d bytes is not a multiple of 8", len(b))
 	}
-	out := make([]float64, len(b)/8)
+	out := alloc(len(b) / 8)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}

@@ -20,10 +20,12 @@ import (
 // error or a failure a peer published, and its constructor registers
 // abort as the box's first-failure hook before starting any goroutine.
 type link interface {
-	// push sends one message on the ordered (src,dst) rank stream. It
-	// reports the physical frame's size in bytes — unmetered when the
-	// message was dropped or never touched the wire — and whether the
-	// fast path stalled (channel or ring full). It must not block
+	// push sends one message on the ordered (src,dst) rank stream and
+	// owns m.msg: it either delivers that slice (inproc, tcp's
+	// same-process mailbox) or copies it and puts it back in the pool.
+	// It reports the physical frame's size in bytes — unmetered when
+	// the message was dropped or never touched the wire — and whether
+	// the fast path stalled (channel or ring full). It must not block
 	// indefinitely against a live receiver.
 	push(src, dst int, m inMsg) (bytes int, stalled bool)
 	// pop blocks for the next message of the (src,dst) stream; what
@@ -76,6 +78,54 @@ type inMsg struct {
 	msg  []float64
 }
 
+// poolDepth bounds a stream's free list: inproc has three buffers of a
+// stream in flight, one filling, one in the channel, one lent.
+const poolDepth = 3
+
+// bufPool recycles message buffers per ordered rank stream. Recv takes
+// back the slice it lent before and a link whose push copies hands the
+// message back; Buffer and the decoding links (the tcp reader, shm's
+// pop) draw from the stream's free list, under its lock.
+type bufPool struct {
+	np      int
+	streams []streamBufs
+}
+
+type streamBufs struct {
+	sync.Mutex
+	free [][]float64
+	lent []float64 // the receiver's, outside the lock
+}
+
+func newBufPool(np int) *bufPool { return &bufPool{np: np, streams: make([]streamBufs, np*np)} }
+
+func (p *bufPool) stream(src, dst int) *streamBufs { return &p.streams[(src-1)*p.np+dst-1] }
+
+// get returns an n-value slice: the stream's latest free buffer, or a
+// new one when that is too small.
+func (p *bufPool) get(src, dst, n int) []float64 {
+	s := p.stream(src, dst)
+	s.Lock()
+	defer s.Unlock()
+	if k := len(s.free) - 1; k >= 0 {
+		b := s.free[k]
+		if s.free = s.free[:k]; cap(b) >= n {
+			return b[:n]
+		}
+	}
+	return make([]float64, n)
+}
+
+// put hands back a buffer nobody holds; a full list drops it.
+func (p *bufPool) put(src, dst int, b []float64) {
+	s := p.stream(src, dst)
+	s.Lock()
+	if len(s.free) < poolDepth && cap(b) > 0 {
+		s.free = append(s.free, b)
+	}
+	s.Unlock()
+}
+
 // core implements Transport, WireCounter and HeartbeatStats over a
 // link.
 type core struct {
@@ -84,6 +134,7 @@ type core struct {
 	link link
 	fb   *failBox
 	ps   *pairSeq
+	bufs *bufPool
 
 	// The liveness monitor exists only in multi-process jobs.
 	monStop, monDone chan struct{}
@@ -98,8 +149,8 @@ type core struct {
 	wireTally
 }
 
-func newCore(kind string, cfg Config, fb *failBox, l link) *core {
-	return &core{kind: kind, cfg: cfg, link: l, fb: fb, ps: newPairSeq(cfg.NP)}
+func newCore(kind string, cfg Config, fb *failBox, l link, bufs *bufPool) *core {
+	return &core{kind: kind, cfg: cfg, link: l, fb: fb, ps: newPairSeq(cfg.NP), bufs: bufs}
 }
 
 func (c *core) Kind() string        { return c.kind }
@@ -133,6 +184,8 @@ func (c *core) Send(src, dst int, msg []float64) {
 	}
 }
 
+func (c *core) Buffer(src, dst, n int) []float64 { return c.bufs.get(src, dst, n) }
+
 func (c *core) Recv(src, dst int) []float64 {
 	tracing := obs.TraceEnabled()
 	var start time.Time
@@ -143,6 +196,10 @@ func (c *core) Recv(src, dst int) []float64 {
 	if !ok {
 		return nil
 	}
+	// Take back the slice the stream's last Recv lent.
+	s := c.bufs.stream(src, dst)
+	c.bufs.put(src, dst, s.lent)
+	s.lent = m.msg
 	if bytes != unmetered {
 		c.countRecv(int64(bytes))
 	}

@@ -84,7 +84,7 @@ func fakeCore(self, procs int, cfg Config) (*core, *fakeLink) {
 	cfg.NP, cfg.Procs, cfg.Self = 2*procs, procs, self
 	fb := newFailBox()
 	l := newFakeLink(procs, fb)
-	return newCore("fake", cfg, fb, l), l
+	return newCore("fake", cfg, fb, l, newBufPool(cfg.NP)), l
 }
 
 // within fails the test unless f returns in time.

@@ -134,6 +134,7 @@ func (r *shmRing) push(src []byte) {
 type shmLink struct {
 	np, procs, self int
 	fb              *failBox
+	bufs            *bufPool
 	closed          atomic.Bool
 
 	path   string
@@ -259,8 +260,8 @@ func (t *shmLink) mapNew(f *os.File) error {
 // tcp rendezvous it rejects nothing by generation — a stale worker
 // simply computes a different file name and times out — but header
 // validation catches shape mismatches.
-func openShm(cfg Config, fb *failBox) (*shmLink, error) {
-	t := &shmLink{np: cfg.NP, procs: cfg.Procs, self: cfg.Self, fb: fb, pumpDone: make(chan struct{})}
+func openShm(cfg Config, fb *failBox, bufs *bufPool) (*shmLink, error) {
+	t := &shmLink{np: cfg.NP, procs: cfg.Procs, self: cfg.Self, fb: fb, bufs: bufs, pumpDone: make(chan struct{})}
 	t.pumpCond = sync.NewCond(&t.pumpMu)
 	fb.onFail = t.abort
 	var err error
@@ -529,6 +530,7 @@ func (t *shmLink) push(src, dst int, m inMsg) (int, bool) {
 	binary.LittleEndian.PutUint64(hdr[4:], m.corr)
 	payload := floatBytes(m.msg)
 	size := len(hdr) + len(payload)
+	defer t.bufs.put(src, dst, m.msg) // copied into the ring or the spill
 	r.pmu.Lock()
 	if len(r.pending) == 0 {
 		head := atomic.LoadUint64(r.head)
@@ -566,7 +568,7 @@ func (t *shmLink) pop(src, dst int) (inMsg, int, bool) {
 		t.fb.fail(fmt.Errorf("transport: shm data frame on pair (%d,%d) has a %d-byte payload, not a multiple of 8", src, dst, n))
 		return inMsg{}, unmetered, false
 	}
-	m := inMsg{corr: binary.LittleEndian.Uint64(hdr[4:]), msg: make([]float64, n/8)}
+	m := inMsg{corr: binary.LittleEndian.Uint64(hdr[4:]), msg: t.bufs.get(src, dst, n/8)}
 	if n > 0 && !t.readFull(r, floatBytes(m.msg)) {
 		return inMsg{}, unmetered, false
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,53 +49,63 @@ const (
 	helloPeer = byte(2)
 )
 
-// tconn is one connection with its buffered, mutex-serialized writer.
-// All frames from this process to the peer process go through it, so
+// tconn is one connection. Each frame goes out in one Write under wmu,
+// so all frames from this process to the peer process stay whole and
 // per-rank-pair FIFO order is preserved (a pair's sender rank is
 // hosted by exactly one process).
 type tconn struct {
 	c   net.Conn
-	bw  *bufio.Writer
 	br  *bufio.Reader // single reader, shared by handshake and readLoop
+	in  []byte        // the reader's scratch
 	wmu sync.Mutex
+	out []byte // writeFrame's, under wmu
 }
 
 // newTconn wraps a connection. The buffered reader is created once
 // and reused from handshake through readLoop: a fresh reader after
 // the handshake would silently drop any frames the kernel delivered
-// in the same segment as the handshake reply.
+// in the same segment as the handshake reply. It holds 64 KiB, so a
+// frame the size of a ghost row arrives in one read.
 func newTconn(c net.Conn) *tconn {
-	return &tconn{c: c, bw: bufio.NewWriter(c), br: bufio.NewReader(c)}
+	return &tconn{c: c, br: bufio.NewReaderSize(c, 64<<10)}
 }
 
-func (c *tconn) writeFrame(kind byte, body []byte) error {
+// appendFrame builds a frame in buf's memory, grown once to fit: the
+// header, then head, then vals in the wire encoding.
+func appendFrame(buf []byte, kind byte, head []byte, vals []float64) []byte {
+	f := append(slices.Grow(buf[:0], 5+len(head)+8*len(vals)), 0, 0, 0, 0, kind)
+	f = appendFloats(append(f, head...), vals)
+	binary.LittleEndian.PutUint32(f, uint32(len(f)-4))
+	return f
+}
+
+// writeFrame builds a frame in the connection's buffer and writes it;
+// it returns the frame's size.
+func (c *tconn) writeFrame(kind byte, head []byte, vals []float64) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(1+len(body)))
-	hdr[4] = kind
-	if _, err := c.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := c.bw.Write(body); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	c.out = appendFrame(c.out, kind, head, vals)
+	return c.c.Write(c.out)
 }
 
-// readFrame reads one length-prefixed frame of at most max bytes; the
-// length is checked before anything is allocated for it.
-func readFrame(br *bufio.Reader, max uint32) (kind byte, body []byte, err error) {
-	var hdr [4]byte
-	if _, err = io.ReadFull(br, hdr[:]); err != nil {
+// readFrame reads one length-prefixed frame of at most max bytes into
+// the connection's scratch, which the returned body aliases until the
+// next readFrame. The length is checked before the scratch grows.
+func (c *tconn) readFrame(max uint32) (kind byte, body []byte, err error) {
+	hdr, err := c.br.Peek(4)
+	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
+	c.br.Discard(4)
 	if n < 1 || n > max {
 		return 0, nil, fmt.Errorf("transport: bad frame length %d (limit %d)", n, max)
 	}
-	buf := make([]byte, n)
-	if _, err = io.ReadFull(br, buf); err != nil {
+	if uint32(cap(c.in)) < n {
+		c.in = make([]byte, n)
+	}
+	buf := c.in[:n]
+	if _, err = io.ReadFull(c.br, buf); err != nil {
 		return 0, nil, err
 	}
 	return buf[0], buf[1:], nil
@@ -189,8 +200,9 @@ func decodeRoster(body []byte, procs int) ([]string, error) {
 	return addrs, nil
 }
 
-// decodeData parses a data frame body: src, dst, corr, payload.
-func decodeData(body []byte, np int) (src, dst int, m inMsg, err error) {
+// decodeData parses a data frame body: src, dst, corr, payload, the
+// payload decoded into a buffer of the pair's stream.
+func decodeData(body []byte, np int, bufs *bufPool) (src, dst int, m inMsg, err error) {
 	if len(body) < 16 {
 		return 0, 0, m, fmt.Errorf("transport: short data frame (%d bytes)", len(body))
 	}
@@ -200,7 +212,7 @@ func decodeData(body []byte, np int) (src, dst int, m inMsg, err error) {
 		return 0, 0, m, fmt.Errorf("transport: data frame for pair (%d,%d) out of range 1..%d", src, dst, np)
 	}
 	m.corr = binary.LittleEndian.Uint64(body[8:])
-	if m.msg, err = decodeFloats(body[16:]); err != nil {
+	if m.msg, err = decodeFloats(body[16:], func(n int) []float64 { return bufs.get(src, dst, n) }); err != nil {
 		return 0, 0, m, fmt.Errorf("transport: data frame for pair (%d,%d): %w", src, dst, err)
 	}
 	return src, dst, m, nil
@@ -209,11 +221,13 @@ func decodeData(body []byte, np int) (src, dst int, m inMsg, err error) {
 // mailbox is an unbounded FIFO queue of messages for one stream, with
 // abort support: messages queued before the abort still drain in
 // order (a peer's orderly shutdown must not eat data already on the
-// wire); pop reports false once the queue is empty and aborted.
+// wire); pop reports false once the queue is empty and aborted. The
+// queue is q[next:], and a drained one restarts at the front of q.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	q      []inMsg
+	next   int
 	closed bool
 }
 
@@ -233,14 +247,16 @@ func (m *mailbox) push(msg inMsg) {
 func (m *mailbox) pop() (inMsg, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.q) == 0 && !m.closed {
+	for m.next == len(m.q) && !m.closed {
 		m.cond.Wait()
 	}
-	if len(m.q) == 0 {
+	if m.next == len(m.q) {
 		return inMsg{}, false
 	}
-	msg := m.q[0]
-	m.q = m.q[1:]
+	msg := m.q[m.next]
+	if m.next++; m.next == len(m.q) {
+		m.q, m.next = m.q[:0], 0
+	}
 	return msg, true
 }
 
@@ -260,6 +276,8 @@ func (m *mailbox) abort() {
 type tcpLink struct {
 	cfg    Config
 	fb     *failBox
+	bufs   *bufPool
+	wbuf   [][]byte // per sending stream: its last data frame
 	ln     net.Listener
 	conns  []*tconn // by peer process index; conns[Self] is nil
 	loop   *tconn   // loopback write side (single-process mode only)
@@ -281,8 +299,8 @@ type tcpLink struct {
 // handshake per peer, sends everyone the peer-listener roster, and the
 // peers fill in the connection mesh among themselves (higher process
 // index dials lower). Returns once this process is fully meshed.
-func dialTCP(cfg Config, fb *failBox) (*tcpLink, error) {
-	l := &tcpLink{cfg: cfg, fb: fb}
+func dialTCP(cfg Config, fb *failBox, bufs *bufPool) (*tcpLink, error) {
+	l := &tcpLink{cfg: cfg, fb: fb, bufs: bufs, wbuf: make([][]byte, cfg.NP*cfg.NP)}
 	fb.onFail = l.abort
 	l.boxes = make([][]*mailbox, cfg.NP)
 	for s := range l.boxes {
@@ -353,10 +371,10 @@ func (l *tcpLink) dialLoop() error {
 	l.loopIn = newTconn(in.c)
 	// Handshake across the loop, so the hello path is covered too.
 	h := hello{sub: helloJoin, np: l.cfg.NP, procs: 1, job: l.cfg.Job}
-	if err := l.loop.writeFrame(frameHello, encodeHello(h)); err != nil {
+	if _, err := l.loop.writeFrame(frameHello, encodeHello(h), nil); err != nil {
 		return err
 	}
-	if _, err := l.readHello(l.loopIn.br, helloJoin); err != nil {
+	if _, err := l.readHello(l.loopIn, helloJoin); err != nil {
 		return err
 	}
 	l.wg.Add(1)
@@ -366,8 +384,8 @@ func (l *tcpLink) dialLoop() error {
 
 // readHello reads one handshake frame and checks that it belongs to
 // this job: subkind, job name, generation and shape.
-func (l *tcpLink) readHello(br *bufio.Reader, sub byte) (hello, error) {
-	kind, body, err := readFrame(br, maxHandshakeFrame)
+func (l *tcpLink) readHello(c *tconn, sub byte) (hello, error) {
+	kind, body, err := c.readFrame(maxHandshakeFrame)
 	if err != nil {
 		return hello{}, fmt.Errorf("transport: reading hello: %w", err)
 	}
@@ -411,7 +429,7 @@ func (l *tcpLink) bootstrapLeader(deadline time.Time) error {
 		}
 		c.SetDeadline(deadline)
 		tc := newTconn(c)
-		h, err := l.readHello(tc.br, helloJoin)
+		h, err := l.readHello(tc, helloJoin)
 		if err == nil && h.from == 0 {
 			err = fmt.Errorf("transport: join from process 0, which is the leader")
 		}
@@ -433,7 +451,7 @@ func (l *tcpLink) bootstrapLeader(deadline time.Time) error {
 	}
 	roster := encodeRoster(addrs)
 	for i := 1; i < l.cfg.Procs; i++ {
-		if err := l.conns[i].writeFrame(frameRoster, roster); err != nil {
+		if _, err := l.conns[i].writeFrame(frameRoster, roster, nil); err != nil {
 			return fmt.Errorf("transport: sending roster to process %d: %w", i, err)
 		}
 		l.conns[i].c.SetDeadline(time.Time{})
@@ -476,7 +494,7 @@ func (l *tcpLink) bootstrapPeer(deadline time.Time) error {
 			return fmt.Errorf("transport: dialing peer %d at %s: %w", j, addrs[j], err)
 		}
 		l.conns[j] = newTconn(c)
-		if err := l.conns[j].writeFrame(frameHello, encodeHello(ph)); err != nil {
+		if _, err := l.conns[j].writeFrame(frameHello, encodeHello(ph), nil); err != nil {
 			return fmt.Errorf("transport: peer hello to %d: %w", j, err)
 		}
 	}
@@ -487,7 +505,7 @@ func (l *tcpLink) bootstrapPeer(deadline time.Time) error {
 		}
 		c.SetDeadline(deadline)
 		tc := newTconn(c)
-		h, err := l.readHello(tc.br, helloPeer)
+		h, err := l.readHello(tc, helloPeer)
 		if err != nil {
 			c.Close()
 			return err
@@ -515,11 +533,11 @@ func (l *tcpLink) joinLeader(deadline time.Time) ([]string, error) {
 	c0.SetDeadline(deadline)
 	tc := newTconn(c0)
 	h := hello{sub: helloJoin, generation: l.cfg.Generation, np: l.cfg.NP, procs: l.cfg.Procs, from: l.cfg.Self, job: l.cfg.Job, addr: l.ln.Addr().String()}
-	if err := tc.writeFrame(frameHello, encodeHello(h)); err != nil {
+	if _, err := tc.writeFrame(frameHello, encodeHello(h), nil); err != nil {
 		c0.Close()
 		return nil, fmt.Errorf("joining: %w", err)
 	}
-	kind, body, err := readFrame(tc.br, maxHandshakeFrame)
+	kind, body, err := tc.readFrame(maxHandshakeFrame)
 	if err != nil {
 		// EOF or reset here is also how a refused (e.g. stale-
 		// generation) hello looks; the retry loop re-sends the
@@ -565,7 +583,7 @@ func (l *tcpLink) lost(peer int, op string, err error) {
 func (l *tcpLink) readLoop(peer int, c *tconn) {
 	defer l.wg.Done()
 	for {
-		kind, body, err := readFrame(c.br, maxFrame)
+		kind, body, err := c.readFrame(maxFrame)
 		if err != nil {
 			l.lost(peer, "connection lost", err)
 			return
@@ -577,7 +595,7 @@ func (l *tcpLink) readLoop(peer int, c *tconn) {
 		case frameHeart:
 			// Liveness only; the stamp above is the payload.
 		case frameData:
-			src, dst, m, err := decodeData(body, l.cfg.NP)
+			src, dst, m, err := decodeData(body, l.cfg.NP, l.bufs)
 			if err != nil {
 				l.fb.fail(err)
 				return
@@ -595,7 +613,7 @@ func (l *tcpLink) readLoop(peer int, c *tconn) {
 				}
 				body = body[4:]
 			}
-			vals, err := decodeFloats(body)
+			vals, err := decodeFloats(body, func(n int) []float64 { return make([]float64, n) })
 			if err != nil {
 				l.fb.fail(fmt.Errorf("transport: control frame kind %d from process %d: %w", kind, peer, err))
 				return
@@ -608,17 +626,19 @@ func (l *tcpLink) readLoop(peer int, c *tconn) {
 	}
 }
 
-// write sends one frame to peer and reports its size, or unmetered
-// when the write failed (the message is dropped; workers surface the
-// sticky error at the end of the epoch).
-func (l *tcpLink) write(peer int, c *tconn, kind byte, body []byte) int {
-	if err := c.writeFrame(kind, body); err != nil {
+// lostOnErr returns a written frame's size, or unmetered when the
+// write failed (the message is dropped; workers surface the sticky
+// error at the end of the epoch).
+func (l *tcpLink) lostOnErr(peer, n int, err error) int {
+	if err != nil {
 		l.lost(peer, "write", err)
 		return unmetered
 	}
-	return 5 + len(body)
+	return n
 }
 
+// push encodes a data frame into the stream's own buffer, outside the
+// connection's lock, and hands the message back to the pool.
 func (l *tcpLink) push(src, dst int, m inMsg) (int, bool) {
 	h := HostOfRank(l.cfg.NP, l.cfg.Procs, dst)
 	if h == l.cfg.Self && l.loop == nil {
@@ -626,16 +646,21 @@ func (l *tcpLink) push(src, dst int, m inMsg) (int, bool) {
 		l.boxes[src-1][dst-1].push(m)
 		return unmetered, false
 	}
-	body := make([]byte, 16, 16+8*len(m.msg))
-	binary.LittleEndian.PutUint32(body, uint32(src))
-	binary.LittleEndian.PutUint32(body[4:], uint32(dst))
-	binary.LittleEndian.PutUint64(body[8:], m.corr)
-	body = appendFloats(body, m.msg)
+	var head [16]byte
+	binary.LittleEndian.PutUint32(head[:], uint32(src))
+	binary.LittleEndian.PutUint32(head[4:], uint32(dst))
+	binary.LittleEndian.PutUint64(head[8:], m.corr)
+	i := (src-1)*l.cfg.NP + dst - 1
+	l.wbuf[i] = appendFrame(l.wbuf[i], frameData, head[:], m.msg)
+	l.bufs.put(src, dst, m.msg)
 	c, peer := l.loop, -1
 	if c == nil {
 		c, peer = l.conns[h], h
 	}
-	return l.write(peer, c, frameData, body), false
+	c.wmu.Lock()
+	n, err := c.c.Write(l.wbuf[i])
+	c.wmu.Unlock()
+	return l.lostOnErr(peer, n, err), false
 }
 
 func (l *tcpLink) pop(src, dst int) (inMsg, int, bool) {
@@ -656,11 +681,10 @@ func ctlHeader(kind byte) int {
 }
 
 func (l *tcpLink) sendCtl(to int, kind byte, vals []float64) (int, bool) {
-	body := make([]byte, 0, 4+8*len(vals))
-	if ctlHeader(kind) > 0 {
-		body = binary.LittleEndian.AppendUint32(body, uint32(l.cfg.Self))
-	}
-	n := l.write(to, l.conns[to], frameData+kind, appendFloats(body, vals))
+	var from [4]byte
+	binary.LittleEndian.PutUint32(from[:], uint32(l.cfg.Self))
+	n, err := l.conns[to].writeFrame(frameData+kind, from[:ctlHeader(kind)], vals)
+	n = l.lostOnErr(to, n, err)
 	return n, n != unmetered
 }
 
@@ -679,7 +703,7 @@ func (l *tcpLink) lastSeen(proc int) int64 { return l.lastHeard[proc].Load() }
 func (l *tcpLink) beat(int64) {
 	for _, c := range l.conns {
 		if c != nil {
-			c.writeFrame(frameHeart, nil)
+			c.writeFrame(frameHeart, nil, nil)
 		}
 	}
 }

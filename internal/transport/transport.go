@@ -18,9 +18,11 @@
 //
 // Contract: messages between one ordered rank pair (src,dst) are
 // delivered FIFO; streams of distinct pairs are independent. Send
-// never blocks indefinitely against a live receiver (the inproc
-// transport blocks only on its per-pair capacity-1 backpressure; the
-// tcp transport buffers in per-pair mailboxes, shm spills to a pending
+// hands its slice over and Recv lends one until the next Recv on the
+// stream; the core recycles both per stream for Buffer. Send never
+// blocks indefinitely against a live receiver (the inproc transport
+// blocks only on its per-pair capacity-1 backpressure; the tcp
+// transport buffers in per-pair mailboxes, shm spills to a pending
 // queue). Collectives (Bcast, Barrier) must be invoked by every
 // participating process in the same order — the engine guarantees this
 // by construction, since every process executes the same deterministic
@@ -74,13 +76,18 @@ type Transport interface {
 	Self() int
 	// HostOf reports the process index hosting the given rank.
 	HostOf(rank int) int
-	// Send delivers one message on the ordered (src,dst) rank stream.
+	// Buffer returns an n-value slice, of undefined contents, to fill
+	// and Send on the (src,dst) stream: in steady state a recycled one.
+	Buffer(src, dst, n int) []float64
+	// Send delivers one message on the ordered (src,dst) rank stream
+	// and takes ownership of msg: the caller must not touch it again.
 	// src must be hosted by this process. On a failed transport the
 	// message is dropped.
 	Send(src, dst int, msg []float64)
 	// Recv returns the next message of the ordered (src,dst) stream.
-	// dst must be hosted by this process. Returns nil once the
-	// transport has failed.
+	// dst must be hosted by this process. The slice is lent: it stays
+	// valid until the next Recv on the same stream, which takes it
+	// back. Returns nil once the transport has failed.
 	Recv(src, dst int) []float64
 	// Bcast publishes vals from process `from` to every process and
 	// returns them everywhere; callers on other processes pass nil.
@@ -413,23 +420,23 @@ func Join(kind string, cfg Config) (Transport, error) {
 	if err := cfg.validate(kind); err != nil {
 		return nil, err
 	}
-	fb := newFailBox()
+	fb, bufs := newFailBox(), newBufPool(cfg.NP)
 	var l link
 	var err error
 	switch kind {
 	case Inproc:
 		l = newInprocLink(cfg.NP, fb)
 	case Shm:
-		l, err = openShm(cfg, fb)
+		l, err = openShm(cfg, fb, bufs)
 	case TCP:
-		l, err = dialTCP(cfg, fb)
+		l, err = dialTCP(cfg, fb, bufs)
 	default:
 		err = fmt.Errorf("transport: unknown kind %q (have %v)", kind, Kinds())
 	}
 	if err != nil {
 		return nil, err
 	}
-	c := newCore(kind, cfg, fb, l)
+	c := newCore(kind, cfg, fb, l, bufs)
 	if cfg.Procs > 1 {
 		c.startMonitor()
 		if err := c.Barrier(); err != nil { // the job starts aligned
@@ -449,5 +456,5 @@ func New(kind string, np int) (Transport, error) {
 // NewInproc creates the in-process transport over np ranks.
 func NewInproc(np int) Transport {
 	fb := newFailBox()
-	return newCore(Inproc, Config{NP: np, Procs: 1}, fb, newInprocLink(np, fb))
+	return newCore(Inproc, Config{NP: np, Procs: 1}, fb, newInprocLink(np, fb), newBufPool(np))
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -339,5 +340,68 @@ func TestTCPStaleGenerationRejected(t *testing.T) {
 	}
 	if staleErr == nil {
 		t.Error("stale worker joined successfully")
+	}
+}
+
+// TestRecvLends checks the buffer contract on every wire while the
+// sender runs ahead: up to four messages deep in the tcp mailbox and
+// the shm ring, and as far as the capacity-1 channel lets it on
+// inproc. The slice a Recv lends must stay intact until the next Recv
+// on its stream although the sender has meanwhile filled more buffers
+// from the same pool, so no pooled buffer may alias a live one.
+// Message sizes vary, empty ones included, so buffers are reused
+// across sizes.
+func TestRecvLends(t *testing.T) {
+	const msgs, ahead = 200, 4
+	size := func(i int) int { return (i * 37) % 61 }
+	val := func(i, j int) float64 { return float64(i*1000 + j) }
+	for _, kind := range Kinds() {
+		t.Run(kind, func(t *testing.T) {
+			tr, err := New(kind, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			lead := ahead // how far the sender gets while a slice is lent
+			if kind == Inproc {
+				lead = 2 // one in the channel, one filled and blocked in Send
+			}
+			tokens := make(chan struct{}, ahead)
+			var filled atomic.Int64
+			go func() {
+				for i := 0; i < msgs; i++ {
+					tokens <- struct{}{}
+					buf := tr.Buffer(1, 2, size(i))
+					for j := range buf {
+						buf[j] = val(i, j)
+					}
+					filled.Add(1)
+					tr.Send(1, 2, buf)
+				}
+			}()
+			check := func(msg []float64, i int, when string) {
+				t.Helper()
+				if msg == nil || len(msg) != size(i) {
+					t.Fatalf("message %d %s: %d values (nil=%v), want %d", i, when, len(msg), msg == nil, size(i))
+				}
+				for j, v := range msg {
+					if v != val(i, j) {
+						t.Fatalf("message %d %s: value %d is %v, want %v", i, when, j, v, val(i, j))
+					}
+				}
+			}
+			var lent []float64
+			for i := 0; i < msgs; i++ {
+				if i > 0 {
+					check(lent, i-1, "before the next Recv")
+				}
+				lent = tr.Recv(1, 2)
+				<-tokens
+				check(lent, i, "as received")
+				for want := int64(min(i+1+lead, msgs)); filled.Load() < want; {
+					time.Sleep(10 * time.Microsecond)
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"math"
 	"net"
 	"reflect"
 	"runtime"
@@ -15,12 +16,7 @@ import (
 
 // rawFrame is one tcp frame as it appears on the wire.
 func rawFrame(kind byte, body []byte) []byte {
-	var buf bytes.Buffer
-	c := &tconn{bw: bufio.NewWriter(&buf)}
-	if err := c.writeFrame(kind, body); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+	return appendFrame(nil, kind, body, nil)
 }
 
 func dataBody(src, dst uint32, corr uint64, vals ...float64) []byte {
@@ -78,7 +74,11 @@ func FuzzDecodeRoster(f *testing.F) {
 // FuzzReadFrame feeds arbitrary bytes to the framing layer as a
 // pre-handshake connection would see them, and every frame that comes
 // out to the decoder its kind selects: nothing may panic, allocate
-// beyond the cap or accept a payload that is not whole floats.
+// beyond the cap or accept a payload that is not whole floats. Frames
+// are read one after another through the connection's one scratch
+// buffer and data decodes into the pool's recycled slices, so each
+// frame must also equal its own bytes and a fresh decode of them —
+// a short frame after a long one keeps no stale tail.
 func FuzzReadFrame(f *testing.F) {
 	f.Add(rawFrame(frameHello, seedHello))
 	f.Add(rawFrame(frameRoster, seedRoster))
@@ -91,28 +91,45 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 64, frameData})                               // 1 GiB claimed
 	f.Add(rawFrame(frameData, append(dataBody(1, 2, 7, 1.5), 1, 2, 3))) // odd payload
 	f.Add(rawFrame(frameData, dataBody(9, 2, 7)))                       // rank out of range
+	f.Add(append(rawFrame(frameData, dataBody(1, 2, 7, 1, 2, 3, 4)),    // long, then short
+		rawFrame(frameData, dataBody(1, 2, 8, math.NaN()))...))
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		br := bufio.NewReader(bytes.NewReader(stream))
-		for {
-			kind, body, err := readFrame(br, maxHandshakeFrame)
+		c := &tconn{br: bufio.NewReader(bytes.NewReader(stream))}
+		bufs := newBufPool(4)
+		for off := 0; ; {
+			kind, body, err := c.readFrame(maxHandshakeFrame)
 			if err != nil {
 				return
 			}
 			if len(body) >= maxHandshakeFrame {
 				t.Fatalf("frame of %d bytes passed the %d-byte cap", 1+len(body), maxHandshakeFrame)
 			}
+			if want := stream[off+5 : off+5+len(body)]; kind != stream[off+4] || !bytes.Equal(body, want) {
+				t.Fatalf("frame at byte %d read as kind %d %x, want kind %d %x", off, kind, body, stream[off+4], want)
+			}
+			off += 5 + len(body)
 			switch kind {
 			case frameHello:
 				decodeHello(body)
 			case frameRoster:
 				decodeRoster(body, 3)
 			case frameData:
-				src, dst, m, err := decodeData(body, 4)
-				if err == nil && (src < 1 || src > 4 || dst < 1 || dst > 4 || 16+8*len(m.msg) != len(body)) {
+				src, dst, m, err := decodeData(body, 4, bufs)
+				if err != nil {
+					continue
+				}
+				if src < 1 || src > 4 || dst < 1 || dst > 4 || 16+8*len(m.msg) != len(body) {
 					t.Fatalf("data frame accepted as pair (%d,%d) with %d floats from a %d-byte body", src, dst, len(m.msg), len(body))
 				}
+				_, _, fresh, _ := decodeData(bytes.Clone(body), 4, newBufPool(4))
+				for i := range fresh.msg {
+					if math.Float64bits(m.msg[i]) != math.Float64bits(fresh.msg[i]) {
+						t.Fatalf("pooled decode of pair (%d,%d) differs from a fresh one at value %d: %v, want %v", src, dst, i, m.msg, fresh.msg)
+					}
+				}
+				bufs.put(src, dst, m.msg) // the next frame of the pair decodes into it
 			default:
-				if vals, err := decodeFloats(body); err == nil && 8*len(vals) != len(body) {
+				if vals, err := decodeFloats(body, func(n int) []float64 { return make([]float64, n) }); err == nil && 8*len(vals) != len(body) {
 					t.Fatalf("%d floats decoded from %d bytes", len(vals), len(body))
 				}
 			}
@@ -124,20 +141,23 @@ func FuzzReadFrame(f *testing.F) {
 // caller's cap before a byte is allocated for it.
 func TestReadFrameLengthCap(t *testing.T) {
 	huge := []byte{0, 0, 0, 64, frameHello} // claims 1 GiB
-	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(huge)), maxHandshakeFrame); err == nil || !strings.Contains(err.Error(), "bad frame length") {
+	read := func(b []byte, size int) (byte, []byte, error) {
+		return (&tconn{br: bufio.NewReaderSize(bytes.NewReader(b), size)}).readFrame(maxHandshakeFrame)
+	}
+	if _, _, err := read(huge, 4096); err == nil || !strings.Contains(err.Error(), "bad frame length") {
 		t.Fatalf("1 GiB handshake frame: err = %v, want a length refusal", err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 10; i++ {
-		readFrame(bufio.NewReaderSize(bytes.NewReader(huge), 16), maxHandshakeFrame)
+		read(huge, 16)
 	}
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("refusing ten oversized frames allocated %d bytes", grew)
 	}
 	ok := rawFrame(frameHello, seedHello)
-	if kind, body, err := readFrame(bufio.NewReader(bytes.NewReader(ok)), maxHandshakeFrame); err != nil || kind != frameHello || !bytes.Equal(body, seedHello) {
+	if kind, body, err := read(ok, 4096); err != nil || kind != frameHello || !bytes.Equal(body, seedHello) {
 		t.Fatalf("valid hello frame: kind %d err %v", kind, err)
 	}
 }
@@ -195,7 +215,7 @@ func TestOddPayloadFailsTransport(t *testing.T) {
 	inject := map[string]func(c *core){
 		TCP: func(c *core) {
 			body := append(dataBody(1, 2, 7, 1.5), 1, 2, 3)
-			if err := c.link.(*tcpLink).loop.writeFrame(frameData, body); err != nil {
+			if _, err := c.link.(*tcpLink).loop.writeFrame(frameData, body, nil); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -226,5 +246,46 @@ func TestOddPayloadFailsTransport(t *testing.T) {
 				t.Fatalf("Err() = %v, want a positioned payload-length error", err)
 			}
 		})
+	}
+}
+
+// countConn is a net.Conn that records every Write.
+type countConn struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (c *countConn) Write(b []byte) (int, error) {
+	c.writes = append(c.writes, bytes.Clone(b))
+	return len(b), nil
+}
+
+// TestOneWritePerFrame: a data frame of a 512-value ghost row — 4117
+// bytes, just over what a default bufio.Writer holds — a control frame
+// and a heart frame each reach the socket in exactly one Write, and a
+// data frame is metered at its size on the wire, 5+16+8n bytes. push
+// hands the sent slice back to its stream's pool.
+func TestOneWritePerFrame(t *testing.T) {
+	cc := &countConn{}
+	l := &tcpLink{cfg: Config{NP: 2, Procs: 2}, bufs: newBufPool(2), wbuf: make([][]byte, 4), conns: []*tconn{nil, newTconn(cc)}}
+	msg := make([]float64, 512)
+	for i := range msg {
+		msg[i] = float64(i) / 3
+	}
+	want := [][]byte{rawFrame(frameData, dataBody(1, 2, 9, msg...))}
+	if n, _ := l.push(1, 2, inMsg{corr: 9, msg: msg}); n != 5+16+8*len(msg) {
+		t.Fatalf("data frame metered at %d bytes, want 5+16+8·512 = 4117", n)
+	}
+	if got := l.bufs.get(1, 2, len(msg)); &got[0] != &msg[0] {
+		t.Fatal("push did not hand the sent slice back to the pool")
+	}
+	want = append(want, rawFrame(frameBcast, appendFloats([]byte{0, 0, 0, 0}, []float64{1.5, 2.5})))
+	if n, ok := l.sendCtl(1, ctlBcast, []float64{1.5, 2.5}); !ok || n != len(want[1]) {
+		t.Fatalf("control frame metered at %d bytes (ok=%v), want %d", n, ok, len(want[1]))
+	}
+	want = append(want, rawFrame(frameHeart, nil))
+	l.beat(0)
+	if !reflect.DeepEqual(cc.writes, want) {
+		t.Fatalf("writes %d, want one per frame (%d):\n got %x\nwant %x", len(cc.writes), len(want), cc.writes, want)
 	}
 }
