@@ -162,10 +162,12 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzFormatRoundTrip -fuzztime 30s ./internal/dist
 
 # Differential fuzz of sim and spmd against the element-wise oracle,
-# then of the run kernel against an element loop, bit for bit.
+# then of the run kernel against an element loop, bit for bit, and of
+# the layout's tile index against the element-by-element fill.
 fuzz-engine:
 	$(GO) test -run xxx -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzRunKernel -fuzztime 30s ./internal/spmd
+	$(GO) test -run xxx -fuzz FuzzLayoutIndex -fuzztime 30s ./internal/spmd
 
 # Differential fuzz of the irregular (inspector–executor) path: sim
 # and spmd against the element-wise oracle, then the two-pass
@@ -194,11 +196,13 @@ fuzz-interp:
 
 # Fuzz the wires' decoders of bytes written by another process: the tcp
 # handshake, the roster, the framing layer feeding every per-kind
-# decoder, and the shm header page. Nothing may panic, over-allocate or
-# accept a payload that is not whole floats, and a header validates
-# exactly when it matches the config.
+# decoder, the shm header page and the checkpoint pointer. Nothing may
+# panic, over-allocate or accept a payload that is not whole floats, a
+# header validates exactly when it matches the config, and CURRENT
+# never names a manifest outside its spill directory.
 fuzz-wire:
 	$(GO) test -run xxx -fuzz FuzzDecodeHello -fuzztime 30s ./internal/transport
 	$(GO) test -run xxx -fuzz FuzzDecodeRoster -fuzztime 30s ./internal/transport
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/transport
 	$(GO) test -run xxx -fuzz FuzzValidateShmHeader -fuzztime 30s ./internal/transport
+	$(GO) test -run xxx -fuzz FuzzLatest -fuzztime 30s ./internal/ckpt

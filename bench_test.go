@@ -289,8 +289,8 @@ func mapper(b *testing.B, kind string, np int) (engine.Engine, func(dom index.Do
 }
 
 // BenchmarkSpmdLayoutBuild measures materializing an array on the spmd
-// engine — owner grids, slot grid, per-worker offsets and zeroed
-// segments — which every NewArray and every Remap pays: row blocks and
+// engine — the tile index and zeroed segments — which every NewArray
+// and every Remap pays: row blocks and
 // 8-row bands of a 1024² array, the single-element tiles of a CYCLIC
 // vector (the halo workloads' prologue) and the slabs of a 64³ array.
 func BenchmarkSpmdLayoutBuild(b *testing.B) {

@@ -21,6 +21,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -128,6 +130,11 @@ func Publish(dir string, m Manifest) error {
 
 // Latest returns the latest published checkpoint's manifest and its
 // epoch directory, or ErrNoCheckpoint when none has been published.
+// CURRENT is input read back from disk: it must name a ck-<n>
+// directory directly under dir (no path, no other spelling of n), and
+// the manifest there must be epoch n's, for at least one rank, with no
+// negative array size. Anything else is an error, never a manifest
+// read from outside dir.
 func Latest(dir string) (Manifest, string, error) {
 	b, err := os.ReadFile(filepath.Join(dir, currentFile))
 	if err != nil {
@@ -136,7 +143,12 @@ func Latest(dir string) (Manifest, string, error) {
 		}
 		return Manifest{}, "", fmt.Errorf("ckpt: reading %s: %w", currentFile, err)
 	}
-	ed := filepath.Join(dir, strings.TrimSpace(string(b)))
+	name := strings.TrimSpace(string(b))
+	epoch, err := strconv.Atoi(strings.TrimPrefix(name, "ck-"))
+	if err != nil || epoch < 0 || name != filepath.Base(EpochDir(dir, epoch)) {
+		return Manifest{}, "", fmt.Errorf("ckpt: %s names %q, not a checkpoint directory", currentFile, name)
+	}
+	ed := EpochDir(dir, epoch)
 	mb, err := os.ReadFile(filepath.Join(ed, "manifest.json"))
 	if err != nil {
 		return Manifest{}, "", fmt.Errorf("ckpt: reading manifest of %s: %w", ed, err)
@@ -144,6 +156,9 @@ func Latest(dir string) (Manifest, string, error) {
 	var m Manifest
 	if err := json.Unmarshal(mb, &m); err != nil {
 		return Manifest{}, "", fmt.Errorf("ckpt: decoding manifest of %s: %w", ed, err)
+	}
+	if m.Epoch != epoch || m.NP < 1 || slices.ContainsFunc(m.Arrays, func(a ArrayInfo) bool { return a.Size < 0 }) {
+		return Manifest{}, "", fmt.Errorf("ckpt: manifest of %s is not a checkpoint of epoch %d (epoch %d, np %d)", ed, epoch, m.Epoch, m.NP)
 	}
 	return m, ed, nil
 }

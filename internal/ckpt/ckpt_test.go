@@ -109,3 +109,78 @@ func TestTornCheckpointInvisible(t *testing.T) {
 		t.Fatalf("torn checkpoint became current: epoch %d", man.Epoch)
 	}
 }
+
+// writeLatest lays out a spill directory holding CURRENT and, in the
+// ck-3 directory, manifest.json with the given bytes.
+func writeLatest(t testing.TB, current, manifest []byte) string {
+	dir := t.TempDir()
+	if err := os.MkdirAll(EpochDir(dir, 3), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(EpochDir(dir, 3), "manifest.json"), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, currentFile), current, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestLatestRefusesForeignPointer: CURRENT must name a ck-<n>
+// directory of dir whose manifest is epoch n's. A relative or absolute
+// path out of dir, another spelling of the epoch, or a manifest of
+// another epoch, without ranks or with a negative size is an error,
+// whatever the file it points at holds.
+func TestLatestRefusesForeignPointer(t *testing.T) {
+	good := `{"epoch":3,"np":2,"arrays":[{"name":"A","size":4}]}`
+	outside := t.TempDir()
+	if err := os.WriteFile(filepath.Join(outside, "manifest.json"), []byte(good), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ current, manifest string }{
+		{"../x", good},
+		{outside, good},
+		{"ck-3/../ck-3", good},
+		{"ck-03", good},
+		{"ck-+3", good},
+		{"3", good},
+		{"ck--3", good},
+		{"ck-3", `{"epoch":4,"np":2}`},
+		{"ck-3", `{"epoch":3,"np":0}`},
+		{"ck-3", `{"epoch":3,"np":2,"arrays":[{"name":"A","size":-1}]}`},
+	} {
+		dir := writeLatest(t, []byte(tc.current), []byte(tc.manifest))
+		if m, ed, err := Latest(dir); err == nil {
+			t.Errorf("CURRENT %q, manifest %s: accepted %+v at %s", tc.current, tc.manifest, m, ed)
+		}
+	}
+	dir := writeLatest(t, []byte("ck-3\n"), []byte(good))
+	if m, ed, err := Latest(dir); err != nil || m.Epoch != 3 || ed != EpochDir(dir, 3) {
+		t.Fatalf("Latest = %+v, %s, %v", m, ed, err)
+	}
+}
+
+// FuzzLatest: whatever CURRENT and manifest.json hold, Latest never
+// panics, and what it accepts is a manifest it validated, read from
+// directly under the spill directory.
+func FuzzLatest(f *testing.F) {
+	f.Add([]byte("ck-3\n"), []byte(`{"epoch":3,"np":2,"arrays":[{"name":"A","size":4}],"counters":[1]}`))
+	f.Add([]byte("../ck-3"), []byte(`{"epoch":3,"np":1}`))
+	f.Add([]byte("/etc"), []byte(`{"epoch":-1}`))
+	f.Add([]byte("ck-3"), []byte(`{"epoch":3,"np":1,"arrays":[{"size":-5}]}`))
+	f.Fuzz(func(t *testing.T, current, manifest []byte) {
+		dir := writeLatest(t, current, manifest)
+		m, ed, err := Latest(dir)
+		if err != nil {
+			return
+		}
+		if ed != EpochDir(dir, m.Epoch) || m.Epoch < 0 || m.NP < 1 {
+			t.Fatalf("accepted epoch %d np %d at %s", m.Epoch, m.NP, ed)
+		}
+		for _, a := range m.Arrays {
+			if a.Size < 0 {
+				t.Fatalf("accepted array %+v", a)
+			}
+		}
+	})
+}

@@ -7,7 +7,7 @@ package core
 // dimension; the product of the per-dimension cuts is a grid of cells
 // inside each of which the lhs and every reference have exactly one
 // owner. The engine's plan producer (package spmd) is built on it and
-// reads the owners at a cell's corner from its layout grids, so the
+// locates a cell's corner in each layout's tile index, so the
 // enumeration itself is O(tiles), independent of the region's volume.
 
 import (

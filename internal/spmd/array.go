@@ -4,19 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"hpfnt/internal/core"
 	"hpfnt/internal/dist"
 	"hpfnt/internal/index"
 )
 
-// store is one worker's local segment of an array: the global offsets
-// it holds (in slot order) and the values. The layout comes from the
-// owner-tile kernel: tiles in enumeration order, column-major within
-// each tile, so block-like mappings get contiguous runs.
+// store is one worker's local segment of an array: its values, in slot
+// order. Which element a slot holds is the layout's to say.
 type store struct {
-	offsets []int32
-	data    []float64
+	data []float64
 }
 
 // layout is the compiled ownership/storage metadata of one mapping:
@@ -24,69 +22,325 @@ type store struct {
 // metadata only — the values themselves exist solely in the per-worker
 // stores.
 type layout struct {
-	// owners[off] is the single owner, or nil when replicated.
-	owners []int32
+	// idx places every element of a single-owner mapping; nil when
+	// replicated.
+	idx *tileIndex
 	// repOwns[off] is the full owner set when replicated.
 	repOwns [][]int
-	// slotGrid[off] is the owner's slot of a single-owner element.
-	slotGrid []int32
 	// repSlot[p][off] is worker p's slot of a replicated element.
 	repSlot []map[int]int32
 	// stores[p] is worker p's segment (index 1..np).
 	stores []*store
-	// tiles is how many owner tiles a single-owner layout was filled
-	// from.
-	tiles int
 }
 
-// ownerTiles returns m's single-owner tile decomposition over its
-// domain; single is false (and tiles nil) when m replicates.
-func ownerTiles(m core.ElementMapping) (tiles []core.Tile, single bool, err error) {
-	tiles, err = core.AppendOwnerTilesOf(nil, m, m.Domain())
-	if errors.Is(err, dist.ErrMultiOwner) {
-		return nil, false, nil
+// tileIndex places the elements of a single-owner layout. A worker's
+// slots are its owner tiles in enumeration order, column-major within
+// each tile. That order is contract — compiled plans, the inspector
+// lowering and checkpoint shards all address values by slot — so the
+// index may change how it finds a slot, never which one it finds.
+// Each dimension is cut at every tile boundary; a cell of the cut
+// grid lies in one tile and holds its elements column-major from a
+// slot base. The index is O(cells): a cell per tile for the product
+// tilings of distributions, alignments and sections, never more than a
+// cell per element.
+type tileIndex struct {
+	// cuts[d] are the ascending positions (0-based along dimension d)
+	// where a cell starts, closed by the dimension's extent.
+	cuts [][]int32
+	// width[d] is the extent of all but the last cell interval of
+	// dimension d, or 0 when they differ: the cuts of BLOCK, CYCLIC(k)
+	// and collapsed dimensions, where a division finds a position's
+	// interval instead of a search.
+	width []int32
+	// owner[c] and base[c] of cell c, cells numbered column-major.
+	owner, base []int32
+	// vol[p] is worker p's slot count.
+	vol []int32
+}
+
+// indexOf returns the tile index of m's layout on e, or nil when m
+// replicates.
+func indexOf(e *Engine, m core.ElementMapping) (*tileIndex, error) {
+	dom := m.Domain()
+	// Slots, offsets and run bases are int32 throughout the plans.
+	if size := dom.Size(); size > math.MaxInt32 {
+		return nil, fmt.Errorf("domain %s has %d elements, above the %d a layout can index", dom, size, math.MaxInt32)
 	}
-	return tiles, err == nil, err
-}
-
-// buildLayout derives the local storage layout of a mapping on e: the
-// single-owner tile decomposition when one exists, the replicated
-// grid otherwise.
-func buildLayout(e *Engine, m core.ElementMapping) (*layout, error) {
-	tiles, single, err := ownerTiles(m)
+	tiles, err := core.AppendOwnerTilesOf(nil, m, dom)
+	if errors.Is(err, dist.ErrMultiOwner) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}
-	return layoutOf(e, m, tiles, single)
+	// span[k·rank+d] is the first position and extent along d of tile
+	// k, all zero for an empty tile. at[d][v] marks a cut at position v
+	// of dimension d, and then numbers it.
+	rank := dom.Rank()
+	span, at := make([][2]int32, len(tiles)*rank), make([][]int32, rank)
+	for d, dd := range dom.Dims {
+		at[d] = make([]int32, dd.Count()+1)
+		at[d][0], at[d][dd.Count()] = 1, 1
+	}
+	for k, tl := range tiles {
+		if tl.Proc < 1 || tl.Proc > e.np {
+			return nil, fmt.Errorf("spmd: mapping owner %d out of range 1..%d", tl.Proc, e.np)
+		}
+		sp, vol := span[k*rank:k*rank+rank], 1
+		for d, tr := range tl.Region.Dims {
+			dd, first, n := dom.Dims[d], tr.Low-dom.Dims[d].Low, max(tr.High-tr.Low+1, 0)
+			if dd.Stride != 1 || tr.Stride != 1 {
+				first, n = first/dd.Stride, tr.Count()
+			}
+			if n > 0 && (n > 1 && tr.Stride != dd.Stride || dd.At(first) != tr.Low || first < 0 || first+n >= len(at[d])) {
+				return nil, fmt.Errorf("spmd: tile %s outside domain %s", tl.Region, dom)
+			}
+			sp[d], vol = [2]int32{int32(first), int32(n)}, vol*n
+		}
+		if vol == 0 {
+			clear(sp)
+		}
+		for d, s := range sp {
+			at[d][s[0]], at[d][s[0]+s[1]] = 1, 1
+		}
+	}
+	// Cut each dimension at the tile boundaries or, when that leaves a
+	// tile in several cells, everywhere: a cell per element.
+	x := &tileIndex{cuts: make([][]int32, rank), width: make([]int32, rank)}
+	for fine := false; ; fine = true {
+		cells := 1
+		for d, c := range at {
+			n := int32(0)
+			for v := range c {
+				if fine {
+					c[v] = 1
+				}
+				n += c[v]
+			}
+			// Without a branch: position v gets the number of cuts before
+			// it, and is the cut of that number if it is one (the last
+			// position is, so a later cut overwrites it if it is not).
+			cd, k := make([]int32, n), int32(0)
+			for v, cut := range c {
+				c[v], cd[k] = k, int32(v)
+				k += cut
+			}
+			x.cuts[d], x.width[d] = cd, cd[min(1, n-1)]
+			for i := 2; i+1 < len(cd); i++ {
+				if cd[i]-cd[i-1] != cd[1] {
+					x.width[d] = 0
+				}
+			}
+			cells *= int(n) - 1
+		}
+		x.owner, x.base = make([]int32, cells), make([]int32, cells)
+		if x.place(dom, tiles, span, at, e.np, fine) {
+			return x, nil
+		}
+	}
 }
 
-// layoutOf builds m's layout from its owner tiles (ownerTiles). The
-// slot metadata (offsets, owner grids) is built for every rank — all
+// place gives each cell the owner and slot base of its tile. Each
+// tile must be one cell, or else — fine — each element is one: its
+// base is then its tile's base plus its column-major position in the
+// tile, and its cell number its offset.
+func (x *tileIndex) place(dom index.Domain, tiles []core.Tile, span [][2]int32, cutAt [][]int32, np int, fine bool) bool {
+	rank := len(x.cuts)
+	x.vol = make([]int32, np+1)
+	for k := range tiles {
+		sp, p, vol, cell, cm := span[k*rank:k*rank+rank], int32(tiles[k].Proc), int32(1), 0, 1
+		for d, c := range cutAt {
+			if !fine && c[sp[d][0]+sp[d][1]]-c[sp[d][0]] > 1 {
+				return false
+			}
+			cell += int(c[sp[d][0]]) * cm
+			cm *= len(x.cuts[d]) - 1
+			vol *= sp[d][1]
+		}
+		switch slot := x.vol[p]; {
+		case vol == 0:
+		case !fine:
+			x.owner[cell], x.base[cell] = p, slot
+		default:
+			tiles[k].Region.ForEach(func(t index.Tuple) bool {
+				off, _ := dom.Offset(t)
+				x.owner[off], x.base[off] = p, slot
+				slot++
+				return true
+			})
+		}
+		x.vol[p] += vol
+	}
+	return true
+}
+
+// locate returns the owner and slot of the element at offset off.
+func (x *tileIndex) locate(off int) (p, slot int32) {
+	var buf [8]int32
+	pos, rest := buf[:0], uint32(off) // offsets fit in 32 bits
+	for _, c := range x.cuts {
+		n := uint32(c[len(c)-1])
+		pos = append(pos, int32(rest%n))
+		rest /= n
+	}
+	return x.at(pos, nil)
+}
+
+// at returns the owner and slot of the element at positions pos
+// (0-based along each dimension): one step per dimension finds its
+// cell, then the cell's base plus the element's column-major position
+// in the cell. If step is not nil, step[d] is the slot's advance to
+// the next position along d when that is in the same cell, and 0 when
+// it is not.
+func (x *tileIndex) at(pos, step []int32) (p, slot int32) {
+	cell, cm, m := 0, 1, int32(1)
+	for d, c := range x.cuts {
+		// The interval i: c[i] ≤ pos[d] < c[hi].
+		i, hi := 0, len(c)-1
+		if w := x.width[d]; w == 0 {
+			for hi-i > 1 {
+				if mid := (i + hi) / 2; c[mid] <= pos[d] {
+					i = mid
+				} else {
+					hi = mid
+				}
+			}
+		} else if w == 1 {
+			i = min(int(pos[d]), hi-1)
+		} else if hi > 1 {
+			i = min(int(pos[d]/w), hi-1)
+		}
+		cell += i * cm
+		cm *= len(c) - 1
+		slot += (pos[d] - c[i]) * m
+		if step != nil {
+			step[d] = 0
+			if pos[d]+1 < c[i+1] {
+				step[d] = m
+			}
+		}
+		m *= c[i+1] - c[i]
+	}
+	return x.owner[cell], x.base[cell] + slot
+}
+
+// line is a run of n elements of worker p: offsets off, off+1, …
+// held at slots slot, slot+1, ….
+type line struct{ p, off, slot, n int32 }
+
+// lineBatch is how many lines a walk hands over at once: a
+// fine-grained mapping has a line per element or two, too many to
+// make a call each.
+const lineBatch = 256
+
+// lines hands fn the lines of worker w (of every worker if w is 0) in
+// ascending offset order, in batches: the run of each row of each
+// cell.
+func (x *tileIndex) lines(w int, fn func([]line)) {
+	rank, buf := len(x.cuts), make([]line, 0, lineBatch)
+	if rank == 0 {
+		if w == 0 || int(x.owner[0]) == w {
+			fn(append(buf, line{x.owner[0], 0, x.base[0], 1}))
+		}
+		return
+	}
+	defer func() {
+		if len(buf) > 0 {
+			fn(buf)
+		}
+	}()
+	if len(x.owner) == 0 {
+		return
+	}
+	// at[d] is the row's position along d ≥ 1, in cell interval c[d].
+	c0, at, c := x.cuts[0], make([]int32, rank), make([]int, rank)
+	for off := int32(0); ; off += c0[len(c0)-1] {
+		// The row's cells are row+i; a position along d ≥ 1 adds in·(the
+		// cell's extent along dimension 0) to a cell's base.
+		row, cm, in, m := 0, len(c0)-1, int32(0), int32(1)
+		for d := 1; d < rank; d++ {
+			cd := x.cuts[d]
+			row += c[d] * cm
+			cm *= len(cd) - 1
+			in += (at[d] - cd[c[d]]) * m
+			m *= cd[c[d]+1] - cd[c[d]]
+		}
+		for i := 0; i+1 < len(c0); i++ {
+			if p := x.owner[row+i]; w == 0 || int(p) == w {
+				n := c0[i+1] - c0[i]
+				if buf = append(buf, line{p, off + c0[i], x.base[row+i] + n*in, n}); len(buf) == lineBatch {
+					fn(buf)
+					buf = buf[:0]
+				}
+			}
+		}
+		d := 1
+		for ; d < rank; d++ {
+			cd := x.cuts[d]
+			if at[d]++; at[d] < cd[len(cd)-1] {
+				if at[d] == cd[c[d]+1] {
+					c[d]++
+				}
+				break
+			}
+			at[d], c[d] = 0, 0
+		}
+		if d == rank {
+			return
+		}
+	}
+}
+
+// equal reports whether two indexes place every element alike.
+func (x *tileIndex) equal(y *tileIndex) bool {
+	return x != nil && y != nil && slices.EqualFunc(x.cuts, y.cuts, slices.Equal[[]int32]) &&
+		slices.Equal(x.owner, y.owner) && slices.Equal(x.base, y.base)
+}
+
+// grids materializes the owner and slot of every element, for a
+// consumer that reads them by offset in no order: the inspector.
+func (x *tileIndex) grids() (owners, slots []int32) {
+	size := 1
+	for _, c := range x.cuts {
+		size *= int(c[len(c)-1])
+	}
+	owners, slots = make([]int32, size), make([]int32, size)
+	x.lines(0, func(ls []line) {
+		for _, ln := range ls {
+			for i := range ln.n {
+				owners[ln.off+i], slots[ln.off+i] = ln.p, ln.slot+i
+			}
+		}
+	})
+	return owners, slots
+}
+
+// buildLayout derives the local storage layout of a mapping on e: the
+// single-owner tile index when one exists, the replicated grid
+// otherwise.
+func buildLayout(e *Engine, m core.ElementMapping) (*layout, error) {
+	x, err := indexOf(e, m)
+	if err != nil {
+		return nil, err
+	}
+	return layoutOf(e, m, x)
+}
+
+// layoutOf builds m's layout around its tile index x (nil when m
+// replicates). The slot metadata is built for every rank — all
 // processes of a job derive the identical layout — but value storage
 // is allocated only for the ranks this process hosts.
-func layoutOf(e *Engine, m core.ElementMapping, tiles []core.Tile, single bool) (*layout, error) {
+func layoutOf(e *Engine, m core.ElementMapping, x *tileIndex) (*layout, error) {
 	np := e.np
-	dom := m.Domain()
-	size := dom.Size()
-	// Slots, offsets and run bases are int32 throughout the plans.
-	if size > math.MaxInt32 {
-		return nil, fmt.Errorf("domain %s has %d elements, above the %d a layout can index", dom, size, math.MaxInt32)
-	}
-	l := &layout{stores: make([]*store, np+1)}
-	for p := 1; p <= np; p++ {
-		l.stores[p] = &store{}
-	}
-	if single {
-		l.owners = make([]int32, size)
-		l.slotGrid = make([]int32, size)
-		l.tiles = len(tiles)
-		if err := l.fillTiles(np, dom, tiles); err != nil {
-			return nil, err
-		}
+	l := &layout{idx: x, stores: make([]*store, np+1)}
+	var vol []int32
+	if x != nil {
+		vol = x.vol
 	} else {
-		rg, rerr := core.ReplicatedGrid(m)
-		if rerr != nil {
-			return nil, rerr
+		vol = make([]int32, np+1)
+		rg, err := core.ReplicatedGrid(m)
+		if err != nil {
+			return nil, err
 		}
 		l.repOwns = rg
 		l.repSlot = make([]map[int]int32, np+1)
@@ -98,97 +352,44 @@ func layoutOf(e *Engine, m core.ElementMapping, tiles []core.Tile, single bool) 
 				if l.repSlot[p] == nil {
 					l.repSlot[p] = map[int]int32{}
 				}
-				st := l.stores[p]
-				l.repSlot[p][off] = int32(len(st.offsets))
-				st.offsets = append(st.offsets, int32(off))
+				l.repSlot[p][off] = vol[p]
+				vol[p]++
 			}
 		}
 	}
 	for p := 1; p <= np; p++ {
-		if !e.hosted(p) {
-			continue
+		l.stores[p] = &store{}
+		if e.hosted(p) {
+			l.stores[p].data = make([]float64, vol[p])
 		}
-		st := l.stores[p]
-		st.data = make([]float64, len(st.offsets))
 	}
 	return l, nil
 }
 
-// fillTiles lays the single-owner tiles out over the owner grids: a
-// worker's slots are its tiles in enumeration order, column-major
-// within each tile. That order is contract — compiled plans, the
-// inspector lowering and checkpoint shards all address values by slot
-// — so the fill may change how it walks, never what it numbers. One
-// pass over the tiles sizes every segment exactly; a second writes each
-// tile's first-dimension lines with counted loops over offset strides,
-// so the cost per element is three stores and nothing is allocated per
-// tile.
-func (l *layout) fillTiles(np int, dom index.Domain, tiles []core.Tile) error {
-	next := make([]int32, np+1) // volume per worker, then its next free slot
-	for _, tl := range tiles {
-		if tl.Proc < 1 || tl.Proc > np {
-			return fmt.Errorf("spmd: mapping owner %d out of range 1..%d", tl.Proc, np)
-		}
-		next[tl.Proc] += int32(tl.Region.Size())
+// lines hands fn, in batches, every run of consecutive offsets worker
+// w (every worker if w is 0) holds at consecutive slots, in ascending
+// offset order: the rows of the index's cells, or a run per copy of
+// each replicated element.
+func (l *layout) lines(w int, fn func([]line)) {
+	if l.idx != nil {
+		l.idx.lines(w, fn)
+		return
 	}
-	for p := 1; p <= np; p++ {
-		l.stores[p].offsets = make([]int32, next[p])
-		next[p] = 0
+	buf := make([]line, 0, lineBatch)
+	for off, ps := range l.repOwns {
+		for _, p := range ps {
+			if w != 0 && p != w {
+				continue
+			}
+			if buf = append(buf, line{int32(p), int32(off), l.repSlot[p][off], 1}); len(buf) == lineBatch {
+				fn(buf)
+				buf = buf[:0]
+			}
+		}
 	}
-	rank := dom.Rank()
-	mul := strides(dom)
-	// Per tile and dimension: extent, offset step between consecutive
-	// tile indices, and the odometer position.
-	ext, step, at := make([]int, rank), make([]int, rank), make([]int, rank)
-	for _, tl := range tiles {
-		off, vol := 0, 1
-		for d, tr := range tl.Region.Dims {
-			// The tile's indices must be the domain's at positions first,
-			// first+by, …, last of dimension d.
-			dd := dom.Dims[d]
-			n := tr.Count()
-			first, by := (tr.Low-dd.Low)/dd.Stride, tr.Stride/dd.Stride
-			last := first + (n-1)*by
-			if n > 0 && (dd.At(first) != tr.Low || dd.At(last) != tr.At(n-1) ||
-				min(first, last) < 0 || max(first, last) >= dd.Count()) {
-				return fmt.Errorf("spmd: tile %s outside domain %s", tl.Region, dom)
-			}
-			ext[d], step[d], at[d] = n, by*mul[d], 0
-			off += first * mul[d]
-			vol *= n
-		}
-		if vol == 0 {
-			continue
-		}
-		n0, s0 := 1, 0 // a rank-0 tile is its one element
-		if rank > 0 {
-			n0, s0 = ext[0], step[0]
-		}
-		p := int32(tl.Proc)
-		offsets, slot := l.stores[p].offsets, next[p]
-		for {
-			o := off
-			for i := 0; i < n0; i++ {
-				l.owners[o], l.slotGrid[o], offsets[slot] = p, slot, int32(o)
-				o += s0
-				slot++
-			}
-			d := 1
-			for ; d < rank; d++ {
-				off += step[d]
-				if at[d]++; at[d] < ext[d] {
-					break
-				}
-				off -= ext[d] * step[d]
-				at[d] = 0
-			}
-			if d >= rank {
-				break
-			}
-		}
-		next[p] = slot
+	if len(buf) > 0 {
+		fn(buf)
 	}
-	return nil
 }
 
 // Array is a distributed array on the spmd engine: per-worker local
@@ -226,44 +427,37 @@ func (a *Array) Domain() index.Domain { return a.dom }
 func (a *Array) Mapping() core.ElementMapping { return a.mapping }
 
 // Replicated reports whether any element has more than one owner.
-func (a *Array) Replicated() bool { return a.lay.owners == nil }
+func (a *Array) Replicated() bool { return a.lay.idx == nil }
 
 // appendOwners appends the owner set of the element at offset off.
 func (l *layout) appendOwners(dst []int, off int) []int {
-	if l.owners != nil {
-		return append(dst, int(l.owners[off]))
+	if l.idx != nil {
+		p, _ := l.idx.locate(off)
+		return append(dst, int(p))
 	}
 	return append(dst, l.repOwns[off]...)
 }
 
-// firstOwner returns the first owner of the element at offset off.
-func (l *layout) firstOwner(off int) int {
-	if l.owners != nil {
-		return int(l.owners[off])
+// firstOwner returns the first owner of the element at offset off and
+// its slot there.
+func (l *layout) firstOwner(off int) (int, int32) {
+	if l.idx != nil {
+		p, slot := l.idx.locate(off)
+		return int(p), slot
 	}
-	return l.repOwns[off][0]
+	p := l.repOwns[off][0]
+	return p, l.repSlot[p][off]
 }
 
-// ownedBy reports whether worker p holds the element at offset off.
-func (l *layout) ownedBy(off, p int) bool {
-	if l.owners != nil {
-		return int(l.owners[off]) == p
+// slotIn returns worker p's slot of the element at offset off and
+// whether p holds it.
+func (l *layout) slotIn(p, off int) (int32, bool) {
+	if l.idx != nil {
+		q, slot := l.idx.locate(off)
+		return slot, int(q) == p
 	}
-	for _, o := range l.repOwns[off] {
-		if o == p {
-			return true
-		}
-	}
-	return false
-}
-
-// slotOf returns worker p's slot of the element at offset off; p must
-// own the element.
-func (l *layout) slotOf(p, off int) int32 {
-	if l.owners != nil {
-		return l.slotGrid[off]
-	}
-	return l.repSlot[p][off]
+	slot, ok := l.repSlot[p][off]
+	return slot, ok
 }
 
 // At reads the element at tuple t (from its first owner's segment).
@@ -275,14 +469,14 @@ func (a *Array) At(t index.Tuple) float64 {
 	if !ok {
 		panic(fmt.Sprintf("spmd: %s: index %s out of domain %s", a.name, t, a.dom))
 	}
-	p := a.lay.firstOwner(off)
+	p, slot := a.lay.firstOwner(off)
 	tr := a.eng.tr
 	if tr.Procs() == 1 {
-		return a.lay.stores[p].data[a.lay.slotOf(p, off)]
+		return a.lay.stores[p].data[slot]
 	}
 	var vals []float64
 	if a.eng.hosted(p) {
-		vals = []float64{a.lay.stores[p].data[a.lay.slotOf(p, off)]}
+		vals = []float64{a.lay.stores[p].data[slot]}
 	}
 	out := tr.Bcast(tr.HostOf(p), vals)
 	if len(out) == 0 {
@@ -304,7 +498,8 @@ func (a *Array) Set(t index.Tuple, v float64) {
 		if !a.eng.hosted(p) {
 			continue
 		}
-		a.lay.stores[p].data[a.lay.slotOf(p, off)] = v
+		slot, _ := a.lay.slotIn(p, off)
+		a.lay.stores[p].data[slot] = v
 	}
 }
 
@@ -317,31 +512,40 @@ func (a *Array) Set(t index.Tuple, v float64) {
 // engine; the error surfaces from the next dispatched operation.
 func (a *Array) Fill(fn func(t index.Tuple) float64) {
 	lay, dom, rank := a.lay, a.dom, a.dom.Rank()
-	step0, last0 := 0, 0
+	count, n0 := make([]int, rank), 1 // n0: the elements of a row along dimension 0
+	for d, tr := range dom.Dims {
+		count[d] = tr.Count()
+	}
 	if rank > 0 {
-		step0, last0 = dom.Dims[0].Stride, dom.Dims[0].Last()
+		n0 = count[0]
 	}
 	// The error is sticky on the engine; Fill itself has no error
 	// return in the backend interface.
 	_ = a.eng.run(1, func(p, _ int) {
-		st := lay.stores[p]
-		t := make(index.Tuple, rank)
-		bump := -1 // the offset reached by advancing t[0] one step
-		for k, o := range st.offsets {
-			if off := int(o); off == bump {
-				t[0] += step0
-			} else {
-				for d, tr := range dom.Dims {
-					n := tr.Count()
-					t[d] = tr.At(off % n)
-					off /= n
+		data := lay.stores[p].data
+		t, start, end := make(index.Tuple, rank), 0, 0 // t is in the row [start, end)
+		lay.lines(p, func(ls []line) {
+			for _, ln := range ls {
+				off, slot := int(ln.off), int(ln.slot)
+				if off >= end { // lines ascend: one division per row, not per line
+					rest := off
+					for d, tr := range dom.Dims {
+						t[d] = tr.At(rest % count[d])
+						rest /= count[d]
+					}
+					start = off - off%n0
+					end = start + n0
+				}
+				if rank > 0 {
+					t[0] = dom.Dims[0].At(off - start)
+				}
+				data[slot] = fn(t)
+				for i := 1; i < int(ln.n); i++ { // only a rank > 0 line is longer
+					t[0] += dom.Dims[0].Stride
+					data[slot+i] = fn(t)
 				}
 			}
-			if bump = -1; rank > 0 && t[0] != last0 {
-				bump = int(o) + 1
-			}
-			st.data[k] = fn(t)
-		}
+		})
 	})
 }
 
@@ -353,24 +557,31 @@ func (a *Array) Fill(fn func(t index.Tuple) float64) {
 // every process returns the identical vector.
 func (a *Array) Data() []float64 {
 	out := make([]float64, a.dom.Size())
-	tr := a.eng.tr
-	// Scatter segments in descending rank order so the lowest-ranked
-	// owner's copy of a replicated element lands last.
+	tr, lay := a.eng.tr, a.lay
+	segs := make([][]float64, a.eng.np+1)
 	for p := a.eng.np; p >= 1; p-- {
-		st := a.lay.stores[p]
-		seg := st.data
+		segs[p] = lay.stores[p].data
 		if tr.Procs() > 1 {
 			var vals []float64
 			if a.eng.hosted(p) {
-				vals = st.data
+				vals = segs[p]
 			}
-			seg = tr.Bcast(tr.HostOf(p), vals)
-		}
-		for k, off := range st.offsets {
-			if k < len(seg) {
-				out[off] = seg[k]
-			}
+			segs[p] = tr.Bcast(tr.HostOf(p), vals)
 		}
 	}
+	lay.lines(0, func(ls []line) {
+		for _, ln := range ls {
+			seg := segs[ln.p]
+			if int(ln.slot+ln.n) > len(seg) || lay.idx == nil && int(ln.p) != slices.Min(lay.repOwns[ln.off]) {
+				continue
+			}
+			// A loop, not copy: most lines of a fine-grained mapping are
+			// a few elements long.
+			dst, src := out[ln.off:ln.off+ln.n], seg[ln.slot:ln.slot+ln.n]
+			for i := range dst {
+				dst[i] = src[i]
+			}
+		}
+	})
 	return out
 }

@@ -117,12 +117,12 @@ func newPlanBuilder(e *Engine, lhs *Array, region index.Domain, terms []cterm) (
 // core.RunAnalyzable over single-owner arrays and shift terms only,
 // plus the existence of the bulk tilings.
 func (b *planBuilder) analyzable(region index.Domain) [][]int {
-	if b.lhs.lay.owners == nil || region.Rank() == 0 {
+	if b.lhs.lay.idx == nil || region.Rank() == 0 {
 		return nil
 	}
 	refs := make([]core.ShiftRef, len(b.terms))
 	for t, tm := range b.terms {
-		if tm.mapf != nil || tm.src.lay.owners == nil {
+		if tm.mapf != nil || tm.src.lay.idx == nil {
 			return nil
 		}
 		refs[t] = core.ShiftRef{Map: tm.src.mapping, Shift: tm.shift}
@@ -156,8 +156,9 @@ func strides(dom index.Domain) []int {
 //
 // A cell lies inside one owner tile of every layout (the cuts are the
 // tiles' boundaries), so on every side its slots advance by a constant
-// along each dimension: they are read from the slot grids once per
-// cell, and each line's run is stepped from the last.
+// along each dimension: the layout's index locates the cell's corner
+// once per cell, with the steps, and each line's run is stepped from
+// the last.
 func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 	rank, T := region.Rank(), len(b.terms)
 	gdim, longest := 0, 0.0
@@ -172,67 +173,88 @@ func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 	// Side 0 is the lhs and side 1+t term t. The current line starts at
 	// offset off[s] = org[s] + Σ_d at[d]·mul[s][d] of the side's domain
 	// and at slot slot[s]; step[s][d] is the slot's advance per index of
-	// dimension d.
+	// dimension d. A cell's corner on side s is at positions pos[s],
+	// index plus rel[s].
 	lays, mul, org := make([]*layout, T+1), make([][]int, T+1), make([]int, T+1)
 	off, slot, step := make([]int, T+1), make([]int32, T+1), make([][]int32, T+1)
+	rel, pos := make([][]int, T+1), make([][]int32, T+1)
 	for s := range lays {
 		a, shift := b.lhs, make([]int, rank)
 		if s > 0 {
 			a, shift = b.terms[s-1].src, b.terms[s-1].shift
 		}
 		lays[s], mul[s], step[s] = a.lay, strides(a.dom), make([]int32, rank)
+		rel[s], pos[s] = make([]int, rank), make([]int32, rank)
 		for d, v := range shift {
-			org[s] += (v - a.dom.Dims[d].Low) * mul[s][d]
+			rel[s][d] = v - a.dom.Dims[d].Low
+			org[s] += rel[s][d] * mul[s][d]
 		}
 	}
-	// orient locates a cell's first element and returns its writer, the
-	// dimension it is cut along and its line count; ghost[t] marks the
-	// terms it reads remotely.
-	ghost := make([]bool, T)
-	orient := func(lo, hi []int) (w, along, lines int) {
-		for s := range off {
-			off[s] = org[s]
+	// The first pass locates every cell's corner on every side: its
+	// owner, slot and steps, and so the cell's writer, the dimension it
+	// is cut along and its line count. It sizes each worker's lists for
+	// its lines (a fine-grain interleaving has a line per element, a
+	// coarse one many per cell) and keeps each cell's R values in memo
+	// for the second pass, which emits.
+	cells, R := 1, 2+(T+1)*(2+rank)
+	for _, c := range cuts {
+		cells *= len(c) - 1
+	}
+	memo, count := make([]int32, 0, cells*R), make([]int, b.e.np+1)
+	core.ForEachCell(cuts, func(lo, hi []int) {
+		along, lines, rec := 0, 1, len(memo)+2
+		memo = append(memo, 0, 0)
+		for s, l := range lays {
 			for d, v := range lo {
-				off[s] += v * mul[s][d]
+				pos[s][d] = int32(v + rel[s][d])
 			}
+			p, sl := l.idx.at(pos[s], step[s])
+			if s > 0 && p != memo[rec] {
+				along = gdim // a remote read
+			}
+			for d := range pos[s] {
+				switch {
+				case hi[d] == lo[d]:
+					step[s][d] = 0
+				case step[s][d] == 0: // the next index is in the next index cell
+					pos[s][d]++
+					_, next := l.idx.at(pos[s], nil)
+					step[s][d], pos[s][d] = next-sl, pos[s][d]-1
+				}
+			}
+			memo = append(append(memo, p, sl), step[s]...)
 		}
-		w, lines = int(lays[0].owners[off[0]]), 1
 		if hi[0] == lo[0] {
 			along = gdim
-		}
-		for t := range ghost {
-			if ghost[t] = int(lays[1+t].owners[off[1+t]]) != w; ghost[t] {
-				along = gdim
-			}
 		}
 		for d := range lo {
 			if d != along {
 				lines *= hi[d] - lo[d] + 1
 			}
 		}
-		return w, along, lines
-	}
-	// Size each worker's lists for its lines up front: a fine-grain
-	// interleaving has a line per element, a coarse one many per cell.
-	count := make([]int, b.e.np+1)
-	core.ForEachCell(cuts, func(lo, hi []int) {
-		w, _, lines := orient(lo, hi)
-		count[w] += lines
+		memo[rec-2], memo[rec-1] = int32(along), int32(lines)
+		count[memo[rec]] += lines
 	})
 	for p := 1; p <= b.e.np; p++ {
 		b.work[p] = &workBuild{runs: make([]krun, 0, count[p]), terms: make([]kterm, 0, count[p]*T)}
 	}
-	at := make([]int, rank)
+	at, ghost := make([]int, rank), make([]bool, T)
 	core.ForEachCell(cuts, func(lo, hi []int) {
-		w, along, lines := orient(lo, hi)
-		for s, l := range lays {
-			slot[s] = l.slotGrid[off[s]]
-			for d, m := range mul[s] {
-				if step[s][d] = 0; hi[d] > lo[d] {
-					step[s][d] = l.slotGrid[off[s]+m] - slot[s]
-				}
+		along, lines, rec := int(memo[0]), int(memo[1]), memo[2:R]
+		memo = memo[R:]
+		for s := range lays {
+			r := rec[s*(2+rank):]
+			slot[s] = r[1]
+			copy(step[s], r[2:2+rank])
+			if s > 0 {
+				ghost[s-1] = r[0] != rec[0]
+			}
+			off[s] = org[s]
+			for d, v := range lo {
+				off[s] += v * mul[s][d]
 			}
 		}
+		w := int(rec[0])
 		wb, n := b.work[w], hi[along]-lo[along]+1
 		wb.charge(lines*n, ghost)
 		copy(at, lo)
@@ -311,13 +333,14 @@ func (b *planBuilder) elementLines(region index.Domain) error {
 				wb = &workBuild{}
 				b.work[w] = wb
 			}
-			wb.runs = append(wb.runs, krun{lhs.lay.slotOf(w, loff), 0, 1})
+			slot, _ := lhs.lay.slotIn(w, loff)
+			wb.runs = append(wb.runs, krun{slot, 0, 1})
 			for t, tm := range b.terms {
-				kt := kterm{ghost: !tm.src.lay.ownedBy(roff[t], w)}
-				if ghost[t] = kt.ghost; kt.ghost {
+				base, local := tm.src.lay.slotIn(w, roff[t])
+				kt := kterm{base: base}
+				if ghost[t] = !local; ghost[t] {
+					kt = kterm{ghost: true}
 					b.ghostLine(wb, len(wb.terms), 1, roff[t])
-				} else {
-					kt.base = tm.src.lay.slotOf(w, roff[t])
 				}
 				wb.terms = append(wb.terms, kt)
 			}
@@ -431,16 +454,18 @@ func (b *planBuilder) resolveGhosts(w int, wb *workBuild) int {
 		if end := rq.lo + rq.n; to < end {
 			a, step := b.srcs[rq.src], int(b.gstep[rq.src])
 			off, m := int(rq.key)+int(to)*step, end-to
-			sender := a.lay.firstOwner(off)
-			if b.remap && a.lay.owners == nil {
+			sender, base := a.lay.firstOwner(off)
+			if b.remap && a.lay.idx == nil {
 				sender = runtime.RemapSender(a.lay.repOwns[off], w)
+				base = a.lay.repSlot[sender][off]
 			}
 			if segs[sender] == nil {
 				segs[sender] = b.pairs.seg(sender, w, a.lay.stores[sender])
 			}
-			base, stride := a.lay.slotOf(sender, off), int32(0)
-			if m > 1 {
-				stride = a.lay.slotGrid[off+step] - base
+			stride := int32(0)
+			if m > 1 { // only a single-owner source has lines
+				_, next := a.lay.idx.locate(off + step)
+				stride = next - base
 			}
 			target, tstride := next, int32(1)
 			if b.remap {

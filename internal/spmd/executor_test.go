@@ -310,14 +310,13 @@ func TestRemapInvalidatesAndMatchesOracle(t *testing.T) {
 			tw.sameValues(t)
 			// Every replica of the new mapping holds the value, not
 			// just the first owner Data reads.
-			for p := 1; p <= np; p++ {
-				st := tw.p.lay.stores[p]
-				for k, off := range st.offsets {
-					if st.data[k] != fill(dom.TupleAt(int(off))) {
-						t.Fatalf("worker %d slot %d (offset %d) = %g after remap", p, k, off, st.data[k])
+			eachLine(tw.p.lay, func(p, off, slot, n int) {
+				for k := range n {
+					if v := tw.p.lay.stores[p].data[slot+k]; v != fill(dom.TupleAt(off+k)) {
+						t.Fatalf("worker %d slot %d (offset %d) = %g after remap", p, slot+k, off+k, v)
 					}
 				}
-			}
+			})
 		})
 	}
 }

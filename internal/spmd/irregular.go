@@ -38,7 +38,7 @@ func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*Schedu
 	if lhs.eng != e || src.eng != e {
 		return nil, fmt.Errorf("spmd: irregular statement arrays belong to a different engine")
 	}
-	if lhs.lay.owners == nil || src.lay.owners == nil {
+	if lhs.lay.idx == nil || src.lay.idx == nil {
 		return nil, fmt.Errorf("spmd: %s", inspector.ErrReplicated)
 	}
 	if obs.TraceEnabled() {
@@ -46,7 +46,14 @@ func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*Schedu
 			defer end()
 		}
 	}
-	sched, err := inspector.Build(e.np, lhs.lay.owners, src.lay.owners, pat)
+	// The inspector and the lowering read owners and slots by offset:
+	// grids that live as long as this build.
+	wOwners, wSlots := lhs.lay.idx.grids()
+	rOwners, rSlots := wOwners, wSlots
+	if src != lhs {
+		rOwners, rSlots = src.lay.idx.grids()
+	}
+	sched, err := inspector.Build(e.np, wOwners, rOwners, pat)
 	if err != nil {
 		return nil, err
 	}
@@ -82,14 +89,14 @@ func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*Schedu
 		k := kerns[p]
 		k.outSlots = make([]int32, len(pl.Outs))
 		for i, off := range pl.Outs {
-			k.outSlots[i] = lhs.lay.slotOf(p, int(off))
+			k.outSlots[i] = wSlots[off]
 		}
 		k.writeIx = pl.WriteIx
 		k.coeffs = pl.Coeffs
 		k.reads = make([]int32, len(pl.Reads))
 		for j, r := range pl.Reads {
 			if r >= 0 {
-				k.reads[j] = src.lay.slotOf(p, int(r))
+				k.reads[j] = rSlots[r]
 			} else {
 				k.reads[j] = r
 			}
@@ -105,7 +112,7 @@ func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*Schedu
 		sg := pairs.seg(pr.Src, pr.Dst, src.lay.stores[pr.Src])
 		sg.slots = slices.Grow(sg.slots, len(pr.Offsets)) // a gather list rarely joins
 		for i, off := range pr.Offsets {
-			sg.add(src.lay.slotOf(pr.Src, int(off)), 0, pr.Targets[i], 0, 1)
+			sg.add(rSlots[off], 0, pr.Targets[i], 0, 1)
 		}
 	}
 	pairs.emit(func(p int) *exchange { return &planOf(p).ex })

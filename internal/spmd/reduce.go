@@ -27,15 +27,21 @@ func (e *Engine) Reduce(a *Array, op runtime.ReduceOp) (float64, error) {
 	if a.eng != e {
 		return 0, fmt.Errorf("spmd: array %s belongs to a different engine", a.name)
 	}
-	size := a.dom.Size()
-	slots := make([][]int32, e.np+1)
-	for off := 0; off < size; off++ {
-		p := a.lay.firstOwner(off)
-		slots[p] = append(slots[p], a.lay.slotOf(p, off))
+	// A worker folds its elements, but of a replicated element only the
+	// first owner's copy; count[p] is how many.
+	lay, count := a.lay, make([]int, e.np+1)
+	if lay.idx != nil {
+		for p := range count {
+			count[p] = int(lay.idx.vol[p])
+		}
+	} else {
+		for _, ps := range lay.repOwns {
+			count[ps[0]]++
+		}
 	}
 	var procs []int
 	for p := 1; p <= e.np; p++ {
-		if len(slots[p]) > 0 {
+		if count[p] > 0 {
 			procs = append(procs, p)
 		}
 	}
@@ -93,8 +99,7 @@ func (e *Engine) Reduce(a *Array, op runtime.ReduceOp) (float64, error) {
 	// phase 0 folds the local elements first.
 	last := max(1, 2*len(rounds)) - 1
 	err := e.run(last+1, func(p, k int) {
-		sl := slots[p]
-		if len(sl) == 0 {
+		if count[p] == 0 {
 			return
 		}
 		var t0 time.Time
@@ -102,14 +107,24 @@ func (e *Engine) Reduce(a *Array, op runtime.ReduceOp) (float64, error) {
 			t0 = time.Now()
 		}
 		if k == 0 {
-			// sl is in ascending global-offset order (the append walk
-			// above), which is the fold order defining the float result.
-			data := a.lay.stores[p].data
-			partials[p] = data[sl[0]]
-			for _, s := range sl[1:] {
-				partials[p] = acc(partials[p], data[s])
-			}
-			cs[p].load = len(sl)
+			// Lines come in ascending global-offset order, which is the
+			// fold order defining the float result.
+			data, started := lay.stores[p].data, false
+			lay.lines(p, func(ls []line) {
+				for _, ln := range ls {
+					if lay.idx == nil && lay.repOwns[ln.off][0] != p {
+						continue
+					}
+					vals := data[ln.slot : ln.slot+ln.n]
+					if !started {
+						partials[p], vals, started = vals[0], vals[1:], true
+					}
+					for _, v := range vals {
+						partials[p] = acc(partials[p], v)
+					}
+				}
+			})
+			cs[p].load = count[p]
 		}
 		if r := k / 2; r < len(rounds) && rounds[r][p].peer != 0 {
 			switch st := rounds[r][p]; {

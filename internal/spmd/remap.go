@@ -46,24 +46,14 @@ func (e *Engine) Remap(a *Array, newMap core.ElementMapping) (int, error) {
 }
 
 // planRemap compiles the move of a to newMap, or returns nil when the
-// new mapping has the tiles of the old one, owner for owner: equal
-// layouts slot for slot, with nothing to build or dispatch.
+// new mapping's tile index is the one a's layout holds: equal layouts
+// slot for slot, with nothing to build or dispatch.
 func planRemap(e *Engine, a *Array, newMap core.ElementMapping) (*Schedule, error) {
-	tiles, single, err := ownerTiles(newMap)
-	if err != nil {
+	x, err := indexOf(e, newMap)
+	if err != nil || x.equal(a.lay.idx) {
 		return nil, err
 	}
-	// Equal tilings have equal tile counts: the old mapping is tiled
-	// again only when that much already agrees.
-	if single && a.lay.owners != nil && a.lay.tiles == len(tiles) {
-		old, _, err := ownerTiles(a.mapping)
-		if err == nil && slices.EqualFunc(old, tiles, func(x, y core.Tile) bool {
-			return x.Proc == y.Proc && x.Region.Equal(y.Region)
-		}) {
-			return nil, nil
-		}
-	}
-	to, err := layoutOf(e, newMap, tiles, single)
+	to, err := layoutOf(e, newMap, x)
 	if err != nil {
 		return nil, err
 	}
@@ -98,10 +88,10 @@ func remapTo(a *Array, newMap core.ElementMapping, s *Schedule) (int, error) {
 				wp.kernel, wp.ghost = (*copyKernel)(k), k.lhs
 			}
 		}
-		if to.owners == nil { // an element may gain several owners
+		if to.idx == nil { // an element may gain several owners
 			moved = 0
 			for off, news := range to.repOwns {
-				if slices.ContainsFunc(news, func(p int) bool { return !a.lay.ownedBy(off, p) }) {
+				if slices.ContainsFunc(news, func(p int) bool { _, ok := a.lay.slotIn(p, off); return !ok }) {
 					moved++
 				}
 			}

@@ -122,30 +122,32 @@ func families(t testing.TB, sys *proc.System, rank, low int) []family {
 	return append(out, family{"replicated", core.DistMapping{D: dr}, false})
 }
 
+// elementLayout is a single-owner layout as the element fill numbered
+// it: the owner and slot of every element, and every worker's offsets
+// in slot order.
+type elementLayout struct {
+	owners, slots []int32
+	offsets       [][]int32
+}
+
 // oracleLayout is the single-owner layout build as it was before the
-// tile-wise fill: every element of every tile visited through
+// tile index: every element of every tile visited through
 // Domain.ForEach and located with Domain.Offset, the grids grown by
-// append. It defines the slot order the fill must reproduce.
-func oracleLayout(e *Engine, m core.ElementMapping) (*layout, error) {
+// append. It defines the slot order the index must reproduce.
+func oracleLayout(e *Engine, m core.ElementMapping) (*elementLayout, error) {
 	np := e.np
 	dom := m.Domain()
-	l := &layout{stores: make([]*store, np+1)}
-	for p := 1; p <= np; p++ {
-		l.stores[p] = &store{}
-	}
 	tiles, err := core.AppendOwnerTilesOf(nil, m, dom)
 	if err != nil {
 		return nil, err
 	}
-	l.owners = make([]int32, dom.Size())
-	l.slotGrid = make([]int32, dom.Size())
+	l := &elementLayout{owners: make([]int32, dom.Size()), slots: make([]int32, dom.Size()), offsets: make([][]int32, np+1)}
 	var ferr error
 	for _, tl := range tiles {
 		p := tl.Proc
 		if p < 1 || p > np {
 			return nil, fmt.Errorf("spmd: mapping owner %d out of range 1..%d", p, np)
 		}
-		st := l.stores[p]
 		tl.Region.ForEach(func(t index.Tuple) bool {
 			off, ok := dom.Offset(t)
 			if !ok {
@@ -153,8 +155,8 @@ func oracleLayout(e *Engine, m core.ElementMapping) (*layout, error) {
 				return false
 			}
 			l.owners[off] = int32(p)
-			l.slotGrid[off] = int32(len(st.offsets))
-			st.offsets = append(st.offsets, int32(off))
+			l.slots[off] = int32(len(l.offsets[p]))
+			l.offsets[p] = append(l.offsets[p], int32(off))
 			return true
 		})
 		if ferr != nil {
@@ -164,66 +166,101 @@ func oracleLayout(e *Engine, m core.ElementMapping) (*layout, error) {
 	return l, nil
 }
 
-// sameLayout fails unless two layouts place every element alike.
-func sameLayout(t *testing.T, got, want *layout) {
+// matchesElementFill fails unless the layout places every element as
+// the element fill did — owner and slot, one locate at a time and in
+// the inspector's grids — holds each worker's slots, and walks each
+// worker's elements in ascending offset order, as the oracle's grids
+// list them, in runs of consecutive offsets and slots.
+func matchesElementFill(t testing.TB, got *layout, want *elementLayout) {
 	t.Helper()
-	if !slices.Equal(got.owners, want.owners) {
-		t.Fatalf("owners differ:\n got  %v\n want %v", got.owners, want.owners)
+	if got.idx == nil {
+		t.Fatal("single-owner mapping laid out as replicated")
 	}
-	if !slices.Equal(got.slotGrid, want.slotGrid) {
-		t.Fatalf("slot grids differ:\n got  %v\n want %v", got.slotGrid, want.slotGrid)
+	for off := range want.owners {
+		if p, slot := got.idx.locate(off); p != want.owners[off] || slot != want.slots[off] {
+			t.Fatalf("offset %d: owner %d slot %d, want owner %d slot %d", off, p, slot, want.owners[off], want.slots[off])
+		}
 	}
-	if !slices.EqualFunc(got.repOwns, want.repOwns, slices.Equal[[]int]) {
-		t.Fatalf("replica sets differ")
+	if owners, slots := got.idx.grids(); !slices.Equal(owners, want.owners) || !slices.Equal(slots, want.slots) {
+		t.Fatalf("grids differ:\n got  %v %v\n want %v %v", owners, slots, want.owners, want.slots)
 	}
-	for p := 1; p < len(want.stores); p++ {
-		if !slices.Equal(got.stores[p].offsets, want.stores[p].offsets) {
-			t.Fatalf("worker %d offsets differ:\n got  %v\n want %v", p, got.stores[p].offsets, want.stores[p].offsets)
+	walked := make([][]int32, len(want.offsets))
+	eachLine(got, func(p, off, slot, n int) {
+		for i := range n {
+			if want.owners[off+i] != int32(p) || want.slots[off+i] != int32(slot+i) {
+				t.Fatalf("line of worker %d at offset %d, slot %d, length %d: offset %d is worker %d's slot %d",
+					p, off, slot, n, off+i, want.owners[off+i], want.slots[off+i])
+			}
+			walked[p] = append(walked[p], int32(off+i))
+		}
+	})
+	for p := 1; p < len(want.offsets); p++ {
+		if w := slices.Sorted(slices.Values(want.offsets[p])); !slices.Equal(walked[p], w) {
+			t.Fatalf("worker %d lines cover offsets %v, want %v", p, walked[p], w)
+		}
+		if int(got.idx.vol[p]) != len(want.offsets[p]) {
+			t.Fatalf("worker %d: %d slots, want %d", p, got.idx.vol[p], len(want.offsets[p]))
 		}
 	}
 }
 
-// TestLayoutMatchesElementFill: the tile-wise fill numbers every slot
-// exactly as the element-wise one did — owners, slot grid and every
-// worker's offsets — for each single-owner family × ranks 1–3 × unit
-// and non-unit lower bounds, and refuses an out-of-range owner with
-// the same words.
+// eachLine calls fn for every line of the layout, one at a time.
+func eachLine(l *layout, fn func(p, off, slot, n int)) {
+	l.lines(0, func(ls []line) {
+		for _, ln := range ls {
+			fn(int(ln.p), int(ln.off), int(ln.slot), int(ln.n))
+		}
+	})
+}
+
+// sameLayout fails unless two layouts place every element alike.
+func sameLayout(t *testing.T, got, want *layout) {
+	t.Helper()
+	if (got.idx != nil || want.idx != nil) && !got.idx.equal(want.idx) {
+		t.Fatalf("tile indexes differ:\n got  %+v\n want %+v", got.idx, want.idx)
+	}
+	if !slices.EqualFunc(got.repOwns, want.repOwns, slices.Equal[[]int]) {
+		t.Fatalf("replica sets differ")
+	}
+}
+
+// patchwork owns 10×3 in three tiles that are no product of cuts: the
+// first two columns whole, the third in two halves. Cutting at the tile
+// boundaries splits the first tile's cells across its rows, so the
+// index must fall back to a cell per element.
+type patchwork struct{}
+
+func (patchwork) Domain() index.Domain { return index.Standard(1, 10, 1, 3) }
+func (patchwork) Describe() string     { return "patchwork" }
+func (patchwork) Owners(i index.Tuple) ([]int, error) {
+	switch {
+	case i[1] < 3:
+		return []int{1}, nil
+	case i[0] <= 5:
+		return []int{2}, nil
+	}
+	return []int{3}, nil
+}
+func (patchwork) AppendOwnerTiles(dst []core.Tile, region index.Domain) ([]core.Tile, error) {
+	if !region.Equal(index.Standard(1, 10, 1, 3)) {
+		return nil, core.ErrNoBulk
+	}
+	return append(dst, core.Tile{Region: index.Standard(1, 10, 1, 2), Proc: 1},
+		core.Tile{Region: index.Standard(1, 5, 3, 3), Proc: 2},
+		core.Tile{Region: index.Standard(6, 10, 3, 3), Proc: 3}), nil
+}
+
+// TestLayoutMatchesElementFill: the tile index places every element
+// exactly as the element-wise fill did — owner and slot of every
+// element, and every worker's elements in ascending offset order — for
+// each single-owner family × ranks 1–3 × unit and non-unit lower
+// bounds, strided and rank-0 domains and a tiling that is no product of
+// cuts; and it refuses an out-of-range owner with the same words.
 func TestLayoutMatchesElementFill(t *testing.T) {
 	const np = 4
 	e := newEngine(t, np)
-	for rank := 1; rank <= 3; rank++ {
-		for _, low := range []int{1, -3} {
-			sys, _ := proc.NewSystem(np)
-			for _, f := range families(t, sys, rank, low) {
-				if f.name == "replicated" {
-					continue
-				}
-				t.Run(fmt.Sprintf("%s/rank%d/low%d", f.name, rank, low), func(t *testing.T) {
-					got, err := buildLayout(e, f.m)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := oracleLayout(e, f.m)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameLayout(t, got, want)
-					for p := 1; p <= np; p++ {
-						if len(got.stores[p].data) != len(want.stores[p].offsets) {
-							t.Fatalf("worker %d: %d values for %d slots", p, len(got.stores[p].data), len(want.stores[p].offsets))
-						}
-					}
-				})
-			}
-		}
-	}
-
-	// Distributions take standard domains only; a strided or rank-0 one
-	// comes with a mapping of another kind, and its enumerated tiles
-	// carry the domain's strides.
-	sys, _ := proc.NewSystem(np)
-	strided := index.New(index.Triplet{Low: 3, High: 27, Stride: 4}, index.Triplet{Low: 10, High: 2, Stride: -2})
-	for _, m := range []core.ElementMapping{stripes{strided, np}, stripes{index.Scalar(), np}} {
+	check := func(t *testing.T, m core.ElementMapping) {
+		t.Helper()
 		got, err := buildLayout(e, m)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Domain(), err)
@@ -232,7 +269,37 @@ func TestLayoutMatchesElementFill(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m.Domain(), err)
 		}
-		sameLayout(t, got, want)
+		matchesElementFill(t, got, want)
+		for p := 1; p <= np; p++ {
+			if len(got.stores[p].data) != len(want.offsets[p]) {
+				t.Fatalf("worker %d: %d values for %d slots", p, len(got.stores[p].data), len(want.offsets[p]))
+			}
+		}
+	}
+	for rank := 1; rank <= 3; rank++ {
+		for _, low := range []int{1, -3} {
+			sys, _ := proc.NewSystem(np)
+			for _, f := range families(t, sys, rank, low) {
+				if f.name == "replicated" {
+					continue
+				}
+				t.Run(fmt.Sprintf("%s/rank%d/low%d", f.name, rank, low), func(t *testing.T) { check(t, f.m) })
+			}
+		}
+	}
+
+	// Distributions take standard domains only; a strided or rank-0 one
+	// comes with a mapping of another kind, and its enumerated tiles
+	// carry the domain's strides. A GENERAL_BLOCK of equal blocks but a
+	// longer last one is located by division, and must clamp there.
+	sys, _ := proc.NewSystem(np)
+	strided := index.New(index.Triplet{Low: 3, High: 27, Stride: 4}, index.Triplet{Low: 10, High: 2, Stride: -2})
+	longLast := distMapping(t, sys, index.Standard(1, 10, 1, 2), dist.GeneralBlock{Bounds: []int{2, 4, 6}}, dist.Collapsed{})
+	for _, m := range []core.ElementMapping{stripes{strided, np}, stripes{index.Scalar(), np}, patchwork{}, longLast} {
+		check(t, m)
+	}
+	if x, _ := indexOf(e, patchwork{}); len(x.owner) != 30 {
+		t.Errorf("patchwork indexed in %d cells, want one per element", len(x.owner))
 	}
 
 	// A mapping over more processors than the engine has workers.
@@ -243,6 +310,144 @@ func TestLayoutMatchesElementFill(t *testing.T) {
 	if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
 		t.Fatalf("out-of-range owner: got %v, element fill %v", gerr, werr)
 	}
+}
+
+// TestRemapPatchwork: remaps between (BLOCK,:) and a tiling that is no
+// product of cuts — an index with a cell per element, whose uniform
+// cells span many index cells — lay out and move every value alike by
+// cells and by the element walk.
+func TestRemapPatchwork(t *testing.T) {
+	const np = 4
+	sys, _ := proc.NewSystem(np)
+	dom := patchwork{}.Domain()
+	block := distMapping(t, sys, dom, dist.Block{}, dist.Collapsed{})
+	fill := func(tp index.Tuple) float64 { return float64(tp[0]*10 + tp[1]) }
+	for _, cells := range []bool{true, false} {
+		e := newEngine(t, np)
+		a := newArray(t, e, "A", block)
+		a.Fill(fill)
+		for _, m := range []core.ElementMapping{patchwork{}, block, patchwork{}} {
+			remapBy(t, e, a, m, cells)
+			want, err := buildLayout(e, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameLayout(t, a.lay, want)
+			for off, v := range a.Data() {
+				if w := fill(dom.TupleAt(off)); v != w {
+					t.Fatalf("cells %v, to %s: offset %d holds %g, want %g", cells, m.Describe(), off, v, w)
+				}
+			}
+		}
+	}
+}
+
+// FuzzLayoutIndex: for a drawn rank (1–3), lower bounds, extents and
+// a format per dimension — BLOCK, Vienna block, CYCLIC(k),
+// GENERAL_BLOCK, INDIRECT or collapsed — or one of the single-owner
+// families (the aligned one among them) at a drawn lower bound, the
+// tile index places every element as the element fill does, and every
+// worker's lines walk its elements in ascending offset order.
+func FuzzLayoutIndex(f *testing.F) {
+	const np = 4
+	e, err := New(np, machine.DefaultCost())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { e.Close() })
+	f.Add([]byte{0, 3, 12, 2, 0, 7, 5, 1})
+	f.Add([]byte{1, 0, 5, 3, 1, 4, 9, 2, 4, 3, 3, 1, 2, 6})
+	f.Add([]byte{2, 2, 8, 4, 2, 1, 3, 5, 6, 0, 2, 7})
+	f.Add([]byte{3, 8, 1})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		next := func(n int) int { // the next input byte, mod n
+			if len(in) == 0 {
+				return 0
+			}
+			b := in[0]
+			in = in[1:]
+			return int(b) % n
+		}
+		sys, _ := proc.NewSystem(np)
+		rank, low := 1+next(3), next(7)-3
+		var m core.ElementMapping
+		if next(4) == 3 { // a family
+			fams := families(t, sys, rank, low)
+			m = fams[next(len(fams)-1)].m // the last is replicated
+		} else {
+			// Kinds 0–4 are distributed, 5 collapsed; at least one is
+			// distributed. The target's extents follow from how many are:
+			// 4, 2×2 or 2×2×1.
+			bounds, kinds, distributed := make([]int, 0, 2*rank), make([]int, rank), 0
+			for d := range kinds {
+				n := 1 + next(9)
+				bounds = append(bounds, low, low+n-1)
+				if kinds[d] = next(6); kinds[d] < 5 {
+					distributed++
+				}
+			}
+			if distributed == 0 {
+				kinds[0], distributed = 0, 1
+			}
+			ext := [][]int{{4}, {2, 2}, {2, 2, 1}}[distributed-1]
+			dom, formats, j := index.Standard(bounds...), make([]dist.Format, rank), 0
+			for d, k := range kinds {
+				if k == 5 {
+					formats[d] = dist.Collapsed{}
+					continue
+				}
+				n, q := dom.Dims[d].Count(), ext[j]
+				j++
+				switch k {
+				case 0:
+					formats[d] = dist.Block{}
+				case 1:
+					formats[d] = dist.BlockVienna{}
+				case 2:
+					formats[d] = dist.Cyclic{K: 1 + next(4)}
+				case 3:
+					g := make([]int, q-1)
+					for i := range g {
+						g[i] = next(n + 1)
+					}
+					slices.Sort(g)
+					formats[d] = dist.GeneralBlock{Bounds: g}
+				case 4:
+					owner := make([]int, n)
+					for i := range owner {
+						owner[i] = 1 + next(q)
+					}
+					ind, err := dist.NewIndirect(owner)
+					if err != nil {
+						t.Fatal(err)
+					}
+					formats[d] = ind
+				}
+			}
+			pbounds := make([]int, 0, 2*len(ext))
+			for _, q := range ext {
+				pbounds = append(pbounds, 1, q)
+			}
+			target, err := sys.DeclareArray("T", index.Standard(pbounds...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dd, err := dist.New(dom, formats, proc.Whole(target))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m = core.DistMapping{D: dd}
+		}
+		got, err := buildLayout(e, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracleLayout(e, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matchesElementFill(t, got, want)
+	})
 }
 
 // allocated reports the bytes and objects fn allocates.
@@ -256,11 +461,12 @@ func allocated(fn func()) (bytes, objects uint64) {
 
 // TestLayoutBuildCost keeps a layout build tied to what it keeps: a
 // bounded number of allocations however many tiles the mapping has
-// (the element fill made one per tile and regrew three grids), bytes
-// allocated within 10 % of bytes retained on the two 1024² layouts the
-// remap benchmark alternates between, and — for the 1024-element CYCLIC
-// vector that is the halo workloads' whole prologue — no more time than
-// the element fill took.
+// (the element fill made one per tile and regrew three grids); and, on
+// the two 1024² layouts the remap benchmark alternates between, an
+// index of at most a few KiB beside the value segments, with bytes
+// allocated within 10 % of bytes retained. For the 1024-element CYCLIC
+// vector that is the halo workloads' whole prologue, it takes no more
+// time than the element fill took.
 func TestLayoutBuildCost(t *testing.T) {
 	const np = 2
 	e := newEngine(t, np)
@@ -289,12 +495,17 @@ func TestLayoutBuildCost(t *testing.T) {
 			continue
 		}
 		bytes, _ := allocated(build)
-		retained := 0
+		values, idx := 0, 4*(cap(l.idx.owner)+cap(l.idx.base)+cap(l.idx.vol))
 		for p := 1; p <= np; p++ {
-			retained += 4*cap(l.stores[p].offsets) + 8*cap(l.stores[p].data)
+			values += 8 * cap(l.stores[p].data)
 		}
-		retained += 4*cap(l.owners) + 4*cap(l.slotGrid)
-		if float64(bytes) > 1.1*float64(retained) {
+		for _, c := range l.idx.cuts {
+			idx += 4 * cap(c)
+		}
+		if idx > 4<<10 {
+			t.Errorf("%s: the index holds %d bytes", tc.name, idx)
+		}
+		if retained := values + idx; float64(bytes) > 1.1*float64(retained) {
 			t.Errorf("%s: layout build allocates %d bytes to retain %d", tc.name, bytes, retained)
 		}
 	}
@@ -311,7 +522,7 @@ func TestLayoutBuildCost(t *testing.T) {
 		tiled, walked = min(tiled, t1.Sub(t0)), min(walked, time.Since(t1))
 	}
 	if tiled > walked {
-		t.Errorf("CYCLIC 1024-vector layout: tile fill %v, element fill %v", tiled, walked)
+		t.Errorf("CYCLIC 1024-vector layout: tile index %v, element fill %v", tiled, walked)
 	}
 }
 
@@ -461,14 +672,13 @@ func TestRemapTileEnumeratorMatchesElementEnumerator(t *testing.T) {
 								t.Fatal(err)
 							}
 							sameLayout(t, a.lay, want)
-							for p := 1; p <= np; p++ {
-								st := a.lay.stores[p]
-								for k, off := range st.offsets {
-									if g, w := math.Float64bits(st.data[k]), math.Float64bits(fill(dom.TupleAt(int(off)))); g != w {
-										t.Fatalf("engine %d worker %d slot %d (offset %d) holds %#x, want %#x", i, p, k, off, g, w)
+							eachLine(a.lay, func(p, off, slot, n int) {
+								for k := range n {
+									if g, w := math.Float64bits(a.lay.stores[p].data[slot+k]), math.Float64bits(fill(dom.TupleAt(off+k))); g != w {
+										t.Fatalf("engine %d worker %d slot %d (offset %d) holds %#x, want %#x", i, p, slot+k, off+k, g, w)
 									}
 								}
-							}
+							})
 						}
 						// There and back.
 						for i := range engines {
@@ -527,9 +737,9 @@ func TestRemapEnumeratorChoice(t *testing.T) {
 // more kernel runs than the emitter cuts its 128 cells into lines — a
 // kept cell into its columns, a moved one into its rows — and to no more
 // shipped intervals than the moved cells have rows; and one remap
-// allocates at most four times the array — its new grids and segments,
-// the plan and the messages in flight; the element walk allocated nine
-// times.
+// allocates at most twice the array — its new segments, the messages in
+// flight and the plan. The layout's O(domain) index grids made it four
+// times; the element walk allocated nine.
 func TestRemapPlanCost(t *testing.T) {
 	const np, n = 2, 1024
 	e := newEngine(t, np)
@@ -550,7 +760,8 @@ func TestRemapPlanCost(t *testing.T) {
 		cuts := b.analyzable(dom)
 		lines, rows := 0, 0
 		core.ForEachCell(cuts, func(lo, hi []int) {
-			if off := lo[0] - 1 + (lo[1]-1)*n; a.lay.owners[off] == lay.owners[off] {
+			was, _ := a.lay.firstOwner(lo[0] - 1 + (lo[1]-1)*n)
+			if now, _ := lay.firstOwner(lo[0] - 1 + (lo[1]-1)*n); was == now {
 				lines += hi[1] - lo[1] + 1
 			} else {
 				lines += hi[0] - lo[0] + 1
@@ -582,7 +793,7 @@ func TestRemapPlanCost(t *testing.T) {
 		if moved != n*n/2 {
 			t.Errorf("remap %d moves %d elements, want %d", i, moved, n*n/2)
 		}
-		if bytes > 4*8*n*n {
+		if bytes > 2*8*n*n {
 			t.Errorf("remap %d allocates %d bytes for an array of %d", i, bytes, 8*n*n)
 		}
 	}

@@ -455,12 +455,55 @@ func TestSetWritesAllReplicas(t *testing.T) {
 	a.Set(index.Tuple{3}, 42)
 	for p := 1; p <= np; p++ {
 		off, _ := a.dom.Offset(index.Tuple{3})
-		if got := a.lay.stores[p].data[a.lay.slotOf(p, off)]; got != 42 {
+		slot, ok := a.lay.slotIn(p, off)
+		if got := a.lay.stores[p].data[slot]; !ok || got != 42 {
 			t.Fatalf("worker %d copy = %f, want 42", p, got)
 		}
 	}
 	if a.At(index.Tuple{3}) != 42 {
 		t.Fatal("At after Set wrong")
+	}
+}
+
+// TestReduceReplicated: a reduction over a replicated array folds each
+// element once, at its first owner, and its data is each element's
+// value: the sum, the maximum and the logical report equal the
+// element-wise oracle's, and Data equals the oracle's values.
+func TestReduceReplicated(t *testing.T) {
+	const n, np = 7, 3
+	sys, _ := proc.NewSystem(np)
+	rep, err := sys.DeclareScalar("REPR", proc.ScalarReplicated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dr, _ := dist.New(index.Standard(1, n), []dist.Format{dist.Collapsed{}}, proc.Whole(rep))
+	m := core.DistMapping{D: dr}
+	fill := func(tp index.Tuple) float64 { return 0.1 * float64(tp[0]*tp[0]) }
+	e := newEngine(t, np)
+	a := newArray(t, e, "R", m)
+	a.Fill(fill)
+	mach, _ := machine.New(np, machine.DefaultCost())
+	ra, err := runtime.NewArray("R", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra.Fill(fill)
+	for _, op := range []runtime.ReduceOp{runtime.ReduceSum, runtime.ReduceMax} {
+		got, err := e.Reduce(a, op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := runtime.Reduce(mach, ra, op); got != want {
+			t.Errorf("reduction %v: %v, oracle %v", op, got, want)
+		}
+	}
+	if got, want := e.Stats().Logical(), mach.Stats().Logical(); got != want {
+		t.Errorf("report\n got  %+v\n want %+v", got, want)
+	}
+	for i, v := range a.Data() {
+		if w := ra.Data()[i]; v != w {
+			t.Errorf("Data[%d] = %v, oracle %v", i, v, w)
+		}
 	}
 }
 
