@@ -43,16 +43,25 @@ race-tcp:
 race-shm:
 	HPFNT_ENGINE=spmd HPFNT_TRANSPORT=shm $(GO) test -race -count=1 ./internal/exper ./hpf ./internal/workload ./internal/transport
 
-# A real 4-process localhost hpfnode job (8 ranks over the tcp
-# transport): the leader verifies that every workload produced values
-# and a machine.Report identical to the in-process engine.
-node-smoke:
-	$(GO) run ./cmd/hpfnode -spawn -procs 4 -np 8 -workload all -n 64 -iters 5
+# The corpus programs the multi-process smokes run.
+CORPUS = internal/interp/testdata/programs
 
-# The same 4-process job over the shm wire (one mmap'd file of
-# shared-memory rings instead of sockets).
+# Real 4-process localhost hpfrun jobs over the tcp transport, one job
+# (and one job name) per corpus program: the dense Jacobi, the in-place
+# heat2d and the INDIRECT gather/scatter. The leader verifies that each
+# printed the output and computed the values and machine.Report of the
+# in-process engine.
+node-smoke:
+	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport tcp -job smoke-jacobi $(CORPUS)/jacobi.hpf
+	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport tcp -job smoke-heat2d $(CORPUS)/heat2d.hpf
+	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport tcp -job smoke-gather $(CORPUS)/gather.hpf
+
+# The same three jobs over the shm wire (one mmap'd file of
+# shared-memory rings per job instead of sockets).
 node-smoke-shm:
-	$(GO) run ./cmd/hpfnode -spawn -procs 4 -np 8 -transport shm -workload all -n 64 -iters 5
+	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport shm -job smoke-shm-jacobi $(CORPUS)/jacobi.hpf
+	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport shm -job smoke-shm-heat2d $(CORPUS)/heat2d.hpf
+	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport shm -job smoke-shm-gather $(CORPUS)/gather.hpf
 
 # The fault-tolerance suites — chaos wire, checkpoint store, elastic
 # driver (single-process and in-binary multi-member recovery), the
@@ -61,20 +70,21 @@ node-smoke-shm:
 race-recovery:
 	$(GO) test -race -count=1 ./internal/transport ./internal/job ./internal/ckpt ./internal/elastic
 
-# Node-recovery smoke: a real 4-process job in which the supervisor
-# SIGKILLs process 2 right after the first checkpoint publishes; the
-# survivors detect the loss, everyone rejoins at a bumped generation,
-# restores the checkpoint and replays, and the leader verifies values
-# and machine.Report identical to the in-process engine.
+# Node-recovery smoke: heat2d as a real 4-process job in which the
+# supervisor SIGKILLs process 2 right after the first checkpoint
+# publishes; the survivors detect the loss, everyone rejoins at a
+# bumped generation, restores the checkpoint and replays, and the
+# leader verifies output, values and machine.Report identical to the
+# in-process engine.
 node-recovery:
-	$(GO) run ./cmd/hpfnode -spawn -procs 4 -np 8 -workload heat -n 48 -iters 12 \
-		-checkpoint-every 3 -retries 4 -heartbeat 25ms -kill-proc 2
+	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport tcp -job recovery-tcp -param N=48,ITERS=12 \
+		-checkpoint-every 3 -retries 4 -heartbeat 25ms -kill-proc 2 $(CORPUS)/heat2d.hpf
 
 # The same SIGKILL-mid-job recovery over the shm wire (loss detected
 # via frozen liveness stamps instead of dead sockets).
 node-recovery-shm:
-	$(GO) run ./cmd/hpfnode -spawn -procs 4 -np 8 -transport shm -workload heat -n 48 -iters 12 \
-		-checkpoint-every 3 -retries 4 -heartbeat 25ms -kill-proc 2
+	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport shm -job recovery-shm -param N=48,ITERS=12 \
+		-checkpoint-every 3 -retries 4 -heartbeat 25ms -kill-proc 2 $(CORPUS)/heat2d.hpf
 
 # hpfrun multi-process smoke: the interpreted quickstart program as a
 # real 3-process tcp job; the leader re-runs the program on the
@@ -92,17 +102,17 @@ run-smoke-shm:
 # self-scrapes and validates its own exposition text at exit), the
 # per-worker detail table, and a merged Chrome trace.
 obs-smoke:
-	$(GO) run ./cmd/hpfnode -spawn -procs 2 -np 4 -workload jacobi -n 32 -iters 4 \
-		-http 127.0.0.1:0 -trace /tmp/hpfnt-obs-smoke.json -verbose
-	$(GO) run ./cmd/hpfnode -spawn -procs 2 -np 4 -transport shm -workload heat -n 32 -iters 4 \
-		-http 127.0.0.1:0
+	$(GO) run ./cmd/hpfrun -spawn -procs 2 -transport tcp -job obs-tcp \
+		-http 127.0.0.1:0 -trace /tmp/hpfnt-obs-smoke.json -verbose $(CORPUS)/jacobi.hpf
+	$(GO) run ./cmd/hpfrun -spawn -procs 2 -transport shm -job obs-shm \
+		-http 127.0.0.1:0 $(CORPUS)/heat2d.hpf
 
 # Recovery with the trace recorder on: the merged trace must contain
 # the member-lost, rollback and rejoin instants of the SIGKILL story.
 obs-recovery-trace:
-	$(GO) run ./cmd/hpfnode -spawn -procs 4 -np 8 -workload heat -n 48 -iters 6 \
+	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport tcp -job recovery-trace -param N=48,ITERS=6 \
 		-checkpoint-every 2 -retries 4 -heartbeat 25ms -kill-proc 2 \
-		-trace /tmp/hpfnt-recovery-trace.json -http 127.0.0.1:0
+		-trace /tmp/hpfnt-recovery-trace.json -http 127.0.0.1:0 $(CORPUS)/heat2d.hpf
 	@for kind in "member-lost" "rolled back to epoch" "rejoined at generation"; do \
 		grep -q "$$kind" /tmp/hpfnt-recovery-trace.json || \
 			{ echo "recovery trace is missing a \"$$kind\" event"; exit 1; }; \
@@ -113,8 +123,8 @@ obs-recovery-trace:
 # must diagnose a nonzero epoch critical path and a nonzero skew
 # ratio from the merged trace.
 trace-analyze-smoke:
-	$(GO) run ./cmd/hpfnode -spawn -procs 3 -np 6 -transport shm -workload jacobi -n 48 -iters 4 \
-		-trace /tmp/hpfnt-analyze-trace.json -http 127.0.0.1:0
+	$(GO) run ./cmd/hpfrun -spawn -procs 3 -transport shm -job analyze \
+		-trace /tmp/hpfnt-analyze-trace.json -http 127.0.0.1:0 $(CORPUS)/heat2d.hpf
 	$(GO) run ./cmd/hpftrace -json /tmp/hpfnt-analyze-trace.json > /tmp/hpfnt-analyze-report.json
 	$(GO) run ./cmd/hpftrace -gate /tmp/hpfnt-analyze-trace.json > /dev/null
 	@grep -q '"max_critical_path_ns"' /tmp/hpfnt-analyze-report.json && \

@@ -22,8 +22,8 @@ import (
 // monitor snapshots it at scrape time for the critical-path gauge.
 var traceRec *obs.Recorder
 
-// liveJob is what the /metrics endpoint scrapes: the current
-// workload's engine, transport and spill directory, swapped in as the
+// liveJob is what the /metrics endpoint scrapes: the job's current
+// engine, transport and spill directory, swapped in as the
 // elastic driver dials and prepares each attempt. Scrape handlers
 // read a consistent snapshot under the mutex and then call only
 // any-goroutine-safe accessors (engine.LocalDetail, transport.Status,
@@ -264,26 +264,26 @@ func serveMetrics(addr string) (func() int, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("hpfnode[%d]: serving /metrics and /debug/pprof on http://%s/\n", *self, bound)
+	fmt.Printf("hpfrun[%d]: serving /metrics and /debug/pprof on http://%s/\n", *self, bound)
 	return func() int {
 		defer shutdown()
 		resp, err := http.Get("http://" + bound + "/metrics")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hpfnode[%d]: self-scrape: %v\n", *self, err)
+			fmt.Fprintf(os.Stderr, "hpfrun[%d]: self-scrape: %v\n", *self, err)
 			return 1
 		}
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hpfnode[%d]: self-scrape: %v\n", *self, err)
+			fmt.Fprintf(os.Stderr, "hpfrun[%d]: self-scrape: %v\n", *self, err)
 			return 1
 		}
 		n, verr := obs.ValidateExposition(body)
 		if verr != nil {
-			fmt.Fprintf(os.Stderr, "hpfnode[%d]: /metrics is not valid exposition text: %v\n", *self, verr)
+			fmt.Fprintf(os.Stderr, "hpfrun[%d]: /metrics is not valid exposition text: %v\n", *self, verr)
 			return 1
 		}
-		fmt.Printf("hpfnode[%d]: /metrics self-scrape valid: %d samples\n", *self, n)
+		fmt.Printf("hpfrun[%d]: /metrics self-scrape valid: %d samples\n", *self, n)
 		return 0
 	}, nil
 }

@@ -9,7 +9,7 @@
 //	hpftrace -gate run.trace      # exit 1 unless a critical path and
 //	                              # a nonzero skew ratio were found
 //
-// The input is the Chrome trace-event JSON written by hpfnode -trace
+// The input is the Chrome trace-event JSON written by hpfrun -trace
 // (or obs.WriteTrace / obs.MergeTraces).
 package main
 

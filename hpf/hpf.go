@@ -349,6 +349,10 @@ type DistArray struct {
 // Name returns the array's name.
 func (a *DistArray) Name() string { return a.arr.Name() }
 
+// EngineArray returns the backend array, the unit an engine
+// checkpoints and restores.
+func (a *DistArray) EngineArray() engine.Array { return a.arr }
+
 // Fill initializes every element from fn. fn must be pure: the spmd
 // backend evaluates it concurrently, once per replica. The tuple is
 // reused from call to call: fn must not modify it, and must clone it to

@@ -23,8 +23,12 @@
 //	  checkpointed epoch.
 //	replay — execution resumes from that epoch. Final values and
 //	  the logical machine.Report are identical to an uninterrupted
-//	  run, which is what cmd/hpfnode verifies against the in-process
+//	  run, which is what cmd/hpfrun verifies against the in-process
 //	  engine.
+//
+// The job is a directive-language program split at its epoch loop
+// (interp.Job): the statements before the loop are the prologue, each
+// loop iteration is an epoch, and the rest of the program is Finish.
 //
 // The driver also marks epoch boundaries on transports that accept
 // them (transport.EpochMarker), which is how the chaos wire injects
@@ -48,15 +52,16 @@ import (
 )
 
 // Job is one prepared epoch-structured computation: the arrays in
-// checkpoint order, a Step function advancing it by k epochs, and a
-// Finish computing the result collectives (whose outputs the caller
-// captures by closure). Prepare must be deterministic — re-running it
-// on a fresh engine must rebuild identical arrays and schedules — so
-// a checkpoint restored into Arrays reproduces the exact mid-job
-// state.
+// checkpoint order, its epoch count, a Step function running epochs
+// epoch+1 .. epoch+k, and a Finish computing the result collectives
+// (whose outputs the caller captures by closure). Prepare must be
+// deterministic — re-running it on a fresh engine must rebuild
+// identical arrays and schedules — so a checkpoint restored into
+// Arrays reproduces the exact mid-job state.
 type Job struct {
 	Arrays []engine.Array
-	Step   func(k int) error
+	Iters  int
+	Step   func(epoch, k int) error
 	Finish func() error
 }
 
@@ -78,8 +83,6 @@ type Config struct {
 	// Self is this process's index (0 is the leader, which publishes
 	// generation bumps in Dir).
 	Self int
-	// Iters is the total number of epochs to execute.
-	Iters int
 	// CheckpointEvery checkpoints after every N epochs (0 disables
 	// checkpointing; a member loss then replays from epoch 0).
 	CheckpointEvery int
@@ -94,7 +97,11 @@ type Config struct {
 	StartGen int
 	// EpochTimeout is the per-chunk watchdog: a chunk of epochs that
 	// makes no progress for this long fails the transport (and the
-	// attempt) instead of hanging the job. 0 disables.
+	// attempt) instead of hanging the job. Progress is a dispatch
+	// starting, a statement iteration computed or a frame arriving, so
+	// a long chunk that keeps dispatching or replaying runs on; one
+	// silent iteration longer than the timeout still trips it. 0
+	// disables.
 	EpochTimeout time.Duration
 	// Logf receives recovery progress lines (nil discards).
 	Logf func(format string, args ...any)
@@ -176,7 +183,7 @@ func Retries() int64 { return retries.Load() }
 
 // Run executes the job fault-tolerantly: dial, prepare, restore any
 // published checkpoint, then alternate epoch chunks with checkpoints
-// until Iters epochs have completed and Finish succeeds. On a
+// until the job's Iters epochs have completed and Finish succeeds. On a
 // retryable failure it closes the attempt's engine, bumps the
 // generation and tries again, up to Retries times.
 func Run(cfg Config) (Result, error) {
@@ -279,47 +286,65 @@ func runAttempt(cfg *Config, gen int, res *Result) error {
 			return rerr
 		}
 	}
-	for epoch < cfg.Iters {
-		k := cfg.Iters - epoch
+	for epoch < job.Iters {
+		k := job.Iters - epoch
 		if cfg.CheckpointEvery > 0 && k > cfg.CheckpointEvery {
 			k = cfg.CheckpointEvery
 		}
 		if marker != nil {
 			marker.MarkEpoch(epoch + 1)
 		}
-		if err := stepWatched(cfg, tr, job, k); err != nil {
+		if err := stepWatched(cfg, tr, job, epoch, k); err != nil {
 			return err
 		}
 		epoch += k
-		if cfg.CheckpointEvery > 0 && epoch < cfg.Iters {
+		if cfg.CheckpointEvery > 0 && epoch < job.Iters {
 			if err := eng.Checkpoint(cfg.Dir, epoch, job.Arrays); err != nil {
 				return err
 			}
 		}
 	}
 	if marker != nil {
-		marker.MarkEpoch(cfg.Iters + 1)
+		marker.MarkEpoch(job.Iters + 1)
 	}
 	return job.Finish()
 }
 
 // stepWatched runs one epoch chunk under the watchdog: a chunk that
-// neither completes nor fails within EpochTimeout fails the transport
-// (unblocking every worker) and the attempt.
-func stepWatched(cfg *Config, tr transport.Transport, job Job, k int) error {
+// neither completes, fails nor makes progress for EpochTimeout fails
+// the transport (unblocking every worker) and the attempt.
+func stepWatched(cfg *Config, tr transport.Transport, job Job, epoch, k int) error {
 	if cfg.EpochTimeout <= 0 {
-		return job.Step(k)
+		return job.Step(epoch, k)
 	}
 	done := make(chan error, 1)
-	go func() { done <- job.Step(k) }()
-	timer := time.NewTimer(cfg.EpochTimeout)
-	defer timer.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-timer.C:
-		tr.Fail(fmt.Errorf("%w: no progress in %v", errWatchdog, cfg.EpochTimeout))
-		<-done // Step observes the sticky failure and returns
-		return fmt.Errorf("%w: no progress in %v", errWatchdog, cfg.EpochTimeout)
+	go func() { done <- job.Step(epoch, k) }()
+	tick := time.NewTicker(max(cfg.EpochTimeout/8, time.Millisecond))
+	defer tick.Stop()
+	seen, last := progress(tr), time.Now()
+	for {
+		select {
+		case err := <-done:
+			return err
+		case now := <-tick.C:
+			if p := progress(tr); p != seen {
+				seen, last = p, now
+			} else if now.Sub(last) >= cfg.EpochTimeout {
+				err := fmt.Errorf("%w: no progress in %v", errWatchdog, cfg.EpochTimeout)
+				tr.Fail(err)
+				<-done // Step observes the sticky failure and returns
+				return err
+			}
+		}
 	}
+}
+
+// progress is what the watchdog watches: the process's dispatch and
+// iteration counts and the frames its wire has received.
+func progress(tr transport.Transport) [3]int64 {
+	p := [3]int64{obs.CurrentEpoch(), obs.Iterations()}
+	if wc, ok := tr.(transport.WireCounter); ok {
+		p[2] = wc.Wire().FramesRecv
+	}
+	return p
 }

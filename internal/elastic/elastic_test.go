@@ -4,15 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"hpfnt/internal/engine"
+	"hpfnt/internal/interp"
 	"hpfnt/internal/machine"
+	"hpfnt/internal/obs"
 	"hpfnt/internal/transport"
-	"hpfnt/internal/workload"
 )
 
 func freeAddr(t *testing.T) string {
@@ -26,59 +28,65 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
-// reference runs the workload uninterrupted on a fresh in-process
-// engine.
-func reference(t *testing.T, name string, np, n, iters int) workload.NodeResult {
+// heat2d loads the corpus program the recovery tests run — an
+// in-place stencil whose every iteration reads the last, so a wrong
+// restore changes the values — with ITERS set to iters.
+func heat2d(t *testing.T, iters int) (interp.Config, string) {
 	t.Helper()
-	eng, err := engine.NewOn(engine.SPMD, engine.InprocTransport, np, machine.DefaultCost())
+	src, err := interp.ReadSource(filepath.Join("..", "interp", "testdata", "programs", "heat2d.hpf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	res, err := workload.RunNode(eng, name, n, iters)
+	cfg := interp.Config{Name: "heat2d", Engine: engine.SPMD, Transport: engine.InprocTransport,
+		Params: map[string]int{"ITERS": iters}}
+	if err := interp.ScanFileOptions(src, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	return cfg, src
+}
+
+// reference runs the program uninterrupted on a fresh in-process
+// engine.
+func reference(t *testing.T, cfg interp.Config, src string) *interp.Result {
+	t.Helper()
+	res, err := cfg.Run(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-// nodeConfig adapts a node workload to an elastic Config, capturing
-// the result via the Finish closure.
-func nodeConfig(name string, n int, out *workload.NodeResult) Config {
+// jobConfig runs the program as the job the interpreter splits it
+// into, capturing the result via the Finish closure.
+func jobConfig(cfg interp.Config, src string, out **interp.Result) Config {
 	return Config{
 		Prepare: func(eng engine.Engine) (Job, error) {
-			job, err := workload.PrepareNode(eng, name, n)
+			j, err := cfg.PrepareOn(eng, src)
 			if err != nil {
 				return Job{}, err
 			}
-			return Job{
-				Arrays: job.Arrays,
-				Step:   job.Step,
-				Finish: func() error {
-					r, err := job.Finish()
-					if err != nil {
-						return err
-					}
-					*out = r
-					return nil
-				},
-			}, nil
+			return Job{Arrays: j.Arrays, Iters: j.Iters, Step: j.Step, Finish: func() (err error) {
+				*out, err = j.Finish()
+				return err
+			}}, nil
 		},
 		Cost: machine.DefaultCost(),
 	}
 }
 
-func checkIdentical(t *testing.T, got, want workload.NodeResult) {
+func checkIdentical(t *testing.T, got, want *interp.Result) {
 	t.Helper()
+	if got.Output != want.Output {
+		t.Fatalf("output after recovery:\n%s\nwant:\n%s", got.Output, want.Output)
+	}
 	if got.Report != want.Report {
 		t.Fatalf("report after recovery differs:\n  recovered %+v\n  reference %+v", got.Report, want.Report)
 	}
-	if got.Sum != want.Sum {
-		t.Fatalf("reduction after recovery: got %g, want %g", got.Sum, want.Sum)
-	}
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("value at offset %d after recovery: got %g, want %g", i, got.Data[i], want.Data[i])
+	for _, name := range want.Names {
+		for i, w := range want.Values[name] {
+			if g := got.Values[name][i]; g != w {
+				t.Fatalf("%s[%d] after recovery: got %g, want %g", name, i, g, w)
+			}
 		}
 	}
 }
@@ -87,14 +95,13 @@ func checkIdentical(t *testing.T, got, want workload.NodeResult) {
 // a healthy single-process wire must be invisible — one attempt,
 // identical results, with and without checkpointing.
 func TestRunCleanInproc(t *testing.T) {
-	const np, n, iters = 4, 24, 6
-	want := reference(t, "heat", np, n, iters)
+	prog, src := heat2d(t, 6)
+	want := reference(t, prog, src)
 	for _, every := range []int{0, 2} {
 		t.Run(fmt.Sprintf("checkpointEvery=%d", every), func(t *testing.T) {
-			var got workload.NodeResult
-			cfg := nodeConfig("heat", n, &got)
-			cfg.Dial = func(gen int) (transport.Transport, error) { return transport.New(transport.Inproc, np) }
-			cfg.Iters = iters
+			var got *interp.Result
+			cfg := jobConfig(prog, src, &got)
+			cfg.Dial = func(gen int) (transport.Transport, error) { return transport.New(transport.Inproc, prog.NP) }
 			cfg.CheckpointEvery = every
 			if every > 0 {
 				cfg.Dir = t.TempDir()
@@ -118,19 +125,18 @@ func TestRunCleanInproc(t *testing.T) {
 // checkpoint, replay, and land on results identical to an
 // uninterrupted run.
 func TestRunChaosRecoveryInproc(t *testing.T) {
-	const np, n, iters = 4, 24, 6
-	want := reference(t, "heat", np, n, iters)
+	prog, src := heat2d(t, 6)
+	want := reference(t, prog, src)
 	plan := &transport.ChaosPlan{DieAtEpoch: 5, DieProc: 0}
-	var got workload.NodeResult
-	cfg := nodeConfig("heat", n, &got)
-	cfg.Dial = func(gen int) (transport.Transport, error) { return transport.New(transport.Inproc, np) }
+	var got *interp.Result
+	cfg := jobConfig(prog, src, &got)
+	cfg.Dial = func(gen int) (transport.Transport, error) { return transport.New(transport.Inproc, prog.NP) }
 	cfg.Wrap = func(tr transport.Transport, gen int) transport.Transport {
 		if gen != cfg.StartGen {
 			return tr // the fault fires only in the first generation
 		}
 		return transport.NewChaos(tr, plan)
 	}
-	cfg.Iters = iters
 	cfg.CheckpointEvery = 2
 	cfg.Dir = t.TempDir()
 	cfg.Retries = 2
@@ -149,13 +155,14 @@ func TestRunChaosRecoveryInproc(t *testing.T) {
 
 // TestRunChaosRecoveryMesh is the full recovery scenario on both
 // multi-process wires, inside one test binary: three members run the
-// heat job under the elastic driver, member 1 dies abruptly at a
+// heat2d program under the elastic driver, member 1 dies abruptly at a
 // scripted epoch, every member (including the victim) rejoins at the
 // bumped generation, restores the checkpoint and replays — and the
 // final result is identical to an uninterrupted in-process run.
 func TestRunChaosRecoveryMesh(t *testing.T) {
-	const np, procs, n, iters = 6, 3, 24, 6
-	want := reference(t, "heat", np, n, iters)
+	const procs = 3
+	prog, src := heat2d(t, 6)
+	want := reference(t, prog, src)
 	for _, wire := range []string{transport.TCP, transport.Shm} {
 		t.Run(wire, func(t *testing.T) {
 			dir := t.TempDir()
@@ -165,7 +172,7 @@ func TestRunChaosRecoveryMesh(t *testing.T) {
 				addr = freeAddr(t)
 			}
 			plan := &transport.ChaosPlan{Generation: 1, DieAtEpoch: 3, DieProc: 1}
-			results := make([]workload.NodeResult, procs)
+			results := make([]*interp.Result, procs)
 			runs := make([]Result, procs)
 			errs := make([]error, procs)
 			var wg sync.WaitGroup
@@ -173,16 +180,15 @@ func TestRunChaosRecoveryMesh(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					cfg := nodeConfig("heat", n, &results[i])
+					cfg := jobConfig(prog, src, &results[i])
 					cfg.Dial = func(gen int) (transport.Transport, error) {
-						return transport.Join(wire, transport.Config{Job: "elastic-test", NP: np, Procs: procs, Self: i,
+						return transport.Join(wire, transport.Config{Job: "elastic-test", NP: prog.NP, Procs: procs, Self: i,
 							Generation: gen, Addr: addr, Dir: dir, Timeout: 10 * time.Second, Heartbeat: 20 * time.Millisecond})
 					}
 					cfg.Wrap = func(tr transport.Transport, gen int) transport.Transport {
 						return transport.NewChaos(tr, plan)
 					}
 					cfg.Self = i
-					cfg.Iters = iters
 					cfg.CheckpointEvery = 2
 					cfg.Dir = spill
 					cfg.Retries = 3
@@ -223,21 +229,20 @@ func TestRunChaosRecoveryMesh(t *testing.T) {
 // published replays from epoch 0 and still lands on identical
 // results.
 func TestRunRecoveryWithoutCheckpoints(t *testing.T) {
-	const np, n, iters = 4, 24, 5
-	want := reference(t, "heat", np, n, iters)
+	prog, src := heat2d(t, 5)
+	want := reference(t, prog, src)
 	// No checkpointing means the job runs as one chunk, so the only
 	// epoch mark inside the loop is 1 — script the death there.
 	plan := &transport.ChaosPlan{DieAtEpoch: 1, DieProc: 0}
-	var got workload.NodeResult
-	cfg := nodeConfig("heat", n, &got)
-	cfg.Dial = func(gen int) (transport.Transport, error) { return transport.New(transport.Inproc, np) }
+	var got *interp.Result
+	cfg := jobConfig(prog, src, &got)
+	cfg.Dial = func(gen int) (transport.Transport, error) { return transport.New(transport.Inproc, prog.NP) }
 	cfg.Wrap = func(tr transport.Transport, gen int) transport.Transport {
 		if gen != cfg.StartGen {
 			return tr
 		}
 		return transport.NewChaos(tr, plan)
 	}
-	cfg.Iters = iters
 	cfg.Retries = 1
 	res, err := Run(cfg)
 	if err != nil {
@@ -252,15 +257,15 @@ func TestRunRecoveryWithoutCheckpoints(t *testing.T) {
 // TestRunRetriesExhausted: a fault that fires in every generation
 // must surface the retryable error once Retries is spent.
 func TestRunRetriesExhausted(t *testing.T) {
-	const np = 2
-	var got workload.NodeResult
-	cfg := nodeConfig("heat", 16, &got)
-	cfg.Dial = func(gen int) (transport.Transport, error) { return transport.New(transport.Inproc, np) }
+	prog, src := heat2d(t, 4)
+	prog.Params["N"] = 16
+	var got *interp.Result
+	cfg := jobConfig(prog, src, &got)
+	cfg.Dial = func(gen int) (transport.Transport, error) { return transport.New(transport.Inproc, prog.NP) }
 	cfg.Wrap = func(tr transport.Transport, gen int) transport.Transport {
 		// Unconditional: the fault re-fires after every rejoin.
 		return transport.NewChaos(tr, &transport.ChaosPlan{DieAtEpoch: 1, DieProc: 0})
 	}
-	cfg.Iters = 4
 	cfg.Retries = 2
 	res, err := Run(cfg)
 	if err == nil {
@@ -284,7 +289,8 @@ func TestRunWatchdog(t *testing.T) {
 		Wrap: func(inner transport.Transport, gen int) transport.Transport { tr = inner; return inner },
 		Prepare: func(eng engine.Engine) (Job, error) {
 			return Job{
-				Step: func(k int) error {
+				Iters: 1,
+				Step: func(epoch, k int) error {
 					// A wedged chunk: blocks until the transport is
 					// failed (as a real engine collective would).
 					for tr.Err() == nil {
@@ -296,7 +302,6 @@ func TestRunWatchdog(t *testing.T) {
 			}, nil
 		},
 		Cost:         machine.DefaultCost(),
-		Iters:        1,
 		EpochTimeout: 50 * time.Millisecond,
 	}
 	start := time.Now()
@@ -313,6 +318,100 @@ func TestRunWatchdog(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("watchdog took %v to fire", elapsed)
 	}
+}
+
+// TestWatchdogSparesProgress: a chunk that runs for three watchdog
+// periods while making progress must complete — whether it dispatches
+// every few milliseconds, or is one dispatch that replays a statement
+// (heat.hpf's invariant loop body runs as a single RunN whose ghosts
+// cross the wire once).
+func TestWatchdogSparesProgress(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	watched := func(t *testing.T, np int, prepare func(eng engine.Engine) (Job, error)) {
+		t.Helper()
+		cfg := Config{
+			Dial:         func(gen int) (transport.Transport, error) { return transport.New(transport.Inproc, np) },
+			Prepare:      prepare,
+			Cost:         machine.DefaultCost(),
+			EpochTimeout: timeout,
+		}
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("a job that kept making progress failed: %v", err)
+		}
+	}
+
+	t.Run("dispatches", func(t *testing.T) {
+		prog, src := heat2d(t, 1)
+		watched(t, prog.NP, func(eng engine.Engine) (Job, error) {
+			j, err := prog.PrepareOn(eng, src)
+			if err != nil {
+				return Job{}, err
+			}
+			return Job{
+				Arrays: j.Arrays,
+				Iters:  1,
+				Step: func(epoch, k int) error {
+					for end := time.Now().Add(3 * timeout); time.Now().Before(end); time.Sleep(3 * time.Millisecond) {
+						if err := j.Step(0, 1); err != nil { // one sweep: one dispatch
+							return err
+						}
+					}
+					return nil
+				},
+				Finish: func() error { return nil },
+			}, nil
+		})
+	})
+
+	t.Run("one replay", func(t *testing.T) {
+		src, err := interp.ReadSource(filepath.Join("..", "interp", "testdata", "programs", "heat.hpf"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := interp.Config{Name: "heat", Engine: engine.SPMD, Transport: engine.InprocTransport, Params: map[string]int{}}
+		if err := interp.ScanFileOptions(src, &prog); err != nil {
+			t.Fatal(err)
+		}
+		// Size the loop so that its one dispatch outlasts three
+		// watchdog periods, however fast the host runs it.
+		var want, got *interp.Result
+		for {
+			start := time.Now()
+			want = reference(t, prog, src)
+			if time.Since(start) >= 3*timeout {
+				break
+			}
+			prog.Params["ITERS"] *= 4
+		}
+		watched(t, prog.NP, func(eng engine.Engine) (Job, error) {
+			j, err := prog.PrepareOn(eng, src)
+			if err != nil {
+				return Job{}, err
+			}
+			return Job{
+				Arrays: j.Arrays,
+				Iters:  j.Iters,
+				Step: func(epoch, k int) error {
+					start, before := time.Now(), obs.CurrentEpoch()
+					if err := j.Step(epoch, k); err != nil {
+						return err
+					}
+					if d := obs.CurrentEpoch() - before; d != 1 {
+						return fmt.Errorf("the loop took %d dispatches, want one", d)
+					}
+					if el := time.Since(start); el < timeout {
+						return fmt.Errorf("the dispatch took %v, shorter than the %v watchdog", el, timeout)
+					}
+					return nil
+				},
+				Finish: func() (err error) {
+					got, err = j.Finish()
+					return err
+				},
+			}, nil
+		})
+		checkIdentical(t, got, want)
+	})
 }
 
 // TestGenerationFile pins the leader-published generation protocol.

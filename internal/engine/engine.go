@@ -17,7 +17,7 @@
 // shared-memory rings) and "tcp" (length-prefixed frames over
 // localhost sockets); sim always runs on the in-process wire and only
 // validates the name. Multi-process spmd engines are built directly
-// over a joined transport with NewSPMDOn (see cmd/hpfnode).
+// over a joined transport with NewSPMDOn (see cmd/hpfrun).
 package engine
 
 import (
@@ -285,7 +285,7 @@ func validTransport(kind string) error {
 
 // NewSPMDOn creates a spmd backend over an existing (possibly
 // multi-process, already joined) transport. The engine owns the
-// transport: Close closes it. This is how cmd/hpfnode builds the
+// transport: Close closes it. This is how cmd/hpfrun builds the
 // engine of a distributed job.
 func NewSPMDOn(tr transport.Transport, cost machine.CostModel) (Engine, error) {
 	return newSPMDOn(tr, cost)

@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,6 +34,7 @@ import (
 
 	"hpfnt/hpf"
 	"hpfnt/internal/directive"
+	"hpfnt/internal/engine"
 	"hpfnt/internal/index"
 )
 
@@ -99,14 +101,82 @@ func NewWith(prog *hpf.Program, opts Options) *Interp {
 	}
 }
 
-// Run parses and executes src, returning the observable result.
-// Calling Run again continues in the same program state.
+// Run parses and executes src, returning the observable result: the
+// job of src, prepared, stepped through its whole epoch loop and
+// finished. Calling Run again continues in the same program state.
 func (ip *Interp) Run(src string) (*Result, error) {
+	j, err := ip.Prepare(src)
+	if err != nil {
+		return nil, err
+	}
+	if err := j.Step(0, j.Iters); err != nil {
+		return nil, err
+	}
+	return j.Finish()
+}
+
+// Job is a program split at its epoch loop — the first top-level DO
+// whose body holds only array assignments — so that a driver (package
+// elastic) can run the loop's iterations in chunks, checkpoint Arrays
+// between them, and after a restore resume at a later iteration.
+// Prepare has run the statements before the loop, Step runs its
+// iterations, and Finish runs the rest of the program.
+type Job struct {
+	// Arrays are the engine arrays of every materialized array in
+	// materialization order, including every array the loop names.
+	Arrays []engine.Array
+	// Iters is the epoch loop's trip count (0 without an epoch loop).
+	Iters int
+
+	ip   *Interp
+	loop *doLoop
+	trip index.Triplet
+	rest []node
+}
+
+// Prepare parses src and runs the statements before its epoch loop,
+// then evaluates the loop's bounds and materializes every array the
+// loop names. Without an epoch loop, Finish runs the whole program.
+func (ip *Interp) Prepare(src string) (*Job, error) {
 	nodes, err := parseProgram(src)
 	if err != nil {
 		return nil, err
 	}
-	for _, n := range nodes {
+	j := &Job{ip: ip, rest: nodes}
+	if at, _ := epochLoop(nodes); at >= 0 {
+		for _, n := range nodes[:at] {
+			if err := ip.exec(n); err != nil {
+				return nil, err
+			}
+		}
+		j.loop, j.rest = nodes[at].(*doLoop), nodes[at+1:]
+		if err := ip.charge(j.loop.ln, 1); err != nil {
+			return nil, err
+		}
+		if j.trip, err = ip.loopRange(j.loop); err != nil {
+			return nil, err
+		}
+		if j.Iters = j.trip.Count(); j.Iters > 0 {
+			if err := ip.materialize(j.loop.body); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, name := range ip.order {
+		j.Arrays = append(j.Arrays, ip.arrays[name].EngineArray())
+	}
+	return j, nil
+}
+
+// Step runs the epoch loop's iterations epoch+1 .. epoch+k as a DO
+// statement runs them, charging the statement budget the same way.
+func (j *Job) Step(epoch, k int) error { return j.ip.iterate(j.loop, j.trip, epoch, k) }
+
+// Finish runs the statements after the epoch loop and returns the
+// program's observable result.
+func (j *Job) Finish() (*Result, error) {
+	ip := j.ip
+	for _, n := range j.rest {
 		if err := ip.exec(n); err != nil {
 			return nil, err
 		}
@@ -121,6 +191,78 @@ func (ip *Interp) Run(src string) (*Result, error) {
 		res.Values[name] = ip.arrays[name].Data()
 	}
 	return res, nil
+}
+
+// CheckEpochLoop reports whether src has an epoch loop to checkpoint
+// at, with an error positioned at what keeps it from having one.
+func CheckEpochLoop(src string) error {
+	nodes, err := parseProgram(src)
+	if err != nil {
+		return err
+	}
+	_, err = epochLoop(nodes)
+	return err
+}
+
+// epochLoop returns the index in nodes of the epoch loop: the first
+// top-level DO whose body holds only array assignments. Without one it
+// returns -1 and an error positioned at the statement that disqualifies
+// the first top-level DO, or at the last statement if there is no DO.
+func epochLoop(nodes []node) (int, error) {
+	var why error
+	for i, n := range nodes {
+		l, ok := n.(*doLoop)
+		if !ok {
+			continue
+		}
+		bad := slices.IndexFunc(l.body, func(b node) bool { _, ok := b.(*assignStmt); return !ok })
+		if bad < 0 {
+			return i, nil
+		}
+		if why == nil {
+			why = errf(l.body[bad].line(), "the DO at line %d is no epoch loop: its body holds %s", l.ln, stmtKind(l.body[bad]))
+		}
+	}
+	if why == nil {
+		ln := 0
+		if len(nodes) > 0 {
+			ln = nodes[len(nodes)-1].line()
+		}
+		why = errf(ln, "no epoch loop: the program has no top-level DO")
+	}
+	return -1, why
+}
+
+// stmtKind names a statement that is not an array assignment.
+func stmtKind(n node) string {
+	switch n.(type) {
+	case *dirLine:
+		return "a directive"
+	case *printStmt:
+		return "a PRINT"
+	case *forallStmt:
+		return "a FORALL"
+	}
+	return "a nested DO"
+}
+
+// materialize materializes, in textual order, every declared array the
+// statements reference, as their first execution would.
+func (ip *Interp) materialize(body []node) error {
+	for _, n := range body {
+		toks := n.(*assignStmt).toks
+		for i, t := range toks[:len(toks)-1] {
+			if t.Kind != directive.TokIdent || toks[i+1].Kind != directive.TokLParen {
+				continue
+			}
+			if _, ok := ip.prog.Unit.Array(t.Text); ok {
+				if _, err := ip.array(n.line(), t.Text); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Check parses src without executing it, reporting the first syntax
@@ -173,7 +315,7 @@ func (ip *Interp) array(ln int, name string) (*hpf.DistArray, error) {
 	}
 	a, err := ip.prog.NewArray(name)
 	if err != nil {
-		return nil, errf(ln, "%v", err)
+		return nil, errf(ln, "%w", err)
 	}
 	ip.arrays[name] = a
 	ip.order = append(ip.order, name)
@@ -199,7 +341,11 @@ func (ip *Interp) exec(n node) error {
 	case *printStmt:
 		return ip.execPrint(t)
 	case *doLoop:
-		return ip.execLoop(t)
+		tr, err := ip.loopRange(t)
+		if err != nil {
+			return err
+		}
+		return ip.iterate(t, tr, 0, tr.Count())
 	default:
 		return errf(n.line(), "internal: unknown node %T", n)
 	}
@@ -210,7 +356,7 @@ func (ip *Interp) exec(n node) error {
 // changed a mapping.
 func (ip *Interp) execDirective(d *dirLine) error {
 	if err := ip.prog.Interp.ExecLine(d.raw); err != nil {
-		return errf(d.ln, "%v", err)
+		return errf(d.ln, "%w", err)
 	}
 	if remapKeywords[d.keyword] {
 		return ip.remapAll(d.ln)
@@ -231,7 +377,7 @@ func (ip *Interp) remapAll(ln int) error {
 			continue
 		}
 		if _, err := ip.arrays[name].Remap(); err != nil {
-			return errf(ln, "remapping %s: %v", name, err)
+			return errf(ln, "remapping %s: %w", name, err)
 		}
 		keep = append(keep, name)
 	}
@@ -717,7 +863,7 @@ func (ip *Interp) schedule(ln int, r *resolved) (*hpf.Schedule, error) {
 		s, err = newIrregular(r)
 	}
 	if err != nil {
-		return nil, errf(ln, "%v", err)
+		return nil, errf(ln, "%w", err)
 	}
 	// A loop whose regions depend on the loop variable compiles a
 	// schedule per iteration and never asks for it again: without a
@@ -763,16 +909,13 @@ func (ip *Interp) execResolved(ln int, r *resolved, iters int) error {
 		err = s.RunN(iters)
 	}
 	if err != nil {
-		return errf(ln, "%v", err)
+		return errf(ln, "%w", err)
 	}
 	return nil
 }
 
-// execLoop runs DO var = lo, hi[, step] ... END DO. A loop whose body
-// is a single assignment not referencing the loop variable compiles
-// once and replays via RunN — the compiled-schedule path the paper's
-// iterated stencils rely on.
-func (ip *Interp) execLoop(l *doLoop) error {
+// loopRange evaluates the bounds of DO var = lo, hi[, step].
+func (ip *Interp) loopRange(l *doLoop) (index.Triplet, error) {
 	evalBound := func(toks []directive.Token) (int, error) {
 		c := &cursor{ip: ip, ln: l.ln, toks: append(append([]directive.Token(nil), toks...), directive.Token{Kind: directive.TokEOF})}
 		v, err := c.intExpr()
@@ -783,24 +926,30 @@ func (ip *Interp) execLoop(l *doLoop) error {
 	}
 	lo, err := evalBound(l.lo)
 	if err != nil {
-		return err
+		return index.Triplet{}, err
 	}
 	hi, err := evalBound(l.hi)
 	if err != nil {
-		return err
+		return index.Triplet{}, err
 	}
 	step := 1
 	if l.step != nil {
 		if step, err = evalBound(l.step); err != nil {
-			return err
+			return index.Triplet{}, err
 		}
 		if step == 0 {
-			return errf(l.ln, "DO step must be nonzero")
+			return index.Triplet{}, errf(l.ln, "DO step must be nonzero")
 		}
 	}
-	tr := index.Triplet{Low: lo, High: hi, Stride: step}
-	n := tr.Count()
-	if n == 0 {
+	return index.Triplet{Low: lo, High: hi, Stride: step}, nil
+}
+
+// iterate runs iterations from+1 .. from+k of the loop l over tr. A
+// body that is a single assignment not referencing the loop variable
+// compiles once and replays via RunN — the compiled-schedule path the
+// paper's iterated stencils rely on.
+func (ip *Interp) iterate(l *doLoop, tr index.Triplet, from, k int) error {
+	if k == 0 {
 		return nil
 	}
 	if st, ok := l.invariantBody(); ok {
@@ -809,14 +958,14 @@ func (ip *Interp) execLoop(l *doLoop) error {
 			return err
 		}
 		if r.kind != rFill {
-			if err := ip.charge(l.ln, n); err != nil {
+			if err := ip.charge(l.ln, k); err != nil {
 				return err
 			}
-			return ip.execResolved(st.ln, r, n)
+			return ip.execResolved(st.ln, r, k)
 		}
 	}
-	for k := 0; k < n; k++ {
-		ip.prog.SetParam(l.varName, tr.At(k))
+	for i := from; i < from+k; i++ {
+		ip.prog.SetParam(l.varName, tr.At(i))
 		for _, nd := range l.body {
 			if err := ip.exec(nd); err != nil {
 				return err
@@ -996,7 +1145,7 @@ func (ip *Interp) execPrint(p *printStmt) error {
 		}
 		v, err := arr.Reduce(op)
 		if err != nil {
-			return errf(p.ln, "%v", err)
+			return errf(p.ln, "%w", err)
 		}
 		fmt.Fprintf(&ip.out, "%s(%s) = %s\n", t.Text, nameTok.Text, formatValue(v))
 		return nil

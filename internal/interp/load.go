@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"hpfnt/hpf"
+	"hpfnt/internal/engine"
 )
 
 // Config gathers everything needed to run a program text: the
@@ -65,8 +66,8 @@ func (cfg Config) NewProgram() (*hpf.Program, error) {
 }
 
 // Apply sets the config's parameters and model options on an existing
-// program (used by cmd/hpfrun's -spawn mode, whose engine is built
-// over a joined transport before the program exists).
+// program (one built over an engine the caller owns, as PrepareOn
+// does).
 func (cfg Config) Apply(prog *hpf.Program) {
 	prog.UseViennaBlock(cfg.Vienna)
 	if cfg.Templates {
@@ -89,6 +90,18 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// PrepareOn builds a program over eng, which it then owns, applies the
+// config and prepares src as a job on it: what every member of a
+// multi-process hpfrun job does on each attempt.
+func (cfg Config) PrepareOn(eng engine.Engine, src string) (*Job, error) {
+	prog, err := hpf.NewProgramOn(cfg.Name, eng)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Apply(prog)
+	return NewWith(prog, cfg.Limits).Prepare(src)
 }
 
 // Run builds the program, interprets src on it, and closes it. The

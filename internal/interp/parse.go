@@ -98,8 +98,9 @@ func IsDirectiveLine(line string) bool {
 	return directiveKeywords[toks[0].Text]
 }
 
+// errf positions an error at a source line; a %w verb wraps.
 func errf(ln int, format string, args ...any) error {
-	return fmt.Errorf("interp: line %d: %s", ln, fmt.Sprintf(format, args...))
+	return fmt.Errorf("interp: line %d: "+format, append([]any{ln}, args...)...)
 }
 
 // parseProgram splits the source into lines and builds the AST.
@@ -129,7 +130,7 @@ func parseProgram(src string) ([]node, error) {
 		}
 		toks, err := directive.Lex(body)
 		if err != nil {
-			return nil, errf(ln, "%v", err)
+			return nil, errf(ln, "%w", err)
 		}
 		if toks[0].Kind != directive.TokIdent {
 			return nil, errf(ln, "statement must begin with a keyword or array name, found %s %q", toks[0].Kind, toks[0].Text)

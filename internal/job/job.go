@@ -1,6 +1,5 @@
-// Package job is the localhost job supervisor the multi-process
-// commands (hpfnode, hpfrun) share: the leader resolves a rendezvous
-// address, re-executes its own binary once per peer process with the
+// Package job is the localhost job supervisor of cmd/hpfrun's
+// multi-process jobs: the leader resolves a rendezvous address, re-executes its own binary once per peer process with the
 // flags the user set, and then owns those children — it can SIGKILL and
 // replace one (the fault injector's respawn), kill them all when the
 // leader has already failed the job, and reap them under a bound so a

@@ -98,19 +98,23 @@ func (m *Machine) checkProc(p int) {
 
 // Send records one aggregated message of n elements from src to dst.
 // Self-sends are ignored (local copies are free in this model).
-func (m *Machine) Send(src, dst, n int) {
+func (m *Machine) Send(src, dst, n int) { m.SendN(src, dst, n, 1) }
+
+// SendN records count messages of n elements each from src to dst,
+// exactly as count calls of Send would.
+func (m *Machine) SendN(src, dst, n, count int) {
 	m.checkProc(src)
 	m.checkProc(dst)
-	if src == dst || n <= 0 {
+	if src == dst || n <= 0 || count <= 0 {
 		return
 	}
 	k := pair{src, dst}
-	m.msgs[k]++
-	m.elems[k] += n
-	m.sendMsgs[src]++
-	m.recvMsgs[dst]++
-	m.sendElems[src] += int64(n)
-	m.recvElems[dst] += int64(n)
+	m.msgs[k] += count
+	m.elems[k] += n * count
+	m.sendMsgs[src] += int64(count)
+	m.recvMsgs[dst] += int64(count)
+	m.sendElems[src] += int64(n) * int64(count)
+	m.recvElems[dst] += int64(n) * int64(count)
 }
 
 // AddWireFrames counts n physical frames actually handed to the

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -40,6 +41,25 @@ func TestSendAggregation(t *testing.T) {
 	}
 	if tm[0].Src != 1 || tm[0].Dst != 2 || tm[0].Elements != 15 || tm[0].Messages != 2 {
 		t.Fatalf("entry = %+v", tm[0])
+	}
+}
+
+// TestSendN: count messages recorded at once are count Sends.
+func TestSendN(t *testing.T) {
+	one, bulk := newMachine(t, 4), newMachine(t, 4)
+	for range 3 {
+		one.Send(1, 2, 5)
+	}
+	one.Send(3, 4, 7)
+	bulk.SendN(1, 2, 5, 3)
+	bulk.SendN(3, 4, 7, 1)
+	bulk.SendN(2, 2, 9, 4) // self-sends stay free
+	bulk.SendN(1, 3, 9, 0)
+	if got, want := bulk.Stats(), one.Stats(); got != want {
+		t.Fatalf("SendN report %+v, want %+v", got, want)
+	}
+	if got, want := bulk.TrafficMatrix(), one.TrafficMatrix(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SendN traffic %v, want %v", got, want)
 	}
 }
 

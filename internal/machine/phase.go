@@ -178,8 +178,7 @@ func (d Detail) ComputeWeights() (weights []int64, source string) {
 
 // String renders the detail as a human-readable table: one row per
 // worker (load, traffic, phase seconds) followed by the traffic
-// matrix — what `hpfnode -verbose` prints in place of the terse
-// verification line.
+// matrix — what `hpfrun -verbose` prints after a job's output.
 func (d Detail) String() string {
 	var b strings.Builder
 	r := d.Report

@@ -4,7 +4,7 @@
 // the questions the counters alone cannot — which message chain
 // bounds each epoch (the critical path), how skewed the workers are,
 // and which rank is the straggler. cmd/hpftrace renders its reports;
-// hpfnode publishes the live equivalent through obs.SkewMonitor.
+// hpfrun publishes the live equivalent through obs.SkewMonitor.
 package analyze
 
 import (

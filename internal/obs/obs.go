@@ -22,7 +22,7 @@
 //     rollbacks, member losses) are then captured into a fixed-size
 //     ring and exportable as a Chrome trace.
 //
-// Both are flipped by the observability flags of cmd/hpfnode
+// Both are flipped by the observability flags of cmd/hpfrun
 // (-http/-trace/-verbose) and cmd/hpfbench (-trace).
 package obs
 
@@ -240,3 +240,13 @@ func CurrentEpoch() int64 { return epoch.Load() }
 // SetEpoch forces the epoch counter, used when a process rejoins a job
 // mid-flight and must adopt the job's epoch instead of its own.
 func SetEpoch(e int64) { epoch.Store(e) }
+
+// iterations counts the statement iterations this process computed:
+// the elastic watchdog's progress within one dispatch that replays.
+var iterations atomic.Int64
+
+// AdvanceIteration records one computed statement iteration.
+func AdvanceIteration() { iterations.Add(1) }
+
+// Iterations returns the process-wide iteration count.
+func Iterations() int64 { return iterations.Load() }

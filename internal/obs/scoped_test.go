@@ -57,7 +57,7 @@ func TestRegistryWithLabels(t *testing.T) {
 	}
 }
 
-// one wraps a single unlabeled sample (test helper mirroring hpfnode's).
+// one wraps a single unlabeled sample (test helper mirroring hpfrun's).
 func one(v float64) []Sample { return []Sample{{Value: v}} }
 
 func TestRegistryWithLabelsConflicts(t *testing.T) {

@@ -191,7 +191,7 @@ type SkewSample struct {
 // SkewMonitor is the live imbalance sensor: feed it cumulative
 // per-worker weights (compute-phase nanoseconds when timers are on,
 // element load otherwise) and, optionally, trace events; read the
-// current diagnosis with Sample. hpfnode publishes the sample as the
+// current diagnosis with Sample. hpfrun publishes the sample as the
 // hpfnt_epoch_skew_ratio / hpfnt_critical_path_ns /
 // hpfnt_straggler_rank metric families — the online signal ROADMAP's
 // counter-driven load balancing consumes.

@@ -18,7 +18,7 @@
 // inproc transport keeps today's capacity-1 buffered channel per
 // ordered worker pair, and the tcp transport carries the same streams
 // as length-prefixed frames over localhost sockets, so an engine can
-// span several OS processes (cmd/hpfnode). In a multi-process job
+// span several OS processes (cmd/hpfrun). In a multi-process job
 // every process runs the same deterministic control flow — mappings,
 // layouts and compiled plans are replicated metadata — but each
 // process allocates array values and executes worker epochs only for
@@ -185,7 +185,7 @@ func NewOn(tr transport.Transport, cost machine.CostModel) (*Engine, error) {
 	// Multi-process engines are excluded — their Close performs a
 	// collective shutdown barrier, which must never run on (and
 	// potentially wedge) the runtime's finalizer goroutine; a
-	// distributed job closes explicitly (cmd/hpfnode does).
+	// distributed job closes explicitly (cmd/hpfrun does).
 	if tr.Procs() == 1 {
 		gort.SetFinalizer(e, func(e *Engine) { e.Close() })
 	}
@@ -430,9 +430,7 @@ func (e *Engine) flush(p int, c *counters) {
 	e.mach.RecordLocal(c.localRefs)
 	e.mach.RecordRemote(c.remoteRefs)
 	for _, s := range c.sends {
-		for i := 0; i < c.msgs; i++ {
-			e.mach.Send(p, s.dst, s.elems)
-		}
+		e.mach.SendN(p, s.dst, s.elems, c.msgs)
 		e.mach.AddWireFrames(c.frames)
 	}
 	if c.phase != nil {

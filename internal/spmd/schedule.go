@@ -203,6 +203,9 @@ func (s *Schedule) ExecuteN(iters int) error {
 	// scattered buffer stays valid for the replays.
 	last := 2*iters - 1
 	err := e.run(last+1, func(p, k int) {
+		if k%2 == 1 {
+			obs.AdvanceIteration() // progress for the elastic watchdog
+		}
 		wp := s.plans[p]
 		if wp == nil {
 			return

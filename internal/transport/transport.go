@@ -14,7 +14,7 @@
 // process's membership in a job on any of them and Join(kind, cfg)
 // makes it a member; the latter two let the identical compiled
 // schedules, remaps, reductions and inspector plans execute across
-// real OS processes (see cmd/hpfnode).
+// real OS processes (see cmd/hpfrun).
 //
 // Contract: messages between one ordered rank pair (src,dst) are
 // delivered FIFO; streams of distinct pairs are independent. Send

@@ -6,23 +6,22 @@ import (
 	"testing"
 
 	"hpfnt/internal/engine"
+	"hpfnt/internal/interp"
 	"hpfnt/internal/machine"
 	"hpfnt/internal/obs"
 )
 
 // TestObservabilityValuesUnchanged is the correctness half of the
 // observability budget: with phase timers and the trace recorder
-// both live, a workload must compute byte-identical values and an
-// identical *logical* report — only Report.Phase may differ.
+// both live, a program must print the same bytes and compute
+// byte-identical values and an identical *logical* report — only
+// Report.Phase may differ.
 func TestObservabilityValuesUnchanged(t *testing.T) {
-	run := func() NodeResult {
+	cfg, src := corpusProgram(t, "heat2d", 5)
+	cfg.Engine = engine.SPMD
+	run := func() *interp.Result {
 		t.Helper()
-		eng, err := engine.New(engine.SPMD, 4, machine.DefaultCost())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
-		res, err := RunNode(eng, "heat", 32, 5)
+		res, err := cfg.Run(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,22 +35,12 @@ func TestObservabilityValuesUnchanged(t *testing.T) {
 	obs.StopTrace()
 	obs.EnableTiming(false)
 
-	if got, want := observed.Report.Logical(), plain.Report.Logical(); got != want {
-		t.Errorf("instrumentation changed the logical report:\n observed %+v\n plain    %+v", got, want)
-	}
+	sameResult(t, "instrumented", observed, plain)
 	if observed.Report.Phase == (machine.PhaseSeconds{}) {
 		t.Error("phase timers were on but Report.Phase is all-zero")
 	}
 	if plain.Report.Phase != (machine.PhaseSeconds{}) {
 		t.Errorf("timers off but Report.Phase is nonzero: %+v", plain.Report.Phase)
-	}
-	if len(observed.Data) != len(plain.Data) {
-		t.Fatalf("value vector length changed: %d vs %d", len(observed.Data), len(plain.Data))
-	}
-	for i := range plain.Data {
-		if observed.Data[i] != plain.Data[i] {
-			t.Fatalf("instrumentation changed value %d: %g vs %g", i, observed.Data[i], plain.Data[i])
-		}
 	}
 	events := rec.Snapshot()
 	if len(events) == 0 {

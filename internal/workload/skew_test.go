@@ -35,7 +35,7 @@ func generalBlockRowMapping(n, np int, bounds []int) (core.ElementMapping, error
 // TestSkewedDistributionNamesStraggler seeds a known imbalance — a
 // GENERAL_BLOCK Jacobi where rank 1 owns 29 of 32 rows — and asserts
 // the skew pipeline (Detail → ComputeWeights → Skew → SkewMonitor,
-// the exact path hpfnode's hpfnt_epoch_skew_ratio gauge takes) names
+// the exact path hpfrun's hpfnt_epoch_skew_ratio gauge takes) names
 // rank 1 as the straggler with at least the constructed ratio. The
 // weights are logical load counters, so the diagnosis is fully
 // deterministic.

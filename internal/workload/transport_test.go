@@ -4,50 +4,28 @@ import (
 	"testing"
 
 	"hpfnt/internal/engine"
-	"hpfnt/internal/machine"
 )
 
-// TestTransportEquivalence is the transport differential: every node
-// workload — dense Jacobi, the irregular sparse-CG gather (with its
-// reduction) and the irregular edge sweep — must produce identical
-// values, reduction results and machine.Report on the spmd engine
-// whether the wire is the inproc channels or real tcp sockets, and
-// both must match sim.
+// TestTransportEquivalence is the transport differential over the job
+// programs: each must produce identical output, values and machine
+// report on the spmd engine whether the wire is the inproc channels,
+// the shm rings or real tcp sockets, and all must match sim.
 func TestTransportEquivalence(t *testing.T) {
-	const n, np, iters = 48, 6, 3
-	for _, name := range NodeWorkloads() {
+	for _, name := range jobPrograms {
 		t.Run(name, func(t *testing.T) {
-			runOn := func(kind, tkind string) NodeResult {
-				t.Helper()
-				eng, err := engine.NewOn(kind, tkind, np, machine.DefaultCost())
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer eng.Close()
-				res, err := RunNode(eng, name, n, iters)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
+			cfg, src := corpusProgram(t, name, 3)
+			cfg.Engine, cfg.Transport = engine.Sim, engine.InprocTransport
+			want, err := cfg.Run(src)
+			if err != nil {
+				t.Fatal(err)
 			}
-			want := runOn(engine.Sim, engine.InprocTransport)
 			for _, tkind := range engine.Transports() {
-				got := runOn(engine.SPMD, tkind)
-				if got.Report != want.Report {
-					t.Errorf("%s report:\n got  %+v\n want %+v", tkind, got.Report, want.Report)
+				cfg.Engine, cfg.Transport = engine.SPMD, tkind
+				got, err := cfg.Run(src)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if got.Sum != want.Sum {
-					t.Errorf("%s reduction: got %g, want %g", tkind, got.Sum, want.Sum)
-				}
-				if len(got.Data) != len(want.Data) {
-					t.Fatalf("%s data length: got %d, want %d", tkind, len(got.Data), len(want.Data))
-				}
-				for i := range want.Data {
-					if got.Data[i] != want.Data[i] {
-						t.Errorf("%s value mismatch at %d: got %g, want %g", tkind, i, got.Data[i], want.Data[i])
-						break
-					}
-				}
+				sameResult(t, tkind, got, want)
 			}
 		})
 	}
