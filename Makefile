@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race race-spmd race-irregular race-tcp race-shm race-recovery node-smoke node-smoke-shm node-recovery node-recovery-shm run-smoke run-smoke-shm obs-smoke obs-recovery-trace trace-analyze-smoke bench bench-smoke speedup amortization overhead corpus fuzz fuzz-engine fuzz-irregular fuzz-interp fuzz-wire docs
+.PHONY: check fmt vet build test lines race race-spmd race-irregular race-tcp race-shm race-recovery node-smoke node-smoke-shm node-recovery node-recovery-shm run-smoke run-smoke-shm obs-smoke obs-recovery-trace trace-analyze-smoke bench bench-smoke speedup amortization overhead corpus fuzz fuzz-engine fuzz-irregular fuzz-interp fuzz-wire docs
 
 check: fmt vet build test docs bench-smoke
 
@@ -142,6 +142,13 @@ docs:
 	done; \
 	if [ $$fail -ne 0 ]; then exit 1; fi; echo "all internal packages documented"
 
+# Non-test Go lines per package under cmd/, internal/, hpf/ and
+# examples/, then their total: the count ROADMAP's line budgets use.
+lines:
+	@find cmd internal hpf examples -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
+
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
@@ -203,6 +210,7 @@ fuzz-interp:
 	$(GO) test -run xxx -fuzz FuzzDirectiveProgram -fuzztime 30s ./internal/interp
 	$(GO) test -run xxx -fuzz FuzzInterpEquivalence -fuzztime 30s ./internal/interp
 	$(GO) test -run xxx -fuzz FuzzIntExpr -fuzztime 30s ./internal/interp
+	$(GO) test -run xxx -fuzz FuzzCompile -fuzztime 30s ./internal/expr
 
 # Fuzz the wires' decoders of bytes written by another process: the tcp
 # handshake, the roster, the framing layer feeding every per-kind

@@ -210,7 +210,7 @@ func BenchmarkAlignmentImage(b *testing.B) {
 	fn, err := align.Normalize(align.Spec{
 		Alignee: "A", Axes: []align.Axis{align.DummyAxis("I")},
 		Base: "B", Subs: []align.Subscript{align.ExprSub(expr.Affine(2, "I", -1))},
-	}, alignee, base, expr.Env{})
+	}, alignee, base, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package align
 
-import (
-	"hpfnt/internal/expr"
-	"hpfnt/internal/index"
-)
+import "hpfnt/internal/index"
 
 // The affine interval form of an alignment function: when every base
 // subscript is affine in its align-dummy (a*J + b, the stride/offset
@@ -48,17 +45,20 @@ func computeAffine(f *Function) *AffineMap {
 		if m.replicated {
 			return nil
 		}
-		lin, err := expr.Linearize(m.e, f.env)
-		if err != nil {
+		if !m.k.Affine() {
 			return nil
 		}
-		d := affDim{aligneeDim: -1, a: lin.Coeff, b: lin.Offset}
-		if lin.Coeff != 0 {
-			d.aligneeDim = m.dummyDim
-		} else {
+		// At most one coefficient is nonzero: that of m.dummyDim.
+		d := affDim{aligneeDim: -1, b: m.k.C}
+		for dim, a := range m.k.Coef {
+			if a != 0 {
+				d.aligneeDim, d.a = dim, a
+			}
+		}
+		if d.aligneeDim < 0 {
 			// Dummyless (or zero-coefficient) subscripts evaluate to
 			// one value; Image clamps it, so clamp here identically.
-			d.b = clamp(lin.Offset, f.Base.Dims[j])
+			d.b = clamp(d.b, f.Base.Dims[j])
 		}
 		am.dims[j] = d
 	}

@@ -25,6 +25,13 @@
 // dimension's bounds (the paper's ŷ = MIN(U_j, y) truncation rule,
 // applied symmetrically at the lower bound as well, which is what the
 // MAX/MIN intrinsics are admitted for).
+//
+// Bounds are evaluated when the directive takes effect: Normalize
+// compiles every subscript once (expr.Compile), folding LBOUND, UBOUND
+// and SIZE to the bounds of that moment, like the specification
+// expressions of HPF. A later reallocation of the array they name does
+// not move the alignee, and the per-element image and the affine form
+// read the same compiled subscripts, so they cannot disagree.
 package align
 
 import (
@@ -135,11 +142,11 @@ type baseMap struct {
 	// replicated marks a base "*" dimension: the alignee element is
 	// aligned with every position along this dimension.
 	replicated bool
-	// e is the subscript expression (nil when replicated). It
-	// references at most one align-dummy.
-	e expr.Expr
+	// k is the compiled subscript, whose slots are the alignee
+	// dimensions. It references at most one align-dummy.
+	k expr.Compiled
 	// dummyDim is the 0-based alignee dimension whose dummy occurs in
-	// e, or -1 for dummyless expressions.
+	// the subscript, or -1 for dummyless expressions.
 	dummyDim int
 }
 
@@ -154,11 +161,9 @@ type Function struct {
 	// Base is the alignment base's index domain I^B.
 	Base index.Domain
 
-	spec  Spec
-	maps  []baseMap
-	env   expr.Env   // bounds resolver captured at normalization
-	names []string   // dummy name per alignee dimension
-	aff   *AffineMap // affine interval form, nil outside the subset
+	spec Spec
+	maps []baseMap
+	aff  *AffineMap // affine interval form, nil outside the subset
 }
 
 // Identity returns the trivial alignment of a domain to itself
@@ -172,7 +177,7 @@ func Identity(name string, dom index.Domain) *Function {
 		axes[i] = DummyAxis(d)
 		subs[i] = ExprSub(expr.Dummy(d))
 	}
-	f, err := Normalize(Spec{Alignee: name, Axes: axes, Base: name, Subs: subs}, dom, dom, expr.Env{})
+	f, err := Normalize(Spec{Alignee: name, Axes: axes, Base: name, Subs: subs}, dom, dom, nil)
 	if err != nil {
 		panic("align: identity normalization failed: " + err.Error())
 	}
@@ -181,9 +186,11 @@ func Identity(name string, dom index.Domain) *Function {
 
 // Normalize applies the §5.1 transformations to a Spec, producing the
 // alignment function. aligneeDom and baseDom are the index domains of
-// the alignee and the alignment base; env supplies array bounds for
-// LBOUND/UBOUND/SIZE intrinsics (its dummy bindings are ignored).
-func Normalize(s Spec, aligneeDom, baseDom index.Domain, env expr.Env) (*Function, error) {
+// the alignee and the alignment base; bounds resolves the LBOUND/
+// UBOUND/SIZE intrinsics, which are read here, once: the bounds an
+// alignment uses are those of the moment its directive takes effect,
+// and a later reallocation of the array they name does not move it.
+func Normalize(s Spec, aligneeDom, baseDom index.Domain, bounds expr.Bounds) (*Function, error) {
 	if len(s.Axes) != aligneeDom.Rank() {
 		return nil, fmt.Errorf("align: %d alignee axes for rank-%d array %s", len(s.Axes), aligneeDom.Rank(), s.Alignee)
 	}
@@ -235,9 +242,11 @@ func Normalize(s Spec, aligneeDom, baseDom index.Domain, env expr.Env) (*Functio
 	usedDummy := map[string]int{} // dummy -> base dim already using it
 	tIdx := 0
 	for j, t := range s.Subs {
+		var e expr.Expr
 		switch t.Kind {
 		case SubStar:
 			maps[j] = baseMap{replicated: true, dummyDim: -1}
+			continue
 		case SubTriplet:
 			i := colonDims[tIdx]
 			tIdx++
@@ -251,17 +260,18 @@ func Normalize(s Spec, aligneeDom, baseDom index.Domain, env expr.Env) (*Functio
 			}
 			// s_i is replaced by new dummy J; t_j by (J − L_i)*ST + LT.
 			j0 := expr.Sub(expr.Dummy(names[i]), expr.Const(aligneeDom.Lower(i)))
-			e := expr.Add(expr.Mul(j0, expr.Const(tr.Stride)), expr.Const(tr.Low))
-			maps[j] = baseMap{e: e, dummyDim: i}
+			e = expr.Add(expr.Mul(j0, expr.Const(tr.Stride)), expr.Const(tr.Low))
+			maps[j].dummyDim = i
 			usedDummy[names[i]] = j
 		case SubExpr:
 			if t.Expr == nil {
 				return nil, fmt.Errorf("align: nil expression subscript %d of %s", j+1, s.Base)
 			}
-			ds := expr.Dummies(t.Expr)
+			e = t.Expr
+			ds := expr.Dummies(e)
 			switch len(ds) {
 			case 0:
-				maps[j] = baseMap{e: t.Expr, dummyDim: -1}
+				maps[j].dummyDim = -1
 			case 1:
 				dim, ok := dimOfDummy[ds[0]]
 				if !ok {
@@ -277,11 +287,16 @@ func Normalize(s Spec, aligneeDom, baseDom index.Domain, env expr.Env) (*Functio
 					return nil, fmt.Errorf("align: align-dummy %s occurs in base subscripts %d and %d (skew alignments are excluded)", ds[0], prev+1, j+1)
 				}
 				usedDummy[ds[0]] = j
-				maps[j] = baseMap{e: t.Expr, dummyDim: dim}
+				maps[j].dummyDim = dim
 			default:
 				return nil, fmt.Errorf("align: subscript %d of %s uses %d align-dummies (%v); at most one is allowed", j+1, s.Base, len(ds), ds)
 			}
 		}
+		k, err := expr.Compile(e, names, bounds)
+		if err != nil {
+			return nil, fmt.Errorf("align: subscript %d of %s: %w", j+1, s.Base, err)
+		}
+		maps[j].k = k
 	}
 
 	f := &Function{
@@ -289,8 +304,6 @@ func Normalize(s Spec, aligneeDom, baseDom index.Domain, env expr.Env) (*Functio
 		Base:    baseDom,
 		spec:    s,
 		maps:    maps,
-		env:     expr.Env{Bounds: env.Bounds},
-		names:   names,
 	}
 	f.aff = computeAffine(f)
 	return f, nil
@@ -348,10 +361,6 @@ func (f *Function) Image(i index.Tuple) ([]index.Tuple, error) {
 	if !f.Alignee.Contains(i) {
 		return nil, fmt.Errorf("align: %s not in alignee domain %s", i, f.Alignee)
 	}
-	env := expr.Env{Dummies: make(map[string]int, len(f.names)), Bounds: f.env.Bounds}
-	for d, name := range f.names {
-		env.Dummies[name] = i[d]
-	}
 	fixed := make([]int, len(f.maps))
 	var repDims []int
 	for j, m := range f.maps {
@@ -359,7 +368,7 @@ func (f *Function) Image(i index.Tuple) ([]index.Tuple, error) {
 			repDims = append(repDims, j)
 			continue
 		}
-		y, err := m.e.Eval(env)
+		y, err := m.k.Eval(i)
 		if err != nil {
 			return nil, fmt.Errorf("align: evaluating subscript %d of %s: %w", j+1, f.spec.Base, err)
 		}
@@ -392,17 +401,13 @@ func (f *Function) Representative(i index.Tuple) (index.Tuple, error) {
 	if !f.Alignee.Contains(i) {
 		return nil, fmt.Errorf("align: %s not in alignee domain %s", i, f.Alignee)
 	}
-	env := expr.Env{Dummies: make(map[string]int, len(f.names)), Bounds: f.env.Bounds}
-	for d, name := range f.names {
-		env.Dummies[name] = i[d]
-	}
 	out := make(index.Tuple, len(f.maps))
 	for j, m := range f.maps {
 		if m.replicated {
 			out[j] = f.Base.Dims[j].Low
 			continue
 		}
-		y, err := m.e.Eval(env)
+		y, err := m.k.Eval(i)
 		if err != nil {
 			return nil, err
 		}

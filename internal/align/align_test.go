@@ -11,7 +11,7 @@ import (
 
 func mustNormalize(t *testing.T, s Spec, alignee, base index.Domain) *Function {
 	t.Helper()
-	f, err := Normalize(s, alignee, base, expr.Env{})
+	f, err := Normalize(s, alignee, base, nil)
 	if err != nil {
 		t.Fatalf("Normalize(%s): %v", s, err)
 	}
@@ -173,7 +173,7 @@ func TestExtentCondition(t *testing.T) {
 	_, err := Normalize(Spec{
 		Alignee: "X", Axes: []Axis{Colon()},
 		Base: "A", Subs: []Subscript{TripletSub(tr)},
-	}, x, a, expr.Env{})
+	}, x, a, nil)
 	if err == nil || !strings.Contains(err.Error(), "extent") {
 		t.Fatalf("expected extent error, got %v", err)
 	}
@@ -189,7 +189,7 @@ func TestSkewExcluded(t *testing.T) {
 			ExprSub(expr.Dummy("I")),
 			ExprSub(expr.Add(expr.Dummy("I"), expr.Const(1))),
 		},
-	}, d2, d2, expr.Env{})
+	}, d2, d2, nil)
 	if err == nil || !strings.Contains(err.Error(), "skew") {
 		t.Fatalf("expected skew error, got %v", err)
 	}
@@ -201,7 +201,7 @@ func TestTwoDummiesInOneSubscript(t *testing.T) {
 	_, err := Normalize(Spec{
 		Alignee: "A", Axes: []Axis{DummyAxis("I"), DummyAxis("J")},
 		Base: "B", Subs: []Subscript{ExprSub(expr.Add(expr.Dummy("I"), expr.Dummy("J")))},
-	}, d2, d1, expr.Env{})
+	}, d2, d1, nil)
 	if err == nil {
 		t.Fatal("two dummies in one subscript must fail")
 	}
@@ -212,7 +212,7 @@ func TestUndeclaredDummy(t *testing.T) {
 	_, err := Normalize(Spec{
 		Alignee: "A", Axes: []Axis{DummyAxis("I")},
 		Base: "B", Subs: []Subscript{ExprSub(expr.Dummy("K"))},
-	}, d1, d1, expr.Env{})
+	}, d1, d1, nil)
 	if err == nil || !strings.Contains(err.Error(), "undeclared") {
 		t.Fatalf("expected undeclared dummy error, got %v", err)
 	}
@@ -223,7 +223,7 @@ func TestDuplicateDummy(t *testing.T) {
 	_, err := Normalize(Spec{
 		Alignee: "A", Axes: []Axis{DummyAxis("I"), DummyAxis("I")},
 		Base: "B", Subs: []Subscript{ExprSub(expr.Dummy("I")), ExprSub(expr.Const(1))},
-	}, d2, d2, expr.Env{})
+	}, d2, d2, nil)
 	if err == nil {
 		t.Fatal("duplicate dummy must fail")
 	}
@@ -236,7 +236,7 @@ func TestColonTripletCountMismatch(t *testing.T) {
 	_, err := Normalize(Spec{
 		Alignee: "A", Axes: []Axis{Colon()},
 		Base: "B", Subs: []Subscript{ExprSub(expr.Const(1)), ExprSub(expr.Const(2))},
-	}, d1, d2, expr.Env{})
+	}, d1, d2, nil)
 	if err == nil {
 		t.Fatal("colon without matching triplet must fail")
 	}
@@ -246,11 +246,11 @@ func TestRankMismatches(t *testing.T) {
 	d1 := index.Standard(1, 4)
 	d2 := index.Standard(1, 4, 1, 4)
 	if _, err := Normalize(Spec{Alignee: "A", Axes: []Axis{Colon()}, Base: "B",
-		Subs: []Subscript{TripletSub(index.Unit(1, 4))}}, d2, d1, expr.Env{}); err == nil {
+		Subs: []Subscript{TripletSub(index.Unit(1, 4))}}, d2, d1, nil); err == nil {
 		t.Fatal("axis count must match alignee rank")
 	}
 	if _, err := Normalize(Spec{Alignee: "A", Axes: []Axis{Colon(), Star()}, Base: "B",
-		Subs: []Subscript{TripletSub(index.Unit(1, 4))}}, d2, d2, expr.Env{}); err == nil {
+		Subs: []Subscript{TripletSub(index.Unit(1, 4))}}, d2, d2, nil); err == nil {
 		t.Fatal("subscript count must match base rank")
 	}
 }
@@ -300,13 +300,13 @@ func TestMaxMinIntrinsics(t *testing.T) {
 func TestBoundIntrinsicsInAlignment(t *testing.T) {
 	d1 := index.Standard(1, 6)
 	base := index.Standard(1, 10)
-	env := expr.Env{Bounds: func(array string, dim int) (index.Triplet, error) {
+	bounds := func(array string, dim int) (index.Triplet, error) {
 		return index.Unit(1, 10), nil
-	}}
+	}
 	f, err := Normalize(Spec{
 		Alignee: "A", Axes: []Axis{DummyAxis("I")},
 		Base: "B", Subs: []Subscript{ExprSub(expr.Min(expr.Dummy("I"), expr.UBound("B", 1)))},
-	}, d1, base, env)
+	}, d1, base, bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,6 +347,30 @@ func TestRepresentativeAgreesWithImage(t *testing.T) {
 	}
 }
 
+// TestRepresentativeAllocs pins per-element evaluation to compiled
+// subscripts: Representative allocates its result tuple and nothing
+// else, for affine subscripts and for MAX/MIN ones alike.
+func TestRepresentativeAllocs(t *testing.T) {
+	f := mustNormalize(t, Spec{
+		Alignee: "A", Axes: []Axis{DummyAxis("I"), DummyAxis("J")},
+		Base: "B", Subs: []Subscript{
+			ExprSub(expr.Max(expr.Affine(2, "J", -3), expr.Const(1))),
+			ExprSub(expr.Affine(1, "I", 1)), StarSub(),
+		},
+	}, index.Standard(1, 6, 1, 5), index.Standard(1, 10, 1, 8, 1, 3))
+	at := index.Tuple{4, 2}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := f.Representative(at); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 1 {
+		t.Fatalf("Representative allocates %v times per call, want at most 1", got)
+	}
+	if rep, _ := f.Representative(at); !rep.Equal(index.Tuple{1, 5, 1}) {
+		t.Fatalf("Representative(%v) = %v, want (1,5,1)", at, rep)
+	}
+}
+
 func TestSpecString(t *testing.T) {
 	s := Spec{
 		Alignee: "A", Axes: []Axis{Colon(), Star(), DummyAxis("I")},
@@ -370,7 +394,7 @@ func TestImageTotalityProperty(t *testing.T) {
 		fn, err := Normalize(Spec{
 			Alignee: "A", Axes: []Axis{DummyAxis("I")},
 			Base: "B", Subs: []Subscript{ExprSub(expr.Affine(a, "I", b))},
-		}, alignee, base, expr.Env{})
+		}, alignee, base, nil)
 		if err != nil {
 			return false
 		}
@@ -404,7 +428,7 @@ func TestReplicationImageProperty(t *testing.T) {
 		fn, err := Normalize(Spec{
 			Alignee: "A", Axes: []Axis{Colon()},
 			Base: "D", Subs: []Subscript{TripletSub(index.Unit(1, n)), StarSub()},
-		}, a, d, expr.Env{})
+		}, a, d, nil)
 		if err != nil {
 			return false
 		}

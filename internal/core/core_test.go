@@ -502,7 +502,7 @@ func TestConstructCollocationProperty(t *testing.T) {
 		alpha, err := align.Normalize(align.Spec{
 			Alignee: "A", Axes: []align.Axis{align.DummyAxis("I")},
 			Base: "B", Subs: []align.Subscript{align.ExprSub(expr.Affine(c, "I", 0))},
-		}, index.Standard(1, n), baseDom, expr.Env{})
+		}, index.Standard(1, n), baseDom, nil)
 		if err != nil {
 			return false
 		}

@@ -111,7 +111,7 @@ func TestOwnerTilesDifferential(t *testing.T) {
 			Alignee: "A", Axes: []align.Axis{align.DummyAxis("I")},
 			Base: "B", Subs: []align.Subscript{align.ExprSub(sub)},
 		}
-		fn, err := align.Normalize(spec, alignee, base.Domain(), expr.Env{})
+		fn, err := align.Normalize(spec, alignee, base.Domain(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -136,7 +136,7 @@ func TestOwnerTilesDifferential(t *testing.T) {
 		Alignee: "A", Axes: []align.Axis{align.DummyAxis("I"), align.Star()},
 		Base: "B", Subs: []align.Subscript{align.ExprSub(expr.Dummy("I")), align.ExprSub(expr.Const(4))},
 	}
-	fn2, err := align.Normalize(spec2, index.Standard(1, 12, 1, 5), index.Standard(1, 12, 1, 12), expr.Env{})
+	fn2, err := align.Normalize(spec2, index.Standard(1, 12, 1, 5), index.Standard(1, 12, 1, 12), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestOwnerTilesReplicated(t *testing.T) {
 		Alignee: "A", Axes: []align.Axis{align.DummyAxis("I")},
 		Base: "B", Subs: []align.Subscript{align.ExprSub(expr.Dummy("I")), align.StarSub()},
 	}
-	fn, err := align.Normalize(spec, index.Standard(1, 8), base.Domain(), expr.Env{})
+	fn, err := align.Normalize(spec, index.Standard(1, 8), base.Domain(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestAppendOwnersMatchesOwners(t *testing.T) {
 		Alignee: "A", Axes: []align.Axis{align.DummyAxis("I")},
 		Base: "B", Subs: []align.Subscript{align.ExprSub(expr.Affine(2, "I", 0))},
 	}
-	fn, err := align.Normalize(spec, index.Standard(1, 16), base.Domain(), expr.Env{})
+	fn, err := align.Normalize(spec, index.Standard(1, 16), base.Domain(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

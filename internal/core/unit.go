@@ -8,7 +8,6 @@ import (
 
 	"hpfnt/internal/align"
 	"hpfnt/internal/dist"
-	"hpfnt/internal/expr"
 	"hpfnt/internal/index"
 	"hpfnt/internal/proc"
 )
@@ -90,19 +89,17 @@ func NewUnit(name string, sys *proc.System) *Unit {
 	}
 }
 
-// boundsEnv supplies LBOUND/UBOUND/SIZE resolution over the unit's
-// arrays for alignment expressions.
-func (u *Unit) boundsEnv() expr.Env {
-	return expr.Env{Bounds: func(array string, dim int) (index.Triplet, error) {
-		n, ok := u.nodes[array]
-		if !ok || !n.arr.Created {
-			return index.Triplet{}, fmt.Errorf("core: bounds of unknown or uncreated array %s", array)
-		}
-		if dim < 1 || dim > n.arr.Dom.Rank() {
-			return index.Triplet{}, fmt.Errorf("core: dimension %d out of range for %s", dim, array)
-		}
-		return n.arr.Dom.Dims[dim-1], nil
-	}}
+// bounds resolves LBOUND/UBOUND/SIZE over the unit's arrays for
+// alignment expressions (an expr.Bounds).
+func (u *Unit) bounds(array string, dim int) (index.Triplet, error) {
+	n, ok := u.nodes[array]
+	if !ok || !n.arr.Created {
+		return index.Triplet{}, fmt.Errorf("core: bounds of unknown or uncreated array %s", array)
+	}
+	if dim < 1 || dim > n.arr.Dom.Rank() {
+		return index.Triplet{}, fmt.Errorf("core: dimension %d out of range for %s", dim, array)
+	}
+	return n.arr.Dom.Dims[dim-1], nil
 }
 
 // DeclareArray declares a static array with the given index domain.
@@ -360,7 +357,7 @@ func (u *Unit) Align(s align.Spec) error {
 }
 
 func (u *Unit) attach(an, bn *node, s align.Spec) error {
-	alpha, err := align.Normalize(s, an.arr.Dom, bn.arr.Dom, u.boundsEnv())
+	alpha, err := align.Normalize(s, an.arr.Dom, bn.arr.Dom, u.bounds)
 	if err != nil {
 		return err
 	}
@@ -440,7 +437,7 @@ func (u *Unit) Realign(s align.Spec) error {
 		return fmt.Errorf("core: REALIGN: base %s is itself aligned; alignment bases must not be aligned (§2.4)", s.Base)
 	}
 	// Validate the new alignment before mutating the forest.
-	alpha, err := align.Normalize(s, an.arr.Dom, bn.arr.Dom, u.boundsEnv())
+	alpha, err := align.Normalize(s, an.arr.Dom, bn.arr.Dom, u.bounds)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,9 @@
 package directive
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -102,11 +104,14 @@ func (ip *Interp) ExecLine(line string) error {
 	return p.statement()
 }
 
-// parser consumes one statement's tokens.
+// parser consumes one statement's tokens, or one expression's in
+// ParseExpr.
 type parser struct {
-	toks []Token
-	i    int
-	ip   *Interp
+	toks  []Token
+	i     int
+	ip    *Interp // nil in ParseExpr
+	sc    Scope   // what the expression being parsed may name
+	depth int     // parenthesis nesting of that expression
 }
 
 func (p *parser) peek() Token { return p.toks[p.i] }
@@ -124,8 +129,17 @@ func (p *parser) accept(k TokKind) bool {
 }
 
 func (p *parser) expect(k TokKind) (Token, error) {
+	t, err := p.want(k)
+	if err != nil {
+		err = fmt.Errorf("directive: %w", err)
+	}
+	return t, err
+}
+
+// want is expect without the error prefix, for the expression grammar.
+func (p *parser) want(k TokKind) (Token, error) {
 	if !p.at(k) {
-		return Token{}, fmt.Errorf("directive: expected %s, found %s %q (column %d)", k, p.peek().Kind, p.peek().Text, p.peek().Pos+1)
+		return Token{}, fmt.Errorf("expected %s, found %s %q (column %d)", k, p.peek().Kind, p.peek().Text, p.peek().Pos+1)
 	}
 	return p.next(), nil
 }
@@ -684,7 +698,7 @@ func (p *parser) alignStmt(realign bool) error {
 		return err
 	}
 	var axes []align.Axis
-	dummies := map[string]bool{}
+	var dummies []string
 	for {
 		switch {
 		case p.accept(TokColon):
@@ -697,7 +711,7 @@ func (p *parser) alignStmt(realign bool) error {
 				return fmt.Errorf("directive: alignee axis must be ':', '*' or an align-dummy: %w", err)
 			}
 			axes = append(axes, align.DummyAxis(t.Text))
-			dummies[t.Text] = true
+			dummies = append(dummies, t.Text)
 		}
 		if !p.accept(TokComma) {
 			break
@@ -786,7 +800,7 @@ func (p *parser) baseDomain(name string) (index.Domain, bool, error) {
 // alignSubscript parses one base subscript: "*", a triplet (detected
 // by a top-level ":"), or an expression possibly containing one
 // align-dummy.
-func (p *parser) alignSubscript(dummies map[string]bool, baseDom index.Domain, dim int) (align.Subscript, error) {
+func (p *parser) alignSubscript(dummies []string, baseDom index.Domain, dim int) (align.Subscript, error) {
 	if p.accept(TokStar) {
 		return align.StarSub(), nil
 	}
@@ -800,11 +814,11 @@ func (p *parser) alignSubscript(dummies map[string]bool, baseDom index.Domain, d
 		}
 		return align.TripletSub(tr), nil
 	}
-	e, err := p.alignExpr(dummies)
+	t, err := p.intExpr(dummies)
 	if err != nil {
 		return align.Subscript{}, err
 	}
-	return align.ExprSub(e), nil
+	return align.ExprSub(t.node()), nil
 }
 
 // tripletAhead reports whether a top-level ":" occurs before the next
@@ -838,235 +852,249 @@ func (p *parser) tripletAhead() bool {
 // constExpr parses and evaluates a constant integer expression using
 // the interpreter's parameters.
 func (p *parser) constExpr() (int, error) {
-	e, err := p.alignExpr(nil)
-	if err != nil {
-		return 0, err
+	t, err := p.intExpr(nil)
+	if err != nil || t.tree == nil {
+		return t.c, err
 	}
-	v, err := e.Eval(expr.Env{})
+	v, err := expr.Constant(t.tree)
 	if err != nil {
 		return 0, fmt.Errorf("directive: expression is not constant: %w", err)
 	}
 	return v, nil
 }
 
-// alignExpr parses an expression; identifiers in dummies become
-// align-dummies, parameters fold to constants, and the MAX/MIN/
-// LBOUND/UBOUND/SIZE intrinsics are recognized. With dummies == nil,
-// only constant expressions are accepted.
-func (p *parser) alignExpr(dummies map[string]bool) (expr.Expr, error) {
-	return p.addExpr(dummies)
-}
-
-func (p *parser) addExpr(dummies map[string]bool) (expr.Expr, error) {
-	l, err := p.mulExpr(dummies)
+// intExpr parses an integer expression of the directive language, in
+// which slots name the align-dummies and parameters fold to constants.
+func (p *parser) intExpr(slots []string) (term, error) {
+	p.sc = Scope{Slots: slots, Const: p.ip.param}
+	t, err := p.addExpr()
 	if err != nil {
-		return nil, err
+		return t, fmt.Errorf("directive: %w", err)
 	}
-	for {
+	return t, nil
+}
+
+// param resolves a parameter made available by PARAMETER, READ or
+// SetParam.
+func (ip *Interp) param(name string) (int, bool) {
+	v, ok := ip.Params[name]
+	return v, ok && ip.available[name]
+}
+
+// MaxExprDepth bounds parenthesis nesting in an integer expression,
+// turning pathological inputs into errors instead of deep recursion.
+const MaxExprDepth = 64
+
+// Scope is what an integer expression may name. It lets the one
+// expression grammar serve both front ends: the directive language
+// (alignment functions, specification expressions) and the executable
+// statements of package interp.
+type Scope struct {
+	// Slots names the identifiers that become expr.Dummy nodes: the
+	// align-dummies of an ALIGN, or the index variables of a FORALL.
+	Slots []string
+	// Const resolves every other identifier to a constant: parameters,
+	// and in executable statements DO variables.
+	Const func(name string) (int, bool)
+	// Exec selects the executable-statement language: the MOD
+	// intrinsic and "/" evaluated at run time, where directives have
+	// LBOUND, UBOUND and SIZE and "/" only between constants.
+	Exec bool
+}
+
+// ParseExpr parses one integer expression from toks, starting at index
+// at, compiles it with sc.Slots as the tuple's slots and no bounds
+// resolver, and returns it with the index of the token after it. Its
+// errors carry no prefix: each front end adds its own.
+func ParseExpr(toks []Token, at int, sc Scope) (expr.Compiled, int, error) {
+	p := &parser{toks: toks, i: at, sc: sc}
+	t, err := p.addExpr()
+	if err != nil || t.tree == nil {
+		return expr.Compiled{C: t.c}, p.i, err
+	}
+	c, err := expr.Compile(t.tree, sc.Slots, nil)
+	return c, p.i, err
+}
+
+// A term is a parsed subexpression: a tree, or (tree == nil) the
+// constant c. Constants stay unboxed until a tree needs them, so
+// folding them allocates nothing, and a statement allocates the same
+// whatever its parameters' values (boxing an int allocates only
+// outside 0..255).
+type term struct {
+	tree expr.Expr
+	c    int
+}
+
+func (t term) node() expr.Expr {
+	if t.tree == nil {
+		return expr.Const(t.c)
+	}
+	return t.tree
+}
+
+// fold collapses a tree that names no dummy and no array bound to a
+// constant, unless evaluating it fails.
+func fold(e expr.Expr) term {
+	if v, err := expr.Constant(e); err == nil {
+		return term{c: v}
+	}
+	return term{tree: e}
+}
+
+func (p *parser) addExpr() (term, error) {
+	return p.chain(p.mulExpr, TokPlus, TokMinus, expr.OpAdd, expr.OpSub)
+}
+
+func (p *parser) mulExpr() (term, error) {
+	return p.chain(p.unaryExpr, TokStar, TokSlash, expr.OpMul, expr.OpDiv)
+}
+
+// chain parses operand {op operand} for the two operators of one
+// precedence level, left-associative.
+func (p *parser) chain(operand func() (term, error), k1, k2 TokKind, op1, op2 expr.BinOp) (term, error) {
+	x, err := operand()
+	for err == nil && (p.at(k1) || p.at(k2)) {
+		op := op1
+		if p.next().Kind == k2 {
+			op = op2
+		}
+		var y term
+		if y, err = operand(); err == nil {
+			x, err = p.binary(op, x, y)
+		}
+	}
+	return x, err
+}
+
+// binary builds x op y, folding constants. In the directive language a
+// division is between constants and fails here on a zero divisor; in
+// executable statements that failure is left to evaluation.
+func (p *parser) binary(op expr.BinOp, x, y term) (term, error) {
+	if op == expr.OpDiv && !p.sc.Exec {
 		switch {
-		case p.accept(TokPlus):
-			r, err := p.mulExpr(dummies)
-			if err != nil {
-				return nil, err
-			}
-			l = fold(expr.Add(l, r))
-		case p.accept(TokMinus):
-			r, err := p.mulExpr(dummies)
-			if err != nil {
-				return nil, err
-			}
-			l = fold(expr.Sub(l, r))
-		default:
-			return l, nil
+		case x.tree != nil || y.tree != nil:
+			return term{}, errors.New("division is only permitted in constant expressions (alignment functions use +, -, *)")
+		case y.c == 0:
+			return term{}, errors.New("division by zero")
 		}
 	}
-}
-
-func (p *parser) mulExpr(dummies map[string]bool) (expr.Expr, error) {
-	l, err := p.unaryExpr(dummies)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.accept(TokStar):
-			r, err := p.unaryExpr(dummies)
-			if err != nil {
-				return nil, err
-			}
-			l = fold(expr.Mul(l, r))
-		case p.accept(TokSlash):
-			r, err := p.unaryExpr(dummies)
-			if err != nil {
-				return nil, err
-			}
-			lc, lok := constOf(l)
-			rc, rok := constOf(r)
-			if !lok || !rok {
-				return nil, fmt.Errorf("directive: division is only permitted in constant expressions (alignment functions use +, -, *)")
-			}
-			if rc == 0 {
-				return nil, fmt.Errorf("directive: division by zero")
-			}
-			l = expr.Const(lc / rc)
-		default:
-			return l, nil
+	if x.tree == nil && y.tree == nil {
+		if v, err := expr.Arith(op, x.c, y.c); err == nil {
+			return term{c: v}, nil
 		}
 	}
+	return fold(expr.Bin{Op: op, L: x.node(), R: y.node()}), nil
 }
 
-func (p *parser) unaryExpr(dummies map[string]bool) (expr.Expr, error) {
-	if p.accept(TokMinus) {
-		e, err := p.unaryExpr(dummies)
-		if err != nil {
-			return nil, err
-		}
-		return fold(expr.Sub(expr.Const(0), e)), nil
-	}
-	if p.accept(TokPlus) {
-		return p.unaryExpr(dummies)
-	}
-	return p.primaryExpr(dummies)
-}
-
-func (p *parser) primaryExpr(dummies map[string]bool) (expr.Expr, error) {
+func (p *parser) unaryExpr() (term, error) {
 	switch {
-	case p.at(TokNumber):
-		t := p.next()
+	case p.accept(TokMinus):
+		t, err := p.unaryExpr()
+		if err != nil || t.tree == nil {
+			return term{c: -t.c}, err
+		}
+		return fold(expr.Sub(expr.Const(0), t.tree)), nil
+	case p.accept(TokPlus):
+		return p.unaryExpr()
+	}
+	return p.primaryExpr()
+}
+
+func (p *parser) primaryExpr() (term, error) {
+	t := p.peek()
+	switch {
+	case p.accept(TokNumber):
 		v, err := strconv.Atoi(t.Text)
 		if err != nil {
-			return nil, fmt.Errorf("directive: bad number %q: %w", t.Text, err)
+			return term{}, fmt.Errorf("bad number %q (column %d)", t.Text, t.Pos+1)
 		}
-		return expr.Const(v), nil
+		return term{c: v}, nil
 	case p.accept(TokLParen):
-		e, err := p.addExpr(dummies)
-		if err != nil {
-			return nil, err
+		if p.depth++; p.depth > MaxExprDepth {
+			return term{}, fmt.Errorf("expression nested deeper than %d", MaxExprDepth)
 		}
-		if _, err := p.expect(TokRParen); err != nil {
-			return nil, err
+		e, err := p.addExpr()
+		p.depth--
+		if err == nil {
+			_, err = p.want(TokRParen)
 		}
-		return e, nil
-	case p.at(TokIdent):
-		t := p.next()
-		switch t.Text {
-		case "MAX", "MIN":
-			args, err := p.callArgs(dummies)
-			if err != nil {
-				return nil, err
-			}
-			if len(args) < 2 {
-				return nil, fmt.Errorf("directive: %s requires at least two arguments", t.Text)
-			}
-			if t.Text == "MAX" {
-				return expr.Max(args...), nil
-			}
-			return expr.Min(args...), nil
-		case "LBOUND", "UBOUND", "SIZE":
-			if _, err := p.expect(TokLParen); err != nil {
-				return nil, err
-			}
-			arrTok, err := p.expect(TokIdent)
-			if err != nil {
-				return nil, err
-			}
-			dim := 1
-			if p.accept(TokComma) {
-				dim, err = p.constExpr()
-				if err != nil {
-					return nil, err
-				}
-			}
-			if _, err := p.expect(TokRParen); err != nil {
-				return nil, err
-			}
-			switch t.Text {
-			case "LBOUND":
-				return expr.LBound(arrTok.Text, dim), nil
-			case "UBOUND":
-				return expr.UBound(arrTok.Text, dim), nil
-			default:
-				return expr.Size(arrTok.Text, dim), nil
-			}
-		}
-		if dummies != nil && dummies[t.Text] {
-			return expr.Dummy(t.Text), nil
-		}
-		if v, ok := p.ip.Params[t.Text]; ok && p.ip.available[t.Text] {
-			return expr.Const(v), nil
-		}
-		return nil, fmt.Errorf("directive: unknown identifier %q in expression (not a parameter%s)", t.Text, dummyHint(dummies))
-	default:
-		return nil, fmt.Errorf("directive: expected expression, found %s %q", p.peek().Kind, p.peek().Text)
+		return e, err
+	case !p.accept(TokIdent):
+		return term{}, fmt.Errorf("expected an expression, found %s %q (column %d)", t.Kind, t.Text, t.Pos+1)
 	}
+	switch {
+	case t.Text == "MAX" || t.Text == "MIN" || t.Text == "MOD" && p.sc.Exec:
+		return p.intrinsic(t.Text)
+	case !p.sc.Exec && (t.Text == "LBOUND" || t.Text == "UBOUND" || t.Text == "SIZE"):
+		return p.bound(t.Text)
+	case slices.Contains(p.sc.Slots, t.Text):
+		return term{tree: expr.Dummy(t.Text)}, nil
+	}
+	if v, ok := p.sc.Const(t.Text); ok {
+		return term{c: v}, nil
+	}
+	return term{}, fmt.Errorf("unknown identifier %q in expression (column %d)", t.Text, t.Pos+1)
 }
 
-func dummyHint(dummies map[string]bool) string {
-	if dummies == nil {
-		return ""
-	}
-	return " or align-dummy"
-}
-
-func (p *parser) callArgs(dummies map[string]bool) ([]expr.Expr, error) {
-	if _, err := p.expect(TokLParen); err != nil {
-		return nil, err
+// intrinsic parses the argument list of MAX, MIN or MOD.
+func (p *parser) intrinsic(name string) (term, error) {
+	if _, err := p.want(TokLParen); err != nil {
+		return term{}, err
 	}
 	var args []expr.Expr
-	for {
-		e, err := p.addExpr(dummies)
+	for more := true; more; more = p.accept(TokComma) {
+		t, err := p.addExpr()
 		if err != nil {
-			return nil, err
+			return term{}, err
 		}
-		args = append(args, e)
-		if !p.accept(TokComma) {
-			break
-		}
+		args = append(args, t.node())
 	}
-	if _, err := p.expect(TokRParen); err != nil {
-		return nil, err
+	if _, err := p.want(TokRParen); err != nil {
+		return term{}, err
 	}
-	return args, nil
+	switch {
+	case len(args) < 2:
+		return term{}, fmt.Errorf("%s requires at least two arguments", name)
+	case name != "MOD":
+		return term{tree: expr.MinMax{IsMax: name == "MAX", Args: args}}, nil
+	case len(args) != 2:
+		return term{}, errors.New("MOD takes exactly two arguments")
+	}
+	return term{tree: expr.Bin{Op: expr.OpMod, L: args[0], R: args[1]}}, nil
 }
 
-// fold collapses constant subexpressions.
-func fold(e expr.Expr) expr.Expr {
-	if len(expr.Dummies(e)) > 0 {
-		return e
+// bound parses the arguments of LBOUND, UBOUND or SIZE: an array name
+// and an optional constant dimension (default 1).
+func (p *parser) bound(name string) (term, error) {
+	if _, err := p.want(TokLParen); err != nil {
+		return term{}, err
 	}
-	if _, usesBounds := boundsFree(e); !usesBounds {
-		if v, err := e.Eval(expr.Env{}); err == nil {
-			return expr.Const(v)
-		}
+	arr, err := p.want(TokIdent)
+	if err != nil {
+		return term{}, err
 	}
-	return e
-}
-
-// boundsFree reports whether e references LBOUND/UBOUND/SIZE.
-func boundsFree(e expr.Expr) (expr.Expr, bool) {
-	switch n := e.(type) {
-	case expr.Bound:
-		return e, true
-	case expr.Bin:
-		if _, b := boundsFree(n.L); b {
-			return e, true
+	b := expr.Bound{Kind: expr.KindSize, Array: arr.Text, Dim: 1}
+	if p.accept(TokComma) {
+		d, err := p.addExpr()
+		if err == nil && d.tree != nil {
+			d.c, err = expr.Constant(d.tree)
 		}
-		if _, b := boundsFree(n.R); b {
-			return e, true
+		if err != nil {
+			return term{}, err
 		}
-	case expr.MinMax:
-		for _, a := range n.Args {
-			if _, b := boundsFree(a); b {
-				return e, true
-			}
-		}
+		b.Dim = d.c
 	}
-	return e, false
-}
-
-func constOf(e expr.Expr) (int, bool) {
-	c, ok := e.(expr.Const)
-	return int(c), ok
+	if _, err := p.want(TokRParen); err != nil {
+		return term{}, err
+	}
+	switch name {
+	case "LBOUND":
+		b.Kind = expr.KindLBound
+	case "UBOUND":
+		b.Kind = expr.KindUBound
+	}
+	return term{tree: b}, nil
 }
 
 // templateStmt handles "TEMPLATE T(bounds)" (baseline model only).

@@ -510,6 +510,66 @@ func TestExpressionErrors(t *testing.T) {
 	}
 }
 
+// TestExpressionNestingCap: the one expression grammar caps
+// parenthesis nesting for directives as for executable statements.
+func TestExpressionNestingCap(t *testing.T) {
+	nested := func(depth int) string {
+		return "REAL A(" + strings.Repeat("(", depth) + "8" + strings.Repeat(")", depth) + ")"
+	}
+	ip := newInterp(t, 4)
+	exec(t, ip, nested(64))
+	if arr, _ := ip.Unit.Array("A"); arr.Dom.Size() != 8 {
+		t.Fatalf("A = %+v", arr)
+	}
+	err := newInterp(t, 4).ExecProgram(nested(65))
+	if want := "line 1: directive: expression nested deeper than 64"; err == nil || err.Error() != want {
+		t.Fatalf("65 parentheses: got %v, want %q", err, want)
+	}
+}
+
+// TestAlignBoundsFixedAtDirective: LBOUND/UBOUND/SIZE in an alignment
+// function are read once, when the directive takes effect. A later
+// reallocation of the array they name moves no element, and every
+// element's owner agrees with its owner tile before and after, also
+// once that array is gone.
+func TestAlignBoundsFixedAtDirective(t *testing.T) {
+	ip := newInterp(t, 3)
+	exec(t, ip, `
+		PROCESSORS P(3)
+		REAL, ALLOCATABLE(:) :: C
+		REAL A(12), B(30)
+		!HPF$ DISTRIBUTE B(BLOCK) TO P
+		ALLOCATE(C(5:9))
+		!HPF$ ALIGN A(I) WITH B(I+LBOUND(C,1))
+	`)
+	check := func(stage string) {
+		t.Helper()
+		m, err := ip.MappingOf("A")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiles, err := core.OwnerTiles(m, index.Standard(1, 12))
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		for _, tile := range tiles {
+			tile.Region.ForEach(func(i index.Tuple) bool {
+				// A(I) sits with B(I+5): B(1:10) is on 1, B(11:20) on 2.
+				want := 1 + (i[0]+5-1)/10
+				if os := owners(t, ip, "A", i...); len(os) != 1 || os[0] != tile.Proc || tile.Proc != want {
+					t.Fatalf("%s: A%v owned by %v, its tile by %d, want %d", stage, i, os, tile.Proc, want)
+				}
+				return true
+			})
+		}
+	}
+	check("at the ALIGN")
+	exec(t, ip, "DEALLOCATE(C)\nALLOCATE(C(11:20))")
+	check("after C is reallocated")
+	exec(t, ip, "DEALLOCATE(C)")
+	check("after C is deallocated")
+}
+
 func TestScalarProcessorsDeclaration(t *testing.T) {
 	ip := newInterp(t, 4)
 	exec(t, ip, `PROCESSORS SCAL`)

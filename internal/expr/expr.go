@@ -1,46 +1,41 @@
-// Package expr implements the scalar integer expressions permitted in
-// the paper's alignment functions (§5.1): expressions built with "+",
+// Package expr implements the scalar integer expressions of the
+// paper's alignment functions (§5.1): expressions built with "+",
 // "-", and "*" that are linear in at most one align-dummy, optionally
 // using the intrinsic functions MAX, MIN, LBOUND, UBOUND and SIZE
 // ("Since linear expressions cannot handle some frequently occurring
 // cases, such as truncation at either end of the alignment, we also
 // allow the intrinsic functions MAX, MIN, LBOUND, UBOUND, and SIZE to
-// be used in alignment functions"). In the pipeline it serves the
-// directive front end and package align: parsed subscript expressions
-// evaluate here, and their linear-form extraction is what package
-// align's affine interval transport is built on.
+// be used in alignment functions"). The same trees, with MOD and
+// run-time "/" added, are the integer expressions of the interpreter's
+// executable statements.
+//
+// In the pipeline, package directive's grammar (the only one) builds
+// the trees and Compile is the only evaluator: it resolves a tree once
+// against a slot binding (align-dummies, or FORALL index variables)
+// and a bounds resolver into the affine form c + Σ coef·t[k], or a
+// closure over such forms where the expression is not affine. LBOUND,
+// UBOUND and SIZE fold to constants in Compile, so an alignment's
+// bounds are read once, when its directive takes effect. Package
+// align's affine interval transport reads the affine form's
+// coefficients.
 package expr
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"hpfnt/internal/index"
 )
 
-// Env supplies the values needed to evaluate an expression: bindings
-// for align-dummies and bounds information for arrays referenced by
-// the LBOUND/UBOUND/SIZE intrinsics.
-type Env struct {
-	// Dummies maps align-dummy names to their current values.
-	Dummies map[string]int
-	// Bounds returns the subscript triplet of the given 1-based
-	// dimension of the named array. It may be nil if no intrinsic
-	// referencing array bounds occurs.
-	Bounds func(array string, dim int) (index.Triplet, error)
-}
-
-// Value binds a single dummy name to v in a fresh environment.
-func Value(name string, v int) Env {
-	return Env{Dummies: map[string]int{name: v}}
-}
+// Bounds resolves the LBOUND/UBOUND/SIZE intrinsics: it returns the
+// subscript triplet of the given 1-based dimension of the named array.
+type Bounds func(array string, dim int) (index.Triplet, error)
 
 // Expr is a scalar integer expression.
 type Expr interface {
-	// Eval computes the expression's value under env.
-	Eval(env Env) (int, error)
 	// CollectDummies adds the names of all align-dummies occurring in
 	// the expression to set.
 	CollectDummies(set map[string]bool)
@@ -60,32 +55,17 @@ func Dummies(e Expr) []string {
 	return names
 }
 
-// IsDummyless reports whether e contains no align-dummy (a
-// "dummyless-expr" in the paper's grammar).
-func IsDummyless(e Expr) bool { return len(Dummies(e)) == 0 }
-
 // Const is an integer literal.
 type Const int
-
-// Eval returns the literal value.
-func (c Const) Eval(Env) (int, error) { return int(c), nil }
 
 // CollectDummies is a no-op for literals.
 func (c Const) CollectDummies(map[string]bool) {}
 
 func (c Const) String() string { return fmt.Sprint(int(c)) }
 
-// Dummy references an align-dummy by name.
+// Dummy references an align-dummy (or a FORALL index variable) by
+// name.
 type Dummy string
-
-// Eval looks the dummy up in the environment.
-func (d Dummy) Eval(env Env) (int, error) {
-	v, ok := env.Dummies[string(d)]
-	if !ok {
-		return 0, fmt.Errorf("expr: unbound align-dummy %q", string(d))
-	}
-	return v, nil
-}
 
 // CollectDummies records the dummy's name.
 func (d Dummy) CollectDummies(set map[string]bool) { set[string(d)] = true }
@@ -95,24 +75,20 @@ func (d Dummy) String() string { return string(d) }
 // BinOp identifies an arithmetic operator.
 type BinOp int
 
-// The operators permitted by the paper: "+", "-" and "*".
+// The operators permitted by the paper, "+", "-" and "*", then the
+// two only executable statements use: integer division and the MOD
+// intrinsic.
 const (
 	OpAdd BinOp = iota
 	OpSub
 	OpMul
+	OpDiv
+	OpMod
+	opMin // MIN and MAX fold their arguments pairwise
+	opMax
 )
 
-func (op BinOp) String() string {
-	switch op {
-	case OpAdd:
-		return "+"
-	case OpSub:
-		return "-"
-	case OpMul:
-		return "*"
-	}
-	return "?"
-}
+func (op BinOp) String() string { return [...]string{"+", "-", "*", "/", "MOD", "MIN", "MAX"}[op] }
 
 // Bin is a binary arithmetic expression.
 type Bin struct {
@@ -151,27 +127,6 @@ func Affine(a int, dummy string, b int) Expr {
 	}
 }
 
-// Eval computes the operation.
-func (b Bin) Eval(env Env) (int, error) {
-	l, err := b.L.Eval(env)
-	if err != nil {
-		return 0, err
-	}
-	r, err := b.R.Eval(env)
-	if err != nil {
-		return 0, err
-	}
-	switch b.Op {
-	case OpAdd:
-		return l + r, nil
-	case OpSub:
-		return l - r, nil
-	case OpMul:
-		return l * r, nil
-	}
-	return 0, fmt.Errorf("expr: unknown operator %d", int(b.Op))
-}
-
 // CollectDummies descends into both operands.
 func (b Bin) CollectDummies(set map[string]bool) {
 	b.L.CollectDummies(set)
@@ -180,18 +135,28 @@ func (b Bin) CollectDummies(set map[string]bool) {
 
 func (b Bin) String() string {
 	l, r := b.L.String(), b.R.String()
-	if b.Op == OpMul {
-		if lb, ok := b.L.(Bin); ok && lb.Op != OpMul {
-			l = "(" + l + ")"
-		}
-		if rb, ok := b.R.(Bin); ok && rb.Op != OpMul {
-			r = "(" + r + ")"
-		}
+	if b.Op == OpMod {
+		return "MOD(" + l + "," + r + ")"
 	}
-	if b.Op == OpSub {
-		if rb, ok := b.R.(Bin); ok && (rb.Op == OpAdd || rb.Op == OpSub) {
-			r = "(" + r + ")"
+	// paren reports whether operand x, on the given side of b's
+	// operator, binds looser than the operator.
+	paren := func(x Expr, right bool) bool {
+		xb, ok := x.(Bin)
+		switch {
+		case !ok || xb.Op == OpMod || b.Op == OpAdd:
+			return false
+		case xb.Op == OpAdd || xb.Op == OpSub:
+			return right || b.Op != OpSub
 		}
+		// A product or quotient: only a divisor, or a quotient right
+		// of a product, needs them.
+		return right && (b.Op == OpDiv || b.Op == OpMul && xb.Op == OpDiv)
+	}
+	if paren(b.L, false) {
+		l = "(" + l + ")"
+	}
+	if paren(b.R, true) {
+		r = "(" + r + ")"
 	}
 	return l + b.Op.String() + r
 }
@@ -207,27 +172,6 @@ func Max(args ...Expr) Expr { return MinMax{IsMax: true, Args: args} }
 
 // Min returns MIN(args...).
 func Min(args ...Expr) Expr { return MinMax{IsMax: false, Args: args} }
-
-// Eval computes the extremum of the arguments.
-func (m MinMax) Eval(env Env) (int, error) {
-	if len(m.Args) == 0 {
-		return 0, errors.New("expr: MAX/MIN requires at least one argument")
-	}
-	best, err := m.Args[0].Eval(env)
-	if err != nil {
-		return 0, err
-	}
-	for _, a := range m.Args[1:] {
-		v, err := a.Eval(env)
-		if err != nil {
-			return 0, err
-		}
-		if (m.IsMax && v > best) || (!m.IsMax && v < best) {
-			best = v
-		}
-	}
-	return best, nil
-}
 
 // CollectDummies descends into all arguments.
 func (m MinMax) CollectDummies(set map[string]bool) {
@@ -258,17 +202,7 @@ const (
 	KindSize                    // SIZE(array, dim)
 )
 
-func (k BoundKind) String() string {
-	switch k {
-	case KindLBound:
-		return "LBOUND"
-	case KindUBound:
-		return "UBOUND"
-	case KindSize:
-		return "SIZE"
-	}
-	return "?"
-}
+func (k BoundKind) String() string { return [...]string{"LBOUND", "UBOUND", "SIZE"}[k] }
 
 // Bound is an LBOUND/UBOUND/SIZE intrinsic reference.
 type Bound struct {
@@ -286,106 +220,175 @@ func UBound(array string, dim int) Expr { return Bound{KindUBound, array, dim} }
 // Size returns SIZE(array, dim).
 func Size(array string, dim int) Expr { return Bound{KindSize, array, dim} }
 
-// Eval resolves the bound through the environment.
-func (b Bound) Eval(env Env) (int, error) {
-	if env.Bounds == nil {
-		return 0, fmt.Errorf("expr: %s(%s,%d) requires array bounds in environment", b.Kind, b.Array, b.Dim)
-	}
-	t, err := env.Bounds(b.Array, b.Dim)
-	if err != nil {
-		return 0, err
-	}
-	switch b.Kind {
-	case KindLBound:
-		return t.Low, nil
-	case KindUBound:
-		return t.Last(), nil
-	case KindSize:
-		return t.Count(), nil
-	}
-	return 0, fmt.Errorf("expr: unknown bound kind %d", int(b.Kind))
-}
-
 // CollectDummies is a no-op: bounds contain no dummies.
 func (b Bound) CollectDummies(map[string]bool) {}
 
 func (b Bound) String() string { return fmt.Sprintf("%s(%s,%d)", b.Kind, b.Array, b.Dim) }
 
-// Linear is the affine normal form a*J + b of an expression that is
-// linear in a single dummy J (Coeff may be 0 for dummyless
-// expressions, in which case DummyName is empty).
-type Linear struct {
-	Coeff     int
-	DummyName string
-	Offset    int
+// Compiled is a compiled integer expression: an operation over
+// compiled operands (fn), or else the affine form C + Σ Coef[k]·t[k]
+// of the slot tuple t, a constant when Coef is empty. Sums,
+// differences and constant multiples of affine forms stay affine, so
+// evaluation reads no map, and MOD(I*7 + J*3 + S, 11) is one call.
+type Compiled struct {
+	fn   func(index.Tuple) (int, error)
+	C    int
+	Coef []int
 }
 
-// Apply evaluates the linear form at j.
-func (l Linear) Apply(j int) int { return l.Coeff*j + l.Offset }
+// Affine reports whether c is the affine form C + Σ Coef[k]·t[k].
+func (c Compiled) Affine() bool { return c.fn == nil }
 
-// Linearize attempts to put e into affine normal form a*J+b. It fails
-// for expressions using MAX/MIN (which are not affine), products of
-// two dummy-bearing subexpressions (non-linear), or expressions with
-// more than one distinct dummy. LBOUND/UBOUND/SIZE references are
-// folded to constants through env (dummy bindings in env are ignored).
-func Linearize(e Expr, env Env) (Linear, error) {
+// Eval evaluates c at the slot tuple t (nil when c has no slots).
+// Division and MOD by zero are its only errors.
+func (c Compiled) Eval(t index.Tuple) (int, error) {
+	if c.fn != nil {
+		return c.fn(t)
+	}
+	v := c.C
+	for k, m := range c.Coef {
+		v += m * t[k]
+	}
+	return v, nil
+}
+
+// Compile resolves e once: the dummy named slots[k] becomes slot k of
+// the tuple Eval is given, and LBOUND/UBOUND/SIZE fold to constants
+// through bounds. Affine operands combine into an affine form where
+// the result is one, and constants fold unless the operation fails,
+// which is left to Eval: the left operand, then the right, then the
+// operator, the order the text reads.
+func Compile(e Expr, slots []string, bounds Bounds) (Compiled, error) {
 	switch n := e.(type) {
 	case Const:
-		return Linear{Offset: int(n)}, nil
+		return Compiled{C: int(n)}, nil
 	case Dummy:
-		return Linear{Coeff: 1, DummyName: string(n)}, nil
+		k := slices.Index(slots, string(n))
+		if k < 0 {
+			return Compiled{}, fmt.Errorf("unbound dummy %q", string(n))
+		}
+		coef := make([]int, k+1)
+		coef[k] = 1
+		return Compiled{Coef: coef}, nil
 	case Bound:
-		v, err := n.Eval(env)
-		if err != nil {
-			return Linear{}, err
+		if bounds == nil {
+			return Compiled{}, fmt.Errorf("%s requires array bounds", n)
 		}
-		return Linear{Offset: v}, nil
-	case MinMax:
-		return Linear{}, fmt.Errorf("expr: %s is not affine", n)
+		t, err := bounds(n.Array, n.Dim)
+		if err != nil {
+			return Compiled{}, err
+		}
+		return Compiled{C: [...]int{t.Low, t.Last(), t.Count()}[n.Kind]}, nil
 	case Bin:
-		l, err := Linearize(n.L, env)
-		if err != nil {
-			return Linear{}, err
+		return combine(n.Op, []Expr{n.L, n.R}, slots, bounds)
+	case MinMax:
+		if n.IsMax {
+			return combine(opMax, n.Args, slots, bounds)
 		}
-		r, err := Linearize(n.R, env)
-		if err != nil {
-			return Linear{}, err
-		}
-		switch n.Op {
-		case OpAdd, OpSub:
-			s := 1
-			if n.Op == OpSub {
-				s = -1
-			}
-			out := Linear{Coeff: l.Coeff + s*r.Coeff, Offset: l.Offset + s*r.Offset}
-			switch {
-			case l.DummyName != "" && r.DummyName != "" && l.DummyName != r.DummyName:
-				return Linear{}, fmt.Errorf("expr: multiple dummies %s, %s", l.DummyName, r.DummyName)
-			case l.DummyName != "":
-				out.DummyName = l.DummyName
-			default:
-				out.DummyName = r.DummyName
-			}
-			if out.Coeff == 0 {
-				out.DummyName = ""
-			}
-			return out, nil
-		case OpMul:
-			if l.Coeff != 0 && r.Coeff != 0 {
-				return Linear{}, errors.New("expr: product of two dummy-bearing terms is non-linear")
-			}
-			if l.Coeff == 0 {
-				return Linear{Coeff: l.Offset * r.Coeff, DummyName: nonEmptyIf(r.DummyName, l.Offset*r.Coeff != 0), Offset: l.Offset * r.Offset}, nil
-			}
-			return Linear{Coeff: r.Offset * l.Coeff, DummyName: nonEmptyIf(l.DummyName, r.Offset*l.Coeff != 0), Offset: l.Offset * r.Offset}, nil
-		}
+		return combine(opMin, n.Args, slots, bounds)
 	}
-	return Linear{}, fmt.Errorf("expr: cannot linearize %s", e)
+	return Compiled{}, fmt.Errorf("cannot compile %s", e)
 }
 
-func nonEmptyIf(name string, keep bool) string {
-	if keep {
-		return name
+// Constant evaluates an expression that names no dummy and no array
+// bound.
+func Constant(e Expr) (int, error) {
+	c, err := Compile(e, nil, nil)
+	if err != nil {
+		return 0, err
 	}
-	return ""
+	return c.Eval(nil)
+}
+
+// combine compiles args left to right and folds them pairwise under
+// op.
+func combine(op BinOp, args []Expr, slots []string, bounds Bounds) (Compiled, error) {
+	if len(args) == 0 {
+		return Compiled{}, fmt.Errorf("%s requires arguments", op)
+	}
+	x, err := Compile(args[0], slots, bounds)
+	for k := 1; k < len(args) && err == nil; k++ {
+		var y Compiled
+		if y, err = Compile(args[k], slots, bounds); err == nil {
+			x = binary(op, x, y)
+		}
+	}
+	return x, err
+}
+
+// binary combines two compiled operands under op.
+func binary(op BinOp, x, y Compiled) Compiled {
+	if x.fn == nil && y.fn == nil {
+		switch {
+		case op == OpAdd:
+			return axpy(x, 1, y)
+		case op == OpSub:
+			return axpy(x, -1, y)
+		case op == OpMul && len(y.Coef) == 0:
+			return axpy(Compiled{}, y.C, x)
+		case op == OpMul && len(x.Coef) == 0:
+			return axpy(Compiled{}, x.C, y)
+		case len(x.Coef) == 0 && len(y.Coef) == 0:
+			if v, err := Arith(op, x.C, y.C); err == nil {
+				return Compiled{C: v}
+			}
+		}
+	}
+	// Affine operands are evaluated in line: a call per operation.
+	return Compiled{fn: func(t index.Tuple) (int, error) {
+		a, b := x.C, y.C
+		var err error
+		if x.fn != nil {
+			a, err = x.fn(t)
+		}
+		if err == nil && y.fn != nil {
+			b, err = y.fn(t)
+		}
+		if err != nil {
+			return 0, err
+		}
+		for k, m := range x.Coef {
+			a += m * t[k]
+		}
+		for k, m := range y.Coef {
+			b += m * t[k]
+		}
+		return Arith(op, a, b)
+	}}
+}
+
+// axpy is the affine form x + m·y of two affine forms.
+func axpy(x Compiled, m int, y Compiled) Compiled {
+	coef := make([]int, max(len(x.Coef), len(y.Coef)))
+	copy(coef, x.Coef)
+	for k, v := range y.Coef {
+		coef[k] += m * v
+	}
+	return Compiled{C: x.C + m*y.C, Coef: coef}
+}
+
+// Arith applies op to two constants: division and MOD by zero are its
+// errors.
+func Arith(op BinOp, a, b int) (int, error) {
+	switch op {
+	case OpAdd:
+		return a + b, nil
+	case OpSub:
+		return a - b, nil
+	case OpMul:
+		return a * b, nil
+	case opMin:
+		return min(a, b), nil
+	case opMax:
+		return max(a, b), nil
+	}
+	switch {
+	case b == 0 && op == OpDiv:
+		return 0, errors.New("division by zero")
+	case b == 0:
+		return 0, errors.New("MOD by zero")
+	case op == OpDiv:
+		return a / b, nil
+	}
+	return a % b, nil
 }

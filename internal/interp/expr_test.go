@@ -73,7 +73,7 @@ func (g *treeGen) tree(budget int) *tnode {
 			x = paren(x, 1)
 		}
 		return &tnode{kind: 'u', kids: []*tnode{x}}
-	case 6: // parentheses, now and then past maxExprDepth
+	case 6: // parentheses, now and then past directive.MaxExprDepth
 		depth := 1 + g.next()%3
 		if b >= 200 {
 			depth = 30 + g.next()%40
@@ -134,8 +134,8 @@ func (n *tnode) render(b *strings.Builder) {
 // opens, an intrinsic's arity when its argument list closes.
 func (n *tnode) check(depth int) string {
 	if n.kind == '(' {
-		if depth++; depth > maxExprDepth {
-			return fmt.Sprintf("expression nested deeper than %d", maxExprDepth)
+		if depth++; depth > directive.MaxExprDepth {
+			return fmt.Sprintf("expression nested deeper than %d", directive.MaxExprDepth)
 		}
 	}
 	for _, k := range n.kids {
@@ -206,17 +206,17 @@ func (n *tnode) eval(t []int) (int, string) {
 
 // FuzzIntExpr renders random expression trees — literals, parameters,
 // FORALL index variables, + - * /, unary minus, parentheses up to and
-// past maxExprDepth, MOD/MIN/MAX with one to four arguments — and
-// requires the compiled expression to agree with a Go evaluation of the
-// tree: the same value, or the same error text (arity and depth from
-// the compiler, division and MOD by zero from evaluation).
+// past directive.MaxExprDepth, MOD/MIN/MAX with one to four arguments —
+// and requires the compiled expression to agree with a Go evaluation of
+// the tree: the same value, or the same error text (arity and depth
+// from the shared grammar, division and MOD by zero from evaluation).
 func FuzzIntExpr(f *testing.F) {
 	f.Add([]byte("stencil"))
 	f.Add([]byte{7, 0, 3, 3, 2, 0, 0, 7, 0, 3, 1, 2, 1, 0, 3, 0, 1, 1, 0, 11})
 	f.Add([]byte{3, 3, 0, 5, 0, 0})    // a division by zero
 	f.Add([]byte{7, 0, 1, 2, 0, 1, 2}) // MOD by zero
 	f.Add([]byte{7, 1, 0, 0, 9})       // MIN with one argument
-	f.Add([]byte{206, 39, 0, 4})       // 69 parentheses, past maxExprDepth
+	f.Add([]byte{206, 39, 0, 4})       // 69 parentheses, past directive.MaxExprDepth
 	f.Add([]byte{5, 5, 2, 1, 3, 2, 1, 3})
 	cfg := Config{NP: 1, Engine: "sim"}
 	prog, err := cfg.NewProgram()
@@ -242,13 +242,15 @@ func FuzzIntExpr(f *testing.F) {
 			t.Fatalf("%q does not lex: %v", text.String(), err)
 		}
 		c := &cursor{ip: ip, ln: 7, toks: toks, vars: exprVars}
-		e, err := c.addInt()
+		e, err := c.compile()
 		if err == nil {
 			err = c.requireEnd()
 		}
 		got := 0
 		if err == nil {
-			got, err = e.eval(tuple)
+			if got, err = e.Eval(tuple); err != nil {
+				err = errf(c.ln, "%w", err)
+			}
 		}
 		msg := tree.check(0)
 		want := 0

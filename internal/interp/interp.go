@@ -1083,7 +1083,7 @@ func (ip *Interp) execForall(f *forallStmt) error {
 	// Compiled once, the right-hand side is checked before Fill runs;
 	// the index variables become the tuple's slots.
 	c.vars = vars
-	rhs, err := c.addInt()
+	rhs, err := c.compile()
 	if err != nil {
 		return err
 	}
@@ -1098,14 +1098,17 @@ func (ip *Interp) execForall(f *forallStmt) error {
 	var once sync.Once
 	var fillErr error
 	arr.Fill(func(t index.Tuple) float64 {
-		v, err := rhs.eval(t)
+		v, err := rhs.Eval(t)
 		if err != nil {
 			once.Do(func() { fillErr = err })
 			return 0
 		}
 		return float64(v)
 	})
-	return fillErr
+	if fillErr != nil {
+		return errf(f.ln, "%w", fillErr)
+	}
+	return nil
 }
 
 // execPrint runs PRINT SUM(A) | MAXVAL(A) | MINVAL(A) | A(i, ...),

@@ -2,11 +2,9 @@ package interp
 
 import (
 	"fmt"
-	"slices"
-	"strconv"
 
 	"hpfnt/internal/directive"
-	"hpfnt/internal/index"
+	"hpfnt/internal/expr"
 )
 
 // The parse layer builds a program AST from source lines: directive
@@ -246,12 +244,11 @@ func parseDoHeader(ln int, toks []directive.Token) (*doLoop, error) {
 // advances past it, so out-of-range reads are impossible by
 // construction.
 type cursor struct {
-	ip    *Interp
-	ln    int
-	toks  []directive.Token
-	i     int
-	vars  []string // FORALL index variables: tuple slot order
-	depth int
+	ip   *Interp
+	ln   int
+	toks []directive.Token
+	i    int
+	vars []string // FORALL index variables: tuple slot order
 }
 
 func (c *cursor) peek() directive.Token { return c.toks[c.i] }
@@ -290,230 +287,30 @@ func (c *cursor) requireEnd() error {
 	return nil
 }
 
-// maxExprDepth bounds parenthesis nesting in executable expressions,
-// turning pathological inputs into errors instead of stack overflow.
-const maxExprDepth = 64
-
-// iexpr is a compiled integer expression: an operation over compiled
-// operands (fn), or else the affine form c + Σ coef[k]·t[k] of the
-// FORALL index tuple t — a constant when coef is empty. Parameters and
-// DO variables fold to constants at compile time, and sums, differences
-// and constant multiples of affine forms stay affine, so evaluation
-// reads no map, parses no token, and MOD(I*7 + J*3 + S, 11) is one
-// call.
-type iexpr struct {
-	fn   func(index.Tuple) (int, error)
-	c    int
-	coef []int
-}
-
-// eval evaluates e at the FORALL index tuple t (nil outside FORALL).
-func (e iexpr) eval(t index.Tuple) (int, error) {
-	if e.fn != nil {
-		return e.fn(t)
+// compile parses and compiles one integer expression at the cursor:
+// package directive's grammar in the executable-statement scope, in
+// which parameters and DO variables are constants and the FORALL index
+// variables (c.vars) are the tuple's slots. Everything the text alone
+// decides is an error here; division and MOD by zero are errors of
+// evaluation.
+func (c *cursor) compile() (expr.Compiled, error) {
+	e, i, err := directive.ParseExpr(c.toks, c.i, directive.Scope{Slots: c.vars, Const: c.ip.param, Exec: true})
+	c.i = i
+	if err != nil {
+		return e, errf(c.ln, "%w", err)
 	}
-	v := e.c
-	for k, m := range e.coef {
-		v += m * t[k]
-	}
-	return v, nil
+	return e, nil
 }
 
 // intExpr compiles and evaluates an integer expression outside FORALL.
 func (c *cursor) intExpr() (int, error) {
-	e, err := c.addInt()
+	e, err := c.compile()
 	if err != nil {
 		return 0, err
 	}
-	return e.eval(nil)
-}
-
-// addInt compiles an integer expression: +, -, *, / (integer
-// division), parentheses, integer literals, the MOD, MIN and MAX
-// intrinsics, FORALL index variables (c.vars) and named parameters.
-// Everything the text alone decides is an error here; division and
-// MOD by zero are errors of eval.
-func (c *cursor) addInt() (iexpr, error) {
-	return c.chain(c.mulInt, directive.TokPlus, directive.TokMinus)
-}
-
-func (c *cursor) mulInt() (iexpr, error) {
-	return c.chain(c.unaryInt, directive.TokStar, directive.TokSlash)
-}
-
-// chain compiles operand {op operand} for the two operators of one
-// precedence level, left-associative.
-func (c *cursor) chain(operand func() (iexpr, error), op1, op2 directive.TokKind) (iexpr, error) {
-	x, err := operand()
-	for err == nil && (c.at(op1) || c.at(op2)) {
-		op := c.next().Text[0]
-		var y iexpr
-		if y, err = operand(); err == nil {
-			x = c.binary(op, x, y)
-		}
+	v, err := e.Eval(nil)
+	if err != nil {
+		return 0, errf(c.ln, "%w", err)
 	}
-	return x, err
-}
-
-func (c *cursor) unaryInt() (iexpr, error) {
-	if c.accept(directive.TokMinus) {
-		x, err := c.unaryInt()
-		return c.binary('-', iexpr{}, x), err
-	}
-	c.accept(directive.TokPlus)
-	return c.primInt()
-}
-
-func (c *cursor) primInt() (iexpr, error) {
-	t := c.peek()
-	switch {
-	case c.accept(directive.TokNumber):
-		v, err := strconv.Atoi(t.Text)
-		if err != nil {
-			return iexpr{}, errf(c.ln, "expected an integer, got %q (column %d)", t.Text, t.Pos+1)
-		}
-		return iexpr{c: v}, nil
-	case c.accept(directive.TokLParen):
-		c.depth++
-		if c.depth > maxExprDepth {
-			return iexpr{}, errf(c.ln, "expression nested deeper than %d", maxExprDepth)
-		}
-		x, err := c.addInt()
-		c.depth--
-		if err == nil {
-			_, err = c.expect(directive.TokRParen)
-		}
-		return x, err
-	case c.accept(directive.TokIdent):
-		switch t.Text {
-		case "MOD", "MIN", "MAX":
-			return c.intrinsicInt(t.Text)
-		}
-		if k := slices.Index(c.vars, t.Text); k >= 0 {
-			coef := make([]int, k+1)
-			coef[k] = 1
-			return iexpr{coef: coef}, nil
-		}
-		if v, ok := c.ip.param(t.Text); ok {
-			return iexpr{c: v}, nil
-		}
-		return iexpr{}, errf(c.ln, "unknown identifier %q in expression (not a parameter or loop variable; column %d)", t.Text, t.Pos+1)
-	default:
-		return iexpr{}, errf(c.ln, "expected an expression, found %s %q (column %d)", t.Kind, t.Text, t.Pos+1)
-	}
-}
-
-func (c *cursor) intrinsicInt(name string) (iexpr, error) {
-	if _, err := c.expect(directive.TokLParen); err != nil {
-		return iexpr{}, err
-	}
-	var args []iexpr
-	for more := true; more; more = c.accept(directive.TokComma) {
-		x, err := c.addInt()
-		if err != nil {
-			return iexpr{}, err
-		}
-		args = append(args, x)
-	}
-	if _, err := c.expect(directive.TokRParen); err != nil {
-		return iexpr{}, err
-	}
-	if len(args) < 2 {
-		return iexpr{}, errf(c.ln, "%s requires at least two arguments", name)
-	}
-	op := byte('<') // MIN
-	switch name {
-	case "MOD":
-		if len(args) != 2 {
-			return iexpr{}, errf(c.ln, "MOD takes exactly two arguments")
-		}
-		op = '%'
-	case "MAX":
-		op = '>'
-	}
-	x := args[0]
-	for _, y := range args[1:] {
-		x = c.binary(op, x, y)
-	}
-	return x, nil
-}
-
-// binary combines two compiled operands under op (+ - * / for the
-// operators, % < > for MOD, MIN and MAX). Affine operands combine
-// into an affine form where the result is one, and constants fold
-// unless the operation fails, which is left to eval: the left operand,
-// then the right, then op — the order the text reads.
-func (c *cursor) binary(op byte, x, y iexpr) iexpr {
-	ln := c.ln
-	if x.fn == nil && y.fn == nil {
-		switch {
-		case op == '+':
-			return axpy(x, 1, y)
-		case op == '-':
-			return axpy(x, -1, y)
-		case op == '*' && len(y.coef) == 0:
-			return axpy(iexpr{}, y.c, x)
-		case op == '*' && len(x.coef) == 0:
-			return axpy(iexpr{}, x.c, y)
-		case len(x.coef) == 0 && len(y.coef) == 0:
-			if v, err := arith(ln, op, x.c, y.c); err == nil {
-				return iexpr{c: v}
-			}
-		}
-	}
-	// Affine operands are evaluated in line: a call per operation.
-	return iexpr{fn: func(t index.Tuple) (int, error) {
-		a, b := x.c, y.c
-		var err error
-		if x.fn != nil {
-			a, err = x.fn(t)
-		}
-		if err == nil && y.fn != nil {
-			b, err = y.fn(t)
-		}
-		if err != nil {
-			return 0, err
-		}
-		for k, m := range x.coef {
-			a += m * t[k]
-		}
-		for k, m := range y.coef {
-			b += m * t[k]
-		}
-		return arith(ln, op, a, b)
-	}}
-}
-
-// axpy is the affine form x + m·y of two affine forms.
-func axpy(x iexpr, m int, y iexpr) iexpr {
-	coef := make([]int, max(len(x.coef), len(y.coef)))
-	copy(coef, x.coef)
-	for k, v := range y.coef {
-		coef[k] += m * v
-	}
-	return iexpr{c: x.c + m*y.c, coef: coef}
-}
-
-func arith(ln int, op byte, a, b int) (int, error) {
-	switch op {
-	case '+':
-		return a + b, nil
-	case '-':
-		return a - b, nil
-	case '*':
-		return a * b, nil
-	case '<':
-		return min(a, b), nil
-	case '>':
-		return max(a, b), nil
-	}
-	switch {
-	case b == 0 && op == '/':
-		return 0, errf(ln, "division by zero")
-	case b == 0:
-		return 0, errf(ln, "MOD by zero")
-	case op == '/':
-		return a / b, nil
-	}
-	return a % b, nil
+	return v, nil
 }

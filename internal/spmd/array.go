@@ -523,7 +523,11 @@ func (a *Array) Fill(fn func(t index.Tuple) float64) {
 	// return in the backend interface.
 	_ = a.eng.run(1, func(p, _ int) {
 		data := lay.stores[p].data
-		t, start, end := make(index.Tuple, rank), 0, 0 // t is in the row [start, end)
+		// t is in the row [start, end). It fills whole cache lines of
+		// its own: a worker writes it per element, and a line shared
+		// with what another worker's fn reads (the coefficients of a
+		// compiled FORALL expression) would bounce between their cores.
+		t, start, end := make(index.Tuple, rank, (rank+7)/8*8), 0, 0
 		lay.lines(p, func(ls []line) {
 			for _, ln := range ls {
 				off, slot := int(ln.off), int(ln.slot)

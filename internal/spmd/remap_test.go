@@ -103,7 +103,7 @@ func families(t testing.TB, sys *proc.System, rank, low int) []family {
 		}
 		spec.Subs = append(spec.Subs, align.ExprSub(sub))
 	}
-	fn, err := align.Normalize(spec, dom, base.Domain(), expr.Env{})
+	fn, err := align.Normalize(spec, dom, base.Domain(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ import (
 	"hpfnt/internal/align"
 	"hpfnt/internal/core"
 	"hpfnt/internal/dist"
-	"hpfnt/internal/expr"
 	"hpfnt/internal/index"
 	"hpfnt/internal/proc"
 )
@@ -159,22 +158,22 @@ func (m *Model) DistributeArray(name string, formats []dist.Format, target proc.
 	return nil
 }
 
-func (m *Model) boundsEnv() expr.Env {
-	return expr.Env{Bounds: func(array string, dim int) (index.Triplet, error) {
-		if n, ok := m.arrays[array]; ok {
-			if dim < 1 || dim > n.dom.Rank() {
-				return index.Triplet{}, fmt.Errorf("template: dimension %d out of range for %s", dim, array)
-			}
-			return n.dom.Dims[dim-1], nil
+// bounds resolves LBOUND/UBOUND/SIZE over the model's arrays and
+// templates (an expr.Bounds).
+func (m *Model) bounds(array string, dim int) (index.Triplet, error) {
+	if n, ok := m.arrays[array]; ok {
+		if dim < 1 || dim > n.dom.Rank() {
+			return index.Triplet{}, fmt.Errorf("template: dimension %d out of range for %s", dim, array)
 		}
-		if t, ok := m.templates[array]; ok {
-			if dim < 1 || dim > t.Dom.Rank() {
-				return index.Triplet{}, fmt.Errorf("template: dimension %d out of range for %s", dim, array)
-			}
-			return t.Dom.Dims[dim-1], nil
+		return n.dom.Dims[dim-1], nil
+	}
+	if t, ok := m.templates[array]; ok {
+		if dim < 1 || dim > t.Dom.Rank() {
+			return index.Triplet{}, fmt.Errorf("template: dimension %d out of range for %s", dim, array)
 		}
-		return index.Triplet{}, fmt.Errorf("template: unknown object %s", array)
-	}}
+		return t.Dom.Dims[dim-1], nil
+	}
+	return index.Triplet{}, fmt.Errorf("template: unknown object %s", array)
 }
 
 // AlignWithTemplate aligns an array with a template.
@@ -190,7 +189,7 @@ func (m *Model) AlignWithTemplate(s align.Spec) error {
 	if n.d != nil {
 		return fmt.Errorf("template: array %s already has a direct distribution", s.Alignee)
 	}
-	alpha, err := align.Normalize(s, n.dom, t.Dom, m.boundsEnv())
+	alpha, err := align.Normalize(s, n.dom, t.Dom, m.bounds)
 	if err != nil {
 		return err
 	}
@@ -216,7 +215,7 @@ func (m *Model) AlignWithArray(s align.Spec) error {
 	if n.d != nil {
 		return fmt.Errorf("template: array %s already has a direct distribution", s.Alignee)
 	}
-	alpha, err := align.Normalize(s, n.dom, b.dom, m.boundsEnv())
+	alpha, err := align.Normalize(s, n.dom, b.dom, m.bounds)
 	if err != nil {
 		return err
 	}

@@ -258,22 +258,26 @@ func Backoff(attempt int, base, max time.Duration) time.Duration {
 }
 
 // HostOfRank computes the deterministic block partition of ranks
-// 1..np over procs processes: rank r lives on process (r-1)/q with
-// q = ceil(np/procs). Every process derives the same partition.
+// 1..np over procs ≤ np processes: with q = np/procs and r = np%procs,
+// the first r processes host q+1 ranks each and the rest q, so no
+// process is empty. Every process derives the same partition.
 func HostOfRank(np, procs, rank int) int {
-	q := (np + procs - 1) / procs
-	return (rank - 1) / q
+	q, r := np/procs, np%procs
+	k := rank - 1
+	if k < r*(q+1) {
+		return k / (q + 1)
+	}
+	return r + (k-r*(q+1))/q
 }
 
 // RanksOf returns the inclusive rank interval [lo,hi] hosted by
-// process self under the block partition (hi < lo when the process
-// hosts no ranks, which valid configurations exclude).
+// process self under the block partition of HostOfRank.
 func RanksOf(np, procs, self int) (lo, hi int) {
-	q := (np + procs - 1) / procs
-	lo = self*q + 1
-	hi = (self + 1) * q
-	if hi > np {
-		hi = np
+	q, r := np/procs, np%procs
+	lo = self*q + min(self, r) + 1
+	hi = lo + q - 1
+	if self < r {
+		hi++
 	}
 	return lo, hi
 }
@@ -399,10 +403,6 @@ func (cfg *Config) validate(kind string) error {
 		return fmt.Errorf("transport: a multi-process tcp job needs a rendezvous address")
 	case kind == Shm && cfg.Procs > shmMaxProcs:
 		return fmt.Errorf("transport: shm supports at most %d processes, got %d", shmMaxProcs, cfg.Procs)
-	}
-	// The block partition gives the last process the short end.
-	if lo, hi := RanksOf(cfg.NP, cfg.Procs, cfg.Procs-1); hi < lo {
-		return fmt.Errorf("transport: process %d would host no ranks (np=%d procs=%d)", cfg.Procs-1, cfg.NP, cfg.Procs)
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second

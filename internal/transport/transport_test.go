@@ -22,7 +22,7 @@ func freeAddr(t *testing.T) string {
 }
 
 func TestHostOfRankPartition(t *testing.T) {
-	for _, tc := range []struct{ np, procs int }{{8, 1}, {8, 4}, {7, 3}, {5, 5}, {9, 4}} {
+	for _, tc := range []struct{ np, procs int }{{8, 1}, {8, 4}, {7, 3}, {5, 5}, {9, 4}, {8, 6}, {5, 4}} {
 		seen := map[int]int{}
 		for r := 1; r <= tc.np; r++ {
 			h := HostOfRank(tc.np, tc.procs, r)
@@ -34,6 +34,11 @@ func TestHostOfRankPartition(t *testing.T) {
 		covered := 0
 		for p := 0; p < tc.procs; p++ {
 			lo, hi := RanksOf(tc.np, tc.procs, p)
+			// The remainder is spread: hosts differ by at most one
+			// rank, the larger first, and none is empty.
+			if n, q := hi-lo+1, tc.np/tc.procs; n < 1 || n != q && n != q+1 || n == q+1 && p >= tc.np%tc.procs {
+				t.Fatalf("np=%d procs=%d: process %d hosts ranks %d..%d", tc.np, tc.procs, p, lo, hi)
+			}
 			for r := lo; r <= hi; r++ {
 				if HostOfRank(tc.np, tc.procs, r) != p {
 					t.Fatalf("np=%d procs=%d: RanksOf(%d)=[%d,%d] but rank %d hosted by %d", tc.np, tc.procs, p, lo, hi, r, HostOfRank(tc.np, tc.procs, r))
@@ -281,15 +286,15 @@ func TestMeshFramesBalance(t *testing.T) {
 }
 
 // TestJoinRefusesBadShape: one validate refuses, before touching the
-// network or the file system, what no wire can run — here a shape in
-// which the last process would host no ranks.
+// network or the file system, what no wire can run — here more
+// processes than ranks, so that one would host none.
 func TestJoinRefusesBadShape(t *testing.T) {
 	for _, kind := range []string{TCP, Shm} {
 		for self := 0; self < 4; self++ {
 			start := time.Now()
 			// An address nobody listens on: reaching the network would
 			// cost the full timeout.
-			tr, err := Join(kind, Config{Job: "shape", NP: 5, Procs: 4, Self: self, Generation: 1,
+			tr, err := Join(kind, Config{Job: "shape", NP: 3, Procs: 4, Self: self, Generation: 1,
 				Addr: "127.0.0.1:1", Dir: t.TempDir(), Timeout: 5 * time.Second})
 			if err == nil {
 				tr.Close()
