@@ -70,11 +70,18 @@ func RunAnalyzable(region, lhsDom index.Domain, refs []ShiftRef) bool {
 // references read: a boundary of that tiling is a cut at every shift
 // the mapping is read at, so a stencil of T terms over one array costs
 // one tiling, not T.
-func UniformCuts(region index.Domain, lhs ElementMapping, refs []ShiftRef) ([][]int, error) {
+//
+// The lists of dst, a result of an earlier call, are reused: a caller
+// that compiles statement after statement keeps them.
+func UniformCuts(dst [][]int, region index.Domain, lhs ElementMapping, refs []ShiftRef) ([][]int, error) {
 	rank := region.Rank()
-	cuts := make([][]int, rank)
+	cuts := dst[:0]
 	for d, tr := range region.Dims {
-		cuts[d] = append(cuts[d], tr.Low)
+		var c []int
+		if d < len(dst) {
+			c = dst[d][:0]
+		}
+		cuts = append(cuts, append(c, tr.Low))
 	}
 	all := append([]ShiftRef{{Map: lhs, Shift: make([]int, rank)}}, refs...)
 	done := make([]bool, len(all))

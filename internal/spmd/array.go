@@ -56,6 +56,8 @@ type tileIndex struct {
 	owner, base []int32
 	// vol[p] is worker p's slot count.
 	vol []int32
+	// owners and slots are the translation table, once table made it.
+	owners, slots []int32
 }
 
 // indexOf returns the tile index of m's layout on e, or nil when m
@@ -233,43 +235,49 @@ type line struct{ p, off, slot, n int32 }
 // make a call each.
 const lineBatch = 256
 
-// lines hands fn the lines of worker w (of every worker if w is 0) in
-// ascending offset order, in batches: the run of each row of each
-// cell.
-func (x *tileIndex) lines(w int, fn func([]line)) {
-	rank, buf := len(x.cuts), make([]line, 0, lineBatch)
-	if rank == 0 {
-		if w == 0 || int(x.owner[0]) == w {
-			fn(append(buf, line{x.owner[0], 0, x.base[0], 1}))
-		}
-		return
-	}
-	defer func() {
-		if len(buf) > 0 {
-			fn(buf)
-		}
-	}()
+// walk hands fn, in batches, the lines of worker w (of every worker
+// if w is 0): the runs along dimension 0 of the cells. In order, they
+// ascend by offset: the fold order of Reduce. Out of order — all Data,
+// Fill and the translation table need — the walk goes a cell at a time
+// along dimension 1: a batch is a strip of cells up to their next cut
+// there, handed over once per row, each line a position further.
+func (x *tileIndex) walk(w int, ordered bool, fn func([]line)) {
+	rank, buf, rows := len(x.cuts), make([]line, 0, lineBatch), int32(1)
 	if len(x.owner) == 0 {
 		return
 	}
 	// at[d] is the row's position along d ≥ 1, in cell interval c[d].
-	c0, at, c := x.cuts[0], make([]int32, rank), make([]int, rank)
-	for off := int32(0); ; off += c0[len(c0)-1] {
+	c0, at, c := []int32{0, 1}, make([]int32, rank), make([]int, rank)
+	if rank > 0 {
+		c0 = x.cuts[0]
+	}
+	for {
 		// The row's cells are row+i; a position along d ≥ 1 adds in·(the
 		// cell's extent along dimension 0) to a cell's base.
-		row, cm, in, m := 0, len(c0)-1, int32(0), int32(1)
+		row, cm, in, m, off, mul := 0, len(c0)-1, int32(0), int32(1), int32(0), c0[len(c0)-1]
 		for d := 1; d < rank; d++ {
 			cd := x.cuts[d]
 			row += c[d] * cm
 			cm *= len(cd) - 1
 			in += (at[d] - cd[c[d]]) * m
 			m *= cd[c[d]+1] - cd[c[d]]
+			off += at[d] * mul
+			mul *= cd[len(cd)-1]
 		}
+		step := int32(1)
+		if !ordered && rank > 1 {
+			step = x.cuts[1][c[1]+1] - at[1]
+		}
+		if step != rows && len(buf) > 0 {
+			strip(fn, buf, rows, c0[len(c0)-1])
+			buf = buf[:0]
+		}
+		rows = step
 		for i := 0; i+1 < len(c0); i++ {
 			if p := x.owner[row+i]; w == 0 || int(p) == w {
 				n := c0[i+1] - c0[i]
 				if buf = append(buf, line{p, off + c0[i], x.base[row+i] + n*in, n}); len(buf) == lineBatch {
-					fn(buf)
+					strip(fn, buf, rows, c0[len(c0)-1])
 					buf = buf[:0]
 				}
 			}
@@ -277,42 +285,63 @@ func (x *tileIndex) lines(w int, fn func([]line)) {
 		d := 1
 		for ; d < rank; d++ {
 			cd := x.cuts[d]
-			if at[d]++; at[d] < cd[len(cd)-1] {
+			if at[d] += step; at[d] < cd[len(cd)-1] {
 				if at[d] == cd[c[d]+1] {
 					c[d]++
 				}
 				break
 			}
-			at[d], c[d] = 0, 0
+			at[d], c[d], step = 0, 0, 1
 		}
-		if d == rank {
-			return
+		if d >= rank {
+			break
 		}
 	}
+	if len(buf) > 0 {
+		strip(fn, buf, rows, c0[len(c0)-1])
+	}
+}
+
+// strip hands fn the lines of buf rows times, moving each by pitch
+// offsets and its length in slots in between: the next row of its
+// cell.
+func strip(fn func([]line), buf []line, rows, pitch int32) {
+	for fn(buf); rows > 1; rows-- {
+		for i := range buf {
+			buf[i].off, buf[i].slot = buf[i].off+pitch, buf[i].slot+buf[i].n
+		}
+		fn(buf)
+	}
+}
+
+// table returns the owner and slot of every element by offset: the
+// translation table of the inspector and its lowering. A
+// cell-per-element index lends its owner and base arrays; any other
+// fills one from the cell walk on first use and keeps it.
+func (x *tileIndex) table() (owners, slots []int32) {
+	n := int32(0)
+	for _, v := range x.vol {
+		n += v
+	}
+	if x.owners == nil && len(x.owner) == int(n) {
+		x.owners, x.slots = x.owner, x.base
+	} else if x.owners == nil {
+		x.owners, x.slots = make([]int32, n), make([]int32, n)
+		x.walk(0, false, func(ls []line) {
+			for _, ln := range ls {
+				for i := range ln.n {
+					x.owners[ln.off+i], x.slots[ln.off+i] = ln.p, ln.slot+i
+				}
+			}
+		})
+	}
+	return x.owners, x.slots
 }
 
 // equal reports whether two indexes place every element alike.
 func (x *tileIndex) equal(y *tileIndex) bool {
 	return x != nil && y != nil && slices.EqualFunc(x.cuts, y.cuts, slices.Equal[[]int32]) &&
 		slices.Equal(x.owner, y.owner) && slices.Equal(x.base, y.base)
-}
-
-// grids materializes the owner and slot of every element, for a
-// consumer that reads them by offset in no order: the inspector.
-func (x *tileIndex) grids() (owners, slots []int32) {
-	size := 1
-	for _, c := range x.cuts {
-		size *= int(c[len(c)-1])
-	}
-	owners, slots = make([]int32, size), make([]int32, size)
-	x.lines(0, func(ls []line) {
-		for _, ln := range ls {
-			for i := range ln.n {
-				owners[ln.off+i], slots[ln.off+i] = ln.p, ln.slot+i
-			}
-		}
-	})
-	return owners, slots
 }
 
 // buildLayout derives the local storage layout of a mapping on e: the
@@ -366,13 +395,11 @@ func layoutOf(e *Engine, m core.ElementMapping, x *tileIndex) (*layout, error) {
 	return l, nil
 }
 
-// lines hands fn, in batches, every run of consecutive offsets worker
-// w (every worker if w is 0) holds at consecutive slots, in ascending
-// offset order: the rows of the index's cells, or a run per copy of
-// each replicated element.
-func (l *layout) lines(w int, fn func([]line)) {
+// walk is the index's walk or, for a replicated layout, a line per
+// copy of each element in ascending offset order either way.
+func (l *layout) walk(w int, ordered bool, fn func([]line)) {
 	if l.idx != nil {
-		l.idx.lines(w, fn)
+		l.idx.walk(w, ordered, fn)
 		return
 	}
 	buf := make([]line, 0, lineBatch)
@@ -528,10 +555,10 @@ func (a *Array) Fill(fn func(t index.Tuple) float64) {
 		// with what another worker's fn reads (the coefficients of a
 		// compiled FORALL expression) would bounce between their cores.
 		t, start, end := make(index.Tuple, rank, (rank+7)/8*8), 0, 0
-		lay.lines(p, func(ls []line) {
+		lay.walk(p, false, func(ls []line) {
 			for _, ln := range ls {
 				off, slot := int(ln.off), int(ln.slot)
-				if off >= end { // lines ascend: one division per row, not per line
+				if off < start || off >= end { // a division per row left, not per line
 					rest := off
 					for d, tr := range dom.Dims {
 						t[d] = tr.At(rest % count[d])
@@ -573,7 +600,7 @@ func (a *Array) Data() []float64 {
 			segs[p] = tr.Bcast(tr.HostOf(p), vals)
 		}
 	}
-	lay.lines(0, func(ls []line) {
+	lay.walk(0, false, func(ls []line) {
 		for _, ln := range ls {
 			seg := segs[ln.p]
 			if int(ln.slot+ln.n) > len(seg) || lay.idx == nil && int(ln.p) != slices.Min(lay.repOwns[ln.off]) {

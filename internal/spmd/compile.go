@@ -67,11 +67,11 @@ type planBuilder struct {
 	// grid line of the source, so their union is interval arithmetic
 	// on x. The enumerator fixes the direction before its first line.
 	gstep, gext []int
-	work        []*workBuild // index 1..np, nil until a worker gets a line
+	work        []workBuild // index 1..np: the engine's lists, reset
 	pairs       pairBuilder
 	// remap marks the statement of a Remap: a replicated ghost ships
-	// from the holder runtime.RemapSender picks, not its first owner,
-	// and straight into the lhs segment (resolveGhosts).
+	// from the holder runtime.RemapSender picks, not its first owner
+	// (resolveGhosts).
 	remap bool
 }
 
@@ -90,6 +90,8 @@ type ghostReq struct {
 	src, key, lo, n, term int32
 }
 
+// newPlanBuilder returns the builder of lhs(region) = Σ terms over the
+// engine's worker lists, emptied: one build at a time uses them.
 func newPlanBuilder(e *Engine, lhs *Array, region index.Domain, terms []cterm) (*planBuilder, error) {
 	if lhs.eng != e {
 		return nil, fmt.Errorf("spmd: array %s belongs to a different engine", lhs.name)
@@ -97,8 +99,7 @@ func newPlanBuilder(e *Engine, lhs *Array, region index.Domain, terms []cterm) (
 	if region.Rank() != lhs.dom.Rank() {
 		return nil, fmt.Errorf("spmd: region rank %d does not match %s rank %d", region.Rank(), lhs.name, lhs.dom.Rank())
 	}
-	b := &planBuilder{e: e, lhs: lhs, terms: terms, srcOf: make([]int, len(terms)),
-		work: make([]*workBuild, e.np+1), pairs: pairBuilder{}}
+	b := &planBuilder{e: e, lhs: lhs, terms: terms, srcOf: make([]int, len(terms)), work: e.work, pairs: pairBuilder{}}
 	for t, tm := range terms {
 		if tm.src.eng != e {
 			return nil, fmt.Errorf("spmd: term source %s belongs to a different engine", tm.src.name)
@@ -107,6 +108,10 @@ func newPlanBuilder(e *Engine, lhs *Array, region index.Domain, terms []cterm) (
 			b.srcOf[t] = len(b.srcs)
 			b.srcs = append(b.srcs, tm.src)
 		}
+	}
+	for p := range b.work {
+		wb := &b.work[p]
+		*wb = workBuild{runs: wb.runs[:0], terms: wb.terms[:0], reqs: wb.reqs[:0]}
 	}
 	b.gstep, b.gext = make([]int, len(b.srcs)), make([]int, len(b.srcs))
 	return b, nil
@@ -130,7 +135,11 @@ func (b *planBuilder) analyzable(region index.Domain) [][]int {
 	if !core.RunAnalyzable(region, b.lhs.dom, refs) {
 		return nil
 	}
-	cuts, _ := core.UniformCuts(region, b.lhs.mapping, refs) // nil on error
+	cuts, err := core.UniformCuts(b.e.cuts, region, b.lhs.mapping, refs)
+	if err != nil {
+		return nil
+	}
+	b.e.cuts = cuts
 	return cuts
 }
 
@@ -158,7 +167,7 @@ func strides(dom index.Domain) []int {
 // tiles' boundaries), so on every side its slots advance by a constant
 // along each dimension: the layout's index locates the cell's corner
 // once per cell, with the steps, and each line's run is stepped from
-// the last.
+// the last. One pass over the cells locates and emits.
 func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 	rank, T := region.Rank(), len(b.terms)
 	gdim, longest := 0, 0.0
@@ -190,26 +199,19 @@ func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 			org[s] += rel[s][d] * mul[s][d]
 		}
 	}
-	// The first pass locates every cell's corner on every side: its
-	// owner, slot and steps, and so the cell's writer, the dimension it
-	// is cut along and its line count. It sizes each worker's lists for
-	// its lines (a fine-grain interleaving has a line per element, a
-	// coarse one many per cell) and keeps each cell's R values in memo
-	// for the second pass, which emits.
-	cells, R := 1, 2+(T+1)*(2+rank)
-	for _, c := range cuts {
-		cells *= len(c) - 1
-	}
-	memo, count := make([]int32, 0, cells*R), make([]int, b.e.np+1)
+	at, ghost := make([]int, rank), make([]bool, T)
 	core.ForEachCell(cuts, func(lo, hi []int) {
-		along, lines, rec := 0, 1, len(memo)+2
-		memo = append(memo, 0, 0)
+		// Every side's corner: its owner, slot and steps, and so the
+		// cell's writer and the dimension it is cut along.
+		along, w := 0, int32(0)
 		for s, l := range lays {
 			for d, v := range lo {
 				pos[s][d] = int32(v + rel[s][d])
 			}
 			p, sl := l.idx.at(pos[s], step[s])
-			if s > 0 && p != memo[rec] {
+			if s == 0 {
+				w = p
+			} else if ghost[s-1] = p != w; ghost[s-1] {
 				along = gdim // a remote read
 			}
 			for d := range pos[s] {
@@ -222,40 +224,21 @@ func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 					step[s][d], pos[s][d] = next-sl, pos[s][d]-1
 				}
 			}
-			memo = append(append(memo, p, sl), step[s]...)
+			slot[s], off[s] = sl, org[s]
+			for d, v := range lo {
+				off[s] += v * mul[s][d]
+			}
 		}
 		if hi[0] == lo[0] {
 			along = gdim
 		}
+		lines := 1
 		for d := range lo {
 			if d != along {
 				lines *= hi[d] - lo[d] + 1
 			}
 		}
-		memo[rec-2], memo[rec-1] = int32(along), int32(lines)
-		count[memo[rec]] += lines
-	})
-	for p := 1; p <= b.e.np; p++ {
-		b.work[p] = &workBuild{runs: make([]krun, 0, count[p]), terms: make([]kterm, 0, count[p]*T)}
-	}
-	at, ghost := make([]int, rank), make([]bool, T)
-	core.ForEachCell(cuts, func(lo, hi []int) {
-		along, lines, rec := int(memo[0]), int(memo[1]), memo[2:R]
-		memo = memo[R:]
-		for s := range lays {
-			r := rec[s*(2+rank):]
-			slot[s] = r[1]
-			copy(step[s], r[2:2+rank])
-			if s > 0 {
-				ghost[s-1] = r[0] != rec[0]
-			}
-			off[s] = org[s]
-			for d, v := range lo {
-				off[s] += v * mul[s][d]
-			}
-		}
-		w := int(rec[0])
-		wb, n := b.work[w], hi[along]-lo[along]+1
+		wb, n := &b.work[w], hi[along]-lo[along]+1
 		wb.charge(lines*n, ghost)
 		copy(at, lo)
 		for {
@@ -328,11 +311,7 @@ func (b *planBuilder) elementLines(region index.Domain) error {
 		}
 		writers = lhs.lay.appendOwners(writers[:0], loff)
 		for _, w := range writers {
-			wb := b.work[w]
-			if wb == nil {
-				wb = &workBuild{}
-				b.work[w] = wb
-			}
+			wb := &b.work[w]
 			slot, _ := lhs.lay.slotIn(w, loff)
 			wb.runs = append(wb.runs, krun{slot, 0, 1})
 			for t, tm := range b.terms {
@@ -395,26 +374,24 @@ func (b *planBuilder) finish() *Schedule {
 		if s.plans[p] != nil {
 			return s.plans[p]
 		}
-		wb := b.work[p]
-		if wb == nil {
-			wb = &workBuild{} // ships ghosts, computes nothing
-		}
+		wb := &b.work[p] // without runs, it ships ghosts and computes nothing
 		k := &runKernel{lhs: lhs.lay.stores[p].data, coeffs: coeffs, srcs: make([][]float64, T)}
 		for t, tm := range b.terms {
 			k.srcs[t] = tm.src.lay.stores[p].data
 		}
-		nghost := b.resolveGhosts(p, wb)
-		s.ghostTotal += nghost
+		wp := &wplan{kernel: k, ghost: b.resolveGhosts(p, wb),
+			load: wb.load, localRefs: wb.localRefs, remoteRefs: wb.remoteRefs}
+		s.ghostTotal += wp.ghost
 		k.runs, k.terms = joinRuns(wb.runs, wb.terms, T)
 		if !direct {
-			k.tmp = make([]float64, wb.load/T) // direct is true without terms
+			wp.tmp = wb.load / T // direct is true without terms
 		}
-		s.plans[p] = &wplan{kernel: k, ghost: make([]float64, nghost),
-			load: wb.load, localRefs: wb.localRefs, remoteRefs: wb.remoteRefs}
-		return s.plans[p]
+		e.reserve(p, wp.ghost+wp.tmp)
+		s.plans[p] = wp
+		return wp
 	}
 	for p := 1; p <= e.np; p++ {
-		if wb := b.work[p]; wb != nil && len(wb.runs) > 0 {
+		if len(b.work[p].runs) > 0 {
 			planOf(p)
 		}
 	}
@@ -437,14 +414,22 @@ func (b *planBuilder) resolveGhosts(w int, wb *workBuild) int {
 	})
 	// [from, to) is the covered interval of the current grid line (of
 	// cur's source and key); position from holds ghost slot first, next
-	// is the first free one. segs[p] is the segment of the current
-	// source that p sends w.
+	// is the first free one. segs[p] collects, in lists the engine
+	// keeps, the segment of the current source that p sends w; put
+	// hands the pairs a right-sized copy of each.
 	var cur ghostReq
 	var from, to, first, next int32
-	segs := make([]*segBuild, b.e.np+1)
+	segs := b.e.segs
+	put := func() {
+		for p, sg := range segs {
+			if sg != nil && sg.elems > 0 {
+				b.pairs.put(p, w, sg)
+			}
+		}
+	}
 	for i, rq := range wb.reqs {
-		if i == 0 || rq.src != cur.src {
-			clear(segs)
+		if i > 0 && rq.src != cur.src {
+			put()
 		}
 		if i == 0 || rq.src != cur.src || rq.key != cur.key || rq.lo > to {
 			cur, from, to, first = rq, rq.lo, rq.lo, next
@@ -460,27 +445,21 @@ func (b *planBuilder) resolveGhosts(w int, wb *workBuild) int {
 				base = a.lay.repSlot[sender][off]
 			}
 			if segs[sender] == nil {
-				segs[sender] = b.pairs.seg(sender, w, a.lay.stores[sender])
+				segs[sender] = &segBuild{}
 			}
+			segs[sender].st = a.lay.stores[sender]
 			stride := int32(0)
 			if m > 1 { // only a single-owner source has lines
 				_, next := a.lay.idx.locate(off + step)
 				stride = next - base
 			}
-			target, tstride := next, int32(1)
-			if b.remap {
-				// A remap's one term is read by the run of the same index:
-				// the ghost lands at that run's slots of the new segment.
-				run := wb.runs[rq.term]
-				target, tstride = run.base+(to-rq.lo)*run.stride, run.stride
-			} else {
-				next += m
-			}
-			segs[sender].add(base, stride, target, tstride, m)
+			segs[sender].add(base, stride, next, 1, m)
+			next += m
 			to = end
 		}
 		wb.terms[rq.term].base, wb.terms[rq.term].stride = first+rq.lo-from, 1
 	}
+	put()
 	return int(next)
 }
 

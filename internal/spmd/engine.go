@@ -32,7 +32,11 @@
 // concatenation of its owner tiles in tile order, column-major within
 // each tile. Ghost exchange, load accounting and message
 // vectorization are compiled once per schedule and replayed on every
-// execution. There is one per-worker plan shape and one executor
+// execution; the values a replay needs beyond the stores — ghosts,
+// staged sums, the irregular accumulator — are the worker's, one
+// buffer per hosted worker shared by every schedule and valid for one
+// epoch, and the compiler's lists are the engine's, reused from build
+// to build, so a rebuild allocates only what its plan keeps. There is one per-worker plan shape and one executor
 // (Schedule.ExecuteN) with two producers: the regular compiler emits
 // strided runs and slot intervals from the intersection of the
 // statement's owner tiles (element by element only where no closed
@@ -138,6 +142,14 @@ type Engine struct {
 	seq bool
 	// workers[p-1] is rank p's command channel (nil for remote ranks).
 	workers []chan job
+	// bufs[p] is hosted worker p's ghost buffer and staging values,
+	// shared by every schedule and grown to the largest need seen: an
+	// epoch exchanges before it computes, so no ghost outlives it.
+	bufs [][]float64
+	// work, segs and cuts are the builder's lists, reset by each build.
+	work []workBuild
+	segs []*segBuild
+	cuts [][]int
 
 	startOnce sync.Once
 	closeOnce sync.Once
@@ -166,7 +178,8 @@ func NewOn(tr transport.Transport, cost machine.CostModel) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{np: np, tr: tr, mach: m, bank: newPhaseBank(np)}
+	e := &Engine{np: np, tr: tr, mach: m, bank: newPhaseBank(np),
+		bufs: make([][]float64, np+1), work: make([]workBuild, np+1), segs: make([]*segBuild, np+1)}
 	e.localSet = make([]bool, np+1)
 	for p := 1; p <= np; p++ {
 		if tr.HostOf(p) == tr.Self() {
@@ -217,29 +230,13 @@ func (e *Engine) Machine() *machine.Machine { return e.mach }
 // transport this is a collective: every process must call it at the
 // same point of the replicated control flow, and every process
 // returns the identical aggregated report.
-func (e *Engine) Stats() machine.Report {
-	if e.tr.Procs() == 1 {
-		e.statsMu.Lock()
-		defer e.statsMu.Unlock()
-		e.bank.drainInto(e.mach)
-		return e.mach.Stats()
-	}
-	return e.aggregate().Stats()
-}
+func (e *Engine) Stats() machine.Report { return snapshot(e, (*machine.Machine).Stats) }
 
 // DetailStats snapshots the job-wide per-worker detail (load vector,
 // traffic matrix, phase times). The same collective contract as
 // Stats: on a multi-process transport every process must call it at
 // the same point of the replicated control flow.
-func (e *Engine) DetailStats() machine.Detail {
-	if e.tr.Procs() == 1 {
-		e.statsMu.Lock()
-		defer e.statsMu.Unlock()
-		e.bank.drainInto(e.mach)
-		return e.mach.Detail()
-	}
-	return e.aggregate().Detail()
-}
+func (e *Engine) DetailStats() machine.Detail { return snapshot(e, (*machine.Machine).Detail) }
 
 // LocalDetail snapshots this process's share of the counters without
 // any collective. Unlike every other counter accessor it is safe to
@@ -250,6 +247,18 @@ func (e *Engine) LocalDetail() machine.Detail {
 	defer e.statsMu.Unlock()
 	e.bank.drainInto(e.mach)
 	return e.mach.Detail()
+}
+
+// snapshot reads of the job-wide counters: this process's, or on a
+// multi-process transport the aggregate.
+func snapshot[T any](e *Engine, of func(*machine.Machine) T) T {
+	if e.tr.Procs() > 1 {
+		return of(e.aggregate())
+	}
+	e.statsMu.Lock()
+	defer e.statsMu.Unlock()
+	e.bank.drainInto(e.mach)
+	return of(e.mach)
 }
 
 // aggregate merges every process's counter share into one job-wide
@@ -400,6 +409,13 @@ func (e *Engine) recv(src, dst int) []float64 {
 
 // hosted reports whether this process hosts rank p's values.
 func (e *Engine) hosted(p int) bool { return e.localSet[p] }
+
+// reserve grows worker p's buffer to n values if this process hosts p.
+func (e *Engine) reserve(p, n int) {
+	if e.hosted(p) && len(e.bufs[p]) < n {
+		e.bufs[p] = make([]float64, n)
+	}
+}
 
 // counters is a worker's per-operation tally, flushed into the shared
 // machine once per epoch.

@@ -1,8 +1,9 @@
 package spmd
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // span is a strided interval of slots: base, base+stride, …, count of
@@ -144,17 +145,13 @@ type segBuild struct {
 	targets []span
 }
 
-// seg returns the segment of pair (s, w) that reads from st.
-func (b pairBuilder) seg(s, w int, st *store) *segBuild {
+// put adds to pair (s, w) a right-sized copy of sg, the pair's segment
+// of sg.st, and empties sg for reuse: a producer collects segments in
+// lists it keeps from build to build.
+func (b pairBuilder) put(s, w int, sg *segBuild) {
 	pr := [2]int{s, w}
-	for _, sg := range b[pr] {
-		if sg.st == st {
-			return sg
-		}
-	}
-	sg := &segBuild{st: st}
-	b[pr] = append(b[pr], sg)
-	return sg
+	b[pr] = append(b[pr], &segBuild{sg.st, sg.elems, slices.Clone(sg.slots), slices.Clone(sg.targets)})
+	*sg = segBuild{slots: sg.slots[:0], targets: sg.targets[:0]}
 }
 
 // add records that the sender ships count values of the segment's
@@ -175,12 +172,7 @@ func (b pairBuilder) emit(exOf func(p int) *exchange) {
 	for pr := range b {
 		pairs = append(pairs, pr)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
+	slices.SortFunc(pairs, func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
 	for _, pr := range pairs {
 		segs := make([]gather, len(b[pr]))
 		targets := b[pr][0].targets

@@ -389,3 +389,97 @@ func TestWrongLengthMessageFailsEngine(t *testing.T) {
 		}
 	}
 }
+
+// TestGhostBufferSharedAcrossSchedules: the schedules of one engine
+// share each worker's ghost buffer, valid for one epoch only. Three of
+// them take turns on it — A, a Jacobi that ships its ghosts once per
+// epoch (constGhost); B, an in-place CYCLIC halo statement with more
+// ghosts than A and values staged after them; C, an irregular gather
+// into A's source — as A×3, B×2, A×3, C, A×1. After every epoch the
+// values and the logical report equal the element-wise oracle's, on
+// both dispatchers and every wire: an epoch that read a ghost another
+// schedule left in the buffer would not.
+func TestGhostBufferSharedAcrossSchedules(t *testing.T) {
+	const n, np = 24, 4
+	sys, _ := proc.NewSystem(np)
+	dom, interior := index.Standard(1, n, 1, n), index.Standard(2, n-1, 2, n-1)
+	block, cyclic := mapping(t, sys, dom, dist.Block{}), mapping(t, sys, dom, dist.Cyclic{K: 1})
+	fill := func(k int) func(index.Tuple) float64 {
+		return func(tp index.Tuple) float64 { return float64((tp[0]*7+tp[1]*k)%23) - 11 }
+	}
+	for _, seq := range []bool{false, true} {
+		for _, kind := range transport.Kinds() {
+			t.Run(fmt.Sprintf("seq=%v/%s", seq, kind), func(t *testing.T) {
+				tr, err := transport.New(kind, np)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := NewOn(tr, machine.DefaultCost())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				e.seq = seq
+				u, v := newTwin(t, e, "U", block, fill(3)), newTwin(t, e, "V", block, fill(5))
+				h, x := newTwin(t, e, "H", cyclic, fill(2)), newTwin(t, e, "X", cyclic, fill(9))
+				type step struct {
+					s     *Schedule
+					o     oracleSchedule
+					iters int
+				}
+				jacobi := []int{-1, 0, 1, 0, 0, -1, 0, 1}
+				var pts []Term
+				var rts []runtime.Term
+				for i := 0; i < len(jacobi); i += 2 {
+					pts = append(pts, Ref(u.p, 0.25, jacobi[i], jacobi[i+1]))
+					rts = append(rts, runtime.Ref(u.r, 0.25, jacobi[i], jacobi[i+1]))
+				}
+				as, err := e.BuildSchedule(v.p, interior, pts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ao, err := runtime.BuildSchedule(v.r, interior, rts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bs, err := e.BuildSchedule(h.p, interior, []Term{Ref(h.p, 0.5, 0, 0), Ref(h.p, 0.25, -1, 0), Ref(h.p, 0.25, 1, 0)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				bo, err := runtime.BuildSchedule(h.r, interior, []runtime.Term{runtime.Ref(h.r, 0.5, 0, 0), runtime.Ref(h.r, 0.25, -1, 0), runtime.Ref(h.r, 0.25, 1, 0)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cs, err := e.BuildIrregular(u.p, x.p, ringPattern(dom.Size()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				co, err := runtime.BuildIrregular(np, u.r, x.r, ringPattern(dom.Size()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !as.constGhost || bs.constGhost || as.GhostElements() >= bs.GhostElements() {
+					t.Fatalf("A constGhost %v with %d ghosts, B constGhost %v with %d", as.constGhost, as.GhostElements(), bs.constGhost, bs.GhostElements())
+				}
+				a, b, c := step{as, ao, 3}, step{bs, bo, 2}, step{cs, co, 1}
+				m, _ := machine.New(np, machine.DefaultCost())
+				for i, st := range []step{a, b, a, c, {as, ao, 1}} {
+					if err := st.s.ExecuteN(st.iters); err != nil {
+						t.Fatal(err)
+					}
+					for range st.iters {
+						if err := st.o.Execute(m); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for _, tw := range []twin{u, v, h, x} {
+						tw.sameValues(t)
+					}
+					if got, want := e.Stats().Logical(), m.Stats().Logical(); got != want {
+						t.Fatalf("step %d: report mismatch:\n spmd %+v\n  sim %+v", i, got, want)
+					}
+				}
+			})
+		}
+	}
+}

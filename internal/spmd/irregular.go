@@ -2,7 +2,6 @@ package spmd
 
 import (
 	"fmt"
-	"slices"
 
 	"hpfnt/internal/inspector"
 	"hpfnt/internal/obs"
@@ -12,7 +11,7 @@ import (
 // statement in local slot space: access j adds coeffs[j]·v(reads[j])
 // into acc[writeIx[j]], where reads[j] >= 0 is a slot of srcData and
 // reads[j] < 0 is ghost slot -(reads[j]+1); then acc[i] stores to
-// lhsData[outSlots[i]].
+// lhsData[outSlots[i]]. acc is the worker's tmp, one value per output.
 type accumKernel struct {
 	lhsData  []float64
 	srcData  []float64
@@ -20,7 +19,6 @@ type accumKernel struct {
 	writeIx  []int32
 	reads    []int32
 	coeffs   []float64
-	acc      []float64
 }
 
 // BuildIrregular is the inspector producer, the executor side of the
@@ -46,13 +44,9 @@ func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*Schedu
 			defer end()
 		}
 	}
-	// The inspector and the lowering read owners and slots by offset:
-	// grids that live as long as this build.
-	wOwners, wSlots := lhs.lay.idx.grids()
-	rOwners, rSlots := wOwners, wSlots
-	if src != lhs {
-		rOwners, rSlots = src.lay.idx.grids()
-	}
+	// The inspector reads owners by offset, and the lowering slots.
+	wOwners, wSlots := lhs.lay.idx.table()
+	rOwners, rSlots := src.lay.idx.table()
 	sched, err := inspector.Build(e.np, wOwners, rOwners, pat)
 	if err != nil {
 		return nil, err
@@ -95,34 +89,30 @@ func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*Schedu
 		k.coeffs = pl.Coeffs
 		k.reads = make([]int32, len(pl.Reads))
 		for j, r := range pl.Reads {
-			if r >= 0 {
+			if k.reads[j] = r; r >= 0 {
 				k.reads[j] = rSlots[r]
-			} else {
-				k.reads[j] = r
 			}
 		}
-		k.acc = make([]float64, len(pl.Outs))
-		wp.ghost = make([]float64, pl.NGhost)
+		wp.ghost, wp.tmp = pl.NGhost, len(pl.Outs)
+		e.reserve(p, wp.ghost+wp.tmp)
 		wp.load = pl.Load
 		wp.localRefs = pl.LocalRefs
 		wp.remoteRefs = pl.RemoteRefs
 	}
-	pairs := pairBuilder{}
+	pairs, sg := pairBuilder{}, &segBuild{}
 	for _, pr := range sched.Pairs {
-		sg := pairs.seg(pr.Src, pr.Dst, src.lay.stores[pr.Src])
-		sg.slots = slices.Grow(sg.slots, len(pr.Offsets)) // a gather list rarely joins
+		sg.st = src.lay.stores[pr.Src]
 		for i, off := range pr.Offsets {
 			sg.add(rSlots[off], 0, pr.Targets[i], 0, 1)
 		}
+		pairs.put(pr.Src, pr.Dst, sg)
 	}
 	pairs.emit(func(p int) *exchange { return &planOf(p).ex })
 	return s, nil
 }
 
-func (k *accumKernel) compute(ghost []float64) {
-	for i := range k.acc {
-		k.acc[i] = 0
-	}
+func (k *accumKernel) compute(ghost, acc []float64) {
+	clear(acc)
 	for j, r := range k.reads {
 		var v float64
 		if r >= 0 {
@@ -130,9 +120,9 @@ func (k *accumKernel) compute(ghost []float64) {
 		} else {
 			v = ghost[-r-1]
 		}
-		k.acc[k.writeIx[j]] += k.coeffs[j] * v
+		acc[k.writeIx[j]] += k.coeffs[j] * v
 	}
 	for i, sl := range k.outSlots {
-		k.lhsData[sl] = k.acc[i]
+		k.lhsData[sl] = acc[i]
 	}
 }

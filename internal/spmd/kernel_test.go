@@ -14,8 +14,8 @@ import (
 
 // elementCompute is runKernel.compute as the element-wise oracle
 // (package runtime) writes it: every value summed from 0.0 in term
-// order, stored at once or, with tmp, after the whole share.
-func elementCompute(k *runKernel, ghost []float64) {
+// order, stored at once or, with a tmp, after the whole share.
+func elementCompute(k *runKernel, ghost, tmp []float64) {
 	T := len(k.coeffs)
 	var vals []float64
 	for r, run := range k.runs {
@@ -28,14 +28,14 @@ func elementCompute(k *runKernel, ghost []float64) {
 				}
 				sum += k.coeffs[t] * src[int(tm.base)+i*int(tm.stride)]
 			}
-			if k.tmp != nil {
+			if len(tmp) > 0 {
 				vals = append(vals, sum)
 			} else {
 				k.lhs[int(run.base)+i*int(run.stride)] = sum
 			}
 		}
 	}
-	if k.tmp == nil {
+	if len(tmp) == 0 {
 		return
 	}
 	for _, run := range k.runs {
@@ -45,14 +45,16 @@ func elementCompute(k *runKernel, ghost []float64) {
 	}
 }
 
-// elementCopy is copyKernel.compute as an element loop: every run whose
-// term is local is copied, a ghost run is left to the exchange.
-func elementCopy(k *copyKernel) {
+// elementCopy is copyKernel.compute as an element loop: every run is
+// copied from its term's store or, for a ghost term, the ghost buffer.
+func elementCopy(k *copyKernel, ghost []float64) {
 	for r, run := range k.runs {
-		if tm := k.terms[r]; !tm.ghost {
-			for i := range int(run.n) {
-				k.lhs[int(run.base)+i*int(run.stride)] = k.srcs[0][int(tm.base)+i*int(tm.stride)]
-			}
+		tm, src := k.terms[r], k.srcs[0]
+		if tm.ghost {
+			src = ghost
+		}
+		for i := range int(run.n) {
+			k.lhs[int(run.base)+i*int(run.stride)] = src[int(tm.base)+i*int(tm.stride)]
 		}
 	}
 }
@@ -134,16 +136,17 @@ func FuzzRunKernel(f *testing.F) {
 					k.srcs[t] = lhs
 				}
 			}
-			if !direct {
-				for _, run := range runs {
-					k.tmp = append(k.tmp, make([]float64, run.n)...)
-				}
-			}
 			return k
 		}
+		var tmp []float64
+		if !direct {
+			for _, run := range runs {
+				tmp = append(tmp, make([]float64, run.n)...)
+			}
+		}
 		got, want := kernel(append([]float64(nil), lhs...)), kernel(lhs)
-		got.compute(ghost)
-		elementCompute(want, ghost)
+		got.compute(ghost, tmp)
+		elementCompute(want, ghost, tmp)
 		for i := range want.lhs {
 			if g, w := got.lhs[i], want.lhs[i]; math.Float64bits(g) != math.Float64bits(w) && !(g != g && w != w) {
 				t.Fatalf("T=%d direct=%v: lhs[%d] = %g (%#x), element loop %g (%#x)\nruns %v\nterms %v",
@@ -152,7 +155,7 @@ func FuzzRunKernel(f *testing.F) {
 		}
 
 		// The copy kernel reads an array of its own, a remap's source
-		// never being its lhs; the exchange delivers its ghost runs.
+		// never being its lhs, and the ghost buffer.
 		first := make([]kterm, len(runs))
 		for r := range runs {
 			first[r] = terms[r*T]
@@ -162,8 +165,8 @@ func FuzzRunKernel(f *testing.F) {
 			return &copyKernel{lhs: append([]float64(nil), lhs...), srcs: [][]float64{src}, runs: runs, terms: first}
 		}
 		gotCopy, wantCopy := copier(), copier()
-		gotCopy.compute(ghost)
-		elementCopy(wantCopy)
+		gotCopy.compute(ghost, nil)
+		elementCopy(wantCopy, ghost)
 		for i := range wantCopy.lhs {
 			if g, w := math.Float64bits(gotCopy.lhs[i]), math.Float64bits(wantCopy.lhs[i]); g != w {
 				t.Fatalf("copy: lhs[%d] = %#x, element copy %#x\nruns %v\nterms %v", i, g, w, runs, first)
@@ -202,7 +205,9 @@ func TestRunKernelAllocFree(t *testing.T) {
 			if wp == nil {
 				continue
 			}
-			if allocs := testing.AllocsPerRun(5, func() { wp.kernel.compute(wp.ghost) }); allocs != 0 {
+			buf := e.bufs[p]
+			ghost, tmp := buf[:wp.ghost], buf[wp.ghost:wp.ghost+wp.tmp]
+			if allocs := testing.AllocsPerRun(5, func() { wp.kernel.compute(ghost, tmp) }); allocs != 0 {
 				t.Errorf("%s worker %d: compute allocates %.0f times", st.name, p, allocs)
 			}
 		}

@@ -2,6 +2,7 @@ package spmd
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -61,9 +62,9 @@ func shapeOf(t testing.TB, s *Schedule) planShape {
 		}
 		sh.workers++
 		sh.runs += len(k.runs)
-		sh.tmp += len(k.tmp)
-		sh.ghost += len(wp.ghost)
-		sh.retained += 12*cap(k.runs) + 12*cap(k.terms) + 8*cap(k.tmp) + 8*cap(wp.ghost)
+		sh.tmp += wp.tmp
+		sh.ghost += wp.ghost
+		sh.retained += 12*cap(k.runs) + 12*cap(k.terms)
 		for _, sp := range wp.ex.sends {
 			for _, sg := range sp.segs {
 				sh.sendSpans += len(sg.spans)
@@ -423,5 +424,42 @@ func TestBuildSpans(t *testing.T) {
 	}
 	if want := []string{"compile B[2:16]", "inspect B<-A x32"}; !slices.Equal(names, want) {
 		t.Errorf("build spans %q, want %q", names, want)
+	}
+}
+
+// TestRebuildAllocs keeps a rebuild on a warm engine proportional to
+// the plan it keeps, not to the data it moves: compiling the LU sweep's
+// first statement R(2:N,2:N) = R(2:N,2:N) + A(1:N-1,1:N-1)/16 on
+// (CYCLIC,:) over two workers allocates at most 64 KiB at N=192 and at
+// most 2.2 times what it does at N=96, in no more objects. The ghost
+// buffers it needs are the engine's, grown by the first build.
+func TestRebuildAllocs(t *testing.T) {
+	rebuild := func(n int) (bytes, objects uint64) {
+		e := newEngine(t, 2)
+		sys, _ := proc.NewSystem(2)
+		m := distMapping(t, sys, index.Standard(1, n, 1, n), dist.Cyclic{K: 1}, dist.Collapsed{})
+		a, r := newArray(t, e, "A", m), newArray(t, e, "R", m)
+		region, terms := index.Standard(2, n, 2, n), []Term{Ref(r, 1, 0, 0), Ref(a, 1.0/16, -1, -1)}
+		build := func() {
+			if _, err := e.BuildSchedule(r, region, terms); err != nil {
+				t.Fatal(err)
+			}
+		}
+		build()
+		bytes, objects = math.MaxUint64, math.MaxUint64
+		for range 5 { // the fewest, so a collection in between does not count
+			b, o := allocated(build)
+			bytes, objects = min(bytes, b), min(objects, o)
+		}
+		return bytes, objects
+	}
+	b96, o96 := rebuild(96)
+	b192, o192 := rebuild(192)
+	t.Logf("N=96: %d bytes in %d objects; N=192: %d bytes in %d objects", b96, o96, b192, o192)
+	if b192 > 64<<10 || float64(b192) > 2.2*float64(b96) {
+		t.Errorf("a rebuild allocates %d bytes at N=192, %d at N=96", b192, b96)
+	}
+	if o192 > o96 {
+		t.Errorf("a rebuild allocates %d objects at N=192, %d at N=96", o192, o96)
 	}
 }

@@ -67,19 +67,11 @@ func (e *Engine) Reduce(a *Array, op runtime.ReduceOp) (float64, error) {
 	}
 	root := procs[0]
 	acc := func(cur, v float64) float64 {
-		switch op {
-		case runtime.ReduceSum:
+		switch {
+		case op == runtime.ReduceSum:
 			return cur + v
-		case runtime.ReduceMax:
-			if v > cur {
-				return v
-			}
-			return cur
-		case runtime.ReduceMin:
-			if v < cur {
-				return v
-			}
-			return cur
+		case op == runtime.ReduceMax && v > cur, op == runtime.ReduceMin && v < cur:
+			return v
 		}
 		return cur
 	}
@@ -110,7 +102,7 @@ func (e *Engine) Reduce(a *Array, op runtime.ReduceOp) (float64, error) {
 			// Lines come in ascending global-offset order, which is the
 			// fold order defining the float result.
 			data, started := lay.stores[p].data, false
-			lay.lines(p, func(ls []line) {
+			lay.walk(p, true, func(ls []line) {
 				for _, ln := range ls {
 					if lay.idx == nil && lay.repOwns[ln.off][0] != p {
 						continue

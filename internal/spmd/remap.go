@@ -82,10 +82,7 @@ func remapTo(a *Array, newMap core.ElementMapping, s *Schedule) (int, error) {
 			if wp != nil {
 				moved += wp.remoteRefs
 				wp.load, wp.localRefs, wp.remoteRefs = 0, 0, 0
-				// The exchange scatters the moved elements straight into
-				// the new segment; the kernel copies the kept ones.
-				k := wp.kernel.(*runKernel)
-				wp.kernel, wp.ghost = (*copyKernel)(k), k.lhs
+				wp.kernel = (*copyKernel)(wp.kernel.(*runKernel))
 			}
 		}
 		if to.idx == nil { // an element may gain several owners

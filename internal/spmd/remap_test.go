@@ -204,9 +204,28 @@ func matchesElementFill(t testing.TB, got *layout, want *elementLayout) {
 	}
 }
 
+// grids materializes the owner and slot of every element by offset,
+// from the lines: what the inspector once read, the oracle of the
+// index's other walks.
+func (x *tileIndex) grids() (owners, slots []int32) {
+	size := 1
+	for _, c := range x.cuts {
+		size *= int(c[len(c)-1])
+	}
+	owners, slots = make([]int32, size), make([]int32, size)
+	x.walk(0, true, func(ls []line) {
+		for _, ln := range ls {
+			for i := range ln.n {
+				owners[ln.off+i], slots[ln.off+i] = ln.p, ln.slot+i
+			}
+		}
+	})
+	return owners, slots
+}
+
 // eachLine calls fn for every line of the layout, one at a time.
 func eachLine(l *layout, fn func(p, off, slot, n int)) {
-	l.lines(0, func(ls []line) {
+	l.walk(0, true, func(ls []line) {
 		for _, ln := range ls {
 			fn(int(ln.p), int(ln.off), int(ln.slot), int(ln.n))
 		}
@@ -342,6 +361,95 @@ func TestRemapPatchwork(t *testing.T) {
 	}
 }
 
+// fuzzMapping draws a mapping from the fuzzer's bytes, each taken by
+// next(n) modulo n: a rank (1–3) and lower bound, then one of the
+// single-owner families at that bound, or an extent (1..maxExtent) and
+// a format per dimension — BLOCK, Vienna block, CYCLIC(k),
+// GENERAL_BLOCK, INDIRECT or collapsed, at least one not collapsed —
+// over a processor arrangement of np = 4.
+func fuzzMapping(t *testing.T, sys *proc.System, next func(n int) int, maxExtent int) core.ElementMapping {
+	rank, low := 1+next(3), next(7)-3
+	if next(4) == 3 { // a family
+		fams := families(t, sys, rank, low)
+		return fams[next(len(fams)-1)].m // the last is replicated
+	}
+	// Kinds 0–4 are distributed, 5 collapsed; at least one is
+	// distributed. The target's extents follow from how many are:
+	// 4, 2×2 or 2×2×1.
+	bounds, kinds, distributed := make([]int, 0, 2*rank), make([]int, rank), 0
+	for d := range kinds {
+		n := 1 + next(maxExtent)
+		bounds = append(bounds, low, low+n-1)
+		if kinds[d] = next(6); kinds[d] < 5 {
+			distributed++
+		}
+	}
+	if distributed == 0 {
+		kinds[0], distributed = 0, 1
+	}
+	ext := [][]int{{4}, {2, 2}, {2, 2, 1}}[distributed-1]
+	dom, formats, j := index.Standard(bounds...), make([]dist.Format, rank), 0
+	for d, k := range kinds {
+		if k == 5 {
+			formats[d] = dist.Collapsed{}
+			continue
+		}
+		n, q := dom.Dims[d].Count(), ext[j]
+		j++
+		switch k {
+		case 0:
+			formats[d] = dist.Block{}
+		case 1:
+			formats[d] = dist.BlockVienna{}
+		case 2:
+			formats[d] = dist.Cyclic{K: 1 + next(4)}
+		case 3:
+			g := make([]int, q-1)
+			for i := range g {
+				g[i] = next(n + 1)
+			}
+			slices.Sort(g)
+			formats[d] = dist.GeneralBlock{Bounds: g}
+		case 4:
+			owner := make([]int, n)
+			for i := range owner {
+				owner[i] = 1 + next(q)
+			}
+			ind, err := dist.NewIndirect(owner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			formats[d] = ind
+		}
+	}
+	pbounds := make([]int, 0, 2*len(ext))
+	for _, q := range ext {
+		pbounds = append(pbounds, 1, q)
+	}
+	target, err := sys.DeclareArray("T", index.Standard(pbounds...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dd, err := dist.New(dom, formats, proc.Whole(target))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.DistMapping{D: dd}
+}
+
+// fuzzBytes returns next for fuzzMapping: the next input byte, mod n,
+// and 0 once the input is used up.
+func fuzzBytes(in []byte) func(n int) int {
+	return func(n int) int {
+		if len(in) == 0 {
+			return 0
+		}
+		b := in[0]
+		in = in[1:]
+		return int(b) % n
+	}
+}
+
 // FuzzLayoutIndex: for a drawn rank (1–3), lower bounds, extents and
 // a format per dimension — BLOCK, Vienna block, CYCLIC(k),
 // GENERAL_BLOCK, INDIRECT or collapsed — or one of the single-owner
@@ -360,84 +468,8 @@ func FuzzLayoutIndex(f *testing.F) {
 	f.Add([]byte{2, 2, 8, 4, 2, 1, 3, 5, 6, 0, 2, 7})
 	f.Add([]byte{3, 8, 1})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		next := func(n int) int { // the next input byte, mod n
-			if len(in) == 0 {
-				return 0
-			}
-			b := in[0]
-			in = in[1:]
-			return int(b) % n
-		}
 		sys, _ := proc.NewSystem(np)
-		rank, low := 1+next(3), next(7)-3
-		var m core.ElementMapping
-		if next(4) == 3 { // a family
-			fams := families(t, sys, rank, low)
-			m = fams[next(len(fams)-1)].m // the last is replicated
-		} else {
-			// Kinds 0–4 are distributed, 5 collapsed; at least one is
-			// distributed. The target's extents follow from how many are:
-			// 4, 2×2 or 2×2×1.
-			bounds, kinds, distributed := make([]int, 0, 2*rank), make([]int, rank), 0
-			for d := range kinds {
-				n := 1 + next(9)
-				bounds = append(bounds, low, low+n-1)
-				if kinds[d] = next(6); kinds[d] < 5 {
-					distributed++
-				}
-			}
-			if distributed == 0 {
-				kinds[0], distributed = 0, 1
-			}
-			ext := [][]int{{4}, {2, 2}, {2, 2, 1}}[distributed-1]
-			dom, formats, j := index.Standard(bounds...), make([]dist.Format, rank), 0
-			for d, k := range kinds {
-				if k == 5 {
-					formats[d] = dist.Collapsed{}
-					continue
-				}
-				n, q := dom.Dims[d].Count(), ext[j]
-				j++
-				switch k {
-				case 0:
-					formats[d] = dist.Block{}
-				case 1:
-					formats[d] = dist.BlockVienna{}
-				case 2:
-					formats[d] = dist.Cyclic{K: 1 + next(4)}
-				case 3:
-					g := make([]int, q-1)
-					for i := range g {
-						g[i] = next(n + 1)
-					}
-					slices.Sort(g)
-					formats[d] = dist.GeneralBlock{Bounds: g}
-				case 4:
-					owner := make([]int, n)
-					for i := range owner {
-						owner[i] = 1 + next(q)
-					}
-					ind, err := dist.NewIndirect(owner)
-					if err != nil {
-						t.Fatal(err)
-					}
-					formats[d] = ind
-				}
-			}
-			pbounds := make([]int, 0, 2*len(ext))
-			for _, q := range ext {
-				pbounds = append(pbounds, 1, q)
-			}
-			target, err := sys.DeclareArray("T", index.Standard(pbounds...))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dd, err := dist.New(dom, formats, proc.Whole(target))
-			if err != nil {
-				t.Fatal(err)
-			}
-			m = core.DistMapping{D: dd}
-		}
+		m := fuzzMapping(t, sys, fuzzBytes(in), 9)
 		got, err := buildLayout(e, m)
 		if err != nil {
 			t.Fatal(err)
@@ -447,6 +479,66 @@ func FuzzLayoutIndex(f *testing.F) {
 			t.Fatal(err)
 		}
 		matchesElementFill(t, got, want)
+	})
+}
+
+// FuzzCellWalk: over FuzzLayoutIndex's mappings, at extents up to 256
+// and 65536 elements,
+// the cell walk of every worker and of all of them hands each element
+// over exactly once, in a line of its worker whose offsets and slots
+// advance together along dimension 0 — the owner and slot locate
+// finds.
+func FuzzCellWalk(f *testing.F) {
+	const np = 4
+	e, err := New(np, machine.DefaultCost())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { e.Close() })
+	f.Add([]byte{1, 4, 0, 191, 2, 191, 5, 0})                                        // (CYCLIC,:) 192²
+	f.Add([]byte{0, 3, 0, 15, 4, 1, 2, 2, 3, 1, 1, 4, 2, 3, 3, 3, 1, 2, 4, 4, 1, 2}) // 1-D INDIRECT
+	f.Add([]byte{2, 2, 8, 4, 2, 1, 3, 5, 6, 0, 2, 7})
+	f.Add([]byte{3, 8, 1})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		sys, _ := proc.NewSystem(np)
+		m := fuzzMapping(t, sys, fuzzBytes(in), 256)
+		if m.Domain().Size() > 1<<16 { // a 256³ walk is no test of its odometer
+			return
+		}
+		l, err := buildLayout(e, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := l.idx
+		n0, size := int32(1), int32(0)
+		if len(x.cuts) > 0 {
+			n0 = x.cuts[0][len(x.cuts[0])-1]
+		}
+		for _, v := range x.vol {
+			size += v
+		}
+		for w := 0; w <= np; w++ {
+			seen := make([]int, size)
+			x.walk(w, false, func(ls []line) {
+				for _, ln := range ls {
+					if ln.n < 1 || w != 0 && int(ln.p) != w || ln.off%n0+ln.n > n0 {
+						t.Fatalf("walk of %d: line %+v", w, ln)
+					}
+					for i := range ln.n {
+						if p, slot := x.locate(int(ln.off + i)); p != ln.p || slot != ln.slot+i {
+							t.Fatalf("walk of %d: line %+v holds offset %d at worker %d's slot %d, locate finds %d's %d",
+								w, ln, ln.off+i, ln.p, ln.slot+i, p, slot)
+						}
+						seen[ln.off+i]++
+					}
+				}
+			})
+			for off, k := range seen {
+				if p, _ := x.locate(off); k != 0 && k != 1 || k == 0 && (w == 0 || int(p) == w) {
+					t.Fatalf("walk of %d hands offset %d over %d times", w, off, k)
+				}
+			}
+		}
 	})
 }
 

@@ -44,7 +44,9 @@ type cterm struct {
 // two producers — compile (regular statements lhs(region) = Σ terms,
 // from owner-tile intersection, see compile.go) or BuildIrregular
 // (indirection-array statements, by lowering the inspector's schedule)
-// — and ExecuteN replays them without knowing which. The involved
+// — and ExecuteN replays them without knowing which. A schedule holds
+// no value buffer, only lengths into its workers' (Engine.bufs), so a
+// schedule built and used once costs what its plans keep. The involved
 // arrays must not be remapped between executions (rebuild after
 // REDISTRIBUTE/REALIGN).
 type Schedule struct {
@@ -72,13 +74,14 @@ type Schedule struct {
 }
 
 // wplan is one worker's share of a schedule: its side of the ghost
-// exchange, the ghost buffer the exchange scatters into, the
-// arithmetic over local slots and ghost slots, and the counter deltas
-// one iteration charges.
+// exchange, the arithmetic over local slots and ghost slots, and the
+// counter deltas one iteration charges. It holds no values: ghost and
+// tmp are the lengths of the ghost buffer the exchange scatters into
+// and of the staging values, both in the worker's Engine.bufs.
 type wplan struct {
-	ex     exchange
-	ghost  []float64
-	kernel kernel
+	ex         exchange
+	kernel     kernel
+	ghost, tmp int
 
 	load       int
 	localRefs  int
@@ -88,12 +91,13 @@ type wplan struct {
 // kernel is one worker's arithmetic for one iteration: evaluate its
 // share of the statement from the local stores and the ghost buffer
 // and store it, with Fortran array-assignment semantics (no store is
-// visible to any read of the same iteration). runKernel serves every
+// visible to any read of the same iteration). tmp holds the values a
+// kernel stages before it stores them. runKernel serves every
 // regular statement and copyKernel every remap; accumKernel
 // (irregular.go) serves indirection statements, whose per-access
 // coefficients and write indices have no run form.
 type kernel interface {
-	compute(ghost []float64)
+	compute(ghost, tmp []float64)
 }
 
 // runKernel is a list of strided runs. Run r computes, for i in
@@ -103,17 +107,16 @@ type kernel interface {
 // loops run slice to slice: there is no per-element index and no
 // per-element local/ghost branch.
 //
-// tmp is nil when every read of the written store is at the element
-// being written (no term reads the lhs array at a non-zero shift):
-// each value is then stored as soon as it is computed. Otherwise the
-// whole share is evaluated into tmp before any store.
+// The plan gives it no tmp when every read of the written store is at
+// the element being written (no term reads the lhs array at a non-zero
+// shift): each value is then stored as soon as it is computed.
+// Otherwise the whole share is evaluated into tmp before any store.
 type runKernel struct {
 	lhs    []float64
 	coeffs []float64
 	srcs   [][]float64
 	runs   []krun
 	terms  []kterm
-	tmp    []float64
 }
 
 // krun is the written side of one run.
@@ -200,7 +203,9 @@ func (s *Schedule) ExecuteN(iters int) error {
 	// Iteration it is phase 2·it, gather and send, and phase 2·it+1,
 	// receive, scatter and compute. Coalescing: a constGhost statement
 	// exchanges ghosts only in the first iteration of the epoch; the
-	// scattered buffer stays valid for the replays.
+	// scattered buffer stays valid for the replays of this epoch, and
+	// only for them: the worker's next epoch, of any schedule, reuses
+	// the buffer and exchanges first.
 	last := 2*iters - 1
 	err := e.run(last+1, func(p, k int) {
 		if k%2 == 1 {
@@ -227,15 +232,17 @@ func (s *Schedule) ExecuteN(iters int) error {
 			}
 			return
 		}
+		buf := e.bufs[p]
+		ghost, tmp := buf[:wp.ghost], buf[wp.ghost:wp.ghost+wp.tmp]
 		if exchanges {
-			wp.ex.recv(e, p, wp.ghost)
+			wp.ex.recv(e, p, ghost)
 			if timing {
 				now := time.Now()
 				tallies[p][machine.PhaseGhostWait] += int64(now.Sub(t0))
 				t0 = now
 			}
 		}
-		wp.kernel.compute(wp.ghost)
+		wp.kernel.compute(ghost, tmp)
 		if timing {
 			tallies[p][machine.PhaseCompute] += int64(time.Since(t0))
 		}
@@ -271,14 +278,14 @@ func (s *Schedule) ExecuteN(iters int) error {
 // most four terms goes through sum1 … sum4, with every side resliced to
 // the run; any other run (a strided boundary row, a long statement) is
 // walked element by element here.
-func (k *runKernel) compute(ghost []float64) {
+func (k *runKernel) compute(ghost, tmp []float64) {
 	T, c := len(k.coeffs), k.coeffs
 	at := 0
 	for r, run := range k.runs {
 		n, terms := int(run.n), k.terms[r*T:r*T+T]
 		dst, base, stride := k.lhs, int(run.base), int(run.stride)
-		if k.tmp != nil {
-			dst, base, stride = k.tmp, at, 1
+		if len(tmp) > 0 {
+			dst, base, stride = tmp, at, 1
 		}
 		at += n
 		if stride == 1 && T > 0 && T <= 4 && !slices.ContainsFunc(terms, func(tm kterm) bool { return tm.stride != 1 }) {
@@ -315,12 +322,12 @@ func (k *runKernel) compute(ghost []float64) {
 			dst[base+i*stride] = v
 		}
 	}
-	if k.tmp == nil {
+	if len(tmp) == 0 {
 		return
 	}
 	at = 0
 	for _, run := range k.runs {
-		storeRun(k.lhs, int(run.base), int(run.stride), k.tmp[at:at+int(run.n)])
+		storeRun(k.lhs, int(run.base), int(run.stride), tmp[at:at+int(run.n)])
 		at += int(run.n)
 	}
 }
@@ -400,17 +407,16 @@ func sum4(d, s0, s1, s2, s3 []float64, c0, c1, c2, c3 float64) {
 }
 
 // copyKernel is runKernel's plan of a remap, new(:) = old(:), run as a
-// copy of the one term, whose coefficient is 1. A sum from +0 would
-// turn -0 into +0; a remap carries every value bit for bit, -0 and NaN
-// payloads included. A run whose term is a ghost is skipped: the
-// exchange has scattered its values into place already.
+// copy of the one term, whose coefficient is 1, from the old segment or
+// the ghost buffer. A sum from +0 would turn -0 into +0; a remap
+// carries every value bit for bit, -0 and NaN payloads included.
 type copyKernel runKernel
 
-func (k *copyKernel) compute([]float64) {
+func (k *copyKernel) compute(ghost, _ []float64) {
 	for r, run := range k.runs {
 		tm, src := k.terms[r], k.srcs[0]
 		if tm.ghost {
-			continue
+			src = ghost
 		}
 		n, d, s := int(run.n), int(run.base), int(tm.base)
 		if run.stride == 1 && tm.stride == 1 {

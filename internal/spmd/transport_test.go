@@ -1,6 +1,7 @@
 package spmd
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -238,6 +239,89 @@ func TestMultiProcessEquivalence(t *testing.T) {
 				t.Errorf("process %d value mismatch at %d: %g vs %g", i, k, got[i].data[k], want.data[k])
 				break
 			}
+		}
+	}
+}
+
+// TestNoBufferForRemoteRanks: in a 2-process job (both processes
+// simulated inside this test binary, over tcp) each process holds the
+// ghost and staging values of the ranks it hosts, sized for every
+// schedule it compiled — the LU statement and a gather — and none for
+// the ranks its peer hosts, as for array values.
+func TestNoBufferForRemoteRanks(t *testing.T) {
+	const n, np, procs = 24, 4, 2
+	sys, _ := proc.NewSystem(np)
+	dom := index.Standard(1, n, 1, n)
+	m := mapping(t, sys, dom, dist.Cyclic{K: 1})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	errs := make([]error, procs)
+	var wg sync.WaitGroup
+	for i := range procs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tr, err := transport.Join(transport.TCP, transport.Config{
+				Job: "spmd-bufs", NP: np, Procs: procs, Self: i, Generation: 1, Addr: addr,
+				Timeout: 15 * time.Second,
+			})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			e, err := NewOn(tr, machine.DefaultCost())
+			if err != nil {
+				errs[i] = err
+				tr.Close()
+				return
+			}
+			defer e.Close()
+			errs[i] = func() error {
+				a, err := e.NewArray("A", m)
+				if err != nil {
+					return err
+				}
+				r, err := e.NewArray("R", m)
+				if err != nil {
+					return err
+				}
+				lu, err := e.BuildSchedule(r, index.Standard(2, n, 2, n), []Term{Ref(r, 1, 0, 0), Ref(a, 1.0/16, -1, -1)})
+				if err != nil {
+					return err
+				}
+				gather, err := e.BuildIrregular(r, a, ringPattern(dom.Size()))
+				if err != nil {
+					return err
+				}
+				for p := 1; p <= np; p++ {
+					need := 0
+					for _, s := range []*Schedule{lu, gather} {
+						if wp := s.plans[p]; wp != nil {
+							need = max(need, wp.ghost+wp.tmp)
+						}
+					}
+					if hosted := e.hosted(p); hosted && len(e.bufs[p]) < need || !hosted && e.bufs[p] != nil {
+						return fmt.Errorf("rank %d (hosted %v) has a buffer of %d values for a need of %d", p, hosted, len(e.bufs[p]), need)
+					}
+				}
+				if err := lu.Execute(); err != nil {
+					return err
+				}
+				return gather.Execute()
+			}()
+			if errs[i] != nil {
+				tr.Fail(errs[i])
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("process %d: %v", i, err)
 		}
 	}
 }
