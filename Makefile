@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test lines race race-spmd race-irregular race-tcp race-shm race-recovery node-smoke node-smoke-shm node-recovery node-recovery-shm run-smoke run-smoke-shm obs-smoke obs-recovery-trace trace-analyze-smoke bench bench-smoke speedup amortization overhead corpus fuzz fuzz-engine fuzz-irregular fuzz-interp fuzz-wire docs
+.PHONY: check fmt vet build test lines lines-delta race race-spmd race-irregular race-tcp race-shm race-recovery node-smoke node-smoke-shm node-recovery node-recovery-shm run-smoke run-smoke-shm obs-smoke obs-recovery-trace trace-analyze-smoke bench bench-smoke speedup amortization overhead corpus fuzz fuzz-engine fuzz-irregular fuzz-interp fuzz-wire docs
 
 check: fmt vet build test docs bench-smoke
 
@@ -148,6 +148,17 @@ lines:
 	@find cmd internal hpf examples -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
+
+# The change of those counts since BASE, per package and in total, from
+# git diff --numstat (added minus deleted lines of tracked files, the
+# working tree included). BASE defaults to the merge base with
+# origin/main: make lines-delta BASE=HEAD~1 for the last commit.
+BASE ?= $(shell git merge-base HEAD origin/main 2>/dev/null)
+lines-delta:
+	@test -n "$(BASE)" || { echo "lines-delta: set BASE (no merge base with origin/main)"; exit 1; }
+	@git diff --numstat --no-renames $(BASE) -- cmd internal hpf examples | \
+		awk '$$3 ~ /\.go$$/ && $$3 !~ /_test\.go$$/ { d = $$3; sub("/[^/]*$$", "", d); n[d] += $$1 - $$2; t += $$1 - $$2 } \
+		END { for (d in n) printf "%+6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%+6d total\n", t }'
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .

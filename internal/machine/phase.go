@@ -21,8 +21,9 @@ const (
 	// PhaseGhostWait is time in the ghost exchange: gathering,
 	// sending, and above all blocking on Recv for a neighbour's halo.
 	PhaseGhostWait
-	// PhaseBarrierWait is time parked on the epoch barrier waiting for
-	// slower peers — the load-imbalance signal in wall-clock form.
+	// PhaseBarrierWait is time from a worker's last phase of an epoch
+	// to the epoch's end, when its slowest peer is done — the
+	// load-imbalance signal in wall-clock form.
 	PhaseBarrierWait
 	// PhaseReduce is time in global reductions (fold + combine tree).
 	PhaseReduce

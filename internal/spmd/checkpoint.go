@@ -52,34 +52,12 @@ func (e *Engine) Checkpoint(dir string, epoch int, arrays []*Array) error {
 			}
 		}
 	}
-	// Job-wide counter aggregate, same collective as Stats. The phase
-	// bank drains first so accumulated phase times ride the manifest
-	// and survive a restore like every other counter.
-	e.statsMu.Lock()
-	e.bank.drainInto(e.mach)
-	enc := e.mach.EncodeCounters()
-	cost := e.mach.Cost
-	e.statsMu.Unlock()
-	agg := enc
-	if e.tr.Procs() > 1 {
-		am, err := machine.New(e.np, cost)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < e.tr.Procs(); i++ {
-			var mine []float64
-			if i == e.tr.Self() {
-				mine = enc
-			}
-			part := e.tr.Bcast(i, mine)
-			if part == nil {
-				return e.failErr("checkpoint counter exchange")
-			}
-			if err := am.MergeCounters(part); err != nil {
-				return fmt.Errorf("spmd: merging checkpoint counters: %w", err)
-			}
-		}
-		agg = am.EncodeCounters()
+	// Job-wide counter aggregate, the collective behind Stats: the
+	// phase bank drains first, so phase times ride the manifest and
+	// survive a restore like every other counter.
+	agg := e.aggregate().EncodeCounters()
+	if err := e.tr.Err(); err != nil {
+		return err
 	}
 	// Every process must agree the shards are durable before the
 	// leader publishes; a local write error is vetoed job-wide so no
@@ -89,18 +67,9 @@ func (e *Engine) Checkpoint(dir string, epoch int, arrays []*Array) error {
 		ok = 0
 	}
 	allOK := true
-	for i := 0; i < e.tr.Procs(); i++ {
-		var mine []float64
-		if i == e.tr.Self() {
-			mine = []float64{ok}
-		}
-		v := e.tr.Bcast(i, mine)
-		if v == nil {
-			return e.failErr("checkpoint shard vote")
-		}
-		if len(v) != 1 || v[0] != 1 {
-			allOK = false
-		}
+	e.allgather([]float64{ok}, func(_ int, v []float64) { allOK = allOK && len(v) == 1 && v[0] == 1 })
+	if err := e.tr.Err(); err != nil {
+		return err
 	}
 	if !allOK {
 		if localErr != nil {
@@ -168,15 +137,12 @@ func (e *Engine) Restore(dir string, arrays []*Array) (int, error) {
 			}
 		}
 	}
-	e.statsMu.Lock()
-	e.mach.Reset()
+	e.Reset()
 	if e.tr.Self() == 0 {
-		if err := e.mach.MergeCounters(man.Counters); err != nil {
-			e.statsMu.Unlock()
+		if err := drained(e, func(m *machine.Machine) error { return m.MergeCounters(man.Counters) }); err != nil {
 			return 0, fmt.Errorf("spmd: restoring checkpoint counters: %w", err)
 		}
 	}
-	e.statsMu.Unlock()
 	return man.Epoch, nil
 }
 
@@ -195,13 +161,4 @@ func (e *Engine) chargeCheckpoint(t0 time.Time) func() {
 			e.bank.add(p, machine.PhaseCheckpoint, per)
 		}
 	}
-}
-
-// failErr returns the sticky transport error, or a description of the
-// aborted collective when the failure has not latched yet.
-func (e *Engine) failErr(what string) error {
-	if err := e.tr.Err(); err != nil {
-		return err
-	}
-	return fmt.Errorf("spmd: %s aborted", what)
 }

@@ -99,7 +99,7 @@ func (x *exchange) send(e *Engine, p int) {
 				}
 			}
 		}
-		e.send(p, sp.dst, buf)
+		e.tr.Send(p, sp.dst, buf)
 	}
 }
 
@@ -111,7 +111,7 @@ func (x *exchange) send(e *Engine, p int) {
 func (x *exchange) recv(e *Engine, p int, dest []float64) {
 	for i := range x.recvs {
 		rp := &x.recvs[i]
-		msg := e.recv(rp.src, p)
+		msg := e.tr.Recv(rp.src, p)
 		if msg == nil {
 			return // the transport has failed; its error is sticky
 		}

@@ -376,7 +376,7 @@ func TestWrongLengthMessageFailsEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e.send(tc.src, tc.dst, make([]float64, tc.n))
+				e.tr.Send(tc.src, tc.dst, make([]float64, tc.n))
 				err = tc.op(e, a, b)
 				want := fmt.Sprintf("spmd: message %d→%d carries %d values, plan expects 1", tc.src, tc.dst, tc.n)
 				if err == nil || !strings.Contains(err.Error(), want) {

@@ -2,20 +2,11 @@ package spmd
 
 import (
 	"fmt"
-	"time"
+	"math/bits"
 
 	"hpfnt/internal/machine"
-	"hpfnt/internal/obs"
 	"hpfnt/internal/runtime"
 )
-
-// treeStep is one worker's part in one round of the combine tree: send
-// its running partial to peer, or receive peer's partial and fold it
-// in; peer 0 sits the round out.
-type treeStep struct {
-	send bool
-	peer int
-}
 
 // Reduce computes a global reduction across the workers: each worker
 // folds its owned elements (replicated elements count once, at their
@@ -39,124 +30,21 @@ func (e *Engine) Reduce(a *Array, op runtime.ReduceOp) (float64, error) {
 			count[ps[0]]++
 		}
 	}
-	var procs []int
+	r := &reduction{a: a, op: op, count: count, pos: make([]int, e.np+1), partials: make([]float64, e.np+1)}
 	for p := 1; p <= e.np; p++ {
 		if count[p] > 0 {
-			procs = append(procs, p)
+			r.pos[p] = len(r.procs)
+			r.procs = append(r.procs, p)
 		}
 	}
-	if len(procs) == 0 {
+	if len(r.procs) == 0 {
 		return 0, fmt.Errorf("spmd: reduction over empty array %s", a.name)
 	}
-	// rounds[r][p] is worker p's step in round r.
-	var rounds [][]treeStep
-	for len(procs) > 1 {
-		step := make([]treeStep, e.np+1)
-		var next []int
-		for i := 0; i+1 < len(procs); i += 2 {
-			src, dst := procs[i+1], procs[i]
-			step[src] = treeStep{send: true, peer: dst}
-			step[dst] = treeStep{peer: src}
-			next = append(next, dst)
-		}
-		if len(procs)%2 == 1 {
-			next = append(next, procs[len(procs)-1])
-		}
-		rounds = append(rounds, step)
-		procs = next
-	}
-	root := procs[0]
-	acc := func(cur, v float64) float64 {
-		switch {
-		case op == runtime.ReduceSum:
-			return cur + v
-		case op == runtime.ReduceMax && v > cur, op == runtime.ReduceMin && v < cur:
-			return v
-		}
-		return cur
-	}
-	var result float64
-	timing := obs.TimingEnabled()
-	var span func()
-	if obs.TraceEnabled() {
-		span = obs.BeginSpan("reduce", "reduce "+a.name, 0)
-	}
-	partials := make([]float64, e.np+1)
-	cs := make([]counters, e.np+1)
-	var tallies []phaseTally
-	if timing {
-		tallies = make([]phaseTally, e.np+1)
-	}
-	// Round r is phase 2r, the sends, and phase 2r+1, the receives;
-	// phase 0 folds the local elements first.
-	last := max(1, 2*len(rounds)) - 1
-	err := e.run(last+1, func(p, k int) {
-		if count[p] == 0 {
-			return
-		}
-		var t0 time.Time
-		if timing {
-			t0 = time.Now()
-		}
-		if k == 0 {
-			// Lines come in ascending global-offset order, which is the
-			// fold order defining the float result.
-			data, started := lay.stores[p].data, false
-			lay.walk(p, true, func(ls []line) {
-				for _, ln := range ls {
-					if lay.idx == nil && lay.repOwns[ln.off][0] != p {
-						continue
-					}
-					vals := data[ln.slot : ln.slot+ln.n]
-					if !started {
-						partials[p], vals, started = vals[0], vals[1:], true
-					}
-					for _, v := range vals {
-						partials[p] = acc(partials[p], v)
-					}
-				}
-			})
-			cs[p].load = count[p]
-		}
-		if r := k / 2; r < len(rounds) && rounds[r][p].peer != 0 {
-			switch st := rounds[r][p]; {
-			case st.send && k%2 == 0:
-				e.send(p, st.peer, []float64{partials[p]})
-				cs[p].sends = append(cs[p].sends, pairSend{dst: st.peer, elems: 1})
-				cs[p].msgs, cs[p].frames = 1, 1
-			case !st.send && k%2 == 1:
-				msg := e.recv(st.peer, p)
-				if msg == nil {
-					return // the transport has failed; its error is sticky
-				}
-				if len(msg) != 1 {
-					e.tr.Fail(fmt.Errorf("spmd: message %d→%d carries %d values, plan expects 1", st.peer, p, len(msg)))
-					return
-				}
-				partials[p] = acc(partials[p], msg[0])
-			}
-		}
-		if timing {
-			tallies[p][machine.PhaseReduce] += int64(time.Since(t0))
-		}
-		if k < last {
-			return
-		}
-		if p == root {
-			// Published to the dispatcher through the epoch barrier.
-			result = partials[p]
-		}
-		if timing {
-			cs[p].phase = &tallies[p]
-		}
-		e.flush(p, &cs[p])
-	})
-	if span != nil {
-		span()
-	}
-	if err != nil {
+	if err := e.run(r); err != nil {
 		return 0, err
 	}
+	root := r.procs[0]
+	result := r.partials[root]
 	// On a multi-process transport the tree root's host broadcasts
 	// the result so every process's dispatcher returns the same value
 	// (the broadcast is job bookkeeping, not modelled communication —
@@ -175,4 +63,96 @@ func (e *Engine) Reduce(a *Array, op runtime.ReduceOp) (float64, error) {
 		}
 	}
 	return result, nil
+}
+
+// reduction is a Reduce epoch. procs lists the workers holding
+// elements, ascending, and pos[p] is worker p's position in it. In
+// round r of the combine tree (h = 2^r) the worker at a position
+// i ≡ h (mod 2h) sends its partial to position i−h, which folds it
+// in, and drops out: pairs of neighbours, then pairs of pairs. Round r
+// is phase 2r, the sends, and phase 2r+1, the receives; phase 0 folds
+// the local elements first.
+type reduction struct {
+	a        *Array
+	op       runtime.ReduceOp
+	count    []int
+	procs    []int
+	pos      []int
+	partials []float64
+}
+
+// reducing is the machine phase of every phase of a reduction.
+var reducing = []machine.Phase{machine.PhaseReduce}
+
+func (r *reduction) phases() (int, []machine.Phase) {
+	return max(1, 2*bits.Len(uint(len(r.procs)-1))), reducing
+}
+
+func (r *reduction) do(p, k int) {
+	if r.count[p] == 0 {
+		return
+	}
+	if k == 0 {
+		// Lines come in ascending global-offset order, which is the
+		// fold order defining the float result.
+		lay, started := r.a.lay, false
+		data := lay.stores[p].data
+		lay.walk(p, true, func(ls []line) {
+			for _, ln := range ls {
+				if lay.idx == nil && lay.repOwns[ln.off][0] != p {
+					continue
+				}
+				vals := data[ln.slot : ln.slot+ln.n]
+				if !started {
+					r.partials[p], vals, started = vals[0], vals[1:], true
+				}
+				for _, v := range vals {
+					r.fold(p, v)
+				}
+			}
+		})
+	}
+	e, i, h := r.a.eng, r.pos[p], 1<<(k/2)
+	switch {
+	case k%2 == 0 && i&(2*h-1) == h:
+		e.tr.Send(p, r.procs[i-h], []float64{r.partials[p]})
+	case k%2 == 1 && i&(2*h-1) == 0 && i+h < len(r.procs):
+		src := r.procs[i+h]
+		msg := e.tr.Recv(src, p)
+		if msg == nil {
+			return // the transport has failed; its error is sticky
+		}
+		if len(msg) != 1 {
+			e.tr.Fail(fmt.Errorf("spmd: message %d→%d carries %d values, plan expects 1", src, p, len(msg)))
+			return
+		}
+		r.fold(p, msg[0])
+	}
+}
+
+// fold folds v into worker p's partial.
+func (r *reduction) fold(p int, v float64) {
+	switch cur := r.partials[p]; {
+	case r.op == runtime.ReduceSum:
+		r.partials[p] = cur + v
+	case r.op == runtime.ReduceMax && v > cur, r.op == runtime.ReduceMin && v < cur:
+		r.partials[p] = v
+	}
+}
+
+func (r *reduction) span(p int) (string, string) {
+	if p == 0 {
+		return "reduce", "reduce " + r.a.name
+	}
+	return "", ""
+}
+
+// cost: a worker folds its elements, and all but the root send their
+// partial once, to the position their lowest set bit clears.
+func (r *reduction) cost(p int) counters {
+	c := counters{load: r.count[p], msgs: 1, frames: 1}
+	if i := r.pos[p]; i > 0 {
+		c.sends = []pairSend{{dst: r.procs[i&(i-1)], elems: 1}}
+	}
+	return c
 }

@@ -3,7 +3,6 @@ package spmd
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"hpfnt/internal/index"
 	"hpfnt/internal/machine"
@@ -176,99 +175,69 @@ func (s *Schedule) ExecuteN(iters int) error {
 			return fmt.Errorf("spmd: schedule over %s invalidated by remap; rebuild it", a.name)
 		}
 	}
-	e := s.eng
-	frames := iters
-	if s.constGhost {
+	return s.eng.run(execution{s, iters})
+}
+
+// execution is an ExecuteN epoch. Iteration it is phases 3·it, gather
+// and send, 3·it+1, receive and scatter, both ghost wait, and 3·it+2,
+// compute. Coalescing: a constGhost statement exchanges ghosts only
+// in the first iteration of the epoch; the scattered buffer stays
+// valid for the replays of this epoch, and only for them: the
+// worker's next epoch, of any schedule, reuses the buffer and
+// exchanges first.
+type execution struct {
+	s     *Schedule
+	iters int
+}
+
+// iteration is the machine phase of each of an iteration's phases.
+var iteration = []machine.Phase{machine.PhaseGhostWait, machine.PhaseGhostWait, machine.PhaseCompute}
+
+func (x execution) phases() (int, []machine.Phase) { return 3 * x.iters, iteration }
+
+func (x execution) do(p, k int) {
+	s := x.s
+	if k%3 == 2 {
+		obs.AdvanceIteration() // progress for the elastic watchdog
+	}
+	wp := s.plans[p]
+	if wp == nil || s.constGhost && k >= 3 && k%3 < 2 {
+		return
+	}
+	buf := s.eng.bufs[p]
+	switch ghost := buf[:wp.ghost]; k % 3 {
+	case 0:
+		wp.ex.send(s.eng, p)
+	case 1:
+		wp.ex.recv(s.eng, p, ghost)
+	default:
+		wp.kernel.compute(ghost, buf[wp.ghost:wp.ghost+wp.tmp])
+	}
+}
+
+// span: the epoch's, and one per worker with a plan, whose lanes the
+// skew analysis compares to find the straggler.
+func (x execution) span(p int) (string, string) {
+	switch {
+	case p == 0:
+		return "epoch", fmt.Sprintf("%s x%d", x.s.label, x.iters)
+	case x.s.plans[p] == nil:
+		return "", ""
+	}
+	return "worker", fmt.Sprintf("rank %d x%d", p, x.iters)
+}
+
+func (x execution) cost(p int) counters {
+	wp, n := x.s.plans[p], x.iters
+	if wp == nil {
+		return counters{}
+	}
+	frames := n
+	if x.s.constGhost {
 		frames = 1
 	}
-	timing := obs.TimingEnabled()
-	// Span labels are formatted only when a recorder will take them:
-	// a one-shot dispatch is otherwise three allocations of label.
-	tracing := obs.TraceEnabled()
-	var span func()
-	if tracing {
-		span = obs.BeginSpan("epoch", fmt.Sprintf("%s x%d", s.label, iters), 0)
-	}
-	// Per worker across phases: the epoch span (the skew analysis
-	// compares these lanes to find the straggler) and the tally
-	// splitting its wall time into ghost-wait and compute.
-	var wspans []func()
-	if tracing {
-		wspans = make([]func(), e.np+1)
-	}
-	var tallies []phaseTally
-	if timing {
-		tallies = make([]phaseTally, e.np+1)
-	}
-	// Iteration it is phase 2·it, gather and send, and phase 2·it+1,
-	// receive, scatter and compute. Coalescing: a constGhost statement
-	// exchanges ghosts only in the first iteration of the epoch; the
-	// scattered buffer stays valid for the replays of this epoch, and
-	// only for them: the worker's next epoch, of any schedule, reuses
-	// the buffer and exchanges first.
-	last := 2*iters - 1
-	err := e.run(last+1, func(p, k int) {
-		if k%2 == 1 {
-			obs.AdvanceIteration() // progress for the elastic watchdog
-		}
-		wp := s.plans[p]
-		if wp == nil {
-			return
-		}
-		if tracing && k == 0 {
-			wspans[p] = obs.BeginSpan("worker", fmt.Sprintf("rank %d x%d", p, iters), p)
-		}
-		var t0 time.Time
-		if timing {
-			t0 = time.Now()
-		}
-		exchanges := k < 2 || !s.constGhost
-		if k%2 == 0 {
-			if exchanges {
-				wp.ex.send(e, p)
-				if timing {
-					tallies[p][machine.PhaseGhostWait] += int64(time.Since(t0))
-				}
-			}
-			return
-		}
-		buf := e.bufs[p]
-		ghost, tmp := buf[:wp.ghost], buf[wp.ghost:wp.ghost+wp.tmp]
-		if exchanges {
-			wp.ex.recv(e, p, ghost)
-			if timing {
-				now := time.Now()
-				tallies[p][machine.PhaseGhostWait] += int64(now.Sub(t0))
-				t0 = now
-			}
-		}
-		wp.kernel.compute(ghost, tmp)
-		if timing {
-			tallies[p][machine.PhaseCompute] += int64(time.Since(t0))
-		}
-		if k < last {
-			return
-		}
-		if tracing && wspans[p] != nil {
-			wspans[p]()
-		}
-		c := counters{
-			load:       wp.load * iters,
-			localRefs:  wp.localRefs * iters,
-			remoteRefs: wp.remoteRefs * iters,
-			sends:      wp.ex.sends,
-			msgs:       iters,
-			frames:     frames,
-		}
-		if timing {
-			c.phase = &tallies[p]
-		}
-		e.flush(p, &c)
-	})
-	if span != nil {
-		span()
-	}
-	return err
+	return counters{load: wp.load * n, localRefs: wp.localRefs * n, remoteRefs: wp.remoteRefs * n,
+		sends: wp.ex.sends, msgs: n, frames: frames}
 }
 
 // compute sums each value of a run in a register, in the element-wise

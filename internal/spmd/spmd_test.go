@@ -3,8 +3,6 @@ package spmd
 import (
 	"math"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,30 +44,6 @@ func newEngine(t *testing.T, np int) *Engine {
 	}
 	t.Cleanup(func() { e.Close() })
 	return e
-}
-
-func TestBarrier(t *testing.T) {
-	const parties = 5
-	b := NewBarrier(parties)
-	var phase atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < parties; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < 3; k++ {
-				phase.Add(1)
-				e := b.Await()
-				if got := phase.Load(); got < int64((k+1)*parties) {
-					t.Errorf("epoch %d released with only %d arrivals", e, got)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if b.Epoch() != 3 {
-		t.Fatalf("epochs = %d, want 3", b.Epoch())
-	}
 }
 
 // TestValuesMatchSequential checks the parallel executor against the

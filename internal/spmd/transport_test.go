@@ -89,23 +89,23 @@ func TestPanicUnblocksPeers(t *testing.T) {
 			defer e.Close()
 			done := make(chan error, 1)
 			go func() {
-				done <- e.run(1, func(p, _ int) {
+				done <- e.run(fill(func(p int) {
 					switch p {
 					case 1:
-						e.recv(2, 1) // never sent
+						e.tr.Recv(2, 1) // never sent
 					case 2:
 						panic("boom")
 					case 3:
-						e.recv(2, 3) // never sent
+						e.tr.Recv(2, 3) // never sent
 					case 4:
 						// Flood the (4,1) stream; with the capacity-1
 						// inproc channels the second send blocks until
 						// the failure aborts it.
 						for i := 0; i < 4; i++ {
-							e.send(4, 1, []float64{1})
+							e.tr.Send(4, 1, []float64{1})
 						}
 					}
-				})
+				}))
 			}()
 			select {
 			case err := <-done:
