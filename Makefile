@@ -191,13 +191,15 @@ fuzz:
 
 # Differential fuzz of sim and spmd against the element-wise oracle,
 # then of the run kernel against an element loop, bit for bit, of the
-# layout's tile index against the element-by-element fill, and of the
-# index's cell walk against its owner and slot lookup.
+# layout's tile index against the element-by-element fill, of the
+# index's cell walk against its owner and slot lookup, and of a shift
+# statement's cells against the layout indexes and the element walk.
 fuzz-engine:
 	$(GO) test -run xxx -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzRunKernel -fuzztime 30s ./internal/spmd
 	$(GO) test -run xxx -fuzz FuzzLayoutIndex -fuzztime 30s ./internal/spmd
 	$(GO) test -run xxx -fuzz FuzzCellWalk -fuzztime 30s ./internal/spmd
+	$(GO) test -run xxx -fuzz FuzzStatementCells -fuzztime 30s ./internal/spmd
 
 # Differential fuzz of the irregular (inspector–executor) path: sim
 # and spmd against the element-wise oracle, then the two-pass

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hpfnt/internal/core"
 	"hpfnt/internal/dist"
 	"hpfnt/internal/index"
 	"hpfnt/internal/inspector"
@@ -221,6 +222,48 @@ func TestCrossBackendTermsRejected(t *testing.T) {
 	}
 	if err := a.Assign(a.Domain(), []Term{Read(b, 1, 0, 0)}); err == nil {
 		t.Fatal("spmd-array term on sim lhs must fail")
+	}
+}
+
+// TestShiftRankMismatchRefused: a shift term over a source of lower
+// rank than the lhs is an error on every kind and on the oracle, from
+// Assign and from NewSchedule, not a panic.
+func TestShiftRankMismatchRefused(t *testing.T) {
+	oracle, err := NewOracle(4, machine.DefaultCost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []Engine{oracle}
+	for _, kind := range Kinds() {
+		eng, err := New(kind, 4, machine.DefaultCost())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		engines = append(engines, eng)
+	}
+	for _, eng := range engines {
+		sys, _ := proc.NewSystem(4)
+		dom := index.Standard(1, 8, 1, 8)
+		a, err := eng.NewArray("A", buildMapping(t, sys, dom, dist.Block{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := sys.Lookup("P")
+		dv, err := dist.New(index.Standard(1, 8), []dist.Format{dist.Block{}}, proc.Whole(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := eng.NewArray("V", core.DistMapping{D: dv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Assign(dom, []Term{Read(v, 1, 0, 0)}); err == nil {
+			t.Errorf("%s: A = V(rank 1) assigned without an error", eng.Kind())
+		}
+		if _, err := a.NewSchedule(dom, []Term{Read(v, 1, 0, 0)}); err == nil {
+			t.Errorf("%s: A = V(rank 1) compiled without an error", eng.Kind())
+		}
 	}
 }
 

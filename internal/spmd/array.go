@@ -191,9 +191,8 @@ func (x *tileIndex) locate(off int) (p, slot int32) {
 // at returns the owner and slot of the element at positions pos
 // (0-based along each dimension): one step per dimension finds its
 // cell, then the cell's base plus the element's column-major position
-// in the cell. If step is not nil, step[d] is the slot's advance to
-// the next position along d when that is in the same cell, and 0 when
-// it is not.
+// in the cell. If step is not nil, step[d] is the slot's advance per
+// position along d inside the cell.
 func (x *tileIndex) at(pos, step []int32) (p, slot int32) {
 	cell, cm, m := 0, 1, int32(1)
 	for d, c := range x.cuts {
@@ -216,10 +215,7 @@ func (x *tileIndex) at(pos, step []int32) (p, slot int32) {
 		cm *= len(c) - 1
 		slot += (pos[d] - c[i]) * m
 		if step != nil {
-			step[d] = 0
-			if pos[d]+1 < c[i+1] {
-				step[d] = m
-			}
+			step[d] = m
 		}
 		m *= c[i+1] - c[i]
 	}

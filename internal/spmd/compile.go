@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"hpfnt/internal/core"
 	"hpfnt/internal/index"
 	"hpfnt/internal/obs"
 	"hpfnt/internal/runtime"
@@ -15,10 +14,11 @@ import (
 // (planBuilder) as runs — n consecutive elements along one dimension,
 // written by one worker, each term read from one owner, every local
 // side evenly spaced in slot space — from one of two enumerators:
-// tileLines, a run per line of the uniform cells of the owner-tile
-// intersection, O(tiles + runs + ghost runs) in all; or elementLines,
-// the region walked element by element, for everything without that
-// closed form. Which one follows from the statement alone (analyzable),
+// tileLines, a run per line of the uniform cells, the grid the sides'
+// layout indexes cut the region into, O(cuts + cells + runs + ghost
+// runs) in all; or elementLines, the region walked element by element,
+// for a replicated side, a general term, a rank mismatch or a read out
+// of bounds. Which one follows from the statement alone (analyzable),
 // and the plans agree: finish joins adjacent runs whose slots advance
 // evenly, so what the element walk feeds one at a time comes out as the
 // runs the tile enumerator emits whole. Classification, deduplication,
@@ -117,29 +117,54 @@ func newPlanBuilder(e *Engine, lhs *Array, region index.Domain, terms []cterm) (
 	return b, nil
 }
 
-// analyzable returns the uniform cuts of the statement when it has a
-// closed form, nil when it must be walked element by element:
-// core.RunAnalyzable over single-owner arrays and shift terms only,
-// plus the existence of the bulk tilings.
+// analyzable returns the uniform cells of the statement, or nil when it
+// must be walked element by element. It admits a non-empty unit-stride
+// region whose sides — the lhs and every term — are single-owner shift
+// references of the region's rank, over unit-stride domains, read in
+// bounds. Each side's index cuts, carried into lhs coordinates (position
+// v of a side read at shift k is lhs index Low+v-k), cut the region: a
+// cell of the product lies inside one index cell, and so one owner
+// tile, of every side. cuts[d][0] is the region's low bound and the
+// last entry its high bound plus one; the lists are the engine's.
 func (b *planBuilder) analyzable(region index.Domain) [][]int {
-	if b.lhs.lay.idx == nil || region.Rank() == 0 {
+	rank := region.Rank()
+	if rank == 0 || region.Empty() || !region.IsStandard() {
 		return nil
 	}
-	refs := make([]core.ShiftRef, len(b.terms))
-	for t, tm := range b.terms {
-		if tm.mapf != nil || tm.src.lay.idx == nil {
-			return nil
-		}
-		refs[t] = core.ShiftRef{Map: tm.src.mapping, Shift: tm.shift}
-	}
-	if !core.RunAnalyzable(region, b.lhs.dom, refs) {
-		return nil
-	}
-	cuts, err := core.UniformCuts(b.e.cuts, region, b.lhs.mapping, refs)
-	if err != nil {
-		return nil
+	cuts, zero := slices.Grow(b.e.cuts[:0], rank)[:rank], make([]int, rank)
+	for d, tr := range region.Dims {
+		cuts[d] = append(cuts[d][:0], tr.Low)
 	}
 	b.e.cuts = cuts
+	for s := 0; s <= len(b.terms); s++ {
+		a, shift := b.lhs, zero
+		if s > 0 {
+			if b.terms[s-1].mapf != nil {
+				return nil
+			}
+			a, shift = b.terms[s-1].src, b.terms[s-1].shift
+		}
+		if a.lay.idx == nil || a.dom.Rank() != rank || !a.dom.IsStandard() {
+			return nil
+		}
+		for d, tr := range region.Dims {
+			lo, k := a.dom.Dims[d].Low, shift[d]
+			if tr.Low+k < lo || tr.High+k > a.dom.Dims[d].High {
+				return nil
+			}
+			for _, v := range a.lay.idx.cuts[d] {
+				if i := lo + int(v) - k; i > tr.High {
+					break
+				} else if i > tr.Low {
+					cuts[d] = append(cuts[d], i)
+				}
+			}
+		}
+	}
+	for d, tr := range region.Dims {
+		slices.Sort(cuts[d])
+		cuts[d] = append(slices.Compact(cuts[d]), tr.High+1)
+	}
 	return cuts
 }
 
@@ -163,11 +188,11 @@ func strides(dom index.Domain) []int {
 // all-local cell is cut along the first dimension, in which every
 // layout tile is contiguous, unless it is one element thick there.
 //
-// A cell lies inside one owner tile of every layout (the cuts are the
-// tiles' boundaries), so on every side its slots advance by a constant
-// along each dimension: the layout's index locates the cell's corner
-// once per cell, with the steps, and each line's run is stepped from
-// the last. One pass over the cells locates and emits.
+// A cell lies inside one index cell of every layout (the cuts include
+// each side's), so on every side its slots advance by a constant along
+// each dimension: the layout's index locates the cell's corner once per
+// cell, with the steps, and each line's run is stepped from the last.
+// One pass over the cells locates and emits.
 func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 	rank, T := region.Rank(), len(b.terms)
 	gdim, longest := 0, 0.0
@@ -200,7 +225,7 @@ func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 		}
 	}
 	at, ghost := make([]int, rank), make([]bool, T)
-	core.ForEachCell(cuts, func(lo, hi []int) {
+	forEachCell(cuts, func(lo, hi []int) {
 		// Every side's corner: its owner, slot and steps, and so the
 		// cell's writer and the dimension it is cut along.
 		along, w := 0, int32(0)
@@ -214,14 +239,9 @@ func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 			} else if ghost[s-1] = p != w; ghost[s-1] {
 				along = gdim // a remote read
 			}
-			for d := range pos[s] {
-				switch {
-				case hi[d] == lo[d]:
+			for d := range lo {
+				if hi[d] == lo[d] {
 					step[s][d] = 0
-				case step[s][d] == 0: // the next index is in the next index cell
-					pos[s][d]++
-					_, next := l.idx.at(pos[s], nil)
-					step[s][d], pos[s][d] = next-sl, pos[s][d]-1
 				}
 			}
 			slot[s], off[s] = sl, org[s]
@@ -273,6 +293,24 @@ func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 			}
 		}
 	})
+}
+
+// forEachCell calls fn with the inclusive bounds of every cell of the
+// grid analyzable returned, first dimension fastest. The slices are
+// reused between calls.
+func forEachCell(cuts [][]int, fn func(lo, hi []int)) {
+	lo, hi := make([]int, len(cuts)), make([]int, len(cuts))
+	var walk func(d int)
+	walk = func(d int) {
+		for i := 0; d >= 0 && i+1 < len(cuts[d]); i++ {
+			lo[d], hi[d] = cuts[d][i], cuts[d][i+1]-1
+			walk(d - 1)
+		}
+		if d < 0 {
+			fn(lo, hi)
+		}
+	}
+	walk(len(cuts) - 1)
 }
 
 // elementLines walks the region once, column-major like the element-wise

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"hpfnt/internal/core"
@@ -185,19 +186,22 @@ func elementSchedule(e *Engine, lhs *Array, region index.Domain, terms []Term) (
 }
 
 // producerCase is one statement of the producer differential: formats
-// per dimension, and for each term which array it reads (0 = the lhs,
-// 1.. = sources) and its shift.
+// per dimension, or the mapping family of that name (remap_test.go's
+// families) when family is set, and for each term which array it reads
+// (0 = the lhs, 1.. = sources) and its shift.
 type producerCase struct {
 	name    string
 	formats []dist.Format
+	family  string
 	extents []int
 	reads   []int
 	shifts  [][]int
 }
 
-// producerCases spans the format families × ranks 1–3 × the three
-// statement kinds, with shifts reaching past a whole block of the
-// distributed dimension.
+// producerCases spans the format families, the non-bulk (opaque) and
+// the aligned (composed) mapping × ranks 1–3 × the three statement
+// kinds, with shifts reaching past a whole block of the distributed
+// dimension.
 func producerCases(t testing.TB) []producerCase {
 	ind, err := dist.NewIndirect([]int{1, 1, 3, 2, 2, 2, 4, 1, 3, 3, 4, 4, 2})
 	if err != nil {
@@ -205,8 +209,8 @@ func producerCases(t testing.TB) []producerCase {
 	}
 	formats := []struct {
 		name string
-		f    dist.Format
-		k    int // block size of the interleaving, for the long shift
+		f    dist.Format // nil: the family of that name
+		k    int         // block size of the interleaving, for the long shift
 	}{
 		{"block", dist.Block{}, 1},
 		{"vienna", dist.BlockVienna{}, 1},
@@ -214,13 +218,18 @@ func producerCases(t testing.TB) []producerCase {
 		{"cyclic3", dist.Cyclic{K: 3}, 3},
 		{"gblock-empty", dist.GeneralBlock{Bounds: []int{5, 5, 9}}, 1},
 		{"indirect", ind, 1},
+		{"opaque", nil, 2},
+		{"aligned", nil, 3},
 	}
 	var cases []producerCase
 	for _, f := range formats {
 		for rank := 1; rank <= 3; rank++ {
 			// The distributed dimension is the first, except in the
 			// "collapsed" variant below.
-			fs := []dist.Format{f.f, dist.Collapsed{}, dist.Collapsed{}}[:rank]
+			fs, family := []dist.Format{f.f, dist.Collapsed{}, dist.Collapsed{}}[:rank], ""
+			if f.f == nil {
+				fs, family = nil, f.name
+			}
 			ext := []int{13, 6, 5}[:rank]
 			far := make([]int, rank)
 			far[0] = f.k + 1
@@ -232,9 +241,9 @@ func producerCases(t testing.TB) []producerCase {
 			side[rank-1] = 1
 			zero := make([]int, rank)
 			cases = append(cases,
-				producerCase{fmt.Sprintf("%s/rank%d/distinct", f.name, rank), fs, ext, []int{1, 1, 1}, [][]int{far, near, side}},
-				producerCase{fmt.Sprintf("%s/rank%d/in-place", f.name, rank), fs, ext, []int{0, 0, 0}, [][]int{zero, back, far}},
-				producerCase{fmt.Sprintf("%s/rank%d/two-sources", f.name, rank), fs, ext, []int{1, 2, 1, 2}, [][]int{near, near, far, side}},
+				producerCase{fmt.Sprintf("%s/rank%d/distinct", f.name, rank), fs, family, ext, []int{1, 1, 1}, [][]int{far, near, side}},
+				producerCase{fmt.Sprintf("%s/rank%d/in-place", f.name, rank), fs, family, ext, []int{0, 0, 0}, [][]int{zero, back, far}},
+				producerCase{fmt.Sprintf("%s/rank%d/two-sources", f.name, rank), fs, family, ext, []int{1, 2, 1, 2}, [][]int{near, near, far, side}},
 			)
 		}
 	}
@@ -247,8 +256,8 @@ func producerCases(t testing.TB) []producerCase {
 		down := make([]int, rank)
 		down[0], down[rank-1] = 1, -1
 		cases = append(cases,
-			producerCase{fmt.Sprintf("collapsed/rank%d/distinct", rank), fs, ext, []int{1, 1}, [][]int{up, down}},
-			producerCase{fmt.Sprintf("collapsed/rank%d/in-place", rank), fs, ext, []int{0, 0}, [][]int{up, down}},
+			producerCase{fmt.Sprintf("collapsed/rank%d/distinct", rank), fs, "", ext, []int{1, 1}, [][]int{up, down}},
+			producerCase{fmt.Sprintf("collapsed/rank%d/in-place", rank), fs, "", ext, []int{0, 0}, [][]int{up, down}},
 		)
 	}
 	return cases
@@ -263,7 +272,17 @@ func (pc producerCase) build(t testing.TB, e *Engine, sys *proc.System) (lhs *Ar
 	dom := index.Standard(bounds...)
 	arrays := make([]*Array, 3)
 	for i := range arrays {
-		arrays[i] = newArray(t, e, fmt.Sprintf("A%d", i), distMapping(t, sys, dom, pc.formats...))
+		var m core.ElementMapping
+		if pc.family == "" {
+			m = distMapping(t, sys, dom, pc.formats...)
+		} else {
+			for _, fam := range families(t, sys, len(pc.extents), 1) {
+				if fam.name == pc.family {
+					m = fam.m
+				}
+			}
+		}
+		arrays[i] = newArray(t, e, fmt.Sprintf("A%d", i), m)
 		i := i
 		arrays[i].Fill(func(tp index.Tuple) float64 {
 			v := float64(i + 1)
@@ -366,6 +385,167 @@ func TestTileProducerMatchesElementProducer(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// FuzzStatementCells: for a lhs and a source mapping over one domain —
+// fuzzFormats' draws or, over the families' domain, single-owner
+// families — and 1–3 shift terms reading either array over the region
+// that keeps every read in bounds, every cell of analyzable's grid lies
+// inside one index cell of every side, and the plans from the cells and
+// from the element walk ship the same ghosts in the same messages,
+// charge the same logical report and compute the same values, bit for
+// bit, over two iterations.
+func FuzzStatementCells(f *testing.F) {
+	const np = 4
+	engines := make([]*Engine, 2)
+	for i := range engines {
+		e, err := New(np, machine.DefaultCost())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Cleanup(func() { e.Close() })
+		engines[i] = e
+	}
+	f.Add([]byte{1, 3, 1, 8, 8, 0, 5, 2, 5, 2, 1, 0, 4, 3, 0, 6, 3, 1, 2, 4})
+	f.Add([]byte{0, 4, 0, 0, 6, 1, 1, 7, 2, 0, 3, 1, 3, 5, 2})
+	f.Add([]byte{2, 2, 0, 1, 8, 1, 1, 1, 0, 0, 4, 2, 2, 1, 5, 1, 6, 0, 3, 2, 1})
+	f.Add([]byte{1, 0, 1, 5, 3, 4, 2, 3, 1, 2, 1, 2, 2, 2, 4, 0, 1, 3, 3, 4, 1, 2})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		sys, _ := proc.NewSystem(np)
+		next := fuzzBytes(in)
+		rank, low := 1+next(3), next(7)-3
+		dom, fams := familyDomain(rank, low), []family(nil)
+		if next(2) == 0 {
+			fams = families(t, sys, rank, low)
+			fams = fams[:len(fams)-1] // the last is replicated
+		} else {
+			bounds := make([]int, 0, 2*rank)
+			for range rank {
+				bounds = append(bounds, low, low+next(9))
+			}
+			dom = index.Standard(bounds...)
+		}
+		draw := func() core.ElementMapping {
+			if fams != nil && next(2) == 0 {
+				return fams[next(len(fams))].m
+			}
+			kinds := make([]int, rank)
+			for d := range kinds {
+				kinds[d] = next(6)
+			}
+			return fuzzFormats(t, sys, next, dom, kinds)
+		}
+		maps := []core.ElementMapping{draw(), draw()}
+		reads, shifts, region := make([]int, 1+next(3)), [][]int{}, slices.Clone(dom.Dims)
+		for range reads {
+			sh := make([]int, rank)
+			for d := range sh {
+				sh[d] = next(7) - 3
+				region[d] = index.Unit(max(region[d].Low, dom.Dims[d].Low-sh[d]), min(region[d].High, dom.Dims[d].High-sh[d]))
+			}
+			shifts = append(shifts, sh)
+		}
+		for i := range reads {
+			reads[i] = next(2)
+		}
+		if (index.Domain{Dims: region}).Empty() {
+			return
+		}
+		reg := index.Domain{Dims: region}
+		var scheds [2]*Schedule
+		var lhs [2]*Array
+		for i, e := range engines {
+			arrays := make([]*Array, len(maps))
+			for j, m := range maps {
+				arrays[j] = newArray(t, e, fmt.Sprint("A", j), m)
+				arrays[j].Fill(func(tp index.Tuple) float64 {
+					v := float64(j + 1)
+					for d, x := range tp {
+						v = v*7 + float64(x*(d+2))
+					}
+					return v / 3
+				})
+			}
+			terms := make([]Term, len(reads))
+			for k, r := range reads {
+				terms[k] = Ref(arrays[r], 1/float64(k+2), shifts[k]...)
+			}
+			lhs[i] = arrays[0]
+			if i == 1 {
+				var err error
+				if scheds[i], err = elementSchedule(e, lhs[i], reg, terms); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+			// Side 0 is the lhs, side 1+k term k.
+			cts, sides := make([]cterm, len(terms)), []cterm{{src: lhs[i], shift: make([]int, rank)}}
+			for k, tm := range terms {
+				cts[k] = cterm{src: tm.Src, coeff: tm.Coeff, shift: tm.Shift}
+			}
+			sides = append(sides, cts...)
+			b, err := newPlanBuilder(e, lhs[i], reg, cts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cuts := b.analyzable(reg)
+			if cuts == nil {
+				t.Fatal("statement has no cells")
+			}
+			forEachCell(cuts, func(lo, hi []int) {
+				for _, sd := range sides {
+					for d, c := range sd.src.lay.idx.cuts {
+						from := int32(lo[d] + sd.shift[d] - sd.src.dom.Dims[d].Low)
+						at, found := slices.BinarySearch(c, from)
+						if !found {
+							at--
+						}
+						if int32(hi[d]-lo[d])+from >= c[at+1] {
+							t.Fatalf("cell %v..%v crosses index cut %d of %s along %d (shift %v)", lo, hi, c[at+1], sd.src.name, d, sd.shift)
+						}
+					}
+				}
+			})
+			b.tileLines(reg, cuts)
+			scheds[i] = b.finish()
+		}
+		if g0, g1 := scheds[0].GhostElements(), scheds[1].GhostElements(); g0 != g1 || scheds[0].Messages() != scheds[1].Messages() {
+			t.Fatalf("cells: %d ghosts in %d messages; elements: %d in %d", g0, scheds[0].Messages(), g1, scheds[1].Messages())
+		}
+		for i, e := range engines {
+			e.Reset()
+			if err := scheds[i].ExecuteN(2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := engines[0].Stats().Logical(), engines[1].Stats().Logical(); got != want {
+			t.Fatalf("report\n cells    %+v\n elements %+v", got, want)
+		}
+		got, want := lhs[0].Data(), lhs[1].Data()
+		for off := range want {
+			if math.Float64bits(got[off]) != math.Float64bits(want[off]) {
+				t.Fatalf("offset %d is %g from cells, %g from elements", off, got[off], want[off])
+			}
+		}
+	})
+}
+
+// TestShiftRankMismatch: a shift term over a source of another rank
+// than the lhs — a vector or a cube read by a matrix statement — has no
+// cells; the element walk refuses it with the out-of-bounds reference,
+// on the caller's goroutine and without a panic.
+func TestShiftRankMismatch(t *testing.T) {
+	e := newEngine(t, 2)
+	sys, _ := proc.NewSystem(2)
+	a := newArray(t, e, "A", distMapping(t, sys, index.Standard(1, 8, 1, 8), dist.Block{}, dist.Collapsed{}))
+	for _, src := range []*Array{
+		newArray(t, e, "V", distMapping(t, sys, index.Standard(1, 8), dist.Block{})),
+		newArray(t, e, "C", distMapping(t, sys, index.Standard(1, 8, 1, 8, 1, 2), dist.Block{}, dist.Collapsed{}, dist.Collapsed{})),
+	} {
+		if _, err := e.BuildSchedule(a, a.dom, []Term{Ref(src, 1, 0, 0)}); err == nil || !strings.Contains(err.Error(), "out of bounds") {
+			t.Errorf("A = %s: BuildSchedule = %v, want an out-of-bounds reference", src.name, err)
 		}
 	}
 }

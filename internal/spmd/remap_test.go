@@ -46,9 +46,9 @@ func (s stripes) Owners(i index.Tuple) ([]int, error) {
 type family struct {
 	name string
 	m    core.ElementMapping
-	// bulk: single-owner with a closed-form tiling, so a remap between
-	// two such mappings has uniform cells.
-	bulk bool
+	// single: single-owner, so a remap between two such mappings has
+	// uniform cells.
+	single bool
 }
 
 // familyDomain is the differentials' array of the given rank: extents
@@ -82,7 +82,7 @@ func families(t testing.TB, sys *proc.System, rank, low int) []family {
 		{"cyclic3", first(dist.Cyclic{K: 3}), true},
 		{"gblock-empty", first(dist.GeneralBlock{Bounds: []int{5, 5, 9}}), true},
 		{"indirect", first(ind), true},
-		{"opaque", opaque{first(dist.Cyclic{K: 2})}, false},
+		{"opaque", opaque{first(dist.Cyclic{K: 2})}, true},
 	}
 	if rank > 1 {
 		out = append(out, family{"collapsed", distMapping(t, sys, dom,
@@ -332,8 +332,8 @@ func TestLayoutMatchesElementFill(t *testing.T) {
 }
 
 // TestRemapPatchwork: remaps between (BLOCK,:) and a tiling that is no
-// product of cuts — an index with a cell per element, whose uniform
-// cells span many index cells — lay out and move every value alike by
+// product of cuts — an index with a cell per element, so the uniform
+// cells are single elements — lay out and move every value alike by
 // cells and by the element walk.
 func TestRemapPatchwork(t *testing.T) {
 	const np = 4
@@ -373,14 +373,24 @@ func fuzzMapping(t *testing.T, sys *proc.System, next func(n int) int, maxExtent
 		fams := families(t, sys, rank, low)
 		return fams[next(len(fams)-1)].m // the last is replicated
 	}
-	// Kinds 0–4 are distributed, 5 collapsed; at least one is
-	// distributed. The target's extents follow from how many are:
-	// 4, 2×2 or 2×2×1.
-	bounds, kinds, distributed := make([]int, 0, 2*rank), make([]int, rank), 0
+	bounds, kinds := make([]int, 0, 2*rank), make([]int, rank)
 	for d := range kinds {
 		n := 1 + next(maxExtent)
 		bounds = append(bounds, low, low+n-1)
-		if kinds[d] = next(6); kinds[d] < 5 {
+		kinds[d] = next(6)
+	}
+	return fuzzFormats(t, sys, next, index.Standard(bounds...), kinds)
+}
+
+// fuzzFormats distributes dom by a format per dimension, of the given
+// kinds: 0–4 are distributed (BLOCK, Vienna block, CYCLIC(k),
+// GENERAL_BLOCK, INDIRECT), 5 collapsed, and at least one is
+// distributed. The target's extents follow from how many are: 4, 2×2
+// or 2×2×1.
+func fuzzFormats(t *testing.T, sys *proc.System, next func(n int) int, dom index.Domain, kinds []int) core.ElementMapping {
+	distributed := 0
+	for _, k := range kinds {
+		if k < 5 {
 			distributed++
 		}
 	}
@@ -388,7 +398,7 @@ func fuzzMapping(t *testing.T, sys *proc.System, next func(n int) int, maxExtent
 		kinds[0], distributed = 0, 1
 	}
 	ext := [][]int{{4}, {2, 2}, {2, 2, 1}}[distributed-1]
-	dom, formats, j := index.Standard(bounds...), make([]dist.Format, rank), 0
+	formats, j := make([]dist.Format, len(kinds)), 0
 	for d, k := range kinds {
 		if k == 5 {
 			formats[d] = dist.Collapsed{}
@@ -426,9 +436,13 @@ func fuzzMapping(t *testing.T, sys *proc.System, next func(n int) int, maxExtent
 	for _, q := range ext {
 		pbounds = append(pbounds, 1, q)
 	}
-	target, err := sys.DeclareArray("T", index.Standard(pbounds...))
-	if err != nil {
-		t.Fatal(err)
+	name := fmt.Sprint("T", distributed)
+	target, ok := sys.Lookup(name)
+	if !ok {
+		var err error
+		if target, err = sys.DeclareArray(name, index.Standard(pbounds...)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	dd, err := dist.New(dom, formats, proc.Whole(target))
 	if err != nil {
@@ -677,8 +691,8 @@ func segmentBits(a *Array) [][]uint64 {
 // diagonal) and the element-wise oracle agree on the elements moved, the
 // logical report, the wire frames, every value of every replica and the
 // resulting layout; and remapping back restores the original segments
-// bit for bit. A pair with a replicated or non-bulk side has no uniform
-// cells and must take the element enumerator.
+// bit for bit. A pair with a replicated side has no uniform cells and
+// must take the element enumerator.
 func TestRemapTileEnumeratorMatchesElementEnumerator(t *testing.T) {
 	const np = 4
 	// Negative zero and a NaN payload do not survive arithmetic; a remap
@@ -717,7 +731,7 @@ func TestRemapTileEnumeratorMatchesElementEnumerator(t *testing.T) {
 			for _, from := range fams {
 				for _, to := range fams {
 					t.Run(fmt.Sprintf("%s/rank%d/%s->%s", kind, rank, from.name, to.name), func(t *testing.T) {
-						cells := from.bulk && to.bulk
+						cells := from.single && to.single
 						oracle, err := runtime.NewArray("A", from.m)
 						if err != nil {
 							t.Fatal(err)
@@ -788,8 +802,8 @@ func TestRemapTileEnumeratorMatchesElementEnumerator(t *testing.T) {
 
 // TestRemapEnumeratorChoice pins which enumerator the remap statement
 // takes, from what analyzable can observe: cells when both layouts are
-// single-owner and bulk, however fine their tiles; the element walk for
-// a replicated side or a non-bulk side.
+// single-owner, however fine their tiles and whether or not the mapping
+// has a bulk tiling; the element walk for a replicated side.
 func TestRemapEnumeratorChoice(t *testing.T) {
 	const np = 2
 	e := newEngine(t, np)
@@ -816,7 +830,7 @@ func TestRemapEnumeratorChoice(t *testing.T) {
 		{"CYCLIC(1)->BLOCK", distMapping(t, sys, vector, dist.Cyclic{K: 1}), block, true},
 		{"BLOCK->replicated", block, core.DistMapping{D: dr}, false},
 		{"replicated->BLOCK", core.DistMapping{D: dr}, block, false},
-		{"BLOCK->non-bulk", block, opaque{distMapping(t, sys, vector, dist.Cyclic{K: 64})}, false},
+		{"BLOCK->non-bulk", block, opaque{distMapping(t, sys, vector, dist.Cyclic{K: 64})}, true},
 	} {
 		if got := cellsOf(t, e, newArray(t, e, "A", tc.from), tc.to); got != tc.cells {
 			t.Errorf("%s: enumerated by cells: %v, want %v", tc.name, got, tc.cells)
@@ -851,7 +865,7 @@ func TestRemapPlanCost(t *testing.T) {
 		b := remapStatement(e, a, to, lay)
 		cuts := b.analyzable(dom)
 		lines, rows := 0, 0
-		core.ForEachCell(cuts, func(lo, hi []int) {
+		forEachCell(cuts, func(lo, hi []int) {
 			was, _ := a.lay.firstOwner(lo[0] - 1 + (lo[1]-1)*n)
 			if now, _ := lay.firstOwner(lo[0] - 1 + (lo[1]-1)*n); was == now {
 				lines += hi[1] - lo[1] + 1
