@@ -26,9 +26,10 @@ race-spmd:
 	HPFNT_ENGINE=spmd $(GO) test -race -count=1 ./internal/exper ./hpf ./internal/workload
 
 # The irregular (inspector–executor) workloads and equivalence tests
-# on the spmd engine, under the race detector.
+# on the spmd engine, and the spmd irregular kernel-choice test on all
+# three wires, under the race detector.
 race-irregular:
-	HPFNT_ENGINE=spmd $(GO) test -race -count=1 -run 'Irregular|Gather|Scatter' ./internal/workload ./internal/engine ./hpf
+	HPFNT_ENGINE=spmd $(GO) test -race -count=1 -run 'Irregular|Gather|Scatter' ./internal/workload ./internal/engine ./hpf ./internal/spmd
 
 # The E1–E13 experiments and the workload/equivalence suites on the
 # spmd engine with every message over the tcp transport's loopback

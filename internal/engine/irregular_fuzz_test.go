@@ -23,17 +23,34 @@ type irregularScenario struct {
 	replayIt int
 	// tkind is the wire of the spmd run.
 	tkind string
+	// gather draws the writes as a permutation prefix of the lhs
+	// offsets: every output has one access, the gather kernel's case.
+	gather bool
 }
 
 // pattern derives a deterministic access pattern over offsets 0..n-1
-// from the scenario seed: random writes, random reads, small integer
-// coefficients (kept exact in float64, so value comparison is exact).
+// from the scenario seed: random writes (distinct ones, at most n, for
+// a gather), random reads, small integer coefficients (kept exact in
+// float64, so value comparison is exact).
 func (sc irregularScenario) pattern() inspector.Pattern {
 	var pat inspector.Pattern
 	x := sc.patSeed*6364136223846793005 + 1442695040888963407
+	perm := make([]int32, sc.n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
 	for k := 0; k < sc.accesses; k++ {
 		x = x*6364136223846793005 + 1442695040888963407
-		pat.Writes = append(pat.Writes, int32(int(x>>33)%sc.n))
+		w := int32(int(x>>33) % sc.n)
+		if sc.gather {
+			if k == sc.n {
+				break
+			}
+			j := k + int(x>>33)%(sc.n-k)
+			perm[k], perm[j] = perm[j], perm[k]
+			w = perm[k]
+		}
+		pat.Writes = append(pat.Writes, w)
 		pat.Reads = append(pat.Reads, int32(int(x>>13)%sc.n))
 		pat.Coeffs = append(pat.Coeffs, float64(int(x>>49)%7)-3)
 	}
@@ -65,7 +82,9 @@ func (sc irregularScenario) run(t *testing.T, kind string) outcome {
 		fail(err)
 		return out
 	}
-	x.Fill(func(tu index.Tuple) float64 { return float64(tu[0]*11 - 7) })
+	// Negative values and a zero: a product c·v can be -0, which the
+	// accumulation from 0 turns into +0.
+	x.Fill(func(tu index.Tuple) float64 { return float64(tu[0]*11%17 - 8) })
 	y.Fill(func(tu index.Tuple) float64 { return float64(-tu[0]) })
 	sched, err := y.NewIrregular(x, sc.pattern())
 	if err != nil {
@@ -113,19 +132,26 @@ func (sc irregularScenario) run(t *testing.T, kind string) outcome {
 // oracle's array values, reductions, machine.Report statistics and
 // invalidation behavior across a remap. Both kinds lower the same
 // inspector schedule into the same plan, so this is that lowering's
-// guard.
+// guard. The gather arm draws injective writes, so spmd workers take
+// the gather kernel in place of the accumulator.
 func FuzzIrregularEquivalence(f *testing.F) {
-	f.Add(uint8(4), uint8(12), uint8(0), uint8(4), uint8(2), uint8(3), uint64(1), uint8(40), uint8(2))
-	f.Add(uint8(3), uint8(9), uint8(4), uint8(1), uint8(0), uint8(5), uint64(99), uint8(17), uint8(1))
-	f.Add(uint8(6), uint8(20), uint8(2), uint8(4), uint8(4), uint8(7), uint64(7), uint8(80), uint8(3))
-	f.Add(uint8(2), uint8(5), uint8(3), uint8(3), uint8(1), uint8(0), uint64(12345), uint8(0), uint8(1))
-	f.Add(uint8(5), uint8(16), uint8(4), uint8(4), uint8(3), uint8(9), uint64(31), uint8(120), uint8(2))
+	f.Add(uint8(4), uint8(12), uint8(0), uint8(4), uint8(2), uint8(3), uint64(1), uint8(40), uint8(2), false)
+	f.Add(uint8(3), uint8(9), uint8(4), uint8(1), uint8(0), uint8(5), uint64(99), uint8(17), uint8(1), false)
+	f.Add(uint8(6), uint8(20), uint8(2), uint8(4), uint8(4), uint8(7), uint64(7), uint8(80), uint8(3), false)
+	f.Add(uint8(2), uint8(5), uint8(3), uint8(3), uint8(1), uint8(0), uint64(12345), uint8(0), uint8(1), false)
+	f.Add(uint8(5), uint8(16), uint8(4), uint8(4), uint8(3), uint8(9), uint64(31), uint8(120), uint8(2), false)
 	// The same shapes with the spmd run on the other wires (itB/3 picks
 	// the wire).
-	f.Add(uint8(4), uint8(12), uint8(0), uint8(4), uint8(2), uint8(3), uint64(1), uint8(40), uint8(5))
-	f.Add(uint8(6), uint8(20), uint8(2), uint8(4), uint8(4), uint8(7), uint64(7), uint8(80), uint8(6))
-	f.Add(uint8(3), uint8(9), uint8(4), uint8(1), uint8(0), uint8(5), uint64(99), uint8(17), uint8(7))
-	f.Fuzz(func(t *testing.T, npB, nB, sel1, sel2, sel3, k uint8, patSeed uint64, accB, itB uint8) {
+	f.Add(uint8(4), uint8(12), uint8(0), uint8(4), uint8(2), uint8(3), uint64(1), uint8(40), uint8(5), false)
+	f.Add(uint8(6), uint8(20), uint8(2), uint8(4), uint8(4), uint8(7), uint64(7), uint8(80), uint8(6), false)
+	f.Add(uint8(3), uint8(9), uint8(4), uint8(1), uint8(0), uint8(5), uint64(99), uint8(17), uint8(7), false)
+	// The gather arm on each wire. Each draws a -0 product — the first
+	// two a zero coefficient over a negative value, the third a
+	// negative one over the zero — that must store as the oracle's +0.
+	f.Add(uint8(4), uint8(12), uint8(4), uint8(4), uint8(2), uint8(3), uint64(2), uint8(40), uint8(2), true)
+	f.Add(uint8(6), uint8(20), uint8(2), uint8(4), uint8(4), uint8(7), uint64(7), uint8(80), uint8(3), true)
+	f.Add(uint8(3), uint8(9), uint8(4), uint8(1), uint8(0), uint8(5), uint64(99), uint8(7), uint8(7), true)
+	f.Fuzz(func(t *testing.T, npB, nB, sel1, sel2, sel3, k uint8, patSeed uint64, accB, itB uint8, gather bool) {
 		np := int(npB%7) + 2
 		n := int(nB%24) + 4
 		sc := irregularScenario{
@@ -138,6 +164,7 @@ func FuzzIrregularEquivalence(f *testing.F) {
 			accesses: int(accB),
 			replayIt: int(itB%3) + 1,
 			tkind:    Transports()[int(itB/3)%len(Transports())],
+			gather:   gather,
 		}
 		want := sc.run(t, oracleKind)
 		for _, kind := range Kinds() {

@@ -28,12 +28,12 @@
 //
 // A worker's segment of an array is the concatenation of its owner
 // tiles (core.AppendOwnerTilesOf) in tile order, column-major within
-// each tile. Ghost exchange, load accounting and message
-// vectorization are compiled once per schedule and replayed on every
-// execution; ghosts, staged sums and the irregular accumulator live
-// in one buffer per hosted worker, valid for one epoch, and the
-// compiler's lists are the engine's, so a rebuild allocates only what
-// its plan keeps. There is one per-worker plan shape and one executor
+// each tile. Ghost exchange, load accounting and message vectorization
+// are compiled once per schedule and replayed on every execution;
+// ghosts, staged sums and the accumulator of a summing irregular
+// statement (a one-access gather stores straight) live in one buffer
+// per hosted worker, valid for one epoch, and the compiler's lists are
+// the engine's, so a rebuild allocates only what its plan keeps. There is one per-worker plan shape and one executor
 // (Schedule.ExecuteN) with two producers: the regular compiler, from
 // the intersection of the statement's owner tiles, and the lowering
 // of the inspector's schedule for indirection-array statements

@@ -2,6 +2,7 @@ package spmd
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -37,11 +38,13 @@ func newTwin(t *testing.T, e *Engine, name string, m core.ElementMapping, fill f
 	return twin{p, r}
 }
 
+// sameValues fails unless the spmd array holds the oracle's values bit
+// for bit: -0 and +0 differ.
 func (tw twin) sameValues(t *testing.T) {
 	t.Helper()
 	got, want := tw.p.Data(), tw.r.Data()
 	for i := range want {
-		if got[i] != want[i] {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: value mismatch at offset %d: spmd %g, sim %g", tw.p.name, i, got[i], want[i])
 		}
 	}

@@ -21,6 +21,23 @@ type accumKernel struct {
 	coeffs   []float64
 }
 
+// gatherKernel serves a worker of a statement whose source is not its
+// lhs (constGhost) and whose every output has one access: nothing sums
+// and no store reaches a read, so each access stores straight to its
+// lhs slot, local reads first, then ghost reads, each list in a loop
+// with no branch. The values are the accumulator's, bit for bit.
+type gatherKernel struct {
+	lhsData, srcData []float64
+	local, ghost     []gatherRef
+}
+
+// gatherRef is one gatherKernel access: lhs slot out takes 0 + c·v,
+// v the value at slot in of the local source (or the ghost buffer).
+type gatherRef struct {
+	out, in int32
+	c       float64
+}
+
 // BuildIrregular is the inspector producer, the executor side of the
 // inspector–executor technique (package inspector): it runs the
 // inspector over the pattern and lowers the resulting engine-neutral
@@ -57,20 +74,15 @@ func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*Schedu
 		plans:      make([]*wplan, e.np+1),
 		ghostTotal: sched.GhostElements(),
 		messages:   sched.Messages(),
-		// The gather source is a different array from the accumulator,
-		// so halo data is invariant across an ExecuteN epoch.
+		// A source that is a different array from the lhs makes halo
+		// data invariant across an ExecuteN epoch.
 		constGhost: lhs != src,
 		arrays:     []*Array{lhs, src},
 		gens:       []int{lhs.gen, src.gen},
 	}
-	kerns := make([]*accumKernel, e.np+1)
 	planOf := func(p int) *wplan {
 		if s.plans[p] == nil {
-			kerns[p] = &accumKernel{
-				lhsData: lhs.lay.stores[p].data,
-				srcData: src.lay.stores[p].data,
-			}
-			s.plans[p] = &wplan{kernel: kerns[p]}
+			s.plans[p] = &wplan{kernel: &gatherKernel{}} // a sender's: no accesses
 		}
 		return s.plans[p]
 	}
@@ -80,20 +92,36 @@ func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*Schedu
 			continue
 		}
 		wp := planOf(p)
-		k := kerns[p]
-		k.outSlots = make([]int32, len(pl.Outs))
-		for i, off := range pl.Outs {
-			k.outSlots[i] = wSlots[off]
-		}
-		k.writeIx = pl.WriteIx
-		k.coeffs = pl.Coeffs
-		k.reads = make([]int32, len(pl.Reads))
-		for j, r := range pl.Reads {
-			if k.reads[j] = r; r >= 0 {
-				k.reads[j] = rSlots[r]
+		lhsData, srcData := lhs.lay.stores[p].data, src.lay.stores[p].data
+		if s.constGhost && len(pl.Outs) == len(pl.Reads) {
+			// Every access has an output of its own: access j writes Outs[j].
+			k := &gatherKernel{lhsData: lhsData, srcData: srcData,
+				local: make([]gatherRef, 0, pl.LocalRefs), ghost: make([]gatherRef, 0, pl.RemoteRefs)}
+			for j, r := range pl.Reads {
+				if a := (gatherRef{out: wSlots[pl.Outs[j]], c: pl.Coeffs[j]}); r >= 0 {
+					a.in = rSlots[r]
+					k.local = append(k.local, a)
+				} else {
+					a.in = -r - 1
+					k.ghost = append(k.ghost, a)
+				}
 			}
+			wp.kernel = k
+		} else {
+			k := &accumKernel{lhsData: lhsData, srcData: srcData,
+				outSlots: make([]int32, len(pl.Outs)), writeIx: pl.WriteIx,
+				reads: make([]int32, len(pl.Reads)), coeffs: pl.Coeffs}
+			for i, off := range pl.Outs {
+				k.outSlots[i] = wSlots[off]
+			}
+			for j, r := range pl.Reads {
+				if k.reads[j] = r; r >= 0 {
+					k.reads[j] = rSlots[r]
+				}
+			}
+			wp.kernel, wp.tmp = k, len(pl.Outs)
 		}
-		wp.ghost, wp.tmp = pl.NGhost, len(pl.Outs)
+		wp.ghost = pl.NGhost
 		e.reserve(p, wp.ghost+wp.tmp)
 		wp.load = pl.Load
 		wp.localRefs = pl.LocalRefs
@@ -124,5 +152,17 @@ func (k *accumKernel) compute(ghost, acc []float64) {
 	}
 	for i, sl := range k.outSlots {
 		k.lhsData[sl] = acc[i]
+	}
+}
+
+// compute stores 0 + c·v, as the accumulator would: the 0 + turns a
+// -0 product into the +0 of the element-wise oracle.
+func (k *gatherKernel) compute(ghost, _ []float64) {
+	lhs, src := k.lhsData, k.srcData
+	for _, a := range k.local {
+		lhs[a.out] = 0 + a.c*src[a.in]
+	}
+	for _, a := range k.ghost {
+		lhs[a.out] = 0 + a.c*ghost[a.in]
 	}
 }

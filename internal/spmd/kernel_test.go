@@ -7,7 +7,6 @@ import (
 
 	"hpfnt/internal/dist"
 	"hpfnt/internal/index"
-	"hpfnt/internal/machine"
 	"hpfnt/internal/proc"
 	"hpfnt/internal/transport"
 )
@@ -237,40 +236,50 @@ func TestExecuteAllocs(t *testing.T) {
 	}
 }
 
-// TestExecuteNAllocsPerWire: on every wire, a sweep of the replayed
-// halo statement allocates nothing — ExecuteN(64) allocates no more
-// than ExecuteN(1). Its messages come from the transport's recycled
+// TestExecuteNAllocsPerWire: on every wire, a sweep of a replayed
+// schedule allocates nothing — ExecuteN(64) allocates no more than
+// ExecuteN(1) — for the halo statement and for a gather over an
+// INDIRECT vector. Messages come from the transport's recycled
 // buffers, whether inproc's channels, shm's rings or tcp's reader
-// carry them.
+// carry them. The gather, built first on its engine, stages nothing:
+// every worker's plan asks for no tmp, so its buffer is exactly its
+// ghost need.
 func TestExecuteNAllocsPerWire(t *testing.T) {
+	const n = 256
 	for _, kind := range transport.Kinds() {
 		t.Run(kind, func(t *testing.T) {
-			tr, err := transport.New(kind, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := NewOn(tr, machine.DefaultCost())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
+			e := engineOn(t, kind, 2)
 			sys, _ := proc.NewSystem(2)
-			h := newArray(t, e, "H", distMapping(t, sys, index.Standard(1, 1024), dist.Cyclic{K: 1}))
-			s, err := e.BuildSchedule(h, index.Standard(2, 1023), []Term{Ref(h, 0.5, 0), Ref(h, 0.25, -1), Ref(h, 0.25, 1)})
+			m := distMapping(t, sys, index.Standard(1, n), indirectFormat(t, n, 2))
+			x, y := newArray(t, e, "X", m), newArray(t, e, "Y", m)
+			gather, err := e.BuildIrregular(y, x, permutationPattern(n))
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(iters int) func() {
-				return func() {
-					if err := s.ExecuteN(iters); err != nil {
-						t.Fatal(err)
-					}
+			for p := 1; p <= 2; p++ {
+				wp := gather.plans[p]
+				if _, ok := wp.kernel.(*gatherKernel); !ok || wp.tmp != 0 || wp.ghost == 0 || len(e.bufs[p]) != wp.ghost {
+					t.Fatalf("worker %d: %T with tmp %d, ghost %d, buffer %d", p, wp.kernel, wp.tmp, wp.ghost, len(e.bufs[p]))
 				}
 			}
-			run(64)() // starts the workers and fills the buffer pools
-			one, many := testing.AllocsPerRun(10, run(1)), testing.AllocsPerRun(10, run(64))
-			if many > one {
-				t.Errorf("ExecuteN(64) allocates %.1f times, ExecuteN(1) %.1f: a sweep allocates", many, one)
+			h := newArray(t, e, "H", distMapping(t, sys, index.Standard(1, 1024), dist.Cyclic{K: 1}))
+			halo, err := e.BuildSchedule(h, index.Standard(2, 1023), []Term{Ref(h, 0.5, 0), Ref(h, 0.25, -1), Ref(h, 0.25, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []*Schedule{halo, gather} {
+				run := func(iters int) func() {
+					return func() {
+						if err := s.ExecuteN(iters); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				run(64)() // starts the workers and fills the buffer pools
+				one, many := testing.AllocsPerRun(10, run(1)), testing.AllocsPerRun(10, run(64))
+				if many > one {
+					t.Errorf("%s: ExecuteN(64) allocates %.1f times, ExecuteN(1) %.1f: a sweep allocates", s.label, many, one)
+				}
 			}
 		})
 	}

@@ -91,10 +91,10 @@ type wplan struct {
 // share of the statement from the local stores and the ghost buffer
 // and store it, with Fortran array-assignment semantics (no store is
 // visible to any read of the same iteration). tmp holds the values a
-// kernel stages before it stores them. runKernel serves every
-// regular statement and copyKernel every remap; accumKernel
-// (irregular.go) serves indirection statements, whose per-access
-// coefficients and write indices have no run form.
+// kernel stages before it stores them. runKernel serves every regular
+// statement and copyKernel every remap; of the indirection kernels
+// (irregular.go, no run form) gatherKernel stores one-access outputs
+// straight and accumKernel sums into tmp.
 type kernel interface {
 	compute(ghost, tmp []float64)
 }
