@@ -187,8 +187,12 @@ amortization:
 overhead:
 	HPFNT_SPEEDUP=1 $(GO) test -run TestObservabilityOverhead -count=1 -v ./internal/workload
 
+# Fuzz the distribution formats' closed forms, then the paper's §8
+# thesis: every drawn TEMPLATE program maps, computes and communicates
+# exactly like its template-free twin.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzFormatRoundTrip -fuzztime 30s ./internal/dist
+	$(GO) test -run xxx -fuzz FuzzTemplateFree -fuzztime 30s ./internal/template
 
 # Differential fuzz of sim and spmd against the element-wise oracle,
 # then of the run kernel against an element loop, bit for bit, of the

@@ -166,24 +166,6 @@ type Function struct {
 	aff  *AffineMap // affine interval form, nil outside the subset
 }
 
-// Identity returns the trivial alignment of a domain to itself
-// (dimension i maps to dimension i), used when an array is aligned to
-// another array of identical shape with no directive given.
-func Identity(name string, dom index.Domain) *Function {
-	axes := make([]Axis, dom.Rank())
-	subs := make([]Subscript, dom.Rank())
-	for i := range axes {
-		d := fmt.Sprintf("I%d", i+1)
-		axes[i] = DummyAxis(d)
-		subs[i] = ExprSub(expr.Dummy(d))
-	}
-	f, err := Normalize(Spec{Alignee: name, Axes: axes, Base: name, Subs: subs}, dom, dom, nil)
-	if err != nil {
-		panic("align: identity normalization failed: " + err.Error())
-	}
-	return f
-}
-
 // Normalize applies the §5.1 transformations to a Spec, producing the
 // alignment function. aligneeDom and baseDom are the index domains of
 // the alignee and the alignment base; bounds resolves the LBOUND/

@@ -315,18 +315,6 @@ func TestBoundIntrinsicsInAlignment(t *testing.T) {
 	}
 }
 
-func TestIdentity(t *testing.T) {
-	d := index.Standard(1, 4, 1, 5)
-	f := Identity("A", d)
-	d.ForEach(func(tu index.Tuple) bool {
-		got := one(t, f, tu...)
-		if !got.Equal(tu) {
-			t.Fatalf("Identity(%v) = %v", tu, got)
-		}
-		return true
-	})
-}
-
 func TestRepresentativeAgreesWithImage(t *testing.T) {
 	n, m := 4, 3
 	a := index.Standard(1, n)

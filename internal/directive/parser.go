@@ -18,8 +18,8 @@ import (
 
 // Interp parses and executes directive-language programs against a
 // core.Unit (the paper's model) and, when attached, a template.Model
-// (the HPF baseline) for TEMPLATE directives and alignments whose
-// base is a template.
+// (the HPF baseline) for TEMPLATE directives and every directive
+// naming a template-aligned array.
 type Interp struct {
 	// Unit receives declarations and mapping directives.
 	Unit *core.Unit
@@ -37,7 +37,7 @@ type Interp struct {
 	ViennaBlock bool
 
 	available       map[string]bool // parameters made available (PARAMETER or READ)
-	templateAligned map[string]bool // arrays aligned to a template (baseline model)
+	templateAligned map[string]bool // arrays the template model maps: aligned to a template, directly or through a chain
 }
 
 // New creates an interpreter over a unit.
@@ -449,7 +449,7 @@ func (p *parser) distributeStmt(redistribute bool) error {
 			if err != nil {
 				return err
 			}
-			if err := p.applyDistribute(nameTok.Text, formats, target, redistribute); err != nil {
+			if err := p.applyDistribute(nameTok, formats, target, redistribute); err != nil {
 				return err
 			}
 			if !p.accept(TokComma) {
@@ -470,18 +470,25 @@ func (p *parser) distributeStmt(redistribute bool) error {
 	if err != nil {
 		return err
 	}
-	if err := p.applyDistribute(nameTok.Text, formats, target, redistribute); err != nil {
+	if err := p.applyDistribute(nameTok, formats, target, redistribute); err != nil {
 		return err
 	}
 	return p.requireEnd()
 }
 
-func (p *parser) applyDistribute(name string, formats []dist.Format, target proc.Target, redistribute bool) error {
+func (p *parser) applyDistribute(nameTok Token, formats []dist.Format, target proc.Target, redistribute bool) error {
+	name := nameTok.Text
 	if p.ip.Templates != nil && p.ip.Templates.HasTemplate(name) {
 		if redistribute {
 			return fmt.Errorf("directive: templates cannot be redistributed in this front end")
 		}
 		return p.ip.Templates.DistributeTemplate(name, formats, target)
+	}
+	if p.ip.templateAligned[name] {
+		if redistribute {
+			return fmt.Errorf("directive: REDISTRIBUTE of %s, which is mapped through a template, is not supported by the baseline front end (column %d)", name, nameTok.Pos+1)
+		}
+		return p.ip.Templates.DistributeArray(name, formats, target)
 	}
 	if redistribute {
 		return p.ip.Unit.Redistribute(name, formats, target)
@@ -754,14 +761,24 @@ func (p *parser) alignStmt(realign bool) error {
 		return err
 	}
 	spec := align.Spec{Alignee: aligneeTok.Text, Axes: axes, Base: baseTok.Text, Subs: subs}
-	if isTemplate {
+	if isTemplate || p.ip.templateAligned[spec.Alignee] || p.ip.templateAligned[spec.Base] {
+		// The template model alone maps the alignee from here on, so
+		// the unit must not map it already.
+		u, col := p.ip.Unit, aligneeTok.Pos+1
 		if realign {
-			return fmt.Errorf("directive: REALIGN with a template base is not supported by the baseline front end")
+			return fmt.Errorf("directive: REALIGN of %s through a template is not supported by the baseline front end (column %d)", spec.Alignee, col)
 		}
-		if err := p.ip.Templates.AlignWithTemplate(spec); err != nil {
+		if _, ok := u.DistributionOf(spec.Alignee); ok || u.BaseOf(spec.Alignee) != "" || len(u.SecondariesOf(spec.Alignee)) > 0 {
+			return fmt.Errorf("directive: %s is already mapped without a template and cannot be aligned through one (column %d)", spec.Alignee, col)
+		}
+		alignTo := p.ip.Templates.AlignWithArray
+		if isTemplate {
+			alignTo = p.ip.Templates.AlignWithTemplate
+		}
+		if err := alignTo(spec); err != nil {
 			return err
 		}
-		p.ip.templateAligned[aligneeTok.Text] = true
+		p.ip.templateAligned[spec.Alignee] = true
 		return nil
 	}
 	if realign {

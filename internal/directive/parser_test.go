@@ -1,6 +1,7 @@
 package directive
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -200,6 +201,66 @@ func TestTholeTemplateExample(t *testing.T) {
 			if po[0] == uo[0] {
 				t.Fatalf("P(%d,%d) and U(%d,%d) collocated under (CYCLIC,CYCLIC) template", i, j, i, j)
 			}
+		}
+	}
+}
+
+// templateInterp is an interpreter with the baseline model attached
+// and A aligned, reversed, to a BLOCK-distributed template T(8).
+func templateInterp(t *testing.T) *Interp {
+	t.Helper()
+	ip := newInterp(t, 4)
+	ip.AttachTemplates(template.NewModel(ip.Unit.Sys))
+	exec(t, ip, `
+		PROCESSORS P(4)
+		REAL A(8), B(8), C(8), D(8)
+		!HPF$ TEMPLATE T(8)
+		!HPF$ ALIGN A(I) WITH T(9-I)
+		!HPF$ DISTRIBUTE T(BLOCK) TO P
+	`)
+	return ip
+}
+
+// TestTemplateChainFollowsBase: an array aligned with a
+// template-aligned array takes that array's owners, not those of the
+// implicit distribution the paper's model would give the base.
+func TestTemplateChainFollowsBase(t *testing.T) {
+	ip := templateInterp(t)
+	for _, link := range []struct{ alignee, base string }{{"B", "A"}, {"C", "B"}} {
+		exec(t, ip, "!HPF$ ALIGN "+link.alignee+"(I) WITH "+link.base+"(I)")
+		for i := 1; i <= 8; i++ {
+			a := owners(t, ip, "A", i)
+			if want := (8-i)/2 + 1; len(a) != 1 || a[0] != want {
+				t.Fatalf("A(%d) on %v, want [%d]", i, a, want)
+			}
+			if o := owners(t, ip, link.alignee, i); !slices.Equal(o, a) {
+				t.Fatalf("%s(%d) on %v, A(%d) on %v", link.alignee, i, o, i, a)
+			}
+		}
+	}
+}
+
+// TestTemplateAlignedRemapRefused: a template-aligned array (or one
+// chained to it) cannot be distributed, redistributed or realigned,
+// and an array the paper's model already maps cannot join a template
+// alignment; each refusal names the array.
+func TestTemplateAlignedRemapRefused(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`!HPF$ DISTRIBUTE A(CYCLIC) TO P`, "array A is aligned"},
+		{`!HPF$ DISTRIBUTE (CYCLIC) TO P :: A`, "array A is aligned"},
+		{`!HPF$ REDISTRIBUTE A(CYCLIC) TO P`, "REDISTRIBUTE of A, which is mapped through a template, is not supported by the baseline front end (column 14)"},
+		{`!HPF$ REALIGN A(I) WITH T(I)`, "REALIGN of A through a template is not supported by the baseline front end (column 9)"},
+		{"!HPF$ ALIGN B(I) WITH A(I)\n!HPF$ DISTRIBUTE B(BLOCK) TO P", "array B is aligned"},
+		{"!HPF$ ALIGN B(I) WITH A(I)\n!HPF$ REALIGN B(I) WITH A(9-I)", "REALIGN of B through a template"},
+		{`!HPF$ ALIGN A(I) WITH B(I)`, "array A is already aligned"},
+		{"!HPF$ DISTRIBUTE B(CYCLIC) TO P\n!HPF$ ALIGN B(I) WITH A(I)", "B is already mapped without a template"},
+		{"!HPF$ ALIGN C(I) WITH B(I)\n!HPF$ ALIGN B(I) WITH T(I)", "B is already mapped without a template"},
+		{"!HPF$ ALIGN C(I) WITH B(I)\n!HPF$ ALIGN C(I) WITH A(I)", "C is already mapped without a template"},
+	} {
+		ip := templateInterp(t)
+		err := ip.ExecProgram(tc.src)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: got %v, want an error containing %q", tc.src, err, tc.want)
 		}
 	}
 }

@@ -157,9 +157,6 @@ func Standard(bounds ...int) Domain {
 	return Domain{Dims: dims}
 }
 
-// Vector builds the rank-1 standard domain 1:n.
-func Vector(n int) Domain { return Standard(1, n) }
-
 // Scalar returns the rank-0 domain used to model scalars: it has
 // exactly one (empty) index, per §2.2 of the paper ("scalars can
 // easily be accommodated ... by treating them as if they were

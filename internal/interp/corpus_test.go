@@ -163,3 +163,35 @@ func TestCorpusGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestTemplateCorpusCopyIsLocal runs template.hpf up to its B = A copy
+// on every engine × transport: B is aligned to A through a template
+// chain, so the copy must make no remote reference.
+func TestTemplateCorpusCopyIsLocal(t *testing.T) {
+	path := filepath.Join("testdata", "programs", "template.hpf")
+	src, err := interp.ReadSource(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const copyStmt = "B(1:N) = A(1:N)\n"
+	cut := strings.Index(src, copyStmt)
+	if cut < 0 {
+		t.Fatalf("%s has no line %q", path, copyStmt)
+	}
+	src = src[:cut+len(copyStmt)]
+	for _, engineKind := range hpf.Engines() {
+		for _, transportKind := range hpf.Transports() {
+			cfg := interp.Config{Name: "template-copy", Engine: engineKind, Transport: transportKind}
+			if err := interp.ScanFileOptions(src, &cfg); err != nil {
+				t.Fatal(err)
+			}
+			res, err := cfg.Run(src)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", engineKind, transportKind, err)
+			}
+			if r := res.Report; r.RemoteRefs != 0 || r.LocalRefs == 0 {
+				t.Errorf("%s/%s: B = A made %d remote and %d local refs, want 0 remote", engineKind, transportKind, r.RemoteRefs, r.LocalRefs)
+			}
+		}
+	}
+}

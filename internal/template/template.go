@@ -8,10 +8,14 @@
 // class: they cannot be ALLOCATABLE and cannot be passed across
 // procedure boundaries — both restrictions are enforced here so the
 // paper's §8.2 criticisms are demonstrable (experiment E12). In the
-// pipeline it is an optional side entrance: TEMPLATE-aligned arrays
-// resolve to the same ElementMapping interface (package core) the
-// template-free path produces, so everything downstream — owner
-// tiles, schedules, both engines — runs unchanged over either model.
+// pipeline it is an optional side entrance: a TEMPLATE-aligned array
+// resolves, for owners and owner tiles alike, to the nested CONSTRUCT
+// (package core) of its alignment chain down to the distributed
+// template — the same ElementMapping a template-free secondary array
+// has — so everything downstream (schedules, both engines) runs
+// unchanged over either model. The directive front end sends every
+// directive naming a template-aligned array here and refuses REALIGN
+// and REDISTRIBUTE of one.
 //
 // Unlike the paper's model (package core), the template model allows
 // alignment chains: an array may be aligned to another array that is
@@ -20,7 +24,6 @@
 package template
 
 import (
-	"errors"
 	"fmt"
 
 	"hpfnt/internal/align"
@@ -56,8 +59,7 @@ type Model struct {
 }
 
 type tnode struct {
-	name string
-	dom  index.Domain
+	dom index.Domain
 	// Exactly one of toTemplate/toArray is set for aligned arrays;
 	// both empty for directly distributed arrays.
 	toTemplate string
@@ -120,7 +122,7 @@ func (m *Model) DeclareArray(name string, dom index.Domain) error {
 	if _, dup := m.arrays[name]; dup {
 		return fmt.Errorf("template: array %s already declared", name)
 	}
-	m.arrays[name] = &tnode{name: name, dom: dom}
+	m.arrays[name] = &tnode{dom: dom}
 	return nil
 }
 
@@ -177,141 +179,48 @@ func (m *Model) bounds(array string, dim int) (index.Triplet, error) {
 }
 
 // AlignWithTemplate aligns an array with a template.
-func (m *Model) AlignWithTemplate(s align.Spec) error {
-	n, ok := m.arrays[s.Alignee]
-	if !ok {
-		return fmt.Errorf("template: unknown alignee %s", s.Alignee)
-	}
-	t, ok := m.templates[s.Base]
-	if !ok {
-		return fmt.Errorf("template: unknown template %s", s.Base)
-	}
-	if n.d != nil {
-		return fmt.Errorf("template: array %s already has a direct distribution", s.Alignee)
-	}
-	alpha, err := align.Normalize(s, n.dom, t.Dom, m.bounds)
-	if err != nil {
-		return err
-	}
-	n.toTemplate = s.Base
-	n.toArray = ""
-	n.alpha = alpha
-	m.composed = nil
-	return nil
-}
+func (m *Model) AlignWithTemplate(s align.Spec) error { return m.align(s, true) }
 
 // AlignWithArray aligns an array with another array (chains are
 // permitted in the HPF model; cycles are rejected at resolution
 // time).
-func (m *Model) AlignWithArray(s align.Spec) error {
+func (m *Model) AlignWithArray(s align.Spec) error { return m.align(s, false) }
+
+func (m *Model) align(s align.Spec, toTemplate bool) error {
 	n, ok := m.arrays[s.Alignee]
 	if !ok {
 		return fmt.Errorf("template: unknown alignee %s", s.Alignee)
 	}
-	b, ok := m.arrays[s.Base]
-	if !ok {
-		return fmt.Errorf("template: unknown base array %s", s.Base)
+	var baseDom index.Domain
+	if toTemplate {
+		t, ok := m.templates[s.Base]
+		if !ok {
+			return fmt.Errorf("template: unknown template %s", s.Base)
+		}
+		baseDom = t.Dom
+	} else {
+		b, ok := m.arrays[s.Base]
+		if !ok {
+			return fmt.Errorf("template: unknown base array %s", s.Base)
+		}
+		baseDom = b.dom
 	}
 	if n.d != nil {
 		return fmt.Errorf("template: array %s already has a direct distribution", s.Alignee)
 	}
-	alpha, err := align.Normalize(s, n.dom, b.dom, m.bounds)
+	if n.alpha != nil {
+		return fmt.Errorf("template: array %s is already aligned; an alignee has exactly one base", s.Alignee)
+	}
+	alpha, err := align.Normalize(s, n.dom, baseDom, m.bounds)
 	if err != nil {
 		return err
 	}
-	n.toArray = s.Base
-	n.toTemplate = ""
-	n.alpha = alpha
+	n.toTemplate, n.toArray, n.alpha = "", s.Base, alpha
+	if toTemplate {
+		n.toTemplate, n.toArray = s.Base, ""
+	}
 	m.composed = nil
 	return nil
-}
-
-// ChainDepth reports the alignment chain length from an array to its
-// ultimate distribution (template or direct), demonstrating that the
-// HPF model permits trees of height > 1.
-func (m *Model) ChainDepth(name string) (int, error) {
-	depth := 0
-	seen := map[string]bool{}
-	cur := name
-	for {
-		n, ok := m.arrays[cur]
-		if !ok {
-			return 0, fmt.Errorf("template: unknown array %s", cur)
-		}
-		if seen[cur] {
-			return 0, fmt.Errorf("template: alignment cycle through %s", cur)
-		}
-		seen[cur] = true
-		switch {
-		case n.toTemplate != "":
-			return depth + 1, nil
-		case n.toArray != "":
-			depth++
-			cur = n.toArray
-		default:
-			return depth, nil
-		}
-	}
-}
-
-// Owners resolves the owner set of an array element by composing the
-// alignment chain down to the distributed template (or direct
-// distribution).
-func (m *Model) Owners(name string, i index.Tuple) ([]int, error) {
-	n, ok := m.arrays[name]
-	if !ok {
-		return nil, fmt.Errorf("template: unknown array %s", name)
-	}
-	return m.owners(n, i, map[string]bool{})
-}
-
-func (m *Model) owners(n *tnode, i index.Tuple, seen map[string]bool) ([]int, error) {
-	if seen[n.name] {
-		return nil, fmt.Errorf("template: alignment cycle through %s", n.name)
-	}
-	seen[n.name] = true
-	switch {
-	case n.d != nil:
-		return n.d.Owners(i)
-	case n.toTemplate != "":
-		t := m.templates[n.toTemplate]
-		if t.d == nil {
-			return nil, fmt.Errorf("template: template %s has no distribution", t.Name)
-		}
-		return unionThroughAlpha(n.alpha, i, t.d.Owners)
-	case n.toArray != "":
-		next := m.arrays[n.toArray]
-		return unionThroughAlpha(n.alpha, i, func(j index.Tuple) ([]int, error) {
-			return m.owners(next, j, seen)
-		})
-	default:
-		return nil, fmt.Errorf("template: array %s has neither distribution nor alignment", n.name)
-	}
-}
-
-func unionThroughAlpha(alpha *align.Function, i index.Tuple, down func(index.Tuple) ([]int, error)) ([]int, error) {
-	img, err := alpha.Image(i)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[int]bool{}
-	var out []int
-	for _, j := range img {
-		os, err := down(j)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range os {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil, errors.New("template: empty owner set")
-	}
-	return out, nil
 }
 
 // Mapping adapts an array of the model to core's ElementMapping
@@ -324,8 +233,15 @@ type Mapping struct {
 // Domain returns the array's index domain.
 func (tm Mapping) Domain() index.Domain { return tm.M.arrays[tm.Name].dom }
 
-// Owners resolves ownership through the model.
-func (tm Mapping) Owners(i index.Tuple) ([]int, error) { return tm.M.Owners(tm.Name, i) }
+// Owners resolves ownership through the composed core mapping, the
+// same one AppendOwnerTiles tiles.
+func (tm Mapping) Owners(i index.Tuple) ([]int, error) {
+	cm, err := tm.M.composedMapping(tm.Name, nil)
+	if err != nil {
+		return nil, err
+	}
+	return cm.Owners(i)
+}
 
 // Describe names the mapping.
 func (tm Mapping) Describe() string { return "HPF-template mapping of " + tm.Name }

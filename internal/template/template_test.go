@@ -1,6 +1,8 @@
 package template
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,6 +25,60 @@ func newModel(t *testing.T, np int) (*Model, proc.Target) {
 		t.Fatal(err)
 	}
 	return NewModel(sys), proc.Whole(arr)
+}
+
+// chainOwners is the test-side oracle of Mapping.Owners: it walks the
+// alignment chain element by element, taking the union of the owners
+// of α(i) one level down until it reaches a distribution, with no
+// core.Construct in between.
+func (m *Model) chainOwners(name string, i index.Tuple) ([]int, error) {
+	return m.chainWalk(name, i, map[string]bool{})
+}
+
+func (m *Model) chainWalk(name string, i index.Tuple, seen map[string]bool) ([]int, error) {
+	n, ok := m.arrays[name]
+	if !ok {
+		return nil, fmt.Errorf("template: unknown array %s", name)
+	}
+	if seen[name] {
+		return nil, fmt.Errorf("template: alignment cycle through %s", name)
+	}
+	seen[name] = true
+	var down func(index.Tuple) ([]int, error)
+	switch {
+	case n.d != nil:
+		return n.d.Owners(i)
+	case n.toTemplate != "":
+		t := m.templates[n.toTemplate]
+		if t.d == nil {
+			return nil, fmt.Errorf("template: template %s has no distribution", t.Name)
+		}
+		down = t.d.Owners
+	case n.toArray != "":
+		down = func(j index.Tuple) ([]int, error) { return m.chainWalk(n.toArray, j, seen) }
+	default:
+		return nil, fmt.Errorf("template: array %s has neither distribution nor alignment", name)
+	}
+	img, err := n.alpha.Image(i)
+	if err != nil {
+		return nil, err
+	}
+	var out []int
+	for _, j := range img {
+		os, err := down(j)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range os {
+			if !slices.Contains(out, p) {
+				out = append(out, p)
+			}
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("template: empty owner set")
+	}
+	return out, nil
 }
 
 func grid(t *testing.T, m *Model, np, r, c int) proc.Target {
@@ -88,7 +144,7 @@ func TestAlignWithTemplateAndResolve(t *testing.T) {
 	}
 	// A(i) lives where T(2i) lives: BLOCK q=4.
 	for i := 1; i <= 8; i++ {
-		os, err := m.Owners("A", index.Tuple{i})
+		os, err := Mapping{M: m, Name: "A"}.Owners(index.Tuple{i})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,8 +157,7 @@ func TestAlignWithTemplateAndResolve(t *testing.T) {
 
 func TestAlignmentChainsPermitted(t *testing.T) {
 	// The HPF model allows trees of height > 1; the paper's model
-	// does not. Verify the baseline supports chains and reports their
-	// depth.
+	// does not. Verify the baseline supports chains.
 	m, tg := newModel(t, 4)
 	m.DeclareTemplate("T", index.Standard(1, 16))
 	m.DeclareArray("A", index.Standard(1, 16))
@@ -123,17 +178,13 @@ func TestAlignmentChainsPermitted(t *testing.T) {
 	if err := m.AlignWithArray(id("C", "B")); err != nil {
 		t.Fatal(err)
 	}
-	depth, err := m.ChainDepth("C")
-	if err != nil || depth != 3 {
-		t.Fatalf("ChainDepth = %d, %v", depth, err)
-	}
 	m.DistributeTemplate("T", []dist.Format{dist.Cyclic{K: 1}}, tg)
 	for i := 1; i <= 16; i++ {
-		co, err := m.Owners("C", index.Tuple{i})
+		co, err := Mapping{M: m, Name: "C"}.Owners(index.Tuple{i})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ao, _ := m.Owners("A", index.Tuple{i})
+		ao, _ := Mapping{M: m, Name: "A"}.Owners(index.Tuple{i})
 		if co[0] != ao[0] {
 			t.Fatalf("chain resolution broken at %d", i)
 		}
@@ -152,11 +203,8 @@ func TestCycleDetection(t *testing.T) {
 	}
 	m.AlignWithArray(id("A", "B"))
 	m.AlignWithArray(id("B", "A"))
-	if _, err := m.Owners("A", index.Tuple{1}); err == nil || !strings.Contains(err.Error(), "cycle") {
+	if _, err := (Mapping{M: m, Name: "A"}).Owners(index.Tuple{1}); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("cycle must be detected, got %v", err)
-	}
-	if _, err := m.ChainDepth("A"); err == nil {
-		t.Fatal("ChainDepth must detect cycles")
 	}
 }
 
@@ -168,7 +216,7 @@ func TestUndistributedTemplateFails(t *testing.T) {
 		Alignee: "A", Axes: []align.Axis{align.DummyAxis("I")},
 		Base: "T", Subs: []align.Subscript{align.ExprSub(expr.Dummy("I"))},
 	})
-	if _, err := m.Owners("A", index.Tuple{1}); err == nil {
+	if _, err := (Mapping{M: m, Name: "A"}).Owners(index.Tuple{1}); err == nil {
 		t.Fatal("owners without template distribution must fail")
 	}
 }
@@ -201,9 +249,9 @@ func TestStaggeredCyclicDisaster(t *testing.T) {
 	// doubled template, both are always remote.
 	for i := 1; i <= n; i++ {
 		for j := 1; j <= n; j++ {
-			po, _ := m.Owners("P", index.Tuple{i, j})
-			uo1, _ := m.Owners("U", index.Tuple{i - 1, j})
-			uo2, _ := m.Owners("U", index.Tuple{i, j})
+			po, _ := Mapping{M: m, Name: "P"}.Owners(index.Tuple{i, j})
+			uo1, _ := Mapping{M: m, Name: "U"}.Owners(index.Tuple{i - 1, j})
+			uo2, _ := Mapping{M: m, Name: "U"}.Owners(index.Tuple{i, j})
 			if po[0] == uo1[0] || po[0] == uo2[0] {
 				t.Fatalf("expected all U neighbors of P(%d,%d) remote; got P:%v U:%v,%v", i, j, po, uo1, uo2)
 			}
@@ -218,7 +266,7 @@ func TestDistributeArrayDirectly(t *testing.T) {
 	if err := m.DistributeArray("A", []dist.Format{dist.Cyclic{K: 1}}, tg); err != nil {
 		t.Fatal(err)
 	}
-	os, err := m.Owners("A", index.Tuple{6})
+	os, err := Mapping{M: m, Name: "A"}.Owners(index.Tuple{6})
 	if err != nil || os[0] != 2 {
 		t.Fatalf("A(6) on %v, %v", os, err)
 	}
@@ -275,11 +323,11 @@ func TestTemplateBoundsEnvIntrinsics(t *testing.T) {
 	if err := m.DistributeTemplate("T", []dist.Format{dist.Block{}}, tg); err != nil {
 		t.Fatal(err)
 	}
-	o12, err := m.Owners("A", index.Tuple{12})
+	o12, err := Mapping{M: m, Name: "A"}.Owners(index.Tuple{12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o9, _ := m.Owners("A", index.Tuple{9})
+	o9, _ := Mapping{M: m, Name: "A"}.Owners(index.Tuple{9})
 	if o12[0] != o9[0] {
 		t.Fatalf("clamped alignments must coincide: %v vs %v", o12, o9)
 	}
@@ -288,7 +336,9 @@ func TestTemplateBoundsEnvIntrinsics(t *testing.T) {
 func TestTemplateMappingOwnerTiles(t *testing.T) {
 	// The bulk tile path through a height-3 alignment chain (with a
 	// stride-2 alignment in the middle) must agree element-for-element
-	// with chain resolution via Owners.
+	// with the chain walk of the test-side oracle (Mapping.Owners and
+	// the tiles share one composed mapping, so comparing those two
+	// would prove nothing).
 	m, tg := newModel(t, 4)
 	m.DeclareTemplate("T", index.Standard(1, 40))
 	m.DeclareArray("A", index.Standard(1, 40))
@@ -318,9 +368,9 @@ func TestTemplateMappingOwnerTiles(t *testing.T) {
 		for _, tl := range tiles {
 			total += tl.Region.Size()
 			tl.Region.ForEach(func(tu index.Tuple) bool {
-				os, err := tm.Owners(tu)
+				os, err := m.chainOwners(name, tu)
 				if err != nil {
-					t.Fatalf("%s: Owners(%s): %v", name, tu, err)
+					t.Fatalf("%s: chainOwners(%s): %v", name, tu, err)
 				}
 				if len(os) != 1 || os[0] != tl.Proc {
 					t.Fatalf("%s: tile owner %d at %s, oracle %v", name, tl.Proc, tu, os)
