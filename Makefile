@@ -25,8 +25,9 @@ race:
 race-spmd:
 	HPFNT_ENGINE=spmd $(GO) test -race -count=1 ./internal/exper ./hpf ./internal/workload
 
-# The irregular (inspector–executor) workloads and equivalence tests
-# on the spmd engine, and the spmd irregular kernel-choice test on all
+# The irregular (inspector–executor) workloads, the facade's gather
+# and scatter-add schedules and the equivalence tests on the spmd
+# engine, and the spmd irregular kernel-choice test on all
 # three wires, under the race detector.
 race-irregular:
 	HPFNT_ENGINE=spmd $(GO) test -race -count=1 -run 'Irregular|Gather|Scatter' ./internal/workload ./internal/engine ./hpf ./internal/spmd
@@ -194,8 +195,9 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzFormatRoundTrip -fuzztime 30s ./internal/dist
 	$(GO) test -run xxx -fuzz FuzzTemplateFree -fuzztime 30s ./internal/template
 
-# Differential fuzz of sim and spmd against the element-wise oracle,
-# then of the run kernel against an element loop, bit for bit, of the
+# Differential fuzz of sim and spmd against the element-wise oracle
+# (shifted and mapped terms, replicated sources, remaps, wires), then
+# of the run kernel against an element loop, bit for bit, of the
 # layout's tile index against the element-by-element fill, of the
 # index's cell walk against its owner and slot lookup, and of a shift
 # statement's cells against the layout indexes and the element walk.

@@ -124,7 +124,11 @@ func BenchmarkAblationPerStatementAnalysis(b *testing.B) {
 	lhs, interior, terms := jacobiSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := lhs.Assign(interior, terms); err != nil {
+		sched, err := lhs.NewSchedule(interior, terms)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sched.Execute(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -120,26 +120,14 @@ func describe(w io.Writer, prog *hpf.Program, np int, owners string) error {
 		}
 		info := inquiry.Describe(m)
 		fmt.Fprintf(w, "%-12s %s\n", name, info.Render())
-		counts := map[int]int{}
-		var cerr error
-		m.Domain().ForEach(func(t hpf.Tuple) bool {
-			os, err := m.Owners(t)
-			if err != nil {
-				cerr = err
-				return false
-			}
-			for _, p := range os {
-				counts[p]++
-			}
-			return true
-		})
-		if cerr != nil {
-			return cerr
-		}
 		fmt.Fprintf(w, "%-12s per-processor elements:", "")
 		for p := 1; p <= np; p++ {
-			if counts[p] > 0 {
-				fmt.Fprintf(w, " %d:%d", p, counts[p])
+			n, err := inquiry.LocalExtentOf(m, p)
+			if err != nil {
+				return err
+			}
+			if n > 0 {
+				fmt.Fprintf(w, " %d:%d", p, n)
 			}
 		}
 		fmt.Fprintln(w)
@@ -154,17 +142,15 @@ func describe(w io.Writer, prog *hpf.Program, np int, owners string) error {
 		fmt.Fprintf(w, "\nowner table of %s over %s:\n", name, m.Domain())
 		var oerr error
 		m.Domain().ForEach(func(t hpf.Tuple) bool {
-			os, err := m.Owners(t)
+			procs, err := inquiry.OwnersOf(m, t)
 			if err != nil {
 				oerr = err
 				return false
 			}
-			fmt.Fprintf(w, "  %s -> %v\n", t, os)
+			fmt.Fprintf(w, "  %s -> %v\n", t, procs)
 			return true
 		})
-		if oerr != nil {
-			return oerr
-		}
+		return oerr
 	}
 	return nil
 }

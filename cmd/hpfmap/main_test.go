@@ -1,9 +1,49 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
+
+// firstReal finds a program's first REAL declaration's first array.
+var firstReal = regexp.MustCompile(`(?m)^REAL\s+(\w+)`)
+
+// TestMapCorpusGolden maps every corpus program, with the owner table
+// of its first REAL array, and compares the whole report with its
+// golden in testdata/.
+func TestMapCorpusGolden(t *testing.T) {
+	progs, err := filepath.Glob("../../internal/interp/testdata/programs/*.hpf")
+	if err != nil || len(progs) == 0 {
+		t.Fatalf("no corpus programs: %v", err)
+	}
+	for _, path := range progs {
+		name := strings.TrimSuffix(filepath.Base(path), ".hpf")
+		t.Run(name, func(t *testing.T) {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := firstReal.FindSubmatch(src)
+			if first == nil {
+				t.Fatal("no REAL declaration")
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			if err := run(&b, path, 0, "", string(first[1]), false, false); err != nil {
+				t.Fatal(err)
+			}
+			if got := b.String(); got != string(want) {
+				t.Errorf("report differs from testdata/%s.golden:\n%s", name, got)
+			}
+		})
+	}
+}
 
 // TestMapCorpusProgram maps a corpus program end to end and checks
 // the owner output: hpfmap must honor the file's embedded !hpfrun:

@@ -10,7 +10,11 @@
 //     paper's own !HPF$ syntax,
 //   - a simulated distributed-memory machine and an owner-computes
 //     runtime that execute array statements and measure the
-//     communication and load balance each mapping induces.
+//     communication and load balance each mapping induces. A statement
+//     has one form: its terms (shifted reads, or mapped ones through
+//     AssignTerm.Map) are built once into a Schedule — NewSchedule, or
+//     NewIrregular for indirection-array accesses — and Run; Assign is
+//     the one-shot shorthand for build and Run once.
 //
 // # Quick start
 //
@@ -375,17 +379,22 @@ func (a *DistArray) Mapping() Mapping { return a.arr.Mapping() }
 // Replicated reports whether any element has more than one owner.
 func (a *DistArray) Replicated() bool { return a.arr.Replicated() }
 
-// Assign executes lhs(t) = Σ coeff·src(t+shift) over region under the
-// owner-computes rule, charging the program's machine.
+// Assign executes lhs(t) = Σ terms over region once under the
+// owner-computes rule, charging the program's machine: NewSchedule,
+// then one Run.
 func (a *DistArray) Assign(region Domain, terms ...AssignTerm) error {
-	return a.arr.Assign(region, a.prog.terms(terms))
+	s, err := a.NewSchedule(region, terms...)
+	if err != nil {
+		return err
+	}
+	return s.Run()
 }
 
 // terms converts facade terms to backend terms.
 func (p *Program) terms(terms []AssignTerm) []engine.Term {
 	rts := make([]engine.Term, len(terms))
 	for i, t := range terms {
-		rts[i] = engine.Term{Src: t.Src.arr, Shift: t.Shift, Coeff: t.Coeff}
+		rts[i] = engine.Term{Src: t.Src.arr, Shift: t.Shift, Coeff: t.Coeff, Map: t.Map}
 	}
 	return rts
 }
@@ -409,11 +418,16 @@ func (a *DistArray) RemapTo(m Mapping) (int, error) {
 // Shape returns the array's index domain.
 func (a *DistArray) Shape() Domain { return a.arr.Domain() }
 
-// AssignTerm is one right-hand-side reference of Assign.
+// AssignTerm is one right-hand-side reference of a statement:
+// Coeff·Src(t+Shift), or Coeff·Src(Map(t)) when Map is set, an
+// arbitrary (possibly rank-changing) index mapping such as the A(i) in
+// E(i,j) = D(i,j) + A(i). When Map is set, Shift is not read. Map gets
+// a tuple of its own and must return one within Src's domain.
 type AssignTerm struct {
 	Src   *DistArray
 	Coeff float64
 	Shift []int
+	Map   func(Tuple) Tuple
 }
 
 // Read builds a term Coeff·Src(t+Shift).
@@ -534,69 +548,4 @@ func (a *DistArray) NewIrregular(src *DistArray, writes, reads []int, coeffs []f
 		return nil, err
 	}
 	return &Schedule{s: s}, nil
-}
-
-// Gather executes lhs(i) = src(idx(i)) once: one indirection entry
-// per element of the rank-1 lhs, in index order. It is the A = B(V)
-// form of subscripted assignment; for iterated gathers build the
-// schedule once with NewIrregular and RunN it.
-func (a *DistArray) Gather(src *DistArray, idx []int) error {
-	dom := a.arr.Domain()
-	if dom.Rank() != 1 {
-		return fmt.Errorf("hpf: Gather takes a rank-1 lhs (have %s rank %d)", a.Name(), dom.Rank())
-	}
-	if len(idx) != dom.Size() {
-		return fmt.Errorf("hpf: Gather over %s needs %d indices, got %d", a.Name(), dom.Size(), len(idx))
-	}
-	writes := make([]int, len(idx))
-	for i := range writes {
-		writes[i] = dom.Dims[0].Low + i
-	}
-	s, err := a.NewIrregular(src, writes, idx, nil)
-	if err != nil {
-		return err
-	}
-	return s.Run()
-}
-
-// Scatter executes lhs(idx(i)) = src(i) once: one indirection entry
-// per element of the rank-1 src, in index order — the A(V) = B form.
-// Duplicate indices accumulate (scatter-add); lhs elements not named
-// in idx keep their values.
-func (a *DistArray) Scatter(src *DistArray, idx []int) error {
-	dom := src.arr.Domain()
-	if dom.Rank() != 1 {
-		return fmt.Errorf("hpf: Scatter takes a rank-1 src (have %s rank %d)", src.Name(), dom.Rank())
-	}
-	if len(idx) != dom.Size() {
-		return fmt.Errorf("hpf: Scatter from %s needs %d indices, got %d", src.Name(), dom.Size(), len(idx))
-	}
-	reads := make([]int, len(idx))
-	for i := range reads {
-		reads[i] = dom.Dims[0].Low + i
-	}
-	s, err := a.NewIrregular(src, idx, reads, nil)
-	if err != nil {
-		return err
-	}
-	return s.Run()
-}
-
-// MixedTerm is a right-hand-side reference with an arbitrary
-// (possibly rank-changing) index mapping, e.g. the A(i) in
-// E(i,j) = D(i,j) + A(i).
-type MixedTerm struct {
-	Src   *DistArray
-	Coeff float64
-	Map   func(Tuple) Tuple
-}
-
-// AssignMixed executes lhs(t) = Σ coeff·src(map(t)) over region under
-// the owner-computes rule.
-func (a *DistArray) AssignMixed(region Domain, terms []MixedTerm) error {
-	rts := make([]engine.GeneralTerm, len(terms))
-	for i, t := range terms {
-		rts[i] = engine.GeneralTerm{Src: t.Src.arr, Coeff: t.Coeff, Map: t.Map}
-	}
-	return a.arr.AssignGeneral(region, rts)
 }

@@ -158,10 +158,8 @@ func TestAssignMixed(t *testing.T) {
 	}
 	d.Fill(func(tu Tuple) float64 { return float64(tu[0] + tu[1]) })
 	a.Fill(func(tu Tuple) float64 { return float64(100 * tu[0]) })
-	err = e.AssignMixed(e.Shape(), []MixedTerm{
-		{Src: d, Coeff: 1, Map: func(tu Tuple) Tuple { return tu }},
-		{Src: a, Coeff: 1, Map: func(tu Tuple) Tuple { return TupleOf(tu[0]) }},
-	})
+	err = e.Assign(e.Shape(), Read(d, 1, 0, 0),
+		AssignTerm{Src: a, Coeff: 1, Map: func(tu Tuple) Tuple { return TupleOf(tu[0]) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +217,35 @@ func TestEnableTemplatesAndViennaToggle(t *testing.T) {
 	}
 	if !strings.Contains(m.Describe(), "template") {
 		t.Fatalf("Describe = %q", m.Describe())
+	}
+}
+
+// TestInquireTemplateAligned: an array aligned to a template, directly
+// or through a chain, is described by the composed mapping that
+// resolves its owners: held by all four processors, and aligned.
+func TestInquireTemplateAligned(t *testing.T) {
+	prog := newProg(t, 4)
+	prog.EnableTemplates()
+	err := prog.Exec(`
+		PROCESSORS P(4)
+		REAL A(1:32), B(1:32), C(1:32)
+		!HPF$ TEMPLATE T(1:65)
+		!HPF$ ALIGN A(I) WITH T(2*I+1)
+		!HPF$ ALIGN B(I) WITH A(I)
+		!HPF$ ALIGN C(I) WITH T(I)
+		!HPF$ DISTRIBUTE T(BLOCK) TO P
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"A", "B", "C"} {
+		info, err := prog.Inquire(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasSuffix(info.Render(), "np=4 aligned") || info.Direct || info.Replicated {
+			t.Errorf("%s: %s, want np=4 aligned", name, info.Render())
+		}
 	}
 }
 
@@ -517,11 +544,15 @@ func TestIrregularGatherScatter(t *testing.T) {
 	x.Fill(func(tu Tuple) float64 { return float64(10 * tu[0]) })
 
 	// Gather: Y(i) = X(V(i)) with V(i) = (i*7 mod n) + 1.
-	idx := make([]int, n)
+	idx, writes := make([]int, n), make([]int, n)
 	for i := range idx {
-		idx[i] = (i*7)%n + 1
+		idx[i], writes[i] = (i*7)%n+1, i+1
 	}
-	if err := y.Gather(x, idx); err != nil {
+	sched, err := y.NewIrregular(x, writes, idx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.Run(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= n; i++ {
@@ -535,7 +566,11 @@ func TestIrregularGatherScatter(t *testing.T) {
 	for i := range w {
 		w[i] = i/2 + 1 // each target named twice
 	}
-	if err := z.Scatter(y, w); err != nil {
+	scatter, err := z.NewIrregular(y, w, writes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := scatter.Run(); err != nil {
 		t.Fatal(err)
 	}
 	for j := 1; j <= n/2; j++ {
@@ -550,16 +585,8 @@ func TestIrregularGatherScatter(t *testing.T) {
 		}
 	}
 
-	// Schedule reuse: replaying a compiled irregular gather leaves
+	// Schedule reuse: replaying the compiled irregular gather leaves
 	// values fixed and needs no re-analysis.
-	writes := make([]int, n)
-	for i := range writes {
-		writes[i] = i + 1
-	}
-	sched, err := y.NewIrregular(x, writes, idx, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if sched.GhostElements() == 0 || sched.Messages() == 0 {
 		t.Fatalf("irregular gather should communicate: ghost %d, msgs %d", sched.GhostElements(), sched.Messages())
 	}
@@ -630,11 +657,5 @@ func TestIrregularAPIErrors(t *testing.T) {
 	}
 	if _, err := v.NewIrregular(v, []int{1}, []int{1}, []float64{1, 2}); err == nil {
 		t.Fatal("coefficient length mismatch accepted")
-	}
-	if err := v.Gather(v, []int{1}); err == nil {
-		t.Fatal("short Gather indirection accepted")
-	}
-	if err := v.Scatter(v, []int{1}); err == nil {
-		t.Fatal("short Scatter indirection accepted")
 	}
 }

@@ -13,16 +13,19 @@ import (
 )
 
 // scenario is one differential-test case: two mappings over the same
-// 2-D domain, a shifted statement, a schedule replay, a remap and a
-// reduction. run executes it on one backend and returns everything
-// observable; the fuzz target asserts every backend observes exactly
-// what the oracle does.
+// 2-D domain, a shifted statement executed once and then replayed, a
+// remap and a reduction. run executes it on one backend and returns
+// everything observable; the fuzz target asserts every backend observes
+// exactly what the oracle does.
 type scenario struct {
-	np       int
-	n        int
-	f1, f2   dist.Format
-	shift    [2]int
-	srcRep   bool // use a replicated source term
+	np     int
+	n      int
+	f1, f2 dist.Format
+	shift  [2]int
+	srcRep bool // use a replicated source term
+	// mapped adds two mapped terms: A transposed, and the E10-shaped
+	// rank-reducing read V(i) of a vector, replicated under srcRep.
+	mapped   bool
 	back     bool // remap A there and back, not one way
 	replayIt int
 	// tkind is the spmd transport the scenario runs on ("inproc",
@@ -38,6 +41,8 @@ type outcome struct {
 	report machine.Report
 }
 
+// buildMapping distributes dom's first dimension by f onto P and
+// collapses the others.
 func buildMapping(t *testing.T, sys *proc.System, dom index.Domain, f dist.Format) core.ElementMapping {
 	t.Helper()
 	arr, ok := sys.Lookup("P")
@@ -48,7 +53,11 @@ func buildMapping(t *testing.T, sys *proc.System, dom index.Domain, f dist.Forma
 			t.Fatal(err)
 		}
 	}
-	d, err := dist.New(dom, []dist.Format{f, dist.Collapsed{}}, proc.Whole(arr))
+	fs := []dist.Format{f}
+	for len(fs) < dom.Rank() {
+		fs = append(fs, dist.Collapsed{})
+	}
+	d, err := dist.New(dom, fs, proc.Whole(arr))
 	if err != nil {
 		t.Skipf("invalid format for domain: %v", err)
 	}
@@ -65,7 +74,11 @@ func replicatedMapping(t *testing.T, sys *proc.System, dom index.Domain) core.El
 			t.Fatal(err)
 		}
 	}
-	d, err := dist.New(dom, []dist.Format{dist.Collapsed{}, dist.Collapsed{}}, proc.Whole(arr))
+	fs := make([]dist.Format, dom.Rank())
+	for i := range fs {
+		fs[i] = dist.Collapsed{}
+	}
+	d, err := dist.New(dom, fs, proc.Whole(arr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +100,16 @@ func newBackend(t *testing.T, kind, tkind string, np int) Engine {
 		t.Fatal(err)
 	}
 	return eng
+}
+
+// assign builds lhs(region) = Σ terms and executes it once, the
+// one-shot form of a statement.
+func assign(lhs Array, region index.Domain, terms []Term) error {
+	s, err := lhs.NewSchedule(region, terms)
+	if err != nil {
+		return err
+	}
+	return s.Execute()
 }
 
 // sameOutcome fails unless got, observed on the named backend, is
@@ -171,6 +194,24 @@ func (sc scenario) run(t *testing.T, kind string) outcome {
 		r.Fill(func(tu index.Tuple) float64 { return float64(tu[0] + 100*tu[1]) })
 		terms = append(terms, Read(r, 2, 0, 0))
 	}
+	if sc.mapped {
+		vdom := index.Standard(1, sc.n)
+		vm := buildMapping(t, sys, vdom, sc.f1)
+		if sc.srcRep {
+			vm = replicatedMapping(t, sys, vdom)
+		}
+		v, err := eng.NewArray("V", vm)
+		if err != nil {
+			fail(err)
+			return out
+		}
+		v.Fill(func(tu index.Tuple) float64 { return float64(7*tu[0] - 20) })
+		// A mapped term's Shift is not read; one is set all the same, so
+		// a backend that read it would compute other values.
+		terms = append(terms,
+			Term{Src: a, Coeff: 1.5, Shift: []int{0, 0}, Map: func(tu index.Tuple) index.Tuple { return index.Tuple{tu[1], tu[0]} }},
+			Term{Src: v, Coeff: 3, Shift: []int{0, 0}, Map: func(tu index.Tuple) index.Tuple { return tu[:1] }})
+	}
 	lo0, hi0 := 1, sc.n
 	lo1, hi1 := 1, sc.n
 	if sc.shift[0] < 0 {
@@ -187,11 +228,10 @@ func (sc scenario) run(t *testing.T, kind string) outcome {
 		return out
 	}
 	region := index.Standard(lo0, hi0, lo1, hi1)
-	if err := b.Assign(region, terms); err != nil {
-		fail(err)
-	}
 	sched, err := b.NewSchedule(region, terms)
 	if err != nil {
+		fail(err)
+	} else if err := sched.Execute(); err != nil {
 		fail(err)
 	} else if err := sched.ExecuteN(sc.replayIt); err != nil {
 		fail(err)
@@ -262,38 +302,45 @@ func formatFor(sel, k uint8, n, np int) dist.Format {
 
 // FuzzEngineEquivalence is the differential fuzz target of both engine
 // kinds against the element-wise oracle: for random formats, shifts,
-// replicated sources, remaps (one way or there and back) and, for
+// replicated sources, mapped terms (a transposed and a rank-reducing
+// read), remaps (one way or there and back) and, for
 // spmd, transports (inproc channels, shm rings or tcp loopback
 // sockets), sim and spmd must each produce the oracle's array values,
 // remap counts, reduction results and machine.Report.
 func FuzzEngineEquivalence(f *testing.F) {
-	f.Add(uint8(4), uint8(12), uint8(0), uint8(2), uint8(0), uint8(1), uint8(2), false, uint8(0))
-	f.Add(uint8(3), uint8(9), uint8(2), uint8(4), uint8(3), uint8(3), uint8(3), false, uint8(2))
-	f.Add(uint8(5), uint8(16), uint8(4), uint8(1), uint8(7), uint8(2), uint8(0), true, uint8(1))
-	f.Add(uint8(2), uint8(7), uint8(3), uint8(0), uint8(1), uint8(4), uint8(2), false, uint8(2))
-	f.Add(uint8(6), uint8(10), uint8(1), uint8(4), uint8(9), uint8(2), uint8(2), true, uint8(1))
+	f.Add(uint8(4), uint8(12), uint8(0), uint8(2), uint8(0), uint8(1), uint8(2), false, uint8(0), false)
+	f.Add(uint8(3), uint8(9), uint8(2), uint8(4), uint8(3), uint8(3), uint8(3), false, uint8(2), false)
+	f.Add(uint8(5), uint8(16), uint8(4), uint8(1), uint8(7), uint8(2), uint8(0), true, uint8(1), false)
+	f.Add(uint8(2), uint8(7), uint8(3), uint8(0), uint8(1), uint8(4), uint8(2), false, uint8(2), false)
+	f.Add(uint8(6), uint8(10), uint8(1), uint8(4), uint8(9), uint8(2), uint8(2), true, uint8(1), false)
 	// The shapes the spmd tile producer is pinned on (package spmd,
 	// TestTileProducerMatchesElementProducer): CYCLIC(1) against
 	// CYCLIC(2) and CYCLIC(3) against CYCLIC(4) with shifts past a block,
 	// GENERAL_BLOCK with empty blocks (more processors than rows),
 	// INDIRECT on both sides, one format on both sides, and a
 	// replicated source, which sends the statement to the element walk.
-	f.Add(uint8(0), uint8(12), uint8(2), uint8(2), uint8(0), uint8(0), uint8(3), false, uint8(1))
-	f.Add(uint8(2), uint8(15), uint8(2), uint8(2), uint8(2), uint8(4), uint8(0), false, uint8(2))
-	f.Add(uint8(6), uint8(1), uint8(3), uint8(3), uint8(0), uint8(1), uint8(2), false, uint8(0))
-	f.Add(uint8(2), uint8(9), uint8(4), uint8(4), uint8(5), uint8(3), uint8(3), false, uint8(1))
-	f.Add(uint8(1), uint8(14), uint8(0), uint8(0), uint8(0), uint8(2), uint8(4), false, uint8(0))
-	f.Add(uint8(2), uint8(8), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), true, uint8(2))
+	f.Add(uint8(0), uint8(12), uint8(2), uint8(2), uint8(0), uint8(0), uint8(3), false, uint8(1), false)
+	f.Add(uint8(2), uint8(15), uint8(2), uint8(2), uint8(2), uint8(4), uint8(0), false, uint8(2), false)
+	f.Add(uint8(6), uint8(1), uint8(3), uint8(3), uint8(0), uint8(1), uint8(2), false, uint8(0), false)
+	f.Add(uint8(2), uint8(9), uint8(4), uint8(4), uint8(5), uint8(3), uint8(3), false, uint8(1), false)
+	f.Add(uint8(1), uint8(14), uint8(0), uint8(0), uint8(0), uint8(2), uint8(4), false, uint8(0), false)
+	f.Add(uint8(2), uint8(8), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), true, uint8(2), false)
 	// Two remaps, there and back (wireSel ≥ 16): block rows to a cyclic
 	// interleaving and back, two interleavings, GENERAL_BLOCK and
 	// INDIRECT against BLOCK, and one format on both sides, where the
 	// tiling does not change and nothing may move either way.
-	f.Add(uint8(0), uint8(12), uint8(0), uint8(2), uint8(7), uint8(2), uint8(2), false, uint8(16))
-	f.Add(uint8(2), uint8(15), uint8(2), uint8(2), uint8(2), uint8(1), uint8(3), false, uint8(17))
-	f.Add(uint8(3), uint8(9), uint8(3), uint8(0), uint8(1), uint8(2), uint8(1), false, uint8(18))
-	f.Add(uint8(1), uint8(11), uint8(0), uint8(4), uint8(5), uint8(3), uint8(2), true, uint8(16))
-	f.Add(uint8(4), uint8(8), uint8(1), uint8(1), uint8(0), uint8(2), uint8(2), false, uint8(17))
-	f.Fuzz(func(t *testing.T, npB, nB, sel1, sel2, k, sh0, sh1 uint8, srcRep bool, wireSel uint8) {
+	f.Add(uint8(0), uint8(12), uint8(0), uint8(2), uint8(7), uint8(2), uint8(2), false, uint8(16), false)
+	f.Add(uint8(2), uint8(15), uint8(2), uint8(2), uint8(2), uint8(1), uint8(3), false, uint8(17), false)
+	f.Add(uint8(3), uint8(9), uint8(3), uint8(0), uint8(1), uint8(2), uint8(1), false, uint8(18), false)
+	f.Add(uint8(1), uint8(11), uint8(0), uint8(4), uint8(5), uint8(3), uint8(2), true, uint8(16), false)
+	f.Add(uint8(4), uint8(8), uint8(1), uint8(1), uint8(0), uint8(2), uint8(2), false, uint8(17), false)
+	// The mapped arm, one seed per wire: BLOCK against CYCLIC(4) on
+	// inproc, CYCLIC(4) against INDIRECT with a replicated vector on
+	// shm, INDIRECT against Vienna BLOCK on tcp.
+	f.Add(uint8(4), uint8(12), uint8(0), uint8(2), uint8(2), uint8(1), uint8(2), false, uint8(0), true)
+	f.Add(uint8(3), uint8(9), uint8(2), uint8(4), uint8(3), uint8(3), uint8(3), true, uint8(1), true)
+	f.Add(uint8(5), uint8(16), uint8(4), uint8(1), uint8(7), uint8(2), uint8(0), false, uint8(2), true)
+	f.Fuzz(func(t *testing.T, npB, nB, sel1, sel2, k, sh0, sh1 uint8, srcRep bool, wireSel uint8, mapped bool) {
 		np := int(npB%7) + 2
 		n := int(nB%20) + 4
 		wires := Transports()
@@ -305,6 +352,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			f2:       formatFor(sel2, k+1, n, np),
 			shift:    [2]int{int(sh0%5) - 2, int(sh1%5) - 2},
 			srcRep:   srcRep,
+			mapped:   mapped,
 			back:     wireSel&16 != 0,
 			replayIt: 2,
 			tkind:    tkind,

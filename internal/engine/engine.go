@@ -8,6 +8,10 @@
 // independent derivation the fuzz targets in this package test both
 // kinds against.
 //
+// A statement has one form on every backend: Array.NewSchedule (or
+// NewIrregular, for indirection arrays) builds its terms into a
+// Schedule, and a one-shot statement is a schedule executed once.
+//
 // The process-wide default backend is "sim"; it can be switched with
 // the HPFNT_ENGINE environment variable or by assigning Default
 // before programs are built (cmd/hpfbench does so for its -engine
@@ -125,24 +129,21 @@ func SetDefaultTransport(kind string) error {
 // ReduceOp selects a reduction operator (shared with the runtime).
 type ReduceOp = runtime.ReduceOp
 
-// Term is one right-hand-side reference Coeff · Src(t + Shift).
+// Term is one right-hand-side reference Coeff · Src(t + Shift), or
+// Coeff · Src(Map(t)) when Map is set: an arbitrary, possibly
+// rank-changing index mapping such as the A(i) in
+// E(i,j) = D(i,j) + A(i). When Map is set, Shift is not read. Map gets
+// a tuple of its own and must return one within Src's domain.
 type Term struct {
 	Src   Array
 	Shift []int
 	Coeff float64
+	Map   func(index.Tuple) index.Tuple
 }
 
 // Read builds a shifted reference term.
 func Read(src Array, coeff float64, shift ...int) Term {
 	return Term{Src: src, Shift: shift, Coeff: coeff}
-}
-
-// GeneralTerm is a reference Coeff · Src(Map(t)) with an arbitrary
-// (possibly rank-changing) index mapping.
-type GeneralTerm struct {
-	Src   Array
-	Coeff float64
-	Map   func(index.Tuple) index.Tuple
 }
 
 // Engine is an execution backend: it materializes distributed arrays
@@ -208,12 +209,10 @@ type Array interface {
 	// Data materializes the dense column-major global values, for
 	// verification.
 	Data() []float64
-	// Assign executes lhs(t) = Σ coeff·src(t+shift) over region under
-	// the owner-computes rule.
-	Assign(region index.Domain, terms []Term) error
-	// AssignGeneral is Assign with arbitrary per-term index mappings.
-	AssignGeneral(region index.Domain, terms []GeneralTerm) error
-	// NewSchedule precompiles the statement's communication schedule.
+	// NewSchedule compiles lhs(region) = Σ terms under the
+	// owner-computes rule into a replayable schedule: the one form of
+	// a regular statement, a one-shot one included (build, then
+	// Execute once).
 	NewSchedule(region index.Domain, terms []Term) (Schedule, error)
 	// NewIrregular runs the inspector over an irregular gather/scatter
 	// access pattern (subscripts from indirection arrays, no closed

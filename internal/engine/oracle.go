@@ -92,29 +92,9 @@ func (x *oracleArray) terms(ts []Term) ([]runtime.Term, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = runtime.Term{Src: src, Shift: t.Shift, Coeff: t.Coeff}
+		out[i] = runtime.Term{Src: src, Shift: t.Shift, Coeff: t.Coeff, Map: t.Map}
 	}
 	return out, nil
-}
-
-func (x *oracleArray) Assign(region index.Domain, ts []Term) error {
-	rts, err := x.terms(ts)
-	if err != nil {
-		return err
-	}
-	return runtime.ShiftAssign(x.eng.m, x.a, region, rts)
-}
-
-func (x *oracleArray) AssignGeneral(region index.Domain, ts []GeneralTerm) error {
-	out := make([]runtime.GeneralTerm, len(ts))
-	for i, t := range ts {
-		src, err := x.src(t.Src)
-		if err != nil {
-			return err
-		}
-		out[i] = runtime.GeneralTerm{Src: src, Coeff: t.Coeff, Map: t.Map}
-	}
-	return runtime.GeneralAssign(x.eng.m, x.a, region, out)
 }
 
 func (x *oracleArray) NewSchedule(region index.Domain, ts []Term) (Schedule, error) {

@@ -83,7 +83,7 @@ func TestPlanMatchesElementwise(t *testing.T) {
 		for i, s := range shifts {
 			terms[i] = Read(src, float64(i+1), s...)
 		}
-		if err := lhs.Assign(interior, terms); err != nil {
+		if err := assign(lhs, interior, terms); err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		return observed{data: lhs.Data(), detail: eng.Detail()}
@@ -152,7 +152,7 @@ func TestNegatedZeroIsPositiveZero(t *testing.T) {
 				t.Fatal(err)
 			}
 			v.Fill(func(index.Tuple) float64 { return 7 })
-			if err := v.Assign(dom, []Term{Read(u, -1, 0)}); err != nil {
+			if err := assign(v, dom, []Term{Read(u, -1, 0)}); err != nil {
 				t.Fatal(err)
 			}
 			for i, x := range v.Data() {

@@ -94,29 +94,9 @@ func (x *spmdArray) terms(ts []Term) ([]spmd.Term, error) {
 		if !ok || sa.eng != x.eng {
 			return nil, fmt.Errorf("engine: term source %s is not on this %s engine", t.Src.Name(), x.eng.kind)
 		}
-		out[i] = spmd.Term{Src: sa.a, Shift: t.Shift, Coeff: t.Coeff}
+		out[i] = spmd.Term{Src: sa.a, Shift: t.Shift, Coeff: t.Coeff, Map: t.Map}
 	}
 	return out, nil
-}
-
-func (x *spmdArray) Assign(region index.Domain, ts []Term) error {
-	sts, err := x.terms(ts)
-	if err != nil {
-		return err
-	}
-	return x.eng.e.ShiftAssign(x.a, region, sts)
-}
-
-func (x *spmdArray) AssignGeneral(region index.Domain, ts []GeneralTerm) error {
-	out := make([]spmd.GeneralTerm, len(ts))
-	for i, t := range ts {
-		sa, ok := t.Src.(*spmdArray)
-		if !ok || sa.eng != x.eng {
-			return fmt.Errorf("engine: term source %s is not on this %s engine", t.Src.Name(), x.eng.kind)
-		}
-		out[i] = spmd.GeneralTerm{Src: sa.a, Coeff: t.Coeff, Map: t.Map}
-	}
-	return x.eng.e.GeneralAssign(x.a, region, out)
 }
 
 func (x *spmdArray) NewSchedule(region index.Domain, ts []Term) (Schedule, error) {

@@ -85,14 +85,17 @@ func runReplication(n, np int, star bool) (hpf.Report, bool, error) {
 	a.Fill(func(t hpf.Tuple) float64 { return float64(t[0]) })
 	d.Fill(func(t hpf.Tuple) float64 { return float64(t[0] + 2*t[1]) })
 	// E(i,j) = D(i,j) + A(i), executed as a 2-D statement over E's
-	// domain with a rank-reducing read of A (shift collapses j).
-	if err := e.AssignMixed(e.Shape(), []hpf.MixedTerm{
-		{Src: d, Coeff: 1, Map: func(t hpf.Tuple) hpf.Tuple { return t }},
-		{Src: a, Coeff: 1, Map: func(t hpf.Tuple) hpf.Tuple { return hpf.TupleOf(t[0]) }},
-	}); err != nil {
+	// domain with a rank-reducing read of A (its Map drops j).
+	if err := e.Assign(e.Shape(), hpf.Read(d, 1, 0, 0), rowOf(a)); err != nil {
 		return hpf.Report{}, false, err
 	}
 	return prog.Stats(), info.Replicated, nil
+}
+
+// rowOf is the rank-reducing term v(i) of a statement over (i,j): the
+// A(i) of E(i,j) = D(i,j) + A(i).
+func rowOf(v *hpf.DistArray) hpf.AssignTerm {
+	return hpf.AssignTerm{Src: v, Coeff: 1, Map: func(t hpf.Tuple) hpf.Tuple { return hpf.TupleOf(t[0]) }}
 }
 
 // E11Collapse reproduces §5.1 example 2: ALIGN B(:,*) WITH E(:)
@@ -143,10 +146,7 @@ func E11Collapse(n, np int) (Result, error) {
 		}
 		b.Fill(func(t hpf.Tuple) float64 { return float64(t[0]*3 + t[1]) })
 		e.Fill(func(t hpf.Tuple) float64 { return float64(t[0]) })
-		if err := c.AssignMixed(c.Shape(), []hpf.MixedTerm{
-			{Src: b, Coeff: 1, Map: func(t hpf.Tuple) hpf.Tuple { return t }},
-			{Src: e, Coeff: 1, Map: func(t hpf.Tuple) hpf.Tuple { return hpf.TupleOf(t[0]) }},
-		}); err != nil {
+		if err := c.Assign(c.Shape(), hpf.Read(b, 1, 0, 0), rowOf(e)); err != nil {
 			return hpf.Report{}, err
 		}
 		return prog.Stats(), nil

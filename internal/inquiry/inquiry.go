@@ -16,6 +16,7 @@ import (
 	"hpfnt/internal/core"
 	"hpfnt/internal/dist"
 	"hpfnt/internal/index"
+	"hpfnt/internal/template"
 )
 
 // DimInfo summarizes one dimension of a format-based distribution.
@@ -91,6 +92,13 @@ func Describe(m core.ElementMapping) Info {
 		inner := Describe(v.Actual)
 		info.NP = inner.NP
 		info.Replicated = inner.Replicated
+	case template.Mapping:
+		// A template-aligned array is described as the composed core
+		// mapping that resolves its owners.
+		if cm, err := v.Resolve(); err == nil {
+			info = Describe(cm)
+			info.Description = m.Describe()
+		}
 	}
 	return info
 }

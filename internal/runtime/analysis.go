@@ -7,11 +7,10 @@ import (
 	"hpfnt/internal/machine"
 )
 
-// analysis is the communication/load summary of one shift-assignment
-// statement under the owner-computes rule: the aggregated ghost
-// traffic per processor pair, the per-processor compute load, and the
-// local/remote reference counts. BuildSchedule stores it for replay;
-// ShiftAssign derives and charges it per statement.
+// analysis is the communication/load summary of one statement under
+// the owner-computes rule: the aggregated ghost traffic per processor
+// pair, the per-processor compute load, and the local/remote reference
+// counts. BuildSchedule derives it once and Execute charges it.
 type analysis struct {
 	pairElems  map[[2]int]int
 	loads      map[int]int
@@ -37,7 +36,7 @@ func checkStatement(lhs *Array, region index.Domain, terms []Term) error {
 		return fmt.Errorf("runtime: region rank %d does not match %s rank %d", region.Rank(), lhs.Name, lhs.Dom.Rank())
 	}
 	for _, tm := range terms {
-		if len(tm.Shift) != lhs.Dom.Rank() {
+		if tm.Map == nil && len(tm.Shift) != lhs.Dom.Rank() {
 			return fmt.Errorf("runtime: term over %s has shift rank %d, want %d", tm.Src.Name, len(tm.Shift), lhs.Dom.Rank())
 		}
 	}
@@ -51,7 +50,7 @@ func checkStatement(lhs *Array, region index.Domain, terms []Term) error {
 // from their first owner.
 func analyzeElementwise(lhs *Array, region index.Domain, terms []Term) (*analysis, error) {
 	an := &analysis{pairElems: map[[2]int]int{}, loads: map[int]int{}}
-	ref := make(index.Tuple, lhs.Dom.Rank())
+	buf := make(index.Tuple, lhs.Dom.Rank())
 	seen := map[commKey]bool{}
 	var ferr error
 	region.ForEach(func(t index.Tuple) bool {
@@ -62,10 +61,7 @@ func analyzeElementwise(lhs *Array, region index.Domain, terms []Term) (*analysi
 		}
 		writers := lhs.ownerSet(loff)
 		for _, tm := range terms {
-			for d := range t {
-				ref[d] = t[d] + tm.Shift[d]
-			}
-			roff, ok := tm.Src.Dom.Offset(ref)
+			roff, ref, ok := tm.at(t, buf)
 			if !ok {
 				ferr = fmt.Errorf("runtime: reference %s(%s) out of bounds in statement over %s(%s)", tm.Src.Name, ref, lhs.Name, t)
 				return false

@@ -5,8 +5,9 @@
 //
 //	P = U(0:N-1,:) + U(1:N,:) + V(:,0:N-1) + V(:,1:N)
 //
-// is expressed as a shift-assignment whose right-hand-side references
-// are shifted reads of distributed arrays; every reference whose
+// is expressed as a statement whose right-hand-side terms are shifted
+// (or, through a Map, arbitrarily indexed) reads of distributed
+// arrays, built once as a Schedule and executed; every reference whose
 // owner differs from the left-hand-side owner becomes remote traffic,
 // aggregated into one message per processor pair per statement
 // (message vectorization), with per-statement deduplication of
@@ -121,16 +122,36 @@ func (a *Array) ownedBy(off int, p int) bool {
 	return slices.Contains(a.repOwns[off], p)
 }
 
-// Term is one right-hand-side reference Coeff * Src(t + Shift).
+// Term is one right-hand-side reference Coeff · Src(t + Shift), or
+// Coeff · Src(Map(t)) when Map is set: an arbitrary, possibly
+// rank-changing index mapping such as the A(i) in
+// E(i,j) = D(i,j) + A(i). When Map is set, Shift is not read. Map gets
+// a tuple of its own and must return one within Src's domain.
 type Term struct {
 	Src   *Array
 	Shift []int
 	Coeff float64
+	Map   func(index.Tuple) index.Tuple
 }
 
 // Ref returns a shifted reference term.
 func Ref(src *Array, coeff float64, shift ...int) Term {
 	return Term{Src: src, Shift: shift, Coeff: coeff}
+}
+
+// at returns the source offset term tm reads for the lhs index t,
+// through Map or at t + Shift (built in buf); ref is the source index.
+func (tm Term) at(t, buf index.Tuple) (off int, ref index.Tuple, ok bool) {
+	ref = buf
+	if tm.Map != nil {
+		ref = tm.Map(t.Clone())
+	} else {
+		for d := range t {
+			ref[d] = t[d] + tm.Shift[d]
+		}
+	}
+	off, ok = tm.Src.Dom.Offset(ref)
+	return off, ref, ok
 }
 
 type commKey struct {
@@ -139,41 +160,13 @@ type commKey struct {
 	dst int
 }
 
-// ShiftAssign executes lhs(t) = Σ_k coeff_k · src_k(t + shift_k) for
-// every t in region (a sub-domain of lhs), under the owner-computes
-// rule: each owner of lhs(t) performs the computation, fetching
-// non-local operands. Fortran array-assignment semantics hold: the
-// whole right-hand side is evaluated before any store. Remote fetches
-// are deduplicated per statement and aggregated into one message per
-// (sender, receiver) pair; the machine's load, reference and traffic
-// counters are updated. A nil machine executes values only.
-func ShiftAssign(m *machine.Machine, lhs *Array, region index.Domain, terms []Term) error {
-	if err := checkStatement(lhs, region, terms); err != nil {
-		return err
-	}
-	var an *analysis
-	if m != nil {
-		var err error
-		if an, err = analyzeElementwise(lhs, region, terms); err != nil {
-			return err
-		}
-	}
-	if err := evaluate(lhs, region, terms); err != nil {
-		return err
-	}
-	if an != nil {
-		an.charge(m)
-	}
-	return nil
-}
-
 // evaluate computes lhs(region) = Σ terms into a temporary and then
 // stores it (simultaneous assignment semantics); nothing is stored
 // when a region index or a reference is out of bounds.
 func evaluate(lhs *Array, region index.Domain, terms []Term) error {
 	vals := make([]float64, region.Size())
 	offs := make([]int, region.Size())
-	ref := make(index.Tuple, lhs.Dom.Rank())
+	buf := make(index.Tuple, lhs.Dom.Rank())
 	k := 0
 	var ferr error
 	region.ForEach(func(t index.Tuple) bool {
@@ -185,10 +178,7 @@ func evaluate(lhs *Array, region index.Domain, terms []Term) error {
 		offs[k] = loff
 		sum := 0.0
 		for _, tm := range terms {
-			for d := range t {
-				ref[d] = t[d] + tm.Shift[d]
-			}
-			roff, ok := tm.Src.Dom.Offset(ref)
+			roff, ref, ok := tm.at(t, buf)
 			if !ok {
 				ferr = fmt.Errorf("runtime: reference %s(%s) out of bounds in assignment to %s(%s)", tm.Src.Name, ref, lhs.Name, t)
 				return false
@@ -201,88 +191,6 @@ func evaluate(lhs *Array, region index.Domain, terms []Term) error {
 	})
 	if ferr != nil {
 		return ferr
-	}
-	for i := 0; i < k; i++ {
-		lhs.data[offs[i]] = vals[i]
-	}
-	return nil
-}
-
-// GeneralTerm is a right-hand-side reference Coeff · Src(Map(t)) with
-// an arbitrary (possibly rank-changing) index mapping, covering
-// references like the A(i) in E(i,j) = D(i,j) + A(i).
-type GeneralTerm struct {
-	Src   *Array
-	Coeff float64
-	// Map translates a left-hand-side index tuple to the source's
-	// index tuple. It must return tuples within Src's domain.
-	Map func(index.Tuple) index.Tuple
-}
-
-// GeneralAssign is ShiftAssign with arbitrary per-term index
-// mappings; semantics, owner-computes accounting, per-statement
-// deduplication and message vectorization are identical.
-func GeneralAssign(m *machine.Machine, lhs *Array, region index.Domain, terms []GeneralTerm) error {
-	if region.Rank() != lhs.Dom.Rank() {
-		return fmt.Errorf("runtime: region rank %d does not match %s rank %d", region.Rank(), lhs.Name, lhs.Dom.Rank())
-	}
-	vals := make([]float64, region.Size())
-	offs := make([]int, region.Size())
-	pairElems := map[[2]int]int{}
-	seen := map[commKey]bool{}
-	k := 0
-	var ferr error
-	region.ForEach(func(t index.Tuple) bool {
-		loff, ok := lhs.Dom.Offset(t)
-		if !ok {
-			ferr = fmt.Errorf("runtime: region index %s outside %s domain %s", t, lhs.Name, lhs.Dom)
-			return false
-		}
-		offs[k] = loff
-		sum := 0.0
-		writers := lhs.ownerSet(loff)
-		for _, tm := range terms {
-			ref := tm.Map(t.Clone())
-			roff, ok := tm.Src.Dom.Offset(ref)
-			if !ok {
-				ferr = fmt.Errorf("runtime: reference %s(%s) out of bounds in assignment to %s(%s)", tm.Src.Name, ref, lhs.Name, t)
-				return false
-			}
-			sum += tm.Coeff * tm.Src.data[roff]
-			if m == nil {
-				continue
-			}
-			for _, w := range writers {
-				if tm.Src.ownedBy(roff, w) {
-					m.RecordLocal(1)
-					continue
-				}
-				m.RecordRemote(1)
-				key := commKey{src: tm.Src, off: roff, dst: w}
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				sender := tm.Src.ownerSet(roff)[0]
-				pairElems[[2]int{sender, w}]++
-			}
-		}
-		if m != nil {
-			for _, w := range writers {
-				m.AddLoad(w, len(terms))
-			}
-		}
-		vals[k] = sum
-		k++
-		return true
-	})
-	if ferr != nil {
-		return ferr
-	}
-	if m != nil {
-		for pr, n := range pairElems {
-			m.Send(pr[0], pr[1], n)
-		}
 	}
 	for i := 0; i < k; i++ {
 		lhs.data[offs[i]] = vals[i]
@@ -386,8 +294,8 @@ type SeqTerm struct {
 	Coeff float64
 }
 
-// SeqShiftAssign is the sequential reference semantics of
-// ShiftAssign, used to verify the distributed executor.
+// SeqShiftAssign is the sequential reference semantics of a shifted
+// statement, used to verify the distributed executor.
 func SeqShiftAssign(lhs *SeqArray, region index.Domain, terms []SeqTerm) error {
 	vals := make([]float64, region.Size())
 	offs := make([]int, region.Size())

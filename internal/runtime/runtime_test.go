@@ -42,6 +42,16 @@ func mkMachine(t *testing.T, np int) *machine.Machine {
 	return m
 }
 
+// assign builds lhs(region) = Σ terms as a schedule and executes it
+// once on m, the one-shot form of a statement.
+func assign(m *machine.Machine, lhs *Array, region index.Domain, terms []Term) error {
+	s, err := BuildSchedule(lhs, region, terms)
+	if err != nil {
+		return err
+	}
+	return s.Execute(m)
+}
+
 func TestArrayBasics(t *testing.T) {
 	sys, _ := proc.NewSystem(4)
 	dom := index.Standard(1, 8)
@@ -80,7 +90,7 @@ func TestShiftAssignValuesMatchSequential(t *testing.T) {
 		terms := []Term{
 			Ref(a, 0.25, -1, 0), Ref(a, 0.25, 1, 0), Ref(a, 0.25, 0, -1), Ref(a, 0.25, 0, 1),
 		}
-		if err := ShiftAssign(m, b, interior, terms); err != nil {
+		if err := assign(m, b, interior, terms); err != nil {
 			t.Fatal(err)
 		}
 		as := NewSeqArray(adom)
@@ -112,7 +122,7 @@ func TestSimultaneousSemantics(t *testing.T) {
 	a.Fill(func(tu index.Tuple) float64 { return float64(tu[0]) })
 	region := index.Standard(2, 6)
 	// A(i) = A(i-1) for i in 2..6: result must be 1,1,2,3,4,5.
-	if err := ShiftAssign(nil, a, region, []Term{Ref(a, 1, -1)}); err != nil {
+	if err := assign(nil, a, region, []Term{Ref(a, 1, -1)}); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{1, 1, 2, 3, 4, 5}
@@ -133,7 +143,7 @@ func TestCommunicationCounting(t *testing.T) {
 	a.Fill(func(tu index.Tuple) float64 { return float64(tu[0]) })
 	m := mkMachine(t, 4)
 	region := index.Standard(2, 16)
-	if err := ShiftAssign(m, b, region, []Term{Ref(a, 1, -1)}); err != nil {
+	if err := assign(m, b, region, []Term{Ref(a, 1, -1)}); err != nil {
 		t.Fatal(err)
 	}
 	r := m.Stats()
@@ -163,7 +173,7 @@ func TestStatementDeduplication(t *testing.T) {
 	m := mkMachine(t, 4)
 	region := index.Standard(5, 5) // single element B(5) on proc 2
 	// Both terms read A(4), owned by proc 1.
-	if err := ShiftAssign(m, b, region, []Term{Ref(a, 1, -1), Ref(a, 2, -1)}); err != nil {
+	if err := assign(m, b, region, []Term{Ref(a, 1, -1), Ref(a, 2, -1)}); err != nil {
 		t.Fatal(err)
 	}
 	r := m.Stats()
@@ -185,7 +195,7 @@ func TestMessageVectorization(t *testing.T) {
 	b, _ := NewArray("B", blockMapping(t, sys, "B", dom, dist.Block{}))
 	m := mkMachine(t, 2)
 	region := index.Standard(2, n, 1, n)
-	if err := ShiftAssign(m, b, region, []Term{Ref(a, 1, -1, 0)}); err != nil {
+	if err := assign(m, b, region, []Term{Ref(a, 1, -1, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	r := m.Stats()
@@ -218,7 +228,7 @@ func TestReplicatedReadIsLocal(t *testing.T) {
 	}
 	dst, _ := NewArray("B", blockMapping(t, sys, "B", dom, dist.Block{}))
 	m := mkMachine(t, 4)
-	if err := ShiftAssign(m, dst, dom, []Term{Ref(src, 1, 0)}); err != nil {
+	if err := assign(m, dst, dom, []Term{Ref(src, 1, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	r := m.Stats()
@@ -235,7 +245,7 @@ func TestReplicatedWriteLoadsAllOwners(t *testing.T) {
 	dst, _ := NewArray("R", core.DistMapping{D: dr})
 	src, _ := NewArray("A", blockMapping(t, sys, "A", dom, dist.Block{}))
 	m := mkMachine(t, 4)
-	if err := ShiftAssign(m, dst, dom, []Term{Ref(src, 1, 0)}); err != nil {
+	if err := assign(m, dst, dom, []Term{Ref(src, 1, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	r := m.Stats()
@@ -293,7 +303,7 @@ func TestOutOfBoundsReference(t *testing.T) {
 	a, _ := NewArray("A", blockMapping(t, sys, "A", dom, dist.Block{}))
 	b, _ := NewArray("B", blockMapping(t, sys, "B", dom, dist.Block{}))
 	// Shift -1 over the full domain reads A(0): out of bounds.
-	if err := ShiftAssign(nil, b, dom, []Term{Ref(a, 1, -1)}); err == nil {
+	if err := assign(nil, b, dom, []Term{Ref(a, 1, -1)}); err == nil {
 		t.Fatal("out-of-bounds reference must fail")
 	}
 }
@@ -303,10 +313,10 @@ func TestShiftRankMismatch(t *testing.T) {
 	dom := index.Standard(1, 8)
 	a, _ := NewArray("A", blockMapping(t, sys, "A", dom, dist.Block{}))
 	b, _ := NewArray("B", blockMapping(t, sys, "B", dom, dist.Block{}))
-	if err := ShiftAssign(nil, b, dom, []Term{Ref(a, 1, 0, 0)}); err == nil {
+	if err := assign(nil, b, dom, []Term{Ref(a, 1, 0, 0)}); err == nil {
 		t.Fatal("shift rank mismatch must fail")
 	}
-	if err := ShiftAssign(nil, b, index.Standard(1, 8, 1, 8), []Term{Ref(a, 1, 0)}); err == nil {
+	if err := assign(nil, b, index.Standard(1, 8, 1, 8), []Term{Ref(a, 1, 0)}); err == nil {
 		t.Fatal("region rank mismatch must fail")
 	}
 }
@@ -341,7 +351,7 @@ func TestExecutorEquivalenceProperty(t *testing.T) {
 		}
 		region := index.Standard(lo, hi)
 		m := mkMachine(t, 4)
-		if err := ShiftAssign(m, b, region, []Term{Ref(a, 2, shift)}); err != nil {
+		if err := assign(m, b, region, []Term{Ref(a, 2, shift)}); err != nil {
 			return false
 		}
 		as := NewSeqArray(dom)
@@ -374,7 +384,7 @@ func TestGeneralAssignMatchesSequential(t *testing.T) {
 	d.Fill(func(tu index.Tuple) float64 { return float64(tu[0]*10 + tu[1]) })
 	a.Fill(func(tu index.Tuple) float64 { return float64(tu[0] * tu[0]) })
 	m := mkMachine(t, 4)
-	err := GeneralAssign(m, e, ddom, []GeneralTerm{
+	err := assign(m, e, ddom, []Term{
 		{Src: d, Coeff: 1, Map: func(tu index.Tuple) index.Tuple { return tu }},
 		{Src: a, Coeff: 2, Map: func(tu index.Tuple) index.Tuple { return index.Tuple{tu[0]} }},
 	})
@@ -403,13 +413,19 @@ func TestGeneralAssignErrors(t *testing.T) {
 	dom := index.Standard(1, 8)
 	a, _ := NewArray("A", blockMapping(t, sys, "A", dom, dist.Block{}))
 	b, _ := NewArray("B", blockMapping(t, sys, "B", dom, dist.Block{}))
-	err := GeneralAssign(nil, b, dom, []GeneralTerm{
+	err := assign(nil, b, dom, []Term{
 		{Src: a, Coeff: 1, Map: func(tu index.Tuple) index.Tuple { return index.Tuple{tu[0] + 100} }},
 	})
 	if err == nil {
 		t.Fatal("out-of-domain mapped reference must fail")
 	}
-	if err := GeneralAssign(nil, b, index.Standard(1, 8, 1, 8), nil); err == nil {
+	// A mapped term's Shift is not read: no rank is asked of it.
+	if err := assign(nil, b, dom, []Term{
+		{Src: a, Coeff: 1, Shift: []int{0, 0, 0}, Map: func(tu index.Tuple) index.Tuple { return tu }},
+	}); err != nil {
+		t.Fatalf("mapped term refused for its unread shift: %v", err)
+	}
+	if err := assign(nil, b, index.Standard(1, 8, 1, 8), nil); err == nil {
 		t.Fatal("region rank mismatch must fail")
 	}
 }

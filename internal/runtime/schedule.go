@@ -15,8 +15,10 @@ import (
 // analysis once; each subsequent Execute replays the aggregated
 // messages and computes values without re-deriving communication
 // sets. For mappings that do not change between iterations this is
-// semantically identical to calling ShiftAssign each time — verified
-// by tests — but performs no per-iteration analysis.
+// semantically identical to building the statement afresh each time —
+// verified by tests — but performs no per-iteration analysis. It is
+// the only form a statement takes: a one-shot statement is a schedule
+// executed once.
 type Schedule struct {
 	lhs    *Array
 	region index.Domain

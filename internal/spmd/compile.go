@@ -17,7 +17,7 @@ import (
 // tileLines, a run per line of the uniform cells, the grid the sides'
 // layout indexes cut the region into, O(cuts + cells + runs + ghost
 // runs) in all; or elementLines, the region walked element by element,
-// for a replicated side, a general term, a rank mismatch or a read out
+// for a replicated side, a mapped term, a rank mismatch or a read out
 // of bounds. Which one follows from the statement alone (analyzable),
 // and the plans agree: finish joins adjacent runs whose slots advance
 // evenly, so what the element walk feeds one at a time comes out as the
@@ -25,7 +25,7 @@ import (
 // sender choice (first owner; runtime.RemapSender's for a remap) and
 // load charging follow the element-wise oracle's rules (package
 // runtime), so the aggregated statistics agree with it.
-func (e *Engine) compile(lhs *Array, region index.Domain, terms []cterm) (*Schedule, error) {
+func (e *Engine) compile(lhs *Array, region index.Domain, terms []Term) (*Schedule, error) {
 	b, err := newPlanBuilder(e, lhs, region, terms)
 	if err != nil {
 		return nil, err
@@ -56,7 +56,7 @@ func (b *planBuilder) build(region index.Domain) (*Schedule, error) {
 type planBuilder struct {
 	e     *Engine
 	lhs   *Array
-	terms []cterm
+	terms []Term
 	// srcs are the distinct source arrays in order of first use and
 	// srcOf[t] is term t's entry: ghosts are deduplicated per array,
 	// however many terms read it.
@@ -92,7 +92,7 @@ type ghostReq struct {
 
 // newPlanBuilder returns the builder of lhs(region) = Σ terms over the
 // engine's worker lists, emptied: one build at a time uses them.
-func newPlanBuilder(e *Engine, lhs *Array, region index.Domain, terms []cterm) (*planBuilder, error) {
+func newPlanBuilder(e *Engine, lhs *Array, region index.Domain, terms []Term) (*planBuilder, error) {
 	if lhs.eng != e {
 		return nil, fmt.Errorf("spmd: array %s belongs to a different engine", lhs.name)
 	}
@@ -101,12 +101,12 @@ func newPlanBuilder(e *Engine, lhs *Array, region index.Domain, terms []cterm) (
 	}
 	b := &planBuilder{e: e, lhs: lhs, terms: terms, srcOf: make([]int, len(terms)), work: e.work, pairs: pairBuilder{}}
 	for t, tm := range terms {
-		if tm.src.eng != e {
-			return nil, fmt.Errorf("spmd: term source %s belongs to a different engine", tm.src.name)
+		if tm.Src.eng != e {
+			return nil, fmt.Errorf("spmd: term source %s belongs to a different engine", tm.Src.name)
 		}
-		if b.srcOf[t] = slices.Index(b.srcs, tm.src); b.srcOf[t] < 0 {
+		if b.srcOf[t] = slices.Index(b.srcs, tm.Src); b.srcOf[t] < 0 {
 			b.srcOf[t] = len(b.srcs)
-			b.srcs = append(b.srcs, tm.src)
+			b.srcs = append(b.srcs, tm.Src)
 		}
 	}
 	for p := range b.work {
@@ -139,10 +139,10 @@ func (b *planBuilder) analyzable(region index.Domain) [][]int {
 	for s := 0; s <= len(b.terms); s++ {
 		a, shift := b.lhs, zero
 		if s > 0 {
-			if b.terms[s-1].mapf != nil {
+			if b.terms[s-1].Map != nil {
 				return nil
 			}
-			a, shift = b.terms[s-1].src, b.terms[s-1].shift
+			a, shift = b.terms[s-1].Src, b.terms[s-1].Shift
 		}
 		if a.lay.idx == nil || a.dom.Rank() != rank || !a.dom.IsStandard() {
 			return nil
@@ -215,7 +215,7 @@ func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 	for s := range lays {
 		a, shift := b.lhs, make([]int, rank)
 		if s > 0 {
-			a, shift = b.terms[s-1].src, b.terms[s-1].shift
+			a, shift = b.terms[s-1].Src, b.terms[s-1].Shift
 		}
 		lays[s], mul[s], step[s] = a.lay, strides(a.dom), make([]int32, rank)
 		rel[s], pos[s] = make([]int, rank), make([]int32, rank)
@@ -335,15 +335,15 @@ func (b *planBuilder) elementLines(region index.Domain) error {
 		for ti := range b.terms {
 			tm := &b.terms[ti]
 			rt := ref
-			if tm.mapf != nil {
-				rt = tm.mapf(t.Clone())
+			if tm.Map != nil {
+				rt = tm.Map(t.Clone())
 			} else {
 				for d := range t {
-					ref[d] = t[d] + tm.shift[d]
+					ref[d] = t[d] + tm.Shift[d]
 				}
 			}
-			if roff[ti], ok = tm.src.dom.Offset(rt); !ok {
-				ferr = fmt.Errorf("spmd: reference %s(%s) out of bounds in assignment to %s(%s)", tm.src.name, rt, lhs.name, t)
+			if roff[ti], ok = tm.Src.dom.Offset(rt); !ok {
+				ferr = fmt.Errorf("spmd: reference %s(%s) out of bounds in assignment to %s(%s)", tm.Src.name, rt, lhs.name, t)
 				return false
 			}
 		}
@@ -353,7 +353,7 @@ func (b *planBuilder) elementLines(region index.Domain) error {
 			slot, _ := lhs.lay.slotIn(w, loff)
 			wb.runs = append(wb.runs, krun{slot, 0, 1})
 			for t, tm := range b.terms {
-				base, local := tm.src.lay.slotIn(w, roff[t])
+				base, local := tm.Src.lay.slotIn(w, roff[t])
 				kt := kterm{base: base}
 				if ghost[t] = !local; ghost[t] {
 					kt = kterm{ghost: true}
@@ -400,12 +400,12 @@ func (b *planBuilder) finish() *Schedule {
 	// written array is not at the element being written.
 	direct := true
 	for t, tm := range b.terms {
-		coeffs[t] = tm.coeff
-		s.arrays = append(s.arrays, tm.src)
-		s.gens = append(s.gens, tm.src.gen)
-		if tm.src == lhs {
+		coeffs[t] = tm.Coeff
+		s.arrays = append(s.arrays, tm.Src)
+		s.gens = append(s.gens, tm.Src.gen)
+		if tm.Src == lhs {
 			s.constGhost = false // statement overwrites its own input
-			direct = direct && tm.mapf == nil && !slices.ContainsFunc(tm.shift, func(v int) bool { return v != 0 })
+			direct = direct && tm.Map == nil && !slices.ContainsFunc(tm.Shift, func(v int) bool { return v != 0 })
 		}
 	}
 	planOf := func(p int) *wplan {
@@ -415,7 +415,7 @@ func (b *planBuilder) finish() *Schedule {
 		wb := &b.work[p] // without runs, it ships ghosts and computes nothing
 		k := &runKernel{lhs: lhs.lay.stores[p].data, coeffs: coeffs, srcs: make([][]float64, T)}
 		for t, tm := range b.terms {
-			k.srcs[t] = tm.src.lay.stores[p].data
+			k.srcs[t] = tm.Src.lay.stores[p].data
 		}
 		wp := &wplan{kernel: k, ghost: b.resolveGhosts(p, wb),
 			load: wb.load, localRefs: wb.localRefs, remoteRefs: wb.remoteRefs}

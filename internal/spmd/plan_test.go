@@ -171,11 +171,7 @@ func TestRunPlanShape(t *testing.T) {
 // takes for statements without a closed form, and the oracle for the
 // tile enumerator.
 func elementSchedule(e *Engine, lhs *Array, region index.Domain, terms []Term) (*Schedule, error) {
-	cts := make([]cterm, len(terms))
-	for i, t := range terms {
-		cts[i] = cterm{src: t.Src, coeff: t.Coeff, shift: t.Shift}
-	}
-	b, err := newPlanBuilder(e, lhs, region, cts)
+	b, err := newPlanBuilder(e, lhs, region, terms)
 	if err != nil {
 		return nil, err
 	}
@@ -337,11 +333,7 @@ func TestTileProducerMatchesElementProducer(t *testing.T) {
 					}
 					var err error
 					if i == 0 {
-						cts := make([]cterm, len(terms))
-						for j, tm := range terms {
-							cts[j] = cterm{src: tm.Src, coeff: tm.Coeff, shift: tm.Shift}
-						}
-						b, berr := newPlanBuilder(e, lhs, region, cts)
+						b, berr := newPlanBuilder(e, lhs, region, terms)
 						if berr != nil {
 							t.Fatal(berr)
 						}
@@ -481,12 +473,8 @@ func FuzzStatementCells(f *testing.F) {
 				break
 			}
 			// Side 0 is the lhs, side 1+k term k.
-			cts, sides := make([]cterm, len(terms)), []cterm{{src: lhs[i], shift: make([]int, rank)}}
-			for k, tm := range terms {
-				cts[k] = cterm{src: tm.Src, coeff: tm.Coeff, shift: tm.Shift}
-			}
-			sides = append(sides, cts...)
-			b, err := newPlanBuilder(e, lhs[i], reg, cts)
+			sides := append([]Term{{Src: lhs[i], Shift: make([]int, rank)}}, terms...)
+			b, err := newPlanBuilder(e, lhs[i], reg, terms)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -496,14 +484,14 @@ func FuzzStatementCells(f *testing.F) {
 			}
 			forEachCell(cuts, func(lo, hi []int) {
 				for _, sd := range sides {
-					for d, c := range sd.src.lay.idx.cuts {
-						from := int32(lo[d] + sd.shift[d] - sd.src.dom.Dims[d].Low)
+					for d, c := range sd.Src.lay.idx.cuts {
+						from := int32(lo[d] + sd.Shift[d] - sd.Src.dom.Dims[d].Low)
 						at, found := slices.BinarySearch(c, from)
 						if !found {
 							at--
 						}
 						if int32(hi[d]-lo[d])+from >= c[at+1] {
-							t.Fatalf("cell %v..%v crosses index cut %d of %s along %d (shift %v)", lo, hi, c[at+1], sd.src.name, d, sd.shift)
+							t.Fatalf("cell %v..%v crosses index cut %d of %s along %d (shift %v)", lo, hi, c[at+1], sd.Src.name, d, sd.Shift)
 						}
 					}
 				}

@@ -9,32 +9,21 @@ import (
 	"hpfnt/internal/obs"
 )
 
-// Term is one right-hand-side reference Coeff * Src(t + Shift).
+// Term is one right-hand-side reference Coeff · Src(t + Shift), or
+// Coeff · Src(Map(t)) when Map is set: an arbitrary, possibly
+// rank-changing index mapping. When Map is set, Shift is not read, and
+// the statement is compiled element by element. It is also the
+// compiler's own form of a term. Map gets a tuple of its own.
 type Term struct {
 	Src   *Array
 	Shift []int
 	Coeff float64
+	Map   func(index.Tuple) index.Tuple
 }
 
 // Ref returns a shifted reference term.
 func Ref(src *Array, coeff float64, shift ...int) Term {
 	return Term{Src: src, Shift: shift, Coeff: coeff}
-}
-
-// GeneralTerm is a reference Coeff · Src(Map(t)) with an arbitrary
-// (possibly rank-changing) index mapping.
-type GeneralTerm struct {
-	Src   *Array
-	Coeff float64
-	Map   func(index.Tuple) index.Tuple
-}
-
-// cterm is the compiler's unified term form.
-type cterm struct {
-	src   *Array
-	coeff float64
-	shift []int
-	mapf  func(index.Tuple) index.Tuple
 }
 
 // Schedule is a compiled statement: per-worker plans over local slots,
@@ -129,26 +118,16 @@ type kterm struct {
 	ghost        bool
 }
 
-// BuildSchedule compiles the shift statement lhs(region) = Σ terms.
+// BuildSchedule compiles the statement lhs(region) = Σ terms. It is
+// the only way to build a regular statement: a one-shot statement is a
+// schedule executed once.
 func (e *Engine) BuildSchedule(lhs *Array, region index.Domain, terms []Term) (*Schedule, error) {
-	cts := make([]cterm, len(terms))
-	for i, t := range terms {
-		if len(t.Shift) != lhs.dom.Rank() {
+	for _, t := range terms {
+		if t.Map == nil && len(t.Shift) != lhs.dom.Rank() {
 			return nil, fmt.Errorf("spmd: term over %s has shift rank %d, want %d", t.Src.name, len(t.Shift), lhs.dom.Rank())
 		}
-		cts[i] = cterm{src: t.Src, coeff: t.Coeff, shift: t.Shift}
 	}
-	return e.compile(lhs, region, cts)
-}
-
-// BuildGeneralSchedule compiles a statement with arbitrary per-term
-// index mappings.
-func (e *Engine) BuildGeneralSchedule(lhs *Array, region index.Domain, terms []GeneralTerm) (*Schedule, error) {
-	cts := make([]cterm, len(terms))
-	for i, t := range terms {
-		cts[i] = cterm{src: t.Src, coeff: t.Coeff, mapf: t.Map}
-	}
-	return e.compile(lhs, region, cts)
+	return e.compile(lhs, region, terms)
 }
 
 // GhostElements reports the deduplicated ghost traffic per execution.
@@ -410,23 +389,4 @@ func storeRun(dst []float64, base, stride int, vals []float64) {
 		dst[base] = v
 		base += stride
 	}
-}
-
-// ShiftAssign compiles and executes lhs(region) = Σ terms once.
-func (e *Engine) ShiftAssign(lhs *Array, region index.Domain, terms []Term) error {
-	s, err := e.BuildSchedule(lhs, region, terms)
-	if err != nil {
-		return err
-	}
-	return s.Execute()
-}
-
-// GeneralAssign compiles and executes a statement with arbitrary
-// per-term index mappings once.
-func (e *Engine) GeneralAssign(lhs *Array, region index.Domain, terms []GeneralTerm) error {
-	s, err := e.BuildGeneralSchedule(lhs, region, terms)
-	if err != nil {
-		return err
-	}
-	return s.Execute()
 }

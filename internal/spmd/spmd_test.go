@@ -46,6 +46,16 @@ func newEngine(t *testing.T, np int) *Engine {
 	return e
 }
 
+// assign builds lhs(region) = Σ terms on e and executes it once, the
+// one-shot form of a statement.
+func assign(e *Engine, lhs *Array, region index.Domain, terms []Term) error {
+	s, err := e.BuildSchedule(lhs, region, terms)
+	if err != nil {
+		return err
+	}
+	return s.Execute()
+}
+
 // TestValuesMatchSequential checks the parallel executor against the
 // sequential reference for several formats.
 func TestValuesMatchSequential(t *testing.T) {
@@ -78,7 +88,7 @@ func TestValuesMatchSequential(t *testing.T) {
 		a.Fill(fill)
 		interior := index.Standard(2, n-1, 2, n-1)
 		terms := []Term{Ref(a, 0.25, -1, 0), Ref(a, 0.25, 1, 0), Ref(a, 0.25, 0, -1), Ref(a, 0.25, 0, 1)}
-		if err := e.ShiftAssign(b, interior, terms); err != nil {
+		if err := assign(e, b, interior, terms); err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
 		as, bs := runtime.NewSeqArray(dom), runtime.NewSeqArray(dom)
@@ -255,7 +265,7 @@ func TestReplicatedArrays(t *testing.T) {
 		t.Fatal(err)
 	}
 	src.Fill(func(tu index.Tuple) float64 { return float64(tu[0] * 3) })
-	if err := e.ShiftAssign(dst, dom, []Term{Ref(src, 1, 0)}); err != nil {
+	if err := assign(e, dst, dom, []Term{Ref(src, 1, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	r := e.Stats()
@@ -279,7 +289,7 @@ func TestReplicatedArrays(t *testing.T) {
 		t.Fatal(err)
 	}
 	bs.Fill(func(tu index.Tuple) float64 { return float64(tu[0]) })
-	if err := e2.ShiftAssign(rl, dom, []Term{Ref(bs, 2, 0)}); err != nil {
+	if err := assign(e2, rl, dom, []Term{Ref(bs, 2, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := e2.Stats().TotalLoad; got != int64(np*n) {
@@ -353,21 +363,21 @@ func TestErrors(t *testing.T) {
 	b, _ := e.NewArray("B", mapping(t, sys, dom, dist.Block{}))
 	// The out-of-bounds error names the first offending element in
 	// region order: such statements are walked element by element.
-	err := e.ShiftAssign(b, dom, []Term{Ref(a, 1, -1)})
+	err := assign(e, b, dom, []Term{Ref(a, 1, -1)})
 	if want := "spmd: reference A((0)) out of bounds in assignment to B((1))"; err == nil || err.Error() != want {
 		t.Fatalf("out-of-bounds reference: %v, want %q", err, want)
 	}
-	if err := e.ShiftAssign(b, dom, []Term{Ref(a, 1, 0, 0)}); err == nil {
+	if err := assign(e, b, dom, []Term{Ref(a, 1, 0, 0)}); err == nil {
 		t.Fatal("shift rank mismatch must fail")
 	}
-	if err := e.ShiftAssign(b, index.Standard(1, n, 1, n), []Term{Ref(a, 1, 0)}); err == nil {
+	if err := assign(e, b, index.Standard(1, n, 1, n), []Term{Ref(a, 1, 0)}); err == nil {
 		t.Fatal("region rank mismatch must fail")
 	}
 	if _, err := e.Remap(a, mapping(t, sys, index.Standard(1, 4), dist.Block{})); err == nil {
 		t.Fatal("remap shape mismatch must fail")
 	}
 	other := newEngine(t, np)
-	if err := other.ShiftAssign(b, dom, []Term{Ref(a, 1, 0)}); err == nil {
+	if err := assign(other, b, dom, []Term{Ref(a, 1, 0)}); err == nil {
 		t.Fatal("cross-engine arrays must fail")
 	}
 	if s, err := e.BuildSchedule(b, dom, []Term{Ref(a, 1, 0)}); err != nil {
@@ -389,7 +399,7 @@ func TestGeneralAssign(t *testing.T) {
 	a, _ := e.NewArray("A", mapping(t, sys, adom, dist.Cyclic{K: 2}))
 	d.Fill(func(tu index.Tuple) float64 { return float64(tu[0]*10 + tu[1]) })
 	a.Fill(func(tu index.Tuple) float64 { return float64(tu[0] * tu[0]) })
-	err := e.GeneralAssign(ea, ddom, []GeneralTerm{
+	err := assign(e, ea, ddom, []Term{
 		{Src: d, Coeff: 1, Map: func(tu index.Tuple) index.Tuple { return tu }},
 		{Src: a, Coeff: 2, Map: func(tu index.Tuple) index.Tuple { return index.Tuple{tu[0]} }},
 	})

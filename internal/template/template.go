@@ -233,10 +233,18 @@ type Mapping struct {
 // Domain returns the array's index domain.
 func (tm Mapping) Domain() index.Domain { return tm.M.arrays[tm.Name].dom }
 
+// Resolve returns the array's composed core mapping: its own
+// distribution, or nested CONSTRUCTs down to the distributed template
+// or array at its chain's root. Owners, AppendOwnerTiles and the
+// inquiry functions (package inquiry) all read the array through it.
+func (tm Mapping) Resolve() (core.ElementMapping, error) {
+	return tm.M.composedMapping(tm.Name, nil)
+}
+
 // Owners resolves ownership through the composed core mapping, the
 // same one AppendOwnerTiles tiles.
 func (tm Mapping) Owners(i index.Tuple) ([]int, error) {
-	cm, err := tm.M.composedMapping(tm.Name, nil)
+	cm, err := tm.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +260,7 @@ func (tm Mapping) Describe() string { return "HPF-template mapping of " + tm.Nam
 // arrays ride the same bulk ownership path as the paper's model.
 // Chains outside the affine subset decline with core.ErrNoBulk.
 func (tm Mapping) AppendOwnerTiles(dst []core.Tile, region index.Domain) ([]core.Tile, error) {
-	cm, err := tm.M.composedMapping(tm.Name, nil)
+	cm, err := tm.Resolve()
 	if err != nil {
 		return nil, err
 	}

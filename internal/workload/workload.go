@@ -72,7 +72,11 @@ func StaggeredSweep(n, np int, maps StaggeredMappings, cost machine.CostModel) (
 		engine.Read(va, 1, 0, -1),
 		engine.Read(va, 1, 0, 0),
 	}
-	if err := pa.Assign(pa.Domain(), terms); err != nil {
+	s, err := pa.NewSchedule(pa.Domain(), terms)
+	if err != nil {
+		return machine.Report{}, err
+	}
+	if err := s.Execute(); err != nil {
 		return machine.Report{}, err
 	}
 	return eng.Stats(), nil
@@ -104,10 +108,14 @@ func StaggeredVerify(n, np int, maps StaggeredMappings) (bool, error) {
 	fill2 := func(t index.Tuple) float64 { return float64(t[0] - 5*t[1]) }
 	ua.Fill(fill1)
 	va.Fill(fill2)
-	if err := pa.Assign(pa.Domain(), []engine.Term{
+	s, err := pa.NewSchedule(pa.Domain(), []engine.Term{
 		engine.Read(ua, 1, -1, 0), engine.Read(ua, 1, 0, 0),
 		engine.Read(va, 1, 0, -1), engine.Read(va, 1, 0, 0),
-	}); err != nil {
+	})
+	if err != nil {
+		return false, err
+	}
+	if err := s.Execute(); err != nil {
 		return false, err
 	}
 	us, vs, ps := runtime.NewSeqArray(udom), runtime.NewSeqArray(vdom), runtime.NewSeqArray(pdom)
