@@ -121,13 +121,13 @@ func describe(w io.Writer, prog *hpf.Program, np int, owners string) error {
 		info := inquiry.Describe(m)
 		fmt.Fprintf(w, "%-12s %s\n", name, info.Render())
 		fmt.Fprintf(w, "%-12s per-processor elements:", "")
-		for p := 1; p <= np; p++ {
-			n, err := inquiry.LocalExtentOf(m, p)
-			if err != nil {
-				return err
-			}
-			if n > 0 {
-				fmt.Fprintf(w, " %d:%d", p, n)
+		counts, err := inquiry.LocalExtents(m)
+		if err != nil {
+			return err
+		}
+		for p := 1; p <= np && p < len(counts); p++ {
+			if counts[p] > 0 {
+				fmt.Fprintf(w, " %d:%d", p, counts[p])
 			}
 		}
 		fmt.Fprintln(w)

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,77 +9,94 @@ import (
 	"hpfnt/internal/proc"
 )
 
-// checkRoundTrip asserts, for one format over n indices and np
-// positions, the §4.1 contract: Map is total into 1..np, (Map, Local)
-// ↔ Global is a bijection, and OwnedRanges partitions 1..n.
-func checkRoundTrip(t *testing.T, f Format, n, np int) {
+// checkFormat asserts, for one format over n indices and np
+// positions, the §4.1 contract read off one AppendRuns(1..n) walk: the
+// runs partition [1, n] in order and are maximal (adjacent runs differ
+// in owner); every index's Map is its run's Proc, in 1..np; Local
+// numbers each owner's indices 1, 2, 3, … in index order, so (Map,
+// Local) is a bijection onto the per-position local index spaces; and
+// each interval of intervals gets the clipped sub-list of the walk's
+// runs, appended after what dst held, with RunCountEstimate at least
+// its length — exactly its length for INDIRECT.
+func checkFormat(t *testing.T, f Format, n, np int, intervals [][2]int) {
 	t.Helper()
 	if err := f.Validate(n, np); err != nil {
 		t.Fatalf("%s: Validate(%d,%d): %v", f, n, np, err)
 	}
-	effNP := np
-	if f.Kind() == KindCollapsed {
-		effNP = 1
-	}
-	counts := make([]int, effNP+1)
-	for i := 1; i <= n; i++ {
-		p := f.Map(i, n, effNP)
-		if p < 1 || p > effNP {
-			t.Fatalf("%s: Map(%d) = %d outside 1..%d", f, i, p, effNP)
+	runs := f.AppendRuns(nil, 1, n, n, np)
+	held := make([]int, np+1)
+	next := 1
+	for k, r := range runs {
+		if r.Lo != next || r.Hi < r.Lo || r.Hi > n {
+			t.Fatalf("%s: runs of [1,%d] not a partition in order: %+v", f, n, runs)
 		}
-		counts[p]++
-		l := f.Local(i, n, effNP)
-		if l < 1 {
-			t.Fatalf("%s: Local(%d) = %d", f, i, l)
+		if r.Proc < 1 || r.Proc > np {
+			t.Fatalf("%s: run %+v owned outside 1..%d", f, r, np)
 		}
-		if g := f.Global(p, l, n, effNP); g != i {
-			t.Fatalf("%s: Global(%d,%d) = %d, want %d", f, p, l, g, i)
+		if k > 0 && runs[k-1].Proc == r.Proc {
+			t.Fatalf("%s: runs %+v and %+v not maximal", f, runs[k-1], r)
 		}
-	}
-	// OwnedRanges must partition 1..n with counts matching Map, and
-	// Global must enumerate exactly the owned indices in local order.
-	seen := make([]bool, n+1)
-	for p := 1; p <= effNP; p++ {
-		owned := 0
-		prevHi := 0
-		for _, r := range f.OwnedRanges(p, n, effNP) {
-			if r.Low < 1 || r.High > n || r.Low <= prevHi {
-				t.Fatalf("%s: position %d has bad range %+v", f, p, r)
+		for i := r.Lo; i <= r.Hi; i++ {
+			if p := f.Map(i, n, np); p != r.Proc {
+				t.Fatalf("%s: run %+v claims %d, Map(%d) = %d", f, r, r.Proc, i, p)
 			}
-			prevHi = r.High
-			for i := r.Low; i <= r.High; i++ {
-				if seen[i] {
-					t.Fatalf("%s: index %d owned twice", f, i)
-				}
-				seen[i] = true
-				if got := f.Map(i, n, effNP); got != p {
-					t.Fatalf("%s: range of %d contains %d owned by %d", f, p, i, got)
-				}
-				owned++
+			held[r.Proc]++
+			if l := f.Local(i, n, np); l != held[r.Proc] {
+				t.Fatalf("%s: Local(%d) = %d, want %d: position %d's indices are not numbered in index order", f, i, l, held[r.Proc], r.Proc)
 			}
 		}
-		if owned != counts[p] {
-			t.Fatalf("%s: position %d ranges cover %d indices, Map assigns %d", f, p, owned, counts[p])
-		}
-		for l := 1; l <= owned; l++ {
-			g := f.Global(p, l, n, effNP)
-			if g < 1 || g > n || f.Map(g, n, effNP) != p || f.Local(g, n, effNP) != l {
-				t.Fatalf("%s: Global(%d,%d) = %d does not invert (Map,Local)", f, p, l, g)
+		next = r.Hi + 1
+	}
+	if next != n+1 {
+		t.Fatalf("%s: runs of [1,%d] stop at %d: %+v", f, n, next-1, runs)
+	}
+
+	sentinel := Run{Lo: -1, Hi: -1, Proc: -1}
+	got, want := []Run{sentinel}, []Run(nil)
+	for _, iv := range intervals {
+		lo, hi := iv[0], iv[1]
+		want = want[:0]
+		for _, r := range runs {
+			if r.Hi >= lo && r.Lo <= hi && lo <= hi {
+				want = append(want, Run{Lo: max(r.Lo, lo), Hi: min(r.Hi, hi), Proc: r.Proc})
 			}
 		}
-		if g := f.Global(p, owned+1, n, effNP); g != 0 {
-			t.Fatalf("%s: Global past extent = %d, want 0", f, g)
+		got = f.AppendRuns(got[:1], lo, hi, n, np)
+		if got[0] != sentinel || !slices.Equal(got[1:], want) {
+			t.Fatalf("%s: AppendRuns over [%d,%d] after a run = %+v, want the clipped walk %+v", f, lo, hi, got, want)
 		}
-	}
-	for i := 1; i <= n; i++ {
-		if !seen[i] {
-			t.Fatalf("%s: index %d owned by nobody", f, i)
+		est := f.RunCountEstimate(lo, hi, n, np)
+		if est < len(want) || (f.Kind() == KindIndirect && est != len(want)) {
+			t.Fatalf("%s: RunCountEstimate over [%d,%d] = %d for %d runs", f, lo, hi, est, len(want))
 		}
 	}
 }
 
+// allIntervals lists every [lo, hi] of 1..n, and one empty interval.
+func allIntervals(n int) [][2]int {
+	ivs := [][2]int{{n, n - 1}}
+	for lo := 1; lo <= n; lo++ {
+		for hi := lo; hi <= n; hi++ {
+			ivs = append(ivs, [2]int{lo, hi})
+		}
+	}
+	return ivs
+}
+
 func TestFormatRoundTrips(t *testing.T) {
 	ind, err := NewIndirect([]int{3, 1, 1, 4, 2, 4, 1, 3, 3, 2, 2, 2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Owners 2 and 3 hold nothing, and owners 5..9 lie past the
+	// largest entry.
+	gaps, err := NewIndirect([]int{4, 1, 4, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A partitioner-style vector with long runs: the run-count
+	// estimate over every subinterval must be exact.
+	longRuns, err := NewIndirect([]int{1, 1, 1, 2, 2, 3, 3, 3, 3, 1, 2, 2, 1, 1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,17 +112,20 @@ func TestFormatRoundTrips(t *testing.T) {
 		{"vienna-even", BlockVienna{}, 16, 4},
 		{"vienna-ragged", BlockVienna{}, 65, 4},
 		{"vienna-sparse", BlockVienna{}, 3, 8},
-		{"collapsed", Collapsed{}, 9, 5},
+		{"collapsed", Collapsed{}, 9, 1},
 		{"cyclic-1", Cyclic{K: 1}, 17, 4},
 		{"cyclic-3", Cyclic{K: 3}, 16, 4},
+		{"cyclic-one-position", Cyclic{K: 2}, 9, 1},
 		{"cyclic-large-k", Cyclic{K: 64}, 100, 4},
 		{"general-uneven", GeneralBlock{Bounds: []int{4, 6, 14}}, 16, 4},
 		{"general-empty-block", GeneralBlock{Bounds: []int{0, 5, 5}}, 12, 4},
 		{"general-explicit-last", GeneralBlock{Bounds: []int{2, 7, 9, 12}}, 12, 4},
 		{"indirect", ind, 13, 4},
+		{"indirect-gaps", gaps, 4, 9},
+		{"indirect-long-runs", longRuns, 15, 3},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) { checkRoundTrip(t, c.f, c.n, c.np) })
+		t.Run(c.name, func(t *testing.T) { checkFormat(t, c.f, c.n, c.np, allIntervals(c.n)) })
 	}
 }
 
@@ -127,12 +148,12 @@ func TestViennaBlockBalanced(t *testing.T) {
 	// The Vienna variant keeps block sizes within one of each other
 	// and leaves no processor empty when n >= np.
 	for _, c := range []struct{ n, np int }{{64, 8}, {65, 4}, {66, 4}, {7, 3}, {8, 8}} {
+		sizes := make([]int, c.np+1)
+		for _, r := range (BlockVienna{}).AppendRuns(nil, 1, c.n, c.n, c.np) {
+			sizes[r.Proc] += r.Count()
+		}
 		lo, hi := c.n, 0
-		for p := 1; p <= c.np; p++ {
-			size := 0
-			for _, r := range (BlockVienna{}).OwnedRanges(p, c.n, c.np) {
-				size += r.Count()
-			}
+		for _, size := range sizes[1:] {
 			if size < lo {
 				lo = size
 			}
@@ -162,9 +183,14 @@ func TestCyclicSegments(t *testing.T) {
 	if l := c.Local(13, 16, 4); l != 4 {
 		t.Fatalf("Local(13) = %d, want 4", l)
 	}
-	rs := c.OwnedRanges(1, 16, 4)
-	if len(rs) != 2 || rs[0] != (Range{1, 3}) || rs[1] != (Range{13, 15}) {
-		t.Fatalf("OwnedRanges(1) = %v", rs)
+	// CYCLIC(2) over 16/4: index 10 lies in segment 4, position 1's
+	// second, at offset 2.
+	if l := (Cyclic{K: 2}).Local(10, 16, 4); l != 4 {
+		t.Fatalf("CYCLIC(2).Local(10) = %d, want 4", l)
+	}
+	want := []Run{{1, 3, 1}, {4, 6, 2}, {7, 9, 3}, {10, 12, 4}, {13, 15, 1}, {16, 16, 2}}
+	if rs := c.AppendRuns(nil, 1, 16, 16, 4); !slices.Equal(rs, want) {
+		t.Fatalf("AppendRuns(1,16) = %v, want %v", rs, want)
 	}
 }
 
@@ -223,32 +249,6 @@ func TestNewIndirectErrors(t *testing.T) {
 	}
 }
 
-// TestIndirectOwnersHoldingNothing: owners below the largest entry that
-// hold no index, and owners past it, answer 0 and nil.
-func TestIndirectOwnersHoldingNothing(t *testing.T) {
-	f, err := NewIndirect([]int{4, 1, 4, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{0, 2, 3, 5, 9} {
-		if g := f.Global(p, 1, 4, 9); g != 0 {
-			t.Errorf("Global(%d, 1) = %d, want 0", p, g)
-		}
-		if rs := f.OwnedRanges(p, 4, 9); rs != nil {
-			t.Errorf("OwnedRanges(%d) = %v, want nil", p, rs)
-		}
-	}
-	if rs := f.OwnedRanges(4, 4, 9); len(rs) != 2 || rs[0] != (Range{1, 1}) || rs[1] != (Range{3, 4}) {
-		t.Fatalf("OwnedRanges(4) = %v", rs)
-	}
-	// A caller appending to one owner's runs must not overwrite the next
-	// owner's.
-	_ = append(f.OwnedRanges(1, 4, 9), Range{9, 9})
-	if rs := f.OwnedRanges(4, 4, 9); rs[0] != (Range{1, 1}) {
-		t.Fatalf("appending to owner 1's runs changed owner 4's: %v", rs)
-	}
-}
-
 // TestNewIndirectCost: NewIndirect allocates the same number of times
 // for 10^4 and 10^6 entries — no map, no per-element append.
 func TestNewIndirectCost(t *testing.T) {
@@ -277,49 +277,12 @@ func TestIndirectPrecomputedTables(t *testing.T) {
 		t.Fatal("Map must follow the owner vector")
 	}
 	// Owner 2 holds global 1, 3, 4 as locals 1, 2, 3.
-	if f.Local(3, 5, 2) != 2 || f.Global(2, 3, 5, 2) != 4 {
-		t.Fatal("indirect local/global tables wrong")
+	if f.Local(3, 5, 2) != 2 || f.Local(4, 5, 2) != 3 || f.Local(5, 5, 2) != 2 {
+		t.Fatal("indirect local table wrong")
 	}
-	rs := f.OwnedRanges(2, 5, 2)
-	if len(rs) != 2 || rs[0] != (Range{1, 1}) || rs[1] != (Range{3, 4}) {
-		t.Fatalf("OwnedRanges(2) = %v", rs)
-	}
-}
-
-// TestIndirectRunEstimateExact pins the INDIRECT fast paths: the
-// run-count estimate over any subinterval must equal the number of
-// runs AppendRuns emits (not the whole-vector bound), and the emitted
-// runs must match a per-element walk of the owner vector.
-func TestIndirectRunEstimateExact(t *testing.T) {
-	owner := []int{1, 1, 1, 2, 2, 3, 3, 3, 3, 1, 2, 2, 1, 1, 3}
-	n, np := len(owner), 3
-	f, err := NewIndirect(owner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lo := 1; lo <= n; lo++ {
-		for hi := lo; hi <= n; hi++ {
-			runs := Runs(f, lo, hi, n, np)
-			if est := f.RunCountEstimate(lo, hi, n, np); est != len(runs) {
-				t.Fatalf("estimate over [%d,%d] = %d, want exactly %d", lo, hi, est, len(runs))
-			}
-			// The runs must partition [lo, hi] with the vector's owners.
-			i := lo
-			for _, r := range runs {
-				if r.Lo != i || r.Hi < r.Lo || r.Hi > hi {
-					t.Fatalf("runs over [%d,%d] do not partition: %v", lo, hi, runs)
-				}
-				for j := r.Lo; j <= r.Hi; j++ {
-					if owner[j-1] != r.Proc {
-						t.Fatalf("run %v disagrees with owner[%d]=%d", r, j, owner[j-1])
-					}
-				}
-				i = r.Hi + 1
-			}
-			if i != hi+1 {
-				t.Fatalf("runs over [%d,%d] stop at %d: %v", lo, hi, i-1, runs)
-			}
-		}
+	want := []Run{{1, 1, 2}, {2, 2, 1}, {3, 4, 2}, {5, 5, 1}}
+	if rs := f.AppendRuns(nil, 1, 5, 5, 2); !slices.Equal(rs, want) {
+		t.Fatalf("AppendRuns(1,5) = %v, want %v", rs, want)
 	}
 }
 
@@ -433,8 +396,8 @@ func TestDistributionOwners2D(t *testing.T) {
 			}
 		}
 	}
-	if d.NP() != 8 || d.Rank() != 2 || d.Extent(0) != 16 || d.Kind(1) != KindCyclic {
-		t.Fatalf("accessors wrong: NP=%d rank=%d", d.NP(), d.Rank())
+	if d.NP() != 8 {
+		t.Fatalf("NP = %d, want 8", d.NP())
 	}
 }
 
@@ -512,9 +475,6 @@ func TestDistributionScalarReplicatedTarget(t *testing.T) {
 	if err != nil || len(os) != 4 {
 		t.Fatalf("replicated owners = %v, %v", os, err)
 	}
-	if d.Size(3) != 8 || d.Size(9) != 0 {
-		t.Fatalf("replicated Size = %d / %d", d.Size(3), d.Size(9))
-	}
 }
 
 func TestDistributionNewErrors(t *testing.T) {
@@ -541,67 +501,6 @@ func TestDistributionNewErrors(t *testing.T) {
 	strided := index.New(index.Triplet{Low: 1, High: 16, Stride: 2})
 	if _, err := New(strided, []Format{Block{}}, tg); err == nil {
 		t.Fatal("non-standard domain must fail")
-	}
-}
-
-func TestDistributionSizePartition(t *testing.T) {
-	// Sizes over all processors must sum to the domain size, for
-	// every format family.
-	sys, _ := proc.NewSystem(8)
-	arr, _ := sys.DeclareArray("G", index.Standard(1, 4, 1, 2))
-	dom := index.Standard(1, 20, 1, 6)
-	ind, _ := NewIndirect([]int{1, 4, 2, 3, 2, 1, 1, 3, 4, 2, 1, 2, 3, 4, 4, 1, 2, 3, 1, 2})
-	for _, fs := range [][]Format{
-		{Block{}, Cyclic{K: 1}},
-		{BlockVienna{}, Block{}},
-		{GeneralBlock{Bounds: []int{3, 9, 15}}, BlockVienna{}},
-		{ind, Cyclic{K: 2}},
-	} {
-		d, err := New(dom, fs, proc.Whole(arr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for p := 1; p <= 8; p++ {
-			total += d.Size(p)
-		}
-		if total != dom.Size() {
-			t.Fatalf("%s: sizes sum to %d, want %d", d, total, dom.Size())
-		}
-		// Spot check Size against brute-force Owners.
-		want := map[int]int{}
-		dom.ForEach(func(tu index.Tuple) bool {
-			os, err := d.Owners(tu)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[os[0]]++
-			return true
-		})
-		for p := 1; p <= 8; p++ {
-			if d.Size(p) != want[p] {
-				t.Fatalf("%s: Size(%d) = %d, brute force %d", d, p, d.Size(p), want[p])
-			}
-		}
-	}
-}
-
-func TestDistributionLocalOf(t *testing.T) {
-	tg := target1D(t, 4)
-	d, err := New(index.Standard(0, 15), []Format{Cyclic{K: 2}}, tg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := d.LocalOf(index.Tuple{9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Index 9 normalizes to 10: segment 4 → owner 1, local 2+2 = 4.
-	if len(l) != 1 || l[0] != 4 {
-		t.Fatalf("LocalOf(9) = %v", l)
-	}
-	if _, err := d.LocalOf(index.Tuple{99}); err == nil {
-		t.Fatal("out-of-domain LocalOf must fail")
 	}
 }
 

@@ -132,98 +132,57 @@ func New(dom index.Domain, formats []Format, target proc.Target) (*Distribution,
 // (possibly all processors, under replication). The returned slice is
 // shared and must not be modified.
 func (d *Distribution) Owners(i index.Tuple) ([]int, error) {
+	k, err := d.position(i)
+	if err != nil {
+		return nil, err
+	}
+	if d.repl != nil {
+		return d.repl, nil
+	}
+	return d.singles[k], nil
+}
+
+// AppendOwners appends the owner set of element i to dst: Owners for
+// callers that own their slice (inquiry functions, replicated-write
+// paths).
+func (d *Distribution) AppendOwners(dst []int, i index.Tuple) ([]int, error) {
+	k, err := d.position(i)
+	if err != nil {
+		return nil, err
+	}
+	if d.repl != nil {
+		return append(dst, d.repl...), nil
+	}
+	return append(dst, d.aps[k]), nil
+}
+
+// position returns the column-major position in the target's
+// effective domain of element i's owner, composed from each
+// distributed dimension's δ. Scalar targets validate i and return 0:
+// their owner set is repl.
+func (d *Distribution) position(i index.Tuple) (int, error) {
 	if len(i) != len(d.dims) {
-		return nil, fmt.Errorf("dist: rank-%d index %s for rank-%d distribution", len(i), i, len(d.dims))
+		return 0, fmt.Errorf("dist: rank-%d index %s for rank-%d distribution", len(i), i, len(d.dims))
 	}
 	k := 0
 	for dim := range d.dims {
 		dt := &d.dims[dim]
 		v := i[dim]
 		if v < dt.low || v > dt.high {
-			return nil, fmt.Errorf("dist: index %s outside domain %s", i, d.Array)
+			return 0, fmt.Errorf("dist: index %s outside domain %s", i, d.Array)
 		}
 		if !dt.collapsed {
-			p := dt.f.Map(v-dt.low+1, dt.n, dt.np)
-			k += (p - 1) * dt.mult
+			k += (dt.f.Map(v-dt.low+1, dt.n, dt.np) - 1) * dt.mult
 		}
 	}
-	if d.repl != nil {
-		return d.repl, nil
+	if d.repl == nil && (k < 0 || k >= len(d.aps)) {
+		return 0, fmt.Errorf("dist: index %s mapped outside target %s", i, d.Target)
 	}
-	if k < 0 || k >= len(d.singles) {
-		return nil, fmt.Errorf("dist: index %s mapped outside target %s", i, d.Target)
-	}
-	return d.singles[k], nil
+	return k, nil
 }
 
 // NP reports the number of processors in the target.
 func (d *Distribution) NP() int { return d.Target.NP() }
-
-// Rank reports the distributee's rank.
-func (d *Distribution) Rank() int { return len(d.dims) }
-
-// Extent reports the distributee's extent along dimension dim
-// (0-based).
-func (d *Distribution) Extent(dim int) int { return d.dims[dim].n }
-
-// Kind reports the format kind of dimension dim (0-based).
-func (d *Distribution) Kind(dim int) Kind { return d.Formats[dim].Kind() }
-
-// Size reports the number of array elements owned by abstract
-// processor p: the product over dimensions of the per-dimension owned
-// counts at p's target coordinates (0 if p is not in the target).
-// Replicated (scalar-target) distributions count the full array for
-// each owning processor.
-func (d *Distribution) Size(p int) int {
-	if d.repl != nil {
-		for _, o := range d.repl {
-			if o == p {
-				return d.Array.Size()
-			}
-		}
-		return 0
-	}
-	pos := -1
-	for k, ap := range d.aps {
-		if ap == p {
-			pos = k
-			break
-		}
-	}
-	if pos < 0 {
-		return 0
-	}
-	size := 1
-	for dim := range d.dims {
-		dt := &d.dims[dim]
-		if dt.collapsed {
-			size *= dt.n
-			continue
-		}
-		c := pos/dt.mult%dt.np + 1
-		owned := 0
-		for _, r := range dt.f.OwnedRanges(c, dt.n, dt.np) {
-			owned += r.Count()
-		}
-		size *= owned
-	}
-	return size
-}
-
-// LocalOf returns the per-dimension local indices of global element i
-// on its owner (the local address under the paper's local index
-// functions), for single-owner distributions.
-func (d *Distribution) LocalOf(i index.Tuple) (index.Tuple, error) {
-	if _, err := d.Owners(i); err != nil {
-		return nil, err
-	}
-	out := make(index.Tuple, len(i))
-	for dim := range d.dims {
-		dt := &d.dims[dim]
-		out[dim] = dt.f.Local(i[dim]-dt.low+1, dt.n, dt.np)
-	}
-	return out, nil
-}
 
 // Equal reports structural equality: same distributee domain, same
 // per-dimension formats, same target.

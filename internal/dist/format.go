@@ -17,10 +17,13 @@
 // processor target (a whole arrangement or a section of one, §4) into
 // the element-based mapping of Definition 1: a total function from
 // the array's index domain to non-empty sets of abstract processors.
-// Owner lookup and local↔global index translation are O(1) for
-// block/cyclic formats and O(log b) (binary search over the block
-// bounds) for GENERAL_BLOCK; per-dimension tables are precomputed at
-// construction so the hot paths allocate nothing.
+// Each format is its distribution function δ (Map), its local index
+// (Local) and its ownership runs (AppendRuns); everything else —
+// tiles, per-processor counts, load balance — is derived from the
+// runs. Map and Local are O(1) for block/cyclic formats and O(log b)
+// (binary search over the block bounds) for GENERAL_BLOCK;
+// per-dimension tables are precomputed at construction so the hot
+// paths allocate nothing.
 package dist
 
 import (
@@ -67,20 +70,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Range is an inclusive run [Low, High] of 1-based global indices.
-type Range struct {
-	Low  int
-	High int
-}
-
-// Count reports the number of indices in the range.
-func (r Range) Count() int {
-	if r.High < r.Low {
-		return 0
-	}
-	return r.High - r.Low + 1
-}
-
 // Format is a per-dimension distribution function (§4.1): a total
 // mapping from the normalized indices 1..n of an array dimension onto
 // the positions 1..np of a target dimension. All methods take n and
@@ -100,13 +89,6 @@ type Format interface {
 	// owner (the paper's local index functions, e.g. i-(j-1)q for
 	// BLOCK).
 	Local(i, n, np int) int
-	// Global is the inverse of (Map, Local): the global index of the
-	// l-th local element of position p, or 0 if p holds fewer than l
-	// elements.
-	Global(p, l, n, np int) int
-	// OwnedRanges lists the maximal runs of global indices owned by
-	// position p, in increasing order.
-	OwnedRanges(p, n, np int) []Range
 	// AppendRuns appends the ownership runs covering the interval
 	// [lo, hi] of 1..n to dst, in increasing index order: consecutive
 	// maximal sub-intervals each owned by a single position. The runs
@@ -156,31 +138,6 @@ func (Block) Local(i, n, np int) int {
 	return i - ((i-1)/q)*q
 }
 
-// Global returns (p-1)q + l, or 0 beyond the owned run.
-func (Block) Global(p, l, n, np int) int {
-	q := (n + np - 1) / np
-	g := (p-1)*q + l
-	if l < 1 || l > q || g > n {
-		return 0
-	}
-	return g
-}
-
-// OwnedRanges returns the single block of position p (empty for
-// trailing processors when q·(p-1) ≥ n).
-func (Block) OwnedRanges(p, n, np int) []Range {
-	q := (n + np - 1) / np
-	lo := (p-1)*q + 1
-	hi := p * q
-	if hi > n {
-		hi = n
-	}
-	if p < 1 || p > np || lo > hi {
-		return nil
-	}
-	return []Range{{Low: lo, High: hi}}
-}
-
 // String renders the directive keyword.
 func (Block) String() string { return "BLOCK" }
 
@@ -225,31 +182,6 @@ func (v BlockVienna) Local(i, n, np int) int {
 	return i - v.start(v.Map(i, n, np), n, np) + 1
 }
 
-// Global returns the l-th element of block p, or 0 past its extent.
-func (v BlockVienna) Global(p, l, n, np int) int {
-	rs := v.OwnedRanges(p, n, np)
-	if len(rs) == 0 || l < 1 || l > rs[0].Count() {
-		return 0
-	}
-	return rs[0].Low + l - 1
-}
-
-// OwnedRanges returns the single balanced block of position p.
-func (v BlockVienna) OwnedRanges(p, n, np int) []Range {
-	if p < 1 || p > np {
-		return nil
-	}
-	lo := v.start(p, n, np)
-	hi := v.start(p+1, n, np) - 1
-	if hi > n {
-		hi = n
-	}
-	if lo > hi {
-		return nil
-	}
-	return []Range{{Low: lo, High: hi}}
-}
-
 // String renders the directive keyword (the Vienna variant is spelled
 // BLOCK as well; programs select it via the interpreter's ViennaBlock
 // switch).
@@ -276,22 +208,6 @@ func (Collapsed) Map(i, n, np int) int { return 1 }
 
 // Local is the identity: the whole dimension is local.
 func (Collapsed) Local(i, n, np int) int { return i }
-
-// Global is the identity on position 1.
-func (Collapsed) Global(p, l, n, np int) int {
-	if p != 1 || l < 1 || l > n {
-		return 0
-	}
-	return l
-}
-
-// OwnedRanges reports the full dimension for position 1.
-func (Collapsed) OwnedRanges(p, n, np int) []Range {
-	if p != 1 || n < 1 {
-		return nil
-	}
-	return []Range{{Low: 1, High: n}}
-}
 
 // String renders the ":" of the directive syntax.
 func (Collapsed) String() string { return ":" }
@@ -329,36 +245,6 @@ func (c Cyclic) Map(i, n, np int) int {
 func (c Cyclic) Local(i, n, np int) int {
 	cycle := (i - 1) / (c.K * np)
 	return cycle*c.K + (i-1)%c.K + 1
-}
-
-// Global inverts Local for position p, or returns 0 past n.
-func (c Cyclic) Global(p, l, n, np int) int {
-	if l < 1 {
-		return 0
-	}
-	cycle := (l - 1) / c.K
-	off := (l - 1) % c.K
-	g := (cycle*np+p-1)*c.K + off + 1
-	if p < 1 || p > np || g > n {
-		return 0
-	}
-	return g
-}
-
-// OwnedRanges lists position p's segments in increasing order.
-func (c Cyclic) OwnedRanges(p, n, np int) []Range {
-	if p < 1 || p > np {
-		return nil
-	}
-	var out []Range
-	for lo := (p-1)*c.K + 1; lo <= n; lo += c.K * np {
-		hi := lo + c.K - 1
-		if hi > n {
-			hi = n
-		}
-		out = append(out, Range{Low: lo, High: hi})
-	}
-	return out
 }
 
 // String renders CYCLIC or CYCLIC(k).
@@ -435,35 +321,6 @@ func (g GeneralBlock) Local(i, n, np int) int {
 	return i - g.lowBound(g.Map(i, n, np))
 }
 
-// Global returns G(p-1) + l, or 0 past block p's extent.
-func (g GeneralBlock) Global(p, l, n, np int) int {
-	rs := g.OwnedRanges(p, n, np)
-	if len(rs) == 0 || l < 1 || l > rs[0].Count() {
-		return 0
-	}
-	return rs[0].Low + l - 1
-}
-
-// OwnedRanges returns block p's single run (G(p-1), G(p)], which may
-// be empty for repeated bounds.
-func (g GeneralBlock) OwnedRanges(p, n, np int) []Range {
-	if p < 1 || p > np {
-		return nil
-	}
-	lo := g.lowBound(p) + 1
-	hi := n
-	if p-1 < len(g.Bounds) && p < np {
-		hi = g.Bounds[p-1]
-	}
-	if hi > n {
-		hi = n
-	}
-	if lo > hi {
-		return nil
-	}
-	return []Range{{Low: lo, High: hi}}
-}
-
 // String renders GENERAL_BLOCK(/b1,b2,.../) in array-constructor
 // syntax.
 func (g GeneralBlock) String() string {
@@ -477,21 +334,14 @@ func (g GeneralBlock) String() string {
 // indirect is the user-defined INDIRECT format: an explicit 1-based
 // owner vector, one entry per global index — the generality the
 // paper's distribution-function concept provides for (intro point 3,
-// §9; cf. Kali and Vienna Fortran user-defined distributions). Local
-// index tables and per-owner runs are precomputed at construction so
-// Map and Local are O(1).
+// §9; cf. Kali and Vienna Fortran user-defined distributions). The
+// vector is δ itself; the local index and the run decomposition are
+// precomputed at construction, so Map and Local are O(1) and
+// AppendRuns is a clipped copy.
 type indirect struct {
 	owner []int
 	// local[i] is the 1-based local index of global index i+1.
 	local []int32
-	// byOwner lists global indices grouped by owner, increasing within
-	// each group; owner p's are byOwner[at[p]:at[p+1]].
-	byOwner []int32
-	at      []int32
-	// runs are the maximal contiguous runs grouped by owner, in index
-	// order within each group; owner p's are runs[runAt[p]:runAt[p+1]].
-	runs  []Range
-	runAt []int32
 	max   int
 	// allRuns are the maximal same-owner runs of the whole vector in
 	// index order, and runOf[i] is the index into allRuns of the run
@@ -502,17 +352,17 @@ type indirect struct {
 	runOf   []int32
 }
 
-// maxIndirectOwner bounds INDIRECT owner entries: the per-owner tables
-// are indexed by owner.
+// maxIndirectOwner bounds INDIRECT owner entries: construction counts
+// each owner's elements in a table indexed by owner.
 const maxIndirectOwner = 1 << 20
 
 // NewIndirect builds an INDIRECT format from a 1-based owner vector
 // (owner[i-1] is the owner of global index i). Entries must lie in
 // 1..2²⁰; the upper bound against the actual processor count is
-// checked by Validate. The tables are built in counted passes — check
-// and count, then scatter into per-owner groups sized from the counts
-// — so construction allocates the same number of times for any vector
-// length.
+// checked by Validate. The tables are built in two counted passes —
+// check and count the runs, then fill the runs and number each owner's
+// elements — so construction allocates the same number of times for
+// any vector length.
 func NewIndirect(owner []int) (Format, error) {
 	if len(owner) == 0 {
 		return nil, fmt.Errorf("dist: INDIRECT owner vector must be non-empty")
@@ -532,33 +382,18 @@ func NewIndirect(owner []int) (Format, error) {
 		}
 	}
 	n := len(f.owner)
-	f.local, f.byOwner, f.runOf = make([]int32, n), make([]int32, n), make([]int32, n)
-	f.allRuns, f.runs = make([]Run, 0, nruns), make([]Range, nruns)
-	f.at, f.runAt = make([]int32, f.max+2), make([]int32, f.max+2)
+	f.local, f.runOf = make([]int32, n), make([]int32, n)
+	f.allRuns = make([]Run, 0, nruns)
+	held := make([]int32, f.max+1)
 	for i, p := range f.owner {
 		if i == 0 || p != f.owner[i-1] {
 			f.allRuns = append(f.allRuns, Run{Lo: i + 1, Hi: i + 1, Proc: p})
-			f.runAt[p+1]++
 		} else {
 			f.allRuns[len(f.allRuns)-1].Hi = i + 1
 		}
 		f.runOf[i] = int32(len(f.allRuns) - 1)
-		f.at[p+1]++
-	}
-	for p := 1; p <= f.max; p++ {
-		f.at[p+1] += f.at[p]
-		f.runAt[p+1] += f.runAt[p]
-	}
-	next := slices.Clone(f.at)
-	for i, p := range f.owner {
-		f.byOwner[next[p]] = int32(i + 1)
-		next[p]++
-		f.local[i] = next[p] - f.at[p]
-	}
-	copy(next, f.runAt)
-	for _, r := range f.allRuns {
-		f.runs[next[r.Proc]] = Range{Low: r.Lo, High: r.Hi}
-		next[r.Proc]++
+		held[p]++
+		f.local[i] = held[p]
 	}
 	return f, nil
 }
@@ -586,24 +421,6 @@ func (f *indirect) Map(i, n, np int) int { return f.owner[i-1] }
 
 // Local returns i's precomputed rank among its owner's indices.
 func (f *indirect) Local(i, n, np int) int { return int(f.local[i-1]) }
-
-// Global returns the l-th global index owned by p, or 0 when p holds
-// fewer than l elements.
-func (f *indirect) Global(p, l, n, np int) int {
-	if p < 1 || p > f.max || l < 1 || l > int(f.at[p+1]-f.at[p]) {
-		return 0
-	}
-	return int(f.byOwner[int(f.at[p])+l-1])
-}
-
-// OwnedRanges returns p's precomputed maximal runs (nil when p holds
-// nothing).
-func (f *indirect) OwnedRanges(p, n, np int) []Range {
-	if p < 1 || p > f.max || f.runAt[p] == f.runAt[p+1] {
-		return nil
-	}
-	return f.runs[f.runAt[p]:f.runAt[p+1]:f.runAt[p+1]]
-}
 
 // String renders the owner vector, eliding long vectors.
 func (f *indirect) String() string {

@@ -5,11 +5,12 @@ import (
 )
 
 // FuzzFormatRoundTrip fuzzes the §4.1 distribution-function contract
-// over every format family: owner(global) is total into 1..np, and
-// (Map, Local) ↔ Global is a bijection between global indices and
-// per-position local index spaces. The raw bytes seed the format
-// family, the dimension parameters and (for GENERAL_BLOCK / INDIRECT)
-// the bound or owner vectors.
+// over every format family with checkFormat's one AppendRuns walk: the
+// runs partition 1..n maximally, Map agrees with every run, Local
+// numbers each position's indices 1, 2, 3, … in index order, and a
+// drawn subinterval gets the clipped runs. The raw bytes seed the
+// format family, the dimension parameters and (for GENERAL_BLOCK /
+// INDIRECT) the bound or owner vectors.
 func FuzzFormatRoundTrip(f *testing.F) {
 	f.Add(uint8(0), uint8(16), uint8(4), uint8(3), []byte{})
 	f.Add(uint8(1), uint8(65), uint8(4), uint8(1), []byte{})
@@ -62,95 +63,10 @@ func FuzzFormatRoundTrip(f *testing.F) {
 				t.Fatalf("NewIndirect over valid entries: %v", err)
 			}
 		}
-		if err := fm.Validate(n, np); err != nil {
-			t.Fatalf("%s: Validate(%d,%d): %v", fm, n, np, err)
-		}
-
-		// Totality: every global index has exactly one owner in range,
-		// and (owner, local) → global inverts.
-		counts := make([]int, np+1)
-		for i := 1; i <= n; i++ {
-			p := fm.Map(i, n, np)
-			if p < 1 || p > np {
-				t.Fatalf("%s: Map(%d,%d,%d) = %d out of range", fm, i, n, np, p)
-			}
-			counts[p]++
-			l := fm.Local(i, n, np)
-			if l < 1 || l > n {
-				t.Fatalf("%s: Local(%d) = %d out of range", fm, i, l)
-			}
-			if g := fm.Global(p, l, n, np); g != i {
-				t.Fatalf("%s: Global(Map(%d),Local(%d)) = %d", fm, i, i, g)
-			}
-		}
-		// Bijection: each position's locals 1..count map to distinct
-		// owned globals; past-the-end locals return 0.
-		seen := make([]bool, n+1)
-		for p := 1; p <= np; p++ {
-			for l := 1; l <= counts[p]; l++ {
-				g := fm.Global(p, l, n, np)
-				if g < 1 || g > n || seen[g] {
-					t.Fatalf("%s: Global(%d,%d) = %d duplicates or escapes", fm, p, l, g)
-				}
-				seen[g] = true
-				if fm.Map(g, n, np) != p || fm.Local(g, n, np) != l {
-					t.Fatalf("%s: Global(%d,%d) = %d does not invert", fm, p, l, g)
-				}
-			}
-			if g := fm.Global(p, counts[p]+1, n, np); g != 0 {
-				t.Fatalf("%s: Global past count = %d, want 0", fm, g)
-			}
-			// OwnedRanges agrees with Map.
-			covered := 0
-			for _, r := range fm.OwnedRanges(p, n, np) {
-				for i := r.Low; i <= r.High; i++ {
-					if fm.Map(i, n, np) != p {
-						t.Fatalf("%s: range of %d contains foreign index %d", fm, p, i)
-					}
-					covered++
-				}
-			}
-			if covered != counts[p] {
-				t.Fatalf("%s: ranges of %d cover %d, Map assigns %d", fm, p, covered, counts[p])
-			}
-		}
-		for i := 1; i <= n; i++ {
-			if !seen[i] {
-				t.Fatalf("%s: global %d unreachable from (owner, local)", fm, i)
-			}
-		}
-
-		// Run-based enumeration is element-for-element identical to
-		// Map over arbitrary subintervals: the runs partition [lo, hi]
-		// contiguously in order and carry the per-element owner.
+		// The whole line, the drawn interval, single points at both
+		// ends and an empty interval.
 		lo := int(kk)%n + 1
 		hi := lo + int(nn)%(n-lo+1)
-		for _, iv := range [][2]int{{1, n}, {lo, hi}, {lo, lo}, {n, n}, {hi, lo - 1}} {
-			runs := fm.AppendRuns(nil, iv[0], iv[1], n, np)
-			next := iv[0]
-			for _, r := range runs {
-				if r.Lo != next || r.Hi < r.Lo || r.Hi > iv[1] {
-					t.Fatalf("%s: runs of [%d,%d] not a partition: %+v", fm, iv[0], iv[1], runs)
-				}
-				for i := r.Lo; i <= r.Hi; i++ {
-					if p := fm.Map(i, n, np); p != r.Proc {
-						t.Fatalf("%s: run %+v claims %d, Map(%d) = %d", fm, r, r.Proc, i, p)
-					}
-				}
-				next = r.Hi + 1
-			}
-			if want := iv[1] + 1; iv[0] <= iv[1] && next != want {
-				t.Fatalf("%s: runs of [%d,%d] stop at %d", fm, iv[0], iv[1], next-1)
-			}
-			if iv[0] > iv[1] && len(runs) != 0 {
-				t.Fatalf("%s: empty interval produced runs %+v", fm, runs)
-			}
-			// Runs must be maximal: adjacent runs differ in owner.
-			for k := 1; k < len(runs); k++ {
-				if runs[k].Proc == runs[k-1].Proc {
-					t.Fatalf("%s: runs %+v and %+v not maximal", fm, runs[k-1], runs[k])
-				}
-			}
-		}
+		checkFormat(t, fm, n, np, [][2]int{{1, n}, {lo, hi}, {lo, lo}, {n, n}, {hi, lo - 1}})
 	})
 }

@@ -15,10 +15,11 @@ import (
 // local index sets and communication sets can be computed over O(runs)
 // closed-form intervals instead of O(n) per-element owner lookups.
 // This is the compile-time analyzability the paper claims for its
-// distribution formats, made executable: every consumer that used to
-// enumerate Owners element-by-element (the spmd layouts and plans, the
-// workload sweeps) composes these runs instead, and the per-element
-// API remains as the differential-testing oracle.
+// distribution formats, made executable. Runs are a format's only
+// ownership vocabulary beyond δ and the local index: a position's
+// owned indices, per-processor counts and weights (package partition),
+// and the rank-N owner tiles below are all read off AppendRuns, and
+// per-element Map remains the differential-testing oracle.
 
 // Run is a maximal interval [Lo, Hi] of 1-based normalized global
 // indices owned by a single target-dimension position Proc.
@@ -29,12 +30,6 @@ type Run struct {
 
 // Count reports the number of indices in the run.
 func (r Run) Count() int { return r.Hi - r.Lo + 1 }
-
-// Runs lists the ownership runs of f over the interval [lo, hi] of
-// 1..n. It is AppendRuns into a fresh slice.
-func Runs(f Format, lo, hi, n, np int) []Run {
-	return f.AppendRuns(nil, lo, hi, n, np)
-}
 
 // blockRuns is the shared closed form for the two BLOCK variants:
 // owner positions are nondecreasing over the interval, and each
@@ -296,33 +291,4 @@ func (d *Distribution) AppendOwnerTiles(dst []Tile, region index.Domain) ([]Tile
 			return dst, nil
 		}
 	}
-}
-
-// AppendOwners appends the owner set of element i to dst without
-// allocating: the run-free analogue of Owners for per-element callers
-// (inquiry functions, replicated-write paths) that would otherwise
-// discard a fresh slice per call.
-func (d *Distribution) AppendOwners(dst []int, i index.Tuple) ([]int, error) {
-	if len(i) != len(d.dims) {
-		return nil, fmt.Errorf("dist: rank-%d index %s for rank-%d distribution", len(i), i, len(d.dims))
-	}
-	k := 0
-	for dim := range d.dims {
-		dt := &d.dims[dim]
-		v := i[dim]
-		if v < dt.low || v > dt.high {
-			return nil, fmt.Errorf("dist: index %s outside domain %s", i, d.Array)
-		}
-		if !dt.collapsed {
-			p := dt.f.Map(v-dt.low+1, dt.n, dt.np)
-			k += (p - 1) * dt.mult
-		}
-	}
-	if d.repl != nil {
-		return append(dst, d.repl...), nil
-	}
-	if k < 0 || k >= len(d.aps) {
-		return nil, fmt.Errorf("dist: index %s mapped outside target %s", i, d.Target)
-	}
-	return append(dst, d.aps[k]), nil
 }

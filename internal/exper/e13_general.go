@@ -112,12 +112,13 @@ func E13GeneralDistributions(n, np int) (Result, error) {
 	// Expressiveness: the partitioner's assignment gives processors
 	// non-contiguous pieces (a share of each plateau), which no
 	// contiguous-block format — BLOCK or GENERAL_BLOCK — can express.
+	// The runs are maximal, so an owner of two of them owns two
+	// disjoint pieces.
 	nonContiguous := false
-	for p := 1; p <= np; p++ {
-		if len(ind.OwnedRanges(p, n, np)) > 1 {
-			nonContiguous = true
-			break
-		}
+	held := make([]bool, np+1)
+	for _, r := range ind.AppendRuns(nil, 1, n, n, np) {
+		nonContiguous = nonContiguous || held[r.Proc]
+		held[r.Proc] = true
 	}
 
 	var b strings.Builder

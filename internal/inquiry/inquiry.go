@@ -115,43 +115,42 @@ func OwnersOf(m core.ElementMapping, i index.Tuple) ([]int, error) {
 	return out, nil
 }
 
-// LocalExtentOf counts the elements of the mapping owned by processor
-// p (the HPF-style "number of local elements" inquiry): a sum of
-// owner-tile volumes for single-owner mappings, a per-element scan
-// (allocation-free via AppendOwners) only when elements are
-// replicated.
-func LocalExtentOf(m core.ElementMapping, p int) (int, error) {
-	if tiles, err := core.OwnerTiles(m, m.Domain()); err == nil {
-		count := 0
-		for _, tl := range tiles {
-			if tl.Proc == p {
-				count += tl.Region.Size()
-			}
+// LocalExtents counts the elements of the mapping each processor owns
+// (the HPF-style "number of local elements" inquiry, for every
+// processor at once): counts[p] for abstract processor p, with
+// counts[0] unused and processors past the slice's end owning nothing.
+// It sums owner-tile volumes for single-owner mappings and makes one
+// per-element owner-set scan only when elements are replicated.
+func LocalExtents(m core.ElementMapping) ([]int, error) {
+	var counts []int
+	add := func(p, n int) {
+		if p >= len(counts) {
+			counts = append(counts, make([]int, p+1-len(counts))...)
 		}
-		return count, nil
+		counts[p] += n
 	}
-	count := 0
+	if tiles, err := core.OwnerTiles(m, m.Domain()); err == nil {
+		for _, tl := range tiles {
+			add(tl.Proc, tl.Region.Size())
+		}
+		return counts, nil
+	}
 	var buf []int
 	var ferr error
 	m.Domain().ForEach(func(t index.Tuple) bool {
-		os, err := core.AppendOwners(m, buf[:0], t)
-		if err != nil {
-			ferr = err
+		buf, ferr = core.AppendOwners(m, buf[:0], t)
+		if ferr != nil {
 			return false
 		}
-		buf = os
-		for _, o := range os {
-			if o == p {
-				count++
-				break
-			}
+		for _, o := range buf {
+			add(o, 1)
 		}
 		return true
 	})
 	if ferr != nil {
-		return 0, ferr
+		return nil, ferr
 	}
-	return count, nil
+	return counts, nil
 }
 
 // Render formats the inquiry result as a short report.

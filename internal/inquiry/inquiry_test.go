@@ -141,18 +141,109 @@ func TestOwnersOfSorted(t *testing.T) {
 	}
 }
 
-func TestLocalExtentOf(t *testing.T) {
-	u, tg := setup(t)
-	u.DeclareArray("A", index.Standard(1, 64))
-	u.Distribute("A", []dist.Format{dist.Block{}}, tg)
-	m, _ := u.MappingOf("A")
-	for p := 1; p <= 8; p++ {
-		n, err := LocalExtentOf(m, p)
-		if err != nil || n != 8 {
-			t.Fatalf("LocalExtentOf(%d) = %d, %v", p, n, err)
+// TestLocalExtents checks every processor's count against a
+// brute-force count of per-element owner sets, for every format family
+// over a two-dimensional target, a section target, a scalar replicated
+// target and a replicating alignment; single-owner counts sum to the
+// domain size.
+func TestLocalExtents(t *testing.T) {
+	sys, err := proc.NewSystem(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := sys.DeclareArray("G", index.Standard(1, 4, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := sys.DeclareArray("P", index.Standard(1, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd, err := proc.SectionOf(line, index.Triplet{Low: 1, High: 8, Stride: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sys.DeclareScalar("REP", proc.ScalarReplicated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ind, err := dist.NewIndirect([]int{1, 4, 2, 3, 2, 1, 1, 3, 4, 2, 1, 2, 3, 4, 4, 1, 2, 3, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := core.NewUnit("Q", sys)
+	dom := index.Standard(1, 20, 1, 6)
+	cases := []struct {
+		name    string
+		dom     index.Domain
+		formats []dist.Format
+		target  proc.Target
+	}{
+		{"BC", dom, []dist.Format{dist.Block{}, dist.Cyclic{K: 1}}, proc.Whole(grid)},
+		{"VB", dom, []dist.Format{dist.BlockVienna{}, dist.Block{}}, proc.Whole(grid)},
+		{"GV", dom, []dist.Format{dist.GeneralBlock{Bounds: []int{3, 9, 15}}, dist.BlockVienna{}}, proc.Whole(grid)},
+		{"IC", dom, []dist.Format{ind, dist.Cyclic{K: 2}}, proc.Whole(grid)},
+		{"SEC", index.Standard(1, 64), []dist.Format{dist.Cyclic{K: 3}}, odd},
+		{"REPL", index.Standard(1, 8), []dist.Format{dist.Collapsed{}}, proc.Whole(rep)},
+	}
+	for _, c := range cases {
+		if _, err := u.DeclareArray(c.name, c.dom); err != nil {
+			t.Fatal(err)
+		}
+		if err := u.Distribute(c.name, c.formats, c.target); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if n, _ := LocalExtentOf(m, 99); n != 0 {
-		t.Fatalf("foreign processor extent = %d", n)
+	// ALIGN R(:) WITH BC(:,*): each element on every processor holding
+	// its row of BC.
+	u.DeclareArray("R", index.Standard(1, 20))
+	if err := u.Align(align.Spec{
+		Alignee: "R", Axes: []align.Axis{align.Colon()},
+		Base: "BC", Subs: []align.Subscript{align.TripletSub(index.Unit(1, 20)), align.StarSub()},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"BC", "VB", "GV", "IC", "SEC", "REPL", "R"} {
+		m, err := u.MappingOf(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts, err := LocalExtents(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]int, 9)
+		replicated := false
+		m.Domain().ForEach(func(tu index.Tuple) bool {
+			os, err := m.Owners(tu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replicated = replicated || len(os) > 1
+			for _, p := range os {
+				want[p]++
+			}
+			return true
+		})
+		total := 0
+		for p := 1; p <= 8; p++ {
+			got := 0
+			if p < len(counts) {
+				got = counts[p]
+			}
+			if got != want[p] {
+				t.Fatalf("%s: LocalExtents()[%d] = %d, brute force %d", name, p, got, want[p])
+			}
+			total += got
+		}
+		if len(counts) > 9 {
+			t.Fatalf("%s: counts %v name processors past 8", name, counts)
+		}
+		if !replicated && total != m.Domain().Size() {
+			t.Fatalf("%s: counts sum to %d, want %d", name, total, m.Domain().Size())
+		}
+		if (name == "REPL" || name == "R") != replicated {
+			t.Fatalf("%s: replicated = %v", name, replicated)
+		}
 	}
 }

@@ -5,13 +5,16 @@
 // for the support of load balancing, and can be implemented
 // efficiently". This package is the load-balancing side of that
 // claim: given w(i) for each index, it chooses contiguous block
-// boundaries that equalize per-processor weight. In the pipeline it
-// feeds computed bound vectors into GENERAL_BLOCK formats (package
-// dist) for the load-balancing experiments (E4) and examples.
+// boundaries that equalize per-processor weight, and it measures any
+// format's balance and locality over that format's ownership runs. In
+// the pipeline it feeds computed bound vectors into GENERAL_BLOCK
+// formats (package dist) for the load-balancing experiments (E4, E13)
+// and examples.
 package partition
 
 import (
 	"fmt"
+	"slices"
 
 	"hpfnt/internal/dist"
 )
@@ -57,45 +60,11 @@ func Balance(w []float64, np int) (dist.GeneralBlock, error) {
 	return dist.GeneralBlock{Bounds: bounds}, nil
 }
 
-// BalanceInts is Balance over integer weights.
-func BalanceInts(w []int, np int) (dist.GeneralBlock, error) {
-	f := make([]float64, len(w))
-	for i, x := range w {
-		f[i] = float64(x)
-	}
-	return Balance(f, np)
-}
-
-// Imbalance reports max block weight divided by the ideal per-block
-// weight for a given general-block partition of weights w over np
-// processors; 1.0 is a perfect balance.
-func Imbalance(g dist.GeneralBlock, w []float64, np int) float64 {
-	n := len(w)
-	total := 0.0
-	for _, x := range w {
-		total += x
-	}
-	if total == 0 {
-		return 1
-	}
-	maxW := 0.0
-	for p := 1; p <= np; p++ {
-		bw := 0.0
-		for _, r := range g.OwnedRanges(p, n, np) {
-			for i := r.Low; i <= r.High; i++ {
-				bw += w[i-1]
-			}
-		}
-		if bw > maxW {
-			maxW = bw
-		}
-	}
-	return maxW / (total / float64(np))
-}
-
-// FormatImbalance measures the same metric for an arbitrary
-// rank-1 distribution format (used to compare BLOCK and CYCLIC
-// against the balanced partition).
+// FormatImbalance reports the largest per-processor weight divided
+// by the ideal per-processor weight when a rank-1 format distributes
+// weights w (w[i-1] for index i) over np processors; 1.0 is a perfect
+// balance. One pass over the format's runs sums each processor's
+// weights in index order.
 func FormatImbalance(f dist.Format, w []float64, np int) float64 {
 	n := len(w)
 	total := 0.0
@@ -105,34 +74,27 @@ func FormatImbalance(f dist.Format, w []float64, np int) float64 {
 	if total == 0 {
 		return 1
 	}
-	maxW := 0.0
-	for p := 1; p <= np; p++ {
-		bw := 0.0
-		for _, r := range f.OwnedRanges(p, n, np) {
-			for i := r.Low; i <= r.High; i++ {
-				bw += w[i-1]
-			}
-		}
-		if bw > maxW {
-			maxW = bw
+	load := make([]float64, np+1)
+	for _, r := range f.AppendRuns(nil, 1, n, n, np) {
+		for i := r.Lo; i <= r.Hi; i++ {
+			load[r.Proc] += w[i-1]
 		}
 	}
-	return maxW / (total / float64(np))
+	return slices.Max(load) / (total / float64(np))
 }
 
 // BoundaryRows counts, for a rank-1 format over n indices and np
 // processors, the number of adjacent index pairs (i, i+1) whose
 // owners differ — the locality cost a cyclic distribution pays to buy
-// balance, and the quantity GENERAL_BLOCK keeps at np-1.
+// balance, and the quantity GENERAL_BLOCK keeps at np-1. Only the
+// boundaries between the format's runs can differ.
 func BoundaryRows(f dist.Format, n, np int) int {
+	runs := f.AppendRuns(nil, 1, n, n, np)
 	cuts := 0
-	prev := f.Map(1, n, np)
-	for i := 2; i <= n; i++ {
-		cur := f.Map(i, n, np)
-		if cur != prev {
+	for k := 1; k < len(runs); k++ {
+		if runs[k].Proc != runs[k-1].Proc {
 			cuts++
 		}
-		prev = cur
 	}
 	return cuts
 }

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -22,7 +24,7 @@ func TestBalanceUniform(t *testing.T) {
 			t.Fatalf("Bounds = %v, want %v", g.Bounds, want)
 		}
 	}
-	if imb := Imbalance(g, w, 4); imb != 1.0 {
+	if imb := FormatImbalance(g, w, 4); imb != 1.0 {
 		t.Fatalf("uniform imbalance = %f", imb)
 	}
 }
@@ -42,7 +44,7 @@ func TestBalanceTriangular(t *testing.T) {
 	if err := g.Validate(n, np); err != nil {
 		t.Fatalf("balanced bounds invalid: %v", err)
 	}
-	gImb := Imbalance(g, w, np)
+	gImb := FormatImbalance(g, w, np)
 	bImb := FormatImbalance(dist.Block{}, w, np)
 	cImb := FormatImbalance(dist.Cyclic{K: 1}, w, np)
 	if gImb > 1.05 {
@@ -65,8 +67,8 @@ func TestBalanceTriangular(t *testing.T) {
 	}
 }
 
-func TestBalanceInts(t *testing.T) {
-	g, err := BalanceInts([]int{1, 1, 1, 1, 4}, 2)
+func TestBalanceHeavyTail(t *testing.T) {
+	g, err := Balance([]float64{1, 1, 1, 1, 4}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestBalanceSingleProcessor(t *testing.T) {
 	if len(g.Bounds) != 0 {
 		t.Fatalf("Bounds = %v", g.Bounds)
 	}
-	if imb := Imbalance(g, []float64{3, 1, 4}, 1); imb != 1.0 {
+	if imb := FormatImbalance(g, []float64{3, 1, 4}, 1); imb != 1.0 {
 		t.Fatalf("single-proc imbalance = %f", imb)
 	}
 }
@@ -110,7 +112,7 @@ func TestZeroWeights(t *testing.T) {
 	if err := g.Validate(8, 4); err != nil {
 		t.Fatal(err)
 	}
-	if imb := Imbalance(g, w, 4); imb != 1.0 {
+	if imb := FormatImbalance(g, w, 4); imb != 1.0 {
 		t.Fatalf("zero-weight imbalance = %f", imb)
 	}
 }
@@ -153,12 +155,74 @@ func TestBalanceValidityProperty(t *testing.T) {
 		if err := g.Validate(len(w), np); err != nil {
 			return false
 		}
-		imb := Imbalance(g, w, np)
+		imb := FormatImbalance(g, w, np)
 		ideal := total / float64(np)
 		// Each block exceeds the ideal by at most one item's weight.
 		return imb <= (ideal+maxw)/ideal+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunsMatchMap checks FormatImbalance and BoundaryRows, which read
+// a format's runs, against a per-element Map oracle bit for bit: each
+// processor's weights summed in index order, and the owner changes
+// between adjacent indices, for all six formats on random weights.
+func TestRunsMatchMap(t *testing.T) {
+	n, np := 97, 4
+	owner := make([]int, n)
+	rng := rand.New(rand.NewSource(39))
+	for i := range owner {
+		// Runs of random length, so the vector has both long runs and
+		// single-element ones.
+		if i == 0 || rng.Intn(3) == 0 {
+			owner[i] = rng.Intn(np) + 1
+		} else {
+			owner[i] = owner[i-1]
+		}
+	}
+	ind, err := dist.NewIndirect(owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	formats := []dist.Format{
+		dist.Block{},
+		dist.BlockVienna{},
+		dist.Collapsed{},
+		dist.Cyclic{K: 1},
+		dist.Cyclic{K: 5},
+		dist.GeneralBlock{Bounds: []int{20, 20, 71}},
+		ind,
+	}
+	for trial := 0; trial < 20; trial++ {
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = rng.Float64() * 100
+		}
+		for _, f := range formats {
+			load := make([]float64, np+1)
+			cuts := 0
+			for i := 1; i <= n; i++ {
+				load[f.Map(i, n, np)] += w[i-1]
+				if i > 1 && f.Map(i, n, np) != f.Map(i-1, n, np) {
+					cuts++
+				}
+			}
+			total, maxW := 0.0, 0.0
+			for _, x := range w {
+				total += x
+			}
+			for _, x := range load[1:] {
+				maxW = max(maxW, x)
+			}
+			want := maxW / (total / float64(np))
+			if got := FormatImbalance(f, w, np); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: FormatImbalance = %v, per-element oracle %v", f, got, want)
+			}
+			if got := BoundaryRows(f, n, np); got != cuts {
+				t.Fatalf("%s: BoundaryRows = %d, per-element oracle %d", f, got, cuts)
+			}
+		}
 	}
 }

@@ -243,7 +243,7 @@ func LUSweep(n, np int, f dist.Format) (LUReport, error) {
 		return LUReport{}, err
 	}
 	load := make([]int64, np+1)
-	for _, r := range dist.Runs(f, 1, n, n, np) {
+	for _, r := range f.AppendRuns(nil, 1, n, n, np) {
 		load[r.Proc] += luRunLoad(int64(n), int64(r.Lo), int64(r.Hi))
 	}
 	var max, total int64
@@ -285,7 +285,7 @@ func RowSweepLoad(m *machine.Machine, f dist.Format, w []float64, np int) error 
 	for i := 1; i <= n; i++ {
 		prefix[i] = prefix[i-1] + int(w[i-1])
 	}
-	for _, r := range dist.Runs(f, 1, n, n, np) {
+	for _, r := range f.AppendRuns(nil, 1, n, n, np) {
 		if r.Proc < 1 || r.Proc > np {
 			return fmt.Errorf("workload: format mapped rows %d:%d to processor %d of %d", r.Lo, r.Hi, r.Proc, np)
 		}
