@@ -238,11 +238,13 @@ fuzz-interp:
 # handshake, the roster, the framing layer feeding every per-kind
 # decoder, the shm header page and the checkpoint pointer. Nothing may
 # panic, over-allocate or accept a payload that is not whole floats, a
-# header validates exactly when it matches the config, and CURRENT
-# never names a manifest outside its spill directory.
+# header validates exactly when it matches the config, CURRENT
+# never names a manifest outside its spill directory, and a merged
+# counter vector from another process never panics the machine.
 fuzz-wire:
 	$(GO) test -run xxx -fuzz FuzzDecodeHello -fuzztime 30s ./internal/transport
 	$(GO) test -run xxx -fuzz FuzzDecodeRoster -fuzztime 30s ./internal/transport
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/transport
 	$(GO) test -run xxx -fuzz FuzzValidateShmHeader -fuzztime 30s ./internal/transport
 	$(GO) test -run xxx -fuzz FuzzLatest -fuzztime 30s ./internal/ckpt
+	$(GO) test -run xxx -fuzz FuzzMergeCounters -fuzztime 30s ./internal/machine

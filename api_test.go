@@ -12,12 +12,14 @@ import (
 
 // guardedPackages are the packages whose exported functions and
 // methods must each have a caller in non-test code.
-var guardedPackages = []string{"internal/dist", "internal/partition", "internal/inquiry"}
+var guardedPackages = []string{"internal/dist", "internal/partition", "internal/inquiry", "internal/core", "internal/template", "internal/index"}
 
 // apiAllowList names exported functions and methods of the guarded
 // packages ("pkg.Name" or "pkg.Type.Name") that may go unreferenced,
 // each with its reason.
-var apiAllowList = map[string]string{}
+var apiAllowList = map[string]string{
+	"core.Frame.RedistributeDummy": "§7's DYNAMIC dummy redistributed during a call: the hpf facade's Call hands out the Frame, and no in-tree program redistributes a dummy yet",
+}
 
 // TestExportedAPIReferenced: every exported top-level function and
 // exported method of the guarded packages is referenced by name in

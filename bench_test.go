@@ -238,11 +238,7 @@ func BenchmarkJacobiSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	dom := index.Standard(1, 128, 1, 128)
-	mk := func() interface {
-		Domain() index.Domain
-		Owners(index.Tuple) ([]int, error)
-		Describe() string
-	} {
+	mk := func() core.ElementMapping {
 		d, err := dist.New(dom, []dist.Format{dist.Block{}, dist.Collapsed{}}, proc.Whole(arr))
 		if err != nil {
 			b.Fatal(err)

@@ -208,7 +208,7 @@ func TestEnableTemplatesAndViennaToggle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	os, err := m.Owners(TupleOf(9))
+	os, err := m.AppendOwners(nil, TupleOf(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestIndirectThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := prog.MappingOf("A")
-	os, err := m.Owners(TupleOf(3))
+	os, err := m.AppendOwners(nil, TupleOf(3))
 	if err != nil || os[0] != 1 {
 		t.Fatalf("A(3) on %v, %v", os, err)
 	}

@@ -70,11 +70,11 @@ func TestImplicitDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	os, err := m.Owners(index.Tuple{1, 1})
+	os, err := m.AppendOwners(nil, index.Tuple{1, 1})
 	if err != nil || len(os) != 1 {
 		t.Fatalf("implicit owners: %v %v", os, err)
 	}
-	os2, _ := m.Owners(index.Tuple{8, 1})
+	os2, _ := m.AppendOwners(nil, index.Tuple{8, 1})
 	if os[0] == os2[0] {
 		t.Fatal("implicit BLOCK should split the first dimension")
 	}
@@ -102,11 +102,11 @@ func TestConstructCollocation(t *testing.T) {
 	bm, _ := u.MappingOf("B")
 	am, _ := u.MappingOf("A")
 	for i := 1; i <= 8; i++ {
-		ao, err := am.Owners(index.Tuple{i})
+		ao, err := am.AppendOwners(nil, index.Tuple{i})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bo, err := bm.Owners(index.Tuple{2 * i})
+		bo, err := bm.AppendOwners(nil, index.Tuple{2 * i})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,26 +441,18 @@ func TestScalarsViaRankZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	os, err := m.Owners(index.Tuple{})
+	os, err := m.AppendOwners(nil, index.Tuple{})
 	if err != nil || len(os) < 1 {
 		t.Fatalf("scalar owners: %v %v", os, err)
 	}
 }
 
-func TestSameOwnersAndRemapVolume(t *testing.T) {
+func TestRemapVolume(t *testing.T) {
 	u := newUnit(t, 4)
 	tg := declTarget(t, u, "P", 1, 4)
 	d1, _ := dist.New(index.Standard(1, 16), []dist.Format{dist.Block{}}, tg)
 	d2, _ := dist.New(index.Standard(1, 16), []dist.Format{dist.Cyclic{K: 1}}, tg)
 	m1, m2 := DistMapping{D: d1}, DistMapping{D: d2}
-	same, err := SameOwners(m1, m1)
-	if err != nil || !same {
-		t.Fatalf("SameOwners self: %v %v", same, err)
-	}
-	same, _ = SameOwners(m1, m2)
-	if same {
-		t.Fatal("block and cyclic must differ")
-	}
 	vol, err := RemapVolume(m1, m2)
 	if err != nil {
 		t.Fatal(err)
@@ -478,6 +470,49 @@ func TestSameOwnersAndRemapVolume(t *testing.T) {
 	}
 	if v, _ := RemapVolume(m1, m1); v != 0 {
 		t.Fatalf("self remap volume = %d", v)
+	}
+}
+
+// TestRemapVolumeOwnerOrder: owner sets are sets. A(I) WITH B(I,*)
+// lists A(i)'s owners in the order of B's second dimension, and a
+// base distributed onto the grid's columns reversed lists the same
+// owners back to front; no element moves.
+func TestRemapVolumeOwnerOrder(t *testing.T) {
+	sys, err := proc.NewSystem(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sys.DeclareArray("Q", index.Standard(1, 2, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev, err := proc.SectionOf(q, index.Unit(1, 2), index.Triplet{Low: 2, High: 1, Stride: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseDom, dom := index.Standard(1, 4, 1, 2), index.Standard(1, 4)
+	alpha, err := align.Normalize(align.Spec{
+		Alignee: "A", Axes: []align.Axis{align.Colon()},
+		Base: "B", Subs: []align.Subscript{align.TripletSub(index.Unit(1, 4)), align.StarSub()},
+	}, dom, baseDom, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms [2]ElementMapping
+	for k, tg := range []proc.Target{proc.Whole(q), rev} {
+		d, err := dist.New(baseDom, []dist.Format{dist.Block{}, dist.Block{}}, tg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[k] = Construct(alpha, DistMapping{D: d})
+	}
+	a, _ := ms[0].AppendOwners(nil, index.Tuple{1})
+	b, _ := ms[1].AppendOwners(nil, index.Tuple{1})
+	if len(a) != 2 || len(b) != 2 || a[0] != b[1] || a[1] != b[0] {
+		t.Fatalf("A(1) owners %v and %v: want one pair in both orders", a, b)
+	}
+	if v, err := RemapVolume(ms[0], ms[1]); err != nil || v != 0 {
+		t.Fatalf("RemapVolume = %d, %v; want 0", v, err)
 	}
 }
 
@@ -508,7 +543,7 @@ func TestConstructCollocationProperty(t *testing.T) {
 		}
 		cm := Construct(alpha, DistMapping{D: d})
 		for i := 1; i <= n; i++ {
-			ao, err := cm.Owners(index.Tuple{i})
+			ao, err := cm.AppendOwners(nil, index.Tuple{i})
 			if err != nil {
 				return false
 			}

@@ -120,7 +120,7 @@ func TestForestFuzz(t *testing.T) {
 					// Spot-check totality on a few indices.
 					dom := m.Domain()
 					for _, k := range []int{0, dom.Size() / 2, dom.Size() - 1} {
-						os, err := m.Owners(dom.TupleAt(k))
+						os, err := m.AppendOwners(nil, dom.TupleAt(k))
 						if err != nil || len(os) == 0 {
 							t.Fatalf("step %d: owners of %s at %d: %v %v", step, name, k, os, err)
 						}

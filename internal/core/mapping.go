@@ -27,9 +27,17 @@ import (
 type ElementMapping interface {
 	// Domain is the array's index domain.
 	Domain() index.Domain
-	// Owners returns the non-empty set of abstract processor numbers
-	// owning element i.
-	Owners(i index.Tuple) ([]int, error)
+	// AppendOwners appends the non-empty set of abstract processor
+	// numbers owning element i to dst, each once.
+	AppendOwners(dst []int, i index.Tuple) ([]int, error)
+	// AppendOwnerTiles appends tiles that exactly partition region
+	// (a standard sub-rectangle of the domain), each owned by a
+	// single abstract processor. It returns dist.ErrMultiOwner when
+	// some element has several owners, and ErrNoBulk when the mapping
+	// (or a mapping it composes over) admits no closed-form
+	// decomposition; it never enumerates elements itself (OwnerTiles
+	// does).
+	AppendOwnerTiles(dst []Tile, region index.Domain) ([]Tile, error)
 	// Describe renders a human-readable description of the mapping.
 	Describe() string
 }
@@ -41,9 +49,6 @@ type DistMapping struct {
 
 // Domain returns the distributee's domain.
 func (m DistMapping) Domain() index.Domain { return m.D.Array }
-
-// Owners delegates to the distribution.
-func (m DistMapping) Owners(i index.Tuple) ([]int, error) { return m.D.Owners(i) }
 
 // Describe renders the distribution in directive syntax.
 func (m DistMapping) Describe() string { return m.D.String() }
@@ -68,32 +73,6 @@ func Construct(alpha *align.Function, baseMap ElementMapping) *Constructed {
 
 // Domain returns the alignee's domain.
 func (c *Constructed) Domain() index.Domain { return c.Alpha.Alignee }
-
-// Owners computes the union of the base owners over the image α(i).
-func (c *Constructed) Owners(i index.Tuple) ([]int, error) {
-	img, err := c.Alpha.Image(i)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[int]bool{}
-	var out []int
-	for _, j := range img {
-		os, err := c.BaseMap.Owners(j)
-		if err != nil {
-			return nil, fmt.Errorf("core: CONSTRUCT: base owners of %s: %w", j, err)
-		}
-		for _, p := range os {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("core: CONSTRUCT produced empty owner set for %s", i)
-	}
-	return out, nil
-}
 
 // Describe renders the construction.
 func (c *Constructed) Describe() string {
@@ -126,81 +105,16 @@ func NewSectionMapping(section index.Domain, actual ElementMapping) (*SectionMap
 // Domain returns the dummy's normalized domain.
 func (s *SectionMapping) Domain() index.Domain { return s.Dummy }
 
-// Owners translates the dummy index through the section triplets and
-// delegates to the actual's mapping.
-func (s *SectionMapping) Owners(i index.Tuple) ([]int, error) {
-	if !s.Dummy.Contains(i) {
-		return nil, fmt.Errorf("core: %s not in dummy domain %s", i, s.Dummy)
-	}
-	at := make(index.Tuple, len(i))
-	for d, v := range i {
-		at[d] = s.Section.Dims[d].At(v - 1)
-	}
-	return s.Actual.Owners(at)
-}
-
 // Describe renders the inherited-section mapping.
 func (s *SectionMapping) Describe() string {
 	return fmt.Sprintf("INHERITED %s OF %s", s.Section, s.Actual.Describe())
 }
 
-// SameOwners reports whether two mappings assign identical owner sets
-// to every element of their (necessarily equal-extent) domains. It is
-// the semantic equality used by the inheritance-matching dummy mode
-// when structural comparison is unavailable.
-func SameOwners(a, b ElementMapping) (bool, error) {
-	da, db := a.Domain(), b.Domain()
-	if !da.Normalize().Equal(db.Normalize()) {
-		return false, nil
-	}
-	same := true
-	var ferr error
-	ka := da.Tuples()
-	kb := db.Tuples()
-	for n := range ka {
-		oa, err := a.Owners(ka[n])
-		if err != nil {
-			ferr = err
-			break
-		}
-		ob, err := b.Owners(kb[n])
-		if err != nil {
-			ferr = err
-			break
-		}
-		if !sameSet(oa, ob) {
-			same = false
-			break
-		}
-	}
-	if ferr != nil {
-		return false, ferr
-	}
-	return same, nil
-}
-
-func sameSet(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	m := map[int]int{}
-	for _, x := range a {
-		m[x]++
-	}
-	for _, y := range b {
-		if m[y] == 0 {
-			return false
-		}
-		m[y]--
-	}
-	return true
-}
-
 // OwnerGrid materializes the single-owner map of a mapping into a
-// dense column-major slice, one owner lookup per element through the
-// allocation-free AppendOwners path (and reports an error if any
-// element is replicated; use ReplicatedGrid then). It is the ownership
-// map of the element-wise reference executor (package runtime).
+// dense column-major slice, one AppendOwners per element into one
+// reused buffer (and reports an error if any element is replicated;
+// use ReplicatedGrid then). It is the ownership map of the
+// element-wise reference executor (package runtime).
 func OwnerGrid(m ElementMapping) ([]int32, error) {
 	dom := m.Domain()
 	out := make([]int32, dom.Size())
@@ -208,7 +122,7 @@ func OwnerGrid(m ElementMapping) ([]int32, error) {
 	var ferr error
 	k := 0
 	dom.ForEach(func(t index.Tuple) bool {
-		os, err := AppendOwners(m, scratch[:0], t)
+		os, err := m.AppendOwners(scratch[:0], t)
 		if err != nil {
 			ferr = err
 			return false
@@ -237,7 +151,7 @@ func ReplicatedGrid(m ElementMapping) ([][]int, error) {
 	var ferr error
 	k := 0
 	dom.ForEach(func(t index.Tuple) bool {
-		os, err := AppendOwners(m, nil, t)
+		os, err := m.AppendOwners(nil, t)
 		if err != nil {
 			ferr = err
 			return false

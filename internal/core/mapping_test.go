@@ -26,7 +26,7 @@ func TestMappingDescriptions(t *testing.T) {
 	if !strings.Contains(am.Describe(), "CONSTRUCT") {
 		t.Fatalf("A description = %q", am.Describe())
 	}
-	fr, err := u.Call("SUB", []DummySpec{{Name: "X", Mode: DummyInherit}}, []Actual{WholeArg("A")})
+	fr, err := u.Call("SUB", []DummySpec{{Name: "X", Mode: DummyInherit}}, []Actual{{Name: "A"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +106,12 @@ func TestSectionMappingErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sm.Owners(index.Tuple{99}); err == nil {
+	if _, err := sm.AppendOwners(nil, index.Tuple{99}); err == nil {
 		t.Fatal("out-of-domain dummy index must fail")
 	}
 }
 
-func TestSameOwnersShapeMismatch(t *testing.T) {
+func TestRemapVolumeShapeMismatch(t *testing.T) {
 	u := newUnit(t, 4)
 	tg := declTarget(t, u, "P", 1, 4)
 	u.DeclareArray("A", index.Standard(1, 8))
@@ -120,13 +120,12 @@ func TestSameOwnersShapeMismatch(t *testing.T) {
 	u.Distribute("B", []dist.Format{dist.Block{}}, tg)
 	am, _ := u.MappingOf("A")
 	bm, _ := u.MappingOf("B")
-	same, err := SameOwners(am, bm)
-	if err != nil || same {
-		t.Fatalf("different shapes must compare unequal: %v %v", same, err)
+	if vol, err := RemapVolume(am, bm); err == nil {
+		t.Fatalf("different shapes must not compare: volume %d", vol)
 	}
 }
 
-func TestDistributionOfAndAlignmentOf(t *testing.T) {
+func TestDistributionOfAndBaseOf(t *testing.T) {
 	u := newUnit(t, 4)
 	tg := declTarget(t, u, "P", 1, 4)
 	u.DeclareArray("B", index.Standard(1, 8))
@@ -140,12 +139,11 @@ func TestDistributionOfAndAlignmentOf(t *testing.T) {
 	if _, ok := u.DistributionOf("A"); ok {
 		t.Fatal("secondary has no direct distribution")
 	}
-	a, ok := u.AlignmentOf("A")
-	if !ok || a.Spec().Base != "B" {
-		t.Fatalf("AlignmentOf = %v, %v", a, ok)
+	if b := u.BaseOf("A"); b != "B" {
+		t.Fatalf("BaseOf(A) = %q", b)
 	}
-	if _, ok := u.AlignmentOf("B"); ok {
-		t.Fatal("primary has no alignment")
+	if b := u.BaseOf("B"); b != "" {
+		t.Fatalf("primary has no base, BaseOf(B) = %q", b)
 	}
 	names := u.Names()
 	if len(names) != 2 || names[0] != "B" {
@@ -223,7 +221,7 @@ func TestImplicitTargetForInheritMatchSpec(t *testing.T) {
 	// semantically.
 	fr, err := u.Call("SUB", []DummySpec{{
 		Name: "X", Mode: DummyInheritMatch, Formats: []dist.Format{dist.Block{}},
-	}}, []Actual{WholeArg("A")})
+	}}, []Actual{{Name: "A"}})
 	if err != nil {
 		t.Fatalf("semantically matching implicit-target spec rejected: %v", err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"hpfnt/internal/dist"
 	"hpfnt/internal/index"
@@ -65,14 +66,6 @@ type Actual struct {
 	// Section selects a sub-domain of the array; nil means the whole
 	// array.
 	Section []index.Triplet
-}
-
-// WholeArg passes the whole array.
-func WholeArg(name string) Actual { return Actual{Name: name} }
-
-// SectionArg passes an array section.
-func SectionArg(name string, sel ...index.Triplet) Actual {
-	return Actual{Name: name, Section: sel}
 }
 
 // Binding records the mapping decisions for one dummy argument.
@@ -238,7 +231,8 @@ func matches(inherited ElementMapping, spec ElementMapping) (bool, error) {
 			}
 		}
 	}
-	return SameOwners(inherited, spec)
+	vol, err := RemapVolume(inherited, spec)
+	return vol == 0, err
 }
 
 // RedistributeDummy redistributes a dummy argument during the call;
@@ -281,25 +275,26 @@ func (f *Frame) Return() error {
 
 // RemapVolume counts the elements whose owner set changes between two
 // mappings over the same (normalized) domain — the data volume a
-// remapping must move.
+// remapping must move. It walks the offsets once, comparing each
+// element's two owner sets sorted.
 func RemapVolume(from, to ElementMapping) (int, error) {
 	df, dt := from.Domain(), to.Domain()
 	if !df.Normalize().Equal(dt.Normalize()) {
 		return 0, fmt.Errorf("core: remap between different shapes %s and %s", df, dt)
 	}
-	tf := df.Tuples()
-	tt := dt.Tuples()
+	var of, ot []int
+	var err error
 	moved := 0
-	for n := range tf {
-		of, err := from.Owners(tf[n])
-		if err != nil {
+	for off := range df.Size() {
+		if of, err = from.AppendOwners(of[:0], df.TupleAt(off)); err != nil {
 			return 0, err
 		}
-		ot, err := to.Owners(tt[n])
-		if err != nil {
+		if ot, err = to.AppendOwners(ot[:0], dt.TupleAt(off)); err != nil {
 			return 0, err
 		}
-		if !sameSet(of, ot) {
+		slices.Sort(of)
+		slices.Sort(ot)
+		if !slices.Equal(of, ot) {
 			moved++
 		}
 	}

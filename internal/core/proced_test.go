@@ -35,7 +35,7 @@ func sectionTriplet(t *testing.T) index.Triplet {
 
 func TestInheritWholeArray(t *testing.T) {
 	u, _ := setup8112(t)
-	fr, err := u.Call("SUB", []DummySpec{{Name: "X", Mode: DummyInherit}}, []Actual{WholeArg("A")})
+	fr, err := u.Call("SUB", []DummySpec{{Name: "X", Mode: DummyInherit}}, []Actual{{Name: "A"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +47,8 @@ func TestInheritWholeArray(t *testing.T) {
 	am, _ := u.MappingOf("A")
 	xm, _ := fr.Callee.MappingOf("X")
 	for _, i := range []int{1, 3, 500, 1000} {
-		ao, _ := am.Owners(index.Tuple{i})
-		xo, err := xm.Owners(index.Tuple{i})
+		ao, _ := am.AppendOwners(nil, index.Tuple{i})
+		xo, err := xm.AppendOwners(nil, index.Tuple{i})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestInheritSection(t *testing.T) {
 	// section.
 	u, _ := setup8112(t)
 	fr, err := u.Call("SUB", []DummySpec{{Name: "X", Mode: DummyInherit}},
-		[]Actual{SectionArg("A", sectionTriplet(t))})
+		[]Actual{{Name: "A", Section: []index.Triplet{sectionTriplet(t)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestInheritSection(t *testing.T) {
 	}
 	am, _ := u.MappingOf("A")
 	for k := 1; k <= 498; k++ {
-		xo, err := xm.Owners(index.Tuple{k})
+		xo, err := xm.AppendOwners(nil, index.Tuple{k})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ao, _ := am.Owners(index.Tuple{2 * k}) // X(k) is A(2k)
+		ao, _ := am.AppendOwners(nil, index.Tuple{2 * k}) // X(k) is A(2k)
 		if xo[0] != ao[0] {
 			t.Fatalf("X(%d) on %v but A(%d) on %v", k, xo, 2*k, ao)
 		}
@@ -102,7 +102,7 @@ func TestExplicitRemapAndRestore(t *testing.T) {
 	fr, err := u.Call("SUB", []DummySpec{{
 		Name: "X", Mode: DummyExplicit,
 		Formats: []dist.Format{dist.Block{}}, Target: tg,
-	}}, []Actual{SectionArg("A", sectionTriplet(t))})
+	}}, []Actual{{Name: "A", Section: []index.Triplet{sectionTriplet(t)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestExplicitRemapAndRestore(t *testing.T) {
 	}
 	// Caller's mapping untouched throughout.
 	am, _ := u.MappingOf("A")
-	os, _ := am.Owners(index.Tuple{4})
+	os, _ := am.AppendOwners(nil, index.Tuple{4})
 	want := ((4+2)/3-1)%8 + 1 // CYCLIC(3) owner of index 4: seg ceil(4/3)-1 = 1 -> proc 2
 	if os[0] != want {
 		t.Fatalf("caller mapping disturbed: A(4) on %d, want %d", os[0], want)
@@ -136,7 +136,7 @@ func TestInheritMatchingConformance(t *testing.T) {
 	fr, err := u.Call("SUB", []DummySpec{{
 		Name: "X", Mode: DummyInheritMatch,
 		Formats: []dist.Format{dist.Cyclic{K: 3}}, Target: tg,
-	}}, []Actual{WholeArg("A")})
+	}}, []Actual{{Name: "A"}})
 	if err != nil {
 		t.Fatalf("matching inherit rejected: %v", err)
 	}
@@ -147,7 +147,7 @@ func TestInheritMatchingConformance(t *testing.T) {
 	_, err = u.Call("SUB", []DummySpec{{
 		Name: "X", Mode: DummyInheritMatch,
 		Formats: []dist.Format{dist.Block{}}, Target: tg,
-	}}, []Actual{WholeArg("A")})
+	}}, []Actual{{Name: "A"}})
 	if err == nil || !strings.Contains(err.Error(), "not HPF-conforming") {
 		t.Fatalf("expected non-conforming error, got %v", err)
 	}
@@ -155,7 +155,7 @@ func TestInheritMatchingConformance(t *testing.T) {
 
 func TestImplicitDummyInherits(t *testing.T) {
 	u, _ := setup8112(t)
-	fr, err := u.Call("SUB", []DummySpec{{Name: "X", Mode: DummyImplicit}}, []Actual{WholeArg("A")})
+	fr, err := u.Call("SUB", []DummySpec{{Name: "X", Mode: DummyImplicit}}, []Actual{{Name: "A"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestDummyRedistributionRestoredOnExit(t *testing.T) {
 	// be restored on procedure exit."
 	u, tg := setup8112(t)
 	fr, err := u.Call("SUB", []DummySpec{{Name: "X", Mode: DummyInherit, Dynamic: true}},
-		[]Actual{WholeArg("A")})
+		[]Actual{{Name: "A"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestDummyRedistributionRestoredOnExit(t *testing.T) {
 
 func TestDummyRedistributionRequiresDynamic(t *testing.T) {
 	u, tg := setup8112(t)
-	fr, _ := u.Call("SUB", []DummySpec{{Name: "X", Mode: DummyInherit}}, []Actual{WholeArg("A")})
+	fr, _ := u.Call("SUB", []DummySpec{{Name: "X", Mode: DummyInherit}}, []Actual{{Name: "A"}})
 	if err := fr.RedistributeDummy("X", []dist.Format{dist.Block{}}, tg); err == nil {
 		t.Fatal("redistribution of non-DYNAMIC dummy must fail")
 	}
@@ -196,7 +196,7 @@ func TestDummyRedistributionRequiresDynamic(t *testing.T) {
 func TestLocalAlignedToDummy(t *testing.T) {
 	// §7: "a local data object may be aligned to a dummy argument."
 	u, _ := setup8112(t)
-	fr, err := u.Call("SUB", []DummySpec{{Name: "X", Mode: DummyInherit}}, []Actual{WholeArg("A")})
+	fr, err := u.Call("SUB", []DummySpec{{Name: "X", Mode: DummyInherit}}, []Actual{{Name: "A"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestCallerForestIsolation(t *testing.T) {
 	u, _ := setup8112(t)
 	u.DeclareArray("W", index.Standard(1, 1000))
 	u.Align(identitySpec("W", "A", 1))
-	fr, err := u.Call("SUB", []DummySpec{{Name: "X", Mode: DummyInherit}}, []Actual{WholeArg("A")})
+	fr, err := u.Call("SUB", []DummySpec{{Name: "X", Mode: DummyInherit}}, []Actual{{Name: "A"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestCallArgumentCountMismatch(t *testing.T) {
 
 func TestDoubleReturnFails(t *testing.T) {
 	u, _ := setup8112(t)
-	fr, _ := u.Call("SUB", []DummySpec{{Name: "X", Mode: DummyInherit}}, []Actual{WholeArg("A")})
+	fr, _ := u.Call("SUB", []DummySpec{{Name: "X", Mode: DummyInherit}}, []Actual{{Name: "A"}})
 	if err := fr.Return(); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestDoubleReturnFails(t *testing.T) {
 func TestEmptySectionRejected(t *testing.T) {
 	u, _ := setup8112(t)
 	if _, err := u.Call("SUB", []DummySpec{{Name: "X", Mode: DummyInherit}},
-		[]Actual{SectionArg("A", index.Unit(5, 4))}); err == nil {
+		[]Actual{{Name: "A", Section: []index.Triplet{index.Unit(5, 4)}}}); err == nil {
 		t.Fatal("empty section must fail")
 	}
 }

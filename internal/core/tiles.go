@@ -7,8 +7,8 @@
 // triplets. Mappings outside those closed forms — replicating
 // alignments aside, which have no single-owner decomposition at all —
 // fall back to per-element enumeration with run coalescing, so
-// OwnerTiles is total on single-owner mappings and the per-element
-// Owners API remains the differential-testing oracle.
+// OwnerTiles is total on single-owner mappings; AppendOwners, one
+// element at a time, is the oracle its tests compare against.
 package core
 
 import (
@@ -24,98 +24,45 @@ type Tile = dist.Tile
 
 // ErrNoBulk reports that a mapping lies outside the closed-form run
 // subset (a MAX/MIN-clamped alignment, a strided section or region),
-// so no bulk tile decomposition exists and callers must choose
-// between per-element enumeration (OwnerTiles does this) and their
-// own element-wise path (the spmd compiler's element walk).
+// so no bulk tile decomposition exists and OwnerTiles enumerates
+// elements instead.
 var ErrNoBulk = errors.New("core: mapping has no bulk tile decomposition")
 
-// TileMapper is implemented by element mappings that can enumerate
-// ownership as rectangular single-owner tiles in bulk, without
-// visiting individual elements.
-type TileMapper interface {
-	// AppendOwnerTiles appends tiles that exactly partition region
-	// (a standard sub-rectangle of the mapping's domain), each owned
-	// by a single abstract processor. It returns dist.ErrMultiOwner
-	// when some element has several owners, and ErrNoBulk when the
-	// mapping (or a mapping it composes over) admits no closed-form
-	// decomposition — it never falls back to element enumeration
-	// itself.
-	AppendOwnerTiles(dst []Tile, region index.Domain) ([]Tile, error)
-}
-
-// OwnerAppender is implemented by element mappings that can report
-// owner sets by appending to a caller-provided slice, avoiding the
-// per-call allocation of Owners.
-type OwnerAppender interface {
-	AppendOwners(dst []int, i index.Tuple) ([]int, error)
-}
-
-// AppendOwners appends the owner set of element i to dst, using the
-// mapping's allocation-free path when available.
-func AppendOwners(m ElementMapping, dst []int, i index.Tuple) ([]int, error) {
-	if oa, ok := m.(OwnerAppender); ok {
-		return oa.AppendOwners(dst, i)
-	}
-	os, err := m.Owners(i)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, os...), nil
-}
-
-// OwnerTiles returns single-owner tiles exactly partitioning region.
-// It is AppendOwnerTilesOf into a fresh slice.
-func OwnerTiles(m ElementMapping, region index.Domain) ([]Tile, error) {
-	return AppendOwnerTilesOf(nil, m, region)
-}
-
-// AppendOwnerTilesOf appends single-owner tiles partitioning region:
+// OwnerTiles returns single-owner tiles exactly partitioning region:
 // the mapping's bulk decomposition when it has one, a per-element
-// coalescing walk otherwise. The only failure mode besides an invalid
-// region is dist.ErrMultiOwner (replicated elements have no
+// coalescing walk on ErrNoBulk. The only failure mode besides an
+// invalid region is dist.ErrMultiOwner (replicated elements have no
 // single-owner tiling; use ReplicatedGrid).
-func AppendOwnerTilesOf(dst []Tile, m ElementMapping, region index.Domain) ([]Tile, error) {
-	tiles, err := AppendBulkOwnerTiles(dst, m, region)
-	if err == nil || !errors.Is(err, ErrNoBulk) {
-		return tiles, err
+func OwnerTiles(m ElementMapping, region index.Domain) ([]Tile, error) {
+	tiles, err := m.AppendOwnerTiles(nil, region)
+	if errors.Is(err, ErrNoBulk) {
+		return enumTiles(m, region)
 	}
-	return appendEnumTiles(dst, m, region)
+	return tiles, err
 }
 
-// AppendBulkOwnerTiles appends the mapping's closed-form tile
-// decomposition, or fails with ErrNoBulk when none exists at any
-// composition layer. Unlike AppendOwnerTilesOf it never enumerates
-// elements, so callers holding their own element-wise alternative
-// can decline without paying an O(region) walk first.
-func AppendBulkOwnerTiles(dst []Tile, m ElementMapping, region index.Domain) ([]Tile, error) {
-	if tm, ok := m.(TileMapper); ok {
-		return tm.AppendOwnerTiles(dst, region)
-	}
-	return nil, ErrNoBulk
-}
-
-// appendEnumTiles is the generic fallback: enumerate region in
-// column-major order and coalesce maximal same-owner runs along the
-// first dimension. O(elements), but allocation-free per element.
-func appendEnumTiles(dst []Tile, m ElementMapping, region index.Domain) ([]Tile, error) {
+// enumTiles is the generic fallback: enumerate region in column-major
+// order and coalesce maximal same-owner runs along the first
+// dimension. O(elements), but allocation-free per element.
+func enumTiles(m ElementMapping, region index.Domain) ([]Tile, error) {
 	if region.Rank() == 0 {
-		os, err := m.Owners(index.Tuple{})
+		os, err := m.AppendOwners(nil, index.Tuple{})
 		if err != nil {
 			return nil, err
 		}
 		if len(os) != 1 {
 			return nil, dist.ErrMultiOwner
 		}
-		return append(dst, Tile{Region: region, Proc: os[0]}), nil
+		return []Tile{{Region: region, Proc: os[0]}}, nil
 	}
+	var tiles []Tile
 	var scratch []int
 	var cur Tile
 	have := false
 	var ferr error
 	stride0 := region.Dims[0].Stride
 	region.ForEach(func(t index.Tuple) bool {
-		scratch = scratch[:0]
-		s, err := AppendOwners(m, scratch, t)
+		s, err := m.AppendOwners(scratch[:0], t)
 		if err != nil {
 			ferr = err
 			return false
@@ -131,7 +78,7 @@ func appendEnumTiles(dst []Tile, m ElementMapping, region index.Domain) ([]Tile,
 			return true
 		}
 		if have {
-			dst = append(dst, cur)
+			tiles = append(tiles, cur)
 		}
 		dims := make([]index.Triplet, len(t))
 		dims[0] = index.Triplet{Low: t[0], High: t[0], Stride: stride0}
@@ -146,9 +93,9 @@ func appendEnumTiles(dst []Tile, m ElementMapping, region index.Domain) ([]Tile,
 		return nil, ferr
 	}
 	if have {
-		dst = append(dst, cur)
+		tiles = append(tiles, cur)
 	}
-	return dst, nil
+	return tiles, nil
 }
 
 // tailMatches reports whether t agrees with the tile's single-point
@@ -197,7 +144,7 @@ func (c *Constructed) AppendOwnerTiles(dst []Tile, region index.Domain) ([]Tile,
 		// The §5.1 clamp rule would bend the map; stay exact.
 		return nil, ErrNoBulk
 	}
-	baseTiles, err := AppendBulkOwnerTiles(nil, c.BaseMap, baseRegion)
+	baseTiles, err := c.BaseMap.AppendOwnerTiles(nil, baseRegion)
 	if err != nil {
 		return nil, err
 	}
@@ -209,9 +156,8 @@ func (c *Constructed) AppendOwnerTiles(dst []Tile, region index.Domain) ([]Tile,
 	return dst, nil
 }
 
-// AppendOwners computes the owner union over α(i) with linear
-// deduplication into dst, avoiding the per-call set allocation of
-// Owners.
+// AppendOwners appends the owner union over α(i) (Definition 4),
+// deduplicated in place, to dst.
 func (c *Constructed) AppendOwners(dst []int, i index.Tuple) ([]int, error) {
 	img, err := c.Alpha.Image(i)
 	if err != nil {
@@ -220,7 +166,7 @@ func (c *Constructed) AppendOwners(dst []int, i index.Tuple) ([]int, error) {
 	start := len(dst)
 	for _, j := range img {
 		pre := len(dst)
-		dst, err = AppendOwners(c.BaseMap, dst, j)
+		dst, err = c.BaseMap.AppendOwners(dst, j)
 		if err != nil {
 			return nil, fmt.Errorf("core: CONSTRUCT: base owners of %s: %w", j, err)
 		}
@@ -263,7 +209,7 @@ func (s *SectionMapping) AppendOwnerTiles(dst []Tile, region index.Domain) ([]Ti
 		base := s.Section.Dims[d]
 		dims[d] = index.Unit(base.At(tr.Low-1), base.At(tr.High-1))
 	}
-	actTiles, err := AppendBulkOwnerTiles(nil, s.Actual, index.Domain{Dims: dims})
+	actTiles, err := s.Actual.AppendOwnerTiles(nil, index.Domain{Dims: dims})
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +225,7 @@ func (s *SectionMapping) AppendOwnerTiles(dst []Tile, region index.Domain) ([]Ti
 }
 
 // AppendOwners translates the dummy index through the section
-// triplets and delegates to the actual's allocation-free path.
+// triplets and delegates to the actual's mapping.
 func (s *SectionMapping) AppendOwners(dst []int, i index.Tuple) ([]int, error) {
 	if !s.Dummy.Contains(i) {
 		return nil, fmt.Errorf("core: %s not in dummy domain %s", i, s.Dummy)
@@ -288,5 +234,5 @@ func (s *SectionMapping) AppendOwners(dst []int, i index.Tuple) ([]int, error) {
 	for d, v := range i {
 		at[d] = s.Section.Dims[d].At(v - 1)
 	}
-	return AppendOwners(s.Actual, dst, at)
+	return s.Actual.AppendOwners(dst, at)
 }

@@ -32,9 +32,9 @@ func verifyTiles(t *testing.T, label string, m ElementMapping, region index.Doma
 			if !region.Contains(tu) {
 				t.Fatalf("%s: tile element %s outside region %s", label, tu, region)
 			}
-			os, err := m.Owners(tu)
+			os, err := m.AppendOwners(nil, tu)
 			if err != nil {
-				t.Fatalf("%s: oracle Owners(%s): %v", label, tu, err)
+				t.Fatalf("%s: AppendOwners(%s): %v", label, tu, err)
 			}
 			if len(os) != 1 || os[0] != tl.Proc {
 				t.Fatalf("%s: tile says %s owned by %d, oracle says %v", label, tu, tl.Proc, os)
@@ -183,7 +183,7 @@ func TestOwnerTilesDifferential(t *testing.T) {
 			if dom.Rank() >= 1 && dom.Extent(0) > 4 {
 				dims := make([]index.Triplet, dom.Rank())
 				copy(dims, dom.Dims)
-				dims[0] = index.Unit(dom.Lower(0)+1, dom.Upper(0)-2)
+				dims[0] = index.Unit(dom.Lower(0)+1, dom.Dims[0].Last()-2)
 				verifyTiles(t, c.label+"/interior", c.m, index.Domain{Dims: dims})
 			}
 			// Single-element region.
@@ -232,8 +232,50 @@ func TestOwnerTilesReplicated(t *testing.T) {
 	}
 }
 
-// TestAppendOwnersMatchesOwners checks the allocation-free owner path
-// against Owners across mapping kinds.
+// ownersOracle is the set-based reading of each mapping kind's owners:
+// the distribution's own Owners, Definition 4's union of the base's
+// owners over α(i) for a CONSTRUCT, and the section translation of an
+// inherited section. Owners are listed once each, in first-seen order.
+func ownersOracle(m ElementMapping, i index.Tuple) ([]int, error) {
+	switch m := m.(type) {
+	case DistMapping:
+		return m.D.Owners(i)
+	case *Constructed:
+		img, err := m.Alpha.Image(i)
+		if err != nil {
+			return nil, err
+		}
+		seen := map[int]bool{}
+		var out []int
+		for _, j := range img {
+			os, err := ownersOracle(m.BaseMap, j)
+			if err != nil {
+				return nil, err
+			}
+			for _, p := range os {
+				if !seen[p] {
+					seen[p] = true
+					out = append(out, p)
+				}
+			}
+		}
+		return out, nil
+	case *SectionMapping:
+		if !m.Dummy.Contains(i) {
+			return nil, fmt.Errorf("%s not in dummy domain %s", i, m.Dummy)
+		}
+		at := make(index.Tuple, len(i))
+		for d, v := range i {
+			at[d] = m.Section.Dims[d].At(v - 1)
+		}
+		return ownersOracle(m.Actual, at)
+	}
+	return nil, fmt.Errorf("no owner oracle for %T", m)
+}
+
+// TestAppendOwnersMatchesOwners checks AppendOwners against the
+// set-based oracle across mapping kinds, a replicating alignment (the
+// union's dedupe) included.
 func TestAppendOwnersMatchesOwners(t *testing.T) {
 	sys, err := proc.NewSystem(8)
 	if err != nil {
@@ -258,15 +300,26 @@ func TestAppendOwnersMatchesOwners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []ElementMapping{base, cons, sm} {
+	// R(I) WITH G(I,*), G (BLOCK,CYCLIC(2)) on a 2x2 grid: each R(i)
+	// sees columns 1-2 and 5-6 of G on one processor, 3-4 on another.
+	p2, _ := sys.DeclareArray("P2", index.Standard(1, 2, 1, 2))
+	grid := mustDist(t, index.Standard(1, 8, 1, 6), []dist.Format{dist.Block{}, dist.Cyclic{K: 2}}, proc.Whole(p2))
+	rfn, err := align.Normalize(align.Spec{
+		Alignee: "R", Axes: []align.Axis{align.Colon()},
+		Base: "G", Subs: []align.Subscript{align.TripletSub(index.Unit(1, 8)), align.StarSub()},
+	}, index.Standard(1, 8), grid.Domain(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl := Construct(rfn, grid)
+	for _, m := range []ElementMapping{base, cons, sm, repl} {
 		buf := make([]int, 0, 8)
 		m.Domain().ForEach(func(tu index.Tuple) bool {
-			want, err := m.Owners(tu)
+			want, err := ownersOracle(m, tu)
 			if err != nil {
-				t.Fatalf("%s: Owners(%s): %v", m.Describe(), tu, err)
+				t.Fatalf("%s: oracle(%s): %v", m.Describe(), tu, err)
 			}
-			buf = buf[:0]
-			got, err := AppendOwners(m, buf, tu)
+			got, err := m.AppendOwners(buf[:0], tu)
 			if err != nil {
 				t.Fatalf("%s: AppendOwners(%s): %v", m.Describe(), tu, err)
 			}

@@ -592,22 +592,13 @@ func (u *Unit) DistributionOf(name string) (*dist.Distribution, bool) {
 	return n.d, true
 }
 
-// AlignmentOf returns the alignment function of a secondary array.
-func (u *Unit) AlignmentOf(name string) (*align.Function, bool) {
-	n, ok := u.nodes[name]
-	if !ok || n.alpha == nil {
-		return nil, false
-	}
-	return n.alpha, true
-}
-
 // Owners returns the owner set of one element of an array.
 func (u *Unit) Owners(name string, i index.Tuple) ([]int, error) {
 	m, err := u.MappingOf(name)
 	if err != nil {
 		return nil, err
 	}
-	return m.Owners(i)
+	return m.AppendOwners(nil, i)
 }
 
 // IsPrimary reports whether the named array is the root of its tree.

@@ -35,7 +35,7 @@ func owners(t *testing.T, ip *Interp, name string, i ...int) []int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	os, err := m.Owners(index.Tuple(i))
+	os, err := m.AppendOwners(nil, index.Tuple(i))
 	if err != nil {
 		t.Fatal(err)
 	}

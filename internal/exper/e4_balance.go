@@ -97,7 +97,7 @@ func E5ProcessorSections(n, np int) (Result, error) {
 	}
 	counts := map[int]int{}
 	for i := 1; i <= n; i++ {
-		os, err := m.Owners(hpf.TupleOf(i))
+		os, err := m.AppendOwners(nil, hpf.TupleOf(i))
 		if err != nil {
 			return Result{}, err
 		}

@@ -78,8 +78,8 @@ func E6RedistributeBundling(n, np, k int) (Result, error) {
 				return Result{}, err
 			}
 			for j := 1; j <= n; j += 7 {
-				so, err1 := sm.Owners(hpf.TupleOf(j))
-				bo, err2 := bm.Owners(hpf.TupleOf(j))
+				so, err1 := sm.AppendOwners(nil, hpf.TupleOf(j))
+				bo, err2 := bm.AppendOwners(nil, hpf.TupleOf(j))
 				if err1 != nil || err2 != nil || so[0] != bo[0] {
 					inv = false
 				}

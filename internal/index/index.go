@@ -195,9 +195,6 @@ func (d Domain) Extent(dim int) int { return d.Dims[dim].Count() }
 // Lower returns the lower bound of dimension dim.
 func (d Domain) Lower(dim int) int { return d.Dims[dim].Low }
 
-// Upper returns the last value of dimension dim.
-func (d Domain) Upper(dim int) int { return d.Dims[dim].Last() }
-
 // Contains reports whether the tuple lies in the domain.
 func (d Domain) Contains(t Tuple) bool {
 	if len(t) != len(d.Dims) {
@@ -272,16 +269,6 @@ func (d Domain) ForEach(fn func(Tuple) bool) {
 			return
 		}
 	}
-}
-
-// Tuples materializes every index of the domain in column-major order.
-func (d Domain) Tuples() []Tuple {
-	out := make([]Tuple, 0, d.Size())
-	d.ForEach(func(t Tuple) bool {
-		out = append(out, t.Clone())
-		return true
-	})
-	return out
 }
 
 // Equal reports whether two domains have identical triplets.

@@ -92,7 +92,7 @@ func TestDomainBasics(t *testing.T) {
 	if d.Extent(0) != 5 || d.Extent(1) != 3 {
 		t.Fatalf("extents wrong")
 	}
-	if d.Lower(0) != 0 || d.Upper(0) != 4 {
+	if d.Lower(0) != 0 || d.Dims[0].Last() != 4 {
 		t.Fatalf("bounds wrong")
 	}
 	if !d.Contains(Tuple{0, 1}) || !d.Contains(Tuple{4, 3}) {

@@ -104,10 +104,9 @@ func Describe(m core.ElementMapping) Info {
 }
 
 // OwnersOf is the element-level inquiry: the processor set holding
-// one element. The mapping's allocation-free append path produces the
-// caller's slice directly.
+// one element, sorted.
 func OwnersOf(m core.ElementMapping, i index.Tuple) ([]int, error) {
-	out, err := core.AppendOwners(m, nil, i)
+	out, err := m.AppendOwners(nil, i)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +137,7 @@ func LocalExtents(m core.ElementMapping) ([]int, error) {
 	var buf []int
 	var ferr error
 	m.Domain().ForEach(func(t index.Tuple) bool {
-		buf, ferr = core.AppendOwners(m, buf[:0], t)
+		buf, ferr = m.AppendOwners(buf[:0], t)
 		if ferr != nil {
 			return false
 		}

@@ -113,7 +113,7 @@ func TestDescribeInherited(t *testing.T) {
 	u.Distribute("A", []dist.Format{dist.Cyclic{K: 3}}, tg)
 	tr, _ := index.NewTriplet(2, 996, 2)
 	fr, err := u.Call("SUB", []core.DummySpec{{Name: "X", Mode: core.DummyInherit}},
-		[]core.Actual{core.SectionArg("A", tr)})
+		[]core.Actual{{Name: "A", Section: []index.Triplet{tr}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestLocalExtents(t *testing.T) {
 		want := make([]int, 9)
 		replicated := false
 		m.Domain().ForEach(func(tu index.Tuple) bool {
-			os, err := m.Owners(tu)
+			os, err := m.AppendOwners(nil, tu)
 			if err != nil {
 				t.Fatal(err)
 			}

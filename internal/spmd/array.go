@@ -68,7 +68,7 @@ func indexOf(e *Engine, m core.ElementMapping) (*tileIndex, error) {
 	if size := dom.Size(); size > math.MaxInt32 {
 		return nil, fmt.Errorf("domain %s has %d elements, above the %d a layout can index", dom, size, math.MaxInt32)
 	}
-	tiles, err := core.AppendOwnerTilesOf(nil, m, dom)
+	tiles, err := core.OwnerTiles(m, dom)
 	if errors.Is(err, dist.ErrMultiOwner) {
 		return nil, nil
 	}

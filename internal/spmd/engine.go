@@ -27,7 +27,7 @@
 // become small collectives over the transport.
 //
 // A worker's segment of an array is the concatenation of its owner
-// tiles (core.AppendOwnerTilesOf) in tile order, column-major within
+// tiles (core.OwnerTiles) in tile order, column-major within
 // each tile. Ghost exchange, load accounting and message vectorization
 // are compiled once per schedule and replayed on every execution;
 // ghosts, staged sums and the accumulator of a summing irregular

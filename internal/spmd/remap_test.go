@@ -20,13 +20,16 @@ import (
 	"hpfnt/internal/transport"
 )
 
-// opaque hides every optional interface of a mapping — no bulk tiles,
-// no owner appender — so it is tiled by core's element enumeration:
-// the non-bulk case.
+// opaque declines bulk tiles for the mapping it wraps, so it is tiled
+// by core's element enumeration: the non-bulk case.
 type opaque struct{ core.ElementMapping }
 
+func (opaque) AppendOwnerTiles([]core.Tile, index.Domain) ([]core.Tile, error) {
+	return nil, core.ErrNoBulk
+}
+
 // stripes owns the elements of any domain in pairs of consecutive
-// offsets, round-robin: a mapping with nothing but Owners.
+// offsets, round-robin: a mapping with no bulk tiles.
 type stripes struct {
 	dom index.Domain
 	np  int
@@ -34,12 +37,15 @@ type stripes struct {
 
 func (s stripes) Domain() index.Domain { return s.dom }
 func (s stripes) Describe() string     { return "stripes" }
-func (s stripes) Owners(i index.Tuple) ([]int, error) {
+func (s stripes) AppendOwners(dst []int, i index.Tuple) ([]int, error) {
 	off, ok := s.dom.Offset(i)
 	if !ok {
 		return nil, fmt.Errorf("stripes: %s outside %s", i, s.dom)
 	}
-	return []int{1 + off/2%s.np}, nil
+	return append(dst, 1+off/2%s.np), nil
+}
+func (stripes) AppendOwnerTiles([]core.Tile, index.Domain) ([]core.Tile, error) {
+	return nil, core.ErrNoBulk
 }
 
 // family is one mapping of the layout and remap differentials.
@@ -137,7 +143,7 @@ type elementLayout struct {
 func oracleLayout(e *Engine, m core.ElementMapping) (*elementLayout, error) {
 	np := e.np
 	dom := m.Domain()
-	tiles, err := core.AppendOwnerTilesOf(nil, m, dom)
+	tiles, err := core.OwnerTiles(m, dom)
 	if err != nil {
 		return nil, err
 	}
@@ -251,14 +257,14 @@ type patchwork struct{}
 
 func (patchwork) Domain() index.Domain { return index.Standard(1, 10, 1, 3) }
 func (patchwork) Describe() string     { return "patchwork" }
-func (patchwork) Owners(i index.Tuple) ([]int, error) {
+func (patchwork) AppendOwners(dst []int, i index.Tuple) ([]int, error) {
 	switch {
 	case i[1] < 3:
-		return []int{1}, nil
+		return append(dst, 1), nil
 	case i[0] <= 5:
-		return []int{2}, nil
+		return append(dst, 2), nil
 	}
-	return []int{3}, nil
+	return append(dst, 3), nil
 }
 func (patchwork) AppendOwnerTiles(dst []core.Tile, region index.Domain) ([]core.Tile, error) {
 	if !region.Equal(index.Standard(1, 10, 1, 3)) {
@@ -301,6 +307,11 @@ func TestLayoutMatchesElementFill(t *testing.T) {
 			for _, f := range families(t, sys, rank, low) {
 				if f.name == "replicated" {
 					continue
+				}
+				if _, ok := f.m.(opaque); ok {
+					if _, err := f.m.AppendOwnerTiles(nil, f.m.Domain()); err != core.ErrNoBulk {
+						t.Fatalf("%s: AppendOwnerTiles: %v, want ErrNoBulk", f.name, err)
+					}
 				}
 				t.Run(fmt.Sprintf("%s/rank%d/low%d", f.name, rank, low), func(t *testing.T) { check(t, f.m) })
 			}

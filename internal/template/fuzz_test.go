@@ -439,7 +439,7 @@ func (p *tprogram) statements(d *draw) string {
 // ownerSet resolves and sorts one element's owners.
 func ownerSet(t *testing.T, what string, m hpf.Mapping, i index.Tuple) []int {
 	t.Helper()
-	os, err := m.Owners(i)
+	os, err := m.AppendOwners(nil, i)
 	if err != nil {
 		t.Fatalf("%s owners of %v: %v", what, i, err)
 	}

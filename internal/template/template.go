@@ -223,8 +223,9 @@ func (m *Model) align(s align.Spec, toTemplate bool) error {
 	return nil
 }
 
-// Mapping adapts an array of the model to core's ElementMapping
-// shape: a Domain plus Owners function.
+// Mapping adapts an array of the model to core's ElementMapping: its
+// owners and owner tiles are those of the composed core mapping
+// (nested CONSTRUCTs over the distributed root) that Resolve returns.
 type Mapping struct {
 	M    *Model
 	Name string
@@ -235,37 +236,35 @@ func (tm Mapping) Domain() index.Domain { return tm.M.arrays[tm.Name].dom }
 
 // Resolve returns the array's composed core mapping: its own
 // distribution, or nested CONSTRUCTs down to the distributed template
-// or array at its chain's root. Owners, AppendOwnerTiles and the
+// or array at its chain's root. AppendOwners, AppendOwnerTiles and the
 // inquiry functions (package inquiry) all read the array through it.
 func (tm Mapping) Resolve() (core.ElementMapping, error) {
 	return tm.M.composedMapping(tm.Name, nil)
 }
 
-// Owners resolves ownership through the composed core mapping, the
-// same one AppendOwnerTiles tiles.
-func (tm Mapping) Owners(i index.Tuple) ([]int, error) {
+// AppendOwners appends the composed mapping's owners of element i.
+func (tm Mapping) AppendOwners(dst []int, i index.Tuple) ([]int, error) {
 	cm, err := tm.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	return cm.Owners(i)
+	return cm.AppendOwners(dst, i)
 }
 
-// Describe names the mapping.
-func (tm Mapping) Describe() string { return "HPF-template mapping of " + tm.Name }
-
-// AppendOwnerTiles resolves the alignment chain into the equivalent
-// composed core mapping (nested CONSTRUCTs over the distributed root)
-// and delegates to the run-based tile decomposition, so template-model
-// arrays ride the same bulk ownership path as the paper's model.
-// Chains outside the affine subset decline with core.ErrNoBulk.
+// AppendOwnerTiles appends the composed mapping's owner tiles, so
+// template-model arrays ride the same bulk ownership path as the
+// paper's model. Chains outside the affine subset decline with
+// core.ErrNoBulk.
 func (tm Mapping) AppendOwnerTiles(dst []core.Tile, region index.Domain) ([]core.Tile, error) {
 	cm, err := tm.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	return core.AppendBulkOwnerTiles(dst, cm, region)
+	return cm.AppendOwnerTiles(dst, region)
 }
+
+// Describe names the mapping.
+func (tm Mapping) Describe() string { return "HPF-template mapping of " + tm.Name }
 
 // composedMapping builds the core mapping equivalent of an array's
 // alignment chain: its own distribution, or CONSTRUCT(α, ...) down to

@@ -27,10 +27,10 @@ func newModel(t *testing.T, np int) (*Model, proc.Target) {
 	return NewModel(sys), proc.Whole(arr)
 }
 
-// chainOwners is the test-side oracle of Mapping.Owners: it walks the
-// alignment chain element by element, taking the union of the owners
-// of α(i) one level down until it reaches a distribution, with no
-// core.Construct in between.
+// chainOwners is the test-side oracle of Mapping.AppendOwners: it
+// walks the alignment chain element by element, taking the union of
+// the owners of α(i) one level down until it reaches a distribution,
+// with no core.Construct in between.
 func (m *Model) chainOwners(name string, i index.Tuple) ([]int, error) {
 	return m.chainWalk(name, i, map[string]bool{})
 }
@@ -144,7 +144,7 @@ func TestAlignWithTemplateAndResolve(t *testing.T) {
 	}
 	// A(i) lives where T(2i) lives: BLOCK q=4.
 	for i := 1; i <= 8; i++ {
-		os, err := Mapping{M: m, Name: "A"}.Owners(index.Tuple{i})
+		os, err := Mapping{M: m, Name: "A"}.AppendOwners(nil, index.Tuple{i})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,11 +180,11 @@ func TestAlignmentChainsPermitted(t *testing.T) {
 	}
 	m.DistributeTemplate("T", []dist.Format{dist.Cyclic{K: 1}}, tg)
 	for i := 1; i <= 16; i++ {
-		co, err := Mapping{M: m, Name: "C"}.Owners(index.Tuple{i})
+		co, err := Mapping{M: m, Name: "C"}.AppendOwners(nil, index.Tuple{i})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ao, _ := Mapping{M: m, Name: "A"}.Owners(index.Tuple{i})
+		ao, _ := Mapping{M: m, Name: "A"}.AppendOwners(nil, index.Tuple{i})
 		if co[0] != ao[0] {
 			t.Fatalf("chain resolution broken at %d", i)
 		}
@@ -203,7 +203,7 @@ func TestCycleDetection(t *testing.T) {
 	}
 	m.AlignWithArray(id("A", "B"))
 	m.AlignWithArray(id("B", "A"))
-	if _, err := (Mapping{M: m, Name: "A"}).Owners(index.Tuple{1}); err == nil || !strings.Contains(err.Error(), "cycle") {
+	if _, err := (Mapping{M: m, Name: "A"}).AppendOwners(nil, index.Tuple{1}); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("cycle must be detected, got %v", err)
 	}
 }
@@ -216,7 +216,7 @@ func TestUndistributedTemplateFails(t *testing.T) {
 		Alignee: "A", Axes: []align.Axis{align.DummyAxis("I")},
 		Base: "T", Subs: []align.Subscript{align.ExprSub(expr.Dummy("I"))},
 	})
-	if _, err := (Mapping{M: m, Name: "A"}).Owners(index.Tuple{1}); err == nil {
+	if _, err := (Mapping{M: m, Name: "A"}).AppendOwners(nil, index.Tuple{1}); err == nil {
 		t.Fatal("owners without template distribution must fail")
 	}
 }
@@ -249,9 +249,9 @@ func TestStaggeredCyclicDisaster(t *testing.T) {
 	// doubled template, both are always remote.
 	for i := 1; i <= n; i++ {
 		for j := 1; j <= n; j++ {
-			po, _ := Mapping{M: m, Name: "P"}.Owners(index.Tuple{i, j})
-			uo1, _ := Mapping{M: m, Name: "U"}.Owners(index.Tuple{i - 1, j})
-			uo2, _ := Mapping{M: m, Name: "U"}.Owners(index.Tuple{i, j})
+			po, _ := Mapping{M: m, Name: "P"}.AppendOwners(nil, index.Tuple{i, j})
+			uo1, _ := Mapping{M: m, Name: "U"}.AppendOwners(nil, index.Tuple{i - 1, j})
+			uo2, _ := Mapping{M: m, Name: "U"}.AppendOwners(nil, index.Tuple{i, j})
 			if po[0] == uo1[0] || po[0] == uo2[0] {
 				t.Fatalf("expected all U neighbors of P(%d,%d) remote; got P:%v U:%v,%v", i, j, po, uo1, uo2)
 			}
@@ -266,7 +266,7 @@ func TestDistributeArrayDirectly(t *testing.T) {
 	if err := m.DistributeArray("A", []dist.Format{dist.Cyclic{K: 1}}, tg); err != nil {
 		t.Fatal(err)
 	}
-	os, err := Mapping{M: m, Name: "A"}.Owners(index.Tuple{6})
+	os, err := Mapping{M: m, Name: "A"}.AppendOwners(nil, index.Tuple{6})
 	if err != nil || os[0] != 2 {
 		t.Fatalf("A(6) on %v, %v", os, err)
 	}
@@ -297,7 +297,7 @@ func TestTemplateMappingAdapter(t *testing.T) {
 	if tm.Domain().Size() != 16 {
 		t.Fatalf("Domain = %v", tm.Domain())
 	}
-	os, err := tm.Owners(index.Tuple{16})
+	os, err := tm.AppendOwners(nil, index.Tuple{16})
 	if err != nil || os[0] != 4 {
 		t.Fatalf("Owners = %v, %v", os, err)
 	}
@@ -323,11 +323,11 @@ func TestTemplateBoundsEnvIntrinsics(t *testing.T) {
 	if err := m.DistributeTemplate("T", []dist.Format{dist.Block{}}, tg); err != nil {
 		t.Fatal(err)
 	}
-	o12, err := Mapping{M: m, Name: "A"}.Owners(index.Tuple{12})
+	o12, err := Mapping{M: m, Name: "A"}.AppendOwners(nil, index.Tuple{12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o9, _ := Mapping{M: m, Name: "A"}.Owners(index.Tuple{9})
+	o9, _ := Mapping{M: m, Name: "A"}.AppendOwners(nil, index.Tuple{9})
 	if o12[0] != o9[0] {
 		t.Fatalf("clamped alignments must coincide: %v vs %v", o12, o9)
 	}
@@ -336,8 +336,8 @@ func TestTemplateBoundsEnvIntrinsics(t *testing.T) {
 func TestTemplateMappingOwnerTiles(t *testing.T) {
 	// The bulk tile path through a height-3 alignment chain (with a
 	// stride-2 alignment in the middle) must agree element-for-element
-	// with the chain walk of the test-side oracle (Mapping.Owners and
-	// the tiles share one composed mapping, so comparing those two
+	// with the chain walk of the test-side oracle (Mapping.AppendOwners
+	// and the tiles share one composed mapping, so comparing those two
 	// would prove nothing).
 	m, tg := newModel(t, 4)
 	m.DeclareTemplate("T", index.Standard(1, 40))
