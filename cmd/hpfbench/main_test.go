@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -12,10 +14,7 @@ import (
 // names every experiment, an unknown id fails naming itself, and a
 // selected experiment runs and prints its claim checks.
 func TestCommand(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "hpfbench")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := build(t)
 	exitCode := func(err error) int {
 		var ee *exec.ExitError
 		if errors.As(err, &ee) {
@@ -52,4 +51,37 @@ func TestCommand(t *testing.T) {
 	if !strings.Contains(string(out), "== E1:") || !strings.Contains(string(out), "[PASS]") || strings.Contains(string(out), "[FAIL]") {
 		t.Errorf("E1 did not print its passing checks:\n%s", out)
 	}
+}
+
+// TestExperimentsGolden: the full E1–E13 output is deterministic and
+// the same on both engine kinds, byte for byte that of
+// testdata/experiments.golden. A change that moves a count, a
+// placement or a message in any experiment shows here. Regenerate
+// with go run ./cmd/hpfbench > cmd/hpfbench/testdata/experiments.golden
+// after checking the difference is intended.
+func TestExperimentsGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "experiments.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := build(t)
+	for _, kind := range []string{"sim", "spmd"} {
+		out, err := exec.Command(bin, "-engine", kind).Output()
+		if err != nil {
+			t.Fatalf("-engine %s: %v", kind, err)
+		}
+		if !bytes.Equal(out, want) {
+			t.Errorf("-engine %s output differs from testdata/experiments.golden:\n%s", kind, out)
+		}
+	}
+}
+
+// build compiles the command into a temporary directory.
+func build(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "hpfbench")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }

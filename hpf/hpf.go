@@ -11,10 +11,10 @@
 //   - a simulated distributed-memory machine and an owner-computes
 //     runtime that execute array statements and measure the
 //     communication and load balance each mapping induces. A statement
-//     has one form: its terms (shifted reads, or mapped ones through
-//     AssignTerm.Map) are built once into a Schedule — NewSchedule, or
-//     NewIrregular for indirection-array accesses — and Run; Assign is
-//     the one-shot shorthand for build and Run once.
+//     has one form: its terms (reads through an AssignTerm.Access) are
+//     built once into a Schedule — NewSchedule, or NewIrregular for
+//     indirection-array accesses — and Run; Assign is the one-shot
+//     shorthand for build and Run once.
 //
 // # Quick start
 //
@@ -56,6 +56,8 @@ type (
 	Triplet = index.Triplet
 	// Tuple is a single index.
 	Tuple = index.Tuple
+	// Access is how a statement term reads its source (§5.1's form).
+	Access = index.Access
 	// Format is a per-dimension distribution format (§4.1).
 	Format = dist.Format
 	// Target is a distribution target: a processor arrangement or a
@@ -394,7 +396,7 @@ func (a *DistArray) Assign(region Domain, terms ...AssignTerm) error {
 func (p *Program) terms(terms []AssignTerm) []engine.Term {
 	rts := make([]engine.Term, len(terms))
 	for i, t := range terms {
-		rts[i] = engine.Term{Src: t.Src.arr, Shift: t.Shift, Coeff: t.Coeff, Map: t.Map}
+		rts[i] = engine.Term{Src: t.Src.arr, Coeff: t.Coeff, Access: t.Access}
 	}
 	return rts
 }
@@ -418,21 +420,18 @@ func (a *DistArray) RemapTo(m Mapping) (int, error) {
 // Shape returns the array's index domain.
 func (a *DistArray) Shape() Domain { return a.arr.Domain() }
 
-// AssignTerm is one right-hand-side reference of a statement:
-// Coeff·Src(t+Shift), or Coeff·Src(Map(t)) when Map is set, an
-// arbitrary (possibly rank-changing) index mapping such as the A(i) in
-// E(i,j) = D(i,j) + A(i). When Map is set, Shift is not read. Map gets
-// a tuple of its own and must return one within Src's domain.
+// AssignTerm is one right-hand-side reference of a statement,
+// Coeff·Src(Access(t)): a shift, a permutation or a rank-reducing read
+// such as the A(i) in E(i,j) = D(i,j) + A(i), Access{{Dim: 0}}.
 type AssignTerm struct {
-	Src   *DistArray
-	Coeff float64
-	Shift []int
-	Map   func(Tuple) Tuple
+	Src    *DistArray
+	Coeff  float64
+	Access Access
 }
 
-// Read builds a term Coeff·Src(t+Shift).
+// Read builds a term Coeff·Src(t+shift).
 func Read(src *DistArray, coeff float64, shift ...int) AssignTerm {
-	return AssignTerm{Src: src, Coeff: coeff, Shift: shift}
+	return AssignTerm{Src: src, Coeff: coeff, Access: index.Shift(shift...)}
 }
 
 // ReduceOp selects a reduction operator for DistArray.Reduce.

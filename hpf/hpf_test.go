@@ -159,7 +159,7 @@ func TestAssignMixed(t *testing.T) {
 	d.Fill(func(tu Tuple) float64 { return float64(tu[0] + tu[1]) })
 	a.Fill(func(tu Tuple) float64 { return float64(100 * tu[0]) })
 	err = e.Assign(e.Shape(), Read(d, 1, 0, 0),
-		AssignTerm{Src: a, Coeff: 1, Map: func(tu Tuple) Tuple { return TupleOf(tu[0]) }})
+		AssignTerm{Src: a, Coeff: 1, Access: Access{{Dim: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -294,25 +294,6 @@ func Normalize(s Spec, aligneeDom, baseDom index.Domain, bounds expr.Bounds) (*F
 // Spec returns the originating directive spec.
 func (f *Function) Spec() Spec { return f.spec }
 
-// CollapsedDims lists the 0-based alignee dimensions whose positions
-// make no difference to the base position ("*" axes and dummies that
-// occur in no base subscript).
-func (f *Function) CollapsedDims() []int {
-	used := map[int]bool{}
-	for _, m := range f.maps {
-		if m.dummyDim >= 0 {
-			used[m.dummyDim] = true
-		}
-	}
-	var out []int
-	for i := 0; i < f.Alignee.Rank(); i++ {
-		if !used[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Replicates reports whether any base dimension is replicated.
 func (f *Function) Replicates() bool {
 	for _, m := range f.maps {
@@ -374,27 +355,6 @@ func (f *Function) Image(i index.Tuple) ([]index.Tuple, error) {
 		}
 	}
 	rec(0)
-	return out, nil
-}
-
-// Representative computes a single element of α(i) (the first in
-// cross-product order) without materializing the whole image.
-func (f *Function) Representative(i index.Tuple) (index.Tuple, error) {
-	if !f.Alignee.Contains(i) {
-		return nil, fmt.Errorf("align: %s not in alignee domain %s", i, f.Alignee)
-	}
-	out := make(index.Tuple, len(f.maps))
-	for j, m := range f.maps {
-		if m.replicated {
-			out[j] = f.Base.Dims[j].Low
-			continue
-		}
-		y, err := m.k.Eval(i)
-		if err != nil {
-			return nil, err
-		}
-		out[j] = clamp(y, f.Base.Dims[j])
-	}
 	return out, nil
 }
 

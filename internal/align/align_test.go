@@ -91,10 +91,6 @@ func TestPaperExample2(t *testing.T) {
 	if f.Replicates() {
 		t.Fatal("collapse must not replicate")
 	}
-	collapsed := f.CollapsedDims()
-	if len(collapsed) != 1 || collapsed[0] != 1 {
-		t.Fatalf("CollapsedDims = %v", collapsed)
-	}
 	for j1 := 1; j1 <= n; j1++ {
 		for j2 := 1; j2 <= m; j2++ {
 			got := one(t, f, j1, j2)
@@ -315,30 +311,11 @@ func TestBoundIntrinsicsInAlignment(t *testing.T) {
 	}
 }
 
-func TestRepresentativeAgreesWithImage(t *testing.T) {
-	n, m := 4, 3
-	a := index.Standard(1, n)
-	d := index.Standard(1, n, 1, m)
-	f := mustNormalize(t, Spec{
-		Alignee: "A", Axes: []Axis{Colon()},
-		Base: "D", Subs: []Subscript{TripletSub(index.Unit(1, n)), StarSub()},
-	}, a, d)
-	for j := 1; j <= n; j++ {
-		rep, err := f.Representative(index.Tuple{j})
-		if err != nil {
-			t.Fatal(err)
-		}
-		img, _ := f.Image(index.Tuple{j})
-		if !rep.Equal(img[0]) {
-			t.Fatalf("Representative(%d) = %v, first image %v", j, rep, img[0])
-		}
-	}
-}
-
-// TestRepresentativeAllocs pins per-element evaluation to compiled
-// subscripts: Representative allocates its result tuple and nothing
-// else, for affine subscripts and for MAX/MIN ones alike.
-func TestRepresentativeAllocs(t *testing.T) {
+// TestImageAllocs pins per-element evaluation to compiled subscripts:
+// Image allocates its scratch, its result and one tuple per base
+// element (6 times for the three here), for affine subscripts and for
+// MAX/MIN ones alike, and nothing per subscript it evaluates.
+func TestImageAllocs(t *testing.T) {
 	f := mustNormalize(t, Spec{
 		Alignee: "A", Axes: []Axis{DummyAxis("I"), DummyAxis("J")},
 		Base: "B", Subs: []Subscript{
@@ -348,14 +325,14 @@ func TestRepresentativeAllocs(t *testing.T) {
 	}, index.Standard(1, 6, 1, 5), index.Standard(1, 10, 1, 8, 1, 3))
 	at := index.Tuple{4, 2}
 	if got := testing.AllocsPerRun(100, func() {
-		if _, err := f.Representative(at); err != nil {
+		if _, err := f.Image(at); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 1 {
-		t.Fatalf("Representative allocates %v times per call, want at most 1", got)
+	}); got > 6 {
+		t.Fatalf("Image allocates %v times per call, want at most 6", got)
 	}
-	if rep, _ := f.Representative(at); !rep.Equal(index.Tuple{1, 5, 1}) {
-		t.Fatalf("Representative(%v) = %v, want (1,5,1)", at, rep)
+	if img, _ := f.Image(at); len(img) != 3 || !img[0].Equal(index.Tuple{1, 5, 1}) {
+		t.Fatalf("Image(%v) = %v, want (1,5,1), (1,5,2), (1,5,3)", at, img)
 	}
 }
 
@@ -464,7 +441,7 @@ func TestNegativeStrideTriplet(t *testing.T) {
 	}
 }
 
-func TestCollapsedDimsWithUnusedDummy(t *testing.T) {
+func TestUnusedDummyCollapses(t *testing.T) {
 	// A declared dummy that occurs in no base subscript collapses its
 	// dimension, "replacing the '*' with an align-dummy not used
 	// anywhere else ... would have the same effect".
@@ -474,10 +451,6 @@ func TestCollapsedDimsWithUnusedDummy(t *testing.T) {
 		Alignee: "A", Axes: []Axis{DummyAxis("I"), DummyAxis("K")},
 		Base: "B", Subs: []Subscript{ExprSub(expr.Dummy("I"))},
 	}, d2, d1)
-	got := f.CollapsedDims()
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("CollapsedDims = %v", got)
-	}
 	// Same image regardless of the collapsed coordinate.
 	a := one(t, f, 2, 1)
 	b := one(t, f, 2, 4)

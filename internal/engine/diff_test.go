@@ -23,8 +23,9 @@ type scenario struct {
 	f1, f2 dist.Format
 	shift  [2]int
 	srcRep bool // use a replicated source term
-	// mapped adds two mapped terms: A transposed, and the E10-shaped
-	// rank-reducing read V(i) of a vector, replicated under srcRep.
+	// mapped adds two terms read through other accesses, each at the
+	// shift's offsets: A transposed, and the E10-shaped rank-reducing
+	// read V(i) of a vector, replicated under srcRep.
 	mapped   bool
 	back     bool // remap A there and back, not one way
 	replayIt int
@@ -206,11 +207,11 @@ func (sc scenario) run(t *testing.T, kind string) outcome {
 			return out
 		}
 		v.Fill(func(tu index.Tuple) float64 { return float64(7*tu[0] - 20) })
-		// A mapped term's Shift is not read; one is set all the same, so
-		// a backend that read it would compute other values.
+		// A(j+sh1, i+sh0) and V(i+sh0) are in bounds wherever
+		// A(i+sh0, j+sh1) is: the region below keeps them there.
 		terms = append(terms,
-			Term{Src: a, Coeff: 1.5, Shift: []int{0, 0}, Map: func(tu index.Tuple) index.Tuple { return index.Tuple{tu[1], tu[0]} }},
-			Term{Src: v, Coeff: 3, Shift: []int{0, 0}, Map: func(tu index.Tuple) index.Tuple { return tu[:1] }})
+			Term{Src: a, Coeff: 1.5, Access: index.Access{{Dim: 1, Off: sc.shift[1]}, {Dim: 0, Off: sc.shift[0]}}},
+			Term{Src: v, Coeff: 3, Access: index.Access{{Dim: 0, Off: sc.shift[0]}}})
 	}
 	lo0, hi0 := 1, sc.n
 	lo1, hi1 := 1, sc.n

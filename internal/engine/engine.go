@@ -129,21 +129,18 @@ func SetDefaultTransport(kind string) error {
 // ReduceOp selects a reduction operator (shared with the runtime).
 type ReduceOp = runtime.ReduceOp
 
-// Term is one right-hand-side reference Coeff · Src(t + Shift), or
-// Coeff · Src(Map(t)) when Map is set: an arbitrary, possibly
-// rank-changing index mapping such as the A(i) in
-// E(i,j) = D(i,j) + A(i). When Map is set, Shift is not read. Map gets
-// a tuple of its own and must return one within Src's domain.
+// Term is one right-hand-side reference Coeff · Src(Access(t)): a
+// shift, a permutation or a rank-reducing read such as the A(i) in
+// E(i,j) = D(i,j) + A(i).
 type Term struct {
-	Src   Array
-	Shift []int
-	Coeff float64
-	Map   func(index.Tuple) index.Tuple
+	Src    Array
+	Coeff  float64
+	Access index.Access
 }
 
-// Read builds a shifted reference term.
+// Read builds a shifted reference term, Coeff · Src(t + shift).
 func Read(src Array, coeff float64, shift ...int) Term {
-	return Term{Src: src, Shift: shift, Coeff: coeff}
+	return Term{Src: src, Coeff: coeff, Access: index.Shift(shift...)}
 }
 
 // Engine is an execution backend: it materializes distributed arrays

@@ -92,7 +92,7 @@ func (x *oracleArray) terms(ts []Term) ([]runtime.Term, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = runtime.Term{Src: src, Shift: t.Shift, Coeff: t.Coeff, Map: t.Map}
+		out[i] = runtime.Term{Src: src, Coeff: t.Coeff, Access: t.Access}
 	}
 	return out, nil
 }

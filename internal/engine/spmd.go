@@ -94,7 +94,7 @@ func (x *spmdArray) terms(ts []Term) ([]spmd.Term, error) {
 		if !ok || sa.eng != x.eng {
 			return nil, fmt.Errorf("engine: term source %s is not on this %s engine", t.Src.Name(), x.eng.kind)
 		}
-		out[i] = spmd.Term{Src: sa.a, Shift: t.Shift, Coeff: t.Coeff, Map: t.Map}
+		out[i] = spmd.Term{Src: sa.a, Coeff: t.Coeff, Access: t.Access}
 	}
 	return out, nil
 }

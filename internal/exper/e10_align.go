@@ -85,7 +85,7 @@ func runReplication(n, np int, star bool) (hpf.Report, bool, error) {
 	a.Fill(func(t hpf.Tuple) float64 { return float64(t[0]) })
 	d.Fill(func(t hpf.Tuple) float64 { return float64(t[0] + 2*t[1]) })
 	// E(i,j) = D(i,j) + A(i), executed as a 2-D statement over E's
-	// domain with a rank-reducing read of A (its Map drops j).
+	// domain with a rank-reducing read of A (its access reads i, not j).
 	if err := e.Assign(e.Shape(), hpf.Read(d, 1, 0, 0), rowOf(a)); err != nil {
 		return hpf.Report{}, false, err
 	}
@@ -95,7 +95,7 @@ func runReplication(n, np int, star bool) (hpf.Report, bool, error) {
 // rowOf is the rank-reducing term v(i) of a statement over (i,j): the
 // A(i) of E(i,j) = D(i,j) + A(i).
 func rowOf(v *hpf.DistArray) hpf.AssignTerm {
-	return hpf.AssignTerm{Src: v, Coeff: 1, Map: func(t hpf.Tuple) hpf.Tuple { return hpf.TupleOf(t[0]) }}
+	return hpf.AssignTerm{Src: v, Coeff: 1, Access: hpf.Access{{Dim: 0}}}
 }
 
 // E11Collapse reproduces §5.1 example 2: ALIGN B(:,*) WITH E(:)

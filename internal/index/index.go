@@ -12,6 +12,7 @@ package index
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -129,6 +130,52 @@ func (t Tuple) String() string {
 		parts[i] = fmt.Sprint(v)
 	}
 	return "(" + strings.Join(parts, ",") + ")"
+}
+
+// Access is how a statement term reads its source at the written
+// index t: source index d is t[a[d].Dim] + a[d].Off, one dummy plus a
+// constant as in the paper's alignment functions (§5.1). A shift is
+// the identity plus offsets, a transposition {{1,0},{0,0}}, and the
+// A(i) of E(i,j) = D(i,j) + A(i) is {{Dim: 0}}.
+type Access []Subscript
+
+// Subscript is one source dimension of an Access.
+type Subscript struct{ Dim, Off int }
+
+// Shift returns the access reading the written index plus off.
+func Shift(off ...int) Access {
+	a := make(Access, len(off))
+	for d, k := range off {
+		a[d] = Subscript{d, k}
+	}
+	return a
+}
+
+// Check refuses an access that cannot read a source of rank srcRank in
+// a statement of rank rank: one of another length, or one reading a
+// dimension outside the statement or twice (no dummy twice, §5.1).
+func (a Access) Check(rank, srcRank int) error {
+	if len(a) != srcRank {
+		return fmt.Errorf("access of rank %d reads a source of rank %d", len(a), srcRank)
+	}
+	for d, s := range a {
+		if s.Dim < 0 || s.Dim >= rank {
+			return fmt.Errorf("access %v reads dimension %d outside a rank-%d statement", a, s.Dim, rank)
+		}
+		if slices.ContainsFunc(a[:d], func(r Subscript) bool { return r.Dim == s.Dim }) {
+			return fmt.Errorf("access %v reads dimension %d twice", a, s.Dim)
+		}
+	}
+	return nil
+}
+
+// Apply returns the source index a reads at t, built in dst[:len(a)].
+func (a Access) Apply(t, dst Tuple) Tuple {
+	dst = dst[:len(a)]
+	for d, s := range a {
+		dst[d] = t[s.Dim] + s.Off
+	}
+	return dst
 }
 
 // Domain is an index domain of rank len(Dims): the cross product of

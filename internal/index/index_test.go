@@ -1,6 +1,7 @@
 package index
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -274,5 +275,43 @@ func TestOffsetBijectionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAccess: an access reads one written dimension plus a constant per
+// source dimension — a shift, a transposition, a dropped dimension —
+// and Check refuses the wrong source rank, a dimension outside the
+// statement and a dimension read twice.
+func TestAccess(t *testing.T) {
+	at := Tuple{4, 7}
+	for _, c := range []struct {
+		a    Access
+		want Tuple
+	}{
+		{Shift(-1, 2), Tuple{3, 9}},
+		{Access{{1, 0}, {0, 0}}, Tuple{7, 4}},
+		{Access{{Dim: 0}}, Tuple{4}},
+		{Access{{Dim: 1, Off: -2}}, Tuple{5}},
+	} {
+		if err := c.a.Check(2, len(c.want)); err != nil {
+			t.Errorf("%v: %v", c.a, err)
+		}
+		if got := c.a.Apply(at, make(Tuple, 2)); !got.Equal(c.want) {
+			t.Errorf("%v at %v reads %v, want %v", c.a, at, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		a       Access
+		srcRank int
+		want    string
+	}{
+		{Shift(0, 0), 1, "access of rank 2 reads a source of rank 1"},
+		{Access{{Dim: 2}}, 1, "reads dimension 2 outside a rank-2 statement"},
+		{Access{{Dim: -1}}, 1, "reads dimension -1 outside a rank-2 statement"},
+		{Access{{0, 0}, {0, 1}}, 2, "reads dimension 0 twice"},
+	} {
+		if err := c.a.Check(2, c.srcRank); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v over a rank-%d source in a rank-2 statement: error %v, want %q", c.a, c.srcRank, err, c.want)
+		}
 	}
 }

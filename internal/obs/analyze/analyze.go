@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hpfnt/internal/machine"
@@ -104,24 +105,26 @@ func FromEvents(events []obs.Event) *Report {
 	for e := range epochSet {
 		epochs = append(epochs, e)
 	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
+	slices.Sort(epochs)
 	for _, e := range epochs {
 		er := EpochReport{Epoch: e}
 		if p, ok := cps[e]; ok {
 			er.CriticalPathNS = p.TotalNS
 			er.Path = p.Steps
 		}
-		var weights []int64
 		var ranks []int
-		for k, ns := range busy {
+		for k := range busy {
 			if k.epoch == e {
-				weights = append(weights, ns)
 				ranks = append(ranks, k.rank)
 			}
 		}
-		if len(weights) > 0 {
+		if len(ranks) > 0 {
 			// Deterministic order for the argmax tie-break.
-			sort.Sort(&byRank{ranks, weights})
+			slices.Sort(ranks)
+			weights := make([]int64, len(ranks))
+			for i, rk := range ranks {
+				weights[i] = busy[key{e, rk}]
+			}
 			ratio, idx := obs.Skew(weights)
 			if idx >= 0 {
 				er.SkewRatio = ratio
@@ -139,19 +142,6 @@ func FromEvents(events []obs.Event) *Report {
 	}
 	sort.Slice(r.Workers, func(i, j int) bool { return r.Workers[i].Rank < r.Workers[j].Rank })
 	return r
-}
-
-// byRank sorts parallel (rank, weight) slices by rank.
-type byRank struct {
-	ranks   []int
-	weights []int64
-}
-
-func (s *byRank) Len() int           { return len(s.ranks) }
-func (s *byRank) Less(i, j int) bool { return s.ranks[i] < s.ranks[j] }
-func (s *byRank) Swap(i, j int) {
-	s.ranks[i], s.ranks[j] = s.ranks[j], s.ranks[i]
-	s.weights[i], s.weights[j] = s.weights[j], s.weights[i]
 }
 
 // Imbalance is the skew diagnosis of one machine.Detail snapshot.

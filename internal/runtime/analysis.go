@@ -30,14 +30,14 @@ func (an *analysis) charge(m *machine.Machine) {
 	}
 }
 
-// checkStatement validates the statement's ranks.
+// checkStatement validates the statement's ranks and accesses.
 func checkStatement(lhs *Array, region index.Domain, terms []Term) error {
 	if region.Rank() != lhs.Dom.Rank() {
 		return fmt.Errorf("runtime: region rank %d does not match %s rank %d", region.Rank(), lhs.Name, lhs.Dom.Rank())
 	}
 	for _, tm := range terms {
-		if tm.Map == nil && len(tm.Shift) != lhs.Dom.Rank() {
-			return fmt.Errorf("runtime: term over %s has shift rank %d, want %d", tm.Src.Name, len(tm.Shift), lhs.Dom.Rank())
+		if err := tm.Access.Check(lhs.Dom.Rank(), tm.Src.Dom.Rank()); err != nil {
+			return fmt.Errorf("runtime: term over %s: %w", tm.Src.Name, err)
 		}
 	}
 	return nil

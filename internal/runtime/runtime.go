@@ -5,13 +5,13 @@
 //
 //	P = U(0:N-1,:) + U(1:N,:) + V(:,0:N-1) + V(:,1:N)
 //
-// is expressed as a statement whose right-hand-side terms are shifted
-// (or, through a Map, arbitrarily indexed) reads of distributed
-// arrays, built once as a Schedule and executed; every reference whose
-// owner differs from the left-hand-side owner becomes remote traffic,
-// aggregated into one message per processor pair per statement
-// (message vectorization), with per-statement deduplication of
-// repeated remote elements.
+// is expressed as a statement whose right-hand-side terms read
+// distributed arrays through an index.Access (a shift, a permutation,
+// a dropped dimension), built once as a Schedule and executed; every
+// reference whose owner differs from the left-hand-side owner becomes
+// remote traffic, aggregated into one message per processor pair per
+// statement (message vectorization), with per-statement deduplication
+// of repeated remote elements.
 //
 // It is the element-wise reference executor: values live in one dense
 // global backing, ownership in per-element owner grids, and every
@@ -122,34 +122,19 @@ func (a *Array) ownedBy(off int, p int) bool {
 	return slices.Contains(a.repOwns[off], p)
 }
 
-// Term is one right-hand-side reference Coeff · Src(t + Shift), or
-// Coeff · Src(Map(t)) when Map is set: an arbitrary, possibly
-// rank-changing index mapping such as the A(i) in
-// E(i,j) = D(i,j) + A(i). When Map is set, Shift is not read. Map gets
-// a tuple of its own and must return one within Src's domain.
+// Term is one right-hand-side reference Coeff · Src(Access(t)): a
+// shift, a permutation or a rank-reducing read such as the A(i) in
+// E(i,j) = D(i,j) + A(i).
 type Term struct {
-	Src   *Array
-	Shift []int
-	Coeff float64
-	Map   func(index.Tuple) index.Tuple
+	Src    *Array
+	Coeff  float64
+	Access index.Access
 }
 
-// Ref returns a shifted reference term.
-func Ref(src *Array, coeff float64, shift ...int) Term {
-	return Term{Src: src, Shift: shift, Coeff: coeff}
-}
-
-// at returns the source offset term tm reads for the lhs index t,
-// through Map or at t + Shift (built in buf); ref is the source index.
+// at returns the source offset term tm reads for the lhs index t; ref,
+// built in buf, is the source index.
 func (tm Term) at(t, buf index.Tuple) (off int, ref index.Tuple, ok bool) {
-	ref = buf
-	if tm.Map != nil {
-		ref = tm.Map(t.Clone())
-	} else {
-		for d := range t {
-			ref[d] = t[d] + tm.Shift[d]
-		}
-	}
+	ref = tm.Access.Apply(t, buf)
 	off, ok = tm.Src.Dom.Offset(ref)
 	return off, ref, ok
 }

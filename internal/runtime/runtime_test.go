@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -40,6 +41,11 @@ func mkMachine(t *testing.T, np int) *machine.Machine {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// ref is the shifted reference term coeff · src(t + shift).
+func ref(src *Array, coeff float64, shift ...int) Term {
+	return Term{Src: src, Coeff: coeff, Access: index.Shift(shift...)}
 }
 
 // assign builds lhs(region) = Σ terms as a schedule and executes it
@@ -88,7 +94,7 @@ func TestShiftAssignValuesMatchSequential(t *testing.T) {
 		m := mkMachine(t, 4)
 		interior := index.Standard(2, n-1, 2, n-1)
 		terms := []Term{
-			Ref(a, 0.25, -1, 0), Ref(a, 0.25, 1, 0), Ref(a, 0.25, 0, -1), Ref(a, 0.25, 0, 1),
+			ref(a, 0.25, -1, 0), ref(a, 0.25, 1, 0), ref(a, 0.25, 0, -1), ref(a, 0.25, 0, 1),
 		}
 		if err := assign(m, b, interior, terms); err != nil {
 			t.Fatal(err)
@@ -122,7 +128,7 @@ func TestSimultaneousSemantics(t *testing.T) {
 	a.Fill(func(tu index.Tuple) float64 { return float64(tu[0]) })
 	region := index.Standard(2, 6)
 	// A(i) = A(i-1) for i in 2..6: result must be 1,1,2,3,4,5.
-	if err := assign(nil, a, region, []Term{Ref(a, 1, -1)}); err != nil {
+	if err := assign(nil, a, region, []Term{ref(a, 1, -1)}); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{1, 1, 2, 3, 4, 5}
@@ -143,7 +149,7 @@ func TestCommunicationCounting(t *testing.T) {
 	a.Fill(func(tu index.Tuple) float64 { return float64(tu[0]) })
 	m := mkMachine(t, 4)
 	region := index.Standard(2, 16)
-	if err := assign(m, b, region, []Term{Ref(a, 1, -1)}); err != nil {
+	if err := assign(m, b, region, []Term{ref(a, 1, -1)}); err != nil {
 		t.Fatal(err)
 	}
 	r := m.Stats()
@@ -173,7 +179,7 @@ func TestStatementDeduplication(t *testing.T) {
 	m := mkMachine(t, 4)
 	region := index.Standard(5, 5) // single element B(5) on proc 2
 	// Both terms read A(4), owned by proc 1.
-	if err := assign(m, b, region, []Term{Ref(a, 1, -1), Ref(a, 2, -1)}); err != nil {
+	if err := assign(m, b, region, []Term{ref(a, 1, -1), ref(a, 2, -1)}); err != nil {
 		t.Fatal(err)
 	}
 	r := m.Stats()
@@ -195,7 +201,7 @@ func TestMessageVectorization(t *testing.T) {
 	b, _ := NewArray("B", blockMapping(t, sys, "B", dom, dist.Block{}))
 	m := mkMachine(t, 2)
 	region := index.Standard(2, n, 1, n)
-	if err := assign(m, b, region, []Term{Ref(a, 1, -1, 0)}); err != nil {
+	if err := assign(m, b, region, []Term{ref(a, 1, -1, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	r := m.Stats()
@@ -228,7 +234,7 @@ func TestReplicatedReadIsLocal(t *testing.T) {
 	}
 	dst, _ := NewArray("B", blockMapping(t, sys, "B", dom, dist.Block{}))
 	m := mkMachine(t, 4)
-	if err := assign(m, dst, dom, []Term{Ref(src, 1, 0)}); err != nil {
+	if err := assign(m, dst, dom, []Term{ref(src, 1, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	r := m.Stats()
@@ -245,7 +251,7 @@ func TestReplicatedWriteLoadsAllOwners(t *testing.T) {
 	dst, _ := NewArray("R", core.DistMapping{D: dr})
 	src, _ := NewArray("A", blockMapping(t, sys, "A", dom, dist.Block{}))
 	m := mkMachine(t, 4)
-	if err := assign(m, dst, dom, []Term{Ref(src, 1, 0)}); err != nil {
+	if err := assign(m, dst, dom, []Term{ref(src, 1, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	r := m.Stats()
@@ -303,7 +309,7 @@ func TestOutOfBoundsReference(t *testing.T) {
 	a, _ := NewArray("A", blockMapping(t, sys, "A", dom, dist.Block{}))
 	b, _ := NewArray("B", blockMapping(t, sys, "B", dom, dist.Block{}))
 	// Shift -1 over the full domain reads A(0): out of bounds.
-	if err := assign(nil, b, dom, []Term{Ref(a, 1, -1)}); err == nil {
+	if err := assign(nil, b, dom, []Term{ref(a, 1, -1)}); err == nil {
 		t.Fatal("out-of-bounds reference must fail")
 	}
 }
@@ -313,10 +319,10 @@ func TestShiftRankMismatch(t *testing.T) {
 	dom := index.Standard(1, 8)
 	a, _ := NewArray("A", blockMapping(t, sys, "A", dom, dist.Block{}))
 	b, _ := NewArray("B", blockMapping(t, sys, "B", dom, dist.Block{}))
-	if err := assign(nil, b, dom, []Term{Ref(a, 1, 0, 0)}); err == nil {
+	if err := assign(nil, b, dom, []Term{ref(a, 1, 0, 0)}); err == nil {
 		t.Fatal("shift rank mismatch must fail")
 	}
-	if err := assign(nil, b, index.Standard(1, 8, 1, 8), []Term{Ref(a, 1, 0)}); err == nil {
+	if err := assign(nil, b, index.Standard(1, 8, 1, 8), []Term{ref(a, 1, 0)}); err == nil {
 		t.Fatal("region rank mismatch must fail")
 	}
 }
@@ -351,7 +357,7 @@ func TestExecutorEquivalenceProperty(t *testing.T) {
 		}
 		region := index.Standard(lo, hi)
 		m := mkMachine(t, 4)
-		if err := assign(m, b, region, []Term{Ref(a, 2, shift)}); err != nil {
+		if err := assign(m, b, region, []Term{ref(a, 2, shift)}); err != nil {
 			return false
 		}
 		as := NewSeqArray(dom)
@@ -385,8 +391,8 @@ func TestGeneralAssignMatchesSequential(t *testing.T) {
 	a.Fill(func(tu index.Tuple) float64 { return float64(tu[0] * tu[0]) })
 	m := mkMachine(t, 4)
 	err := assign(m, e, ddom, []Term{
-		{Src: d, Coeff: 1, Map: func(tu index.Tuple) index.Tuple { return tu }},
-		{Src: a, Coeff: 2, Map: func(tu index.Tuple) index.Tuple { return index.Tuple{tu[0]} }},
+		ref(d, 1, 0, 0),
+		{Src: a, Coeff: 2, Access: index.Access{{Dim: 0}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -414,16 +420,17 @@ func TestGeneralAssignErrors(t *testing.T) {
 	a, _ := NewArray("A", blockMapping(t, sys, "A", dom, dist.Block{}))
 	b, _ := NewArray("B", blockMapping(t, sys, "B", dom, dist.Block{}))
 	err := assign(nil, b, dom, []Term{
-		{Src: a, Coeff: 1, Map: func(tu index.Tuple) index.Tuple { return index.Tuple{tu[0] + 100} }},
+		ref(a, 1, 100),
 	})
 	if err == nil {
-		t.Fatal("out-of-domain mapped reference must fail")
+		t.Fatal("out-of-domain reference must fail")
 	}
-	// A mapped term's Shift is not read: no rank is asked of it.
-	if err := assign(nil, b, dom, []Term{
-		{Src: a, Coeff: 1, Shift: []int{0, 0, 0}, Map: func(tu index.Tuple) index.Tuple { return tu }},
-	}); err != nil {
-		t.Fatalf("mapped term refused for its unread shift: %v", err)
+	// An access must read the source's rank, each of its subscripts
+	// from one dimension of the statement, none twice.
+	for _, acc := range []index.Access{{{Dim: 0}, {Dim: 0}, {Dim: 0}}, {}, {{Dim: 1}}} {
+		if err := assign(nil, b, dom, []Term{{Src: a, Coeff: 1, Access: acc}}); err == nil || !strings.Contains(err.Error(), "access") {
+			t.Fatalf("access %v: %v, want it refused", acc, err)
+		}
 	}
 	if err := assign(nil, b, index.Standard(1, 8, 1, 8), nil); err == nil {
 		t.Fatal("region rank mismatch must fail")

@@ -29,7 +29,7 @@ func TestScheduleMatchesShiftAssign(t *testing.T) {
 	interior := index.Standard(2, n-1, 2, n-1)
 	mkTerms := func(a *Array) []Term {
 		return []Term{
-			Ref(a, 0.25, -1, 0), Ref(a, 0.25, 1, 0), Ref(a, 0.25, 0, -1), Ref(a, 0.25, 0, 1),
+			ref(a, 0.25, -1, 0), ref(a, 0.25, 1, 0), ref(a, 0.25, 0, -1), ref(a, 0.25, 0, 1),
 		}
 	}
 	m1, m2 := mkMachine(t, 4), mkMachine(t, 4)
@@ -65,7 +65,7 @@ func TestScheduleReuseAcrossIterations(t *testing.T) {
 	a, _ := NewArray("A", blockMapping(t, sys, "A", dom, dist.Block{}))
 	a.Fill(func(tu index.Tuple) float64 { return float64(tu[0]) })
 	region := index.Standard(2, n-1)
-	sched, err := BuildSchedule(a, region, []Term{Ref(a, 0.5, -1), Ref(a, 0.5, 1)})
+	sched, err := BuildSchedule(a, region, []Term{ref(a, 0.5, -1), ref(a, 0.5, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,17 +105,17 @@ func TestScheduleValidation(t *testing.T) {
 	sys, _ := proc.NewSystem(2)
 	dom := index.Standard(1, 8)
 	a, _ := NewArray("A", blockMapping(t, sys, "A", dom, dist.Block{}))
-	if _, err := BuildSchedule(a, dom, []Term{Ref(a, 1, -1)}); err == nil {
+	if _, err := BuildSchedule(a, dom, []Term{ref(a, 1, -1)}); err == nil {
 		t.Fatal("out-of-bounds shift must fail at build time")
 	}
 	if _, err := BuildSchedule(a, index.Standard(1, 8, 1, 8), nil); err == nil {
 		t.Fatal("region rank mismatch must fail")
 	}
-	if _, err := BuildSchedule(a, dom, []Term{Ref(a, 1, 0, 0)}); err == nil {
+	if _, err := BuildSchedule(a, dom, []Term{ref(a, 1, 0, 0)}); err == nil {
 		t.Fatal("shift rank mismatch must fail")
 	}
 	strided := index.New(index.Triplet{Low: 3, High: 7, Stride: 2})
-	if _, err := BuildSchedule(a, strided, []Term{Ref(a, 1, 1)}); err != nil {
+	if _, err := BuildSchedule(a, strided, []Term{ref(a, 1, 1)}); err != nil {
 		t.Fatalf("strided region: %v", err)
 	}
 }

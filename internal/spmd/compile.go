@@ -10,22 +10,26 @@ import (
 	"hpfnt/internal/runtime"
 )
 
-// compile is the regular producer. A statement reaches the emitter
+// BuildSchedule compiles the statement lhs(region) = Σ terms: the
+// regular producer, and the only way to build a regular statement (a
+// one-shot statement is a schedule executed once). A statement reaches
+// the emitter
 // (planBuilder) as runs — n consecutive elements along one dimension,
 // written by one worker, each term read from one owner, every local
 // side evenly spaced in slot space — from one of two enumerators:
 // tileLines, a run per line of the uniform cells, the grid the sides'
 // layout indexes cut the region into, O(cuts + cells + runs + ghost
 // runs) in all; or elementLines, the region walked element by element,
-// for a replicated side, a mapped term, a rank mismatch or a read out
-// of bounds. Which one follows from the statement alone (analyzable),
+// for a replicated side, a read out of bounds, a non-standard domain or
+// one source read along the ghost direction through two of its
+// dimensions. Which one follows from the statement alone (analyzable),
 // and the plans agree: finish joins adjacent runs whose slots advance
 // evenly, so what the element walk feeds one at a time comes out as the
 // runs the tile enumerator emits whole. Classification, deduplication,
 // sender choice (first owner; runtime.RemapSender's for a remap) and
 // load charging follow the element-wise oracle's rules (package
 // runtime), so the aggregated statistics agree with it.
-func (e *Engine) compile(lhs *Array, region index.Domain, terms []Term) (*Schedule, error) {
+func (e *Engine) BuildSchedule(lhs *Array, region index.Domain, terms []Term) (*Schedule, error) {
 	b, err := newPlanBuilder(e, lhs, region, terms)
 	if err != nil {
 		return nil, err
@@ -54,9 +58,10 @@ func (b *planBuilder) build(region index.Domain) (*Schedule, error) {
 // unions those per (source array, reader), numbers the ghost buffers,
 // ships each new interval through the pairBuilder and joins the runs.
 type planBuilder struct {
-	e     *Engine
-	lhs   *Array
-	terms []Term
+	e   *Engine
+	lhs *Array
+	// sides are the lhs, read through the identity, then the terms.
+	sides, terms []Term
 	// srcs are the distinct source arrays in order of first use and
 	// srcOf[t] is term t's entry: ghosts are deduplicated per array,
 	// however many terms read it.
@@ -65,8 +70,10 @@ type planBuilder struct {
 	// A ghost line of srcs[i] is the offsets key + x·gstep[i] for x in
 	// [lo, lo+n), 0 ≤ x < gext[i]: lines with one key lie along one
 	// grid line of the source, so their union is interval arithmetic
-	// on x. The enumerator fixes the direction before its first line.
+	// on x. The enumerator fixes the direction before its first line:
+	// the source dimension that reads statement dimension gdim.
 	gstep, gext []int
+	gdim        int
 	work        []workBuild // index 1..np: the engine's lists, reset
 	pairs       pairBuilder
 	// remap marks the statement of a Remap: a replicated ghost ships
@@ -99,10 +106,14 @@ func newPlanBuilder(e *Engine, lhs *Array, region index.Domain, terms []Term) (*
 	if region.Rank() != lhs.dom.Rank() {
 		return nil, fmt.Errorf("spmd: region rank %d does not match %s rank %d", region.Rank(), lhs.name, lhs.dom.Rank())
 	}
-	b := &planBuilder{e: e, lhs: lhs, terms: terms, srcOf: make([]int, len(terms)), work: e.work, pairs: pairBuilder{}}
+	sides := append([]Term{{Src: lhs, Access: index.Shift(make([]int, region.Rank())...)}}, terms...)
+	b := &planBuilder{e: e, lhs: lhs, sides: sides, terms: sides[1:], srcOf: make([]int, len(terms)), work: e.work, pairs: pairBuilder{}}
 	for t, tm := range terms {
 		if tm.Src.eng != e {
 			return nil, fmt.Errorf("spmd: term source %s belongs to a different engine", tm.Src.name)
+		}
+		if err := tm.Access.Check(region.Rank(), tm.Src.dom.Rank()); err != nil {
+			return nil, fmt.Errorf("spmd: term over %s: %w", tm.Src.name, err)
 		}
 		if b.srcOf[t] = slices.Index(b.srcs, tm.Src); b.srcOf[t] < 0 {
 			b.srcOf[t] = len(b.srcs)
@@ -119,73 +130,81 @@ func newPlanBuilder(e *Engine, lhs *Array, region index.Domain, terms []Term) (*
 
 // analyzable returns the uniform cells of the statement, or nil when it
 // must be walked element by element. It admits a non-empty unit-stride
-// region whose sides — the lhs and every term — are single-owner shift
-// references of the region's rank, over unit-stride domains, read in
-// bounds. Each side's index cuts, carried into lhs coordinates (position
-// v of a side read at shift k is lhs index Low+v-k), cut the region: a
-// cell of the product lies inside one index cell, and so one owner
-// tile, of every side. cuts[d][0] is the region's low bound and the
-// last entry its high bound plus one; the lists are the engine's.
+// region whose sides — the lhs and every term — are single-owner, over
+// unit-stride domains, read in bounds. Each side's index cuts, carried
+// into lhs coordinates (position v of a source dimension read as
+// dimension Dim plus Off is lhs index Low+v-Off along Dim), cut the
+// region: a cell of the product lies inside one index cell, and so one
+// owner tile, of every side. cuts[d][0] is the region's low bound and
+// the last entry its high bound plus one; the lists are the engine's.
+// The ghost direction gdim is the dimension in which cells are longest
+// on average (the collapsed one of (BLOCK,:), where a boundary row is
+// one line); two terms that read one source along it through different
+// dimensions of it, whose ghost lines share no grid line, refuse cells.
 func (b *planBuilder) analyzable(region index.Domain) [][]int {
 	rank := region.Rank()
 	if rank == 0 || region.Empty() || !region.IsStandard() {
 		return nil
 	}
-	cuts, zero := slices.Grow(b.e.cuts[:0], rank)[:rank], make([]int, rank)
+	cuts := slices.Grow(b.e.cuts[:0], rank)[:rank]
 	for d, tr := range region.Dims {
 		cuts[d] = append(cuts[d][:0], tr.Low)
 	}
 	b.e.cuts = cuts
-	for s := 0; s <= len(b.terms); s++ {
-		a, shift := b.lhs, zero
-		if s > 0 {
-			if b.terms[s-1].Map != nil {
-				return nil
-			}
-			a, shift = b.terms[s-1].Src, b.terms[s-1].Shift
-		}
-		if a.lay.idx == nil || a.dom.Rank() != rank || !a.dom.IsStandard() {
+	for _, sd := range b.sides {
+		a := sd.Src
+		if a.lay.idx == nil || !a.dom.IsStandard() {
 			return nil
 		}
-		for d, tr := range region.Dims {
-			lo, k := a.dom.Dims[d].Low, shift[d]
-			if tr.Low+k < lo || tr.High+k > a.dom.Dims[d].High {
+		for d, x := range sd.Access {
+			tr, lo := region.Dims[x.Dim], a.dom.Dims[d].Low
+			if tr.Low+x.Off < lo || tr.High+x.Off > a.dom.Dims[d].High {
 				return nil
 			}
 			for _, v := range a.lay.idx.cuts[d] {
-				if i := lo + int(v) - k; i > tr.High {
+				if i := lo + int(v) - x.Off; i > tr.High {
 					break
 				} else if i > tr.Low {
-					cuts[d] = append(cuts[d], i)
+					cuts[x.Dim] = append(cuts[x.Dim], i)
 				}
 			}
 		}
 	}
+	longest := 0.0
 	for d, tr := range region.Dims {
 		slices.Sort(cuts[d])
 		cuts[d] = append(slices.Compact(cuts[d]), tr.High+1)
+		if mean := float64(tr.Count()) / float64(len(cuts[d])-1); mean > longest {
+			b.gdim, longest = d, mean
+		}
+	}
+	clear(b.gstep)
+	for t, tm := range b.terms {
+		i, step := b.srcOf[t], 1
+		for d, x := range tm.Access {
+			if ext := tm.Src.dom.Dims[d].Count(); x.Dim != b.gdim {
+				step *= ext
+			} else if b.gstep[i] != 0 && (b.gstep[i] != step || b.gext[i] != ext) {
+				return nil
+			} else {
+				b.gstep[i], b.gext[i] = step, ext
+			}
+		}
+	}
+	// A source no term reads along gdim is flat, as in the element walk:
+	// its ghost lines are one element long.
+	for i, a := range b.srcs {
+		if b.gstep[i] == 0 {
+			b.gstep[i], b.gext[i] = 1, a.dom.Size()
+		}
 	}
 	return cuts
 }
 
-// strides returns the column-major offset multiplier of each dimension
-// of a standard domain.
-func strides(dom index.Domain) []int {
-	m := make([]int, dom.Rank())
-	mult := 1
-	for d, tr := range dom.Dims {
-		m[d] = mult
-		mult *= tr.Count()
-	}
-	return m
-}
-
 // tileLines enumerates the lines of the uniform cells. A cell with a
-// remote read is cut along one dimension fixed for the whole statement
-// — ghost lines must share a direction to be unioned — chosen as the
-// one in which cells are longest on average: the collapsed dimension of
-// (BLOCK,:) and (CYCLIC,:), where a boundary row is one line. An
-// all-local cell is cut along the first dimension, in which every
+// remote read is cut along the ghost direction analyzable fixed for the
+// whole statement — ghost lines must share a direction to be unioned.
+// An all-local cell is cut along the first dimension, in which every
 // layout tile is contiguous, unless it is one element thick there.
 //
 // A cell lies inside one index cell of every layout (the cuts include
@@ -194,59 +213,50 @@ func strides(dom index.Domain) []int {
 // cell, with the steps, and each line's run is stepped from the last.
 // One pass over the cells locates and emits.
 func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
-	rank, T := region.Rank(), len(b.terms)
-	gdim, longest := 0, 0.0
-	for d, c := range cuts {
-		if mean := float64(region.Dims[d].Count()) / float64(len(c)-1); mean > longest {
-			gdim, longest = d, mean
+	rank, gdim := region.Rank(), b.gdim
+	// The sides' rank-long scratch, packed in two allocations.
+	sides := make([]cellSide, len(b.sides))
+	ints, i32 := make([]int, (2*len(sides)+1)*rank), make([]int32, (2*len(sides)+1)*rank)
+	at, sstep := ints[:rank], i32[:rank]
+	for s, st := range b.sides {
+		sd, a, m := &sides[s], st.Src, 1
+		sd.lay, sd.acc = a.lay, st.Access
+		sd.mul, sd.rel = ints[(2*s+1)*rank:][:rank], ints[(2*s+2)*rank:][:rank]
+		sd.step, sd.pos = i32[(2*s+1)*rank:][:rank], i32[(2*s+2)*rank:][:len(sd.acc)]
+		for d, x := range sd.acc {
+			sd.rel[d] = x.Off - a.dom.Dims[d].Low
+			sd.mul[x.Dim] = m
+			sd.org += sd.rel[d] * m
+			m *= a.dom.Dims[d].Count()
 		}
 	}
-	for i, a := range b.srcs {
-		b.gstep[i], b.gext[i] = strides(a.dom)[gdim], a.dom.Dims[gdim].Count()
-	}
-	// Side 0 is the lhs and side 1+t term t. The current line starts at
-	// offset off[s] = org[s] + Σ_d at[d]·mul[s][d] of the side's domain
-	// and at slot slot[s]; step[s][d] is the slot's advance per index of
-	// dimension d. A cell's corner on side s is at positions pos[s],
-	// index plus rel[s].
-	lays, mul, org := make([]*layout, T+1), make([][]int, T+1), make([]int, T+1)
-	off, slot, step := make([]int, T+1), make([]int32, T+1), make([][]int32, T+1)
-	rel, pos := make([][]int, T+1), make([][]int32, T+1)
-	for s := range lays {
-		a, shift := b.lhs, make([]int, rank)
-		if s > 0 {
-			a, shift = b.terms[s-1].Src, b.terms[s-1].Shift
-		}
-		lays[s], mul[s], step[s] = a.lay, strides(a.dom), make([]int32, rank)
-		rel[s], pos[s] = make([]int, rank), make([]int32, rank)
-		for d, v := range shift {
-			rel[s][d] = v - a.dom.Dims[d].Low
-			org[s] += rel[s][d] * mul[s][d]
-		}
-	}
-	at, ghost := make([]int, rank), make([]bool, T)
+	ghost := make([]bool, len(b.terms))
 	forEachCell(cuts, func(lo, hi []int) {
 		// Every side's corner: its owner, slot and steps, and so the
 		// cell's writer and the dimension it is cut along.
 		along, w := 0, int32(0)
-		for s, l := range lays {
-			for d, v := range lo {
-				pos[s][d] = int32(v + rel[s][d])
+		for s := range sides {
+			sd := &sides[s]
+			for d, x := range sd.acc {
+				sd.pos[d] = int32(lo[x.Dim] + sd.rel[d])
 			}
-			p, sl := l.idx.at(pos[s], step[s])
+			p, slot := sd.lay.idx.at(sd.pos, sstep)
+			sd.slot = slot
+			clear(sd.step)
+			for d, x := range sd.acc {
+				sd.step[x.Dim] = sstep[d]
+			}
 			if s == 0 {
 				w = p
 			} else if ghost[s-1] = p != w; ghost[s-1] {
 				along = gdim // a remote read
 			}
-			for d := range lo {
-				if hi[d] == lo[d] {
-					step[s][d] = 0
-				}
-			}
-			slot[s], off[s] = sl, org[s]
+			sd.off = sd.org
 			for d, v := range lo {
-				off[s] += v * mul[s][d]
+				if hi[d] == lo[d] {
+					sd.step[d] = 0
+				}
+				sd.off += v * sd.mul[d]
 			}
 		}
 		if hi[0] == lo[0] {
@@ -262,12 +272,20 @@ func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 		wb.charge(lines*n, ghost)
 		copy(at, lo)
 		for {
-			wb.runs = append(wb.runs, krun{slot[0], step[0][along], int32(n)})
+			wb.runs = append(wb.runs, krun{sides[0].slot, sides[0].step[along], int32(n)})
 			for t, g := range ghost {
+				sd := &sides[1+t]
+				kt := kterm{sd.slot, sd.step[along], g}
 				if g {
-					b.ghostLine(wb, len(wb.terms), n, off[1+t])
+					// Ghost slots are consecutive along the line; a term
+					// that does not read along it reads one element.
+					m := n
+					if kt.stride = 1; sd.mul[along] == 0 {
+						m, kt.stride = 1, 0
+					}
+					b.ghostLine(wb, len(wb.terms), m, sd.off)
 				}
-				wb.terms = append(wb.terms, kterm{slot[1+t], step[1+t][along], g})
+				wb.terms = append(wb.terms, kt)
 			}
 			// Odometer over the dimensions other than along: k is how far
 			// dimension d moves, one forward or back to lo on a carry.
@@ -280,9 +298,9 @@ func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 				if at[d]++; at[d] > hi[d] {
 					k, at[d] = lo[d]-hi[d], lo[d]
 				}
-				for s := range off {
-					off[s] += k * mul[s][d]
-					slot[s] += int32(k) * step[s][d]
+				for s := range sides {
+					sides[s].off += k * sides[s].mul[d]
+					sides[s].slot += int32(k) * sides[s].step[d]
 				}
 				if k == 1 {
 					break
@@ -293,6 +311,20 @@ func (b *planBuilder) tileLines(region index.Domain, cuts [][]int) {
 			}
 		}
 	})
+}
+
+// cellSide is a side of tileLines' statement, read through acc. Its line starts at offset off = org + Σ_d
+// at[d]·mul[d] and at slot slot; mul[d] and step[d] advance them per
+// index of statement dimension d, 0 along one it does not read. A
+// cell's corner is at positions pos: per source dimension, the
+// subscript plus rel.
+type cellSide struct {
+	lay       *layout
+	acc       index.Access
+	org, off  int
+	slot      int32
+	mul, rel  []int
+	step, pos []int32
 }
 
 // forEachCell calls fn with the inclusive bounds of every cell of the
@@ -315,8 +347,11 @@ func forEachCell(cuts [][]int, fn func(lo, hi []int)) {
 
 // elementLines walks the region once, column-major like the element-wise
 // oracle, and emits every element as a run of its own to each of its
-// writers. Sources are treated as flat (one grid line, x the offset), so
-// a ghost is one element.
+// writers. It takes the statements analyzable refuses: a replicated
+// side, a read out of bounds, a non-standard domain, or one source read
+// along the ghost direction through two of its dimensions. Sources are
+// treated as flat (one grid line, x the offset), so a ghost is one
+// element.
 func (b *planBuilder) elementLines(region index.Domain) error {
 	for i, a := range b.srcs {
 		b.gstep[i], b.gext[i] = 1, a.dom.Size()
@@ -334,14 +369,7 @@ func (b *planBuilder) elementLines(region index.Domain) error {
 		}
 		for ti := range b.terms {
 			tm := &b.terms[ti]
-			rt := ref
-			if tm.Map != nil {
-				rt = tm.Map(t.Clone())
-			} else {
-				for d := range t {
-					ref[d] = t[d] + tm.Shift[d]
-				}
-			}
+			rt := tm.Access.Apply(t, ref)
 			if roff[ti], ok = tm.Src.dom.Offset(rt); !ok {
 				ferr = fmt.Errorf("spmd: reference %s(%s) out of bounds in assignment to %s(%s)", tm.Src.name, rt, lhs.name, t)
 				return false
@@ -404,8 +432,8 @@ func (b *planBuilder) finish() *Schedule {
 		s.arrays = append(s.arrays, tm.Src)
 		s.gens = append(s.gens, tm.Src.gen)
 		if tm.Src == lhs {
-			s.constGhost = false // statement overwrites its own input
-			direct = direct && tm.Map == nil && !slices.ContainsFunc(tm.Shift, func(v int) bool { return v != 0 })
+			s.constGhost = false                                          // statement overwrites its own input
+			direct = direct && slices.Equal(tm.Access, b.sides[0].Access) // the identity
 		}
 	}
 	planOf := func(p int) *wplan {
@@ -443,9 +471,10 @@ func (b *planBuilder) finish() *Schedule {
 // already covered or extends it, and only the extension is new — it
 // gets the next ghost slots and is shipped from its (first) owner.
 // Consecutive positions of a covered interval hold consecutive ghost
-// slots, so every requesting run reads its ghosts at stride 1 from
-// the slot of its first element. Returns the ghost buffer's length:
-// the worker's deduplicated remote elements.
+// slots, so every requesting run reads its ghosts from the slot of its
+// first element, at the stride its enumerator gave it: 1, or 0 for a
+// term that reads one element per line. Returns the ghost buffer's
+// length: the worker's deduplicated remote elements.
 func (b *planBuilder) resolveGhosts(w int, wb *workBuild) int {
 	slices.SortFunc(wb.reqs, func(x, y ghostReq) int {
 		return cmp.Or(cmp.Compare(x.src, y.src), cmp.Compare(x.key, y.key), cmp.Compare(x.lo, y.lo), cmp.Compare(y.n, x.n))
@@ -495,7 +524,7 @@ func (b *planBuilder) resolveGhosts(w int, wb *workBuild) int {
 			next += m
 			to = end
 		}
-		wb.terms[rq.term].base, wb.terms[rq.term].stride = first+rq.lo-from, 1
+		wb.terms[rq.term].base = first + rq.lo - from
 	}
 	put()
 	return int(next)

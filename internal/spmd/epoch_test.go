@@ -44,7 +44,7 @@ func stencilEpochs(t *testing.T, e *Engine) (det machine.Detail, planned, holds 
 	}
 	u.Fill(func(tu index.Tuple) float64 { return float64(tu[0]*7 + tu[1]) })
 	s, err := e.BuildSchedule(v, index.Standard(2, n-1, 2, n-1),
-		[]Term{Ref(u, 0.25, -1, 0), Ref(u, 0.25, 1, 0), Ref(u, 0.25, 0, -1), Ref(u, 0.25, 0, 1)})
+		[]Term{ref(u, 0.25, -1, 0), ref(u, 0.25, 1, 0), ref(u, 0.25, 0, -1), ref(u, 0.25, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestFailedEpochChargesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		a.Fill(func(tu index.Tuple) float64 { return float64(tu[0]) })
-		s, err := e.BuildSchedule(a, index.Standard(2, n-1), []Term{Ref(a, 0.5, -1), Ref(a, 0.5, 1)})
+		s, err := e.BuildSchedule(a, index.Standard(2, n-1), []Term{ref(a, 0.5, -1), ref(a, 0.5, 1)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,8 +95,8 @@ func TestEpochExecutor(t *testing.T) {
 		var pts []Term
 		var rts []runtime.Term
 		for i, sh := range shifts {
-			pts = append(pts, Ref(srcs[i].p, coeffs[i], sh...))
-			rts = append(rts, runtime.Ref(srcs[i].r, coeffs[i], sh...))
+			pts = append(pts, ref(srcs[i].p, coeffs[i], sh...))
+			rts = append(rts, oracleRef(srcs[i].r, coeffs[i], sh...))
 		}
 		ps, err := e.BuildSchedule(lhs.p, interior, pts)
 		if err != nil {
@@ -262,7 +262,7 @@ func TestRemapInvalidatesAndMatchesOracle(t *testing.T) {
 		build func() (*Schedule, error)
 	}{
 		{"regular", cyclic, func() (*Schedule, error) {
-			return e.BuildSchedule(b, index.Standard(2, n), []Term{Ref(a, 1, -1)})
+			return e.BuildSchedule(b, index.Standard(2, n), []Term{ref(a, 1, -1)})
 		}},
 		{"irregular", block, func() (*Schedule, error) { return e.BuildIrregular(b, a, ringPattern(n)) }},
 	} {
@@ -338,7 +338,7 @@ func TestWrongLengthMessageFailsEngine(t *testing.T) {
 	block := mapping(t, sys, dom, dist.Block{})
 	// B(i) = A(i-1): worker 2 expects one value from worker 1.
 	execute := func(e *Engine, a, b *Array) error {
-		sched, err := e.BuildSchedule(b, index.Standard(2, 40), []Term{Ref(a, 1, -1)})
+		sched, err := e.BuildSchedule(b, index.Standard(2, 40), []Term{ref(a, 1, -1)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,8 +434,8 @@ func TestGhostBufferSharedAcrossSchedules(t *testing.T) {
 				var pts []Term
 				var rts []runtime.Term
 				for i := 0; i < len(jacobi); i += 2 {
-					pts = append(pts, Ref(u.p, 0.25, jacobi[i], jacobi[i+1]))
-					rts = append(rts, runtime.Ref(u.r, 0.25, jacobi[i], jacobi[i+1]))
+					pts = append(pts, ref(u.p, 0.25, jacobi[i], jacobi[i+1]))
+					rts = append(rts, oracleRef(u.r, 0.25, jacobi[i], jacobi[i+1]))
 				}
 				as, err := e.BuildSchedule(v.p, interior, pts)
 				if err != nil {
@@ -445,11 +445,11 @@ func TestGhostBufferSharedAcrossSchedules(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bs, err := e.BuildSchedule(h.p, interior, []Term{Ref(h.p, 0.5, 0, 0), Ref(h.p, 0.25, -1, 0), Ref(h.p, 0.25, 1, 0)})
+				bs, err := e.BuildSchedule(h.p, interior, []Term{ref(h.p, 0.5, 0, 0), ref(h.p, 0.25, -1, 0), ref(h.p, 0.25, 1, 0)})
 				if err != nil {
 					t.Fatal(err)
 				}
-				bo, err := runtime.BuildSchedule(h.r, interior, []runtime.Term{runtime.Ref(h.r, 0.5, 0, 0), runtime.Ref(h.r, 0.25, -1, 0), runtime.Ref(h.r, 0.25, 1, 0)})
+				bo, err := runtime.BuildSchedule(h.r, interior, []runtime.Term{oracleRef(h.r, 0.5, 0, 0), oracleRef(h.r, 0.25, -1, 0), oracleRef(h.r, 0.25, 1, 0)})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -192,8 +192,8 @@ func TestRunKernelAllocFree(t *testing.T) {
 		terms  []Term
 	}{
 		{"jacobi", v, interior, terms},
-		{"lu", r, index.Standard(K+1, N, K+1, N), []Term{Ref(r, 1, 0, 0), Ref(a, 1.0/16, -1, -1)}},
-		{"halo", h, index.Standard(2, 1023), []Term{Ref(h, 0.5, 0), Ref(h, 0.25, -1), Ref(h, 0.25, 1)}},
+		{"lu", r, index.Standard(K+1, N, K+1, N), []Term{ref(r, 1, 0, 0), ref(a, 1.0/16, -1, -1)}},
+		{"halo", h, index.Standard(2, 1023), []Term{ref(h, 0.5, 0), ref(h, 0.25, -1), ref(h, 0.25, 1)}},
 	}
 	for _, st := range stmts {
 		s, err := e.BuildSchedule(st.lhs, st.region, st.terms)
@@ -263,7 +263,7 @@ func TestExecuteNAllocsPerWire(t *testing.T) {
 				}
 			}
 			h := newArray(t, e, "H", distMapping(t, sys, index.Standard(1, 1024), dist.Cyclic{K: 1}))
-			halo, err := e.BuildSchedule(h, index.Standard(2, 1023), []Term{Ref(h, 0.5, 0), Ref(h, 0.25, -1), Ref(h, 0.25, 1)})
+			halo, err := e.BuildSchedule(h, index.Standard(2, 1023), []Term{ref(h, 0.5, 0), ref(h, 0.25, -1), ref(h, 0.25, 1)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package spmd
 import (
 	"fmt"
 	"math"
+	gort "runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -90,7 +91,7 @@ func jacobi766(t testing.TB, e *Engine) (*Array, index.Domain, []Term) {
 	m := distMapping(t, sys, dom, dist.Block{}, dist.Collapsed{})
 	u, v := newArray(t, e, "U", m), newArray(t, e, "V", m)
 	return v, index.Standard(2, n-1, 2, n-1),
-		[]Term{Ref(u, 0.25, -1, 0), Ref(u, 0.25, 1, 0), Ref(u, 0.25, 0, -1), Ref(u, 0.25, 0, 1)}
+		[]Term{ref(u, 0.25, -1, 0), ref(u, 0.25, 1, 0), ref(u, 0.25, 0, -1), ref(u, 0.25, 0, 1)}
 }
 
 // TestRunPlanShape pins the compiled form of the three statements the
@@ -130,7 +131,7 @@ func TestRunPlanShape(t *testing.T) {
 	const N, K = 192, 10
 	lm := distMapping(t, sys, index.Standard(1, N, 1, N), dist.Cyclic{K: 1}, dist.Collapsed{})
 	a, r := newArray(t, e, "A", lm), newArray(t, e, "R", lm)
-	s, err = e.BuildSchedule(r, index.Standard(K+1, N, K+1, N), []Term{Ref(r, 1, 0, 0), Ref(a, 1.0/16, -1, -1)})
+	s, err = e.BuildSchedule(r, index.Standard(K+1, N, K+1, N), []Term{ref(r, 1, 0, 0), ref(a, 1.0/16, -1, -1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestRunPlanShape(t *testing.T) {
 	// The statement reads A(i±1) while writing A(i): tmp is kept.
 	hm := distMapping(t, sys, index.Standard(1, 1024), dist.Cyclic{K: 1})
 	h := newArray(t, e, "H", hm)
-	s, err = e.BuildSchedule(h, index.Standard(2, 1023), []Term{Ref(h, 0.5, 0), Ref(h, 0.25, -1), Ref(h, 0.25, 1)})
+	s, err = e.BuildSchedule(h, index.Standard(2, 1023), []Term{ref(h, 0.5, 0), ref(h, 0.25, -1), ref(h, 0.25, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func (pc producerCase) build(t testing.TB, e *Engine, sys *proc.System) (lhs *Ar
 		dims[d] = index.Unit(lo, hi)
 	}
 	for i, a := range pc.reads {
-		terms = append(terms, Ref(arrays[a], 1/float64(i+2), pc.shifts[i]...))
+		terms = append(terms, ref(arrays[a], 1/float64(i+2), pc.shifts[i]...))
 	}
 	return arrays[0], index.Domain{Dims: dims}, terms
 }
@@ -383,12 +384,16 @@ func TestTileProducerMatchesElementProducer(t *testing.T) {
 
 // FuzzStatementCells: for a lhs and a source mapping over one domain —
 // fuzzFormats' draws or, over the families' domain, single-owner
-// families — and 1–3 shift terms reading either array over the region
-// that keeps every read in bounds, every cell of analyzable's grid lies
-// inside one index cell of every side, and the plans from the cells and
-// from the element walk ship the same ghosts in the same messages,
-// charge the same logical report and compute the same values, bit for
-// bit, over two iterations.
+// families — and 1–3 terms reading either array, or a vector, through
+// a drawn access (a shift, a permutation of the dimensions with
+// offsets, or a vector read along one dimension at an offset) over the
+// region that keeps every read in bounds, every cell of analyzable's
+// grid lies inside one index cell of every side, and the plans from the
+// cells and from the element walk ship the same ghosts in the same
+// messages, charge the same logical report and compute the same values,
+// bit for bit, over two iterations. Only a statement in which two
+// terms read one source along the ghost direction through different
+// dimensions of it may have no cells.
 func FuzzStatementCells(f *testing.F) {
 	const np = 4
 	engines := make([]*Engine, 2)
@@ -404,6 +409,13 @@ func FuzzStatementCells(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 0, 6, 1, 1, 7, 2, 0, 3, 1, 3, 5, 2})
 	f.Add([]byte{2, 2, 0, 1, 8, 1, 1, 1, 0, 0, 4, 2, 2, 1, 5, 1, 6, 0, 3, 2, 1})
 	f.Add([]byte{1, 0, 1, 5, 3, 4, 2, 3, 1, 2, 1, 2, 2, 2, 4, 0, 1, 3, 3, 4, 1, 2})
+	// A matrix statement over (BLOCK,:) and (:,CYCLIC(2)) reading its
+	// source transposed and a vector along the second dimension.
+	f.Add([]byte{1, 3, 1, 7, 7, 0, 5, 5, 2, 1, 2, 1, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 2, 1, 2})
+	// A cube read twice from one source, once with its first and last
+	// dimensions swapped: both terms read the ghost direction (the
+	// second dimension) through the same source dimension, so cells.
+	f.Add([]byte("20010000010000000011"))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		sys, _ := proc.NewSystem(np)
 		next := fuzzBytes(in)
@@ -419,28 +431,56 @@ func FuzzStatementCells(f *testing.F) {
 			}
 			dom = index.Standard(bounds...)
 		}
-		draw := func() core.ElementMapping {
-			if fams != nil && next(2) == 0 {
+		draw := func(dom index.Domain) core.ElementMapping {
+			if fams != nil && dom.Rank() == rank && next(2) == 0 {
 				return fams[next(len(fams))].m
 			}
-			kinds := make([]int, rank)
+			kinds := make([]int, dom.Rank())
 			for d := range kinds {
 				kinds[d] = next(6)
 			}
 			return fuzzFormats(t, sys, next, dom, kinds)
 		}
-		maps := []core.ElementMapping{draw(), draw()}
-		reads, shifts, region := make([]int, 1+next(3)), [][]int{}, slices.Clone(dom.Dims)
+		maps := []core.ElementMapping{draw(dom), draw(dom)}
+		reads, accs := make([]int, 1+next(3)), []index.Access{}
 		for range reads {
 			sh := make([]int, rank)
 			for d := range sh {
 				sh[d] = next(7) - 3
-				region[d] = index.Unit(max(region[d].Low, dom.Dims[d].Low-sh[d]), min(region[d].High, dom.Dims[d].High-sh[d]))
 			}
-			shifts = append(shifts, sh)
+			accs = append(accs, index.Shift(sh...))
 		}
 		for i := range reads {
 			reads[i] = next(2)
+		}
+		// Array 2 is a vector as long as dom's longest dimension.
+		vlen := 0
+		for _, tr := range dom.Dims {
+			vlen = max(vlen, tr.Count())
+		}
+		for k, acc := range accs {
+			switch next(3) {
+			case 1: // permuted
+				for d := range acc {
+					e := next(rank)
+					acc[d].Dim, acc[e].Dim = acc[e].Dim, acc[d].Dim
+				}
+			case 2: // a vector along one dimension
+				j := next(rank)
+				reads[k], accs[k] = 2, index.Access{{Dim: j, Off: acc[j].Off}}
+			}
+		}
+		vdom := index.Standard(low, low+vlen-1)
+		if slices.Contains(reads, 2) {
+			maps = append(maps, draw(vdom))
+		}
+		region := slices.Clone(dom.Dims)
+		for k, acc := range accs {
+			sdom := []index.Domain{dom, dom, vdom}[reads[k]]
+			for d, x := range acc {
+				lo, hi := sdom.Dims[d].Low-x.Off, sdom.Dims[d].High-x.Off
+				region[x.Dim] = index.Unit(max(region[x.Dim].Low, lo), min(region[x.Dim].High, hi))
+			}
 		}
 		if (index.Domain{Dims: region}).Empty() {
 			return
@@ -462,7 +502,7 @@ func FuzzStatementCells(f *testing.F) {
 			}
 			terms := make([]Term, len(reads))
 			for k, r := range reads {
-				terms[k] = Ref(arrays[r], 1/float64(k+2), shifts[k]...)
+				terms[k] = Term{Src: arrays[r], Coeff: 1 / float64(k+2), Access: accs[k]}
 			}
 			lhs[i] = arrays[0]
 			if i == 1 {
@@ -472,26 +512,27 @@ func FuzzStatementCells(f *testing.F) {
 				}
 				break
 			}
-			// Side 0 is the lhs, side 1+k term k.
-			sides := append([]Term{{Src: lhs[i], Shift: make([]int, rank)}}, terms...)
 			b, err := newPlanBuilder(e, lhs[i], reg, terms)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cuts := b.analyzable(reg)
-			if cuts == nil {
-				t.Fatal("statement has no cells")
+			if cuts == nil && !splitsGhostDirection(terms, b.gdim) {
+				t.Fatalf("statement has no cells (ghost direction %d)", b.gdim)
+			} else if cuts == nil {
+				return
 			}
 			forEachCell(cuts, func(lo, hi []int) {
-				for _, sd := range sides {
-					for d, c := range sd.Src.lay.idx.cuts {
-						from := int32(lo[d] + sd.Shift[d] - sd.Src.dom.Dims[d].Low)
+				for _, sd := range b.sides {
+					for d, x := range sd.Access {
+						c := sd.Src.lay.idx.cuts[d]
+						from := int32(lo[x.Dim] + x.Off - sd.Src.dom.Dims[d].Low)
 						at, found := slices.BinarySearch(c, from)
 						if !found {
 							at--
 						}
-						if int32(hi[d]-lo[d])+from >= c[at+1] {
-							t.Fatalf("cell %v..%v crosses index cut %d of %s along %d (shift %v)", lo, hi, c[at+1], sd.Src.name, d, sd.Shift)
+						if int32(hi[x.Dim]-lo[x.Dim])+from >= c[at+1] {
+							t.Fatalf("cell %v..%v crosses index cut %d of %s along %d (access %v)", lo, hi, c[at+1], sd.Src.name, d, sd.Access)
 						}
 					}
 				}
@@ -520,10 +561,27 @@ func FuzzStatementCells(f *testing.F) {
 	})
 }
 
+// splitsGhostDirection reports whether two terms read one source along
+// statement dimension gdim through different dimensions of it: the
+// statements analyzable refuses, whose ghost lines share no grid line.
+func splitsGhostDirection(terms []Term, gdim int) bool {
+	along := func(acc index.Access) int {
+		return slices.IndexFunc(acc, func(x index.Subscript) bool { return x.Dim == gdim })
+	}
+	for k, tm := range terms {
+		for _, o := range terms[:k] {
+			if d, e := along(o.Access), along(tm.Access); o.Src == tm.Src && d >= 0 && e >= 0 && d != e {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestShiftRankMismatch: a shift term over a source of another rank
-// than the lhs — a vector or a cube read by a matrix statement — has no
-// cells; the element walk refuses it with the out-of-bounds reference,
-// on the caller's goroutine and without a panic.
+// than the lhs — a vector or a cube read by a matrix statement — is
+// refused up front for its access's rank, on the caller's goroutine
+// and without a panic.
 func TestShiftRankMismatch(t *testing.T) {
 	e := newEngine(t, 2)
 	sys, _ := proc.NewSystem(2)
@@ -532,8 +590,8 @@ func TestShiftRankMismatch(t *testing.T) {
 		newArray(t, e, "V", distMapping(t, sys, index.Standard(1, 8), dist.Block{})),
 		newArray(t, e, "C", distMapping(t, sys, index.Standard(1, 8, 1, 8, 1, 2), dist.Block{}, dist.Collapsed{}, dist.Collapsed{})),
 	} {
-		if _, err := e.BuildSchedule(a, a.dom, []Term{Ref(src, 1, 0, 0)}); err == nil || !strings.Contains(err.Error(), "out of bounds") {
-			t.Errorf("A = %s: BuildSchedule = %v, want an out-of-bounds reference", src.name, err)
+		if _, err := e.BuildSchedule(a, a.dom, []Term{ref(src, 1, 0, 0)}); err == nil || !strings.Contains(err.Error(), "access of rank 2 reads a source of rank") {
+			t.Errorf("A = %s: BuildSchedule = %v, want the access's rank refused", src.name, err)
 		}
 	}
 }
@@ -563,6 +621,41 @@ func TestScheduleBuildCost(t *testing.T) {
 	}
 }
 
+// TestMappedTermBuildCost: E(i,j) = D(i,j) + A(i), §5.1's statement
+// with a rank-reducing read, over 512² with D and E (:,BLOCK) and A
+// BLOCK on two workers, compiles by cells like E = D + D over the same
+// arrays, in at most twice its allocations. An element walk makes one
+// per element.
+func TestMappedTermBuildCost(t *testing.T) {
+	const n = 512
+	e := newEngine(t, 2)
+	sys, _ := proc.NewSystem(2)
+	dom := index.Standard(1, n, 1, n)
+	m := distMapping(t, sys, dom, dist.Collapsed{}, dist.Block{})
+	d, ea := newArray(t, e, "D", m), newArray(t, e, "E", m)
+	a := newArray(t, e, "A", distMapping(t, sys, index.Standard(1, n), dist.Block{}))
+	mapped := []Term{ref(d, 1, 0, 0), {Src: a, Coeff: 1, Access: index.Access{{Dim: 0}}}}
+	b, err := newPlanBuilder(e, ea, dom, mapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.analyzable(dom) == nil {
+		t.Fatal("E = D + A(i) has no cells")
+	}
+	allocs := func(terms []Term) float64 {
+		gort.GC()
+		return testing.AllocsPerRun(5, func() {
+			if _, err := e.BuildSchedule(ea, dom, terms); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	shifted := allocs([]Term{ref(d, 1, 0, 0), ref(d, 1, 0, 0)})
+	if got := allocs(mapped); got > 2*shifted {
+		t.Errorf("E = D + A(i) builds in %.0f allocations, E = D + D in %.0f", got, shifted)
+	}
+}
+
 // TestBuildSpans: with the trace recorder on, each producer records one
 // "build" span on the dispatcher lane per schedule it compiles, so a
 // traced run shows where compile time went; with it off nothing is
@@ -573,7 +666,7 @@ func TestBuildSpans(t *testing.T) {
 	m := distMapping(t, sys, index.Standard(1, 16), dist.Block{})
 	a, b := newArray(t, e, "A", m), newArray(t, e, "B", m)
 	build := func() {
-		if _, err := e.BuildSchedule(b, index.Standard(2, 16), []Term{Ref(a, 1, -1)}); err != nil {
+		if _, err := e.BuildSchedule(b, index.Standard(2, 16), []Term{ref(a, 1, -1)}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.BuildIrregular(b, a, ringPattern(16)); err != nil {
@@ -607,7 +700,7 @@ func TestRebuildAllocs(t *testing.T) {
 		sys, _ := proc.NewSystem(2)
 		m := distMapping(t, sys, index.Standard(1, n, 1, n), dist.Cyclic{K: 1}, dist.Collapsed{})
 		a, r := newArray(t, e, "A", m), newArray(t, e, "R", m)
-		region, terms := index.Standard(2, n, 2, n), []Term{Ref(r, 1, 0, 0), Ref(a, 1.0/16, -1, -1)}
+		region, terms := index.Standard(2, n, 2, n), []Term{ref(r, 1, 0, 0), ref(a, 1.0/16, -1, -1)}
 		build := func() {
 			if _, err := e.BuildSchedule(r, region, terms); err != nil {
 				t.Fatal(err)

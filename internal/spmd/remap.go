@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"hpfnt/internal/core"
+	"hpfnt/internal/index"
 	"hpfnt/internal/obs"
 )
 
@@ -66,7 +67,7 @@ func planRemap(e *Engine, a *Array, newMap core.ElementMapping) (*Schedule, erro
 func remapStatement(e *Engine, a *Array, newMap core.ElementMapping, to *layout) *planBuilder {
 	lhs := &Array{name: a.name, dom: a.dom, mapping: newMap, eng: e, lay: to}
 	// One engine and one domain: the builder has nothing to refuse.
-	b, _ := newPlanBuilder(e, lhs, a.dom, []Term{{Src: a, Coeff: 1, Shift: make([]int, a.dom.Rank())}})
+	b, _ := newPlanBuilder(e, lhs, a.dom, []Term{{Src: a, Coeff: 1, Access: index.Shift(make([]int, a.dom.Rank())...)}})
 	b.remap = true
 	return b
 }

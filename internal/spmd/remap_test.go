@@ -928,7 +928,7 @@ func TestRemapUnchangedTiling(t *testing.T) {
 	a := newArray(t, e, "A", mapping(t, sys, dom, dist.Cyclic{K: 3}))
 	b := newArray(t, e, "B", mapping(t, sys, dom, dist.Cyclic{K: 3}))
 	a.Fill(func(tp index.Tuple) float64 { return float64(tp[0]*100 + tp[1]) })
-	sched, err := e.BuildSchedule(b, index.Standard(2, n, 1, n), []Term{Ref(a, 1, -1, 0)})
+	sched, err := e.BuildSchedule(b, index.Standard(2, n, 1, n), []Term{ref(a, 1, -1, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}

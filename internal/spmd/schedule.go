@@ -9,28 +9,20 @@ import (
 	"hpfnt/internal/obs"
 )
 
-// Term is one right-hand-side reference Coeff · Src(t + Shift), or
-// Coeff · Src(Map(t)) when Map is set: an arbitrary, possibly
-// rank-changing index mapping. When Map is set, Shift is not read, and
-// the statement is compiled element by element. It is also the
-// compiler's own form of a term. Map gets a tuple of its own.
+// Term is one right-hand-side reference Coeff · Src(Access(t)): a
+// shift, a permutation or a rank-reducing read. It is also the
+// compiler's own form of a term.
 type Term struct {
-	Src   *Array
-	Shift []int
-	Coeff float64
-	Map   func(index.Tuple) index.Tuple
-}
-
-// Ref returns a shifted reference term.
-func Ref(src *Array, coeff float64, shift ...int) Term {
-	return Term{Src: src, Shift: shift, Coeff: coeff}
+	Src    *Array
+	Coeff  float64
+	Access index.Access
 }
 
 // Schedule is a compiled statement: per-worker plans over local slots,
 // the per-pair ghost exchange, and the per-worker counter deltas.
 // There is one plan shape and one executor; the plans come from one of
-// two producers — compile (regular statements lhs(region) = Σ terms,
-// from owner-tile intersection, see compile.go) or BuildIrregular
+// two producers — BuildSchedule (regular statements lhs(region) = Σ
+// terms, from owner-tile intersection, see compile.go) or BuildIrregular
 // (indirection-array statements, by lowering the inspector's schedule)
 // — and ExecuteN replays them without knowing which. A schedule holds
 // no value buffer, only lengths into its workers' (Engine.bufs), so a
@@ -116,18 +108,6 @@ type krun struct {
 type kterm struct {
 	base, stride int32
 	ghost        bool
-}
-
-// BuildSchedule compiles the statement lhs(region) = Σ terms. It is
-// the only way to build a regular statement: a one-shot statement is a
-// schedule executed once.
-func (e *Engine) BuildSchedule(lhs *Array, region index.Domain, terms []Term) (*Schedule, error) {
-	for _, t := range terms {
-		if t.Map == nil && len(t.Shift) != lhs.dom.Rank() {
-			return nil, fmt.Errorf("spmd: term over %s has shift rank %d, want %d", t.Src.name, len(t.Shift), lhs.dom.Rank())
-		}
-	}
-	return e.compile(lhs, region, terms)
 }
 
 // GhostElements reports the deduplicated ghost traffic per execution.

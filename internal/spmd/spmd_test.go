@@ -46,6 +46,16 @@ func newEngine(t *testing.T, np int) *Engine {
 	return e
 }
 
+// ref is the shifted reference term coeff · src(t + shift).
+func ref(src *Array, coeff float64, shift ...int) Term {
+	return Term{Src: src, Coeff: coeff, Access: index.Shift(shift...)}
+}
+
+// oracleRef is ref's term of the element-wise oracle.
+func oracleRef(src *runtime.Array, coeff float64, shift ...int) runtime.Term {
+	return runtime.Term{Src: src, Coeff: coeff, Access: index.Shift(shift...)}
+}
+
 // assign builds lhs(region) = Σ terms on e and executes it once, the
 // one-shot form of a statement.
 func assign(e *Engine, lhs *Array, region index.Domain, terms []Term) error {
@@ -87,7 +97,7 @@ func TestValuesMatchSequential(t *testing.T) {
 		fill := func(tu index.Tuple) float64 { return float64(tu[0]*31 + tu[1]*7) }
 		a.Fill(fill)
 		interior := index.Standard(2, n-1, 2, n-1)
-		terms := []Term{Ref(a, 0.25, -1, 0), Ref(a, 0.25, 1, 0), Ref(a, 0.25, 0, -1), Ref(a, 0.25, 0, 1)}
+		terms := []Term{ref(a, 0.25, -1, 0), ref(a, 0.25, 1, 0), ref(a, 0.25, 0, -1), ref(a, 0.25, 0, 1)}
 		if err := assign(e, b, interior, terms); err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
@@ -126,7 +136,7 @@ func TestStatsMatchOracle(t *testing.T) {
 	fill := func(tu index.Tuple) float64 { return float64(tu[0] - 2*tu[1]) }
 	pa.Fill(fill)
 	interior := index.Standard(2, n-1, 2, n-1)
-	terms := []Term{Ref(pa, 1, -1, 0), Ref(pa, 1, 1, 0)}
+	terms := []Term{ref(pa, 1, -1, 0), ref(pa, 1, 1, 0)}
 	sched, err := e.BuildSchedule(pa, interior, terms)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +161,7 @@ func TestStatsMatchOracle(t *testing.T) {
 	}
 	ra.Fill(fill)
 	rs, err := runtime.BuildSchedule(ra, interior, []runtime.Term{
-		runtime.Ref(ra, 1, -1, 0), runtime.Ref(ra, 1, 1, 0)})
+		oracleRef(ra, 1, -1, 0), oracleRef(ra, 1, 1, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +216,7 @@ func TestExecuteNPipelined(t *testing.T) {
 	fill := func(tu index.Tuple) float64 { return float64(tu[0] * tu[0]) }
 	a.Fill(fill)
 	region := index.Standard(2, n)
-	sched, err := e.BuildSchedule(a, region, []Term{Ref(a, 1, -1), Ref(a, 0.5, 0)})
+	sched, err := e.BuildSchedule(a, region, []Term{ref(a, 1, -1), ref(a, 0.5, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +228,7 @@ func TestExecuteNPipelined(t *testing.T) {
 		t.Fatal(err)
 	}
 	ra.Fill(fill)
-	rs, err := runtime.BuildSchedule(ra, region, []runtime.Term{runtime.Ref(ra, 1, -1), runtime.Ref(ra, 0.5, 0)})
+	rs, err := runtime.BuildSchedule(ra, region, []runtime.Term{oracleRef(ra, 1, -1), oracleRef(ra, 0.5, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +275,7 @@ func TestReplicatedArrays(t *testing.T) {
 		t.Fatal(err)
 	}
 	src.Fill(func(tu index.Tuple) float64 { return float64(tu[0] * 3) })
-	if err := assign(e, dst, dom, []Term{Ref(src, 1, 0)}); err != nil {
+	if err := assign(e, dst, dom, []Term{ref(src, 1, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	r := e.Stats()
@@ -289,7 +299,7 @@ func TestReplicatedArrays(t *testing.T) {
 		t.Fatal(err)
 	}
 	bs.Fill(func(tu index.Tuple) float64 { return float64(tu[0]) })
-	if err := assign(e2, rl, dom, []Term{Ref(bs, 2, 0)}); err != nil {
+	if err := assign(e2, rl, dom, []Term{ref(bs, 2, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := e2.Stats().TotalLoad; got != int64(np*n) {
@@ -363,24 +373,24 @@ func TestErrors(t *testing.T) {
 	b, _ := e.NewArray("B", mapping(t, sys, dom, dist.Block{}))
 	// The out-of-bounds error names the first offending element in
 	// region order: such statements are walked element by element.
-	err := assign(e, b, dom, []Term{Ref(a, 1, -1)})
+	err := assign(e, b, dom, []Term{ref(a, 1, -1)})
 	if want := "spmd: reference A((0)) out of bounds in assignment to B((1))"; err == nil || err.Error() != want {
 		t.Fatalf("out-of-bounds reference: %v, want %q", err, want)
 	}
-	if err := assign(e, b, dom, []Term{Ref(a, 1, 0, 0)}); err == nil {
+	if err := assign(e, b, dom, []Term{ref(a, 1, 0, 0)}); err == nil {
 		t.Fatal("shift rank mismatch must fail")
 	}
-	if err := assign(e, b, index.Standard(1, n, 1, n), []Term{Ref(a, 1, 0)}); err == nil {
+	if err := assign(e, b, index.Standard(1, n, 1, n), []Term{ref(a, 1, 0)}); err == nil {
 		t.Fatal("region rank mismatch must fail")
 	}
 	if _, err := e.Remap(a, mapping(t, sys, index.Standard(1, 4), dist.Block{})); err == nil {
 		t.Fatal("remap shape mismatch must fail")
 	}
 	other := newEngine(t, np)
-	if err := assign(other, b, dom, []Term{Ref(a, 1, 0)}); err == nil {
+	if err := assign(other, b, dom, []Term{ref(a, 1, 0)}); err == nil {
 		t.Fatal("cross-engine arrays must fail")
 	}
-	if s, err := e.BuildSchedule(b, dom, []Term{Ref(a, 1, 0)}); err != nil {
+	if s, err := e.BuildSchedule(b, dom, []Term{ref(a, 1, 0)}); err != nil {
 		t.Fatal(err)
 	} else if err := s.ExecuteN(0); err == nil {
 		t.Fatal("non-positive iteration count must fail")
@@ -400,8 +410,8 @@ func TestGeneralAssign(t *testing.T) {
 	d.Fill(func(tu index.Tuple) float64 { return float64(tu[0]*10 + tu[1]) })
 	a.Fill(func(tu index.Tuple) float64 { return float64(tu[0] * tu[0]) })
 	err := assign(e, ea, ddom, []Term{
-		{Src: d, Coeff: 1, Map: func(tu index.Tuple) index.Tuple { return tu }},
-		{Src: a, Coeff: 2, Map: func(tu index.Tuple) index.Tuple { return index.Tuple{tu[0]} }},
+		ref(d, 1, 0, 0),
+		{Src: a, Coeff: 2, Access: index.Access{{Dim: 0}}},
 	})
 	if err != nil {
 		t.Fatal(err)

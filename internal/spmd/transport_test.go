@@ -46,7 +46,7 @@ func TestWorkerPanicSurfaces(t *testing.T) {
 				}
 				return float64(tu[0])
 			})
-			s, err := e.BuildSchedule(a, index.Standard(2, n), []Term{Ref(a, 1, -1)})
+			s, err := e.BuildSchedule(a, index.Standard(2, n), []Term{ref(a, 1, -1)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func multiProcRun(e *Engine, am, bm core.ElementMapping, n int) (mpResult, error
 	}
 	a.Fill(func(tu index.Tuple) float64 { return float64(tu[0]*13 - tu[1]*5) })
 	interior := index.Standard(2, n-1, 2, n-1)
-	terms := []Term{Ref(a, 0.25, -1, 0), Ref(a, 0.25, 1, 0), Ref(a, 0.25, 0, -1), Ref(a, 0.25, 0, 1)}
+	terms := []Term{ref(a, 0.25, -1, 0), ref(a, 0.25, 1, 0), ref(a, 0.25, 0, -1), ref(a, 0.25, 0, 1)}
 	s, err := e.BuildSchedule(b, interior, terms)
 	if err != nil {
 		return out, err
@@ -289,7 +289,7 @@ func TestNoBufferForRemoteRanks(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				lu, err := e.BuildSchedule(r, index.Standard(2, n, 2, n), []Term{Ref(r, 1, 0, 0), Ref(a, 1.0/16, -1, -1)})
+				lu, err := e.BuildSchedule(r, index.Standard(2, n, 2, n), []Term{ref(r, 1, 0, 0), ref(a, 1.0/16, -1, -1)})
 				if err != nil {
 					return err
 				}
