@@ -13,14 +13,16 @@ import (
 // guardedPackages are the packages whose exported functions and
 // methods must each have a caller in non-test code.
 var guardedPackages = []string{"internal/dist", "internal/partition", "internal/inquiry", "internal/core", "internal/template", "internal/index",
-	"internal/runtime", "internal/spmd", "internal/engine", "internal/align", "internal/obs/analyze"}
+	"internal/runtime", "internal/spmd", "internal/engine", "internal/align", "internal/obs/analyze", "internal/transport", "internal/job"}
 
 // apiAllowList names exported functions and methods of the guarded
 // packages ("pkg.Name" or "pkg.Type.Name") that may go unreferenced,
 // each with its reason.
 var apiAllowList = map[string]string{
-	"core.Frame.RedistributeDummy": "§7's DYNAMIC dummy redistributed during a call: the hpf facade's Call hands out the Frame, and no in-tree program redistributes a dummy yet",
-	"engine.NewOracle":             "the element-wise oracle behind the backend interface: the engine and interp differentials in other packages' tests compare both engine kinds against it, and a _test.go helper cannot cross packages",
+	"core.Frame.RedistributeDummy":     "§7's DYNAMIC dummy redistributed during a call: the hpf facade's Call hands out the Frame, and no in-tree program redistributes a dummy yet",
+	"engine.NewOracle":                 "the element-wise oracle behind the backend interface: the engine and interp differentials in other packages' tests compare both engine kinds against it, and a _test.go helper cannot cross packages",
+	"transport.NewChaos":               "the fault-injection wire the elastic and interp job tests in other packages wrap their transports in, and a _test.go helper cannot cross packages",
+	"transport.MemberLostError.Unwrap": "the standard library calls it: errors.Is and errors.As reach a loss's I/O cause through it",
 }
 
 // TestExportedAPIReferenced: every exported top-level function and

@@ -2,14 +2,15 @@
 // bench per reproduction experiment (E1–E13, see the experiment index
 // in README.md and the per-experiment doc comments in internal/exper),
 // each asserting its paper-claim checks on the first iteration, plus
-// micro-benchmarks of the mapping primitives. The executor's layers
-// (schedule build, replay, remap, inspector, wires) are timed by the
-// bench/ module instead.
+// micro-benchmarks of the mapping primitives and a two-goroutine wire
+// round trip. The executor's layers (schedule build, replay, remap,
+// inspector, wires) are timed by the bench/ module instead.
 //
 // Run with: go test -bench=. -benchmem
 package main_bench
 
 import (
+	"fmt"
 	"testing"
 
 	"hpfnt/internal/align"
@@ -21,6 +22,7 @@ import (
 	"hpfnt/internal/index"
 	"hpfnt/internal/machine"
 	"hpfnt/internal/proc"
+	"hpfnt/internal/transport"
 	"hpfnt/internal/workload"
 )
 
@@ -313,5 +315,45 @@ func BenchmarkSpmdLayoutBuild(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkWirePingPong times a round trip between two ranks on each
+// wire, each rank on its own goroutine, so every message finds its
+// receiver parked in Recv and the time includes waking it — the hop the
+// bench/ module's single-goroutine Send-then-Recv (wire.msg8_ns) cannot
+// show. One op is one round trip of a 1-value or a 512-value (ghost
+// row) message.
+func BenchmarkWirePingPong(b *testing.B) {
+	for _, kind := range transport.Kinds() {
+		for _, n := range []int{1, 512} {
+			b.Run(fmt.Sprintf("%s/%d", kind, n), func(b *testing.B) {
+				tr, err := transport.New(kind, 2)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer tr.Close()
+				echoed := make(chan struct{})
+				go func() {
+					defer close(echoed)
+					for i := 0; i < b.N; i++ {
+						msg := tr.Recv(1, 2)
+						if msg == nil {
+							return
+						}
+						tr.Send(2, 1, append(tr.Buffer(2, 1, n)[:0], msg...))
+					}
+				}()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tr.Send(1, 2, tr.Buffer(1, 2, n))
+					if len(tr.Recv(2, 1)) != n {
+						b.Fatalf("round trip %d came back short: %v", i, tr.Err())
+					}
+				}
+				b.StopTimer()
+				<-echoed
+			})
+		}
 	}
 }

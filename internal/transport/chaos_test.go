@@ -216,7 +216,7 @@ func TestChaosDieRejoin(t *testing.T) {
 							return
 						}
 					}
-					if h := tr.Status(); h.Err != nil || len(h.Lost()) != 0 {
+					if h := tr.Status(); h.Err != nil || len(lostOf(h)) != 0 {
 						perr <- fmt.Errorf("rejoined process %d unhealthy: %+v", i, h)
 					}
 				}(i)

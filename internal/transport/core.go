@@ -22,15 +22,17 @@ import (
 type link interface {
 	// push sends one message on the ordered (src,dst) rank stream and
 	// owns m.msg: it either delivers that slice (inproc, tcp's
-	// same-process mailbox) or copies it and puts it back in the pool.
+	// same-process inbox) or copies it and puts it back in the pool.
 	// It reports the physical frame's size in bytes — unmetered when
 	// the message was dropped or never touched the wire — and whether
-	// the fast path stalled (channel or ring full). It must not block
-	// indefinitely against a live receiver.
+	// the fast path stalled (channel, ring or socket full). It must not
+	// block indefinitely against a live receiver.
 	push(src, dst int, m inMsg) (bytes int, stalled bool)
 	// pop blocks for the next message of the (src,dst) stream; what
 	// already arrived is still delivered after an abort, then ok is
-	// false.
+	// false (on tcp, what a data socket held counts as arrived on
+	// Linux; a BSD kernel discards it when the abort shuts the read
+	// side).
 	pop(src, dst int) (m inMsg, bytes int, ok bool)
 	// sendCtl and recvCtl move one control frame (a ctl* kind plus a
 	// float vector) on the ordered stream between this process and a
@@ -40,7 +42,7 @@ type link interface {
 	// lastSeen is the UnixNano time of process proc's last sign of
 	// life (tcp: any frame read from it; shm: its header stamp), 0 when
 	// there is none; beat emits this process's own (tcp: a heart frame
-	// on every connection; shm: a fresh stamp).
+	// on every control connection; shm: a fresh stamp).
 	lastSeen(proc int) int64
 	beat(now int64)
 	// abort runs once, on the first failure: wake every blocked pop and

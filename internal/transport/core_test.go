@@ -111,7 +111,7 @@ func TestCoreStaleMemberIsLost(t *testing.T) {
 	go func() { recvd <- c.Recv(3, 1) }()
 	barrier := make(chan error, 1)
 	go func() { barrier <- c.Barrier() }()
-	if lost := c.Status().Lost(); len(lost) != 0 {
+	if lost := lostOf(c.Status()); len(lost) != 0 {
 		t.Fatalf("healthy job reports lost members %v", lost)
 	}
 	l.frozen[2].Store(time.Now().UnixNano()) // process 2 falls silent now
@@ -130,7 +130,7 @@ func TestCoreStaleMemberIsLost(t *testing.T) {
 		t.Errorf("Barrier returned %v, want the sticky error %v", berr, c.Err())
 	}
 	h := c.Status()
-	if lost := h.Lost(); len(lost) != 1 || lost[0] != 2 || h.Err != c.Err() {
+	if lost := lostOf(h); len(lost) != 1 || lost[0] != 2 || h.Err != c.Err() {
 		t.Errorf("Status() = %+v, want exactly member 2 lost with the sticky error", h)
 	}
 	if st := c.Staleness(); st[0] != 0 || st[2] < 20*time.Millisecond {

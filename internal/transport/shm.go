@@ -27,9 +27,10 @@ import (
 // endian payload length followed by the raw float64 bytes (native
 // byte order — both ends share one machine by construction). A frame
 // larger than the ring streams through it in chunks, so there is no
-// message size limit. Send never blocks: if the frame does not fit,
-// it spills to an unbounded process-local queue drained by a pump
-// goroutine, preserving FIFO order per ring and keeping the engine's
+// message size limit. Send never blocks: what of a frame does not fit
+// spills to the ring's unbounded process-local queue, which the link's
+// pump goroutine drains (spill.go, shared with the tcp wire),
+// preserving FIFO order per ring and keeping the engine's
 // send-all-then-receive pattern deadlock-free even when two processes
 // flood each other.
 //
@@ -83,18 +84,14 @@ const shmMaxProcs = (shmHdrSize - shmOffLive) / 8
 
 // shmRing is one SPSC byte-stream ring in the mapping. head and tail
 // are free-running byte counts: the producer owns head, the consumer
-// owns tail, and occupancy is head-tail. pending is the producer-side
-// spill queue (flat frame bytes awaiting ring space), drained by the
-// transport's pump goroutine.
+// owns tail, and occupancy is head-tail. The spill is the producer
+// side: its lock, and the bytes awaiting ring space.
 type shmRing struct {
+	spill
 	head *uint64
 	tail *uint64
 	buf  []byte
 	mask uint64
-
-	pmu     sync.Mutex // producer side: fast path vs pump
-	pending []byte
-	queued  atomic.Bool // ring is on the pump's dirty list
 
 	cmu sync.Mutex // consumer side
 }
@@ -117,12 +114,14 @@ func (r *shmRing) copyOut(pos uint64, dst []byte) {
 	}
 }
 
-// push appends src to the ring; the caller (holding pmu) has already
-// established that it fits.
-func (r *shmRing) push(src []byte) {
+// writeNow is the ring's spill.fit: it copies in what the ring has
+// room for of b, for its one producer (holding mu).
+func (r *shmRing) writeNow(b []byte) (int, error) {
 	head := atomic.LoadUint64(r.head)
-	r.copyIn(head, src)
-	atomic.StoreUint64(r.head, head+uint64(len(src)))
+	n := min(uint64(len(b)), r.capacity()-(head-atomic.LoadUint64(r.tail)))
+	r.copyIn(head, b[:n])
+	atomic.StoreUint64(r.head, head+n)
+	return int(n), nil
 }
 
 // shmLink carries the streams over the mapped rings. The rendezvous
@@ -150,12 +149,7 @@ type shmLink struct {
 
 	data []*shmRing // np*np, ordered (src-1)*np+(dst-1)
 	coll []*shmRing // procs*procs when procs > 1, else nil
-
-	pumpMu   sync.Mutex
-	pumpCond *sync.Cond
-	pumpStop bool
-	dirty    []*shmRing
-	pumpDone chan struct{}
+	pump *pump
 }
 
 func shmDir(override string) string {
@@ -205,12 +199,14 @@ func shmHdrU64(b []byte, off int) *uint64 {
 func (t *shmLink) u64at(off int) *uint64 { return shmHdrU64(t.mem, off) }
 
 func (t *shmLink) ringAt(off, cap int) *shmRing {
-	return &shmRing{
+	r := &shmRing{
 		head: t.u64at(off),
 		tail: t.u64at(off + 64),
 		buf:  t.mem[off+shmRingCtrl : off+shmRingCtrl+cap],
 		mask: uint64(cap) - 1,
 	}
+	r.fit = r.writeNow
+	return r
 }
 
 // carve builds the process-local ring views over the mapping.
@@ -261,8 +257,7 @@ func (t *shmLink) mapNew(f *os.File) error {
 // simply computes a different file name and times out — but header
 // validation catches shape mismatches.
 func openShm(cfg Config, fb *failBox, bufs *bufPool) (*shmLink, error) {
-	t := &shmLink{np: cfg.NP, procs: cfg.Procs, self: cfg.Self, fb: fb, bufs: bufs, pumpDone: make(chan struct{})}
-	t.pumpCond = sync.NewCond(&t.pumpMu)
+	t := &shmLink{np: cfg.NP, procs: cfg.Procs, self: cfg.Self, fb: fb, bufs: bufs}
 	fb.onFail = t.abort
 	var err error
 	switch {
@@ -281,7 +276,7 @@ func openShm(cfg Config, fb *failBox, bufs *bufPool) (*shmLink, error) {
 		t.unmap()
 		return nil, err
 	}
-	go t.pump()
+	t.pump = startPump(t.failedNow)
 	return t, nil
 }
 
@@ -464,7 +459,7 @@ func relax(spins int) {
 // readFull drains len(dst) bytes from r, blocking as needed; false
 // when the transport fails first. Bytes already in the ring are
 // delivered even after a failure (drain-then-nil, like the tcp
-// mailboxes).
+// wire).
 func (t *shmLink) readFull(r *shmRing, dst []byte) bool {
 	got, spins := 0, 0
 	for got < len(dst) {
@@ -490,33 +485,6 @@ func (t *shmLink) readFull(r *shmRing, dst []byte) bool {
 	return true
 }
 
-// writeFull streams src into r, blocking on ring space; used by the
-// collective rings and the pump, never by Send's caller path.
-func (t *shmLink) writeFull(r *shmRing, src []byte) bool {
-	done, spins := 0, 0
-	for done < len(src) {
-		head := atomic.LoadUint64(r.head)
-		tail := atomic.LoadUint64(r.tail)
-		if free := r.capacity() - (head - tail); free > 0 {
-			n := len(src) - done
-			if uint64(n) > free {
-				n = int(free)
-			}
-			r.copyIn(head, src[done:done+n])
-			atomic.StoreUint64(r.head, head+uint64(n))
-			done += n
-			spins = 0
-			continue
-		}
-		if t.failedNow() {
-			return false
-		}
-		spins++
-		relax(spins)
-	}
-	return true
-}
-
 // shmDataHdr is a data frame's header: [4]payload-byte-len [8]corr.
 const shmDataHdr = 12
 
@@ -524,32 +492,29 @@ func (t *shmLink) push(src, dst int, m inMsg) (int, bool) {
 	if t.peerFailed() {
 		return unmetered, false // failed transport: drop
 	}
-	r := t.dataRing(src, dst)
 	var hdr [shmDataHdr]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(m.msg)*8))
-	binary.LittleEndian.PutUint64(hdr[4:], m.corr)
 	payload := floatBytes(m.msg)
-	size := len(hdr) + len(payload)
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(hdr[4:], m.corr)
 	defer t.bufs.put(src, dst, m.msg) // copied into the ring or the spill
-	r.pmu.Lock()
-	if len(r.pending) == 0 {
-		head := atomic.LoadUint64(r.head)
-		tail := atomic.LoadUint64(r.tail)
-		if free := r.capacity() - (head - tail); free >= uint64(size) {
-			r.push(hdr[:])
-			r.push(payload)
-			r.pmu.Unlock()
-			return size, false
-		}
+	return len(hdr) + len(payload), t.send(t.dataRing(src, dst), hdr[:], payload)
+}
+
+// send writes the frame hdr+payload into r whole, or, when the ring
+// has no room for it (the receiver is behind, or a huge frame), spills
+// it for the pump to stream in, so a send never blocks. A spill is the
+// shm wire's stall signal: the ring was full.
+func (t *shmLink) send(r *shmRing, hdr, payload []byte) (spilled bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.pending) == 0 && r.capacity()-(atomic.LoadUint64(r.head)-atomic.LoadUint64(r.tail)) >= uint64(len(hdr)+len(payload)) {
+		r.writeNow(hdr)
+		r.writeNow(payload)
+		return false
 	}
-	// Slow path: the receiver is behind (or a huge frame); spill and
-	// let the pump stream it in so Send never blocks. A spill is the
-	// shm wire's stall signal: the ring was full.
-	r.pending = append(r.pending, hdr[:]...)
-	r.pending = append(r.pending, payload...)
-	r.pmu.Unlock()
-	t.markDirty(r)
-	return size, true
+	r.pending = append(append(r.pending, hdr...), payload...)
+	t.pump.mark(&r.spill)
+	return true
 }
 
 func (t *shmLink) pop(src, dst int) (inMsg, int, bool) {
@@ -575,18 +540,15 @@ func (t *shmLink) pop(src, dst int) (inMsg, int, bool) {
 	return m, shmDataHdr + n, true
 }
 
-// sendCtl emits one control frame on the ring to a peer process,
-// blocking on ring space (control frames are small and consumed in
-// lockstep, so there is no spill path).
+// sendCtl emits one control frame on the ring to a peer process, sent
+// like a data frame.
 func (t *shmLink) sendCtl(to int, kind byte, vals []float64) (int, bool) {
-	r := t.collRing(t.self, to)
-	r.pmu.Lock()
-	defer r.pmu.Unlock()
 	payload := floatBytes(vals)
 	var hdr [5]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
 	hdr[4] = kind
-	return len(hdr) + len(payload), t.writeFull(r, hdr[:]) && t.writeFull(r, payload)
+	t.send(t.collRing(t.self, to), hdr[:], payload)
+	return len(hdr) + len(payload), true
 }
 
 func (t *shmLink) recvCtl(from int) (byte, []float64, int, bool) {
@@ -630,9 +592,8 @@ func (t *shmLink) beat(now int64) {
 
 // abort publishes the failure to the other processes — the lost member
 // first (first detector wins), then the shared flag every blocked wait
-// polls — and wakes the pump so spilled sends are dropped. A member
-// the chaos plan killed tells nobody, like a SIGKILLed process: its
-// peers must find the frozen stamp themselves.
+// and the pump poll. A member the chaos plan killed tells nobody, like
+// a SIGKILLed process: its peers must find the frozen stamp themselves.
 func (t *shmLink) abort(err error) {
 	t.mapMu.RLock()
 	if t.mem != nil && !errors.Is(err, ErrChaosKilled) {
@@ -642,100 +603,9 @@ func (t *shmLink) abort(err error) {
 		atomic.StoreUint64(t.failed, 1)
 	}
 	t.mapMu.RUnlock()
-	t.pumpMu.Lock()
-	t.pumpCond.Broadcast()
-	t.pumpMu.Unlock()
 }
 
 func (t *shmLink) sever(int) {} // no connections to cut
-
-func (t *shmLink) markDirty(r *shmRing) {
-	if !r.queued.CompareAndSwap(false, true) {
-		return
-	}
-	t.pumpMu.Lock()
-	t.dirty = append(t.dirty, r)
-	t.pumpCond.Signal()
-	t.pumpMu.Unlock()
-}
-
-// drain moves spilled bytes into the ring as space allows. Reports
-// whether any progress was made and whether bytes remain.
-func (r *shmRing) drain() (progressed, remaining bool) {
-	r.pmu.Lock()
-	defer r.pmu.Unlock()
-	if len(r.pending) == 0 {
-		return false, false
-	}
-	head := atomic.LoadUint64(r.head)
-	tail := atomic.LoadUint64(r.tail)
-	free := r.capacity() - (head - tail)
-	if free == 0 {
-		return false, true
-	}
-	n := uint64(len(r.pending))
-	if n > free {
-		n = free
-	}
-	r.push(r.pending[:n])
-	if int(n) == len(r.pending) {
-		r.pending = nil
-		return true, false
-	}
-	r.pending = r.pending[n:]
-	return true, true
-}
-
-// pump is the per-process drainer of spilled sends: it retries dirty
-// rings until their pending bytes fit, sleeping in escalating steps
-// when no ring makes progress (receivers are busy computing).
-func (t *shmLink) pump() {
-	defer close(t.pumpDone)
-	backoff := 0
-	for {
-		t.pumpMu.Lock()
-		for len(t.dirty) == 0 && !t.pumpStop {
-			t.pumpCond.Wait()
-		}
-		if t.pumpStop {
-			t.pumpMu.Unlock()
-			return
-		}
-		work := t.dirty
-		t.dirty = nil
-		t.pumpMu.Unlock()
-		for _, r := range work {
-			r.queued.Store(false)
-		}
-		if t.failedNow() {
-			// Failed transport: pending messages are dropped, like Send.
-			for _, r := range work {
-				r.pmu.Lock()
-				r.pending = nil
-				r.pmu.Unlock()
-			}
-			continue
-		}
-		progressed := false
-		for _, r := range work {
-			p, rem := r.drain()
-			progressed = progressed || p
-			if rem {
-				t.markDirty(r)
-			}
-		}
-		if !progressed {
-			backoff++
-			d := time.Duration(backoff) * time.Microsecond
-			if d > 100*time.Microsecond {
-				d = 100 * time.Microsecond
-			}
-			time.Sleep(d)
-		} else {
-			backoff = 0
-		}
-	}
-}
 
 // close stops the pump, unmaps and (on the leader) unlinks. Callers
 // close with the engine idle — same contract as the tcp teardown —
@@ -744,11 +614,7 @@ func (t *shmLink) close() error {
 	if !t.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	t.pumpMu.Lock()
-	t.pumpStop = true
-	t.pumpCond.Broadcast()
-	t.pumpMu.Unlock()
-	<-t.pumpDone
+	t.pump.close()
 	t.unmap()
 	return nil
 }

@@ -15,3 +15,8 @@ func mmapFile(f *os.File, size int) ([]byte, error) {
 }
 
 func munmapFile(b []byte) error { return nil }
+
+// Without a portable non-blocking socket write, a tcp send writes its
+// whole frame, waiting for room: two processes that flood each other
+// beyond the socket buffers can stall.
+func (c *tconn) writeNow(b []byte) (int, error) { return c.c.Write(b) }

@@ -8,8 +8,10 @@ import (
 	"net"
 	"os"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -42,32 +44,47 @@ const (
 	maxFrame          = 1 << 30
 )
 
-// hello subkinds: a join (process → leader rendezvous) or a peer data
-// connection (mesh fill-in between non-leader processes).
+// hello subkinds: a join (process → leader rendezvous) or a mesh
+// connection between two processes, whose hello names, in place of a
+// listener address, its index: -1 for a control connection, k for the
+// pair's k-th data socket.
 const (
 	helloJoin = byte(1)
 	helloPeer = byte(2)
 )
 
-// tconn is one connection. Each frame goes out in one Write under wmu,
-// so all frames from this process to the peer process stay whole and
-// per-rank-pair FIFO order is preserved (a pair's sender rank is
-// hosted by exactly one process).
+// tconn is one connection. Every frame goes out whole under the spill's
+// lock, so frames from this process to the peer stay whole and each
+// rank pair's stay in order (a pair's sender is hosted by one process
+// and its frames take one socket): a control frame in one blocking
+// Write, a data frame through the spill, which never blocks.
 type tconn struct {
-	c   net.Conn
-	br  *bufio.Reader // single reader, shared by handshake and readLoop
-	in  []byte        // the reader's scratch
-	wmu sync.Mutex
-	out []byte // writeFrame's, under wmu
+	spill
+	c    net.Conn
+	peer int             // a data end's peer process
+	raw  syscall.RawConn // nil when c is not a socket (a test's)
+	br   *bufio.Reader   // the one reader, from the handshake on
+	in   []byte          // the reader's scratch
+	out  []byte          // writeFrame's, under mu
+	// writeNow's argument, result and callback, under mu.
+	wb   []byte
+	wn   int
+	werr error
+	wfn  func(fd uintptr) bool
 }
 
 // newTconn wraps a connection. The buffered reader is created once
-// and reused from handshake through readLoop: a fresh reader after
-// the handshake would silently drop any frames the kernel delivered
-// in the same segment as the handshake reply. It holds 64 KiB, so a
-// frame the size of a ghost row arrives in one read.
+// and reused from the handshake on: a fresh reader after the handshake
+// would silently drop any frames the kernel delivered in the same
+// segment as the handshake reply. It holds 64 KiB, so a frame the size
+// of a ghost row arrives in one read.
 func newTconn(c net.Conn) *tconn {
-	return &tconn{c: c, br: bufio.NewReaderSize(c, 64<<10)}
+	t := &tconn{c: c}
+	t.br, t.fit = bufio.NewReaderSize(c, 64<<10), t.writeNow
+	if sc, ok := c.(syscall.Conn); ok {
+		t.raw, _ = sc.SyscallConn() // on error raw stays nil: writeNow falls back to Write
+	}
+	return t
 }
 
 // appendFrame builds a frame in buf's memory, grown once to fit: the
@@ -82,8 +99,8 @@ func appendFrame(buf []byte, kind byte, head []byte, vals []float64) []byte {
 // writeFrame builds a frame in the connection's buffer and writes it;
 // it returns the frame's size.
 func (c *tconn) writeFrame(kind byte, head []byte, vals []float64) (int, error) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.out = appendFrame(c.out, kind, head, vals)
 	return c.c.Write(c.out)
 }
@@ -218,76 +235,74 @@ func decodeData(body []byte, np int, bufs *bufPool) (src, dst int, m inMsg, err 
 	return src, dst, m, nil
 }
 
-// mailbox is an unbounded FIFO queue of messages for one stream, with
-// abort support: messages queued before the abort still drain in
-// order (a peer's orderly shutdown must not eat data already on the
-// wire); pop reports false once the queue is empty and aborted. The
-// queue is q[next:], and a drained one restarts at the front of q.
-type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []inMsg
-	next   int
-	closed bool
+// inbox is where one rank's receivers take the messages of the
+// sources it serves, each source's in order. On a data socket end it is
+// the end's one reader: a receiver whose source has nothing stashed
+// reads the next frame itself unless another receiver is reading, and
+// stashes a frame from another source for that source's receiver.
+// Without a socket it is a queue that senders push into: the messages
+// between ranks of one process, and a peer's control frames (the kind
+// riding inMsg.corr). Messages that arrived before a failure still
+// drain in order (a peer's orderly shutdown must not eat data already
+// on the wire); then receivers get nothing.
+type inbox struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	c       *tconn // nil: pushed into
+	dst, lo int    // the receiving rank; the source of stash[0]
+	reading bool
+	failed  bool
+	stash   [][]inMsg
 }
 
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
+func newInbox(c *tconn, dst, lo, n int) *inbox {
+	b := &inbox{c: c, dst: dst, lo: lo, stash: make([][]inMsg, n)}
+	b.cond.L = &b.mu
+	return b
 }
 
-func (m *mailbox) push(msg inMsg) {
-	m.mu.Lock()
-	m.q = append(m.q, msg)
-	m.cond.Signal()
-	m.mu.Unlock()
+func (b *inbox) push(src int, m inMsg) {
+	b.mu.Lock()
+	b.stash[src-b.lo] = append(b.stash[src-b.lo], m)
+	b.cond.Broadcast()
+	b.mu.Unlock()
 }
 
-func (m *mailbox) pop() (inMsg, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.next == len(m.q) && !m.closed {
-		m.cond.Wait()
-	}
-	if m.next == len(m.q) {
-		return inMsg{}, false
-	}
-	msg := m.q[m.next]
-	if m.next++; m.next == len(m.q) {
-		m.q, m.next = m.q[:0], 0
-	}
-	return msg, true
+// fail ends a pushed-into inbox: its receivers get what is stashed,
+// then nothing.
+func (b *inbox) fail() {
+	b.mu.Lock()
+	b.failed = true
+	b.cond.Broadcast()
+	b.mu.Unlock()
 }
 
-func (m *mailbox) abort() {
-	m.mu.Lock()
-	m.closed = true
-	m.cond.Broadcast()
-	m.mu.Unlock()
-}
-
-// tcpLink carries rank streams over localhost sockets. In
-// multi-process jobs each process pair shares one connection and
-// same-process traffic short-circuits through mailboxes; in loopback
-// mode (Procs 1) the single process dials itself so every message
-// still crosses a real socket, exercising the framing, encoding and
-// demux paths end to end.
+// tcpLink carries rank streams over localhost sockets, data and
+// control frames on separate ones. Each data socket end is read by one
+// rank's receivers only (its inbox), and every send to that rank is
+// written on the socket's other end, so no goroutine stands between a
+// frame and its receiver. In a multi-process job a process pair has one
+// data socket per rank of the process hosting more, the k-th read on
+// each side by that side's k-th rank, and a control connection that
+// readLoop reads; two ranks of one process short-circuit through an
+// inbox without a socket. In loopback mode (Procs 1) the process dials itself, one
+// connection per two ranks: rank 2k+1 reads the accepted end and rank
+// 2k+2 the dialled one, so every message still crosses a real socket.
 type tcpLink struct {
-	cfg    Config
-	fb     *failBox
-	bufs   *bufPool
-	wbuf   [][]byte // per sending stream: its last data frame
-	ln     net.Listener
-	conns  []*tconn // by peer process index; conns[Self] is nil
-	loop   *tconn   // loopback write side (single-process mode only)
-	loopIn *tconn   // loopback read side
-
-	boxes [][]*mailbox // [src-1][dst-1] for streams received here
-	ctl   []*mailbox   // control frames by source process; the kind rides inMsg.corr
+	cfg   Config
+	fb    *failBox
+	bufs  *bufPool
+	pump  *pump
+	wbuf  [][]byte // per sending stream: its last data frame
+	ln    net.Listener
+	conns []*tconn // control connections by peer process; conns[Self] is nil
+	socks []*tconn // data socket ends
+	out   []*tconn // by rank: the end sends to it are written on; nil on this process
+	ins   []*inbox // by (rank, sending process): where the rank receives
+	ctl   []*inbox // control frames by source process
 
 	// lastHeard[i] is the UnixNano of the last frame (of any kind)
-	// read from process i; refreshed by readLoop.
+	// read from process i.
 	lastHeard []atomic.Int64
 
 	closed atomic.Bool
@@ -297,29 +312,28 @@ type tcpLink struct {
 // dialTCP builds this process's end of the wire: in a multi-process
 // job, process 0 binds the rendezvous address and collects one join
 // handshake per peer, sends everyone the peer-listener roster, and the
-// peers fill in the connection mesh among themselves (higher process
-// index dials lower). Returns once this process is fully meshed.
+// peers fill in the connection mesh (higher process index dials
+// lower). Returns once this process is fully meshed.
 func dialTCP(cfg Config, fb *failBox, bufs *bufPool) (*tcpLink, error) {
-	l := &tcpLink{cfg: cfg, fb: fb, bufs: bufs, wbuf: make([][]byte, cfg.NP*cfg.NP)}
+	np := cfg.NP
+	l := &tcpLink{cfg: cfg, fb: fb, bufs: bufs, wbuf: make([][]byte, np*np),
+		out: make([]*tconn, np), ins: make([]*inbox, np*cfg.Procs), lastHeard: make([]atomic.Int64, cfg.Procs)}
 	fb.onFail = l.abort
-	l.boxes = make([][]*mailbox, cfg.NP)
-	for s := range l.boxes {
-		l.boxes[s] = make([]*mailbox, cfg.NP)
-		for d := range l.boxes[s] {
-			l.boxes[s][d] = newMailbox()
-		}
-	}
+	l.pump = startPump(fb.failed)
+	deadline := time.Now().Add(cfg.Timeout)
 	var err error
 	if cfg.Procs == 1 {
-		err = l.dialLoop()
+		err = l.dialLoop(deadline)
 	} else {
-		l.conns = make([]*tconn, cfg.Procs)
-		l.lastHeard = make([]atomic.Int64, cfg.Procs)
-		l.ctl = make([]*mailbox, cfg.Procs)
-		for i := range l.ctl {
-			l.ctl[i] = newMailbox()
+		lo, hi := RanksOf(np, cfg.Procs, cfg.Self)
+		for d := lo; d <= hi; d++ {
+			l.ins[(d-1)*cfg.Procs+cfg.Self] = newInbox(nil, d, lo, hi-lo+1)
 		}
-		deadline := time.Now().Add(cfg.Timeout)
+		l.conns = make([]*tconn, cfg.Procs)
+		l.ctl = make([]*inbox, cfg.Procs)
+		for i := range l.ctl {
+			l.ctl[i] = newInbox(nil, 0, i, 1)
+		}
 		if cfg.Self == 0 {
 			err = l.bootstrapLeader(deadline)
 		} else {
@@ -341,45 +355,135 @@ func dialTCP(cfg Config, fb *failBox, bufs *bufPool) (*tcpLink, error) {
 	return l, nil
 }
 
-// dialLoop connects the single process to itself: all rank streams run
-// through one self-dialled localhost connection, so the wire format is
-// exercised without a second process.
-func (l *tcpLink) dialLoop() error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
+// listen binds this process's listener for the bootstrap's connections.
+func (l *tcpLink) listen(addr string, deadline time.Time) (err error) {
+	if l.ln, err = net.Listen("tcp", addr); err == nil {
+		l.ln.(*net.TCPListener).SetDeadline(deadline) // never lifted: nothing accepts after the bootstrap
 	}
-	l.ln = ln
-	type accepted struct {
-		c   net.Conn
-		err error
+	return err
+}
+
+// addEnd files c as this process's end of a connection to process p:
+// the control connection (rk -1), or a data socket this process's rk-th
+// rank reads and sends to p's wk-th rank are written on (counted from
+// 0; past the last rank: none). It refuses one out of range or taken.
+func (l *tcpLink) addEnd(c *tconn, p, rk, wk int) error {
+	lo, hi := RanksOf(l.cfg.NP, l.cfg.Procs, l.cfg.Self)
+	plo, phi := RanksOf(l.cfg.NP, l.cfg.Procs, p)
+	rd, wd := lo+rk, plo+wk
+	if rd > hi {
+		rd = 0
 	}
-	acceptc := make(chan accepted, 1)
-	go func() {
-		c, err := ln.Accept()
-		acceptc <- accepted{c, err}
-	}()
-	out, err := net.DialTimeout("tcp", ln.Addr().String(), l.cfg.Timeout)
-	if err != nil {
-		return err // close() shuts the listener, which ends the accept
+	if wd > phi {
+		wd = 0
 	}
-	l.loop = newTconn(out)
-	in := <-acceptc
-	if in.err != nil {
-		return in.err
+	switch {
+	case rk == -1 && l.conns[p] == nil:
+		l.conns[p] = c
+		return nil
+	case rk < 0 || wk < 0 || rd+wd == 0 || rd > 0 && l.ins[(rd-1)*l.cfg.Procs+p] != nil || wd > 0 && l.out[wd-1] != nil:
+		return fmt.Errorf("transport: connection %d from process %d is out of range or a duplicate", rk, p)
 	}
-	l.loopIn = newTconn(in.c)
-	// Handshake across the loop, so the hello path is covered too.
-	h := hello{sub: helloJoin, np: l.cfg.NP, procs: 1, job: l.cfg.Job}
-	if _, err := l.loop.writeFrame(frameHello, encodeHello(h), nil); err != nil {
-		return err
+	c.peer = p
+	l.socks = append(l.socks, c)
+	if rd > 0 {
+		l.ins[(rd-1)*l.cfg.Procs+p] = newInbox(c, rd, plo, phi-plo+1)
 	}
-	if _, err := l.readHello(l.loopIn, helloJoin); err != nil {
-		return err
+	if wd > 0 {
+		l.out[wd-1] = c
 	}
-	l.wg.Add(1)
-	go l.readLoop(-1, l.loopIn)
 	return nil
+}
+
+// dialLoop connects the single process to itself. The kernel completes
+// a connection on the listen queue, so it is dialled, then accepted,
+// and the accepted end must be the dialled one's peer, not a stray
+// dialer's.
+func (l *tcpLink) dialLoop(deadline time.Time) error {
+	if err := l.listen("127.0.0.1:0", deadline); err != nil {
+		return err
+	}
+	for k := 0; 2*k < l.cfg.NP; k++ {
+		out, err := net.DialTimeout("tcp", l.ln.Addr().String(), time.Until(deadline))
+		if err != nil {
+			return err
+		}
+		l.addEnd(newTconn(out), 0, 2*k+1, 2*k)
+		in, err := l.ln.Accept()
+		if err != nil {
+			return err
+		}
+		l.addEnd(newTconn(in), 0, 2*k, 2*k+1)
+		if in.RemoteAddr().String() != out.LocalAddr().String() {
+			return fmt.Errorf("transport: loopback accepted %s, not %s", in.RemoteAddr(), out.LocalAddr())
+		}
+	}
+	return nil
+}
+
+// dialMesh dials this process's connections to the lower-index process
+// p at addr, each with a hello naming its index: -1 the control
+// connection (the leader's is the join), then a data socket per rank
+// of p, which hosts at least as many ranks as this process (RanksOf).
+func (l *tcpLink) dialMesh(p int, addr string, deadline time.Time) error {
+	plo, phi := RanksOf(l.cfg.NP, l.cfg.Procs, p)
+	for k := -min(p, 1); k <= phi-plo; k++ {
+		c, err := net.DialTimeout("tcp", addr, time.Until(deadline))
+		if err != nil {
+			return fmt.Errorf("transport: dialing process %d at %s: %w", p, addr, err)
+		}
+		tc := newTconn(c)
+		l.addEnd(tc, p, k, k)
+		h := hello{sub: helloPeer, generation: l.cfg.Generation, np: l.cfg.NP, procs: l.cfg.Procs, from: l.cfg.Self, job: l.cfg.Job, addr: strconv.Itoa(k)}
+		if _, err := tc.writeFrame(frameHello, encodeHello(h), nil); err != nil {
+			return fmt.Errorf("transport: hello to process %d: %w", p, err)
+		}
+	}
+	return nil
+}
+
+// accept takes n connections from higher-index processes, each filed by
+// add from its hello. One whose hello does not belong — a stale-
+// generation worker left over from a previous run, a stray dialer — is
+// refused on its own: it must not abort the new job's bootstrap.
+func (l *tcpLink) accept(n int, sub byte, deadline time.Time, add func(*tconn, hello) error) error {
+	for n > 0 {
+		c, err := l.ln.Accept()
+		if err != nil {
+			return fmt.Errorf("transport: job %q waiting for %d more connection(s): %w", l.cfg.Job, n, err)
+		}
+		c.SetDeadline(deadline)
+		tc := newTconn(c)
+		h, err := l.readHello(tc, sub)
+		if err == nil && h.from <= l.cfg.Self {
+			err = fmt.Errorf("transport: connection from process %d, not above %d", h.from, l.cfg.Self)
+		}
+		if err == nil {
+			err = add(tc, h)
+		}
+		if err != nil {
+			c.Close()
+			fmt.Fprintf(os.Stderr, "transport: job %q refused a connection: %v\n", l.cfg.Job, err)
+			continue
+		}
+		c.SetDeadline(time.Time{})
+		n--
+	}
+	return nil
+}
+
+// acceptMesh accepts the connections each higher-index process dials
+// to this one with dialMesh.
+func (l *tcpLink) acceptMesh(deadline time.Time) error {
+	lo, hi := RanksOf(l.cfg.NP, l.cfg.Procs, l.cfg.Self)
+	n := (l.cfg.Procs - 1 - l.cfg.Self) * (hi - lo + 1 + min(l.cfg.Self, 1))
+	return l.accept(n, helloPeer, deadline, func(c *tconn, h hello) error {
+		k, err := strconv.Atoi(h.addr)
+		if err != nil {
+			return err
+		}
+		return l.addEnd(c, h.from, k, k)
+	})
 }
 
 // readHello reads one handshake frame and checks that it belongs to
@@ -413,61 +517,33 @@ func (l *tcpLink) readHello(c *tconn, sub byte) (hello, error) {
 }
 
 func (l *tcpLink) bootstrapLeader(deadline time.Time) error {
-	ln, err := net.Listen("tcp", l.cfg.Addr)
-	if err != nil {
+	if err := l.listen(l.cfg.Addr, deadline); err != nil {
 		return fmt.Errorf("transport: leader bind %s: %w", l.cfg.Addr, err)
 	}
-	l.ln = ln
-	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(deadline) // never lifted: nothing accepts after the bootstrap
-	}
 	addrs := make([]string, l.cfg.Procs)
-	for joined := 1; joined < l.cfg.Procs; {
-		c, err := ln.Accept()
-		if err != nil {
-			return fmt.Errorf("transport: job %q waiting for %d more worker(s): %w", l.cfg.Job, l.cfg.Procs-joined, err)
+	err := l.accept(l.cfg.Procs-1, helloJoin, deadline, func(c *tconn, h hello) error {
+		err := l.addEnd(c, h.from, -1, -1)
+		if err == nil {
+			addrs[h.from] = h.addr
 		}
-		c.SetDeadline(deadline)
-		tc := newTconn(c)
-		h, err := l.readHello(tc, helloJoin)
-		if err == nil && h.from == 0 {
-			err = fmt.Errorf("transport: join from process 0, which is the leader")
-		}
-		if err != nil {
-			// Refuse just this connection — a stale-generation worker
-			// left over from a previous run (or a stray dialer) must
-			// not abort the new job's bootstrap.
-			c.Close()
-			fmt.Fprintf(os.Stderr, "transport: job %q refused a join: %v\n", l.cfg.Job, err)
-			continue
-		}
-		if l.conns[h.from] != nil {
-			c.Close()
-			return fmt.Errorf("transport: job %q duplicate join from process %d", l.cfg.Job, h.from)
-		}
-		l.conns[h.from] = tc
-		addrs[h.from] = h.addr
-		joined++
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	roster := encodeRoster(addrs)
 	for i := 1; i < l.cfg.Procs; i++ {
 		if _, err := l.conns[i].writeFrame(frameRoster, roster, nil); err != nil {
 			return fmt.Errorf("transport: sending roster to process %d: %w", i, err)
 		}
-		l.conns[i].c.SetDeadline(time.Time{})
 	}
-	return nil
+	return l.acceptMesh(deadline)
 }
 
 func (l *tcpLink) bootstrapPeer(deadline time.Time) error {
 	// My own listener, for mesh connections from higher-index peers.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	if err := l.listen("127.0.0.1:0", deadline); err != nil {
 		return err
-	}
-	l.ln = ln
-	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(deadline)
 	}
 	// Join the leader and fetch the roster, retrying the whole
 	// connect+handshake with jittered exponential backoff: while the
@@ -486,38 +562,14 @@ func (l *tcpLink) bootstrapPeer(deadline time.Time) error {
 		}
 		time.Sleep(Backoff(attempt, 10*time.Millisecond, 500*time.Millisecond))
 	}
-	// Mesh: dial every lower-index peer, accept every higher one.
-	ph := hello{sub: helloPeer, generation: l.cfg.Generation, np: l.cfg.NP, procs: l.cfg.Procs, from: l.cfg.Self, job: l.cfg.Job}
-	for j := 1; j < l.cfg.Self; j++ {
-		c, err := net.DialTimeout("tcp", addrs[j], time.Until(deadline))
-		if err != nil {
-			return fmt.Errorf("transport: dialing peer %d at %s: %w", j, addrs[j], err)
-		}
-		l.conns[j] = newTconn(c)
-		if _, err := l.conns[j].writeFrame(frameHello, encodeHello(ph), nil); err != nil {
-			return fmt.Errorf("transport: peer hello to %d: %w", j, err)
-		}
-	}
-	for k := l.cfg.Self + 1; k < l.cfg.Procs; k++ {
-		c, err := ln.Accept()
-		if err != nil {
-			return fmt.Errorf("transport: job %q waiting for peer connections: %w", l.cfg.Job, err)
-		}
-		c.SetDeadline(deadline)
-		tc := newTconn(c)
-		h, err := l.readHello(tc, helloPeer)
-		if err != nil {
-			c.Close()
+	// Mesh: dial every lower-index process, accept every higher one.
+	addrs[0] = l.cfg.Addr // the leader listens on the rendezvous address
+	for j := 0; j < l.cfg.Self; j++ {
+		if err := l.dialMesh(j, addrs[j], deadline); err != nil {
 			return err
 		}
-		if h.from <= l.cfg.Self || l.conns[h.from] != nil {
-			c.Close()
-			return fmt.Errorf("transport: unexpected peer connection from process %d", h.from)
-		}
-		c.SetDeadline(time.Time{})
-		l.conns[h.from] = tc
 	}
-	return nil
+	return l.acceptMesh(deadline)
 }
 
 // joinLeader performs one connect+handshake round with the leader:
@@ -556,30 +608,29 @@ func (l *tcpLink) joinLeader(deadline time.Time) ([]string, error) {
 		return nil, err
 	}
 	c0.SetDeadline(time.Time{})
-	l.conns[0] = tc
-	return addrs, nil
+	return addrs, l.addEnd(tc, 0, -1, -1)
 }
 
-// lost raises the failure for an I/O error on the connection to peer
-// (-1: the loopback connection). A dead peer connection — read-side
-// EOF or write-side broken pipe, whichever end of the socket errors
-// first — means that peer is gone, and is attributed to it as a
+// lost raises the failure for an I/O error on a connection to peer
+// (Self: a loopback connection). A dead peer connection — read-side EOF
+// or write-side broken pipe, whichever end of the socket errors first —
+// means that peer is gone, and is attributed to it as a
 // *MemberLostError so recovery treats both alike. A deliberate close
 // raises nothing.
 func (l *tcpLink) lost(peer int, op string, err error) {
 	switch {
 	case l.closed.Load():
-	case peer >= 0:
+	case peer != l.cfg.Self:
 		l.fb.fail(&MemberLostError{Proc: peer, Cause: "connection lost", Err: err})
 	default:
 		l.fb.fail(fmt.Errorf("transport: job %q %s: %w", l.cfg.Job, op, err))
 	}
 }
 
-// readLoop demultiplexes one connection's frames into the per-pair
-// mailboxes and the per-process control queues. peer is the remote
-// process index (-1 for the loopback connection). A frame that does
-// not parse fails the transport with the reason.
+// readLoop reads the control connection to process peer into its
+// control queue and stamps the peer's liveness on every frame, heart
+// frames included. A frame that does not parse fails the transport
+// with the reason.
 func (l *tcpLink) readLoop(peer int, c *tconn) {
 	defer l.wg.Done()
 	for {
@@ -588,24 +639,11 @@ func (l *tcpLink) readLoop(peer int, c *tconn) {
 			l.lost(peer, "connection lost", err)
 			return
 		}
-		if peer >= 0 {
-			l.lastHeard[peer].Store(time.Now().UnixNano())
-		}
+		l.lastHeard[peer].Store(time.Now().UnixNano())
 		switch kind {
 		case frameHeart:
 			// Liveness only; the stamp above is the payload.
-		case frameData:
-			src, dst, m, err := decodeData(body, l.cfg.NP, l.bufs)
-			if err != nil {
-				l.fb.fail(err)
-				return
-			}
-			l.boxes[src-1][dst-1].push(m)
 		case frameBcast, frameBarrier, frameRelease:
-			if peer < 0 {
-				l.fb.fail(fmt.Errorf("transport: control frame kind %d on the loopback connection", kind))
-				return
-			}
 			if kind != frameRelease { // bcast and barrier name their sender
 				if len(body) < 4 || int(binary.LittleEndian.Uint32(body)) != peer {
 					l.fb.fail(fmt.Errorf("transport: control frame kind %d from process %d does not name its sender", kind, peer))
@@ -618,12 +656,69 @@ func (l *tcpLink) readLoop(peer int, c *tconn) {
 				l.fb.fail(fmt.Errorf("transport: control frame kind %d from process %d: %w", kind, peer, err))
 				return
 			}
-			l.ctl[peer].push(inMsg{corr: uint64(kind - frameData), msg: vals})
+			l.ctl[peer].push(peer, inMsg{corr: uint64(kind - frameData), msg: vals})
 		default:
-			l.fb.fail(fmt.Errorf("transport: unknown frame kind %d", kind))
+			l.fb.fail(fmt.Errorf("transport: frame kind %d on the control connection from process %d", kind, peer))
 			return
 		}
 	}
+}
+
+// recv is a receiver of b's rank taking the next message from src: out
+// of the stash, or off b's socket once no other receiver reads it.
+func (l *tcpLink) recv(b *inbox, src int) (inMsg, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for q := &b.stash[src-b.lo]; ; {
+		if len(*q) > 0 {
+			m := (*q)[0]
+			*q = (*q)[:copy(*q, (*q)[1:])]
+			return m, true
+		}
+		if b.failed {
+			return inMsg{}, false
+		}
+		if b.reading || b.c == nil {
+			b.cond.Wait()
+			continue
+		}
+		b.reading = true
+		b.mu.Unlock()
+		s, m, err := l.readData(b)
+		b.mu.Lock()
+		b.reading = false
+		b.cond.Broadcast()
+		switch {
+		case err != nil:
+			b.failed = true
+		case s == src:
+			return m, true
+		default:
+			b.stash[s-b.lo] = append(b.stash[s-b.lo], m)
+		}
+	}
+}
+
+// readData reads the next frame off b's socket end, which must be a
+// data frame to b's rank from a rank of b's peer, and stamps the peer's
+// liveness: any frame read from a process is its sign of life.
+func (l *tcpLink) readData(b *inbox) (src int, m inMsg, err error) {
+	kind, body, err := b.c.readFrame(maxFrame)
+	if err != nil {
+		l.lost(b.c.peer, "connection lost", err)
+		return 0, m, err
+	}
+	l.lastHeard[b.c.peer].Store(time.Now().UnixNano())
+	var dst int
+	if kind != frameData {
+		err = fmt.Errorf("transport: frame kind %d on the data connection of rank %d", kind, b.dst)
+	} else if src, dst, m, err = decodeData(body, l.cfg.NP, l.bufs); err == nil && (dst != b.dst || src < b.lo || src-b.lo >= len(b.stash)) {
+		err = fmt.Errorf("transport: data frame for pair (%d,%d) on the data connection of rank %d", src, dst, b.dst)
+	}
+	if err != nil {
+		l.fb.fail(err)
+	}
+	return src, m, err
 }
 
 // lostOnErr returns a written frame's size, or unmetered when the
@@ -638,12 +733,12 @@ func (l *tcpLink) lostOnErr(peer, n int, err error) int {
 }
 
 // push encodes a data frame into the stream's own buffer, outside the
-// connection's lock, and hands the message back to the pool.
+// socket's lock, hands the message back to the pool and writes the
+// frame on the destination's data end through its spill.
 func (l *tcpLink) push(src, dst int, m inMsg) (int, bool) {
-	h := HostOfRank(l.cfg.NP, l.cfg.Procs, dst)
-	if h == l.cfg.Self && l.loop == nil {
-		// Same-process pair: short-circuit through the mailbox.
-		l.boxes[src-1][dst-1].push(m)
+	c := l.out[dst-1]
+	if c == nil { // same-process pair: short-circuit through the inbox
+		l.ins[(dst-1)*l.cfg.Procs+l.cfg.Self].push(src, m)
 		return unmetered, false
 	}
 	var head [16]byte
@@ -653,22 +748,19 @@ func (l *tcpLink) push(src, dst int, m inMsg) (int, bool) {
 	i := (src-1)*l.cfg.NP + dst - 1
 	l.wbuf[i] = appendFrame(l.wbuf[i], frameData, head[:], m.msg)
 	l.bufs.put(src, dst, m.msg)
-	c, peer := l.loop, -1
-	if c == nil {
-		c, peer = l.conns[h], h
-	}
-	c.wmu.Lock()
-	n, err := c.c.Write(l.wbuf[i])
-	c.wmu.Unlock()
-	return l.lostOnErr(peer, n, err), false
+	c.mu.Lock()
+	stalled, err := c.put(l.pump, l.wbuf[i])
+	c.mu.Unlock()
+	return l.lostOnErr(c.peer, len(l.wbuf[i]), err), stalled
 }
 
 func (l *tcpLink) pop(src, dst int) (inMsg, int, bool) {
-	m, ok := l.boxes[src-1][dst-1].pop()
-	if !ok || (l.loop == nil && HostOfRank(l.cfg.NP, l.cfg.Procs, src) == l.cfg.Self) {
-		return m, unmetered, ok // nothing, or a same-process short-circuit
+	b := l.ins[(dst-1)*l.cfg.Procs+HostOfRank(l.cfg.NP, l.cfg.Procs, src)]
+	m, ok := l.recv(b, src)
+	if b.c == nil {
+		return m, unmetered, ok // a same-process short-circuit
 	}
-	return m, 5 + 16 + 8*len(m.msg), true
+	return m, 5 + 16 + 8*len(m.msg), ok
 }
 
 // ctlHeader is the sender-index prefix of a control frame body: bcast
@@ -689,17 +781,17 @@ func (l *tcpLink) sendCtl(to int, kind byte, vals []float64) (int, bool) {
 }
 
 func (l *tcpLink) recvCtl(from int) (byte, []float64, int, bool) {
-	m, ok := l.ctl[from].pop()
+	m, ok := l.recv(l.ctl[from], from)
 	kind := byte(m.corr)
 	return kind, m.msg, 5 + ctlHeader(kind) + 8*len(m.msg), ok
 }
 
 func (l *tcpLink) lastSeen(proc int) int64 { return l.lastHeard[proc].Load() }
 
-// beat writes a heart frame on every mesh connection. Write errors are
-// ignored here: the connection's readLoop attributes the loss to the
-// right peer. Heart frames are liveness evidence, not traffic, and are
-// metered on neither side.
+// beat writes a heart frame on every control connection. Write errors
+// are ignored here: the connection's readLoop attributes the loss to
+// the right peer. Heart frames are liveness evidence, not traffic, and
+// are metered on neither side.
 func (l *tcpLink) beat(int64) {
 	for _, c := range l.conns {
 		if c != nil {
@@ -708,37 +800,41 @@ func (l *tcpLink) beat(int64) {
 	}
 }
 
-// abort wakes every blocked pop and recvCtl. There is nobody to tell:
-// peers learn of a failure here when the sockets close.
+// abort wakes every blocked pop and recvCtl: the waiters of an inbox
+// without a socket directly, a receiver reading a data end by shutting
+// the end's read side, after which a read returns what the socket
+// holds, then EOF — so the frames a peer sent before an orderly close
+// are delivered (on Linux; BSD kernels discard them). There is nobody
+// to tell: peers learn of a failure here when the sockets close.
 func (l *tcpLink) abort(error) {
-	for _, row := range l.boxes {
-		for _, b := range row {
-			b.abort()
+	for _, b := range slices.Concat(l.ins, l.ctl) {
+		if b != nil && b.c == nil {
+			b.fail()
 		}
 	}
-	for _, b := range l.ctl {
-		b.abort()
+	for _, c := range l.socks {
+		if tc, ok := c.c.(*net.TCPConn); ok {
+			tc.CloseRead()
+		}
 	}
 }
 
-// sever closes the raw socket to peer, or every socket and the
-// listener when peer < 0. In loopback mode the self-dialled connection
-// stands in for any peer.
+// sever closes the raw sockets to peer, or every socket and the
+// listener when peer < 0. In loopback mode the self-dialled sockets
+// stand in for any peer.
 func (l *tcpLink) sever(peer int) {
-	switch {
-	case peer < 0:
-		for _, c := range append([]*tconn{l.loop, l.loopIn}, l.conns...) {
-			if c != nil {
-				c.c.Close()
-			}
+	for _, c := range l.socks {
+		if peer < 0 || c.peer == peer || l.cfg.Procs == 1 {
+			c.c.Close()
 		}
-		if l.ln != nil {
-			l.ln.Close()
+	}
+	for p, c := range l.conns {
+		if c != nil && (peer < 0 || p == peer) {
+			c.c.Close()
 		}
-	case l.loop != nil:
-		l.loop.c.Close()
-	case peer < len(l.conns) && l.conns[peer] != nil:
-		l.conns[peer].c.Close()
+	}
+	if l.ln != nil && peer < 0 {
+		l.ln.Close()
 	}
 }
 
@@ -749,5 +845,6 @@ func (l *tcpLink) close() error {
 	l.sever(-1)
 	l.abort(nil)
 	l.wg.Wait()
+	l.pump.close()
 	return nil
 }

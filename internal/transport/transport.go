@@ -21,9 +21,8 @@
 // hands its slice over and Recv lends one until the next Recv on the
 // stream; the core recycles both per stream for Buffer. Send never
 // blocks indefinitely against a live receiver (the inproc transport
-// blocks only on its per-pair capacity-1 backpressure; the tcp
-// transport buffers in per-pair mailboxes, shm spills to a pending
-// queue). Collectives (Bcast, Barrier) must be invoked by every
+// blocks only on its per-pair capacity-1 backpressure; what the shm
+// ring or the tcp socket does not take spills to a pending queue). Collectives (Bcast, Barrier) must be invoked by every
 // participating process in the same order — the engine guarantees this
 // by construction, since every process executes the same deterministic
 // control flow. A failed transport (Fail, or an I/O error on a
@@ -33,7 +32,7 @@
 //
 // Failure detection: in a multi-process job the core's monitor watches
 // each wire's liveness evidence — tcp exchanges heartbeat frames on
-// every connection, shm stamps per-process liveness slots in the
+// every control connection, shm stamps per-process liveness slots in the
 // mapped header — and a member that stops responding (SIGKILL, a
 // wedged host) is reported as a *MemberLostError naming the lost
 // process, which is what the recovery layer (package elastic) keys its
@@ -123,17 +122,6 @@ type Health struct {
 	Alive []bool
 	// Err is the transport's sticky failure, if any.
 	Err error
-}
-
-// Lost lists the process indexes currently believed dead.
-func (h Health) Lost() []int {
-	var out []int
-	for i, a := range h.Alive {
-		if !a {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // WireStats is a point-in-time snapshot of a transport's physical
@@ -414,8 +402,8 @@ func (cfg *Config) validate(kind string) error {
 // wire of the given kind and returns once every member has joined and
 // the initial job barrier has completed. With Procs == 1 it is the
 // loopback form of the wire: the shm rings over a real (unlinked)
-// mapping, or a self-dialled tcp connection, so every message still
-// crosses the real framing and demux path.
+// mapping, or self-dialled tcp connections, so every message still
+// crosses the real framing and decoding path.
 func Join(kind string, cfg Config) (Transport, error) {
 	if err := cfg.validate(kind); err != nil {
 		return nil, err

@@ -252,7 +252,7 @@ func TestMesh(t *testing.T) {
 			trs := joinMesh(t, kind, Config{Job: "mesh-test", NP: 6, Procs: 3, Generation: 7})
 			meshTraffic(t, trs)
 			for i, tr := range trs {
-				if h := tr.Status(); h.Generation != 7 || h.Self != i || len(h.Lost()) != 0 || h.Err != nil {
+				if h := tr.Status(); h.Generation != 7 || h.Self != i || len(lostOf(h)) != 0 || h.Err != nil {
 					t.Errorf("process %d after a clean round: status %+v", i, h)
 				}
 			}
@@ -349,7 +349,7 @@ func TestTCPStaleGenerationRejected(t *testing.T) {
 }
 
 // TestRecvLends checks the buffer contract on every wire while the
-// sender runs ahead: up to four messages deep in the tcp mailbox and
+// sender runs ahead: up to four messages deep in the tcp socket and
 // the shm ring, and as far as the capacity-1 channel lets it on
 // inproc. The slice a Recv lends must stay intact until the next Recv
 // on its stream although the sender has meanwhile filled more buffers
@@ -408,5 +408,97 @@ func TestRecvLends(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBidirectionalFlood has two ranks each send a burst far beyond
+// what the wire holds — about 20 fills of an shm ring, 10 MiB through
+// a loopback socket — to the other before either receives: the spill
+// and its pump must keep both Sends non-blocking, or this deadlocks
+// (and times out).
+func TestBidirectionalFlood(t *testing.T) {
+	for _, tc := range []struct {
+		kind string
+		size int
+	}{{Shm, shmDataCap / 8 / 2}, {TCP, 256 << 10 / 8}} {
+		t.Run(tc.kind, func(t *testing.T) {
+			tr, err := New(tc.kind, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			const msgs = 40
+			done := make(chan error, 2)
+			for r := 1; r <= 2; r++ {
+				go func(self int) {
+					peer := 3 - self
+					for k := 0; k < msgs; k++ {
+						msg := make([]float64, tc.size)
+						msg[0] = float64(self*1000 + k)
+						tr.Send(self, peer, msg)
+					}
+					for k := 0; k < msgs; k++ {
+						got := tr.Recv(peer, self)
+						if len(got) != tc.size || got[0] != float64(peer*1000+k) {
+							done <- fmt.Errorf("rank %d msg %d: got len %d head %v", self, k, len(got), got[:min(len(got), 1)])
+							return
+						}
+					}
+					done <- nil
+				}(r)
+			}
+			for i := 0; i < 2; i++ {
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatal("bidirectional flood deadlocked")
+				}
+			}
+		})
+	}
+}
+
+// TestDrainOnClose pins the pop contract on the tcp wire's worker-read
+// sockets: process 1 of a 2-process job, hosting ranks 3 and 4, sends
+// frames on every stream to process 0's ranks and closes. Process 0
+// has detected the loss before it receives a frame, yet every frame
+// already sent arrives, in order, from each of the two data sockets;
+// only then does Recv return nil, with the loss attributed to
+// process 1.
+func TestDrainOnClose(t *testing.T) {
+	const frames = 8
+	trs := joinMesh(t, TCP, Config{Job: "drain-test", NP: 4, Procs: 2, Generation: 1})
+	for s := 3; s <= 4; s++ {
+		for d := 1; d <= 2; d++ {
+			for k := 0; k < frames; k++ {
+				trs[1].Send(s, d, []float64{float64(100*s + 10*d + k)})
+			}
+		}
+	}
+	trs[1].Close()
+	for deadline := time.Now().Add(10 * time.Second); trs[0].Err() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("process 0 never saw process 1 close")
+		}
+	}
+	for s := 3; s <= 4; s++ {
+		for d := 1; d <= 2; d++ {
+			for k := 0; k < frames; k++ {
+				if msg := trs[0].Recv(s, d); len(msg) != 1 || msg[0] != float64(100*s+10*d+k) {
+					t.Fatalf("pair (%d,%d) frame %d after the close: got %v", s, d, k, msg)
+				}
+			}
+			within(t, "Recv past the last frame", func() {
+				if msg := trs[0].Recv(s, d); msg != nil {
+					t.Errorf("pair (%d,%d): Recv past the last frame returned %v, want nil", s, d, msg)
+				}
+			})
+		}
+	}
+	if p, ok := AsMemberLost(trs[0].Err()); !ok || p != 1 {
+		t.Fatalf("Err() = %v, want process 1 lost", trs[0].Err())
 	}
 }

@@ -215,7 +215,8 @@ func TestOddPayloadFailsTransport(t *testing.T) {
 	inject := map[string]func(c *core){
 		TCP: func(c *core) {
 			body := append(dataBody(1, 2, 7, 1.5), 1, 2, 3)
-			if _, err := c.link.(*tcpLink).loop.writeFrame(frameData, body, nil); err != nil {
+			// The sending end of rank 2's data socket.
+			if _, err := c.link.(*tcpLink).out[1].writeFrame(frameData, body, nil); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -223,10 +224,10 @@ func TestOddPayloadFailsTransport(t *testing.T) {
 			r := c.link.(*shmLink).dataRing(1, 2)
 			var hdr [shmDataHdr]byte
 			binary.LittleEndian.PutUint32(hdr[:], 11)
-			r.pmu.Lock()
-			r.push(hdr[:])
-			r.push(make([]byte, 11))
-			r.pmu.Unlock()
+			r.mu.Lock()
+			r.writeNow(hdr[:])
+			r.writeNow(make([]byte, 11))
+			r.mu.Unlock()
 		},
 	}
 	for kind, write := range inject {
@@ -249,6 +250,38 @@ func TestOddPayloadFailsTransport(t *testing.T) {
 	}
 }
 
+// TestDataSocketRefusesOtherFrames: a data socket end carries data
+// frames for its one rank only, so a heart frame, or a data frame for
+// another rank, read off it fails the transport with the reason and
+// the receiving rank.
+func TestDataSocketRefusesOtherFrames(t *testing.T) {
+	for _, f := range []struct {
+		kind byte
+		body []byte
+		want string
+	}{
+		{frameHeart, nil, "frame kind 7 on the data connection of rank 2"},
+		{frameData, dataBody(1, 3, 7, 1.5), "pair (1,3) on the data connection of rank 2"},
+	} {
+		tr, err := New(TCP, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.(*core).link.(*tcpLink).out[1].writeFrame(f.kind, f.body, nil); err != nil {
+			t.Fatal(err)
+		}
+		within(t, "Recv of a misdirected frame", func() {
+			if msg := tr.Recv(1, 2); msg != nil {
+				t.Errorf("frame kind %d delivered as %v", f.kind, msg)
+			}
+		})
+		if err := tr.Err(); err == nil || !strings.Contains(err.Error(), f.want) {
+			t.Errorf("Err() = %v, want it to name %q", err, f.want)
+		}
+		tr.Close()
+	}
+}
+
 // countConn is a net.Conn that records every Write.
 type countConn struct {
 	net.Conn
@@ -262,26 +295,31 @@ func (c *countConn) Write(b []byte) (int, error) {
 
 // TestOneWritePerFrame: a data frame of a 512-value ghost row — 4117
 // bytes, just over what a default bufio.Writer holds — a control frame
-// and a heart frame each reach the socket in exactly one Write, and a
-// data frame is metered at its size on the wire, 5+16+8n bytes. push
-// hands the sent slice back to its stream's pool.
+// and a heart frame each reach their socket in exactly one Write (the
+// data frame its data socket's, the others the control connection's),
+// and a data frame is metered at its size on the wire, 5+16+8n bytes.
+// push hands the sent slice back to its stream's pool.
 func TestOneWritePerFrame(t *testing.T) {
-	cc := &countConn{}
-	l := &tcpLink{cfg: Config{NP: 2, Procs: 2}, bufs: newBufPool(2), wbuf: make([][]byte, 4), conns: []*tconn{nil, newTconn(cc)}}
+	cc, dc := &countConn{}, &countConn{}
+	l := &tcpLink{cfg: Config{NP: 2, Procs: 2}, bufs: newBufPool(2), wbuf: make([][]byte, 4),
+		conns: []*tconn{nil, newTconn(cc)}, out: []*tconn{nil, newTconn(dc)}, pump: startPump(func() bool { return false })}
+	defer l.pump.close()
 	msg := make([]float64, 512)
 	for i := range msg {
 		msg[i] = float64(i) / 3
 	}
-	want := [][]byte{rawFrame(frameData, dataBody(1, 2, 9, msg...))}
 	if n, _ := l.push(1, 2, inMsg{corr: 9, msg: msg}); n != 5+16+8*len(msg) {
 		t.Fatalf("data frame metered at %d bytes, want 5+16+8·512 = 4117", n)
+	}
+	if want := [][]byte{rawFrame(frameData, dataBody(1, 2, 9, msg...))}; !reflect.DeepEqual(dc.writes, want) {
+		t.Fatalf("data socket writes %d, want the data frame in one (%d):\n got %x\nwant %x", len(dc.writes), len(want), dc.writes, want)
 	}
 	if got := l.bufs.get(1, 2, len(msg)); &got[0] != &msg[0] {
 		t.Fatal("push did not hand the sent slice back to the pool")
 	}
-	want = append(want, rawFrame(frameBcast, appendFloats([]byte{0, 0, 0, 0}, []float64{1.5, 2.5})))
-	if n, ok := l.sendCtl(1, ctlBcast, []float64{1.5, 2.5}); !ok || n != len(want[1]) {
-		t.Fatalf("control frame metered at %d bytes (ok=%v), want %d", n, ok, len(want[1]))
+	want := [][]byte{rawFrame(frameBcast, appendFloats([]byte{0, 0, 0, 0}, []float64{1.5, 2.5}))}
+	if n, ok := l.sendCtl(1, ctlBcast, []float64{1.5, 2.5}); !ok || n != len(want[0]) {
+		t.Fatalf("control frame metered at %d bytes (ok=%v), want %d", n, ok, len(want[0]))
 	}
 	want = append(want, rawFrame(frameHeart, nil))
 	l.beat(0)
