@@ -27,10 +27,11 @@ race-spmd:
 
 # The irregular (inspector–executor) workloads, the facade's gather
 # and scatter-add schedules and the equivalence tests on the spmd
-# engine, and the spmd irregular kernel-choice test on all
-# three wires, under the race detector.
+# engine, the spmd irregular tests (kernel choice on all three wires,
+# the inspect epoch's lists, a 2-process tcp job) and the inspector's
+# concurrent per-writer pass, under the race detector.
 race-irregular:
-	HPFNT_ENGINE=spmd $(GO) test -race -count=1 -run 'Irregular|Gather|Scatter' ./internal/workload ./internal/engine ./hpf ./internal/spmd
+	HPFNT_ENGINE=spmd $(GO) test -race -count=1 -run 'Irregular|Gather|Scatter' ./internal/workload ./internal/engine ./hpf ./internal/spmd ./internal/inspector
 
 # The E1–E13 experiments and the workload/equivalence suites on the
 # spmd engine with every message over the tcp transport's loopback
@@ -59,11 +60,14 @@ node-smoke:
 	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport tcp -job smoke-gather $(CORPUS)/gather.hpf
 
 # The same three jobs over the shm wire (one mmap'd file of
-# shared-memory rings per job instead of sockets).
+# shared-memory rings per job instead of sockets), and the gather once
+# more as 2 processes of 2 ranks each: each process inspects its
+# peer's writers too, without a frame.
 node-smoke-shm:
 	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport shm -job smoke-shm-jacobi $(CORPUS)/jacobi.hpf
 	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport shm -job smoke-shm-heat2d $(CORPUS)/heat2d.hpf
 	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport shm -job smoke-shm-gather $(CORPUS)/gather.hpf
+	$(GO) run ./cmd/hpfrun -spawn -procs 2 -np 4 -transport shm -job smoke-shm-gather-np4 $(CORPUS)/gather.hpf
 
 # The fault-tolerance suites — chaos wire, checkpoint store, elastic
 # driver (single-process and in-binary multi-member recovery), the

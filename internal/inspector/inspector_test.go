@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -323,5 +324,48 @@ func TestInspectorBuildCost(t *testing.T) {
 	}
 	if small, large := allocs(10_000), allocs(100_000); small != large {
 		t.Fatalf("Build allocates %.0f times on 10^4 accesses, %.0f on 10^5", small, large)
+	}
+}
+
+// TestIrregularWritersInspectConcurrently: pass 2 of every writer, each
+// on a goroutine of its own with a scratch of its own, builds exactly
+// the plans and gather lists of the serial Build. Under the race
+// detector this also shows the shared slot array written race-free.
+func TestIrregularWritersInspectConcurrently(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for np := 1; np <= 5; np++ {
+		wOwn, rOwn, pat := randomCase(rng, np, 5000, false)
+		want, err := Build(np, wOwn, rOwn, pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Partition(np, wOwn, rOwn, pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iota := make([]int32, max(len(wOwn), len(rOwn)))
+		for i := range iota {
+			iota[i] = int32(i)
+		}
+		got := &Schedule{NP: np, Plans: make([]*Plan, np+1), Pairs: []GatherList{}}
+		lists := make([][]GatherList, np+1)
+		var wg sync.WaitGroup
+		for w := 1; w <= np; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got.Plans[w], lists[w] = b.Inspect(w, false, iota[:len(wOwn)], iota[:len(rOwn)], &Scratch{})
+			}()
+		}
+		wg.Wait()
+		for _, l := range lists {
+			got.Pairs = append(got.Pairs, l...)
+		}
+		sort.Slice(got.Pairs, func(i, j int) bool {
+			return got.Pairs[i].Src < got.Pairs[j].Src || got.Pairs[i].Src == got.Pairs[j].Src && got.Pairs[i].Dst < got.Pairs[j].Dst
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("np %d: the concurrent inspection differs from Build", np)
+		}
 	}
 }

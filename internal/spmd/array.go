@@ -544,7 +544,7 @@ func (a *Array) Fill(fn func(t index.Tuple) float64) {
 	}
 	// The error is sticky on the engine; Fill itself has no error
 	// return in the backend interface.
-	_ = a.eng.run(fill(func(p int) {
+	_ = a.eng.run(fill{f: func(p int) {
 		data := lay.stores[p].data
 		// t is in the row [start, end). It fills whole cache lines of
 		// its own: a worker writes it per element, and a line shared
@@ -573,7 +573,7 @@ func (a *Array) Fill(fn func(t index.Tuple) float64) {
 				}
 			}
 		})
-	}))
+	}})
 }
 
 // Data materializes the dense column-major global value vector (from

@@ -33,12 +33,13 @@
 // ghosts, staged sums and the accumulator of a summing irregular
 // statement (a one-access gather stores straight) live in one buffer
 // per hosted worker, valid for one epoch, and the compiler's lists are
-// the engine's, so a rebuild allocates only what its plan keeps. There is one per-worker plan shape and one executor
-// (Schedule.ExecuteN) with two producers: the regular compiler, from
-// the intersection of the statement's owner tiles, and the lowering
-// of the inspector's schedule for indirection-array statements
-// (package inspector). A remap is the regular statement new(:) =
-// old(:).
+// the engine's, so a rebuild allocates only what its plan keeps. There
+// is one per-worker plan shape and one executor (Schedule.ExecuteN)
+// with two producers: the regular compiler, from the intersection of
+// the statement's owner tiles, and, for indirection-array statements,
+// the inspector (package inspector), whose per-writer pass is itself an
+// epoch in which each worker builds its own plan. A remap is the
+// regular statement new(:) = old(:).
 //
 // A worker that panics (a user Fill function, a broken wire) does not
 // leave its peers deadlocked: the panic fails the transport into its
@@ -127,13 +128,24 @@ type task struct {
 	timed, stamp bool
 }
 
-// fill is a one-phase untimed epoch that neither traces nor charges.
-type fill func(p int)
+// fill is a one-phase untimed epoch in which each worker fills what is
+// its own. It charges nothing, and traces only when it has a kind: an
+// epoch span of that kind and a worker span per hosted worker.
+type fill struct {
+	kind string
+	f    func(p int)
+}
 
 func (fill) phases() (int, []machine.Phase) { return 1, nil }
-func (f fill) do(p, _ int)                  { f(p) }
-func (fill) span(int) (string, string)      { return "", "" }
+func (x fill) do(p, _ int)                  { x.f(p) }
 func (fill) cost(int) counters              { return counters{} }
+
+func (x fill) span(p int) (string, string) {
+	if x.kind == "" || p == 0 {
+		return x.kind, x.kind
+	}
+	return "worker", fmt.Sprintf("rank %d %s", p, x.kind)
+}
 
 // New creates an engine with np workers on the in-process transport
 // and a machine with the given cost model for the aggregated

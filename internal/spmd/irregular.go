@@ -2,50 +2,45 @@ package spmd
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"hpfnt/internal/inspector"
 	"hpfnt/internal/obs"
 )
 
 // accumKernel is the arithmetic of an irregular gather/scatter
-// statement in local slot space: access j adds coeffs[j]·v(reads[j])
-// into acc[writeIx[j]], where reads[j] >= 0 is a slot of srcData and
-// reads[j] < 0 is ghost slot -(reads[j]+1); then acc[i] stores to
-// lhsData[outSlots[i]]. acc is the worker's tmp, one value per output.
+// statement over its plan's accumulating lists in local slot space:
+// access j adds Coeffs[j]·v(Reads[j]) into acc[WriteIx[j]], where
+// Reads[j] >= 0 is a slot of srcData and Reads[j] < 0 is ghost slot
+// -(Reads[j]+1); then acc[i] stores to lhsData[Outs[i]]. acc is the
+// worker's tmp, one value per output.
 type accumKernel struct {
-	lhsData  []float64
-	srcData  []float64
-	outSlots []int32
-	writeIx  []int32
-	reads    []int32
-	coeffs   []float64
+	lhsData, srcData []float64
+	inspector.Plan
 }
 
 // gatherKernel serves a worker of a statement whose source is not its
-// lhs (constGhost) and whose every output has one access: nothing sums
-// and no store reaches a read, so each access stores straight to its
-// lhs slot, local reads first, then ghost reads, each list in a loop
-// with no branch. The values are the accumulator's, bit for bit.
+// lhs (constGhost) and whose every output has one access, over its
+// plan's gather form: nothing sums and no store reaches a read, so
+// each access stores straight to its lhs slot, Local reads first, then
+// Ghost reads, each list in a loop with no branch. The values are the
+// accumulator's, bit for bit.
 type gatherKernel struct {
 	lhsData, srcData []float64
-	local, ghost     []gatherRef
-}
-
-// gatherRef is one gatherKernel access: lhs slot out takes 0 + c·v,
-// v the value at slot in of the local source (or the ghost buffer).
-type gatherRef struct {
-	out, in int32
-	c       float64
+	inspector.Plan
 }
 
 // BuildIrregular is the inspector producer, the executor side of the
-// inspector–executor technique (package inspector): it runs the
-// inspector over the pattern and lowers the resulting engine-neutral
-// schedule — per-worker access plans over element offsets plus
-// per-pair deduplicated gather lists — once to local store slots, as
-// the same per-worker plans the regular compiler emits (the gather
-// lists become slot intervals wherever consecutive reads are evenly
-// spaced). No ownership
+// inspector–executor technique (package inspector). Pass 1 partitions
+// the accesses by writer on the caller's goroutine. Pass 2 is one
+// inspect epoch: each hosted worker inspects its own writer straight
+// into the lists of its plan, in local store slots — the per-worker
+// plan the regular compiler emits — and into the gather lists of the
+// pairs it reads from, which become slot intervals wherever
+// consecutive reads are evenly spaced. Plans are replicated metadata,
+// so the writers this process does not host are dealt to its workers
+// too; the epoch sends nothing and charges nothing. No ownership
 // analysis happens at execution time, which is where schedule reuse
 // across ExecuteN iterations pays. Replicated arrays are refused (no
 // single-owner partition exists).
@@ -61,96 +56,86 @@ func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*Schedu
 			defer end()
 		}
 	}
-	// The inspector reads owners by offset, and the lowering slots.
+	// The inspector reads owners by offset, and writes slots.
 	wOwners, wSlots := lhs.lay.idx.table()
 	rOwners, rSlots := src.lay.idx.table()
-	sched, err := inspector.Build(e.np, wOwners, rOwners, pat)
+	b, err := inspector.Partition(e.np, wOwners, rOwners, pat)
 	if err != nil {
 		return nil, err
 	}
 	s := &Schedule{
-		eng:        e,
-		label:      "irregular",
-		plans:      make([]*wplan, e.np+1),
-		ghostTotal: sched.GhostElements(),
-		messages:   sched.Messages(),
+		eng:   e,
+		label: "irregular",
+		plans: make([]*wplan, e.np+1),
 		// A source that is a different array from the lhs makes halo
 		// data invariant across an ExecuteN epoch.
 		constGhost: lhs != src,
 		arrays:     []*Array{lhs, src},
 		gens:       []int{lhs.gen, src.gen},
 	}
-	planOf := func(p int) *wplan {
+	// pairs[w] holds writer w's gather lists; only its inspector writes it.
+	pairs := make([]pairBuilder, e.np+1)
+	err = e.run(fill{"inspect", func(p int) {
+		sc, sg := &inspector.Scratch{}, &segBuild{}
+		for w := 1; w <= e.np; w++ {
+			if w != p && (e.hosted(w) || e.local[(w-1)%len(e.local)] != p) {
+				continue
+			}
+			pl, lists := b.Inspect(w, s.constGhost, wSlots, rSlots, sc)
+			if pl == nil {
+				continue
+			}
+			lhsData, srcData := lhs.lay.stores[w].data, src.lay.stores[w].data
+			var k kernel = &gatherKernel{lhsData, srcData, *pl}
+			if pl.Outs != nil {
+				k = &accumKernel{lhsData, srcData, *pl}
+			}
+			s.plans[w] = &wplan{kernel: k, ghost: pl.NGhost, tmp: len(pl.Outs), load: pl.Load, localRefs: pl.LocalRefs, remoteRefs: pl.RemoteRefs}
+			pairs[w] = pairBuilder{}
+			sg.slots, sg.targets = slices.Grow(sg.slots, pl.NGhost), slices.Grow(sg.targets, pl.NGhost)
+			for _, gl := range lists {
+				sg.st = src.lay.stores[gl.Src]
+				for i, sl := range gl.Offsets {
+					sg.add(sl, 0, gl.Targets[i], 0, 1)
+				}
+				pairs[w].put(gl.Src, w, sg)
+			}
+		}
+	}})
+	if err != nil {
+		return nil, err
+	}
+	all := pairBuilder{}
+	for _, pb := range pairs {
+		maps.Copy(all, pb)
+	}
+	all.emit(func(p int) *exchange {
 		if s.plans[p] == nil {
 			s.plans[p] = &wplan{kernel: &gatherKernel{}} // a sender's: no accesses
 		}
-		return s.plans[p]
-	}
-	for p := 1; p <= e.np; p++ {
-		pl := sched.Plans[p]
-		if pl == nil {
-			continue
+		return &s.plans[p].ex
+	})
+	for p, wp := range s.plans {
+		if wp != nil {
+			e.reserve(p, wp.ghost+wp.tmp)
+			s.ghostTotal, s.messages = s.ghostTotal+wp.ghost, s.messages+len(wp.ex.sends)
 		}
-		wp := planOf(p)
-		lhsData, srcData := lhs.lay.stores[p].data, src.lay.stores[p].data
-		if s.constGhost && len(pl.Outs) == len(pl.Reads) {
-			// Every access has an output of its own: access j writes Outs[j].
-			k := &gatherKernel{lhsData: lhsData, srcData: srcData,
-				local: make([]gatherRef, 0, pl.LocalRefs), ghost: make([]gatherRef, 0, pl.RemoteRefs)}
-			for j, r := range pl.Reads {
-				if a := (gatherRef{out: wSlots[pl.Outs[j]], c: pl.Coeffs[j]}); r >= 0 {
-					a.in = rSlots[r]
-					k.local = append(k.local, a)
-				} else {
-					a.in = -r - 1
-					k.ghost = append(k.ghost, a)
-				}
-			}
-			wp.kernel = k
-		} else {
-			k := &accumKernel{lhsData: lhsData, srcData: srcData,
-				outSlots: make([]int32, len(pl.Outs)), writeIx: pl.WriteIx,
-				reads: make([]int32, len(pl.Reads)), coeffs: pl.Coeffs}
-			for i, off := range pl.Outs {
-				k.outSlots[i] = wSlots[off]
-			}
-			for j, r := range pl.Reads {
-				if k.reads[j] = r; r >= 0 {
-					k.reads[j] = rSlots[r]
-				}
-			}
-			wp.kernel, wp.tmp = k, len(pl.Outs)
-		}
-		wp.ghost = pl.NGhost
-		e.reserve(p, wp.ghost+wp.tmp)
-		wp.load = pl.Load
-		wp.localRefs = pl.LocalRefs
-		wp.remoteRefs = pl.RemoteRefs
 	}
-	pairs, sg := pairBuilder{}, &segBuild{}
-	for _, pr := range sched.Pairs {
-		sg.st = src.lay.stores[pr.Src]
-		for i, off := range pr.Offsets {
-			sg.add(rSlots[off], 0, pr.Targets[i], 0, 1)
-		}
-		pairs.put(pr.Src, pr.Dst, sg)
-	}
-	pairs.emit(func(p int) *exchange { return &planOf(p).ex })
 	return s, nil
 }
 
 func (k *accumKernel) compute(ghost, acc []float64) {
 	clear(acc)
-	for j, r := range k.reads {
+	for j, r := range k.Reads {
 		var v float64
 		if r >= 0 {
 			v = k.srcData[r]
 		} else {
 			v = ghost[-r-1]
 		}
-		acc[k.writeIx[j]] += k.coeffs[j] * v
+		acc[k.WriteIx[j]] += k.Coeffs[j] * v
 	}
-	for i, sl := range k.outSlots {
+	for i, sl := range k.Outs {
 		k.lhsData[sl] = acc[i]
 	}
 }
@@ -159,10 +144,10 @@ func (k *accumKernel) compute(ghost, acc []float64) {
 // -0 product into the +0 of the element-wise oracle.
 func (k *gatherKernel) compute(ghost, _ []float64) {
 	lhs, src := k.lhsData, k.srcData
-	for _, a := range k.local {
-		lhs[a.out] = 0 + a.c*src[a.in]
+	for _, a := range k.Local {
+		lhs[a.Out] = 0 + a.C*src[a.In]
 	}
-	for _, a := range k.ghost {
-		lhs[a.out] = 0 + a.c*ghost[a.in]
+	for _, a := range k.Ghost {
+		lhs[a.Out] = 0 + a.C*ghost[a.In]
 	}
 }

@@ -89,7 +89,7 @@ func TestPanicUnblocksPeers(t *testing.T) {
 			defer e.Close()
 			done := make(chan error, 1)
 			go func() {
-				done <- e.run(fill(func(p int) {
+				done <- e.run(fill{f: func(p int) {
 					switch p {
 					case 1:
 						e.tr.Recv(2, 1) // never sent
@@ -105,7 +105,7 @@ func TestPanicUnblocksPeers(t *testing.T) {
 							e.tr.Send(4, 1, []float64{1})
 						}
 					}
-				}))
+				}})
 			}()
 			select {
 			case err := <-done:
