@@ -51,23 +51,28 @@ CORPUS = internal/interp/testdata/programs
 
 # Real 4-process localhost hpfrun jobs over the tcp transport, one job
 # (and one job name) per corpus program: the dense Jacobi, the in-place
-# heat2d and the INDIRECT gather/scatter. The leader verifies that each
-# printed the output and computed the values and machine.Report of the
-# in-process engine.
+# heat2d, the INDIRECT gather/scatter and the REDISTRIBUTE of a DYNAMIC
+# array, whose moved blocks cross process boundaries. The leader
+# verifies that each printed the output and computed the values and
+# machine.Report of the in-process engine.
 node-smoke:
 	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport tcp -job smoke-jacobi $(CORPUS)/jacobi.hpf
 	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport tcp -job smoke-heat2d $(CORPUS)/heat2d.hpf
 	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport tcp -job smoke-gather $(CORPUS)/gather.hpf
+	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport tcp -job smoke-redistribute $(CORPUS)/redistribute.hpf
 
-# The same three jobs over the shm wire (one mmap'd file of
-# shared-memory rings per job instead of sockets), and the gather once
-# more as 2 processes of 2 ranks each: each process inspects its
-# peer's writers too, without a frame.
+# The same four jobs over the shm wire (one mmap'd file of
+# shared-memory rings per job instead of sockets), and the gather and
+# the remap once more as 2 processes of 2 ranks each: each process
+# inspects its peer's writers too, without a frame, and a remap moves
+# blocks both within a process and between processes.
 node-smoke-shm:
 	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport shm -job smoke-shm-jacobi $(CORPUS)/jacobi.hpf
 	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport shm -job smoke-shm-heat2d $(CORPUS)/heat2d.hpf
 	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport shm -job smoke-shm-gather $(CORPUS)/gather.hpf
+	$(GO) run ./cmd/hpfrun -spawn -procs 4 -transport shm -job smoke-shm-redistribute $(CORPUS)/redistribute.hpf
 	$(GO) run ./cmd/hpfrun -spawn -procs 2 -np 4 -transport shm -job smoke-shm-gather-np4 $(CORPUS)/gather.hpf
+	$(GO) run ./cmd/hpfrun -spawn -procs 2 -np 4 -transport shm -job smoke-shm-redistribute-np4 $(CORPUS)/redistribute.hpf
 
 # The fault-tolerance suites — chaos wire, checkpoint store, elastic
 # driver (single-process and in-binary multi-member recovery), the

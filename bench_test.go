@@ -2,9 +2,10 @@
 // bench per reproduction experiment (E1–E13, see the experiment index
 // in README.md and the per-experiment doc comments in internal/exper),
 // each asserting its paper-claim checks on the first iteration, plus
-// micro-benchmarks of the mapping primitives and a two-goroutine wire
-// round trip. The executor's layers (schedule build, replay, remap,
-// inspector, wires) are timed by the bench/ module instead.
+// micro-benchmarks of the mapping primitives, the spmd layout build and
+// remap, and a two-goroutine wire round trip. The executor's layers
+// (schedule build, replay, remap, inspector, wires) are timed in
+// whole programs by the bench/ module.
 //
 // Run with: go test -bench=. -benchmem
 package main_bench
@@ -311,6 +312,41 @@ func BenchmarkSpmdLayoutBuild(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.NewArray("A", tc.m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSpmdRemap measures one Array.Remap — the new layout, the
+// plan, the kept blocks' copies and the per-pair shipment — alternating
+// between two mappings: the remap.cycle workload's (BLOCK,:) ↔
+// (CYCLIC(8),:) on 1024², two slab tilings of a 64³ array, and BLOCK ↔
+// CYCLIC on a 65536-vector, whose cells are single elements.
+func BenchmarkSpmdRemap(b *testing.B) {
+	eng, mapping := mapper(b, engine.SPMD, 2)
+	square, vector, cube := index.Standard(1, 1024, 1, 1024), index.Standard(1, 1<<16), index.Standard(1, 64, 1, 64, 1, 64)
+	for _, tc := range []struct {
+		name string
+		maps [2]core.ElementMapping
+	}{
+		{"block-cyclic8-1024x1024", [2]core.ElementMapping{
+			mapping(square, dist.Block{}, dist.Collapsed{}), mapping(square, dist.Cyclic{K: 8}, dist.Collapsed{})}},
+		{"block-gblock-64x64x64", [2]core.ElementMapping{
+			mapping(cube, dist.Block{}, dist.Collapsed{}, dist.Collapsed{}),
+			mapping(cube, dist.GeneralBlock{Bounds: []int{20}}, dist.Collapsed{}, dist.Collapsed{})}},
+		{"block-cyclic1-65536-vector", [2]core.ElementMapping{
+			mapping(vector, dist.Block{}), mapping(vector, dist.Cyclic{K: 1})}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			a, err := eng.NewArray("A", tc.maps[0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := a.Remap(tc.maps[(i+1)%2]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -340,29 +340,32 @@ func (x *tileIndex) equal(y *tileIndex) bool {
 		slices.Equal(x.owner, y.owner) && slices.Equal(x.base, y.base)
 }
 
-// buildLayout derives the local storage layout of a mapping on e: the
+// buildLayout derives the local storage layout of a mapping on e — the
 // single-owner tile index when one exists, the replicated grid
-// otherwise.
+// otherwise — with a zeroed segment for every rank this process hosts.
 func buildLayout(e *Engine, m core.ElementMapping) (*layout, error) {
 	x, err := indexOf(e, m)
 	if err != nil {
 		return nil, err
 	}
-	return layoutOf(e, m, x)
+	l, err := layoutOf(e, m, x)
+	if err == nil {
+		for _, p := range e.local {
+			l.alloc(p)
+		}
+	}
+	return l, err
 }
 
 // layoutOf builds m's layout around its tile index x (nil when m
-// replicates). The slot metadata is built for every rank — all
-// processes of a job derive the identical layout — but value storage
-// is allocated only for the ranks this process hosts.
+// replicates): the slot metadata, for every rank — all processes of a
+// job derive the identical layout — and no values; alloc gives a
+// hosted rank its segment.
 func layoutOf(e *Engine, m core.ElementMapping, x *tileIndex) (*layout, error) {
 	np := e.np
 	l := &layout{idx: x, stores: make([]*store, np+1)}
-	var vol []int32
-	if x != nil {
-		vol = x.vol
-	} else {
-		vol = make([]int32, np+1)
+	if x == nil {
+		vol := make([]int32, np+1)
 		rg, err := core.ReplicatedGrid(m)
 		if err != nil {
 			return nil, err
@@ -384,11 +387,17 @@ func layoutOf(e *Engine, m core.ElementMapping, x *tileIndex) (*layout, error) {
 	}
 	for p := 1; p <= np; p++ {
 		l.stores[p] = &store{}
-		if e.hosted(p) {
-			l.stores[p].data = make([]float64, vol[p])
-		}
 	}
 	return l, nil
+}
+
+// alloc gives worker p its zeroed segment.
+func (l *layout) alloc(p int) {
+	if l.idx != nil {
+		l.stores[p].data = make([]float64, l.idx.vol[p])
+	} else {
+		l.stores[p].data = make([]float64, len(l.repSlot[p]))
+	}
 }
 
 // walk is the index's walk or, for a replicated layout, a line per

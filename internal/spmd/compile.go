@@ -7,7 +7,6 @@ import (
 
 	"hpfnt/internal/index"
 	"hpfnt/internal/obs"
-	"hpfnt/internal/runtime"
 )
 
 // BuildSchedule compiles the statement lhs(region) = Σ terms: the
@@ -26,9 +25,9 @@ import (
 // and the plans agree: finish joins adjacent runs whose slots advance
 // evenly, so what the element walk feeds one at a time comes out as the
 // runs the tile enumerator emits whole. Classification, deduplication,
-// sender choice (first owner; runtime.RemapSender's for a remap) and
-// load charging follow the element-wise oracle's rules (package
-// runtime), so the aggregated statistics agree with it.
+// sender choice (the first owner) and load charging follow the
+// element-wise oracle's rules (package runtime), so the aggregated
+// statistics agree with it.
 func (e *Engine) BuildSchedule(lhs *Array, region index.Domain, terms []Term) (*Schedule, error) {
 	b, err := newPlanBuilder(e, lhs, region, terms)
 	if err != nil {
@@ -76,10 +75,6 @@ type planBuilder struct {
 	gdim        int
 	work        []workBuild // index 1..np: the engine's lists, reset
 	pairs       pairBuilder
-	// remap marks the statement of a Remap: a replicated ghost ships
-	// from the holder runtime.RemapSender picks, not its first owner
-	// (resolveGhosts).
-	remap bool
 }
 
 // workBuild is one worker's plan under construction; localRefs and
@@ -128,52 +123,20 @@ func newPlanBuilder(e *Engine, lhs *Array, region index.Domain, terms []Term) (*
 	return b, nil
 }
 
-// analyzable returns the uniform cells of the statement, or nil when it
-// must be walked element by element. It admits a non-empty unit-stride
-// region whose sides — the lhs and every term — are single-owner, over
-// unit-stride domains, read in bounds. Each side's index cuts, carried
-// into lhs coordinates (position v of a source dimension read as
-// dimension Dim plus Off is lhs index Low+v-Off along Dim), cut the
-// region: a cell of the product lies inside one index cell, and so one
-// owner tile, of every side. cuts[d][0] is the region's low bound and
-// the last entry its high bound plus one; the lists are the engine's.
-// The ghost direction gdim is the dimension in which cells are longest
-// on average (the collapsed one of (BLOCK,:), where a boundary row is
-// one line); two terms that read one source along it through different
-// dimensions of it, whose ghost lines share no grid line, refuse cells.
+// analyzable returns the uniform cells of the statement (cellCuts of
+// its sides, the lhs at the identity and every term), or nil when it
+// must be walked element by element. The ghost direction gdim is the
+// dimension in which cells are longest on average (the collapsed one of
+// (BLOCK,:), where a boundary row is one line); two terms that read one
+// source along it through different dimensions of it, whose ghost
+// lines share no grid line, refuse cells.
 func (b *planBuilder) analyzable(region index.Domain) [][]int {
-	rank := region.Rank()
-	if rank == 0 || region.Empty() || !region.IsStandard() {
+	cuts := cellCuts(b.e, region, b.sides)
+	if cuts == nil {
 		return nil
-	}
-	cuts := slices.Grow(b.e.cuts[:0], rank)[:rank]
-	for d, tr := range region.Dims {
-		cuts[d] = append(cuts[d][:0], tr.Low)
-	}
-	b.e.cuts = cuts
-	for _, sd := range b.sides {
-		a := sd.Src
-		if a.lay.idx == nil || !a.dom.IsStandard() {
-			return nil
-		}
-		for d, x := range sd.Access {
-			tr, lo := region.Dims[x.Dim], a.dom.Dims[d].Low
-			if tr.Low+x.Off < lo || tr.High+x.Off > a.dom.Dims[d].High {
-				return nil
-			}
-			for _, v := range a.lay.idx.cuts[d] {
-				if i := lo + int(v) - x.Off; i > tr.High {
-					break
-				} else if i > tr.Low {
-					cuts[x.Dim] = append(cuts[x.Dim], i)
-				}
-			}
-		}
 	}
 	longest := 0.0
 	for d, tr := range region.Dims {
-		slices.Sort(cuts[d])
-		cuts[d] = append(slices.Compact(cuts[d]), tr.High+1)
 		if mean := float64(tr.Count()) / float64(len(cuts[d])-1); mean > longest {
 			b.gdim, longest = d, mean
 		}
@@ -197,6 +160,51 @@ func (b *planBuilder) analyzable(region index.Domain) [][]int {
 		if b.gstep[i] == 0 {
 			b.gstep[i], b.gext[i] = 1, a.dom.Size()
 		}
+	}
+	return cuts
+}
+
+// cellCuts returns the uniform cells of region read through sides, or
+// nil when there are none. It admits a non-empty unit-stride region
+// whose sides are single-owner, over unit-stride domains, read in
+// bounds. Each side's index cuts, carried into region coordinates
+// (position v of a source dimension read as dimension Dim plus Off is
+// index Low+v-Off along Dim), cut the region: a cell of the product
+// lies inside one index cell, and so one owner tile, of every side.
+// cuts[d][0] is the region's low bound and the last entry its high
+// bound plus one; the lists are the engine's.
+func cellCuts(e *Engine, region index.Domain, sides []Term) [][]int {
+	rank := region.Rank()
+	if rank == 0 || region.Empty() || !region.IsStandard() {
+		return nil
+	}
+	cuts := slices.Grow(e.cuts[:0], rank)[:rank]
+	for d, tr := range region.Dims {
+		cuts[d] = append(cuts[d][:0], tr.Low)
+	}
+	e.cuts = cuts
+	for _, sd := range sides {
+		a := sd.Src
+		if a.lay.idx == nil || !a.dom.IsStandard() {
+			return nil
+		}
+		for d, x := range sd.Access {
+			tr, lo := region.Dims[x.Dim], a.dom.Dims[d].Low
+			if tr.Low+x.Off < lo || tr.High+x.Off > a.dom.Dims[d].High {
+				return nil
+			}
+			for _, v := range a.lay.idx.cuts[d] {
+				if i := lo + int(v) - x.Off; i > tr.High {
+					break
+				} else if i > tr.Low {
+					cuts[x.Dim] = append(cuts[x.Dim], i)
+				}
+			}
+		}
+	}
+	for d, tr := range region.Dims {
+		slices.Sort(cuts[d])
+		cuts[d] = append(slices.Compact(cuts[d]), tr.High+1)
 	}
 	return cuts
 }
@@ -507,10 +515,6 @@ func (b *planBuilder) resolveGhosts(w int, wb *workBuild) int {
 			a, step := b.srcs[rq.src], int(b.gstep[rq.src])
 			off, m := int(rq.key)+int(to)*step, end-to
 			sender, base := a.lay.firstOwner(off)
-			if b.remap && a.lay.idx == nil {
-				sender = runtime.RemapSender(a.lay.repOwns[off], w)
-				base = a.lay.repSlot[sender][off]
-			}
 			if segs[sender] == nil {
 				segs[sender] = &segBuild{}
 			}
@@ -520,7 +524,7 @@ func (b *planBuilder) resolveGhosts(w int, wb *workBuild) int {
 				_, next := a.lay.idx.locate(off + step)
 				stride = next - base
 			}
-			segs[sender].add(base, stride, next, 1, m)
+			segs[sender].add(strided(base, stride, m), strided(next, 1, m))
 			next += m
 			to = end
 		}

@@ -38,8 +38,9 @@
 // with two producers: the regular compiler, from the intersection of
 // the statement's owner tiles, and, for indirection-array statements,
 // the inspector (package inspector), whose per-writer pass is itself an
-// epoch in which each worker builds its own plan. A remap is the
-// regular statement new(:) = old(:).
+// epoch in which each worker builds its own plan. A remap is an epoch
+// of its own: a move of blocks, each a cell of the two tilings, from
+// the old segments straight into the new ones.
 //
 // A worker that panics (a user Fill function, a broken wire) does not
 // leave its peers deadlocked: the panic fails the transport into its

@@ -6,12 +6,17 @@ import (
 	"slices"
 )
 
-// span is a strided interval of slots: base, base+stride, …, count of
-// them. A ghost row, a remapped tile or a cyclic neighbour set is one
-// span; an irregular gather degenerates to spans of count 1.
+// span is a strided interval of slots repeated at a pitch: base +
+// r·pitch + i·stride for r in [0, reps), i in [0, count), row by row.
+// A ghost row or a cyclic neighbour set is one span of one row, a
+// plane of a remapped cell one of a row per line, and an irregular
+// gather degenerates to spans of count 1.
 type span struct {
-	base, stride, count int32
+	base, stride, count, reps, pitch int32
 }
+
+// strided is the one-row span of count slots from base by stride.
+func strided(base, stride, count int32) span { return span{base, stride, count, 1, 0} }
 
 // follows reports whether an interval starting at b (stride s, c
 // values) continues the interval (base, stride, n), and returns the
@@ -24,24 +29,25 @@ func follows(base, stride, n, b, s, c int32) (int32, bool) {
 	return stride, int(b) == int(base)+int(n)*int(stride) && (c == 1 || s == stride)
 }
 
-// appendSpan appends an interval to a list, joining it to the last
-// span when it continues it.
-func appendSpan(spans []span, base, stride, count int32) []span {
-	if n := len(spans); n > 0 {
+// appendSpan appends a span to a list, joining it to the last span
+// when both are one row and it continues it.
+func appendSpan(spans []span, s span) []span {
+	if n := len(spans); n > 0 && s.reps == 1 && spans[n-1].reps == 1 {
 		last := &spans[n-1]
-		if st, ok := follows(last.base, last.stride, last.count, base, stride, count); ok {
-			last.stride, last.count = st, last.count+count
+		if st, ok := follows(last.base, last.stride, last.count, s.base, s.stride, s.count); ok {
+			last.stride, last.count = st, last.count+s.count
 			return spans
 		}
 	}
-	return append(spans, span{base, stride, count})
+	return append(spans, s)
 }
 
 // exchange is one worker's side of a compiled per-pair data movement:
 // the messages it gathers and sends, and the messages it receives and
 // scatters. Ghost exchange of a schedule (either producer) and the
 // shipment of a remap are the same thing with a different destination
-// slice — the worker's ghost buffer, or its new segment.
+// slice — the worker's ghost buffer, or its new segment, into which a
+// remap's moved blocks land straight.
 type exchange struct {
 	sends []pairSend
 	recvs []pairRecv
@@ -82,20 +88,22 @@ func (x *exchange) send(e *Engine, p int) {
 		k := 0
 		for _, sg := range sp.segs {
 			for _, s := range sg.spans {
-				part := buf[k : k+int(s.count)]
-				k += int(s.count)
-				if s.count == 1 { // an irregular gather list is all of these
-					part[0] = sg.data[s.base]
+				if s.count == 1 && s.reps == 1 { // an irregular gather list is all of these
+					buf[k] = sg.data[s.base]
+					k++
 					continue
 				}
-				if s.stride == 1 {
-					copy(part, sg.data[s.base:])
-					continue
-				}
-				j := int(s.base)
-				for q := range part {
-					part[q] = sg.data[j]
-					j += int(s.stride)
+				for r := range int(s.reps) {
+					part, j := buf[k:k+int(s.count)], int(s.base)+r*int(s.pitch)
+					k += int(s.count)
+					if s.stride == 1 {
+						copy(part, sg.data[j:])
+						continue
+					}
+					for q := range part {
+						part[q] = sg.data[j]
+						j += int(s.stride)
+					}
 				}
 			}
 		}
@@ -120,18 +128,19 @@ func (x *exchange) recv(e *Engine, p int, dest []float64) {
 			return
 		}
 		for _, s := range rp.spans {
-			storeRun(dest, int(s.base), int(s.stride), msg[:s.count])
-			msg = msg[s.count:]
+			for r := range int(s.reps) {
+				storeRun(dest, int(s.base)+r*int(s.pitch), int(s.stride), msg[:s.count])
+				msg = msg[s.count:]
+			}
 		}
 	}
 }
 
 // pairBuilder accumulates the traffic of each ordered (sender,
-// receiver) pair during a compile, one interval at a time, and then
-// emits both endpoints' exchanges. Both producers — the regular
-// compiler's ghost lines (a remap's moved lines among them) and the
-// inspector lowering's gather lists — add through it, so intervals are
-// joined in one place.
+// receiver) pair during a compile, one span at a time, and then emits
+// both endpoints' exchanges. Every producer — the regular compiler's
+// ghost lines, a remap's moved blocks and the inspector lowering's
+// gather lists — adds through it, so spans are joined in one place.
 type pairBuilder map[[2]int][]*segBuild
 
 // segBuild is the traffic of one pair read from one store. Segments
@@ -154,13 +163,13 @@ func (b pairBuilder) put(s, w int, sg *segBuild) {
 	*sg = segBuild{slots: sg.slots[:0], targets: sg.targets[:0]}
 }
 
-// add records that the sender ships count values of the segment's
-// store, from slot on by sstride, and the receiver scatters them from
-// target on by tstride.
-func (sg *segBuild) add(slot, sstride, target, tstride, count int32) {
-	sg.elems += int(count)
-	sg.slots = appendSpan(sg.slots, slot, sstride, count)
-	sg.targets = appendSpan(sg.targets, target, tstride, count)
+// add records that the sender ships the values of the segment's store
+// at the slots from, and the receiver scatters them to the slots to:
+// two spans of one size, walked row by row.
+func (sg *segBuild) add(from, to span) {
+	sg.elems += int(from.count) * int(from.reps)
+	sg.slots = appendSpan(sg.slots, from)
+	sg.targets = appendSpan(sg.targets, to)
 }
 
 // emit appends each accumulated pair's message, in deterministic

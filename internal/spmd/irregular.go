@@ -3,7 +3,6 @@ package spmd
 import (
 	"fmt"
 	"maps"
-	"slices"
 
 	"hpfnt/internal/inspector"
 	"hpfnt/internal/obs"
@@ -76,7 +75,7 @@ func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*Schedu
 	// pairs[w] holds writer w's gather lists; only its inspector writes it.
 	pairs := make([]pairBuilder, e.np+1)
 	err = e.run(fill{"inspect", func(p int) {
-		sc, sg := &inspector.Scratch{}, &segBuild{}
+		sc := &inspector.Scratch{}
 		for w := 1; w <= e.np; w++ {
 			if w != p && (e.hosted(w) || e.local[(w-1)%len(e.local)] != p) {
 				continue
@@ -92,13 +91,8 @@ func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*Schedu
 			}
 			s.plans[w] = &wplan{kernel: k, ghost: pl.NGhost, tmp: len(pl.Outs), load: pl.Load, localRefs: pl.LocalRefs, remoteRefs: pl.RemoteRefs}
 			pairs[w] = pairBuilder{}
-			sg.slots, sg.targets = slices.Grow(sg.slots, pl.NGhost), slices.Grow(sg.targets, pl.NGhost)
 			for _, gl := range lists {
-				sg.st = src.lay.stores[gl.Src]
-				for i, sl := range gl.Offsets {
-					sg.add(sl, 0, gl.Targets[i], 0, 1)
-				}
-				pairs[w].put(gl.Src, w, sg)
+				pairs[w][[2]int{gl.Src, w}] = []*segBuild{{src.lay.stores[gl.Src], len(gl.Offsets), spansOf(gl.Offsets), spansOf(gl.Targets)}}
 			}
 		}
 	}})
@@ -122,6 +116,24 @@ func (e *Engine) BuildIrregular(lhs, src *Array, pat inspector.Pattern) (*Schedu
 		}
 	}
 	return s, nil
+}
+
+// spansOf returns slots as spans, consecutive evenly spaced slots
+// joined, in a list of exactly their number.
+func spansOf(slots []int32) []span {
+	n, base, stride, count := 0, int32(0), int32(0), int32(0)
+	for i, sl := range slots {
+		if st, ok := follows(base, stride, count, sl, 0, 1); i > 0 && ok {
+			stride, count = st, count+1
+		} else {
+			n, base, stride, count = n+1, sl, 0, 1
+		}
+	}
+	out := make([]span, 0, n)
+	for _, sl := range slots {
+		out = appendSpan(out, strided(sl, 0, 1))
+	}
+	return out
 }
 
 func (k *accumKernel) compute(ghost, acc []float64) {

@@ -278,7 +278,7 @@ func lowerSerial(t *testing.T, e *Engine, lhs, src *Array, pat inspector.Pattern
 		}
 		sg.st = src.lay.stores[pr.Src]
 		for i, off := range pr.Offsets {
-			sg.add(rSlots[off], 0, pr.Targets[i], 0, 1)
+			sg.add(strided(rSlots[off], 0, 1), strided(pr.Targets[i], 0, 1))
 		}
 		pairs.put(pr.Src, pr.Dst, sg)
 	}
@@ -365,6 +365,47 @@ func TestIrregularBuildAllocs(t *testing.T) {
 	for _, perOut := range []int{1, 3} {
 		if small, large := allocs(10_000, perOut), allocs(100_000, perOut); small != large {
 			t.Errorf("%d accesses per output: BuildIrregular allocates %.0f times on 10^4 accesses, %.0f on 10^5", perOut, small, large)
+		}
+	}
+}
+
+// TestIrregularBuildBytes bounds what one BuildIrregular allocates: 100k
+// random reads of an INDIRECT vector into a BLOCK one at np 2, summing
+// or not, take at most 52 bytes per access. The gather plan keeps 16,
+// pass 1 takes 8 (the bucket order and the output slots), each worker's
+// pass 2 a mark per source element (8 at np 2) and a fetch entry per
+// access of its bucket (8), and a ghost's pair lists and spans the
+// rest, about 4. Span lists grown to a worker's ghost count and then
+// copied do not fit.
+func TestIrregularBuildBytes(t *testing.T) {
+	if bi, _ := debug.ReadBuildInfo(); bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("the race detector's instrumentation allocates besides the build")
+	}
+	const n, np = 100_000, 2
+	e := newEngine(t, np)
+	sys, _ := proc.NewSystem(np)
+	x := newArray(t, e, "X", mapping(t, sys, index.Standard(1, n), indirectFormat(t, n, np)))
+	y := newArray(t, e, "Y", mapping(t, sys, index.Standard(1, n), dist.Block{}))
+	for _, perOut := range []int{1, 3} {
+		rng := rand.New(rand.NewSource(3))
+		pat := inspector.Pattern{Writes: make([]int32, n), Reads: make([]int32, n)}
+		for i := range n {
+			pat.Writes[i], pat.Reads[i] = int32(i/perOut), int32(rng.Intn(n))
+		}
+		if _, err := e.BuildIrregular(y, x, pat); err != nil { // fills the translation tables
+			t.Fatal(err)
+		}
+		// A collection inside the window would count what it frees.
+		gort.GC()
+		gc := debug.SetGCPercent(-1)
+		bytes, _ := allocated(func() {
+			if _, err := e.BuildIrregular(y, x, pat); err != nil {
+				t.Fatal(err)
+			}
+		})
+		debug.SetGCPercent(gc)
+		if per := float64(bytes) / n; per > 52 {
+			t.Errorf("%d accesses per output: a build allocates %.1f bytes per access", perOut, per)
 		}
 	}
 }

@@ -44,16 +44,15 @@ func elementCompute(k *runKernel, ghost, tmp []float64) {
 	}
 }
 
-// elementCopy is copyKernel.compute as an element loop: every run is
-// copied from its term's store or, for a ghost term, the ghost buffer.
-func elementCopy(k *copyKernel, ghost []float64) {
-	for r, run := range k.runs {
-		tm, src := k.terms[r], k.srcs[0]
-		if tm.ghost {
-			src = ghost
-		}
-		for i := range int(run.n) {
-			k.lhs[int(run.base)+i*int(run.stride)] = src[int(tm.base)+i*int(tm.stride)]
+// elementCopy is copyBlocks as an element loop: every value of a
+// block's old slots stored at its new slot, in order.
+func elementCopy(dst, src []float64, blocks [][2]span) {
+	for _, bl := range blocks {
+		f, t := bl[0], bl[1]
+		for r := range int(f.reps) {
+			for i := range int(f.count) {
+				dst[int(t.base)+r*int(t.pitch)+i*int(t.stride)] = src[int(f.base)+r*int(f.pitch)+i*int(f.stride)]
+			}
 		}
 	}
 }
@@ -69,9 +68,10 @@ var kernelValues = []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1022
 // bit (NaN matching any NaN): random kernels of 1–6 terms whose runs
 // are unit-stride or not, read ghost terms, store directly or through
 // tmp, and — when storing directly, as the compiler allows — read the
-// lhs only at the element being written. It checks the copy kernel on
-// the first term of the same runs against elementCopy bit for bit, NaN
-// payloads included: local runs copied, ghost runs left untouched.
+// lhs only at the element being written. It checks the block copy of a
+// remap against elementCopy bit for bit, NaN payloads included: one
+// block per run, of one to four rows as long as the run (at most 8),
+// each side at its own stride and pitch, unit-stride or not.
 func FuzzRunKernel(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(0))
 	f.Add(uint64(2), uint8(0), uint8(1))
@@ -153,22 +153,27 @@ func FuzzRunKernel(f *testing.F) {
 			}
 		}
 
-		// The copy kernel reads an array of its own, a remap's source
-		// never being its lhs, and the ghost buffer.
-		first := make([]kterm, len(runs))
-		for r := range runs {
-			first[r] = terms[r*T]
+		// The block copy reads an array of its own, a remap's old
+		// segment. rows picks n slots per row, reps rows, in the store.
+		rows := func(n, reps int, unit bool) span {
+			s, p := 1, rng.IntN(25)-12
+			if !unit {
+				s = rng.IntN(7) - 3
+			}
+			lo, hi := min(0, (n-1)*s)+min(0, (reps-1)*p), max(0, (n-1)*s)+max(0, (reps-1)*p)
+			return span{int32(-lo + rng.IntN(size-hi+lo)), int32(s), int32(n), int32(reps), int32(p)}
 		}
-		src := fill()
-		copier := func() *copyKernel {
-			return &copyKernel{lhs: append([]float64(nil), lhs...), srcs: [][]float64{src}, runs: runs, terms: first}
+		var blocks [][2]span
+		for _, run := range runs {
+			n, reps, unit := min(int(run.n), 8), 1+rng.IntN(4), rng.IntN(2) == 0
+			blocks = append(blocks, [2]span{rows(n, reps, unit), rows(n, reps, unit)})
 		}
-		gotCopy, wantCopy := copier(), copier()
-		gotCopy.compute(ghost, nil)
-		elementCopy(wantCopy, ghost)
-		for i := range wantCopy.lhs {
-			if g, w := math.Float64bits(gotCopy.lhs[i]), math.Float64bits(wantCopy.lhs[i]); g != w {
-				t.Fatalf("copy: lhs[%d] = %#x, element copy %#x\nruns %v\nterms %v", i, g, w, runs, first)
+		old, gotCopy, wantCopy := fill(), append([]float64(nil), lhs...), append([]float64(nil), lhs...)
+		copyBlocks(gotCopy, old, blocks)
+		elementCopy(wantCopy, old, blocks)
+		for i := range wantCopy {
+			if g, w := math.Float64bits(gotCopy[i]), math.Float64bits(wantCopy[i]); g != w {
+				t.Fatalf("copy: new[%d] = %#x, element copy %#x\nblocks %v", i, g, w, blocks)
 			}
 		}
 	})

@@ -644,41 +644,40 @@ func TestLayoutBuildCost(t *testing.T) {
 }
 
 // remapBy remaps a to newMap through the chosen enumerator of the remap
-// statement's builder, whatever Remap itself would choose: the lines of
-// the uniform cells (cells, which the statement must have) or the
-// element walk.
+// emitter, whatever Remap itself would choose: the blocks of the uniform
+// cells (cells, which the two tilings must have) or the element walk.
 func remapBy(t *testing.T, e *Engine, a *Array, newMap core.ElementMapping, cells bool) int {
 	t.Helper()
 	to, err := buildLayout(e, newMap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := remapStatement(e, a, newMap, to)
+	b := newRemap(e, a, to)
 	if cells {
-		cuts := b.analyzable(a.dom)
+		cuts := b.cells()
 		if cuts == nil {
-			t.Fatal("the remap statement has no uniform cells")
+			t.Fatal("the remap has no uniform cells")
 		}
-		b.tileLines(a.dom, cuts)
-	} else if err := b.elementLines(a.dom); err != nil {
-		t.Fatal(err)
+		b.byCells(cuts)
+	} else {
+		b.byElements()
 	}
-	moved, err := remapTo(a, newMap, b.finish())
+	moved, err := remapTo(a, newMap, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return moved
 }
 
-// cellsOf reports whether the statement remapping a to m has uniform
-// cells: whether the remap is enumerated by cells or walked.
+// cellsOf reports whether the remap of a to m has uniform cells:
+// whether it is enumerated by cells or walked.
 func cellsOf(t *testing.T, e *Engine, a *Array, m core.ElementMapping) bool {
 	t.Helper()
 	to, err := buildLayout(e, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return remapStatement(e, a, m, to).analyzable(a.dom) != nil
+	return newRemap(e, a, to).cells() != nil
 }
 
 // segmentBits snapshots every hosted segment of an array, bit for bit.
@@ -811,8 +810,8 @@ func TestRemapTileEnumeratorMatchesElementEnumerator(t *testing.T) {
 	}
 }
 
-// TestRemapEnumeratorChoice pins which enumerator the remap statement
-// takes, from what analyzable can observe: cells when both layouts are
+// TestRemapEnumeratorChoice pins which enumerator a remap takes, from
+// what its sides' layouts show: cells when both layouts are
 // single-owner, however fine their tiles and whether or not the mapping
 // has a bulk tiling; the element walk for a replicated side.
 func TestRemapEnumeratorChoice(t *testing.T) {
@@ -849,14 +848,13 @@ func TestRemapEnumeratorChoice(t *testing.T) {
 	}
 }
 
-// TestRemapPlanCost keeps a remap tied to the lines of its cell grid,
-// not to its elements: (BLOCK,:) ↔ (CYCLIC(8),:) on 1024² compiles to no
-// more kernel runs than the emitter cuts its 128 cells into lines — a
-// kept cell into its columns, a moved one into its rows — and to no more
-// shipped intervals than the moved cells have rows; and one remap
-// allocates at most twice the array — its new segments, the messages in
-// flight and the plan. The layout's O(domain) index grids made it four
-// times; the element walk allocated nine.
+// TestRemapPlanCost keeps a remap tied to its cells, not to their lines
+// or elements: (BLOCK,:) ↔ (CYCLIC(8),:) on 1024² compiles to at most
+// one copy block per kept cell and at most one shipped block per moved
+// cell, each a span of a row per line; one remap allocates at most
+// twice the array — its new segments, the messages in flight and the
+// plan — and reserves no ghost buffer: the moved blocks land straight
+// in the new segments, so the engine's buffers are what they were.
 func TestRemapPlanCost(t *testing.T) {
 	const np, n = 2, 1024
 	e := newEngine(t, np)
@@ -873,45 +871,45 @@ func TestRemapPlanCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := remapStatement(e, a, to, lay)
-		cuts := b.analyzable(dom)
-		lines, rows := 0, 0
+		b := newRemap(e, a, lay)
+		cuts := b.cells()
+		kept, moved := 0, 0
 		forEachCell(cuts, func(lo, hi []int) {
 			was, _ := a.lay.firstOwner(lo[0] - 1 + (lo[1]-1)*n)
 			if now, _ := lay.firstOwner(lo[0] - 1 + (lo[1]-1)*n); was == now {
-				lines += hi[1] - lo[1] + 1
+				kept++
 			} else {
-				lines += hi[0] - lo[0] + 1
-				rows += hi[0] - lo[0] + 1
+				moved++
 			}
 		})
-		b.tileLines(dom, cuts)
-		runs, shipped := 0, 0
-		for _, wp := range b.finish().plans {
-			if wp == nil {
-				continue
-			}
-			runs += len(wp.kernel.(*runKernel).runs)
-			for _, sp := range wp.ex.sends {
-				for _, sg := range sp.segs {
-					shipped += len(sg.spans)
-				}
+		b.byCells(cuts)
+		copies, shipped := 0, 0
+		for _, k := range b.kept {
+			copies += len(k)
+		}
+		for _, segs := range b.pairs {
+			for _, sg := range segs {
+				shipped += len(sg.slots)
 			}
 		}
-		if runs == 0 || runs > lines || shipped == 0 || shipped > rows {
-			t.Errorf("remap %d: %d kernel runs for %d lines, %d shipped intervals for %d moved rows", i, runs, lines, shipped, rows)
+		if copies == 0 || copies > kept || shipped == 0 || shipped > moved {
+			t.Errorf("remap %d: %d copy blocks for %d kept cells, %d shipped blocks for %d moved cells", i, copies, kept, shipped, moved)
 		}
-		moved := 0
+		bufs := slices.Clone(e.bufs)
+		elems := 0
 		bytes, _ := allocated(func() {
-			if moved, err = e.Remap(a, to); err != nil {
+			if elems, err = e.Remap(a, to); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if moved != n*n/2 {
-			t.Errorf("remap %d moves %d elements, want %d", i, moved, n*n/2)
+		if elems != n*n/2 {
+			t.Errorf("remap %d moves %d elements, want %d", i, elems, n*n/2)
 		}
 		if bytes > 2*8*n*n {
 			t.Errorf("remap %d allocates %d bytes for an array of %d", i, bytes, 8*n*n)
+		}
+		if !slices.EqualFunc(e.bufs, bufs, func(x, y []float64) bool { return len(x) == len(y) }) {
+			t.Errorf("remap %d grew the engine's buffers", i)
 		}
 	}
 }
