@@ -28,10 +28,12 @@ race-spmd:
 # The irregular (inspector–executor) workloads, the facade's gather
 # and scatter-add schedules and the equivalence tests on the spmd
 # engine, the spmd irregular tests (kernel choice on all three wires,
-# the inspect epoch's lists, a 2-process tcp job) and the inspector's
-# concurrent per-writer pass, under the race detector.
+# the inspect epoch's lists, a 2-process tcp job), the inspector's
+# concurrent per-writer pass, and the INDIRECT format and its
+# counting-pass layout against the element fill, under the race
+# detector.
 race-irregular:
-	HPFNT_ENGINE=spmd $(GO) test -race -count=1 -run 'Irregular|Gather|Scatter' ./internal/workload ./internal/engine ./hpf ./internal/spmd ./internal/inspector
+	HPFNT_ENGINE=spmd $(GO) test -race -count=1 -run 'Irregular|Gather|Scatter|Indirect' ./internal/workload ./internal/engine ./hpf ./internal/spmd ./internal/inspector ./internal/dist
 
 # The E1–E13 experiments and the workload/equivalence suites on the
 # spmd engine with every message over the tcp transport's loopback

@@ -12,6 +12,7 @@ package main_bench
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"hpfnt/internal/align"
@@ -295,23 +296,40 @@ func mapper(b *testing.B, kind string, np int) (engine.Engine, func(dom index.Do
 // engine — the tile index and zeroed segments — which every NewArray
 // and every Remap pays: row blocks and
 // 8-row bands of a 1024² array, the single-element tiles of a CYCLIC
-// vector (the halo workloads' prologue) and the slabs of a 64³ array.
+// vector (the halo workloads' prologue), the slabs of a 64³ array and
+// a 2²⁰-element INDIRECT vector of random owners (irregular.cg's X).
 func BenchmarkSpmdLayoutBuild(b *testing.B) {
 	eng, mapping := mapper(b, engine.SPMD, 2) // what the bench/ workloads run at
 	square, cube := index.Standard(1, 1024, 1, 1024), index.Standard(1, 64, 1, 64, 1, 64)
+	// The INDIRECT vector is built in its own case, so the heap it holds
+	// does not pace the collector under the others.
+	indirect := func() core.ElementMapping {
+		rng, owner := rand.New(rand.NewPCG(1, 2)), make([]int, 1<<20)
+		for i := range owner {
+			owner[i] = rng.IntN(2) + 1
+		}
+		f, err := dist.NewIndirect(owner)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return mapping(index.Standard(1, len(owner)), f)
+	}
 	for _, tc := range []struct {
 		name string
-		m    core.ElementMapping
+		m    func() core.ElementMapping
 	}{
-		{"block-1024x1024", mapping(square, dist.Block{}, dist.Collapsed{})},
-		{"cyclic8-1024x1024", mapping(square, dist.Cyclic{K: 8}, dist.Collapsed{})},
-		{"cyclic1-1024-vector", mapping(index.Standard(1, 1024), dist.Cyclic{K: 1})},
-		{"block-64x64x64", mapping(cube, dist.Block{}, dist.Collapsed{}, dist.Collapsed{})},
+		{"block-1024x1024", func() core.ElementMapping { return mapping(square, dist.Block{}, dist.Collapsed{}) }},
+		{"cyclic8-1024x1024", func() core.ElementMapping { return mapping(square, dist.Cyclic{K: 8}, dist.Collapsed{}) }},
+		{"cyclic1-1024-vector", func() core.ElementMapping { return mapping(index.Standard(1, 1024), dist.Cyclic{K: 1}) }},
+		{"block-64x64x64", func() core.ElementMapping { return mapping(cube, dist.Block{}, dist.Collapsed{}, dist.Collapsed{}) }},
+		{"indirect-1M-vector", indirect},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
+			m := tc.m()
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.NewArray("A", tc.m); err != nil {
+				if _, err := eng.NewArray("A", m); err != nil {
 					b.Fatal(err)
 				}
 			}

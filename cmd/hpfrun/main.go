@@ -342,7 +342,8 @@ func runMember(src, rendezvous, spill string, cfg interp.Config) int {
 				return elastic.Job{}, err
 			}
 			return elastic.Job{Arrays: j.Arrays, Iters: j.Iters, Step: j.Step, Finish: func() (err error) {
-				if res, err = j.Finish(); err == nil && *verbose {
+				// Values are read to verify or print them.
+				if res, err = j.Finish(!*noverify || *values); err == nil && *verbose {
 					det = eng.Detail() // a collective: every member reaches it here
 				}
 				return err

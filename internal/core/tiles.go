@@ -4,16 +4,18 @@
 // distributions compose per-dimension format runs, alignments
 // transport base tiles through the affine interval form of α, and
 // inherited section mappings translate through their (stride-1)
-// triplets. Mappings outside those closed forms — replicating
-// alignments aside, which have no single-owner decomposition at all —
-// fall back to per-element enumeration with run coalescing, so
-// OwnerTiles is total on single-owner mappings; AppendOwners, one
-// element at a time, is the oracle its tests compare against.
+// triplets. Mappings outside those closed forms (an INDIRECT
+// dimension among them) — replicating alignments aside, which have no
+// single-owner decomposition at all — fall back to per-element
+// enumeration with run coalescing, so OwnerTiles is total on
+// single-owner mappings; AppendOwners, one element at a time, is the
+// oracle its tests compare against.
 package core
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hpfnt/internal/dist"
 	"hpfnt/internal/index"
@@ -110,8 +112,10 @@ func tailMatches(region index.Domain, t index.Tuple) bool {
 }
 
 // AppendOwnerTiles delegates to the distribution's run composition.
+// A distribution with an INDIRECT dimension declines: an owner vector
+// has no closed form, and its runs are as many as its owner changes.
 func (m DistMapping) AppendOwnerTiles(dst []Tile, region index.Domain) ([]Tile, error) {
-	if !region.IsStandard() {
+	if !region.IsStandard() || slices.ContainsFunc(m.D.Formats, func(f dist.Format) bool { return f.Kind() == dist.KindIndirect }) {
 		return nil, ErrNoBulk
 	}
 	return m.D.AppendOwnerTiles(dst, region)

@@ -250,25 +250,39 @@ func TestNewIndirectErrors(t *testing.T) {
 	}
 }
 
-// TestNewIndirectCost: NewIndirect allocates the same number of times
-// for 10^4 and 10^6 entries — no map, no per-element append.
+// TestNewIndirectCost: NewIndirect allocates the same few times for
+// 10^4 and 10^6 entries — no map, no per-element append — and no more
+// bytes than it retains, the owner vector and the local index at 4
+// bytes an entry each, plus its per-owner count table.
 func TestNewIndirectCost(t *testing.T) {
-	allocs := func(n int) float64 {
+	cost := func(n int) (allocs float64, bytes uint64) {
 		owner := make([]int, n)
 		for i := range owner {
 			owner[i] = (i*7+i/13)%5 + 1
 		}
-		// A collection starting inside the measurement allocates on
-		// the runtime's behalf; start each measurement from a fresh heap.
-		runtime.GC()
-		return testing.AllocsPerRun(3, func() {
+		build := func() {
 			if _, err := NewIndirect(owner); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		// A collection starting inside the measurement allocates on
+		// the runtime's behalf; start each measurement from a fresh heap.
+		runtime.GC()
+		allocs = testing.AllocsPerRun(3, build)
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		build()
+		runtime.ReadMemStats(&m1)
+		return allocs, m1.TotalAlloc - m0.TotalAlloc
 	}
-	if small, large := allocs(10_000), allocs(1_000_000); small != large {
+	small, _ := cost(10_000)
+	large, bytes := cost(1_000_000)
+	if small != large || large > 4 {
 		t.Errorf("NewIndirect allocates %.0f times for 10^4 entries, %.0f for 10^6", small, large)
+	}
+	if retained := uint64(8 * 1_000_000); bytes > retained+64<<10 {
+		t.Errorf("NewIndirect allocates %d bytes for 10^6 entries, to retain %d", bytes, retained)
 	}
 }
 

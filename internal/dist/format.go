@@ -97,9 +97,10 @@ type Format interface {
 	// hi-lo; INDIRECT degrades to a per-element walk of the interval.
 	AppendRuns(dst []Run, lo, hi, n, np int) []Run
 	// RunCountEstimate bounds (from above) the number of runs
-	// AppendRuns would produce over [lo, hi], in O(1) — without
-	// materializing them — so AppendRuns' destination can be sized
-	// once.
+	// AppendRuns would produce over [lo, hi] without materializing
+	// them, so AppendRuns' destination can be sized once: in O(1) for
+	// the closed forms, exactly by a walk of the interval for
+	// INDIRECT.
 	RunCountEstimate(lo, hi, n, np int) int
 	// String renders the format in directive syntax.
 	String() string
@@ -335,21 +336,15 @@ func (g GeneralBlock) String() string {
 // owner vector, one entry per global index — the generality the
 // paper's distribution-function concept provides for (intro point 3,
 // §9; cf. Kali and Vienna Fortran user-defined distributions). The
-// vector is δ itself; the local index and the run decomposition are
-// precomputed at construction, so Map and Local are O(1) and
-// AppendRuns is a clipped copy.
+// vector is δ itself and the local index is precomputed at
+// construction, so Map and Local are O(1); a vector has no closed-form
+// runs, so AppendRuns walks its interval.
 type indirect struct {
-	owner []int
+	// owner[i] is the owner of global index i+1.
+	owner []int32
 	// local[i] is the 1-based local index of global index i+1.
 	local []int32
 	max   int
-	// allRuns are the maximal same-owner runs of the whole vector in
-	// index order, and runOf[i] is the index into allRuns of the run
-	// holding global index i+1 — so any subinterval's runs are a
-	// clipped sub-slice of allRuns and its run count is an O(1) exact
-	// difference (not the pessimistic whole-vector bound).
-	allRuns []Run
-	runOf   []int32
 }
 
 // maxIndirectOwner bounds INDIRECT owner entries: construction counts
@@ -359,39 +354,25 @@ const maxIndirectOwner = 1 << 20
 // NewIndirect builds an INDIRECT format from a 1-based owner vector
 // (owner[i-1] is the owner of global index i). Entries must lie in
 // 1..2²⁰; the upper bound against the actual processor count is
-// checked by Validate. The tables are built in two counted passes —
-// check and count the runs, then fill the runs and number each owner's
-// elements — so construction allocates the same number of times for
-// any vector length.
+// checked by Validate. One pass checks the entries and copies them,
+// a second numbers each owner's elements, so construction allocates
+// the same number of times for any vector length.
 func NewIndirect(owner []int) (Format, error) {
 	if len(owner) == 0 {
 		return nil, fmt.Errorf("dist: INDIRECT owner vector must be non-empty")
 	}
-	f := &indirect{owner: slices.Clone(owner)}
-	nruns := 0
-	for i, p := range f.owner {
+	f := &indirect{owner: make([]int32, len(owner)), local: make([]int32, len(owner))}
+	for i, p := range owner {
 		if p < 1 {
 			return nil, fmt.Errorf("dist: INDIRECT owner of index %d must be positive, got %d", i+1, p)
 		}
 		if p > maxIndirectOwner {
 			return nil, fmt.Errorf("dist: INDIRECT owner of index %d is %d, above the %d an owner table can index", i+1, p, maxIndirectOwner)
 		}
-		f.max = max(f.max, p)
-		if i == 0 || p != f.owner[i-1] {
-			nruns++
-		}
+		f.owner[i], f.max = int32(p), max(f.max, p)
 	}
-	n := len(f.owner)
-	f.local, f.runOf = make([]int32, n), make([]int32, n)
-	f.allRuns = make([]Run, 0, nruns)
 	held := make([]int32, f.max+1)
 	for i, p := range f.owner {
-		if i == 0 || p != f.owner[i-1] {
-			f.allRuns = append(f.allRuns, Run{Lo: i + 1, Hi: i + 1, Proc: p})
-		} else {
-			f.allRuns[len(f.allRuns)-1].Hi = i + 1
-		}
-		f.runOf[i] = int32(len(f.allRuns) - 1)
 		held[p]++
 		f.local[i] = held[p]
 	}
@@ -417,7 +398,7 @@ func (f *indirect) Validate(n, np int) error {
 }
 
 // Map returns the owner-vector entry of i.
-func (f *indirect) Map(i, n, np int) int { return f.owner[i-1] }
+func (f *indirect) Map(i, n, np int) int { return int(f.owner[i-1]) }
 
 // Local returns i's precomputed rank among its owner's indices.
 func (f *indirect) Local(i, n, np int) int { return int(f.local[i-1]) }

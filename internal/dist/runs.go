@@ -126,19 +126,16 @@ func (g GeneralBlock) AppendRuns(dst []Run, lo, hi, n, np int) []Run {
 	}
 }
 
-// AppendRuns copies the precomputed maximal runs overlapping [lo, hi],
-// clipping the first and last to the interval: O(runs emitted), not a
-// per-element walk — a user-defined owner vector has no closed form,
-// but its run decomposition is fixed at construction.
+// AppendRuns walks the owner vector over [lo, hi], one run per owner
+// change: a user-defined owner vector has no closed form.
 func (f *indirect) AppendRuns(dst []Run, lo, hi, n, np int) []Run {
-	if lo > hi {
-		return dst
+	for i := lo; i <= hi; i++ {
+		if p := int(f.owner[i-1]); i > lo && p == dst[len(dst)-1].Proc {
+			dst[len(dst)-1].Hi = i
+		} else {
+			dst = append(dst, Run{Lo: i, Hi: i, Proc: p})
+		}
 	}
-	first, last := f.runOf[lo-1], f.runOf[hi-1]
-	k := len(dst)
-	dst = append(dst, f.allRuns[first:last+1]...)
-	dst[k].Lo = lo
-	dst[len(dst)-1].Hi = hi
 	return dst
 }
 
@@ -188,16 +185,19 @@ func (g GeneralBlock) RunCountEstimate(lo, hi, n, np int) int {
 	return g.Map(hi, n, np) - g.Map(lo, n, np) + 1
 }
 
-// RunCountEstimate is exact for INDIRECT: the per-index run table
-// gives the number of maximal runs overlapping [lo, hi] in O(1). (It
-// used to bound by the whole vector's run count, which made the
-// estimate-based oracle-vs-tiles selection in schedule analysis
-// pessimistic for partitioner-style vectors with long runs.)
+// RunCountEstimate counts the owner changes over [lo, hi]: exact,
+// so AppendRuns' destination is sized to what it holds.
 func (f *indirect) RunCountEstimate(lo, hi, n, np int) int {
 	if lo > hi {
 		return 0
 	}
-	return int(f.runOf[hi-1]-f.runOf[lo-1]) + 1
+	runs, own := 1, f.owner[lo-1:hi]
+	for i := 1; i < len(own); i++ {
+		if own[i] != own[i-1] {
+			runs++
+		}
+	}
+	return runs
 }
 
 // Tile is a rectangular sub-domain all of whose elements are owned by

@@ -66,7 +66,7 @@ func jobConfig(cfg interp.Config, src string, out **interp.Result) Config {
 				return Job{}, err
 			}
 			return Job{Arrays: j.Arrays, Iters: j.Iters, Step: j.Step, Finish: func() (err error) {
-				*out, err = j.Finish()
+				*out, err = j.Finish(true)
 				return err
 			}}, nil
 		},
@@ -405,7 +405,7 @@ func TestWatchdogSparesProgress(t *testing.T) {
 					return nil
 				},
 				Finish: func() (err error) {
-					got, err = j.Finish()
+					got, err = j.Finish(true)
 					return err
 				},
 			}, nil

@@ -62,7 +62,8 @@ type Result struct {
 	Output string
 	// Names lists the materialized arrays in materialization order.
 	Names []string
-	// Values holds each materialized array's dense global values.
+	// Values holds each materialized array's dense global values:
+	// always after Run, after Job.Finish only when asked for.
 	Values map[string][]float64
 	// Report is the machine-counter snapshot at program end. Compare
 	// Report.Logical() across backends (phase attribution is
@@ -112,7 +113,7 @@ func (ip *Interp) Run(src string) (*Result, error) {
 	if err := j.Step(0, j.Iters); err != nil {
 		return nil, err
 	}
-	return j.Finish()
+	return j.Finish(true)
 }
 
 // Job is a program split at its epoch loop — the first top-level DO
@@ -173,8 +174,11 @@ func (ip *Interp) Prepare(src string) (*Job, error) {
 func (j *Job) Step(epoch, k int) error { return j.ip.iterate(j.loop, j.trip, epoch, k) }
 
 // Finish runs the statements after the epoch loop and returns the
-// program's observable result.
-func (j *Job) Finish() (*Result, error) {
+// program's observable result, with every array's values when values
+// is set. Reading them is a collective on a multi-process transport
+// (each rank's segment is broadcast), so every member of a job passes
+// the same values.
+func (j *Job) Finish(values bool) (*Result, error) {
 	ip := j.ip
 	for _, n := range j.rest {
 		if err := ip.exec(n); err != nil {
@@ -187,8 +191,8 @@ func (j *Job) Finish() (*Result, error) {
 		Values: make(map[string][]float64, len(ip.order)),
 		Report: ip.prog.Stats(),
 	}
-	for _, name := range ip.order {
-		res.Values[name] = ip.arrays[name].Data()
+	for i := 0; values && i < len(ip.order); i++ {
+		res.Values[ip.order[i]] = ip.arrays[ip.order[i]].Data()
 	}
 	return res, nil
 }

@@ -3,8 +3,11 @@ package interp_test
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"hpfnt/internal/elastic"
 	"hpfnt/internal/engine"
@@ -106,7 +109,7 @@ func TestJobMatchesRun(t *testing.T) {
 							return elastic.Job{}, err
 						}
 						return elastic.Job{Arrays: j.Arrays, Iters: j.Iters, Step: j.Step, Finish: func() (err error) {
-							got, err = j.Finish()
+							got, err = j.Finish(true)
 							return err
 						}}, nil
 					},
@@ -124,5 +127,68 @@ func TestJobMatchesRun(t *testing.T) {
 				sameResult(t, fmt.Sprintf("%s checkpointed every %d", name, every), want, got)
 			}
 		})
+	}
+}
+
+// TestFinishReadsValuesOnRequest: in a 2-process shm job whose last
+// statement is its epoch loop, Finish without values puts on the wire
+// only the frames of the report's collective (what one more Stats
+// sends); with values, each member's segment crosses it too and both
+// members return the whole array.
+func TestFinishReadsValuesOnRequest(t *testing.T) {
+	const src = "PROCESSORS P(2)\nREAL A(1:64)\n!HPF$ DISTRIBUTE A(BLOCK) TO P\nFORALL (I = 1:64) A(I) = I\n" +
+		"DO K = 1, 3\n  A(2:64) = A(1:63)\nEND DO\n"
+	for _, values := range []bool{false, true} {
+		dir := t.TempDir()
+		var wg sync.WaitGroup
+		sent, stats, got, errs := make([]int64, 2), make([]int64, 2), make([][]float64, 2), make([]error, 2)
+		for self := range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tr, err := transport.Join(transport.Shm, transport.Config{Job: "finish-test", NP: 2, Procs: 2, Self: self,
+					Dir: dir, Timeout: 10 * time.Second, Heartbeat: 10 * time.Second})
+				if err != nil {
+					errs[self] = err
+					return
+				}
+				eng, err := engine.NewSPMDOn(tr, machine.DefaultCost())
+				if err != nil {
+					errs[self] = err
+					return
+				}
+				defer eng.Close()
+				j, err := interp.Config{Name: "finish", NP: 2}.PrepareOn(eng, src)
+				if err == nil {
+					err = j.Step(0, j.Iters)
+				}
+				if err != nil {
+					errs[self] = err
+					return
+				}
+				frames := func() int64 { return tr.(transport.WireCounter).Wire().FramesSent }
+				before := frames()
+				res, err := j.Finish(values)
+				if err != nil {
+					errs[self] = err
+					return
+				}
+				sent[self], got[self], before = frames()-before, res.Values["A"], frames()
+				eng.Stats()
+				stats[self] = frames() - before
+			}()
+		}
+		wg.Wait()
+		for self, err := range errs {
+			if err != nil {
+				t.Fatalf("values=%v: member %d: %v", values, self, err)
+			}
+		}
+		switch {
+		case !values && (!slices.Equal(sent, stats) || got[0] != nil || got[1] != nil):
+			t.Errorf("Finish(false): %v frames sent, %v for the report, values %v", sent, stats, got)
+		case values && (sent[0]+sent[1] <= stats[0]+stats[1] || len(got[0]) != 64 || !slices.Equal(got[0], got[1])):
+			t.Errorf("Finish(true): %v frames sent, %v for the report, values %v and %v", sent, stats, got[0], got[1])
+		}
 	}
 }

@@ -41,8 +41,10 @@ type layout struct {
 // Each dimension is cut at every tile boundary; a cell of the cut
 // grid lies in one tile and holds its elements column-major from a
 // slot base. The index is O(cells): a cell per tile for the product
-// tilings of distributions, alignments and sections, never more than a
-// cell per element.
+// tilings of distributions, alignments and sections. A mapping without
+// bulk tiles (an INDIRECT vector, a clamped alignment) or with a
+// tiling that is no product keeps the owner and slot of every element
+// instead, and its cells are elements or, along a vector, runs.
 type tileIndex struct {
 	// cuts[d] are the ascending positions (0-based along dimension d)
 	// where a cell starts, closed by the dimension's extent.
@@ -56,7 +58,8 @@ type tileIndex struct {
 	owner, base []int32
 	// vol[p] is worker p's slot count.
 	vol []int32
-	// owners and slots are the translation table, once table made it.
+	// owners and slots are the translation table, kept by an index of
+	// elements and made by table for any other.
 	owners, slots []int32
 }
 
@@ -68,7 +71,10 @@ func indexOf(e *Engine, m core.ElementMapping) (*tileIndex, error) {
 	if size := dom.Size(); size > math.MaxInt32 {
 		return nil, fmt.Errorf("domain %s has %d elements, above the %d a layout can index", dom, size, math.MaxInt32)
 	}
-	tiles, err := core.OwnerTiles(m, dom)
+	tiles, err := m.AppendOwnerTiles(nil, dom)
+	if errors.Is(err, core.ErrNoBulk) {
+		return elementIndex(e, m, nil)
+	}
 	if errors.Is(err, dist.ErrMultiOwner) {
 		return nil, nil
 	}
@@ -77,7 +83,7 @@ func indexOf(e *Engine, m core.ElementMapping) (*tileIndex, error) {
 	}
 	// span[k·rank+d] is the first position and extent along d of tile
 	// k, all zero for an empty tile. at[d][v] marks a cut at position v
-	// of dimension d, and then numbers it.
+	// of dimension d, and then numbers it. Bulk tiles are standard.
 	rank := dom.Rank()
 	span, at := make([][2]int32, len(tiles)*rank), make([][]int32, rank)
 	for d, dd := range dom.Dims {
@@ -90,11 +96,8 @@ func indexOf(e *Engine, m core.ElementMapping) (*tileIndex, error) {
 		}
 		sp, vol := span[k*rank:k*rank+rank], 1
 		for d, tr := range tl.Region.Dims {
-			dd, first, n := dom.Dims[d], tr.Low-dom.Dims[d].Low, max(tr.High-tr.Low+1, 0)
-			if dd.Stride != 1 || tr.Stride != 1 {
-				first, n = first/dd.Stride, tr.Count()
-			}
-			if n > 0 && (n > 1 && tr.Stride != dd.Stride || dd.At(first) != tr.Low || first < 0 || first+n >= len(at[d])) {
+			first, n := tr.Low-dom.Dims[d].Low, max(tr.High-tr.Low+1, 0)
+			if n > 0 && (n > 1 && tr.Stride != 1 || first < 0 || first+n >= len(at[d])) {
 				return nil, fmt.Errorf("spmd: tile %s outside domain %s", tl.Region, dom)
 			}
 			sp[d], vol = [2]int32{int32(first), int32(n)}, vol*n
@@ -106,74 +109,138 @@ func indexOf(e *Engine, m core.ElementMapping) (*tileIndex, error) {
 			at[d][s[0]], at[d][s[0]+s[1]] = 1, 1
 		}
 	}
-	// Cut each dimension at the tile boundaries or, when that leaves a
-	// tile in several cells, everywhere: a cell per element.
-	x := &tileIndex{cuts: make([][]int32, rank), width: make([]int32, rank)}
-	for fine := false; ; fine = true {
-		cells := 1
-		for d, c := range at {
-			n := int32(0)
-			for v := range c {
-				if fine {
-					c[v] = 1
-				}
-				n += c[v]
-			}
-			// Without a branch: position v gets the number of cuts before
-			// it, and is the cut of that number if it is one (the last
-			// position is, so a later cut overwrites it if it is not).
-			cd, k := make([]int32, n), int32(0)
-			for v, cut := range c {
-				c[v], cd[k] = k, int32(v)
-				k += cut
-			}
-			x.cuts[d], x.width[d] = cd, cd[min(1, n-1)]
-			for i := 2; i+1 < len(cd); i++ {
-				if cd[i]-cd[i-1] != cd[1] {
-					x.width[d] = 0
-				}
-			}
-			cells *= int(n) - 1
+	x := &tileIndex{cuts: make([][]int32, rank), width: make([]int32, rank), vol: make([]int32, e.np+1)}
+	cells := 1
+	for d, c := range at {
+		n := int32(0)
+		for _, cut := range c {
+			n += cut
 		}
-		x.owner, x.base = make([]int32, cells), make([]int32, cells)
-		if x.place(dom, tiles, span, at, e.np, fine) {
-			return x, nil
+		// Without a branch: position v gets the number of cuts before
+		// it, and is the cut of that number if it is one (the last
+		// position is, so a later cut overwrites it if it is not).
+		cd, k := make([]int32, n), int32(0)
+		for v, cut := range c {
+			c[v], cd[k] = k, int32(v)
+			k += cut
 		}
+		x.cuts[d], x.width[d] = cd, widthOf(cd)
+		cells *= int(n) - 1
 	}
-}
-
-// place gives each cell the owner and slot base of its tile. Each
-// tile must be one cell, or else — fine — each element is one: its
-// base is then its tile's base plus its column-major position in the
-// tile, and its cell number its offset.
-func (x *tileIndex) place(dom index.Domain, tiles []core.Tile, span [][2]int32, cutAt [][]int32, np int, fine bool) bool {
-	rank := len(x.cuts)
-	x.vol = make([]int32, np+1)
+	// Each tile must be one cell, its base the slots its owner's earlier
+	// tiles took.
+	x.owner, x.base = make([]int32, cells), make([]int32, cells)
 	for k := range tiles {
 		sp, p, vol, cell, cm := span[k*rank:k*rank+rank], int32(tiles[k].Proc), int32(1), 0, 1
-		for d, c := range cutAt {
-			if !fine && c[sp[d][0]+sp[d][1]]-c[sp[d][0]] > 1 {
-				return false
+		for d, c := range at {
+			if c[sp[d][0]+sp[d][1]]-c[sp[d][0]] > 1 {
+				return elementIndex(e, m, tiles)
 			}
 			cell += int(c[sp[d][0]]) * cm
 			cm *= len(x.cuts[d]) - 1
 			vol *= sp[d][1]
 		}
-		switch slot := x.vol[p]; {
-		case vol == 0:
-		case !fine:
-			x.owner[cell], x.base[cell] = p, slot
-		default:
-			tiles[k].Region.ForEach(func(t index.Tuple) bool {
-				off, _ := dom.Offset(t)
-				x.owner[off], x.base[off] = p, slot
-				slot++
-				return true
-			})
+		if vol > 0 {
+			x.owner[cell], x.base[cell] = p, x.vol[p]
 		}
 		x.vol[p] += vol
 	}
-	return true
+	return x, nil
+}
+
+// widthOf returns the extent of all but the last interval of cuts c,
+// or 0 when they differ.
+func widthOf(c []int32) int32 {
+	for i := 2; i+1 < len(c); i++ {
+		if c[i]-c[i-1] != c[1] {
+			return 0
+		}
+	}
+	return c[min(1, len(c)-1)]
+}
+
+// elementIndex lays out m element by element, keeping the owner and
+// slot of each: tile by tile, column-major, when m has tiles that are
+// no product; else in one counting pass over its owners in offset
+// order, where an element's slot is the count of its owner's elements
+// before it. That is the slot contract, since the owner tiles of a
+// mapping without bulk tiles are the runs along dimension 0 that
+// OwnerTiles coalesces in offset order.
+func elementIndex(e *Engine, m core.ElementMapping, tiles []core.Tile) (*tileIndex, error) {
+	dom := m.Domain()
+	rank, size := dom.Rank(), dom.Size()
+	owners, slots, vol := make([]int32, size), make([]int32, size), make([]int32, e.np+1)
+	x := &tileIndex{cuts: make([][]int32, rank), width: make([]int32, rank), vol: vol, owners: owners, slots: slots}
+	for _, tl := range tiles {
+		tl.Region.ForEach(func(t index.Tuple) bool {
+			off, _ := dom.Offset(t) // indexOf checked the tiles
+			owners[off], slots[off] = int32(tl.Proc), vol[tl.Proc]
+			vol[tl.Proc]++
+			return true
+		})
+	}
+	// t steps along dimension 0 and carries into the others per row.
+	t, n0, buf := dom.TupleAt(0), size, []int(nil)
+	if rank > 0 {
+		n0 = dom.Dims[0].Count()
+	}
+	runs, prev := 0, int32(0) // the runs of one owner in offset order
+	for row := 0; tiles == nil && row < size; row += n0 {
+		for off := row; off < row+n0; off++ {
+			if rank > 0 {
+				t[0] = dom.Dims[0].At(off - row)
+			}
+			ps, err := m.AppendOwners(buf[:0], t)
+			if err != nil {
+				return nil, err
+			}
+			if buf = ps; len(ps) != 1 {
+				return nil, nil
+			}
+			if ps[0] < 1 || ps[0] > e.np {
+				return nil, fmt.Errorf("spmd: mapping owner %d out of range 1..%d", ps[0], e.np)
+			}
+			p := int32(ps[0])
+			owners[off], slots[off], runs, prev = p, vol[p], runs+changed(p, prev), p
+			vol[p]++
+		}
+		for d := 1; d < rank; d++ {
+			if tr := dom.Dims[d]; t[d] != tr.Last() {
+				t[d] += tr.Stride
+				break
+			}
+			t[d] = dom.Dims[d].Low
+		}
+	}
+	// A vector is cut where its owner changes, so a cell is a run of
+	// consecutive slots; any other rank at every position.
+	if rank != 1 {
+		x.owner, x.base = x.owners, x.slots
+		for d, tr := range dom.Dims {
+			x.cuts[d], x.width[d] = make([]int32, tr.Count()+1), 1
+			for v := range x.cuts[d] {
+				x.cuts[d][v] = int32(v)
+			}
+		}
+		return x, nil
+	}
+	// Without a branch, as indexOf numbers its cuts: each element is
+	// written as the start of the current run, and stays so if it is.
+	cuts, owner, base := make([]int32, runs+1), make([]int32, runs+1), make([]int32, runs+1)
+	k, prev := 0, int32(0)
+	for i, p := range owners {
+		cuts[k], owner[k], base[k] = int32(i), p, slots[i]
+		k, prev = k+changed(p, prev), p
+	}
+	cuts[runs] = int32(size)
+	x.cuts[0], x.width[0], x.owner, x.base = cuts, widthOf(cuts), owner[:runs], base[:runs]
+	return x, nil
+}
+
+// changed is 1 when the owners p and q differ, else 0.
+func changed(p, q int32) int {
+	d := uint32(p ^ q)
+	return int((d | -d) >> 31)
 }
 
 // locate returns the owner and slot of the element at offset off.
@@ -311,17 +378,15 @@ func strip(fn func([]line), buf []line, rows, pitch int32) {
 }
 
 // table returns the owner and slot of every element by offset: the
-// translation table of the inspector and its lowering. A
-// cell-per-element index lends its owner and base arrays; any other
-// fills one from the cell walk on first use and keeps it.
+// translation table of the inspector and its lowering. An index of
+// elements lends its own; any other fills one from the cell walk on
+// first use and keeps it.
 func (x *tileIndex) table() (owners, slots []int32) {
-	n := int32(0)
-	for _, v := range x.vol {
-		n += v
-	}
-	if x.owners == nil && len(x.owner) == int(n) {
-		x.owners, x.slots = x.owner, x.base
-	} else if x.owners == nil {
+	if x.owners == nil {
+		n := int32(0)
+		for _, v := range x.vol {
+			n += v
+		}
 		x.owners, x.slots = make([]int32, n), make([]int32, n)
 		x.walk(0, false, func(ls []line) {
 			for _, ln := range ls {
@@ -604,6 +669,15 @@ func (a *Array) Data() []float64 {
 			}
 			segs[p] = tr.Bcast(tr.HostOf(p), vals)
 		}
+	}
+	if x := lay.idx; x != nil && x.owners != nil {
+		// An index that keeps its translation table gathers through it.
+		for off, p := range x.owners {
+			if slot := x.slots[off]; int(slot) < len(segs[p]) {
+				out[off] = segs[p][slot]
+			}
+		}
+		return out
 	}
 	lay.walk(0, false, func(ls []line) {
 		for _, ln := range ls {

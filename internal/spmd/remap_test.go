@@ -3,6 +3,7 @@ package spmd
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	gort "runtime"
 	"slices"
 	"testing"
@@ -20,8 +21,8 @@ import (
 	"hpfnt/internal/transport"
 )
 
-// opaque declines bulk tiles for the mapping it wraps, so it is tiled
-// by core's element enumeration: the non-bulk case.
+// opaque declines bulk tiles for the mapping it wraps, so it is laid
+// out by the counting pass: the non-bulk case.
 type opaque struct{ core.ElementMapping }
 
 func (opaque) AppendOwnerTiles([]core.Tile, index.Domain) ([]core.Tile, error) {
@@ -342,6 +343,69 @@ func TestLayoutMatchesElementFill(t *testing.T) {
 	}
 }
 
+// TestIndirectLayoutMatchesOracle: the counting pass places every
+// element of an INDIRECT vector at the owner and slot the element fill
+// gives it, and keeps that as its translation table — random vectors
+// at np 1–5, one owner everywhere, strict alternation, a single
+// element, and a vector aligned in reverse with one (whose owner tiles
+// the element walk coalesces in offset order too); CYCLIC(1) and
+// GENERAL_BLOCK with empty blocks, cut at their tiles, place theirs
+// alike.
+func TestIndirectLayoutMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(45, 1))
+	for np := 1; np <= 5; np++ {
+		e := newEngine(t, np)
+		sys, _ := proc.NewSystem(np)
+		check := func(name string, m core.ElementMapping, table bool) {
+			t.Helper()
+			got, err := buildLayout(e, m)
+			if err != nil {
+				t.Fatalf("np %d %s: %v", np, name, err)
+			}
+			want, err := oracleLayout(e, m)
+			if err != nil {
+				t.Fatalf("np %d %s: %v", np, name, err)
+			}
+			if got.idx == nil || (got.idx.owners != nil) != table {
+				t.Fatalf("np %d %s: index %+v, want a translation table: %v", np, name, got.idx, table)
+			}
+			matchesElementFill(t, got, want)
+		}
+		vectors := map[string][]int{"single": {np}}
+		for _, n := range []int{2, 13, 64, 1000} {
+			random, one, alternating := make([]int, n), make([]int, n), make([]int, n)
+			for i := range n {
+				random[i], one[i], alternating[i] = rng.IntN(np)+1, np, i%np+1
+			}
+			vectors[fmt.Sprintf("random-%d", n)] = random
+			vectors[fmt.Sprintf("one-owner-%d", n)] = one
+			vectors[fmt.Sprintf("alternating-%d", n)] = alternating
+		}
+		for name, owner := range vectors {
+			f, err := dist.NewIndirect(owner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dom := index.Standard(1, len(owner))
+			base := distMapping(t, sys, dom, f)
+			check(name, base, true)
+			spec := align.Spec{Alignee: "A", Axes: []align.Axis{align.DummyAxis("I")}, Base: "X",
+				Subs: []align.Subscript{align.ExprSub(expr.Affine(-1, "I", len(owner)+1))}}
+			fn, err := align.Normalize(spec, dom, dom, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(name+"-reversed", core.Construct(fn, base), true)
+		}
+		bounds := make([]int, np-1)
+		for k := range bounds {
+			bounds[k] = min(13, 5*((k+1)/2)) // 0, 5, 5, 10: empty first and third blocks
+		}
+		check("cyclic1", distMapping(t, sys, index.Standard(1, 13), dist.Cyclic{K: 1}), false)
+		check("gblock-empty", distMapping(t, sys, index.Standard(1, 13), dist.GeneralBlock{Bounds: bounds}), false)
+	}
+}
+
 // TestRemapPatchwork: remaps between (BLOCK,:) and a tiling that is no
 // product of cuts — an index with a cell per element, so the uniform
 // cells are single elements — lay out and move every value alike by
@@ -640,6 +704,45 @@ func TestLayoutBuildCost(t *testing.T) {
 	}
 	if tiled > walked {
 		t.Errorf("CYCLIC 1024-vector layout: tile index %v, element fill %v", tiled, walked)
+	}
+
+	// A 2²⁰-element INDIRECT vector of random owners, the format built
+	// with the layout: a bounded number of allocations, at most 32 bytes
+	// an element beside its values, and faster than the element fill.
+	rng, owner := rand.New(rand.NewPCG(45, 2)), make([]int, 1<<20)
+	for i := range owner {
+		owner[i] = rng.IntN(np) + 1
+	}
+	var ind core.ElementMapping
+	build := func() {
+		f, err := dist.NewIndirect(owner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ind = distMapping(t, sys, index.Standard(1, len(owner)), f)
+		if _, err := buildLayout(e, ind); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gort.GC()
+	if allocs := testing.AllocsPerRun(2, build); allocs > 40 {
+		t.Errorf("indirect-1M-vector: format and layout allocate %.0f times", allocs)
+	}
+	gort.GC()
+	if bytes, _ := allocated(build); bytes > 40*uint64(len(owner)) {
+		t.Errorf("indirect-1M-vector: format and layout allocate %d bytes, %.1f an element beside 8 of values",
+			bytes, float64(bytes)/float64(len(owner))-8)
+	}
+	counted, walked := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < 5; i++ {
+		t0 := time.Now()
+		buildLayout(e, ind)
+		t1 := time.Now()
+		oracleLayout(e, ind)
+		counted, walked = min(counted, t1.Sub(t0)), min(walked, time.Since(t1))
+	}
+	if counted > walked {
+		t.Errorf("INDIRECT 2^20-vector layout: counting pass %v, element fill %v", counted, walked)
 	}
 }
 

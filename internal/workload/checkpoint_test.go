@@ -97,7 +97,7 @@ func TestCheckpointRestoreRoundtrip(t *testing.T) {
 				if err := ref.Step(0, k1+k2); err != nil {
 					t.Fatal(err)
 				}
-				want, err := ref.Finish()
+				want, err := ref.Finish(true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,7 +127,7 @@ func TestCheckpointRestoreRoundtrip(t *testing.T) {
 				if err := j2.Step(k1, k2); err != nil {
 					t.Fatal(err)
 				}
-				got, err := j2.Finish()
+				got, err := j2.Finish(true)
 				if err != nil {
 					t.Fatal(err)
 				}
